@@ -17,8 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, SpectralCache
-from .gossip import sample_event_stream
-from .seeding import RunStreams, as_streams
+from .gossip import (
+    PairState,
+    lazy_mix_node,
+    run_pairwise,
+    sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
+    synchronized_values,
+)
+from .seeding import RunStreams
 from .trace import Trace
 
 Array = np.ndarray
@@ -121,36 +127,32 @@ class DualParams:
         )
 
 
-@dataclass
-class DualState:
-    """Node images (y, z) of the two dual iterates, with lazy clocks."""
+class DualState(PairState):
+    """Node images (y, z) of the two dual iterates, with lazy clocks.
 
-    y: Array
-    z: Array
-    last_t: Array
-    t: float
+    y lives in the x slot of the pair state shared with gossip, so the
+    gossip event loop, lazy mixer and snapshot serve the dual unchanged.
+    """
+
+    @property
+    def y(self) -> Array:
+        return self.x
+
+    @y.setter
+    def y(self, value: Array) -> None:
+        self.x = value
 
 
 def initial_dual_state(node_count: int, dimension: int) -> DualState:
     return DualState(
-        y=np.zeros((node_count, dimension)),
+        x=np.zeros((node_count, dimension)),
         z=np.zeros((node_count, dimension)),
-        last_t=np.zeros(node_count),
+        last_t=[0.0] * node_count,
         t=0.0,
     )
 
 
-def lazy_mix_dual_node(state: DualState, v: int, to_t: float, eta: float) -> None:
-    """Advance node v's pair (y_v, z_v) to ``to_t`` in closed form."""
-    dt = to_t - state.last_t[v]
-    if dt < 0:
-        raise ValueError(f"node {v} already past t = {to_t}")
-    if dt > 0:
-        decay = math.exp(-2.0 * eta * dt)
-        mid = 0.5 * (state.y[v] + state.z[v])
-        state.y[v] = mid + (state.y[v] - mid) * decay
-        state.z[v] = mid + (state.z[v] - mid) * decay
-    state.last_t[v] = to_t
+lazy_mix_dual_node = lazy_mix_node
 
 
 def dual_update(
@@ -170,24 +172,18 @@ def dual_update(
     -+ gamma' g / P_e.
     """
     v, w = edge
-    g = p_e * (conjugate_grad(fv, state.y[v]) - conjugate_grad(fw, state.y[w]))
+    y, z = state.y, state.z
+    g = p_e * (conjugate_grad(fv, y[v]) - conjugate_grad(fw, y[w]))
     y_coef = params.gamma * r_e / (p_e * p_e)
     z_coef = params.gamma_prime / p_e
-    state.y[v] -= y_coef * g
-    state.y[w] += y_coef * g
-    state.z[v] -= z_coef * g
-    state.z[w] += z_coef * g
+    y[v] -= y_coef * g
+    y[w] += y_coef * g
+    z[v] -= z_coef * g
+    z[w] += z_coef * g
     state.t = t_event
 
 
-def synchronized_dual(state: DualState, eta: float, at_t: float) -> tuple[Array, Array]:
-    """Copies of (y, z) with every node mixed forward to ``at_t``."""
-    dt = at_t - state.last_t
-    if np.any(dt < -1e-12):
-        raise ValueError("some node is already past the requested time")
-    decay = np.exp(-2.0 * eta * np.maximum(dt, 0.0))[:, None]
-    mid = 0.5 * (state.y + state.z)
-    return mid + (state.y - mid) * decay, mid + (state.z - mid) * decay
+synchronized_dual = synchronized_values
 
 
 def primal_recover(state: DualState, local_functions: list[LocalFunction]) -> Array:
@@ -228,63 +224,30 @@ def run_decentralized(
         cache = spectral(graph)
     if params is None:
         params = DualParams.from_graph(graph, cache, mu, smoothness)
-    r_edge = incidence_r(graph, cache)
+    r_edge = incidence_r(graph, cache).tolist()
+    p_edge = graph.edge_probs.tolist()
     x_star = optimum_of(local_functions)
-    dimension = x_star.size
 
-    streams = as_streams(rng)
-    if events is None:
-        times, edge_idx = sample_event_stream(graph, horizon, streams)
-    else:
-        times, edge_idx = events
+    def jump(state, edge, ei, te):
+        fv, fw = local_functions[edge[0]], local_functions[edge[1]]
+        dual_update(state, edge, params, fv, fw, te, r_edge[ei], p_edge[ei])
 
-    state = initial_dual_state(graph.node_count, dimension)
-    grid = sorted(float(t) for t in checkpoints)
-    trace = Trace(event_states=[] if record_states else None)
-    ci = 0
-
-    def primal_error(at_t: float) -> float:
-        _, zs = synchronized_dual(state, params.eta, at_t)
+    def primal_error(ys, zs):
         err = 0.0
         for v, f in enumerate(local_functions):
             d = conjugate_grad(f, zs[v]) - x_star
             err += 0.5 * float(d @ d)
-        return err
+        return {"primal_dist_sq": err}
 
-    def flush(limit: float, inclusive: bool) -> None:
-        nonlocal ci
-        while ci < len(grid) and (grid[ci] < limit or (inclusive and grid[ci] == limit)):
-            trace.add(grid[ci], k, {"primal_dist_sq": primal_error(grid[ci])}, False)
-            ci += 1
-
-    k = 0
-    for te, ei in zip(times, edge_idx):
-        te = float(te)
-        if te > horizon:
-            break
-        flush(te, inclusive=False)
-        edge = graph.edges[ei]
-        lazy_mix_dual_node(state, edge[0], te, params.eta)
-        lazy_mix_dual_node(state, edge[1], te, params.eta)
-        dual_update(
-            state,
-            edge,
-            params,
-            local_functions[edge[0]],
-            local_functions[edge[1]],
-            te,
-            r_e=float(r_edge[ei]),
-            p_e=float(graph.edge_probs[ei]),
-        )
-        k += 1
-        if record_states:
-            ys, zs = synchronized_dual(state, params.eta, te)
-            trace.event_states.append((te, ys, zs))
-
-    flush(horizon, inclusive=True)
-    ys, zs = synchronized_dual(state, params.eta, horizon)
-    state.y, state.z = ys, zs
-    state.last_t = np.full(graph.node_count, horizon)
-    state.t = horizon
-    trace.terminal_state = state
-    return trace
+    return run_pairwise(
+        graph,
+        initial_dual_state(graph.node_count, x_star.size),
+        params.eta,
+        jump,
+        primal_error,
+        horizon,
+        rng,
+        checkpoints=checkpoints,
+        events=events,
+        record_states=record_states,
+    )

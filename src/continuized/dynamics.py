@@ -59,6 +59,17 @@ def initial_state(x0, z0=None) -> CoupledState:
     return CoupledState(x=x0, z=z0, t=0.0, event_count=0)
 
 
+def midpoint_contract(x, z, decay):
+    """Contract the pair (x, z) toward its midpoint by the factor ``decay``.
+
+    This integrates the constant-rate mixing flow x' = c (z - x),
+    z' = c (x - z) over dt with decay = exp(-2 c dt).  Scalars, vectors and
+    broadcastable arrays of decays all work.
+    """
+    mid = 0.5 * (x + z)
+    return mid + (x - mid) * decay, mid + (z - mid) * decay
+
+
 def mix_closed_form(
     state: CoupledState, schedule: ParamSchedule, until: float
 ) -> CoupledState:
@@ -78,34 +89,21 @@ def mix_closed_form(
         x = state.z + shrink * (state.x - state.z)
         return replace(state, x=x, t=until)
     decay = math.exp(-2.0 * schedule.mix_rate * (until - state.t))
-    mid = 0.5 * (state.x + state.z)
-    return replace(
-        state,
-        x=mid + (state.x - mid) * decay,
-        z=mid + (state.z - mid) * decay,
-        t=until,
-    )
+    x, z = midpoint_contract(state.x, state.z, decay)
+    return replace(state, x=x, z=z, t=until)
 
 
 def gradient_jump(
-    state: CoupledState,
-    gamma: float,
-    gamma_p: float,
-    g: Array,
-    extra_x_factor: float = 1.0,
+    state: CoupledState, gamma: float, gamma_p: float, g: Array
 ) -> CoupledState:
-    """Apply one gradient event: x and z step along g, the event count ticks.
-
-    ``extra_x_factor`` is 1 except for the coordinate kind, whose x-step
-    carries the additional R_ee / P_e weight.
-    """
+    """Apply one gradient event: x and z step along g, the event count ticks."""
     g = np.asarray(g, dtype=float)
     if g.shape != state.x.shape:
         raise DimensionMismatchError(
             f"gradient has shape {g.shape}, state has {state.x.shape}"
         )
     return CoupledState(
-        x=state.x - gamma * extra_x_factor * g,
+        x=state.x - gamma * g,
         z=state.z - gamma_p * g,
         t=state.t,
         event_count=state.event_count + 1,
@@ -113,12 +111,16 @@ def gradient_jump(
 
 
 def lyapunov_value(
-    state: CoupledState, coeffs: LyapunovCoeffs, problem: ConvexProblem
+    state: CoupledState,
+    coeffs: LyapunovCoeffs,
+    problem: ConvexProblem,
+    gap: float | None = None,
 ) -> float:
     """The certificate phi_t whose ensemble mean is non-increasing.
 
     Noiseless kinds: A_t (f(x) - f_*) + B_t/2 |z - x_*|^2.  Multiplicative
     kinds shift the norms: A_t/2 |x - x_*|^2 + B_t/2 |z - x_*|^2_{H^-1}.
+    ``gap`` may pass f(x) - f_* when the caller has already evaluated it.
     """
     dz = state.z - problem.optimum
     if coeffs.multiplicative:
@@ -126,24 +128,19 @@ def lyapunov_value(
             raise TypeError("multiplicative certificate needs a least-squares problem")
         dx = state.x - problem.optimum
         return 0.5 * coeffs.a_t * float(dx @ dx) + 0.5 * coeffs.b_t * problem.dist_sq_hinv(dz)
-    return coeffs.a_t * problem.gap(state.x) + 0.5 * coeffs.b_t * float(dz @ dz)
+    if gap is None:
+        gap = problem.gap(state.x)
+    return coeffs.a_t * gap + 0.5 * coeffs.b_t * float(dz @ dz)
 
 
 def _metrics(
     state: CoupledState, problem: ConvexProblem, schedule: ParamSchedule
 ) -> dict[str, float]:
     dx = state.x - problem.optimum
-    gap = problem.gap(state.x)
-    dist_sq = float(dx @ dx)
-    values = {"gap": gap, "dist_sq": dist_sq}
+    values = {"gap": problem.gap(state.x), "dist_sq": float(dx @ dx)}
     coeffs = lyapunov_coeffs(schedule, state.t)
-    dz = state.z - problem.optimum
-    if not coeffs.multiplicative:
-        values["lyapunov"] = coeffs.a_t * gap + 0.5 * coeffs.b_t * float(dz @ dz)
-    elif isinstance(problem, LeastSquaresProblem):
-        values["lyapunov"] = (
-            0.5 * coeffs.a_t * dist_sq + 0.5 * coeffs.b_t * problem.dist_sq_hinv(dz)
-        )
+    if not coeffs.multiplicative or isinstance(problem, LeastSquaresProblem):
+        values["lyapunov"] = lyapunov_value(state, coeffs, problem, values["gap"])
     return values
 
 
@@ -163,10 +160,12 @@ def run_continuized(
     """Simulate the continuized iteration up to ``horizon``.
 
     Gradients are evaluated at the left limit x_{T-} of each event.  Metrics
-    are recorded at every event and, by mixing a throwaway copy forward, at
-    each requested checkpoint time, so ensembles are comparable on a common
-    grid.  Time-varying schedules require x0 = z0 (their mixing flow is
-    constant before the first event, which sidesteps the t = 0 singularity).
+    are recorded, by mixing a throwaway copy forward, at each requested
+    checkpoint time, so ensembles are comparable on a common grid;
+    ``record_event_states`` also records each post-jump state and its
+    metrics as an event sample.  Time-varying schedules require x0 = z0
+    (their mixing flow is constant before the first event, which sidesteps
+    the t = 0 singularity).
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
@@ -205,8 +204,8 @@ def run_continuized(
         g = stochastic_gradient(problem, noise, pre.x, streams.noise)
         _, _, gamma, gamma_p = schedule_eval(schedule, t_next)
         state = gradient_jump(pre, gamma, gamma_p, g)
-        trace.add(state.t, state.event_count, _metrics(state, problem, schedule), True)
         if record_event_states:
+            trace.add(state.t, state.event_count, _metrics(state, problem, schedule), True)
             trace.event_states.append(state)
 
     flush_checkpoints(horizon, inclusive=True)

@@ -1,22 +1,26 @@
-"""Event-driven asynchronous gossip on a weighted graph.
+"""Event-driven asynchronous pairwise updates on a weighted graph.
 
-Edges activate at Poisson times; naive gossip averages the two endpoint
-values, the accelerated variant keeps a second local variable per node and
-mixes the pair (x_v, z_v) toward its midpoint between that node's own
-events.  Mixing is node-local, so a node's ODE is only advanced lazily when
-the node takes part in an event; checkpoints advance a throwaway copy.
+Edges activate at Poisson times.  Every node holds a pair (x_v, z_v) that
+mixes toward its midpoint between the node's own events, and the two
+endpoints of an activated edge jump.  Accelerated gossip averages x over
+the edge and moves z along the edge difference; naive gossip is the same
+update with mixing rate 0 and z-step 0.  The dual decentralized solver
+(``dual``) runs its own jump through the same event loop.  Mixing is
+node-local, so a node's ODE is only advanced lazily when the node takes
+part in an event; checkpoints advance a throwaway copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import LeastSquaresProblem, make_least_squares
-from .schedules import EventClock, sample_interarrival
 from .seeding import RunStreams, as_streams
 from .trace import Trace
 
@@ -25,56 +29,42 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class GossipParams:
-    """Mixing rate and z-step of the accelerated pairwise update."""
+    """Mixing rate and z-step of the pairwise update; both are 0 for naive
+    gossip, which then only averages the endpoint values."""
 
     mix_rate: float
     z_step: float
-    algo: str = "accelerated"
-
-    def __post_init__(self) -> None:
-        if self.algo not in ("naive", "accelerated"):
-            raise ValueError(f"unknown gossip algo {self.algo!r}")
 
     @classmethod
     def from_cache(cls, cache: SpectralCache, algo: str = "accelerated") -> "GossipParams":
+        if algo == "naive":
+            return cls(mix_rate=0.0, z_step=0.0)
+        if algo != "accelerated":
+            raise ValueError(f"unknown gossip algo {algo!r}")
         _, theta_arg = gossip_rates(cache)
         return cls(
             mix_rate=theta_arg,
             z_step=1.0 / math.sqrt(2.0 * cache.mu_gossip * cache.r_max),
-            algo=algo,
         )
 
 
 @dataclass
-class GossipNetworkState:
-    """Per-node estimates with per-node clocks for lazy mixing."""
+class PairState:
+    """Per-node pairs (x_v, z_v) with per-node clocks for lazy mixing.
 
-    x: list[float]
-    z: list[float]
+    Node values are floats in lists, or the rows of (n, d) arrays.
+    """
+
+    x: list[float] | Array
+    z: list[float] | Array
     last_t: list[float]
     t: float
-    target: float
 
 
-def initial_network_state(x0) -> GossipNetworkState:
-    values = [float(v) for v in np.asarray(x0, dtype=float)]
-    return GossipNetworkState(
-        x=list(values),
-        z=list(values),
-        last_t=[0.0] * len(values),
-        t=0.0,
-        target=float(np.mean(values)),
-    )
-
-
-def next_event(
-    graph: Graph, rng: RunStreams, t_now: float
-) -> tuple[float, tuple[int, int]]:
-    """Draw the next activation: Exp(1) waiting time, edge sampled from P."""
-    dt = sample_interarrival(EventClock.exponential(1.0), rng.clock)
-    i = int(np.searchsorted(graph.cum_probs, rng.noise.random(), side="right"))
-    i = min(i, graph.edge_count - 1)
-    return t_now + dt, graph.edges[i]
+def initial_network_state(x0) -> PairState:
+    x0 = np.asarray(x0, dtype=float)
+    x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
+    return PairState(x=x, z=z, last_t=[0.0] * len(x0), t=0.0)
 
 
 def sample_event_stream(
@@ -92,31 +82,22 @@ def sample_event_stream(
     return times, np.minimum(picks, graph.edge_count - 1)
 
 
-def naive_step(state: GossipNetworkState, edge: tuple[int, int]) -> None:
-    """Replace both endpoint estimates by their average."""
-    v, w = edge
-    mean = 0.5 * (state.x[v] + state.x[w])
-    state.x[v] = mean
-    state.x[w] = mean
+def lazy_mix_node(state: PairState, v: int, to_t: float, mix_rate: float) -> None:
+    """Advance node v's pair (x_v, z_v) to time ``to_t`` in closed form.
 
-
-def lazy_mix_node(
-    state: GossipNetworkState, v: int, to_t: float, mix_rate: float
-) -> None:
-    """Advance node v's pair (x_v, z_v) to time ``to_t`` in closed form."""
+    A zero rate leaves the pair as it is (naive gossip never mixes).
+    """
     dt = to_t - state.last_t[v]
     if dt < 0:
         raise ValueError(f"node {v} already past t = {to_t}")
-    if dt > 0:
+    if dt > 0 and mix_rate:
         decay = math.exp(-2.0 * mix_rate * dt)
-        mid = 0.5 * (state.x[v] + state.z[v])
-        state.x[v] = mid + (state.x[v] - mid) * decay
-        state.z[v] = mid + (state.z[v] - mid) * decay
+        state.x[v], state.z[v] = midpoint_contract(state.x[v], state.z[v], decay)
     state.last_t[v] = to_t
 
 
 def accelerated_step(
-    state: GossipNetworkState,
+    state: PairState,
     edge: tuple[int, int],
     params: GossipParams,
     t_event: float,
@@ -125,34 +106,93 @@ def accelerated_step(
     v, w = edge
     xv, xw = state.x[v], state.x[w]
     mean = 0.5 * (xv + xw)
+    step = params.z_step * (xv - xw)
     state.x[v] = mean
     state.x[w] = mean
-    state.z[v] += params.z_step * (xw - xv)
-    state.z[w] += params.z_step * (xv - xw)
+    state.z[v] -= step
+    state.z[w] += step
     state.t = t_event
 
 
 def synchronized_values(
-    state: GossipNetworkState, params: GossipParams, at_t: float
+    state: PairState, mix_rate: float, at_t: float
 ) -> tuple[Array, Array]:
     """Copies of (x, z) with every node mixed forward to ``at_t``."""
     xs = np.array(state.x)
     zs = np.array(state.z)
-    if params.algo == "accelerated":
-        dt = at_t - np.array(state.last_t)
-        if np.any(dt < -1e-12):
-            raise ValueError("some node is already past the requested time")
-        decay = np.exp(-2.0 * params.mix_rate * np.maximum(dt, 0.0))
-        mid = 0.5 * (xs + zs)
-        xs = mid + (xs - mid) * decay
-        zs = mid + (zs - mid) * decay
-    return xs, zs
+    if not mix_rate:
+        return xs, zs
+    dt = at_t - np.array(state.last_t)
+    if np.any(dt < -1e-12):
+        raise ValueError("some node is already past the requested time")
+    decay = np.exp(-2.0 * mix_rate * np.maximum(dt, 0.0))
+    return midpoint_contract(xs, zs, decay if xs.ndim == 1 else decay[:, None])
 
 
-def energy(values: Array, target: float) -> float:
-    """Sum over nodes of half the squared deviation from the average."""
+def run_pairwise(
+    graph: Graph,
+    state: PairState,
+    mix_rate: float,
+    jump: Callable[[PairState, tuple[int, int], int, float], None],
+    metrics: Callable[[Array, Array], dict[str, float]],
+    horizon: float,
+    rng: RunStreams | int,
+    *,
+    checkpoints=(),
+    events: tuple[Array, Array] | None = None,
+    record_states: bool = False,
+) -> Trace:
+    """The event loop shared by gossip and the dual solver.
+
+    At each activation of edge ``ei`` = (v, w) at time te, both endpoints
+    are mixed to te and ``jump(state, (v, w), ei, te)`` applies the update.
+    Each checkpoint records ``metrics(x, z)`` of a snapshot synchronized to
+    its time, after the events before it.  The run ends with every node
+    mixed to ``horizon``.
+    """
+    if events is None:
+        events = sample_event_stream(graph, horizon, as_streams(rng))
+    times, edge_idx = events
+    grid = sorted(float(t) for t in checkpoints) + [math.inf]
+    trace = Trace(event_states=[] if record_states else None)
+    edges = graph.edges
+    ci = k = 0
+
+    def record_checkpoint() -> None:
+        t = grid[ci]
+        trace.add(t, k, metrics(*synchronized_values(state, mix_rate, t)), False)
+
+    for te, ei in zip(times.tolist(), edge_idx.tolist()):
+        if te > horizon:
+            break
+        while grid[ci] < te:
+            record_checkpoint()
+            ci += 1
+        edge = edges[ei]
+        lazy_mix_node(state, edge[0], te, mix_rate)
+        lazy_mix_node(state, edge[1], te, mix_rate)
+        jump(state, edge, ei, te)
+        k += 1
+        if record_states:
+            trace.event_states.append((te, *synchronized_values(state, mix_rate, te)))
+
+    while grid[ci] <= horizon:
+        record_checkpoint()
+        ci += 1
+    state.x, state.z = synchronized_values(state, mix_rate, horizon)
+    state.last_t = [horizon] * graph.node_count
+    state.t = horizon
+    trace.terminal_state = state
+    return trace
+
+
+def energy(values: Array, target) -> float:
+    """Sum over nodes of half the squared deviation from the average, summed
+    over components for vector node values."""
     d = values - target
-    return 0.5 * float(d @ d)
+    if d.ndim == 1:
+        return 0.5 * float(d @ d)
+    return sum(0.5 * float(col @ col) for col in d.T.copy())
 
 
 def run_gossip(
@@ -168,84 +208,32 @@ def run_gossip(
 ) -> Trace:
     """Simulate one gossip run, recording the energy at checkpoint times.
 
-    ``events`` may carry a precomputed (times, edge indices) stream so that
-    several simulators can share one activation sequence.
+    ``x0`` holds one value per node, or one row of d components per node
+    (the components then share every event).  ``events`` may carry a
+    precomputed (times, edge indices) stream so that several simulators can
+    share one activation sequence.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2:
-        return _run_gossip_vector(
-            graph, params, x0, horizon, rng, checkpoints=checkpoints, events=events
-        )
-    if x0.shape != (graph.node_count,):
+    if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
         raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
-    streams = as_streams(rng)
-    if events is None:
-        times, edge_idx = sample_event_stream(graph, horizon, streams)
-    else:
-        times, edge_idx = events
+    # per-component means of contiguous copies, as for one 1-D run each
+    target = np.mean(x0) if x0.ndim == 1 else x0.T.copy().mean(axis=1)
 
-    state = initial_network_state(x0)
-    accelerated = params.algo == "accelerated"
-    grid = sorted(float(t) for t in checkpoints)
-    trace = Trace(event_states=[] if record_states else None)
-    ci = 0
+    def jump(state, edge, ei, te):
+        accelerated_step(state, edge, params, te)
 
-    def flush(limit: float, inclusive: bool) -> None:
-        nonlocal ci
-        while ci < len(grid) and (grid[ci] < limit or (inclusive and grid[ci] == limit)):
-            xs, _ = synchronized_values(state, params, grid[ci])
-            trace.add(grid[ci], k, {"energy": energy(xs, state.target)}, False)
-            ci += 1
-
-    k = 0
-    for te, ei in zip(times, edge_idx):
-        te = float(te)
-        if te > horizon:
-            break
-        flush(te, inclusive=False)
-        edge = graph.edges[ei]
-        if accelerated:
-            lazy_mix_node(state, edge[0], te, params.mix_rate)
-            lazy_mix_node(state, edge[1], te, params.mix_rate)
-            accelerated_step(state, edge, params, te)
-        else:
-            naive_step(state, edge)
-            state.t = te
-        k += 1
-        if record_states:
-            xs, zs = synchronized_values(state, params, te)
-            trace.event_states.append((te, xs, zs))
-
-    flush(horizon, inclusive=True)
-    xs, zs = synchronized_values(state, params, horizon)
-    state.x = list(xs)
-    state.z = list(zs)
-    state.last_t = [horizon] * graph.node_count
-    state.t = horizon
-    trace.terminal_state = state
-    return trace
-
-
-def _run_gossip_vector(
-    graph, params, x0, horizon, rng, *, checkpoints, events
-) -> Trace:
-    """Vector node values: component-wise runs on one shared event stream."""
-    streams = as_streams(rng)
-    if events is None:
-        events = sample_event_stream(graph, horizon, streams)
-    traces = [
-        run_gossip(
-            graph, params, x0[:, j], horizon, streams,
-            checkpoints=checkpoints, events=events,
-        )
-        for j in range(x0.shape[1])
-    ]
-    merged = Trace()
-    for samples in zip(*(tr.samples for tr in traces)):
-        total = sum(s.values["energy"] for s in samples)
-        merged.add(samples[0].t, samples[0].k, {"energy": total}, samples[0].at_event)
-    merged.terminal_state = [tr.terminal_state for tr in traces]
-    return merged
+    return run_pairwise(
+        graph,
+        initial_network_state(x0),
+        params.mix_rate,
+        jump,
+        lambda xs, zs: {"energy": energy(xs, target)},
+        horizon,
+        rng,
+        checkpoints=checkpoints,
+        events=events,
+        record_states=record_states,
+    )
 
 
 def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:

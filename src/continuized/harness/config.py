@@ -20,7 +20,7 @@ from ..problems import (
     ConvexProblem,
     InvalidProblemError,
     NoiseModel,
-    make_least_squares,
+    least_squares_from_text,
     make_quadratic,
 )
 
@@ -121,17 +121,7 @@ def _build_problem(section, errors) -> tuple[ConvexProblem | None, None]:
             if "optimum" not in section or "samples" not in section:
                 errors.append("[problem] least_squares needs 'optimum' and 'samples'")
                 return None, None
-            atoms, weights = [], []
-            for line in section["samples"].strip().splitlines():
-                parts = [p.strip() for p in line.split("|")]
-                atoms.append(_floats(parts[0]))
-                weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
-            return (
-                make_least_squares(
-                    np.array(atoms), _floats(section["optimum"]), np.array(weights)
-                ),
-                None,
-            )
+            return least_squares_from_text(section["optimum"], section["samples"]), None
         errors.append(f"[problem] unknown kind {kind!r}")
     except (InvalidProblemError, ValueError, IndexError) as exc:
         errors.append(f"[problem] {exc}")

@@ -185,18 +185,19 @@ def _run_optimize(spec: ExperimentSpec, progress) -> RunSet:
     method = spec.algo.get("method", "continuized")
     x0 = _initial_point(spec)
     if method in ("nesterov", "gd"):
+        # Deterministic: every run of the ensemble is the same trajectory,
+        # so it is computed once and stands for each run.
         iters = int(spec.algo.get("iters", round(spec.horizon)))
-        traces = []
-        for i in range(spec.runs):
-            if method == "nesterov":
-                variant = spec.algo.get("variant", "convex")
-                traces.append(_wrap_run(i, run_nesterov, spec.problem, variant, iters, x0=x0))
-            else:
-                step = float(spec.algo.get("step", 1.0 / spec.problem.smoothness))
-                traces.append(_wrap_run(i, run_gd, spec.problem, step, iters, x0=x0))
-            if progress:
-                progress(i + 1, spec.runs)
-        return build_runset(traces, np.arange(iters + 1, dtype=float), ("gap",))
+        if method == "nesterov":
+            variant = spec.algo.get("variant", "convex")
+            trace = _wrap_run(0, run_nesterov, spec.problem, variant, iters, x0=x0)
+        else:
+            step = float(spec.algo.get("step", 1.0 / spec.problem.smoothness))
+            trace = _wrap_run(0, run_gd, spec.problem, step, iters, x0=x0)
+        if progress:
+            progress(spec.runs, spec.runs)
+        grid = np.arange(iters + 1, dtype=float)
+        return build_runset([trace] * spec.runs, grid, ("gap",))
     schedule = build_schedule(spec)
     clock = build_clock(spec)
     metrics = _METRICS_BY_KIND["optimize"] + ("lyapunov",)

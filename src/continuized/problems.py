@@ -290,12 +290,6 @@ def stochastic_gradient(
     return (float(a @ x) - problem.targets[i]) * a
 
 
-def sample_atom_gradient(problem: LeastSquaresProblem, x: Array, index: int) -> Array:
-    """Multiplicative-noise gradient for a fixed atom index (no sampling)."""
-    a = problem.atoms[index]
-    return (float(a @ x) - problem.targets[index]) * a
-
-
 # ---------------------------------------------------------------------------
 # Structured-text serialization (same grammar as the harness config files).
 
@@ -339,6 +333,30 @@ def _floats(text: str) -> Array:
     return np.array([float(tok) for tok in text.split()], dtype=float)
 
 
+def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
+    """Build a least-squares problem from its structured-text fields.
+
+    ``samples`` holds one ``a | b`` or ``a | b | weight`` line per sample;
+    every target must equal <a, optimum> to 1e-10.
+    """
+    atoms, targets, weights = [], [], []
+    for line in samples.strip().splitlines():
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) not in (2, 3):
+            raise InvalidProblemError(f"bad sample line: {line!r}")
+        atoms.append(_floats(parts[0]))
+        targets.append(float(parts[1]))
+        weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+    problem = make_least_squares(np.array(atoms), _floats(optimum), np.array(weights))
+    bad = np.flatnonzero(np.abs(problem.targets - np.array(targets)) > 1e-10)
+    if bad.size:
+        lines = ", ".join(str(i + 1) for i in bad)
+        raise InvalidProblemError(
+            f"targets are inconsistent with the optimum on sample lines {lines}"
+        )
+    return problem
+
+
 def parse_problem_text(text: str) -> tuple[ConvexProblem, NoiseModel]:
     """Parse the structured-text problem grammar back into objects."""
     cp = configparser.ConfigParser()
@@ -352,18 +370,9 @@ def parse_problem_text(text: str) -> tuple[ConvexProblem, NoiseModel]:
             _floats(section.get("diag", "")), _floats(section.get("center", ""))
         )
     elif kind == "least_squares":
-        optimum = _floats(section.get("optimum", ""))
-        atoms, targets, weights = [], [], []
-        for line in section.get("samples", "").strip().splitlines():
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) not in (2, 3):
-                raise InvalidProblemError(f"bad sample line: {line!r}")
-            atoms.append(_floats(parts[0]))
-            targets.append(float(parts[1]))
-            weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
-        problem = make_least_squares(np.array(atoms), optimum, np.array(weights))
-        if np.max(np.abs(problem.targets - np.array(targets))) > 1e-10:
-            raise InvalidProblemError("targets are inconsistent with the optimum")
+        problem = least_squares_from_text(
+            section.get("optimum", ""), section.get("samples", "")
+        )
     else:
         raise InvalidProblemError(f"unknown problem kind {kind!r}")
 

@@ -1,7 +1,7 @@
 """Parameter schedules and event clocks for the continuized iterations.
 
 A schedule fixes the four time functions (eta_t, eta'_t, gamma_t, gamma'_t)
-of the coupled dynamics.  All five kinds reduce to two shapes:
+of the coupled dynamics.  All four kinds reduce to two shapes:
 
 * time-varying (merely convex): eta_t = 2/t, eta'_t = 0, constant gamma,
   gamma'_t linear in t;
@@ -30,7 +30,6 @@ KINDS = (
     "strongly_convex",
     "multiplicative_convex",
     "multiplicative_strongly_convex",
-    "coordinate",
 )
 
 
@@ -40,7 +39,7 @@ class SingularScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """One of the five schedule kinds plus the constants it consumes."""
+    """One of the four schedule kinds plus the constants it consumes."""
 
     kind: str
     smoothness: float = 0.0
@@ -86,16 +85,6 @@ class ParamSchedule:
             kappa_tilde=kappa_tilde,
             mu=mu,
         )
-
-    @classmethod
-    def coordinate(cls, smoothness: float, mu: float = 0.0) -> "ParamSchedule":
-        """Coordinate-descent schedule; ``smoothness`` is the directional
-        constant L >= max_e M_ee R_ee / P_e^2, ``mu`` the strong convexity
-        with respect to the projector norm."""
-        _require_positive(smoothness, "smoothness")
-        if mu < 0:
-            raise ValueError("mu must be >= 0")
-        return cls("coordinate", smoothness=smoothness, mu=mu)
 
     @property
     def is_multiplicative(self) -> bool:

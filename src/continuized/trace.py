@@ -40,9 +40,6 @@ class Trace:
                 return
         self.samples.append(TraceSample(t, k, dict(values), at_event))
 
-    def checkpoint_samples(self) -> list[TraceSample]:
-        return [s for s in self.samples if not s.at_event]
-
     def event_samples(self) -> list[TraceSample]:
         return [s for s in self.samples if s.at_event]
 

@@ -76,6 +76,17 @@ class TestExitCodes:
     def test_unknown_preset(self):
         assert main(["reproduce", "appendix-z1"]) == 1
 
+    def test_inconsistent_least_squares_targets(self, cfg_file, capsys):
+        # targets must equal <a, optimum>: 1 and 1 here, not 99 and -7
+        path = cfg_file(
+            "[experiment]\nkind = optimize\nhorizon = 5\nruns = 2\n\n"
+            "[problem]\nkind = least_squares\noptimum = 1 1\n"
+            "samples =\n    1 0 | 99\n    0 1 | -7\n"
+        )
+        assert main(["optimize", "--config", path, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "targets are inconsistent with the optimum on sample lines 1, 2" in err
+
     def test_runtime_error_exits_2(self, cfg_file, capsys):
         # parses fine but fails during the run: local curvature outside [mu, L]
         path = cfg_file(

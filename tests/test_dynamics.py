@@ -118,12 +118,6 @@ class TestGradientJump:
         assert out.x[0] == 0.0
         assert out.z[0] == -2.0
 
-    def test_extra_x_factor(self):
-        s = CoupledState(x=np.array([1.0]), z=np.array([1.0]), t=0.0, event_count=0)
-        out = gradient_jump(s, 0.5, 0.0, np.array([1.0]), extra_x_factor=3.0)
-        assert out.x[0] == pytest.approx(-0.5)
-        assert out.z[0] == 1.0
-
     def test_dimension_mismatch(self):
         s = initial_state(np.zeros(2))
         with pytest.raises(DimensionMismatchError):
@@ -208,10 +202,24 @@ class TestRunContinuized:
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
         quiet = run_continuized(p, NoiseModel.none(), sched,
-                                EventClock.exponential(), 15.0, run_streams(42, 1))
+                                EventClock.exponential(), 15.0, run_streams(42, 1),
+                                record_event_states=True)
         noisy = run_continuized(p, NoiseModel.additive(0.1), sched,
-                                EventClock.exponential(), 15.0, run_streams(42, 1))
-        assert [s.t for s in quiet.event_samples()] == [s.t for s in noisy.event_samples()]
+                                EventClock.exponential(), 15.0, run_streams(42, 1),
+                                record_event_states=True)
+        times = [s.t for s in quiet.event_samples()]
+        assert times
+        assert times == [s.t for s in noisy.event_samples()]
+
+    def test_event_samples_only_on_request(self):
+        p = sc_problem()
+        sched = ParamSchedule.strongly_convex(1.0, 0.01)
+        cps = [1.0, 5.0, 15.0]
+        tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
+                             15.0, run_streams(42, 1), checkpoints=cps)
+        assert tr.event_samples() == []
+        assert [s.t for s in tr.samples] == cps
+        assert tr.event_states is None
 
 
 class TestGeometricClockAgreement:

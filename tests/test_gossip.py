@@ -9,8 +9,6 @@ from continuized.gossip import (
     energy_problem,
     initial_network_state,
     lazy_mix_node,
-    naive_step,
-    next_event,
     run_gossip,
     sample_event_stream,
 )
@@ -40,33 +38,29 @@ class TestParams:
 
 
 class TestNextEvent:
+    """Marginals of the activations drawn by sample_event_stream."""
+
     def test_single_edge_always(self):
         g = line_graph(2)
-        st = run_streams(0, 0)
-        for _ in range(10):
-            _, edge = next_event(g, st, 0.0)
-            assert edge == (0, 1)
+        _, idx = sample_event_stream(g, 10.0, run_streams(0, 0))
+        assert idx.size > 0
+        assert all(g.edges[i] == (0, 1) for i in idx)
 
     def test_edge_marginal_uniform(self):
         g = line_graph(3)
-        st = run_streams(1, 0)
+        _, idx = sample_event_stream(g, 100_000.0, run_streams(1, 0))
+        n = idx.size
         counts = {e: 0 for e in g.edges}
-        n = 100_000
-        for _ in range(n):
-            _, edge = next_event(g, st, 0.0)
-            counts[edge] += 1
+        for i in idx:
+            counts[g.edges[i]] += 1
         for e in g.edges:
             # binomial(n, 1/2): three sigma around the mean
             assert abs(counts[e] - n / 2) <= 3 * math.sqrt(n * 0.25)
 
     def test_interarrival_mean(self):
         g, _ = k10()
-        st = run_streams(2, 0)
-        t, draws = 0.0, []
-        for _ in range(100_000):
-            t_next, _ = next_event(g, st, t)
-            draws.append(t_next - t)
-            t = t_next
+        times, _ = sample_event_stream(g, 100_000.0, run_streams(2, 0))
+        draws = np.diff(times, prepend=0.0)
         mean = float(np.mean(draws))
         assert abs(mean - 1.0) <= 3.0 / math.sqrt(len(draws))
 
@@ -79,16 +73,23 @@ class TestNextEvent:
         assert set(np.unique(idx)) <= {0, 1, 2}
 
 
+NAIVE = GossipParams(mix_rate=0.0, z_step=0.0)
+
+
 class TestSteps:
+    def test_naive_params(self):
+        _, cache = k10()
+        assert GossipParams.from_cache(cache, "naive") == NAIVE
+
     def test_naive_averages(self):
         s = initial_network_state([0.0, 1.0])
-        naive_step(s, (0, 1))
+        accelerated_step(s, (0, 1), NAIVE, 0.0)
         assert s.x == [0.5, 0.5]
         assert s.z == [0.0, 1.0]
 
     def test_naive_noop_when_equal(self):
         s = initial_network_state([0.3, 0.3, 0.9])
-        naive_step(s, (0, 1))
+        accelerated_step(s, (0, 1), NAIVE, 0.0)
         assert s.x[:2] == [0.3, 0.3]
 
     def test_naive_is_half_step_sgd(self):
@@ -98,7 +99,7 @@ class TestSteps:
         x0 = rng.standard_normal(4)
         g = line_graph(4)
         s = initial_network_state(x0)
-        naive_step(s, (1, 2))
+        accelerated_step(s, (1, 2), NAIVE, 0.0)
         a = np.zeros(4)
         a[1], a[2] = 1.0, -1.0
         want = x0 - 0.5 * float(a @ x0) * a
@@ -109,7 +110,7 @@ class TestSteps:
         s = initial_network_state(rng.standard_normal(6))
         total = sum(s.x)
         for e in [(0, 1), (2, 3), (1, 4), (4, 5)]:
-            naive_step(s, e)
+            accelerated_step(s, e, NAIVE, 0.0)
         assert sum(s.x) == pytest.approx(total, abs=1e-12)
 
     def test_lazy_mix_identity_and_limit(self):
@@ -120,6 +121,14 @@ class TestSteps:
         lazy_mix_node(s, 0, 1e6, 1.0)
         assert s.x[0] == pytest.approx(0.0, abs=1e-12)
         assert s.z[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_lazy_mix_zero_rate_keeps_pair_bits(self):
+        # naive gossip never mixes: contracting by exp(0) = 1 anyway would
+        # turn x = -0.01 into -0.010000000000000002 here
+        s = initial_network_state([-0.01, 0.7])
+        s.z[0] = -0.1
+        lazy_mix_node(s, 0, 5.0, 0.0)
+        assert (s.x[0], s.z[0], s.last_t[0]) == (-0.01, -0.1, 5.0)
 
     def test_lazy_mix_matches_numeric_ode(self):
         c = 0.37
@@ -242,7 +251,7 @@ class TestRunGossip:
 
     def test_naive_sum_conserved(self):
         g = line_graph(6)
-        params = GossipParams(mix_rate=0.0, z_step=0.0, algo="naive")
+        params = NAIVE
         rng = np.random.default_rng(6)
         x0 = rng.standard_normal(6)
         tr = run_gossip(g, params, x0, 40.0, run_streams(7, 0))

@@ -39,13 +39,6 @@ class TestScheduleEval:
         assert (eta, eta_p, gamma) == pytest.approx((2.0 / 3.0, 0.0, 0.5))
         assert gamma_p == pytest.approx(3.0 / (2.0 * 2.0 * 4.0))
 
-    def test_coordinate_matches_strongly_convex_shape(self):
-        s = ParamSchedule.coordinate(90.0, 0.01)
-        eta, eta_p, gamma, gamma_p = schedule_eval(s, 1.0)
-        assert eta == eta_p == pytest.approx(math.sqrt(0.01 / 90.0))
-        assert gamma == pytest.approx(1.0 / 90.0)
-        assert gamma_p == pytest.approx(1.0 / math.sqrt(0.01 * 90.0))
-
     def test_singular_at_zero(self):
         with pytest.raises(SingularScheduleError):
             schedule_eval(ParamSchedule.convex(1.0), 0.0)
