@@ -75,6 +75,21 @@ def random_local_functions(
     return [LocalFunction(float(c), centers[v]) for v, c in enumerate(curvatures)]
 
 
+def check_curvatures(curvatures, mu: float, smoothness: float) -> None:
+    """Raise unless 0 < mu <= L and every local curvature lies in [mu, L]."""
+    if not 0 < mu <= smoothness:
+        raise ValueError(f"need 0 < mu <= L, got mu = {mu}, L = {smoothness}")
+    outside = [
+        v for v, c in enumerate(curvatures)
+        if not mu - 1e-12 <= c <= smoothness + 1e-12
+    ]
+    if outside:
+        raise ValueError(
+            f"local curvatures of nodes {outside} leave the declared "
+            f"[mu, L] = [{mu}, {smoothness}]"
+        )
+
+
 def optimum_of(local_functions: list[LocalFunction]) -> Array:
     """Minimizer of the sum: curvature-weighted mean of the centers."""
     total = sum(f.curvature for f in local_functions)
@@ -105,17 +120,16 @@ class DualParams:
     def from_graph(
         cls, graph: Graph, cache: SpectralCache, mu: float, smoothness: float
     ) -> "DualParams":
-        if not 0 < mu <= smoothness:
-            raise ValueError("need 0 < mu <= L")
+        check_curvatures((), mu, smoothness)
         r_edge = incidence_r(graph, cache)
         ratio = float(np.max(r_edge / graph.edge_probs))
         l_dual = ratio / mu
         # Directional smoothness bound M_ee = P_e / mu from the conjugate
         # Hessian; l_dual must dominate M_ee R_e / P_e^2 on every edge.
         m_ee = graph.edge_probs / mu
-        assert np.all(
-            l_dual >= m_ee * r_edge / graph.edge_probs**2 - 1e-12 * l_dual
-        )
+        short = np.flatnonzero(l_dual < m_ee * r_edge / graph.edge_probs**2 - 1e-12 * l_dual)
+        if short.size:
+            raise RuntimeError(f"dual smoothness bound fails on edges {short.tolist()}")
         theta_arg_prime = math.sqrt(cache.mu_gossip / ratio)
         kappa = smoothness / mu
         return cls(
@@ -215,9 +229,7 @@ def run_decentralized(
     """
     if len(local_functions) != graph.node_count:
         raise ValueError("need one local function per node")
-    for f in local_functions:
-        if not mu - 1e-12 <= f.curvature <= smoothness + 1e-12:
-            raise ValueError("a local curvature leaves the declared [mu, L]")
+    check_curvatures([f.curvature for f in local_functions], mu, smoothness)
     if cache is None:
         from .graphs import spectral
 

@@ -261,6 +261,14 @@ def nesterov_weights_convex(iters: int) -> list[tuple[float, float]]:
     return pairs
 
 
+def check_nesterov_variant(problem: ConvexProblem, variant: str) -> None:
+    """Raise unless ``run_nesterov`` accepts ``variant`` on ``problem``."""
+    if variant not in ("convex", "strongly_convex"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "strongly_convex" and problem.strong_convexity <= 0:
+        raise ValueError("strongly_convex variant needs mu > 0")
+
+
 def run_nesterov(
     problem: ConvexProblem,
     variant: str,
@@ -270,12 +278,9 @@ def run_nesterov(
     z0=None,
 ) -> Trace:
     """Classical accelerated baseline, convex or strongly convex variant."""
-    if variant not in ("convex", "strongly_convex"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_nesterov_variant(problem, variant)
     big_l = problem.smoothness
     mu = problem.strong_convexity
-    if variant == "strongly_convex" and mu <= 0:
-        raise ValueError("strongly_convex variant needs mu > 0")
     x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
     z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
 
@@ -303,10 +308,15 @@ def run_nesterov(
     return trace
 
 
-def run_gd(problem: ConvexProblem, step: float, iters: int, *, x0=None) -> Trace:
-    """Plain gradient descent baseline with a fixed step in (0, 1/L]."""
+def check_gd_step(problem: ConvexProblem, step: float) -> None:
+    """Raise unless ``step`` lies in (0, 1/L]."""
     if not 0 < step <= 1.0 / problem.smoothness:
         raise ValueError(f"step must lie in (0, 1/L], got {step}")
+
+
+def run_gd(problem: ConvexProblem, step: float, iters: int, *, x0=None) -> Trace:
+    """Plain gradient descent baseline with a fixed step in (0, 1/L]."""
+    check_gd_step(problem, step)
     x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
     trace = Trace()
     trace.add(0.0, 0, {"gap": problem.gap(x)}, True)

@@ -155,8 +155,23 @@ def parse_edge_lines(text: str) -> Graph:
     return edge_list_graph(edges, np.array(weights))
 
 
+_TOPOLOGY_FIELDS = {
+    "line": ("nodes",),
+    "cycle": ("nodes",),
+    "grid": ("rows", "cols"),
+    "complete": ("nodes",),
+    "edge_list": ("edges",),
+}
+
+
 def build_graph(topology: str, **kwargs) -> Graph:
-    """Dispatch on a topology keyword (harness entry point)."""
+    """Dispatch on a topology keyword (harness entry point); fields other
+    than the topology's own are ignored."""
+    if topology not in _TOPOLOGY_FIELDS:
+        raise GraphError(f"unknown topology {topology!r}")
+    missing = [key for key in _TOPOLOGY_FIELDS[topology] if key not in kwargs]
+    if missing:
+        raise GraphError(f"topology {topology} needs " + " and ".join(map(repr, missing)))
     if topology == "line":
         return line_graph(int(kwargs["nodes"]))
     if topology == "cycle":
@@ -165,9 +180,7 @@ def build_graph(topology: str, **kwargs) -> Graph:
         return grid_graph(int(kwargs["rows"]), int(kwargs["cols"]))
     if topology == "complete":
         return complete_graph(int(kwargs["nodes"]))
-    if topology == "edge_list":
-        return parse_edge_lines(kwargs["edges"])
-    raise GraphError(f"unknown topology {topology!r}")
+    return parse_edge_lines(kwargs["edges"])
 
 
 @dataclass(frozen=True)
@@ -225,5 +238,9 @@ def gossip_rates(cache: SpectralCache) -> tuple[float, float]:
     """
     theta_rg = cache.mu_gossip
     theta_arg = float(np.sqrt(cache.mu_gossip / (2.0 * cache.r_max)))
-    assert theta_arg >= 0.5 * theta_rg * (1.0 - 1e-12)
+    if theta_arg < 0.5 * theta_rg * (1.0 - 1e-12):
+        raise RuntimeError(
+            f"theta_ARG = {theta_arg} < theta_RG / 2 = {0.5 * theta_rg}: "
+            "the spectral cache is inconsistent"
+        )
     return theta_rg, theta_arg

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from ..graphs import GraphError, gossip_rates, spectral
+from ..graphs import GraphError, build_graph, gossip_rates, spectral
 from .config import ConfigError, ExperimentSpec, parse_config
 from .csvio import emit_csv, render_csv
 from .presets import get_preset, preset_names
@@ -32,6 +32,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _log_horizon(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 1 < value < math.inf:
+        # the overridden horizon brings the log-spaced grid on [1, horizon]
+        raise argparse.ArgumentTypeError(f"must be a finite number > 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="continuized", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -40,8 +61,8 @@ def build_parser() -> _Parser:
         if config_required:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--horizon", type=float, default=None)
+        p.add_argument("--runs", type=_positive_int, default=None)
+        p.add_argument("--horizon", type=_log_horizon, default=None)
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--quiet", action="store_true")
 
@@ -76,19 +97,9 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    from .config import DEFAULT_CHECKPOINT_COUNT, log_spaced_checkpoints
-
-    spec = spec.with_overrides(
-        seed=_resolve_seed(args.seed),
-        runs=args.runs,
-        out=args.out,
+    return spec.with_overrides(
+        seed=_resolve_seed(args.seed), runs=args.runs, out=args.out, horizon=args.horizon
     )
-    if args.horizon is not None:
-        spec = spec.with_overrides(
-            horizon=args.horizon,
-            checkpoints=log_spaced_checkpoints(args.horizon, DEFAULT_CHECKPOINT_COUNT),
-        )
-    return spec
 
 
 def _run_spec(spec: ExperimentSpec, quiet: bool) -> None:
@@ -113,18 +124,8 @@ def _graph_info(args) -> None:
             raise ConfigError(["config has no [graph] section"])
         graph = spec.graph
     elif args.topology:
-        from ..graphs import build_graph
-
-        kwargs = {}
-        if args.topology == "grid":
-            if args.rows is None or args.cols is None:
-                raise ConfigError(["grid topology needs --rows and --cols"])
-            kwargs = {"rows": args.rows, "cols": args.cols}
-        else:
-            if args.nodes is None:
-                raise ConfigError([f"topology {args.topology} needs --nodes"])
-            kwargs = {"nodes": args.nodes}
-        graph = build_graph(args.topology, **kwargs)
+        fields = {"nodes": args.nodes, "rows": args.rows, "cols": args.cols}
+        graph = build_graph(args.topology, **{k: v for k, v in fields.items() if v is not None})
     else:
         raise ConfigError(["graph-info needs --config or --topology"])
 

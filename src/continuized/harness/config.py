@@ -2,8 +2,11 @@
 
 The grammar is INI-style (configparser).  Every section and key is checked
 against a schema; unknown keys are rejected and all violations are reported
-together.  A config may either describe an experiment in full or name a
-preset in ``[experiment] preset`` and override its scalar fields.
+together.  Each value is built into the object it describes (problem, noise
+model, schedule, clock, initial point, graph, local-function bounds) by the
+library constructor that validates it, so a spec that parses is ready to
+run.  A config may either describe an experiment in full or name a preset in
+``[experiment] preset`` and override its scalar fields.
 """
 
 from __future__ import annotations
@@ -11,20 +14,29 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any
+from functools import partial
 
 import numpy as np
 
-from ..graphs import Graph, GraphError, build_graph
+from ..dual import check_curvatures
+from ..dynamics import check_gd_step, check_nesterov_variant
+from ..graphs import Graph, build_graph
 from ..problems import (
     ConvexProblem,
-    InvalidProblemError,
+    LeastSquaresProblem,
     NoiseModel,
-    least_squares_from_text,
-    make_quadratic,
+    check_noise,
+    check_point,
+    noise_from_section,
+    parse_float,
+    parse_floats,
+    problem_from_section,
 )
+from ..schedules import KINDS as SCHEDULE_KINDS
+from ..schedules import EventClock, ParamSchedule
 
 EXPERIMENT_KINDS = ("optimize", "gossip", "decentralized", "graph-info")
+METHODS = ("continuized", "nesterov", "gd")
 
 DEFAULT_RUNS = 1000
 DEFAULT_SEED = 12345
@@ -55,13 +67,44 @@ _SECTIONS_BY_KIND = {
     "graph-info": {"experiment", "graph"},
 }
 
-
 class ConfigError(ValueError):
     """Carries the full list of validation violations."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(violations))
+
+
+@dataclass(frozen=True)
+class AlgoSpec:
+    """The resolved ``[algo]`` section of an optimize experiment.
+
+    ``step`` is the gradient-descent step; ``iters`` of the Nesterov and GD
+    baselines is None for round(horizon), read at run time because a
+    horizon override may follow parsing.
+    """
+
+    method: str
+    schedule: ParamSchedule
+    clock: EventClock
+    x0: np.ndarray
+    variant: str
+    step: float
+    iters: int | None
+
+
+@dataclass(frozen=True)
+class DecentralizedSpec:
+    """The resolved ``[decentralized]`` section: curvature bounds plus
+    either explicit local functions (``curvatures`` with one ``centers``
+    row per node) or the shape of the seeded random ones."""
+
+    mu: float
+    smoothness: float
+    dimension: int = 1
+    center_scale: float = 1.0
+    curvatures: np.ndarray | None = None
+    centers: np.ndarray | None = None
 
 
 @dataclass
@@ -77,27 +120,29 @@ class ExperimentSpec:
     include_bounds: bool = False
     problem: ConvexProblem | None = None
     noise: NoiseModel = field(default_factory=NoiseModel.none)
-    algo: dict[str, Any] = field(default_factory=dict)
+    algo: AlgoSpec | None = None
     graph: Graph | None = None
     gossip_algo: str = "accelerated"
     gossip_init: np.ndarray | None = None
-    decentralized: dict[str, Any] = field(default_factory=dict)
+    decentralized: DecentralizedSpec | None = None
     preset_name: str | None = None
 
     def with_overrides(self, **kw) -> "ExperimentSpec":
+        """A copy with every non-None keyword replaced; a new horizon
+        without new checkpoints brings the default log-spaced grid."""
         kw = {k: v for k, v in kw.items() if v is not None}
+        if "horizon" in kw and "checkpoints" not in kw:
+            kw["checkpoints"] = log_spaced_checkpoints(kw["horizon"], DEFAULT_CHECKPOINT_COUNT)
         return replace(self, **kw)
 
 
 def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
     """The default grid: ``count`` log-spaced times in [1, horizon]."""
-    if horizon <= 1:
-        raise ValueError("log-spaced checkpoints need horizon > 1")
+    if not horizon > 1:
+        raise ValueError(f"log-spaced checkpoints need horizon > 1, got {horizon}")
+    if count < 1:
+        raise ValueError(f"log-spaced checkpoints need a count >= 1, got {count}")
     return np.geomspace(1.0, horizon, count)
-
-
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split()], dtype=float)
 
 
 def _parse_bool(text: str) -> bool:
@@ -109,49 +154,168 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _build_problem(section, errors) -> tuple[ConvexProblem | None, None]:
-    kind = section.get("kind", "")
-    try:
-        if kind == "quadratic":
-            if "diag" not in section or "center" not in section:
-                errors.append("[problem] quadratic needs 'diag' and 'center'")
-                return None, None
-            return make_quadratic(_floats(section["diag"]), _floats(section["center"])), None
-        if kind == "least_squares":
-            if "optimum" not in section or "samples" not in section:
-                errors.append("[problem] least_squares needs 'optimum' and 'samples'")
-                return None, None
-            return least_squares_from_text(section["optimum"], section["samples"]), None
-        errors.append(f"[problem] unknown kind {kind!r}")
-    except (InvalidProblemError, ValueError, IndexError) as exc:
-        errors.append(f"[problem] {exc}")
-    return None, None
+def _rows(text: str) -> np.ndarray:
+    rows = [parse_floats(line) for line in text.strip().splitlines()]
+    if len({row.size for row in rows}) != 1:
+        raise ValueError("expected rows of equal length, one per line")
+    return np.array(rows)
 
 
-def _build_graph(section, errors) -> Graph | None:
-    topology = section.get("topology", "")
+def _read(errors: list[str], name: str, section, key: str, parse, default=None):
+    """``parse`` of ``section[key]``; ``default`` when the key is absent or,
+    after recording a violation, unparsable."""
+    if key not in section:
+        return default
     try:
-        if topology in ("line", "cycle", "complete"):
-            if "nodes" not in section:
-                errors.append(f"[graph] topology {topology} needs 'nodes'")
-                return None
-            return build_graph(topology, nodes=int(section["nodes"]))
-        if topology == "grid":
-            if "rows" not in section or "cols" not in section:
-                errors.append("[graph] topology grid needs 'rows' and 'cols'")
-                return None
-            return build_graph(
-                "grid", rows=int(section["rows"]), cols=int(section["cols"])
-            )
-        if topology == "edge_list":
-            if "edges" not in section:
-                errors.append("[graph] topology edge_list needs 'edges'")
-                return None
-            return build_graph("edge_list", edges=section["edges"])
-        errors.append(f"[graph] unknown topology {topology!r}")
-    except (GraphError, ValueError) as exc:
-        errors.append(f"[graph] {exc}")
+        return parse(section[key])
+    except ValueError as exc:
+        errors.append(f"[{name}] {key}: {exc}")
+        return default
+
+
+def _attempt(errors: list[str], where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or None after recording as violations
+    the ValueError it raises (each of a ConfigError's, unprefixed)."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        errors.extend(exc.violations)
+    except ValueError as exc:
+        errors.append(f"{where} {exc}")
     return None
+
+
+def build_schedule(problem: ConvexProblem, name: str | None = None) -> ParamSchedule:
+    """The schedule ``name`` with the problem's constants; by default the
+    strongly convex one when mu > 0 and the convex one otherwise."""
+    if name is None:
+        name = "strongly_convex" if problem.strong_convexity > 0 else "convex"
+    if name not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule {name!r}")
+    if name == "convex":
+        return ParamSchedule.convex(problem.smoothness)
+    if name == "strongly_convex":
+        return ParamSchedule.strongly_convex(problem.smoothness, problem.strong_convexity)
+    if not isinstance(problem, LeastSquaresProblem):
+        raise ValueError(f"schedule {name} needs a least-squares problem")
+    if name == "multiplicative_convex":
+        return ParamSchedule.multiplicative_convex(problem.r_squared, problem.kappa_tilde)
+    return ParamSchedule.multiplicative_strongly_convex(
+        problem.r_squared, problem.kappa_tilde, problem.strong_convexity
+    )
+
+
+def _clock(kind: str, rate: float, p: float, tick: float) -> EventClock:
+    if kind == "exponential":
+        return EventClock.exponential(rate)
+    if kind == "geometric":
+        return EventClock.geometric(p, tick)
+    raise ValueError(f"unknown clock {kind!r}")
+
+
+def _initial_x(problem: ConvexProblem, text: str) -> np.ndarray:
+    if text == "optimum":
+        return problem.optimum
+    if text == "zeros":
+        x0 = np.zeros(problem.dimension)
+    else:
+        x0 = check_point(problem, parse_floats(text))
+    x0.setflags(write=False)
+    return x0
+
+
+def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
+    """Build the ``[algo]`` section (any str -> str mapping) for ``problem``.
+
+    Raises ConfigError listing every violation.  Without a problem (one that
+    failed to build) only the checks that need none run, and None returns.
+    """
+    errors: list[str] = []
+    read = partial(_read, errors, "algo", section)
+    method = section.get("method", "continuized")
+    if method not in METHODS:
+        errors.append(f"[algo] unknown method {method!r}")
+    variant = section.get("variant", "convex")
+    step = read("step", parse_float)
+    iters = read("iters", int)
+    if iters is not None and iters < 1:
+        errors.append("[algo] iters must be >= 1")
+    clock = _attempt(
+        errors, "[algo]", _clock, section.get("clock", "exponential"),
+        read("rate", parse_float, 1.0), read("p", parse_float, 0.01),
+        read("tick", parse_float, 0.01),
+    )
+    if problem is None:
+        if errors:
+            raise ConfigError(errors)
+        return None
+    schedule = _attempt(errors, "[algo]", build_schedule, problem, section.get("schedule"))
+    x0 = _attempt(errors, "[algo] x0:", _initial_x, problem, section.get("x0", "zeros"))
+    if step is None:
+        step = 1.0 / problem.smoothness
+    if method == "nesterov":
+        _attempt(errors, "[algo]", check_nesterov_variant, problem, variant)
+    if method == "gd":
+        _attempt(errors, "[algo]", check_gd_step, problem, step)
+    if errors:
+        raise ConfigError(errors)
+    return AlgoSpec(method, schedule, clock, x0, variant, step, iters)
+
+
+_DECENTRALIZED_FIELDS = {
+    "mu": parse_float,
+    "smoothness": parse_float,
+    "dimension": int,
+    "center_scale": parse_float,
+    "curvatures": parse_floats,
+    "centers": _rows,
+}
+
+
+def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
+    errors = [
+        f"[decentralized] missing required field '{key}'"
+        for key in ("mu", "smoothness")
+        if key not in section
+    ]
+    values = {
+        key: _read(errors, "decentralized", section, key, parse)
+        for key, parse in _DECENTRALIZED_FIELDS.items()
+    }
+    values = {key: v for key, v in values.items() if v is not None}
+    if values.get("dimension", 1) < 1:
+        errors.append("[decentralized] dimension must be >= 1")
+    if ("curvatures" in section) != ("centers" in section):
+        errors.append("[decentralized] explicit local functions need 'curvatures' and 'centers'")
+    curvatures = values.get("curvatures")
+    if node_count is not None:
+        if curvatures is not None and curvatures.shape != (node_count,):
+            errors.append(f"[decentralized] curvatures need one value per node ({node_count})")
+        if "centers" in values and len(values["centers"]) != node_count:
+            errors.append(f"[decentralized] centers need one row per node ({node_count})")
+    if "mu" in values and "smoothness" in values:
+        _attempt(
+            errors, "[decentralized]", check_curvatures,
+            () if curvatures is None else curvatures, values["mu"], values["smoothness"],
+        )
+    if errors:
+        raise ConfigError(errors)
+    return DecentralizedSpec(**values)
+
+
+def _checkpoints(text: str, horizon: float) -> np.ndarray:
+    tokens = text.split()
+    if len(tokens) == 1 and "." not in tokens[0]:
+        return log_spaced_checkpoints(horizon, int(tokens[0]))
+    grid = parse_floats(text)
+    broken = []
+    if np.any(np.diff(grid) <= 0):
+        broken.append("be strictly increasing")
+    if grid.size == 0 or grid[0] <= 0 or grid[-1] > horizon:
+        broken.append("lie in (0, horizon]")
+    if broken:
+        raise ValueError("must " + " and ".join(broken))
+    return grid
 
 
 def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
@@ -167,6 +331,17 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
     if "experiment" not in cp:
         raise ConfigError(errors + ["missing [experiment] section"])
     exp = cp["experiment"]
+    read = partial(_read, errors, "experiment", exp)
+
+    runs = read("runs", int, DEFAULT_RUNS)
+    if runs < 1:
+        errors.append("[experiment] runs must be >= 1")
+    seed = read("seed", int, DEFAULT_SEED)
+    horizon = read("horizon", parse_float)
+    if horizon is not None and horizon <= 0:
+        errors.append("[experiment] horizon must be > 0")
+        horizon = None
+    include_bounds = read("include_bounds", _parse_bool, False)
 
     preset_name = exp.get("preset")
     if preset_name is not None:
@@ -182,27 +357,22 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
         for key in exp:
             if key not in allowed:
                 errors.append(f"key '{key}' cannot override a preset")
+        overrides = {
+            "runs": runs, "seed": seed, "horizon": horizon, "out": exp.get("out"),
+            "include_bounds": include_bounds,
+        }
         try:
             spec = get_preset(preset_name)
         except KeyError:
             errors.append(f"unknown preset {preset_name!r}")
+        else:
+            spec = _attempt(
+                errors, "[experiment]", spec.with_overrides,
+                **{key: v for key, v in overrides.items() if key in exp},
+            )
         if errors:
             raise ConfigError(errors)
-        overrides: dict[str, Any] = {}
-        if "runs" in exp:
-            overrides["runs"] = int(exp["runs"])
-        if "seed" in exp:
-            overrides["seed"] = int(exp["seed"])
-        if "horizon" in exp:
-            overrides["horizon"] = float(exp["horizon"])
-            overrides["checkpoints"] = log_spaced_checkpoints(
-                overrides["horizon"], DEFAULT_CHECKPOINT_COUNT
-            )
-        if "out" in exp:
-            overrides["out"] = exp["out"]
-        if "include_bounds" in exp:
-            overrides["include_bounds"] = _parse_bool(exp["include_bounds"])
-        return spec.with_overrides(**overrides)
+        return spec
 
     kind = exp.get("kind", "")
     if kind not in EXPERIMENT_KINDS:
@@ -214,44 +384,15 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
             if name in _SCHEMA and name not in _SECTIONS_BY_KIND[kind]:
                 errors.append(f"section [{name}] does not apply to kind {kind}")
 
-    runs = DEFAULT_RUNS
-    if "runs" in exp:
-        runs = int(exp["runs"])
-        if runs < 1:
-            errors.append("[experiment] runs must be >= 1")
-    seed = int(exp.get("seed", DEFAULT_SEED))
-
-    horizon = None
-    needs_horizon = kind in ("optimize", "gossip", "decentralized")
-    if "horizon" in exp:
-        horizon = float(exp["horizon"])
-        if horizon <= 0:
-            errors.append("[experiment] horizon must be > 0")
-            horizon = None
-    elif needs_horizon:
-        errors.append("[experiment] missing required field 'horizon'")
-
     checkpoints = None
-    if horizon is not None and needs_horizon:
-        tokens = exp.get("checkpoints", str(DEFAULT_CHECKPOINT_COUNT)).split()
-        try:
-            if len(tokens) == 1 and "." not in tokens[0]:
-                checkpoints = log_spaced_checkpoints(horizon, int(tokens[0]))
-            else:
-                checkpoints = np.array([float(t) for t in tokens])
-                if np.any(np.diff(checkpoints) <= 0):
-                    errors.append("[experiment] checkpoints must be strictly increasing")
-                if checkpoints[0] <= 0 or checkpoints[-1] > horizon:
-                    errors.append("[experiment] checkpoints must lie in (0, horizon]")
-        except ValueError as exc:
-            errors.append(f"[experiment] bad checkpoints: {exc}")
-
-    include_bounds = False
-    if "include_bounds" in exp:
-        try:
-            include_bounds = _parse_bool(exp["include_bounds"])
-        except ValueError as exc:
-            errors.append(f"[experiment] {exc}")
+    if kind in ("optimize", "gossip", "decentralized"):
+        if "horizon" not in exp:
+            errors.append("[experiment] missing required field 'horizon'")
+        elif horizon is not None:
+            checkpoints = _attempt(
+                errors, "[experiment] checkpoints:", _checkpoints,
+                exp.get("checkpoints", str(DEFAULT_CHECKPOINT_COUNT)), horizon,
+            )
 
     spec = ExperimentSpec(
         kind=kind if kind in EXPERIMENT_KINDS else "optimize",
@@ -267,61 +408,39 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
         if "problem" not in cp:
             errors.append("missing [problem] section for kind optimize")
         else:
-            spec.problem, _ = _build_problem(cp["problem"], errors)
+            spec.problem = _attempt(errors, "[problem]", problem_from_section, cp["problem"])
         if "noise" in cp:
-            nsec = cp["noise"]
-            nkind = nsec.get("kind", "none")
-            if nkind == "additive":
-                spec.noise = NoiseModel.additive(float(nsec.get("sigma2", "0")))
-            elif nkind == "multiplicative":
-                spec.noise = NoiseModel.multiplicative()
-            elif nkind != "none":
-                errors.append(f"[noise] unknown kind {nkind!r}")
-        spec.algo = dict(cp["algo"]) if "algo" in cp else {}
-        method = spec.algo.get("method", "continuized")
-        if method not in ("continuized", "nesterov", "gd"):
-            errors.append(f"[algo] unknown method {method!r}")
+            spec.noise = _attempt(errors, "[noise]", noise_from_section, cp["noise"])
+        if spec.problem is not None and spec.noise is not None:
+            _attempt(errors, "[noise]", check_noise, spec.problem, spec.noise)
+        algo = cp["algo"] if "algo" in cp else {}
+        spec.algo = _attempt(errors, "[algo]", resolve_algo, algo, spec.problem)
 
     elif kind in ("gossip", "decentralized", "graph-info"):
         if "graph" not in cp:
             errors.append(f"missing [graph] section for kind {kind}")
         else:
-            spec.graph = _build_graph(cp["graph"], errors)
+            gfields = dict(cp["graph"])
+            topology = gfields.pop("topology", "")
+            spec.graph = _attempt(errors, "[graph]", build_graph, topology, **gfields)
+        node_count = None if spec.graph is None else spec.graph.node_count
         if kind == "gossip" and "gossip" in cp:
             gsec = cp["gossip"]
             spec.gossip_algo = gsec.get("algo", "accelerated")
             if spec.gossip_algo not in ("naive", "accelerated"):
                 errors.append(f"[gossip] unknown algo {spec.gossip_algo!r}")
-            init = gsec.get("init", "spike")
-            if init != "spike":
-                try:
-                    spec.gossip_init = _floats(init)
-                except ValueError:
-                    errors.append("[gossip] init must be 'spike' or a list of floats")
+            if gsec.get("init", "spike") != "spike":
+                spec.gossip_init = _read(errors, "gossip", gsec, "init", parse_floats)
+            if spec.gossip_init is not None and node_count is not None:
+                if spec.gossip_init.shape != (node_count,):
+                    errors.append("[gossip] init length must equal the node count")
         if kind == "decentralized":
             if "decentralized" not in cp:
                 errors.append("missing [decentralized] section")
             else:
-                dsec = cp["decentralized"]
-                try:
-                    spec.decentralized = {
-                        "mu": float(dsec.get("mu", "")),
-                        "smoothness": float(dsec.get("smoothness", "")),
-                        "dimension": int(dsec.get("dimension", "1")),
-                        "center_scale": float(dsec.get("center_scale", "1.0")),
-                    }
-                except ValueError:
-                    errors.append("[decentralized] needs numeric 'mu' and 'smoothness'")
-                if "curvatures" in dsec:
-                    spec.decentralized["curvatures"] = _floats(dsec["curvatures"])
-                if "centers" in dsec:
-                    spec.decentralized["centers"] = np.array(
-                        [_floats(line) for line in dsec["centers"].strip().splitlines()]
-                    )
-
-    if spec.gossip_init is not None and spec.graph is not None:
-        if spec.gossip_init.shape != (spec.graph.node_count,):
-            errors.append("[gossip] init length must equal the node count")
+                spec.decentralized = _attempt(
+                    errors, "[decentralized]", _decentralized, cp["decentralized"], node_count
+                )
 
     if errors:
         raise ConfigError(errors)
@@ -332,7 +451,7 @@ def parse_config(path: str) -> ExperimentSpec:
     """Read and validate a config file; raises ConfigError with every violation."""
     if not os.path.exists(path):
         raise ConfigError([f"config file not found: {path}"])
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read(path)
     except configparser.Error as exc:
@@ -341,7 +460,7 @@ def parse_config(path: str) -> ExperimentSpec:
 
 
 def parse_config_text(text: str) -> ExperimentSpec:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..graphs import complete_graph, grid_graph, line_graph
 from ..problems import NoiseModel, make_quadratic
-from .config import ExperimentSpec, log_spaced_checkpoints
+from .config import DecentralizedSpec, ExperimentSpec, log_spaced_checkpoints, resolve_algo
 
 
 def _hundred_dim_convex():
@@ -27,7 +27,7 @@ def _optimize_spec(problem, schedule, horizon, *, noise=None, x0="zeros", runs=1
         include_bounds=True,
         problem=problem,
         noise=noise or NoiseModel.none(),
-        algo={"method": "continuized", "schedule": schedule, "x0": x0},
+        algo=resolve_algo({"schedule": schedule, "x0": x0}, problem),
     )
 
 
@@ -81,12 +81,7 @@ def decentralized_line10() -> ExperimentSpec:
         horizon=450.0,
         checkpoints=log_spaced_checkpoints(450.0, 50),
         graph=line_graph(10),
-        decentralized={
-            "mu": 0.1,
-            "smoothness": 1.0,
-            "dimension": 1,
-            "center_scale": 1.0,
-        },
+        decentralized=DecentralizedSpec(mu=0.1, smoothness=1.0),
     )
 
 

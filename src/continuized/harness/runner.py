@@ -11,8 +11,6 @@ from ..dual import DualParams, LocalFunction, random_local_functions, run_decent
 from ..dynamics import run_continuized, run_gd, run_nesterov
 from ..gossip import GossipParams, run_gossip
 from ..graphs import spectral
-from ..problems import LeastSquaresProblem
-from ..schedules import EventClock, ParamSchedule
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
 from ..trace import Trace
 from .config import ExperimentSpec
@@ -39,16 +37,22 @@ class RunSet:
         return self.aggregate[metric]["mean"]
 
 
-def aggregate_values(values: np.ndarray) -> dict[str, np.ndarray]:
+def aggregate_values(values: np.ndarray, metric: str = "value") -> dict[str, np.ndarray]:
     """Per-checkpoint mean and 5/95% quantiles (linear interpolation of
-    order statistics)."""
-    agg = {
+    order statistics) of the (runs, checkpoints) ``values`` of ``metric``.
+
+    Raises FloatingPointError naming the runs with a non-finite value.
+    """
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(
+            f"metric {metric} is not finite in runs {', '.join(map(str, bad))}"
+        )
+    return {
         "mean": values.mean(axis=0),
         "q05": np.quantile(values, 0.05, axis=0),
         "q95": np.quantile(values, 0.95, axis=0),
     }
-    assert np.all(agg["q05"] <= agg["q95"] + 1e-300)
-    return agg
 
 
 def build_runset(traces: list[Trace], checkpoints, metrics) -> RunSet:
@@ -61,50 +65,8 @@ def build_runset(traces: list[Trace], checkpoints, metrics) -> RunSet:
         metrics=tuple(metrics),
         traces=traces,
         values=values,
-        aggregate={m: aggregate_values(v) for m, v in values.items()},
+        aggregate={m: aggregate_values(v, m) for m, v in values.items()},
     )
-
-
-def build_schedule(spec: ExperimentSpec) -> ParamSchedule:
-    problem = spec.problem
-    name = spec.algo.get("schedule")
-    if name is None:
-        name = "strongly_convex" if problem.strong_convexity > 0 else "convex"
-    if name == "convex":
-        return ParamSchedule.convex(problem.smoothness)
-    if name == "strongly_convex":
-        return ParamSchedule.strongly_convex(problem.smoothness, problem.strong_convexity)
-    if not isinstance(problem, LeastSquaresProblem):
-        raise ValueError(f"schedule {name} needs a least-squares problem")
-    if name == "multiplicative_convex":
-        return ParamSchedule.multiplicative_convex(problem.r_squared, problem.kappa_tilde)
-    if name == "multiplicative_strongly_convex":
-        return ParamSchedule.multiplicative_strongly_convex(
-            problem.r_squared, problem.kappa_tilde, problem.strong_convexity
-        )
-    raise ValueError(f"unknown schedule {name!r}")
-
-
-def build_clock(spec: ExperimentSpec) -> EventClock:
-    kind = spec.algo.get("clock", "exponential")
-    if kind == "exponential":
-        return EventClock.exponential(float(spec.algo.get("rate", 1.0)))
-    if kind == "geometric":
-        return EventClock.geometric(
-            float(spec.algo.get("p", 0.01)), float(spec.algo.get("tick", 0.01))
-        )
-    raise ValueError(f"unknown clock {kind!r}")
-
-
-def _initial_point(spec: ExperimentSpec) -> np.ndarray:
-    x0 = spec.algo.get("x0", "zeros")
-    if isinstance(x0, str):
-        if x0 == "zeros":
-            return np.zeros(spec.problem.dimension)
-        if x0 == "optimum":
-            return np.asarray(spec.problem.optimum, dtype=float)
-        return np.array([float(tok) for tok in x0.split()])
-    return np.asarray(x0, dtype=float)
 
 
 def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarray]:
@@ -118,24 +80,23 @@ def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarra
         return {"energy": 2.0 * e0 * np.exp(-theta_arg * t)}
     if spec.kind != "optimize":
         return {}
-    problem = spec.problem
-    method = spec.algo.get("method", "continuized")
-    x0 = _initial_point(spec)
+    problem, algo = spec.problem, spec.algo
+    x0 = algo.x0
     gap0 = problem.gap(x0)
     dist0 = float(np.sum((x0 - problem.optimum) ** 2))
     big_l, mu = problem.smoothness, problem.strong_convexity
     sigma2 = spec.noise.sigma2 if spec.noise.kind == "additive" else 0.0
-    if method == "nesterov":
-        k = np.maximum(t, 1e-300)
-        if spec.algo.get("variant", "convex") == "convex":
+    if algo.method == "nesterov":
+        k = np.maximum(t, 1.0)
+        if algo.variant == "convex":
             return {"gap": np.where(t >= 1, 2.0 * big_l * dist0 / k**2, np.inf)}
         rho = 1.0 - math.sqrt(mu / big_l)
         return {"gap": (gap0 + 0.5 * mu * dist0) * rho**t}
-    if method == "gd":
-        if abs(float(spec.algo.get("step", 1.0 / big_l)) - 1.0 / big_l) > 1e-15:
+    if algo.method == "gd":
+        if abs(algo.step - 1.0 / big_l) > 1e-15:
             return {}
         return {"gap": gap0 * (1.0 - mu / big_l) ** t}
-    schedule = build_schedule(spec)
+    schedule = algo.schedule
     if schedule.kind == "convex":
         bound = 2.0 * big_l * dist0 / t**2 + sigma2 * t / (3.0 * big_l)
         return {"gap": bound}
@@ -182,24 +143,19 @@ def _wrap_run(i: int, fn, *args, **kwargs):
 
 
 def _run_optimize(spec: ExperimentSpec, progress) -> RunSet:
-    method = spec.algo.get("method", "continuized")
-    x0 = _initial_point(spec)
-    if method in ("nesterov", "gd"):
+    algo = spec.algo
+    if algo.method in ("nesterov", "gd"):
         # Deterministic: every run of the ensemble is the same trajectory,
         # so it is computed once and stands for each run.
-        iters = int(spec.algo.get("iters", round(spec.horizon)))
-        if method == "nesterov":
-            variant = spec.algo.get("variant", "convex")
-            trace = _wrap_run(0, run_nesterov, spec.problem, variant, iters, x0=x0)
+        iters = round(spec.horizon) if algo.iters is None else algo.iters
+        if algo.method == "nesterov":
+            trace = _wrap_run(0, run_nesterov, spec.problem, algo.variant, iters, x0=algo.x0)
         else:
-            step = float(spec.algo.get("step", 1.0 / spec.problem.smoothness))
-            trace = _wrap_run(0, run_gd, spec.problem, step, iters, x0=x0)
+            trace = _wrap_run(0, run_gd, spec.problem, algo.step, iters, x0=algo.x0)
         if progress:
             progress(spec.runs, spec.runs)
         grid = np.arange(iters + 1, dtype=float)
         return build_runset([trace] * spec.runs, grid, ("gap",))
-    schedule = build_schedule(spec)
-    clock = build_clock(spec)
     metrics = _METRICS_BY_KIND["optimize"] + ("lyapunov",)
     traces = []
     for i in range(spec.runs):
@@ -209,11 +165,11 @@ def _run_optimize(spec: ExperimentSpec, progress) -> RunSet:
                 run_continuized,
                 spec.problem,
                 spec.noise,
-                schedule,
-                clock,
+                algo.schedule,
+                algo.clock,
                 spec.horizon,
                 run_streams(spec.seed, i),
-                x0=x0,
+                x0=algo.x0,
                 checkpoints=spec.checkpoints,
             )
         )
@@ -247,20 +203,14 @@ def _run_gossip_ensemble(spec: ExperimentSpec, progress) -> RunSet:
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
     cfg = spec.decentralized
-    mu, big_l = cfg["mu"], cfg["smoothness"]
-    n = spec.graph.node_count
-    if "curvatures" in cfg or "centers" in cfg:
-        curvatures = cfg.get("curvatures")
-        centers = cfg.get("centers")
-        if curvatures is None or centers is None:
-            raise ValueError("explicit local functions need curvatures and centers")
+    if cfg.curvatures is not None:
         return [
-            LocalFunction(float(c), np.atleast_1d(centers[v]))
-            for v, c in enumerate(curvatures)
+            LocalFunction(float(c), np.atleast_1d(cfg.centers[v]))
+            for v, c in enumerate(cfg.curvatures)
         ]
     rng = np.random.default_rng(derive_seed(spec.seed, PROBLEM_STREAM))
     return random_local_functions(
-        n, mu, big_l, cfg.get("dimension", 1), rng, cfg.get("center_scale", 1.0)
+        spec.graph.node_count, cfg.mu, cfg.smoothness, cfg.dimension, rng, cfg.center_scale
     )
 
 
@@ -268,7 +218,7 @@ def _run_decentralized_ensemble(spec: ExperimentSpec, progress) -> RunSet:
     cfg = spec.decentralized
     cache = spectral(spec.graph)
     fns = _local_functions(spec)
-    params = DualParams.from_graph(spec.graph, cache, cfg["mu"], cfg["smoothness"])
+    params = DualParams.from_graph(spec.graph, cache, cfg.mu, cfg.smoothness)
     traces = []
     for i in range(spec.runs):
         traces.append(
@@ -277,8 +227,8 @@ def _run_decentralized_ensemble(spec: ExperimentSpec, progress) -> RunSet:
                 run_decentralized,
                 spec.graph,
                 fns,
-                cfg["mu"],
-                cfg["smoothness"],
+                cfg.mu,
+                cfg.smoothness,
                 spec.horizon,
                 run_streams(spec.seed, i),
                 cache=cache,

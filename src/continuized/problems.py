@@ -125,7 +125,8 @@ class NoiseModel:
         return cls("multiplicative")
 
 
-def _check_dim(problem: ConvexProblem, x: Array) -> Array:
+def check_point(problem: ConvexProblem, x: Array) -> Array:
+    """``x`` as a float array; raises unless it has the problem's dimension."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
         raise DimensionMismatchError(
@@ -267,23 +268,28 @@ def compute_r2_kappa_tilde(problem: LeastSquaresProblem) -> tuple[float, float]:
 
 def gradient(problem: ConvexProblem, x: Array) -> Array:
     """Exact gradient of ``problem`` at ``x``."""
-    return problem.grad_oracle(_check_dim(problem, x))
+    return problem.grad_oracle(check_point(problem, x))
+
+
+def check_noise(problem: ConvexProblem, noise: NoiseModel) -> None:
+    """Raise unless ``noise`` can be drawn for ``problem``."""
+    if noise.kind == "multiplicative" and not isinstance(problem, LeastSquaresProblem):
+        raise InvalidProblemError(
+            "multiplicative noise requires a least-squares problem"
+        )
 
 
 def stochastic_gradient(
     problem: ConvexProblem, noise: NoiseModel, x: Array, rng: np.random.Generator
 ) -> Array:
     """One stochastic gradient draw at ``x`` under the given noise model."""
-    x = _check_dim(problem, x)
+    x = check_point(problem, x)
     if noise.kind == "none":
         return problem.grad_oracle(x)
     if noise.kind == "additive":
         scale = np.sqrt(noise.sigma2 / problem.dimension)
         return problem.grad_oracle(x) + scale * rng.standard_normal(problem.dimension)
-    if not isinstance(problem, LeastSquaresProblem):
-        raise InvalidProblemError(
-            "multiplicative noise requires a least-squares problem"
-        )
+    check_noise(problem, noise)
     i = int(np.searchsorted(problem.cum_weights, rng.random(), side="right"))
     i = min(i, len(problem.targets) - 1)
     a = problem.atoms[i]
@@ -329,8 +335,23 @@ def serialize_problem(problem: ConvexProblem, noise: NoiseModel | None = None) -
     return buf.getvalue()
 
 
-def _floats(text: str) -> Array:
-    return np.array([float(tok) for tok in text.split()], dtype=float)
+def parse_floats(text: str, name: str | None = None, *, single: bool = False) -> Array:
+    """Whitespace-separated finite floats (exactly one if ``single``); any
+    other text raises InvalidProblemError naming ``name``, if given."""
+    try:
+        values = np.array([float(tok) for tok in text.split()], dtype=float)
+    except ValueError:
+        values = np.array([np.nan])
+    if not np.all(np.isfinite(values)) or single and values.size != 1:
+        prefix = f"{name}: " if name else ""
+        expected = "a finite number" if single else "finite numbers"
+        raise InvalidProblemError(f"{prefix}expected {expected}, got {text!r}")
+    return values
+
+
+def parse_float(text: str, name: str | None = None) -> float:
+    """Exactly one finite float."""
+    return float(parse_floats(text, name, single=True)[0])
 
 
 def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
@@ -344,10 +365,12 @@ def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
         parts = [p.strip() for p in line.split("|")]
         if len(parts) not in (2, 3):
             raise InvalidProblemError(f"bad sample line: {line!r}")
-        atoms.append(_floats(parts[0]))
-        targets.append(float(parts[1]))
-        weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
-    problem = make_least_squares(np.array(atoms), _floats(optimum), np.array(weights))
+        atoms.append(parse_floats(parts[0], "sample atom"))
+        targets.append(parse_float(parts[1], "sample target"))
+        weights.append(parse_float(parts[2], "sample weight") if len(parts) == 3 else 1.0)
+    problem = make_least_squares(
+        np.array(atoms), parse_floats(optimum, "optimum"), np.array(weights)
+    )
     bad = np.flatnonzero(np.abs(problem.targets - np.array(targets)) > 1e-10)
     if bad.size:
         lines = ", ".join(str(i + 1) for i in bad)
@@ -357,33 +380,38 @@ def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
     return problem
 
 
+_PROBLEM_FIELDS = {"quadratic": ("diag", "center"), "least_squares": ("optimum", "samples")}
+
+
+def problem_from_section(section) -> ConvexProblem:
+    """Build the problem of a ``[problem]`` section (any str -> str mapping)."""
+    kind = section.get("kind", "")
+    if kind not in _PROBLEM_FIELDS:
+        raise InvalidProblemError(f"unknown problem kind {kind!r}")
+    missing = [key for key in _PROBLEM_FIELDS[kind] if key not in section]
+    if missing:
+        raise InvalidProblemError(f"{kind} needs " + " and ".join(map(repr, missing)))
+    if kind == "quadratic":
+        return make_quadratic(
+            parse_floats(section["diag"], "diag"), parse_floats(section["center"], "center")
+        )
+    return least_squares_from_text(section["optimum"], section["samples"])
+
+
+def noise_from_section(section) -> NoiseModel:
+    """Build the noise model of a ``[noise]`` section; kind defaults to none."""
+    kind = section.get("kind", "none")
+    sigma2 = parse_float(section.get("sigma2", "0"), "sigma2") if kind == "additive" else 0.0
+    return NoiseModel(kind, sigma2)
+
+
 def parse_problem_text(text: str) -> tuple[ConvexProblem, NoiseModel]:
     """Parse the structured-text problem grammar back into objects."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     if "problem" not in cp:
         raise InvalidProblemError("missing [problem] section")
-    section = cp["problem"]
-    kind = section.get("kind", "")
-    if kind == "quadratic":
-        problem: ConvexProblem = make_quadratic(
-            _floats(section.get("diag", "")), _floats(section.get("center", ""))
-        )
-    elif kind == "least_squares":
-        problem = least_squares_from_text(
-            section.get("optimum", ""), section.get("samples", "")
-        )
-    else:
-        raise InvalidProblemError(f"unknown problem kind {kind!r}")
-
-    noise = NoiseModel.none()
-    if "noise" in cp:
-        nsec = cp["noise"]
-        nkind = nsec.get("kind", "none")
-        if nkind == "additive":
-            noise = NoiseModel.additive(float(nsec.get("sigma2", "0")))
-        elif nkind == "multiplicative":
-            noise = NoiseModel.multiplicative()
-        elif nkind != "none":
-            raise InvalidProblemError(f"unknown noise kind {nkind!r}")
+    problem = problem_from_section(cp["problem"])
+    noise = noise_from_section(cp["noise"]) if "noise" in cp else NoiseModel.none()
+    check_noise(problem, noise)
     return problem, noise

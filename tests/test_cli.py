@@ -1,5 +1,6 @@
 import pytest
 
+from continuized.harness import cli
 from continuized.harness.cli import main
 from continuized.harness.csvio import load_csv
 
@@ -87,16 +88,87 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "targets are inconsistent with the optimum on sample lines 1, 2" in err
 
-    def test_runtime_error_exits_2(self, cfg_file, capsys):
-        # parses fine but fails during the run: local curvature outside [mu, L]
-        path = cfg_file(
-            "[experiment]\nkind = decentralized\nhorizon = 5\nruns = 1\n\n"
-            "[graph]\ntopology = line\nnodes = 2\n\n"
-            "[decentralized]\nmu = 0.5\nsmoothness = 1.0\n"
-            "curvatures = 9.0 0.5\ncenters =\n    0.1\n    0.2\n"
-        )
-        assert main(["decentralized", "--config", path, "--quiet"]) == 2
-        assert "run 0 failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--horizon", "0.5"], ["--horizon", "nan"]])
+    def test_bad_override_flag_exits_1(self, cfg_file, capsys, flags):
+        path = cfg_file(OPTIMIZE_CFG)
+        assert main(["optimize", "--config", path, "--quiet", *flags]) == 1
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+
+    def test_runtime_error_exits_2(self, cfg_file, capsys, monkeypatch):
+        # a valid config whose run fails: the CLI maps the error to exit 2
+        def fail(spec, progress=None):
+            raise RuntimeError("run 0 failed: boom")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        path = cfg_file(OPTIMIZE_CFG)
+        assert main(["optimize", "--config", path, "--quiet"]) == 2
+        assert "run 0 failed: boom" in capsys.readouterr().err
+
+
+QUADRATIC_2D = """
+[experiment]
+kind = optimize
+horizon = 10
+runs = 2
+seed = 5
+
+[problem]
+kind = quadratic
+diag = 0.5 1.0
+center = 1 1
+"""
+
+LINE2 = """
+[experiment]
+kind = {kind}
+horizon = 5
+runs = 1
+
+[graph]
+topology = line
+nodes = 2
+"""
+
+INVALID_INPUTS = [
+    ("runs", QUADRATIC_2D.replace("runs = 2", "runs = abc"), ["[experiment] runs"]),
+    ("seed", QUADRATIC_2D.replace("seed = 5", "seed = xyz"), ["[experiment] seed"]),
+    ("schedule-and-clock", QUADRATIC_2D + "[algo]\nschedule = bogus\nclock = weird\n",
+     ["unknown schedule 'bogus'", "unknown clock 'weird'"]),
+    ("x0-length", QUADRATIC_2D + "[algo]\nx0 = 1 2 3\n", ["[algo] x0"]),
+    ("sigma2", QUADRATIC_2D + "[noise]\nkind = additive\nsigma2 = -1\n", ["sigma2"]),
+    ("geometric-p", QUADRATIC_2D + "[algo]\nclock = geometric\np = 2\n",
+     ["p must be in (0, 1]"]),
+    ("variant", QUADRATIC_2D + "[algo]\nmethod = nesterov\nvariant = bogus\n",
+     ["unknown variant 'bogus'"]),
+    ("step", QUADRATIC_2D + "[algo]\nmethod = gd\nstep = abc\n", ["[algo] step"]),
+    ("multiplicative-on-quadratic", QUADRATIC_2D + "[noise]\nkind = multiplicative\n",
+     ["multiplicative noise requires a least-squares problem"]),
+    ("curvatures-without-centers",
+     LINE2.format(kind="decentralized")
+     + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\ncurvatures = 0.5 1.0\n",
+     ["'curvatures' and 'centers'"]),
+    ("curvature-outside-bounds",
+     LINE2.format(kind="decentralized")
+     + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\n"
+     "curvatures = 9.0 0.5\ncenters =\n    0.1\n    0.2\n",
+     ["nodes [0] leave the declared [mu, L]"]),
+    ("gossip-init-nan", LINE2.format(kind="gossip") + "[gossip]\ninit = nan 0\n",
+     ["[gossip] init"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [row[1:] for row in INVALID_INPUTS], ids=[row[0] for row in INVALID_INPUTS]
+)
+def test_invalid_input_exits_1_listing_every_violation(cfg_file, capsys, text, expected):
+    kind = text.split("kind = ", 1)[1].split()[0]
+    assert main([kind, "--config", cfg_file(text), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "runtime error" not in err
+    lines = err.splitlines()
+    for violation in expected:
+        assert any(line.startswith("error: ") and violation in line for line in lines), (
+            violation, err)
 
 
 class TestRuns:

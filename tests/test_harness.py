@@ -1,7 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuized.harness.config import (
+    AlgoSpec,
     ConfigError,
     log_spaced_checkpoints,
     parse_config,
@@ -110,6 +116,91 @@ runs = 0
             parse_config_text(bad)
         assert any("does not apply" in v for v in err.value.violations)
 
+    def test_algo_resolved_at_parse(self):
+        spec = parse_config_text(MINIMAL_OPTIMIZE + "\n[algo]\nx0 = 1 2 3\n")
+        assert isinstance(spec.algo, AlgoSpec)
+        assert spec.algo.method == "continuized"
+        assert spec.algo.schedule.kind == "strongly_convex"
+        assert (spec.algo.clock.kind, spec.algo.clock.rate) == ("exponential", 1.0)
+        assert spec.algo.step == 1.0 / spec.problem.smoothness
+        assert spec.algo.iters is None
+        np.testing.assert_array_equal(spec.algo.x0, [1.0, 2.0, 3.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.algo.method = "gd"
+
+    def test_horizon_override_recomputes_grid(self):
+        spec = parse_config_text(MINIMAL_OPTIMIZE).with_overrides(horizon=50.0)
+        np.testing.assert_array_equal(spec.checkpoints, log_spaced_checkpoints(50.0, 50))
+        kept = spec.with_overrides(horizon=60.0, checkpoints=np.array([1.0, 60.0]))
+        np.testing.assert_array_equal(kept.checkpoints, [1.0, 60.0])
+
+    def test_preset_horizon_too_short_is_a_violation(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("[experiment]\npreset = appendix-a1-convex\nhorizon = 0.5\n")
+        assert any("horizon > 1" in v for v in err.value.violations)
+
+
+# Each numeric key of these sections, fuzzed one at a time on a base that
+# parses; the parser must answer with a spec or a ConfigError, nothing else.
+FUZZ_BASES = {
+    "optimize": {
+        "experiment": {"kind": "optimize", "horizon": "20", "runs": "2", "seed": "3",
+                       "checkpoints": "10"},
+        "problem": {"kind": "quadratic", "diag": "0.01 0.03 1.0", "center": "1 1 1"},
+        "noise": {"kind": "additive", "sigma2": "1e-4"},
+        "algo": {"method": "gd", "step": "0.5", "iters": "10", "rate": "1.0", "p": "0.5",
+                 "tick": "0.5", "x0": "0 0 0"},
+    },
+    "decentralized": {
+        "experiment": {"kind": "decentralized", "horizon": "20"},
+        "graph": {"topology": "line", "nodes": "3"},
+        "decentralized": {"mu": "0.5", "smoothness": "1.0", "dimension": "1",
+                          "center_scale": "1.0", "curvatures": "0.5 0.75 1.0",
+                          "centers": "\n    0.1\n    0.2\n    0.3"},
+    },
+}
+
+FUZZ_KEYS = (
+    [("optimize", "experiment", k) for k in ("runs", "seed", "horizon", "checkpoints")]
+    + [("optimize", "algo", k) for k in ("step", "iters", "rate", "p", "tick", "x0")]
+    + [("optimize", "noise", "sigma2"), ("decentralized", "experiment", "horizon")]
+    + [("decentralized", "decentralized", k)
+       for k in ("mu", "smoothness", "dimension", "center_scale", "curvatures", "centers")]
+)
+
+# Short text only: a long digit string as a checkpoint count would ask for
+# a grid of that many points.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "1e309", "abc", "1 2", "0.5"]),
+    st.text(max_size=5),
+    st.floats().map(repr),
+    st.integers(-10**4, 10**4).map(str),
+)
+
+
+def test_fuzz_bases_parse():
+    for base, sections in FUZZ_BASES.items():
+        assert parse_config_text(_render(sections)).kind == base
+
+
+def _render(sections) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+@pytest.mark.parametrize("base, section, key", FUZZ_KEYS, ids=[".".join(row) for row in FUZZ_KEYS])
+@settings(max_examples=60, deadline=None)
+@given(value=FUZZ_VALUES)
+def test_fuzzed_numeric_key_parses_or_raises_config_error(base, section, key, value):
+    sections = {name: dict(keys) for name, keys in FUZZ_BASES[base].items()}
+    sections[section][key] = value
+    try:
+        parse_config_text(_render(sections))
+    except ConfigError as exc:
+        assert exc.violations
+
 
 class TestPresets:
     def test_each_figure_family_has_a_preset(self):
@@ -134,7 +225,7 @@ class TestPresets:
         spec = get_preset("appendix-b-additive")
         assert spec.noise.kind == "additive"
         assert spec.noise.sigma2 == pytest.approx(3e-4)
-        assert spec.algo["x0"] == "optimum"
+        np.testing.assert_array_equal(spec.algo.x0, spec.problem.optimum)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
@@ -181,6 +272,22 @@ class TestRunner:
         rs = run_experiment(spec)
         np.testing.assert_array_equal(rs.checkpoints, np.arange(21.0))
         assert rs.values["gap"][0, -1] < rs.values["gap"][0, 0]
+
+    def test_nesterov_convex_bounds_without_warnings(self):
+        cfg = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 20\ninclude_bounds = true")
+        cfg += "\n[algo]\nmethod = nesterov\n"
+        spec = parse_config_text(cfg).with_overrides(runs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rs = run_experiment(spec)
+        gap = rs.bounds["gap"]
+        assert gap[0] == np.inf
+        np.testing.assert_array_equal(gap[1:], 2.0 * 1.0 * 3.0 / rs.checkpoints[1:] ** 2)
+
+    def test_non_finite_values_name_metric_and_runs(self):
+        values = np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0], [1.0, np.inf]])
+        with pytest.raises(FloatingPointError, match="metric energy is not finite in runs 1, 3"):
+            aggregate_values(values, "energy")
 
     def test_decentralized_ensemble(self):
         spec = get_preset("decentralized-line10").with_overrides(runs=3, horizon=20.0)
@@ -242,13 +349,18 @@ nodes = 3
 [decentralized]
 mu = 0.5
 smoothness = 1.0
-curvatures = 9.0 0.5 0.5
+curvatures = 1.0 0.5 0.5
 centers =
     0.1
     0.2
     0.3
 """
+        # the parser rejects curvature 9.0 outside [mu, L]; set it on the
+        # resolved spec so that the run itself fails
         spec = parse_config_text(cfg)
+        spec.decentralized = dataclasses.replace(
+            spec.decentralized, curvatures=np.array([9.0, 0.5, 0.5])
+        )
         with pytest.raises(RuntimeError, match="run 0 failed"):
             run_experiment(spec)
 
