@@ -38,16 +38,10 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cum_probs", np.cumsum(self.edge_probs))
-        object.__setattr__(
-            self, "edge_index", {e: i for i, e in enumerate(self.edges)}
-        )
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def prob_of(self, v: int, w: int) -> float:
-        return float(self.edge_probs[self.edge_index[(min(v, w), max(v, w))]])
 
 
 def _validate(node_count: int, edges, probs) -> Graph:

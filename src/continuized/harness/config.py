@@ -36,11 +36,19 @@ from ..schedules import KINDS as SCHEDULE_KINDS
 from ..schedules import EventClock, ParamSchedule
 
 EXPERIMENT_KINDS = ("optimize", "gossip", "decentralized", "graph-info")
-METHODS = ("continuized", "nesterov", "gd")
+# The [algo] keys each method reads, besides method and x0.
+METHOD_KEYS = {
+    "continuized": ("schedule", "clock", "rate", "p", "tick"),
+    "nesterov": ("variant", "iters"),
+    "gd": ("step", "iters"),
+}
+METHODS = tuple(METHOD_KEYS)
 
 DEFAULT_RUNS = 1000
 DEFAULT_SEED = 12345
 DEFAULT_CHECKPOINT_COUNT = 50
+# Every run keeps one value per checkpoint and metric, so the grid is bounded.
+MAX_CHECKPOINT_COUNT = 10_000
 
 _SCHEMA: dict[str, set[str]] = {
     "experiment": {
@@ -49,10 +57,7 @@ _SCHEMA: dict[str, set[str]] = {
     },
     "problem": {"kind", "diag", "center", "optimum", "samples"},
     "noise": {"kind", "sigma2"},
-    "algo": {
-        "method", "schedule", "variant", "step", "iters", "clock", "rate",
-        "p", "tick", "x0",
-    },
+    "algo": {"method", "x0"}.union(*METHOD_KEYS.values()),
     "graph": {"topology", "nodes", "rows", "cols", "edges"},
     "gossip": {"algo", "init"},
     "decentralized": {
@@ -140,8 +145,10 @@ def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
     """The default grid: ``count`` log-spaced times in [1, horizon]."""
     if not horizon > 1:
         raise ValueError(f"log-spaced checkpoints need horizon > 1, got {horizon}")
-    if count < 1:
-        raise ValueError(f"log-spaced checkpoints need a count >= 1, got {count}")
+    if not 1 <= count <= MAX_CHECKPOINT_COUNT:
+        raise ValueError(
+            f"log-spaced checkpoints need a count in [1, {MAX_CHECKPOINT_COUNT}], got {count}"
+        )
     return np.geomspace(1.0, horizon, count)
 
 
@@ -235,6 +242,12 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     method = section.get("method", "continuized")
     if method not in METHODS:
         errors.append(f"[algo] unknown method {method!r}")
+    else:
+        errors += [
+            f"[algo] key '{key}' does not apply to method {method}"
+            for key in section
+            if key in _SCHEMA["algo"] and key not in ("method", "x0", *METHOD_KEYS[method])
+        ]
     variant = section.get("variant", "convex")
     step = read("step", parse_float)
     iters = read("iters", int)

@@ -1,40 +1,53 @@
-"""Ensemble orchestration and quantile aggregation."""
+"""Ensemble orchestration and quantile aggregation.
+
+``resolve`` turns a spec, once, into a call from run index to Trace, the
+checkpoint grid, the metric names and the constants the bounds need;
+``run_experiment`` is the one loop over the runs of an ensemble.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
 from ..dual import DualParams, LocalFunction, random_local_functions, run_decentralized
 from ..dynamics import run_continuized, run_gd, run_nesterov
 from ..gossip import GossipParams, run_gossip
-from ..graphs import spectral
+from ..graphs import SpectralCache, gossip_rates, spectral
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
 from ..trace import Trace
 from .config import ExperimentSpec
 
-_METRICS_BY_KIND = {
-    "optimize": ("gap", "dist_sq"),
-    "gossip": ("energy",),
-    "decentralized": ("primal_dist_sq",),
-}
-
 
 @dataclass
 class RunSet:
-    """An ensemble of traces on a shared checkpoint grid, plus aggregates."""
+    """Per-run metric values on a shared checkpoint grid, plus aggregates."""
 
     checkpoints: np.ndarray
     metrics: tuple[str, ...]
-    traces: list[Trace]
     values: dict[str, np.ndarray]
     aggregate: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     bounds: dict[str, np.ndarray] = field(default_factory=dict)
 
     def mean(self, metric: str) -> np.ndarray:
         return self.aggregate[metric]["mean"]
+
+
+@dataclass(frozen=True)
+class ResolvedExperiment:
+    """What every run of an ensemble shares: the call from run index to
+    Trace, the checkpoint grid, the metric names, and the graph's spectral
+    cache and gossip start for the bounds."""
+
+    run: Callable[[int], Trace]
+    checkpoints: np.ndarray
+    metrics: tuple[str, ...]
+    cache: SpectralCache | None = None
+    x0: np.ndarray | None = None
 
 
 def aggregate_values(values: np.ndarray, metric: str = "value") -> dict[str, np.ndarray]:
@@ -55,27 +68,22 @@ def aggregate_values(values: np.ndarray, metric: str = "value") -> dict[str, np.
     }
 
 
-def build_runset(traces: list[Trace], checkpoints, metrics) -> RunSet:
-    grid = np.asarray(checkpoints, dtype=float)
-    values = {
-        m: np.vstack([tr.metric_at(grid, m) for tr in traces]) for m in metrics
-    }
+def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray) -> RunSet:
+    """The run set of (runs, checkpoints) ``values`` per metric, aggregated."""
     return RunSet(
-        checkpoints=grid,
-        metrics=tuple(metrics),
-        traces=traces,
+        checkpoints=checkpoints,
+        metrics=tuple(values),
         values=values,
         aggregate={m: aggregate_values(v, m) for m, v in values.items()},
     )
 
 
-def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarray]:
+def theory_bounds(spec: ExperimentSpec, resolved: ResolvedExperiment) -> dict[str, np.ndarray]:
     """Closed-form reference curves for the metrics that have one."""
-    t = np.asarray(grid, dtype=float)
+    t = resolved.checkpoints
     if spec.kind == "gossip" and spec.gossip_algo == "accelerated":
-        cache = spectral(spec.graph)
-        theta_arg = math.sqrt(cache.mu_gossip / (2.0 * cache.r_max))
-        x0 = _gossip_init(spec)
+        _, theta_arg = gossip_rates(resolved.cache)
+        x0 = resolved.x0
         e0 = 0.5 * float(np.sum((x0 - x0.mean()) ** 2))
         return {"energy": 2.0 * e0 * np.exp(-theta_arg * t)}
     if spec.kind != "optimize":
@@ -111,94 +119,49 @@ def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarra
     return {"dist_sq": (dist0 + mu * dist0_hinv) * np.exp(-rate * t)}
 
 
-def _gossip_init(spec: ExperimentSpec) -> np.ndarray:
-    if spec.gossip_init is not None:
-        return np.asarray(spec.gossip_init, dtype=float)
-    x0 = np.zeros(spec.graph.node_count)
-    x0[0] = 1.0
-    return x0
-
-
-def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
-    """Execute every run of the ensemble; per-run seeds derive from the
-    master seed, so the result is replay-exact."""
-    if spec.kind == "optimize":
-        runset = _run_optimize(spec, progress)
-    elif spec.kind == "gossip":
-        runset = _run_gossip_ensemble(spec, progress)
-    elif spec.kind == "decentralized":
-        runset = _run_decentralized_ensemble(spec, progress)
-    else:
+def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
+    """Build, once, everything the runs of ``spec`` share."""
+    if spec.kind not in ("optimize", "gossip", "decentralized"):
         raise ValueError(f"experiment kind {spec.kind!r} does not produce a run set")
-    if spec.include_bounds:
-        runset.bounds = theory_bounds(spec, runset.checkpoints)
-    return runset
-
-
-def _wrap_run(i: int, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:
-        raise RuntimeError(f"run {i} failed: {exc}") from exc
-
-
-def _run_optimize(spec: ExperimentSpec, progress) -> RunSet:
-    algo = spec.algo
-    if algo.method in ("nesterov", "gd"):
+    if spec.kind == "optimize" and spec.algo.method != "continuized":
         # Deterministic: every run of the ensemble is the same trajectory,
         # so it is computed once and stands for each run.
+        problem, algo = spec.problem, spec.algo
         iters = round(spec.horizon) if algo.iters is None else algo.iters
         if algo.method == "nesterov":
-            trace = _wrap_run(0, run_nesterov, spec.problem, algo.variant, iters, x0=algo.x0)
+            trajectory = cache(lambda: run_nesterov(problem, algo.variant, iters, x0=algo.x0))
         else:
-            trace = _wrap_run(0, run_gd, spec.problem, algo.step, iters, x0=algo.x0)
-        if progress:
-            progress(spec.runs, spec.runs)
-        grid = np.arange(iters + 1, dtype=float)
-        return build_runset([trace] * spec.runs, grid, ("gap",))
-    metrics = _METRICS_BY_KIND["optimize"] + ("lyapunov",)
-    traces = []
-    for i in range(spec.runs):
-        traces.append(
-            _wrap_run(
-                i,
-                run_continuized,
-                spec.problem,
-                spec.noise,
-                algo.schedule,
-                algo.clock,
-                spec.horizon,
-                run_streams(spec.seed, i),
-                x0=algo.x0,
-                checkpoints=spec.checkpoints,
-            )
+            trajectory = cache(lambda: run_gd(problem, algo.step, iters, x0=algo.x0))
+        return ResolvedExperiment(lambda i: trajectory(), np.arange(iters + 1.0), ("gap",))
+    grid, spectral_cache, x0 = np.asarray(spec.checkpoints, dtype=float), None, None
+    # Each engine takes the run's streams as its last positional argument.
+    if spec.kind == "optimize":
+        algo = spec.algo
+        metrics = ("gap", "dist_sq", "lyapunov")
+        engine = partial(
+            run_continuized, spec.problem, spec.noise, algo.schedule, algo.clock, spec.horizon,
+            x0=algo.x0, checkpoints=grid,
         )
-        if progress:
-            progress(i + 1, spec.runs)
-    return build_runset(traces, spec.checkpoints, metrics)
-
-
-def _run_gossip_ensemble(spec: ExperimentSpec, progress) -> RunSet:
-    cache = spectral(spec.graph)
-    params = GossipParams.from_cache(cache, algo=spec.gossip_algo)
-    x0 = _gossip_init(spec)
-    traces = []
-    for i in range(spec.runs):
-        traces.append(
-            _wrap_run(
-                i,
-                run_gossip,
-                spec.graph,
-                params,
-                x0,
-                spec.horizon,
-                run_streams(spec.seed, i),
-                checkpoints=spec.checkpoints,
-            )
+    elif spec.kind == "gossip":
+        spectral_cache = spectral(spec.graph)
+        params = GossipParams.from_cache(spectral_cache, algo=spec.gossip_algo)
+        x0 = spec.gossip_init
+        if x0 is None:  # a unit spike at node 0
+            x0 = np.eye(1, spec.graph.node_count)[0]
+        metrics = ("energy",)
+        engine = partial(run_gossip, spec.graph, params, x0, spec.horizon, checkpoints=grid)
+    else:
+        cfg = spec.decentralized
+        spectral_cache = spectral(spec.graph)
+        params = DualParams.from_graph(spec.graph, spectral_cache, cfg.mu, cfg.smoothness)
+        metrics = ("primal_dist_sq",)
+        engine = partial(
+            run_decentralized, spec.graph, _local_functions(spec), cfg.mu, cfg.smoothness,
+            spec.horizon, cache=spectral_cache, params=params, checkpoints=grid,
         )
-        if progress:
-            progress(i + 1, spec.runs)
-    return build_runset(traces, spec.checkpoints, _METRICS_BY_KIND["gossip"])
+    return ResolvedExperiment(
+        lambda i: engine(run_streams(spec.seed, i)), grid, metrics, spectral_cache, x0
+    )
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
@@ -214,28 +177,24 @@ def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
     )
 
 
-def _run_decentralized_ensemble(spec: ExperimentSpec, progress) -> RunSet:
-    cfg = spec.decentralized
-    cache = spectral(spec.graph)
-    fns = _local_functions(spec)
-    params = DualParams.from_graph(spec.graph, cache, cfg.mu, cfg.smoothness)
-    traces = []
+def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
+    """Execute every run of the ensemble; per-run seeds derive from the
+    master seed, so the result is replay-exact.  Each run's checkpoint
+    values go straight into the (runs, checkpoints) arrays and its Trace
+    is dropped."""
+    resolved = resolve(spec)
+    grid = resolved.checkpoints
+    values = {m: np.empty((spec.runs, len(grid))) for m in resolved.metrics}
     for i in range(spec.runs):
-        traces.append(
-            _wrap_run(
-                i,
-                run_decentralized,
-                spec.graph,
-                fns,
-                cfg.mu,
-                cfg.smoothness,
-                spec.horizon,
-                run_streams(spec.seed, i),
-                cache=cache,
-                params=params,
-                checkpoints=spec.checkpoints,
-            )
-        )
+        try:
+            trace = resolved.run(i)
+        except Exception as exc:
+            raise RuntimeError(f"run {i} failed: {exc}") from exc
+        for m, row in values.items():
+            row[i] = trace.metric_at(grid, m)
         if progress:
             progress(i + 1, spec.runs)
-    return build_runset(traces, spec.checkpoints, _METRICS_BY_KIND["decentralized"])
+    runset = build_runset(values, grid)
+    if spec.include_bounds:
+        runset.bounds = theory_bounds(spec, resolved)
+    return runset

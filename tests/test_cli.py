@@ -141,6 +141,12 @@ INVALID_INPUTS = [
     ("variant", QUADRATIC_2D + "[algo]\nmethod = nesterov\nvariant = bogus\n",
      ["unknown variant 'bogus'"]),
     ("step", QUADRATIC_2D + "[algo]\nmethod = gd\nstep = abc\n", ["[algo] step"]),
+    ("nesterov-step", QUADRATIC_2D + "[algo]\nmethod = nesterov\nstep = 5\n",
+     ["key 'step' does not apply to method nesterov"]),
+    ("continuized-variant", QUADRATIC_2D + "[algo]\nmethod = continuized\nvariant = bogus\n",
+     ["key 'variant' does not apply to method continuized"]),
+    ("checkpoint-count", QUADRATIC_2D.replace("runs = 2", "runs = 2\ncheckpoints = 10000000000"),
+     ["[experiment] checkpoints: log-spaced checkpoints need a count in [1, 10000]"]),
     ("multiplicative-on-quadratic", QUADRATIC_2D + "[noise]\nkind = multiplicative\n",
      ["multiplicative noise requires a least-squares problem"]),
     ("curvatures-without-centers",

@@ -1,11 +1,15 @@
 import dataclasses
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuized.graphs import spectral
+from continuized.harness import runner
 from continuized.harness.config import (
     AlgoSpec,
     ConfigError,
@@ -46,7 +50,19 @@ nodes = 10
 """
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestParseConfig:
+    def test_readme_config_examples_parse(self):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 3
+        for block in blocks:
+            # the [graph]/[gossip] fragment belongs to a gossip experiment
+            if "[experiment]" not in block:
+                block = "[experiment]\nkind = gossip\nhorizon = 100\n\n" + block
+            parse_config_text(block)
+
     def test_minimal_defaults(self):
         spec = parse_config_text(MINIMAL_OPTIMIZE)
         assert spec.runs == 1000
@@ -141,16 +157,20 @@ runs = 0
 
 
 # Each numeric key of these sections, fuzzed one at a time on a base that
-# parses; the parser must answer with a spec or a ConfigError, nothing else.
+# parses and whose method reads the key; the parser must answer with a spec
+# or a ConfigError, nothing else.
+_OPTIMIZE = {
+    "experiment": {"kind": "optimize", "horizon": "20", "runs": "2", "seed": "3",
+                   "checkpoints": "10"},
+    "problem": {"kind": "quadratic", "diag": "0.01 0.03 1.0", "center": "1 1 1"},
+    "noise": {"kind": "additive", "sigma2": "1e-4"},
+}
 FUZZ_BASES = {
-    "optimize": {
-        "experiment": {"kind": "optimize", "horizon": "20", "runs": "2", "seed": "3",
-                       "checkpoints": "10"},
-        "problem": {"kind": "quadratic", "diag": "0.01 0.03 1.0", "center": "1 1 1"},
-        "noise": {"kind": "additive", "sigma2": "1e-4"},
-        "algo": {"method": "gd", "step": "0.5", "iters": "10", "rate": "1.0", "p": "0.5",
-                 "tick": "0.5", "x0": "0 0 0"},
-    },
+    "gd": {**_OPTIMIZE, "algo": {"method": "gd", "step": "0.5", "iters": "10", "x0": "0 0 0"}},
+    "exponential": {**_OPTIMIZE, "algo": {"method": "continuized", "clock": "exponential",
+                                          "rate": "1.0"}},
+    "geometric": {**_OPTIMIZE, "algo": {"method": "continuized", "clock": "geometric",
+                                        "p": "0.5", "tick": "0.5"}},
     "decentralized": {
         "experiment": {"kind": "decentralized", "horizon": "20"},
         "graph": {"topology": "line", "nodes": "3"},
@@ -161,26 +181,28 @@ FUZZ_BASES = {
 }
 
 FUZZ_KEYS = (
-    [("optimize", "experiment", k) for k in ("runs", "seed", "horizon", "checkpoints")]
-    + [("optimize", "algo", k) for k in ("step", "iters", "rate", "p", "tick", "x0")]
-    + [("optimize", "noise", "sigma2"), ("decentralized", "experiment", "horizon")]
+    [("gd", "experiment", k) for k in ("runs", "seed", "horizon", "checkpoints")]
+    + [("gd", "algo", k) for k in ("step", "iters", "x0")]
+    + [("exponential", "algo", "rate")]
+    + [("geometric", "algo", k) for k in ("p", "tick")]
+    + [("gd", "noise", "sigma2"), ("decentralized", "experiment", "horizon")]
     + [("decentralized", "decentralized", k)
        for k in ("mu", "smoothness", "dimension", "center_scale", "curvatures", "centers")]
 )
 
-# Short text only: a long digit string as a checkpoint count would ask for
-# a grid of that many points.
+# Any text: a checkpoint count above MAX_CHECKPOINT_COUNT is a violation, so
+# no value asks for a huge grid.
 FUZZ_VALUES = st.one_of(
     st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "1e309", "abc", "1 2", "0.5"]),
-    st.text(max_size=5),
+    st.text(),
     st.floats().map(repr),
     st.integers(-10**4, 10**4).map(str),
 )
 
 
 def test_fuzz_bases_parse():
-    for base, sections in FUZZ_BASES.items():
-        assert parse_config_text(_render(sections)).kind == base
+    for sections in FUZZ_BASES.values():
+        assert parse_config_text(_render(sections)).kind == sections["experiment"]["kind"]
 
 
 def _render(sections) -> str:
@@ -190,7 +212,11 @@ def _render(sections) -> str:
     )
 
 
-@pytest.mark.parametrize("base, section, key", FUZZ_KEYS, ids=[".".join(row) for row in FUZZ_KEYS])
+@pytest.mark.parametrize(
+    "base, section, key", FUZZ_KEYS,
+    ids=[f"{FUZZ_BASES[base]['experiment']['kind']}.{section}.{key}"
+         for base, section, key in FUZZ_KEYS],
+)
 @settings(max_examples=60, deadline=None)
 @given(value=FUZZ_VALUES)
 def test_fuzzed_numeric_key_parses_or_raises_config_error(base, section, key, value):
@@ -302,6 +328,14 @@ class TestRunner:
         assert "energy" in rs.bounds
         assert rs.bounds["energy"][0] == pytest.approx(2.0 * 0.45 * np.exp(-1.0 / 9.0))
 
+    def test_gossip_bounds_reuse_the_one_spectral_cache(self, monkeypatch):
+        graphs = []
+        monkeypatch.setattr(runner, "spectral", lambda g: graphs.append(g) or spectral(g))
+        spec = parse_config_text(GOSSIP_CFG)
+        spec.include_bounds = True
+        assert "energy" in run_experiment(spec).bounds
+        assert len(graphs) == 1
+
     def test_multiplicative_config_end_to_end(self):
         cfg = """
 [experiment]
@@ -406,13 +440,13 @@ class TestCsv:
         assert render_csv(rs1) == render_csv(rs2)
 
     def test_empty_grid_header_only(self):
-        rs = RunSet(checkpoints=np.array([]), metrics=("gap",), traces=[],
+        rs = RunSet(checkpoints=np.array([]), metrics=("gap",),
                     values={"gap": np.empty((0, 0))}, aggregate={"gap": {}})
         assert render_csv(rs) == "t,metric,mean,q05,q95\n"
 
     def test_single_cell(self):
         values = {"gap": np.array([[2.0]])}
-        rs = RunSet(checkpoints=np.array([1.0]), metrics=("gap",), traces=[],
+        rs = RunSet(checkpoints=np.array([1.0]), metrics=("gap",),
                     values=values, aggregate={"gap": aggregate_values(values["gap"])})
         lines = render_csv(rs).splitlines()
         assert len(lines) == 2
@@ -420,7 +454,7 @@ class TestCsv:
 
     def test_twelve_significant_digits(self):
         values = {"gap": np.array([[1.0 / 3.0]])}
-        rs = RunSet(checkpoints=np.array([1.0]), metrics=("gap",), traces=[],
+        rs = RunSet(checkpoints=np.array([1.0]), metrics=("gap",),
                     values=values, aggregate={"gap": aggregate_values(values["gap"])})
         assert "0.333333333333" in render_csv(rs)
 
