@@ -31,7 +31,6 @@ from .problems import (
     LeastSquaresProblem,
     NoiseModel,
     QuadraticProblem,
-    compute_r2_kappa_tilde,
     gradient,
     make_least_squares,
     make_quadratic,
@@ -47,6 +46,6 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams, derive_seed, run_streams, splitmix64
-from .trace import Trace, TraceSample
+from .trace import Trace
 
 __version__ = "0.1.0"

@@ -200,13 +200,6 @@ def dual_update(
 synchronized_dual = synchronized_values
 
 
-def primal_recover(state: DualState, local_functions: list[LocalFunction]) -> Array:
-    """Per-node primal estimates grad f_v^*(z_v)."""
-    return np.stack(
-        [conjugate_grad(f, state.z[v]) for v, f in enumerate(local_functions)]
-    )
-
-
 def run_decentralized(
     graph: Graph,
     local_functions: list[LocalFunction],

@@ -4,14 +4,16 @@ The continuized run alternates closed-form mixing of the coupled pair (x, z)
 with gradient jumps at clock events.  Because the mixing ODE integrates
 exactly, the event-time snapshots coincide (to rounding) with the
 three-sequence recursion with random weights, which is also provided here
-and used as a cross-check in the tests.
+and used as a cross-check in the tests; the Nesterov baseline runs the same
+recursion with fixed weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -162,10 +164,9 @@ def run_continuized(
     Gradients are evaluated at the left limit x_{T-} of each event.  Metrics
     are recorded, by mixing a throwaway copy forward, at each requested
     checkpoint time, so ensembles are comparable on a common grid;
-    ``record_event_states`` also records each post-jump state and its
-    metrics as an event sample.  Time-varying schedules require x0 = z0
-    (their mixing flow is constant before the first event, which sidesteps
-    the t = 0 singularity).
+    ``record_event_states`` also keeps each post-jump state.  Time-varying
+    schedules require x0 = z0 (their mixing flow is constant before the
+    first event, which sidesteps the t = 0 singularity).
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
@@ -183,7 +184,7 @@ def run_continuized(
     grid = sorted(float(t) for t in checkpoints)
     if any(t <= 0 for t in grid):
         raise ValueError("checkpoints must be > 0")
-    trace = Trace(event_states=[] if record_event_states else None)
+    trace = Trace(grid, event_states=[] if record_event_states else None)
     ci = 0
 
     def flush_checkpoints(limit: float, inclusive: bool) -> None:
@@ -191,8 +192,7 @@ def run_continuized(
         while ci < len(grid) and (
             grid[ci] < limit or (inclusive and grid[ci] == limit)
         ):
-            snap = mix_closed_form(state, schedule, grid[ci])
-            trace.add(snap.t, snap.event_count, _metrics(snap, problem, schedule), False)
+            trace.add(_metrics(mix_closed_form(state, schedule, grid[ci]), problem, schedule))
             ci += 1
 
     while True:
@@ -205,12 +205,38 @@ def run_continuized(
         _, _, gamma, gamma_p = schedule_eval(schedule, t_next)
         state = gradient_jump(pre, gamma, gamma_p, g)
         if record_event_states:
-            trace.add(state.t, state.event_count, _metrics(state, problem, schedule), True)
             trace.event_states.append(state)
 
     flush_checkpoints(horizon, inclusive=True)
     trace.terminal_state = mix_closed_form(state, schedule, horizon)
     return trace
+
+
+def nesterov_recursion(
+    problem: ConvexProblem,
+    weights: Iterable[tuple[float, float, float, float]],
+    grad: Callable[[Array], Array],
+    x0=None,
+    z0=None,
+) -> tuple[list[Array], list[Array], list[Array]]:
+    """Nesterov's three-sequence recursion, one step per (tau, tau', gamma, gamma').
+
+    Returns (xs, ys, zs) where xs[k], zs[k] are the iterates after k steps
+    (xs[0] = x0, zs[0] = z0, which defaults to x0) and ys[k] is the point
+    whose gradient ``grad(ys[k])`` drives step k+1.
+    """
+    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
+    z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
+    xs, ys, zs = [x], [], [z]
+    for tau, tau_p, gamma, gamma_p in weights:
+        y = x + tau * (z - x)
+        g = grad(y)
+        x = y - gamma * g
+        z = z + tau_p * (y - z) - gamma_p * g
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+    return xs, ys, zs
 
 
 def run_three_sequence(
@@ -225,29 +251,17 @@ def run_three_sequence(
 ) -> tuple[list[Array], list[Array], list[Array]]:
     """The discrete twin: Nesterov recursion with random weights.
 
-    Returns (xs, ys, zs) where xs[k], zs[k] are the snapshots after k events
-    (xs[0] = x0) and ys[k] is the point whose gradient drives event k+1.
-    The weights come from ``discrete_params`` over the supplied event times.
+    The weights come from ``discrete_params`` over consecutive event times
+    (starting at 0), so xs[k], zs[k] are the snapshots after k events.
     """
     noise = noise or NoiseModel.none()
-    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
-    xs, ys, zs = [x.copy()], [], [z.copy()]
-    t_prev = 0.0
-    for t_next in event_times:
-        tau, tau_p, gamma, gamma_p = discrete_params(schedule, t_prev, t_next)
-        y = x + tau * (z - x)
-        if noise.kind == "none":
-            g = problem.grad_oracle(y)
-        else:
-            g = stochastic_gradient(problem, noise, y, noise_rng)
-        x = y - gamma * g
-        z = z + tau_p * (y - z) - gamma_p * g
-        xs.append(x.copy())
-        ys.append(y.copy())
-        zs.append(z.copy())
-        t_prev = t_next
-    return xs, ys, zs
+    if noise.kind == "none":
+        grad = problem.grad_oracle
+    else:
+        grad = partial(stochastic_gradient, problem, noise, rng=noise_rng)
+    times = [0.0, *event_times]
+    weights = (discrete_params(schedule, t0, t1) for t0, t1 in zip(times, times[1:]))
+    return nesterov_recursion(problem, weights, grad, x0, z0)
 
 
 def nesterov_weights_convex(iters: int) -> list[tuple[float, float]]:
@@ -277,34 +291,24 @@ def run_nesterov(
     x0=None,
     z0=None,
 ) -> Trace:
-    """Classical accelerated baseline, convex or strongly convex variant."""
+    """Classical accelerated baseline, convex or strongly convex variant:
+    the three-sequence recursion with fixed weights, ``gap`` at each iterate."""
     check_nesterov_variant(problem, variant)
     big_l = problem.smoothness
     mu = problem.strong_convexity
-    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
-
     if variant == "convex":
-        weights = nesterov_weights_convex(iters)
+        weights = [
+            (1.0 - a / a_next, 0.0, 1.0 / big_l, (a_next - a) / big_l)
+            for a, a_next in nesterov_weights_convex(iters)
+        ]
     else:
         q = math.sqrt(mu / big_l)
-        const = (q / (1.0 + q), q, 1.0 / big_l, 1.0 / math.sqrt(mu * big_l))
-
-    trace = Trace()
-    trace.add(0.0, 0, {"gap": problem.gap(x)}, True)
-    for k in range(iters):
-        if variant == "convex":
-            a, a_next = weights[k]
-            tau = 1.0 - a / a_next
-            tau_p, gamma, gamma_p = 0.0, 1.0 / big_l, (a_next - a) / big_l
-        else:
-            tau, tau_p, gamma, gamma_p = const
-        y = x + tau * (z - x)
-        g = problem.grad_oracle(y)
-        x = y - gamma * g
-        z = z + tau_p * (y - z) - gamma_p * g
-        trace.add(float(k + 1), k + 1, {"gap": problem.gap(x)}, True)
-    trace.terminal_state = CoupledState(x=x, z=z, t=float(iters), event_count=iters)
+        weights = [(q / (1.0 + q), q, 1.0 / big_l, 1.0 / math.sqrt(mu * big_l))] * iters
+    xs, _, zs = nesterov_recursion(problem, weights, problem.grad_oracle, x0, z0)
+    trace = Trace([float(k) for k in range(iters + 1)])
+    for x in xs:
+        trace.add({"gap": problem.gap(x)})
+    trace.terminal_state = CoupledState(x=xs[-1], z=zs[-1], t=float(iters), event_count=iters)
     return trace
 
 
@@ -318,10 +322,10 @@ def run_gd(problem: ConvexProblem, step: float, iters: int, *, x0=None) -> Trace
     """Plain gradient descent baseline with a fixed step in (0, 1/L]."""
     check_gd_step(problem, step)
     x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
-    trace = Trace()
-    trace.add(0.0, 0, {"gap": problem.gap(x)}, True)
-    for k in range(iters):
+    trace = Trace([float(k) for k in range(iters + 1)])
+    trace.add({"gap": problem.gap(x)})
+    for _ in range(iters):
         x = x - step * problem.grad_oracle(x)
-        trace.add(float(k + 1), k + 1, {"gap": problem.gap(x)}, True)
+        trace.add({"gap": problem.gap(x)})
     trace.terminal_state = CoupledState(x=x, z=x.copy(), t=float(iters), event_count=iters)
     return trace

@@ -154,13 +154,12 @@ def run_pairwise(
         events = sample_event_stream(graph, horizon, as_streams(rng))
     times, edge_idx = events
     grid = sorted(float(t) for t in checkpoints) + [math.inf]
-    trace = Trace(event_states=[] if record_states else None)
+    trace = Trace(grid[:-1], event_states=[] if record_states else None)
     edges = graph.edges
-    ci = k = 0
+    ci = 0
 
     def record_checkpoint() -> None:
-        t = grid[ci]
-        trace.add(t, k, metrics(*synchronized_values(state, mix_rate, t)), False)
+        trace.add(metrics(*synchronized_values(state, mix_rate, grid[ci])))
 
     for te, ei in zip(times.tolist(), edge_idx.tolist()):
         if te > horizon:
@@ -172,7 +171,6 @@ def run_pairwise(
         lazy_mix_node(state, edge[0], te, mix_rate)
         lazy_mix_node(state, edge[1], te, mix_rate)
         jump(state, edge, ei, te)
-        k += 1
         if record_states:
             trace.event_states.append((te, *synchronized_values(state, mix_rate, te)))
 

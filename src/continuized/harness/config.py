@@ -149,7 +149,10 @@ def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
         raise ValueError(
             f"log-spaced checkpoints need a count in [1, {MAX_CHECKPOINT_COUNT}], got {count}"
         )
-    return np.geomspace(1.0, horizon, count)
+    # Near the float maximum numpy's internal power overshoots to inf before
+    # geomspace sets the last point to ``horizon``; the grid is finite.
+    with np.errstate(over="ignore"):
+        return np.geomspace(1.0, horizon, count)
 
 
 def _parse_bool(text: str) -> bool:

@@ -11,8 +11,6 @@ constants (L, mu, R^2, kappa_tilde) computable in closed form.
 
 from __future__ import annotations
 
-import configparser
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -260,12 +258,6 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
     )
 
 
-def compute_r2_kappa_tilde(problem: LeastSquaresProblem) -> tuple[float, float]:
-    """Recompute (R^2, kappa_tilde) for a least-squares problem."""
-    r2, kt, _ = _r2_kappa_tilde(problem.atoms, problem.weights, problem.hessian)
-    return r2, kt
-
-
 def gradient(problem: ConvexProblem, x: Array) -> Array:
     """Exact gradient of ``problem`` at ``x``."""
     return problem.grad_oracle(check_point(problem, x))
@@ -294,45 +286,6 @@ def stochastic_gradient(
     i = min(i, len(problem.targets) - 1)
     a = problem.atoms[i]
     return (float(a @ x) - problem.targets[i]) * a
-
-
-# ---------------------------------------------------------------------------
-# Structured-text serialization (same grammar as the harness config files).
-
-def _f17(v: float) -> str:
-    """Lossless decimal text for a float."""
-    return format(float(v), ".17g")
-
-
-def serialize_problem(problem: ConvexProblem, noise: NoiseModel | None = None) -> str:
-    """Render a problem (and optional noise block) as structured text."""
-    cp = configparser.ConfigParser()
-    if isinstance(problem, QuadraticProblem):
-        cp["problem"] = {
-            "kind": "quadratic",
-            "diag": " ".join(_f17(v) for v in problem.diag),
-            "center": " ".join(_f17(v) for v in problem.optimum),
-        }
-    elif isinstance(problem, LeastSquaresProblem):
-        lines = []
-        for a, b, w in zip(problem.atoms, problem.targets, problem.weights):
-            coords = " ".join(_f17(v) for v in a)
-            lines.append(f"{coords} | {_f17(b)} | {_f17(w)}")
-        cp["problem"] = {
-            "kind": "least_squares",
-            "optimum": " ".join(_f17(v) for v in problem.optimum),
-            "samples": "\n" + "\n".join(lines),
-        }
-    else:
-        raise InvalidProblemError("only quadratic and least-squares serialize")
-    if noise is not None:
-        block = {"kind": noise.kind}
-        if noise.kind == "additive":
-            block["sigma2"] = _f17(noise.sigma2)
-        cp["noise"] = block
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def parse_floats(text: str, name: str | None = None, *, single: bool = False) -> Array:
@@ -403,15 +356,3 @@ def noise_from_section(section) -> NoiseModel:
     kind = section.get("kind", "none")
     sigma2 = parse_float(section.get("sigma2", "0"), "sigma2") if kind == "additive" else 0.0
     return NoiseModel(kind, sigma2)
-
-
-def parse_problem_text(text: str) -> tuple[ConvexProblem, NoiseModel]:
-    """Parse the structured-text problem grammar back into objects."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(text)
-    if "problem" not in cp:
-        raise InvalidProblemError("missing [problem] section")
-    problem = problem_from_section(cp["problem"])
-    noise = noise_from_section(cp["noise"]) if "noise" in cp else NoiseModel.none()
-    check_noise(problem, noise)
-    return problem, noise

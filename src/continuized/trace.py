@@ -1,4 +1,4 @@
-"""Time-stamped metric traces shared by all simulators."""
+"""The record of one run: metric values on its checkpoint grid."""
 
 from __future__ import annotations
 
@@ -8,44 +8,27 @@ from typing import Any
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """Metric values observed at one instant of a run."""
-
-    t: float
-    k: int
-    values: dict[str, float]
-    at_event: bool
-
-
 @dataclass
 class Trace:
-    """Ordered samples from one run plus its terminal state.
+    """Metric values on a sorted checkpoint grid plus the run's terminal state.
 
-    Sample times are strictly increasing; recording a sample at the time of
-    the previous one is a no-op (the earlier sample already holds the state,
-    since checkpoint samples are only emitted at or after the latest event).
+    ``values[name][i]`` is the value of metric ``name`` at ``checkpoints[i]``;
+    ``add`` appends one value per metric, in grid order.  ``event_states`` is
+    a list only when the engine is asked to record its post-event states.
     """
 
-    samples: list[TraceSample] = field(default_factory=list)
+    checkpoints: list[float]
+    values: dict[str, list[float]] = field(default_factory=dict)
     terminal_state: Any = None
     event_states: list[Any] | None = None
 
-    def add(self, t: float, k: int, values: dict[str, float], at_event: bool) -> None:
-        if self.samples:
-            last = self.samples[-1].t
-            if t < last:
-                raise ValueError(f"sample times must increase: {t} after {last}")
-            if t == last:
-                return
-        self.samples.append(TraceSample(t, k, dict(values), at_event))
-
-    def event_samples(self) -> list[TraceSample]:
-        return [s for s in self.samples if s.at_event]
+    def add(self, values: dict[str, float]) -> None:
+        for name, value in values.items():
+            self.values.setdefault(name, []).append(value)
 
     def metric_at(self, grid, name: str) -> np.ndarray:
         """Values of one metric on a checkpoint grid (exact time match)."""
-        by_t = {s.t: s.values[name] for s in self.samples if name in s.values}
+        by_t = dict(zip(self.checkpoints, self.values.get(name, ())))
         out = np.empty(len(grid))
         for i, t in enumerate(grid):
             if t not in by_t:

@@ -147,7 +147,7 @@ def test_criterion_4_exact_discretization():
                 problem, NoiseModel.none(), schedule, EventClock.exponential(),
                 30.0, streams, record_event_states=True,
             )
-            times = [s.t for s in trace.event_samples()]
+            times = [s.t for s in trace.event_states]
             xs, _, zs = run_three_sequence(problem, schedule, times)
             for k, state in enumerate(trace.event_states):
                 worst = max(

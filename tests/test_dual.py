@@ -12,7 +12,6 @@ from continuized.dual import (
     initial_dual_state,
     lazy_mix_dual_node,
     optimum_of,
-    primal_recover,
     random_local_functions,
     run_decentralized,
 )
@@ -131,8 +130,8 @@ class TestRunDecentralized:
         fns = [LocalFunction(1.0, np.array([0.8])) for _ in range(4)]
         tr = run_decentralized(g, fns, 1.0, 1.0, 30.0, run_streams(0, 0),
                                checkpoints=[1.0, 10.0, 30.0])
-        for s in tr.samples:
-            assert s.values["primal_dist_sq"] == pytest.approx(0.0, abs=1e-25)
+        for err in tr.values["primal_dist_sq"]:
+            assert err == pytest.approx(0.0, abs=1e-25)
 
     def test_two_node_converges_to_shared_minimizer(self):
         g = line_graph(2)
@@ -140,8 +139,8 @@ class TestRunDecentralized:
         tr = run_decentralized(g, fns, 1.0, 1.0, 200.0, run_streams(1, 0),
                                checkpoints=[200.0])
         state = tr.terminal_state
-        primal = primal_recover(state, fns)
-        np.testing.assert_allclose(primal, 0.0, atol=1e-6)
+        for v, f in enumerate(fns):
+            np.testing.assert_allclose(conjugate_grad(f, state.z[v]), 0.0, atol=1e-6)
         assert tr.metric_at([200.0], "primal_dist_sq")[0] <= 1e-12
 
     def test_mean_zero_preserved_after_sync(self):
@@ -152,12 +151,6 @@ class TestRunDecentralized:
         state = tr.terminal_state
         np.testing.assert_allclose(state.y.sum(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-9)
-
-    def test_primal_recover_at_zero(self):
-        fns = [LocalFunction(2.0, np.array([0.4])), LocalFunction(1.0, np.array([-0.4]))]
-        state = initial_dual_state(2, 1)
-        primal = primal_recover(state, fns)
-        np.testing.assert_allclose(primal[:, 0], [0.4, -0.4])
 
     def test_curvature_outside_bounds_rejected(self):
         g = line_graph(2)

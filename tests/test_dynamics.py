@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuized.dynamics import (
     CoupledState,
@@ -24,6 +26,7 @@ from continuized.problems import (
 from continuized.schedules import (
     EventClock,
     ParamSchedule,
+    discrete_params,
     lyapunov_coeffs,
     schedule_eval,
 )
@@ -104,6 +107,57 @@ class TestMixClosedForm:
             mix_closed_form(s, ParamSchedule.convex(1.0), -1.0)
 
 
+COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)
+GAPS = st.floats(1e-6, 50.0)
+
+
+@st.composite
+def mixing_cases(draw):
+    """A state (x, z) at t0 >= 0, a schedule of either shape, and two later
+    times t1 < t2."""
+    d = draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
+    z = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
+    big_l = draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        sched = ParamSchedule.convex(big_l)
+    else:
+        sched = ParamSchedule.strongly_convex(big_l, draw(st.floats(1e-3, 1.0)) * big_l)
+    t0 = draw(st.floats(0.0, 50.0))
+    t1 = t0 + draw(GAPS)
+    t2 = t1 + draw(GAPS)
+    return CoupledState(x=x, z=z, t=t0, event_count=0), sched, t1, t2
+
+
+def _tolerance(state: CoupledState) -> float:
+    return 1e-12 * max(np.max(np.abs(state.x)), np.max(np.abs(state.z)))
+
+
+@settings(deadline=None)
+@given(mixing_cases())
+def test_mixing_is_a_semigroup(case):
+    s, sched, t1, t2 = case
+    twice = mix_closed_form(mix_closed_form(s, sched, t1), sched, t2)
+    once = mix_closed_form(s, sched, t2)
+    tol = _tolerance(s)
+    np.testing.assert_allclose(twice.x, once.x, rtol=0, atol=tol)
+    np.testing.assert_allclose(twice.z, once.z, rtol=0, atol=tol)
+
+
+@settings(deadline=None)
+@given(mixing_cases())
+def test_mixing_equals_twin_weights(case):
+    # the discrete twin's (tau, tau') reproduce the closed-form mix: the
+    # mixed x is y = x + tau (z - x), and the mixed z is z + tau' (y - z)
+    s, sched, t1, _ = case
+    tau, tau_p, _, _ = discrete_params(sched, s.t, t1)
+    mixed = mix_closed_form(s, sched, t1)
+    y = mixed.x
+    tol = _tolerance(s)
+    np.testing.assert_allclose(y, s.x + tau * (s.z - s.x), rtol=0, atol=tol)
+    np.testing.assert_allclose(mixed.z, s.z + tau_p * (y - s.z), rtol=0, atol=tol)
+
+
 class TestGradientJump:
     def test_zero_gradient_only_counts(self):
         s = initial_state(np.array([1.0, 2.0]))
@@ -131,8 +185,8 @@ class TestRunContinuized:
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
                              20.0, run_streams(0, 0), x0=np.zeros(1),
                              checkpoints=[1.0, 10.0, 20.0])
-        for s in tr.samples:
-            assert s.values["gap"] == pytest.approx(0.0, abs=1e-30)
+        for gap in tr.values["gap"]:
+            assert gap == pytest.approx(0.0, abs=1e-30)
 
     def test_convex_requires_equal_start(self):
         p = sc_problem()
@@ -163,7 +217,7 @@ class TestRunContinuized:
                 tr = run_continuized(p, NoiseModel.none(), sched,
                                      EventClock.exponential(), 30.0, st,
                                      record_event_states=True)
-                times = [s.t for s in tr.event_samples()]
+                times = [s.t for s in tr.event_states]
                 xs, _, zs = run_three_sequence(p, sched, times)
                 for k, state in enumerate(tr.event_states):
                     np.testing.assert_allclose(state.x, xs[k + 1], atol=1e-12)
@@ -177,7 +231,7 @@ class TestRunContinuized:
                              10.0, run_streams(2, 2), checkpoints=cps)
         vals = tr.metric_at(cps, "gap")
         assert vals.shape == (4,)
-        ts = [s.t for s in tr.samples]
+        ts = tr.checkpoints
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
 
@@ -207,9 +261,9 @@ class TestRunContinuized:
         noisy = run_continuized(p, NoiseModel.additive(0.1), sched,
                                 EventClock.exponential(), 15.0, run_streams(42, 1),
                                 record_event_states=True)
-        times = [s.t for s in quiet.event_samples()]
+        times = [s.t for s in quiet.event_states]
         assert times
-        assert times == [s.t for s in noisy.event_samples()]
+        assert times == [s.t for s in noisy.event_states]
 
     def test_event_samples_only_on_request(self):
         p = sc_problem()
@@ -217,8 +271,8 @@ class TestRunContinuized:
         cps = [1.0, 5.0, 15.0]
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
                              15.0, run_streams(42, 1), checkpoints=cps)
-        assert tr.event_samples() == []
-        assert [s.t for s in tr.samples] == cps
+        assert all(len(v) == len(cps) for v in tr.values.values())
+        assert tr.checkpoints == cps
         assert tr.event_states is None
 
 
@@ -283,7 +337,7 @@ class TestMultiplicativeRuns:
         tr = run_continuized(p, NoiseModel.multiplicative(), sched,
                              EventClock.exponential(), 15.0, st,
                              record_event_states=True)
-        times = [s.t for s in tr.event_samples()]
+        times = [s.t for s in tr.event_states]
         replay = run_streams(55, 0)
         xs, _, zs = run_three_sequence(p, sched, times,
                                        noise=NoiseModel.multiplicative(),
@@ -304,17 +358,17 @@ class TestNesterov:
         tr = run_nesterov(p, "convex", 300)
         x0 = np.zeros(100)
         c = 2.0 * p.smoothness * float(np.sum((x0 - p.optimum) ** 2))
-        for s in tr.samples:
-            if s.k >= 1:
-                assert s.values["gap"] <= c / s.k**2 * (1 + 1e-12)
+        for k, gap in enumerate(tr.values["gap"]):
+            if k >= 1:
+                assert gap <= c / k**2 * (1 + 1e-12)
 
     def test_strongly_convex_bound(self):
         p = sc_problem()
         tr = run_nesterov(p, "strongly_convex", 400)
         rho = 1.0 - math.sqrt(0.01)
         phi0 = p.gap(np.zeros(3)) + 0.5 * 0.01 * 3.0
-        for s in tr.samples:
-            assert s.values["gap"] <= phi0 * rho**s.k * (1 + 1e-12)
+        for k, gap in enumerate(tr.values["gap"]):
+            assert gap <= phi0 * rho**k * (1 + 1e-12)
 
     def test_requires_mu(self):
         p = make_quadratic([1.0], [0.0])
@@ -327,20 +381,20 @@ class TestGd:
     def test_stays_at_optimum(self):
         p = sc_problem()
         tr = run_gd(p, 1.0, 10, x0=p.optimum)
-        assert tr.samples[-1].values["gap"] == 0.0
+        assert tr.values["gap"][-1] == 0.0
 
     def test_newton_coincidence_1d(self):
         p = make_quadratic([1.0], [0.0])
         tr = run_gd(p, 1.0, 1, x0=np.array([1.0]))
-        assert tr.samples[-1].values["gap"] == pytest.approx(0.0, abs=1e-30)
+        assert tr.values["gap"][-1] == pytest.approx(0.0, abs=1e-30)
 
     def test_linear_rate(self):
         p = sc_problem()
         tr = run_gd(p, 1.0, 500)
         gap0 = p.gap(np.zeros(3))
         rho = 1.0 - 0.01
-        for s in tr.samples:
-            assert s.values["gap"] <= gap0 * rho**s.k * (1 + 1e-12)
+        for k, gap in enumerate(tr.values["gap"]):
+            assert gap <= gap0 * rho**k * (1 + 1e-12)
 
     def test_step_validation(self):
         p = sc_problem()
@@ -380,12 +434,15 @@ class TestLyapunov:
 
     def test_trace_records_lyapunov_value(self):
         # the values the run loop records agree with the public certificate
+        # of the last event state before the checkpoint, mixed forward to it
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
                              10.0, run_streams(9, 0), checkpoints=[4.0],
                              record_event_states=True)
-        state = tr.event_states[-1]
-        recorded = [s for s in tr.event_samples()][-1].values["lyapunov"]
-        want = lyapunov_value(state, lyapunov_coeffs(sched, state.t), p)
+        before = [s for s in tr.event_states if s.t <= 4.0]
+        assert before
+        state = mix_closed_form(before[-1], sched, 4.0)
+        recorded = tr.metric_at([4.0], "lyapunov")[0]
+        want = lyapunov_value(state, lyapunov_coeffs(sched, 4.0), p)
         assert recorded == pytest.approx(want, rel=1e-12)

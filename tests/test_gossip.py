@@ -235,8 +235,8 @@ class TestRunGossip:
         params = GossipParams.from_cache(cache)
         tr = run_gossip(g, params, np.full(10, 0.7), 30.0, run_streams(4, 0),
                         checkpoints=[1.0, 10.0, 30.0])
-        for s in tr.samples:
-            assert s.values["energy"] == pytest.approx(0.0, abs=1e-28)
+        for e in tr.values["energy"]:
+            assert e == pytest.approx(0.0, abs=1e-28)
 
     def test_conservation_after_sync(self):
         g = grid_graph(3, 3)

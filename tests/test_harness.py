@@ -150,6 +150,15 @@ runs = 0
         kept = spec.with_overrides(horizon=60.0, checkpoints=np.array([1.0, 60.0]))
         np.testing.assert_array_equal(kept.checkpoints, [1.0, 60.0])
 
+    def test_largest_float_horizon_parses_without_warnings(self):
+        text = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 1.7976931348623157e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = parse_config_text(text).checkpoints
+        assert np.all(np.isfinite(grid))
+        assert np.all(np.diff(grid) > 0)
+        assert grid[-1] == 1.7976931348623157e308
+
     def test_preset_horizon_too_short_is_a_violation(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("[experiment]\npreset = appendix-a1-convex\nhorizon = 0.5\n")

@@ -6,12 +6,11 @@ from continuized.problems import (
     InvalidProblemError,
     LeastSquaresProblem,
     NoiseModel,
-    compute_r2_kappa_tilde,
     gradient,
     make_least_squares,
     make_quadratic,
-    parse_problem_text,
-    serialize_problem,
+    noise_from_section,
+    problem_from_section,
     stochastic_gradient,
 )
 
@@ -120,15 +119,13 @@ class TestLeastSquares:
         atoms = np.sqrt(d) * np.eye(d)
         p = make_least_squares(atoms, np.zeros(d))
         np.testing.assert_allclose(p.hessian, np.eye(d), atol=1e-12)
-        r2, kt = compute_r2_kappa_tilde(p)
-        assert r2 == pytest.approx(d, rel=1e-10)
-        assert kt == pytest.approx(d, rel=1e-10)
+        assert p.r_squared == pytest.approx(d, rel=1e-10)
+        assert p.kappa_tilde == pytest.approx(d, rel=1e-10)
 
     def test_single_atom_kappa_is_one(self):
         p = make_least_squares(np.array([[3.0, 4.0]]), np.array([1.0, 1.0]))
-        r2, kt = compute_r2_kappa_tilde(p)
-        assert kt == pytest.approx(1.0, rel=1e-10)
-        assert r2 == pytest.approx(25.0, rel=1e-10)  # |a|^2 since H = a a^T
+        assert p.kappa_tilde == pytest.approx(1.0, rel=1e-10)
+        assert p.r_squared == pytest.approx(25.0, rel=1e-10)  # |a|^2 since H = a a^T
 
     def test_triangle_gossip_atoms_r2(self):
         # edge-difference atoms on the triangle: |a|^2 = 2, so R^2 = 2 exactly
@@ -217,27 +214,40 @@ class TestNoise:
             stochastic_gradient(p, NoiseModel.multiplicative(), np.zeros(100), np.random.default_rng(0))
 
 
+def _text(values) -> str:
+    """Lossless decimal text of floats, as a config section writes them."""
+    return " ".join(format(float(v), ".17g") for v in values)
+
+
 class TestSerialization:
+    # problems written as [problem] / [noise] section text and built back by
+    # the config's section parsers
     def test_quadratic_round_trip(self):
         p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
-        noise = NoiseModel.additive(3e-4)
-        text = serialize_problem(p, noise)
-        q, n2 = parse_problem_text(text)
+        section = {"kind": "quadratic", "diag": _text(p.diag), "center": _text(p.optimum)}
+        q = problem_from_section(section)
         np.testing.assert_array_equal(q.diag, p.diag)
         np.testing.assert_array_equal(q.optimum, p.optimum)
-        assert n2 == noise
+        noise = noise_from_section({"kind": "additive", "sigma2": "3e-4"})
+        assert noise == NoiseModel.additive(3e-4)
 
     def test_least_squares_round_trip(self):
         rng = np.random.default_rng(9)
         p = make_least_squares(rng.standard_normal((4, 2)), rng.standard_normal(2),
                                rng.uniform(0.5, 1.0, 4))
-        q, noise = parse_problem_text(serialize_problem(p, NoiseModel.multiplicative()))
+        lines = [
+            f"{_text(a)} | {_text([b])} | {_text([w])}"
+            for a, b, w in zip(p.atoms, p.targets, p.weights)
+        ]
+        section = {"kind": "least_squares", "optimum": _text(p.optimum),
+                   "samples": "\n" + "\n".join(lines)}
+        q = problem_from_section(section)
         assert isinstance(q, LeastSquaresProblem)
         np.testing.assert_allclose(q.atoms, p.atoms)
         np.testing.assert_allclose(q.weights, p.weights)
         np.testing.assert_allclose(q.r_squared, p.r_squared)
-        assert noise.kind == "multiplicative"
+        assert noise_from_section({"kind": "multiplicative"}).kind == "multiplicative"
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidProblemError):
-            parse_problem_text("[problem]\nkind = cubic\n")
+            problem_from_section({"kind": "cubic"})

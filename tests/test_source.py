@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_no_assert_statements():
@@ -15,3 +17,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_bench_trace_targets_resolve():
+    # every function the benchmark's tracer wraps must still exist, so that a
+    # rename or deletion fails here and not only in the benchmark's own tests
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
