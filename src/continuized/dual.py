@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import Graph, SpectralCache
 from .gossip import (
     PairState,
+    initial_network_state,
     lazy_mix_node,
     run_pairwise,
     sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
@@ -56,9 +58,27 @@ class LocalFunction:
         return self.curvature * (np.asarray(x) - self.center)
 
 
-def conjugate_grad(fv: LocalFunction, y: Array) -> Array:
+class NodeConjugate(NamedTuple):
+    """A node's conjugate data: its center (a float when d = 1) and curvature."""
+
+    center: float | Array
+    curvature: float
+
+
+def node_conjugates(local_functions: list[LocalFunction]) -> list[NodeConjugate]:
+    """Conjugate data of every node, with float centers when d = 1 (gossip's
+    rule for node values)."""
+    dims = {f.center.size for f in local_functions}
+    if len(dims) != 1:
+        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
+    if dims == {1}:
+        return [NodeConjugate(float(f.center[0]), f.curvature) for f in local_functions]
+    return [NodeConjugate(f.center, f.curvature) for f in local_functions]
+
+
+def conjugate_grad(fv: LocalFunction | NodeConjugate, y):
     """Gradient of the Fenchel conjugate: the inverse map of grad f_v."""
-    return fv.center + np.asarray(y) / fv.curvature
+    return fv.center + y / fv.curvature
 
 
 def random_local_functions(
@@ -90,8 +110,9 @@ def check_curvatures(curvatures, mu: float, smoothness: float) -> None:
         )
 
 
-def optimum_of(local_functions: list[LocalFunction]) -> Array:
-    """Minimizer of the sum: curvature-weighted mean of the centers."""
+def optimum_of(local_functions: list[LocalFunction] | list[NodeConjugate]):
+    """Minimizer of the sum: curvature-weighted mean of the centers (a float
+    for float centers)."""
     total = sum(f.curvature for f in local_functions)
     return sum(f.curvature * f.center for f in local_functions) / total
 
@@ -158,12 +179,9 @@ class DualState(PairState):
 
 
 def initial_dual_state(node_count: int, dimension: int) -> DualState:
-    return DualState(
-        x=np.zeros((node_count, dimension)),
-        z=np.zeros((node_count, dimension)),
-        last_t=[0.0] * node_count,
-        t=0.0,
-    )
+    """y = z = 0: float lists when d = 1, (n, d) rows otherwise."""
+    zeros = np.zeros(node_count if dimension == 1 else (node_count, dimension))
+    return DualState(**vars(initial_network_state(zeros)))
 
 
 lazy_mix_dual_node = lazy_mix_node
@@ -172,24 +190,22 @@ lazy_mix_dual_node = lazy_mix_node
 def dual_update(
     state: DualState,
     edge: tuple[int, int],
-    params: DualParams,
-    fv: LocalFunction,
-    fw: LocalFunction,
+    fv: LocalFunction | NodeConjugate,
+    fw: LocalFunction | NodeConjugate,
     t_event: float,
-    r_e: float,
     p_e: float,
+    y_coef: float,
+    z_coef: float,
 ) -> None:
     """Pairwise dual coordinate step; endpoints must be mixed to t_event.
 
     The edge gradient is g = P_e (grad f_v^*(y_v) - grad f_w^*(y_w)); the
-    y-pair moves by -+ gamma (R_e / P_e^2) g and the z-pair by
-    -+ gamma' g / P_e.
+    y-pair moves by -+ y_coef g, with y_coef = gamma R_e / P_e^2, and the
+    z-pair by -+ z_coef g, with z_coef = gamma' / P_e.
     """
     v, w = edge
     y, z = state.y, state.z
     g = p_e * (conjugate_grad(fv, y[v]) - conjugate_grad(fw, y[w]))
-    y_coef = params.gamma * r_e / (p_e * p_e)
-    z_coef = params.gamma_prime / p_e
     y[v] -= y_coef * g
     y[w] += y_coef * g
     z[v] -= z_coef * g
@@ -229,24 +245,29 @@ def run_decentralized(
         cache = spectral(graph)
     if params is None:
         params = DualParams.from_graph(graph, cache, mu, smoothness)
-    r_edge = incidence_r(graph, cache).tolist()
+    nodes = node_conjugates(local_functions)
+    dimension = local_functions[0].center.size
+    x_star = optimum_of(nodes)
+    # Per-edge coefficients, indexed by edge id, computed once per run.
     p_edge = graph.edge_probs.tolist()
-    x_star = optimum_of(local_functions)
+    y_coef = [params.gamma * r_e / (p_e * p_e)
+              for r_e, p_e in zip(incidence_r(graph, cache).tolist(), p_edge)]
+    z_coef = [params.gamma_prime / p_e for p_e in p_edge]
 
     def jump(state, edge, ei, te):
-        fv, fw = local_functions[edge[0]], local_functions[edge[1]]
-        dual_update(state, edge, params, fv, fw, te, r_edge[ei], p_edge[ei])
+        v, w = edge
+        dual_update(state, edge, nodes[v], nodes[w], te, p_edge[ei], y_coef[ei], z_coef[ei])
 
     def primal_error(ys, zs):
         err = 0.0
-        for v, f in enumerate(local_functions):
-            d = conjugate_grad(f, zs[v]) - x_star
-            err += 0.5 * float(d @ d)
+        for node, zv in zip(nodes, zs.tolist() if dimension == 1 else zs):
+            d = conjugate_grad(node, zv) - x_star
+            err += 0.5 * float(d * d if dimension == 1 else d @ d)
         return {"primal_dist_sq": err}
 
     return run_pairwise(
         graph,
-        initial_dual_state(graph.node_count, x_star.size),
+        initial_dual_state(graph.node_count, dimension),
         params.eta,
         jump,
         primal_error,

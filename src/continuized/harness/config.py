@@ -303,11 +303,22 @@ def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
         errors.append("[decentralized] dimension must be >= 1")
     if ("curvatures" in section) != ("centers" in section):
         errors.append("[decentralized] explicit local functions need 'curvatures' and 'centers'")
+    centers = values.get("centers")
+    if centers is not None:
+        # explicit local functions carry their own dimension and need no generator
+        if values.get("dimension", centers.shape[1]) != centers.shape[1]:
+            errors.append(
+                f"[decentralized] dimension = {values['dimension']} does not match "
+                f"the {centers.shape[1]} columns of centers"
+            )
+        values["dimension"] = centers.shape[1]
+        if "center_scale" in section:
+            errors.append("[decentralized] center_scale does not apply to explicit centers")
     curvatures = values.get("curvatures")
     if node_count is not None:
         if curvatures is not None and curvatures.shape != (node_count,):
             errors.append(f"[decentralized] curvatures need one value per node ({node_count})")
-        if "centers" in values and len(values["centers"]) != node_count:
+        if centers is not None and len(centers) != node_count:
             errors.append(f"[decentralized] centers need one row per node ({node_count})")
     if "mu" in values and "smoothness" in values:
         _attempt(

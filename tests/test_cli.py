@@ -160,6 +160,16 @@ INVALID_INPUTS = [
      ["nodes [0] leave the declared [mu, L]"]),
     ("gossip-init-nan", LINE2.format(kind="gossip") + "[gossip]\ninit = nan 0\n",
      ["[gossip] init"]),
+    ("dimension-and-centers",
+     LINE2.format(kind="decentralized")
+     + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\ndimension = 3\n"
+     "curvatures = 0.5 1.0\ncenters =\n    0.1 0.3\n    0.2 0.4\n",
+     ["dimension = 3 does not match the 2 columns of centers"]),
+    ("center-scale-and-centers",
+     LINE2.format(kind="decentralized")
+     + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\ncenter_scale = 2.0\n"
+     "curvatures = 0.5 1.0\ncenters =\n    0.1\n    0.2\n",
+     ["center_scale does not apply to explicit centers"]),
 ]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuized.dual import (
     DualParams,
@@ -11,6 +13,7 @@ from continuized.dual import (
     incidence_r,
     initial_dual_state,
     lazy_mix_dual_node,
+    node_conjugates,
     optimum_of,
     random_local_functions,
     run_decentralized,
@@ -90,12 +93,17 @@ class TestDualUpdate:
         r = incidence_r(g, cache)
         return g, params, r
 
+    @staticmethod
+    def _coefs(g, params, r, e):
+        p_e = float(g.edge_probs[e])
+        return dict(p_e=p_e, y_coef=params.gamma * float(r[e]) / (p_e * p_e),
+                    z_coef=params.gamma_prime / p_e)
+
     def test_dual_consensus_is_fixed_point(self):
         g, params, r = self._setup()
-        fns = [LocalFunction(1.0, np.array([0.5])) for _ in range(3)]
+        fns = node_conjugates([LocalFunction(1.0, np.array([0.5])) for _ in range(3)])
         state = initial_dual_state(3, 1)
-        dual_update(state, (0, 1), params, fns[0], fns[1], 1.0,
-                    r_e=float(r[0]), p_e=float(g.edge_probs[0]))
+        dual_update(state, (0, 1), fns[0], fns[1], 1.0, **self._coefs(g, params, r, 0))
         np.testing.assert_allclose(state.y, 0.0, atol=1e-15)
         np.testing.assert_allclose(state.z, 0.0, atol=1e-15)
 
@@ -109,8 +117,7 @@ class TestDualUpdate:
         state.y -= state.y.mean(axis=0)
         state.z = rng.standard_normal((3, 2))
         state.z -= state.z.mean(axis=0)
-        dual_update(state, (1, 2), params, fns[1], fns[2], 1.0,
-                    r_e=float(r[1]), p_e=float(g.edge_probs[1]))
+        dual_update(state, (1, 2), fns[1], fns[2], 1.0, **self._coefs(g, params, r, 1))
         np.testing.assert_allclose(state.y.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-12)
 
@@ -120,8 +127,8 @@ class TestDualUpdate:
         state.z[0] = -1.0
         lazy_mix_dual_node(state, 0, 2.0, 0.25)
         d = math.exp(-2.0 * 0.25 * 2.0)
-        assert state.y[0, 0] == pytest.approx(1.0 + 2.0 * d)
-        assert state.z[0, 0] == pytest.approx(1.0 - 2.0 * d)
+        assert state.y[0] == pytest.approx(1.0 + 2.0 * d)
+        assert state.z[0] == pytest.approx(1.0 - 2.0 * d)
 
 
 class TestRunDecentralized:
@@ -191,5 +198,101 @@ class TestGossipReduction:
         assert len(tr_gossip.event_states) == len(tr_dual.event_states)
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
             assert tg == td
-            np.testing.assert_allclose(x0 + yd[:, 0], xg, atol=1e-10)
-            np.testing.assert_allclose(x0 + zd[:, 0], zg, atol=1e-10)
+            np.testing.assert_allclose(x0 + yd, xg, atol=1e-10)
+            np.testing.assert_allclose(x0 + zd, zg, atol=1e-10)
+
+
+COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def dual_update_cases(draw):
+    """A dual state on n nodes, as float lists (d = 1) or (n, d) rows, the
+    nodes' conjugate data, an edge (v, w) and its coefficients."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 3))
+
+    def node_values():
+        flat = draw(st.lists(COORDS, min_size=n * d, max_size=n * d))
+        return np.array(flat).reshape(n, d)
+
+    y, z, centers = node_values(), node_values(), node_values()
+    state = initial_dual_state(n, d)
+    state.y, state.z = (y[:, 0].tolist(), z[:, 0].tolist()) if d == 1 else (y, z)
+    curvatures = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    nodes = node_conjugates([LocalFunction(c, centers[v]) for v, c in enumerate(curvatures)])
+    v, w = draw(st.permutations(range(n)))[:2]
+    coefs = {key: draw(st.floats(1e-3, 10.0)) for key in ("p_e", "y_coef", "z_coef")}
+    return state, nodes, (v, w), coefs
+
+
+@settings(deadline=None)
+@given(dual_update_cases())
+def test_dual_update_antisymmetric_and_keeps_sums(case):
+    # relative tolerance 1e-12 of the largest |y|, |z| before or after
+    state, nodes, (v, w), coefs = case
+    y0, z0 = np.array(state.y), np.array(state.z)
+    dual_update(state, (v, w), nodes[v], nodes[w], 1.0, **coefs)
+    y1, z1 = np.array(state.y), np.array(state.z)
+    assert y1.shape == y0.shape and z1.shape == z0.shape
+    tol = 1e-12 * max(np.max(np.abs(a)) for a in (y0, z0, y1, z1))
+    others = [u for u in range(len(y0)) if u not in (v, w)]
+    np.testing.assert_array_equal(y1[others], y0[others])
+    np.testing.assert_array_equal(z1[others], z0[others])
+    for new, old in ((y1, y0), (z1, z0)):
+        np.testing.assert_allclose(new[v] - old[v], old[w] - new[w], rtol=0, atol=tol)
+        np.testing.assert_allclose(new.sum(axis=0), old.sum(axis=0), rtol=0, atol=tol)
+
+
+# A d = 1 dual on a graph with non-uniform resistances and random curvatures,
+# pinned as float.hex: primal_dist_sq at every checkpoint, then the terminal
+# y and z of each node.  Recorded while the dual still kept (n, 1) rows, so
+# the float-node path must reproduce the row path bit for bit.
+FLOAT_PATH_GRID = [1.0, 4.0, 12.0, 30.0]
+FLOAT_PATH_GOLDEN = {
+    0: (
+        ["0x1.52cd729c60d94p+1", "0x1.7528c9e4f9bc4p+0", "0x1.f938272ea5d22p-2",
+         "0x1.b2e747ad87976p-5"],
+        ["-0x1.4594bd581ee9fp-1", "-0x1.15fa695b7a3d3p-1", "0x1.22f27aa5e1720p-2",
+         "0x1.35d5b6e6ff510p-3", "-0x1.a457e60b6c2fap-2", "-0x1.6cf9b3e6a1163p-1",
+         "0x1.c017c22b7ede8p-3", "0x1.07f1281e5661ep-3", "0x1.84e1f400653bep+0"],
+        ["-0x1.54977db0b6085p-1", "-0x1.334f826be5f39p-1", "0x1.1438ae2efcbe6p-2",
+         "0x1.af2b5ab46799dp-3", "-0x1.7d249d4432ac6p-2", "-0x1.75043fcebfb21p-1",
+         "0x1.a0a62acae154fp-3", "0x1.425b1369989bap-3", "0x1.866b089ddf212p+0"],
+    ),
+    1: (
+        ["0x1.571cd8acc6478p+1", "0x1.56699acb80583p+1", "0x1.10fc0c6a709a3p+2",
+         "0x1.bf846085da5c8p-1"],
+        ["-0x1.6582187938517p-1", "-0x1.c0e85d0d82c53p-2", "0x1.3271a5215e63ap-2",
+         "0x1.3cf07a9ac1009p-2", "-0x1.b8ed912279fabp-2", "-0x1.e46ed6cc13187p-2",
+         "0x1.29d7dfe2364bdp-1", "-0x1.4c41c105d9492p-2", "0x1.2c9e35dcf3721p+0"],
+        ["-0x1.8e9e43d953729p-1", "-0x1.06b208c55f529p-1", "0x1.ee61ea2b92ca8p-3",
+         "0x1.d5fa94bcc9298p-2", "-0x1.10e0990189b78p-1", "-0x1.df097e22d05e9p-2",
+         "0x1.5bb764f6e27afp-1", "-0x1.5e5cfadb00e04p-2", "0x1.414b7c1f7cacdp+0"],
+    ),
+    2: (
+        ["0x1.56c321764e37fp+1", "0x1.525321a40d809p+1", "0x1.1bafddbe8d69ep+0",
+         "0x1.3d4c0b82061cep-2"],
+        ["-0x1.a4d37db45c328p-1", "-0x1.43bcf8931960dp-1", "0x1.4f3cc35362f61p-3",
+         "0x1.e62959292a6d1p-3", "-0x1.c275f696519e7p-2", "-0x1.bc460d01ed14cp-1",
+         "0x1.63fcdbe3b80ffp-1", "0x1.dbd48e8a48f7ap-4", "0x1.8ca044e03377cp+0"],
+        ["-0x1.bccfce3dd9b86p-1", "-0x1.66bfb4f803e9bp-1", "0x1.8ce17303aa3fdp-3",
+         "0x1.7c5d58bdbd4fdp-2", "-0x1.f2816e20c4c65p-2", "-0x1.bb29006949424p-1",
+         "0x1.79dae1c9d637ap-1", "0x1.29a1d94a48708p-4", "0x1.8bc18a4e5064ep+0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FLOAT_PATH_GOLDEN))
+def test_one_dimensional_dual_matches_recorded_run(run):
+    g = grid_graph(3, 3)
+    fns = random_local_functions(9, 0.5, 1.0, 1, np.random.default_rng(13))
+    tr = run_decentralized(g, fns, 0.5, 1.0, 30.0, run_streams(2028, run),
+                           checkpoints=FLOAT_PATH_GRID)
+    state = tr.terminal_state
+    got = (
+        [float(v).hex() for v in tr.metric_at(FLOAT_PATH_GRID, "primal_dist_sq")],
+        [v.hex() for v in np.ravel(state.y).tolist()],
+        [v.hex() for v in np.ravel(state.z).tolist()],
+    )
+    assert got == FLOAT_PATH_GOLDEN[run]

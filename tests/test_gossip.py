@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuized.gossip import (
     GossipParams,
@@ -324,3 +326,54 @@ class TestEnergyProblem:
         assert prob.kappa_tilde == pytest.approx(cache.r_max, rel=1e-8)
         assert prob.strong_convexity == pytest.approx(cache.mu_gossip, rel=1e-10)
         np.testing.assert_allclose(prob.hessian, cache.laplacian, atol=1e-12)
+
+
+COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def pair_states(draw):
+    """A pair state on n nodes, as float lists (d = 1) or (n, d) rows, with
+    node clocks in [0, 10], and an edge (v, w)."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 3))
+
+    def node_values():
+        flat = np.array(draw(st.lists(COORDS, min_size=n * d, max_size=n * d)))
+        return flat if d == 1 else flat.reshape(n, d)
+
+    state = initial_network_state(node_values())
+    z = node_values()
+    state.z = z.tolist() if d == 1 else z
+    state.last_t = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    v, w = draw(st.permutations(range(n)))[:2]
+    return state, (v, w)
+
+
+def _scale(*arrays) -> float:
+    return max(float(np.max(np.abs(a))) for a in arrays)
+
+
+@settings(deadline=None)
+@given(pair_states(), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_accelerated_step_keeps_sums(case, mix_rate, z_step):
+    # relative tolerance 1e-12 of the largest |x|, |z| before or after
+    state, edge = case
+    x0, z0 = np.array(state.x), np.array(state.z)
+    accelerated_step(state, edge, GossipParams(mix_rate, z_step), 10.0)
+    x1, z1 = np.array(state.x), np.array(state.z)
+    tol = 1e-12 * _scale(x0, z0, x1, z1)
+    np.testing.assert_allclose(x1.sum(axis=0), x0.sum(axis=0), rtol=0, atol=tol)
+    np.testing.assert_allclose(z1.sum(axis=0), z0.sum(axis=0), rtol=0, atol=tol)
+
+
+@settings(deadline=None)
+@given(pair_states(), st.floats(0.0, 10.0), st.floats(0.0, 20.0))
+def test_lazy_mix_node_keeps_pair_sums(case, mix_rate, dt):
+    # relative tolerance 1e-12 of the largest |x|, |z| before or after
+    state, (v, _) = case
+    x0, z0 = np.array(state.x), np.array(state.z)
+    lazy_mix_node(state, v, state.last_t[v] + dt, mix_rate)
+    x1, z1 = np.array(state.x), np.array(state.z)
+    tol = 1e-12 * _scale(x0, z0, x1, z1)
+    np.testing.assert_allclose(x1 + z1, x0 + z0, rtol=0, atol=tol)

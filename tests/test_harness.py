@@ -184,8 +184,14 @@ FUZZ_BASES = {
         "experiment": {"kind": "decentralized", "horizon": "20"},
         "graph": {"topology": "line", "nodes": "3"},
         "decentralized": {"mu": "0.5", "smoothness": "1.0", "dimension": "1",
-                          "center_scale": "1.0", "curvatures": "0.5 0.75 1.0",
+                          "curvatures": "0.5 0.75 1.0",
                           "centers": "\n    0.1\n    0.2\n    0.3"},
+    },
+    "decentralized-random": {
+        "experiment": {"kind": "decentralized", "horizon": "20"},
+        "graph": {"topology": "line", "nodes": "3"},
+        "decentralized": {"mu": "0.5", "smoothness": "1.0", "dimension": "2",
+                          "center_scale": "1.0"},
     },
 }
 
@@ -196,7 +202,8 @@ FUZZ_KEYS = (
     + [("geometric", "algo", k) for k in ("p", "tick")]
     + [("gd", "noise", "sigma2"), ("decentralized", "experiment", "horizon")]
     + [("decentralized", "decentralized", k)
-       for k in ("mu", "smoothness", "dimension", "center_scale", "curvatures", "centers")]
+       for k in ("mu", "smoothness", "dimension", "curvatures", "centers")]
+    + [("decentralized-random", "decentralized", "center_scale")]
 )
 
 # Any text: a checkpoint count above MAX_CHECKPOINT_COUNT is a violation, so

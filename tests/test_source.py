@@ -4,8 +4,21 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from continuized.harness import runner
+from continuized.harness.presets import get_preset
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+def _bench_module(name: str):
+    """Load ``bench/<name>.py`` without putting ``bench`` on the import path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_assert_statements():
@@ -22,12 +35,34 @@ def test_no_assert_statements():
 def test_bench_trace_targets_resolve():
     # every function the benchmark's tracer wraps must still exist, so that a
     # rename or deletion fails here and not only in the benchmark's own tests
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
+    tracer = _bench_module("tracer").Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
     assert tracer.absent == []
+
+
+KIND_PRESETS = {
+    "optimize": "appendix-a1-strongly-convex",
+    "gossip": "appendix-a2-line30",
+    "decentralized": "decentralized-line10",
+}
+
+
+@pytest.mark.parametrize("kind", list(KIND_PRESETS))
+def test_event_kernel_called_once_per_event(kind):
+    # the benchmark's traced gate: each simulated event calls the kind's
+    # kernel exactly once, counted against the events on the clock streams
+    workload = _bench_module("workload")
+    spec = get_preset(KIND_PRESETS[kind]).with_overrides(runs=2, horizon=20.0)
+    assert spec.kind == kind
+    tracer = _bench_module("tracer").Tracer()
+    try:
+        tracer.install()
+        runner.run_experiment(spec)
+    finally:
+        tracer.uninstall()
+    events = workload.count_events(spec)
+    assert events > 0
+    assert tracer.summary()[workload.EVENT_KERNEL[spec.kind]] == events
