@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, SpectralCache
+from .graphs import Graph, SpectralCache, spectral
 from .gossip import (
     PairState,
     initial_network_state,
@@ -227,7 +227,6 @@ def run_decentralized(
     cache: SpectralCache | None = None,
     params: DualParams | None = None,
     checkpoints=(),
-    events: tuple[Array, Array] | None = None,
     record_states: bool = False,
 ) -> Trace:
     """Simulate the dual coordinate-descent run from y = z = 0.
@@ -240,8 +239,6 @@ def run_decentralized(
         raise ValueError("need one local function per node")
     check_curvatures([f.curvature for f in local_functions], mu, smoothness)
     if cache is None:
-        from .graphs import spectral
-
         cache = spectral(graph)
     if params is None:
         params = DualParams.from_graph(graph, cache, mu, smoothness)
@@ -274,6 +271,5 @@ def run_decentralized(
         horizon,
         rng,
         checkpoints=checkpoints,
-        events=events,
         record_states=record_states,
     )

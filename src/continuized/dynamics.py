@@ -1,11 +1,11 @@
-"""Event loops: the continuized iteration, its discrete twin, and baselines.
+"""The continuized iteration, its discrete twin, and baselines.
 
 The continuized run alternates closed-form mixing of the coupled pair (x, z)
-with gradient jumps at clock events.  Because the mixing ODE integrates
-exactly, the event-time snapshots coincide (to rounding) with the
-three-sequence recursion with random weights, which is also provided here
-and used as a cross-check in the tests; the Nesterov baseline runs the same
-recursion with fixed weights.
+with gradient jumps at clock events, through ``trace.run_events``.  Because
+the mixing ODE integrates exactly, the event-time snapshots coincide (to
+rounding) with the three-sequence recursion with random weights, which is
+also provided here and used as a cross-check in the tests; the Nesterov and
+gradient-descent baselines run the same recursion with fixed weights.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams, as_streams
-from .trace import Trace
+from .trace import Trace, run_events
 
 Array = np.ndarray
 
@@ -157,19 +158,17 @@ def run_continuized(
     x0=None,
     z0=None,
     checkpoints: Sequence[float] = (),
-    record_event_states: bool = False,
+    record_states: bool = False,
 ) -> Trace:
     """Simulate the continuized iteration up to ``horizon``.
 
     Gradients are evaluated at the left limit x_{T-} of each event.  Metrics
     are recorded, by mixing a throwaway copy forward, at each requested
     checkpoint time, so ensembles are comparable on a common grid;
-    ``record_event_states`` also keeps each post-jump state.  Time-varying
+    ``record_states`` also keeps each post-jump state.  Time-varying
     schedules require x0 = z0 (their mixing flow is constant before the
     first event, which sidesteps the t = 0 singularity).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
     streams = as_streams(rng)
     if x0 is None:
         x0 = np.zeros(problem.dimension)
@@ -181,33 +180,20 @@ def run_continuized(
     if schedule.is_time_varying and not np.array_equal(state.x, state.z):
         raise ValueError("time-varying schedules require x0 == z0")
 
-    grid = sorted(float(t) for t in checkpoints)
-    if any(t <= 0 for t in grid):
-        raise ValueError("checkpoints must be > 0")
-    trace = Trace(grid, event_states=[] if record_event_states else None)
-    ci = 0
-
-    def flush_checkpoints(limit: float, inclusive: bool) -> None:
-        nonlocal ci
-        while ci < len(grid) and (
-            grid[ci] < limit or (inclusive and grid[ci] == limit)
-        ):
-            trace.add(_metrics(mix_closed_form(state, schedule, grid[ci]), problem, schedule))
-            ci += 1
-
-    while True:
-        t_next = state.t + sample_interarrival(clock, streams.clock)
-        if t_next > horizon:
-            break
-        flush_checkpoints(t_next, inclusive=False)
-        pre = mix_closed_form(state, schedule, t_next)
+    def step(k, te):
+        nonlocal state
+        pre = mix_closed_form(state, schedule, te)
         g = stochastic_gradient(problem, noise, pre.x, streams.noise)
-        _, _, gamma, gamma_p = schedule_eval(schedule, t_next)
+        _, _, gamma, gamma_p = schedule_eval(schedule, te)
         state = gradient_jump(pre, gamma, gamma_p, g)
-        if record_event_states:
-            trace.event_states.append(state)
 
-    flush_checkpoints(horizon, inclusive=True)
+    # the event times: running sums of clock waits, drawn one at a time
+    times = accumulate(iter(partial(sample_interarrival, clock, streams.clock), None))
+    trace = run_events(
+        times, horizon, checkpoints,
+        lambda t: _metrics(mix_closed_form(state, schedule, t), problem, schedule), step,
+        (lambda te: state) if record_states else None,
+    )
     trace.terminal_state = mix_closed_form(state, schedule, horizon)
     return trace
 
@@ -294,8 +280,7 @@ def run_nesterov(
     """Classical accelerated baseline, convex or strongly convex variant:
     the three-sequence recursion with fixed weights, ``gap`` at each iterate."""
     check_nesterov_variant(problem, variant)
-    big_l = problem.smoothness
-    mu = problem.strong_convexity
+    big_l, mu = problem.smoothness, problem.strong_convexity
     if variant == "convex":
         weights = [
             (1.0 - a / a_next, 0.0, 1.0 / big_l, (a_next - a) / big_l)
@@ -304,7 +289,13 @@ def run_nesterov(
     else:
         q = math.sqrt(mu / big_l)
         weights = [(q / (1.0 + q), q, 1.0 / big_l, 1.0 / math.sqrt(mu * big_l))] * iters
+    return _gap_trace(problem, weights, x0, z0)
+
+
+def _gap_trace(problem: ConvexProblem, weights, x0=None, z0=None) -> Trace:
+    """Run the recursion with fixed ``weights``, ``gap`` at each iterate."""
     xs, _, zs = nesterov_recursion(problem, weights, problem.grad_oracle, x0, z0)
+    iters = len(weights)
     trace = Trace([float(k) for k in range(iters + 1)])
     for x in xs:
         trace.add({"gap": problem.gap(x)})
@@ -319,13 +310,7 @@ def check_gd_step(problem: ConvexProblem, step: float) -> None:
 
 
 def run_gd(problem: ConvexProblem, step: float, iters: int, *, x0=None) -> Trace:
-    """Plain gradient descent baseline with a fixed step in (0, 1/L]."""
+    """Plain gradient descent baseline with a fixed step in (0, 1/L]: the
+    recursion with weights (0, 0, step, 0), so z stays at x0."""
     check_gd_step(problem, step)
-    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
-    trace = Trace([float(k) for k in range(iters + 1)])
-    trace.add({"gap": problem.gap(x)})
-    for _ in range(iters):
-        x = x - step * problem.grad_oracle(x)
-        trace.add({"gap": problem.gap(x)})
-    trace.terminal_state = CoupledState(x=x, z=x.copy(), t=float(iters), event_count=iters)
-    return trace
+    return _gap_trace(problem, [(0.0, 0.0, step, 0.0)] * iters, x0)

@@ -5,7 +5,7 @@ mixes toward its midpoint between the node's own events, and the two
 endpoints of an activated edge jump.  Accelerated gossip averages x over
 the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
-(``dual``) runs its own jump through the same event loop.  Mixing is
+(``dual``) runs its own jump through the same ``run_pairwise``.  Mixing is
 node-local, so a node's ODE is only advanced lazily when the node takes
 part in an event; checkpoints advance a throwaway copy.
 """
@@ -22,7 +22,7 @@ from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import LeastSquaresProblem, make_least_squares
 from .seeding import RunStreams, as_streams
-from .trace import Trace
+from .trace import Trace, run_events
 
 Array = np.ndarray
 
@@ -139,44 +139,31 @@ def run_pairwise(
     rng: RunStreams | int,
     *,
     checkpoints=(),
-    events: tuple[Array, Array] | None = None,
     record_states: bool = False,
 ) -> Trace:
-    """The event loop shared by gossip and the dual solver.
+    """One run of pairwise events, shared by gossip and the dual solver.
 
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
     are mixed to te and ``jump(state, (v, w), ei, te)`` applies the update.
     Each checkpoint records ``metrics(x, z)`` of a snapshot synchronized to
-    its time, after the events before it.  The run ends with every node
-    mixed to ``horizon``.
+    its time.  The run ends with every node mixed to ``horizon``.
     """
-    if events is None:
-        events = sample_event_stream(graph, horizon, as_streams(rng))
-    times, edge_idx = events
-    grid = sorted(float(t) for t in checkpoints) + [math.inf]
-    trace = Trace(grid[:-1], event_states=[] if record_states else None)
+    times, edge_idx = sample_event_stream(graph, horizon, as_streams(rng))
+    edge_idx = edge_idx.tolist()
     edges = graph.edges
-    ci = 0
 
-    def record_checkpoint() -> None:
-        trace.add(metrics(*synchronized_values(state, mix_rate, grid[ci])))
-
-    for te, ei in zip(times.tolist(), edge_idx.tolist()):
-        if te > horizon:
-            break
-        while grid[ci] < te:
-            record_checkpoint()
-            ci += 1
-        edge = edges[ei]
-        lazy_mix_node(state, edge[0], te, mix_rate)
-        lazy_mix_node(state, edge[1], te, mix_rate)
+    def step(k, te):
+        ei = edge_idx[k]
+        v, w = edge = edges[ei]
+        lazy_mix_node(state, v, te, mix_rate)
+        lazy_mix_node(state, w, te, mix_rate)
         jump(state, edge, ei, te)
-        if record_states:
-            trace.event_states.append((te, *synchronized_values(state, mix_rate, te)))
 
-    while grid[ci] <= horizon:
-        record_checkpoint()
-        ci += 1
+    trace = run_events(
+        times.tolist(), horizon, checkpoints,
+        lambda t: metrics(*synchronized_values(state, mix_rate, t)), step,
+        (lambda te: (te, *synchronized_values(state, mix_rate, te))) if record_states else None,
+    )
     state.x, state.z = synchronized_values(state, mix_rate, horizon)
     state.last_t = [horizon] * graph.node_count
     state.t = horizon
@@ -201,14 +188,12 @@ def run_gossip(
     rng: RunStreams | int,
     *,
     checkpoints=(),
-    events: tuple[Array, Array] | None = None,
     record_states: bool = False,
 ) -> Trace:
     """Simulate one gossip run, recording the energy at checkpoint times.
 
     ``x0`` holds one value per node, or one row of d components per node
-    (the components then share every event).  ``events`` may carry a
-    precomputed (times, edge indices) stream so that several simulators can
+    (the components then share every event).  Runs given the same streams
     share one activation sequence.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -217,19 +202,15 @@ def run_gossip(
     # per-component means of contiguous copies, as for one 1-D run each
     target = np.mean(x0) if x0.ndim == 1 else x0.T.copy().mean(axis=1)
 
-    def jump(state, edge, ei, te):
-        accelerated_step(state, edge, params, te)
-
     return run_pairwise(
         graph,
         initial_network_state(x0),
         params.mix_rate,
-        jump,
+        lambda state, edge, ei, te: accelerated_step(state, edge, params, te),
         lambda xs, zs: {"energy": energy(xs, target)},
         horizon,
         rng,
         checkpoints=checkpoints,
-        events=events,
         record_states=record_states,
     )
 

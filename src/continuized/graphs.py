@@ -62,8 +62,9 @@ def _validate(node_count: int, edges, probs) -> Graph:
     probs = np.asarray(probs, dtype=float).copy()
     if probs.shape != (len(normalized),):
         raise GraphError("need exactly one weight per edge")
-    if np.any(probs <= 0):
-        raise GraphError("edge weights must be > 0")
+    bad = [normalized[i] for i in np.flatnonzero(~(np.isfinite(probs) & (probs > 0)))]
+    if bad:
+        raise GraphError(f"edge weights must be finite and > 0; edges {bad} are not")
     probs /= probs.sum()
     probs.setflags(write=False)
 

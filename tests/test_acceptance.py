@@ -12,7 +12,7 @@ import pytest
 
 from continuized.dual import DualParams, LocalFunction, run_decentralized
 from continuized.dynamics import run_continuized, run_three_sequence
-from continuized.gossip import GossipParams, run_gossip, sample_event_stream
+from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import complete_graph, gossip_rates, grid_graph, line_graph, spectral
 from continuized.harness.presets import get_preset
 from continuized.harness.runner import run_experiment
@@ -145,7 +145,7 @@ def test_criterion_4_exact_discretization():
             streams = run_streams(MASTER_SEED + 3, seed)
             trace = run_continuized(
                 problem, NoiseModel.none(), schedule, EventClock.exponential(),
-                30.0, streams, record_event_states=True,
+                30.0, streams, record_states=True,
             )
             times = [s.t for s in trace.event_states]
             xs, _, zs = run_three_sequence(problem, schedule, times)
@@ -282,9 +282,8 @@ def test_criterion_10_gossip_dual_reduction():
         rng = np.random.default_rng(MASTER_SEED)
         x0 = rng.standard_normal(graph.node_count)
         horizon = 60.0
-        events = sample_event_stream(graph, horizon, run_streams(MASTER_SEED + 6, 0))
         tr_gossip = run_gossip(
-            graph, gparams, x0, horizon, run_streams(0, 0), events=events,
+            graph, gparams, x0, horizon, run_streams(MASTER_SEED + 6, 0),
             record_states=True,
         )
         fns = [LocalFunction(1.0, np.array([v])) for v in x0]
@@ -297,8 +296,8 @@ def test_criterion_10_gossip_dual_reduction():
             gamma_prime=gparams.z_step,
         )
         tr_dual = run_decentralized(
-            graph, fns, 1.0, 1.0, horizon, run_streams(0, 0), cache=cache,
-            params=dparams, events=events, record_states=True,
+            graph, fns, 1.0, 1.0, horizon, run_streams(MASTER_SEED + 6, 0), cache=cache,
+            params=dparams, record_states=True,
         )
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
             worst = max(

@@ -170,6 +170,12 @@ INVALID_INPUTS = [
      + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\ncenter_scale = 2.0\n"
      "curvatures = 0.5 1.0\ncenters =\n    0.1\n    0.2\n",
      ["center_scale does not apply to explicit centers"]),
+    ("edge-weight-nan", LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 1\n    1 2 nan"),
+     ["[graph] edge weights must be finite and > 0; edges [(1, 2)] are not"]),
+    ("edge-weight-inf", LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 1\n    1 2 inf"),
+     ["[graph] edge weights must be finite and > 0; edges [(1, 2)] are not"]),
 ]
 
 

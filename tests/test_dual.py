@@ -18,7 +18,7 @@ from continuized.dual import (
     random_local_functions,
     run_decentralized,
 )
-from continuized.gossip import GossipParams, run_gossip, sample_event_stream
+from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
 from continuized.seeding import run_streams
 
@@ -177,10 +177,8 @@ class TestGossipReduction:
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(graph.node_count)
         horizon = 50.0
-        events = sample_event_stream(graph, horizon, run_streams(5, 0))
-
-        tr_gossip = run_gossip(graph, gparams, x0, horizon, run_streams(6, 0),
-                               events=events, record_states=True)
+        tr_gossip = run_gossip(graph, gparams, x0, horizon, run_streams(5, 0),
+                               record_states=True)
 
         fns = [LocalFunction(1.0, np.array([v])) for v in x0]
         r_eff = cache.r_eff
@@ -192,9 +190,8 @@ class TestGossipReduction:
             gamma=1.0 / (2.0 * float(r_eff[0])),
             gamma_prime=gparams.z_step,
         )
-        tr_dual = run_decentralized(graph, fns, 1.0, 1.0, horizon, run_streams(6, 0),
-                                    cache=cache, params=dparams, events=events,
-                                    record_states=True)
+        tr_dual = run_decentralized(graph, fns, 1.0, 1.0, horizon, run_streams(5, 0),
+                                    cache=cache, params=dparams, record_states=True)
         assert len(tr_gossip.event_states) == len(tr_dual.event_states)
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
             assert tg == td

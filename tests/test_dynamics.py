@@ -202,7 +202,7 @@ class TestRunContinuized:
         sched = ParamSchedule.convex(1.0)
         st = run_streams(5, 3)
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
-                             50.0, st, record_event_states=True)
+                             50.0, st, record_states=True)
         t1 = tr.event_states[0].t
         g0 = p.grad_oracle(np.zeros(3))
         np.testing.assert_allclose(tr.event_states[0].x, -g0, atol=1e-15)
@@ -216,7 +216,7 @@ class TestRunContinuized:
                 st = run_streams(31, seed)
                 tr = run_continuized(p, NoiseModel.none(), sched,
                                      EventClock.exponential(), 30.0, st,
-                                     record_event_states=True)
+                                     record_states=True)
                 times = [s.t for s in tr.event_states]
                 xs, _, zs = run_three_sequence(p, sched, times)
                 for k, state in enumerate(tr.event_states):
@@ -234,6 +234,13 @@ class TestRunContinuized:
         ts = tr.checkpoints
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
+
+    def test_checkpoint_past_horizon_rejected(self):
+        p = sc_problem()
+        sched = ParamSchedule.strongly_convex(1.0, 0.01)
+        with pytest.raises(ValueError, match=r"checkpoints \[50\.0\].*horizon = 10"):
+            run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
+                            10.0, run_streams(4, 0), checkpoints=[5.0, 50.0])
 
     def test_terminal_state_at_horizon(self):
         p = sc_problem()
@@ -257,10 +264,10 @@ class TestRunContinuized:
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
         quiet = run_continuized(p, NoiseModel.none(), sched,
                                 EventClock.exponential(), 15.0, run_streams(42, 1),
-                                record_event_states=True)
+                                record_states=True)
         noisy = run_continuized(p, NoiseModel.additive(0.1), sched,
                                 EventClock.exponential(), 15.0, run_streams(42, 1),
-                                record_event_states=True)
+                                record_states=True)
         times = [s.t for s in quiet.event_states]
         assert times
         assert times == [s.t for s in noisy.event_states]
@@ -336,7 +343,7 @@ class TestMultiplicativeRuns:
         st = run_streams(55, 0)
         tr = run_continuized(p, NoiseModel.multiplicative(), sched,
                              EventClock.exponential(), 15.0, st,
-                             record_event_states=True)
+                             record_states=True)
         times = [s.t for s in tr.event_states]
         replay = run_streams(55, 0)
         xs, _, zs = run_three_sequence(p, sched, times,
@@ -439,7 +446,7 @@ class TestLyapunov:
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
                              10.0, run_streams(9, 0), checkpoints=[4.0],
-                             record_event_states=True)
+                             record_states=True)
         before = [s for s in tr.event_states if s.t <= 4.0]
         assert before
         state = mix_closed_form(before[-1], sched, 4.0)

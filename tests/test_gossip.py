@@ -240,6 +240,13 @@ class TestRunGossip:
         for e in tr.values["energy"]:
             assert e == pytest.approx(0.0, abs=1e-28)
 
+    def test_checkpoint_past_horizon_rejected(self):
+        g, cache = k10()
+        params = GossipParams.from_cache(cache)
+        with pytest.raises(ValueError, match=r"checkpoints \[50\.0\].*horizon = 10"):
+            run_gossip(g, params, np.eye(1, 10)[0], 10, run_streams(4, 0),
+                       checkpoints=[5, 50])
+
     def test_conservation_after_sync(self):
         g = grid_graph(3, 3)
         cache = spectral(g)
@@ -269,8 +276,7 @@ class TestRunGossip:
         x0 = rng.standard_normal(6)
         horizon = 25.0
         events = sample_event_stream(g, horizon, run_streams(9, 0))
-        tr = run_gossip(g, params, x0, horizon, run_streams(9, 0), events=events,
-                        record_states=True)
+        tr = run_gossip(g, params, x0, horizon, run_streams(9, 0), record_states=True)
 
         # eager reference: numpy state, all nodes mixed to each event time
         xs = x0.copy()
@@ -299,10 +305,8 @@ class TestRunGossip:
         x0 = rng.standard_normal((4, 2))
         cps = [1.0, 5.0, 20.0]
         tr = run_gossip(g, params, x0, 20.0, run_streams(11, 0), checkpoints=cps)
-        events = sample_event_stream(g, 20.0, run_streams(11, 0))
         parts = [
-            run_gossip(g, params, x0[:, j], 20.0, run_streams(11, 0),
-                       events=events, checkpoints=cps)
+            run_gossip(g, params, x0[:, j], 20.0, run_streams(11, 0), checkpoints=cps)
             for j in range(2)
         ]
         want = sum(p.metric_at(cps, "energy") for p in parts)
