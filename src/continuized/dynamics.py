@@ -11,7 +11,7 @@ gradient-descent baselines run the same recursion with fixed weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -42,24 +42,31 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class CoupledState:
-    """The coupled pair (x, z) at time t after k gradient events."""
+    """The coupled pair (x, z) at time t after k gradient events.
 
-    x: Array
-    z: Array
+    x and z are the two rows of the (2, d) array ``pair``, so they always
+    share a shape; ``x`` and ``z`` are views of those rows.
+    """
+
+    pair: Array
     t: float
     event_count: int
 
-    def __post_init__(self) -> None:
-        if self.x.shape != self.z.shape:
-            raise DimensionMismatchError(
-                f"x and z disagree: {self.x.shape} vs {self.z.shape}"
-            )
+    @property
+    def x(self) -> Array:
+        return self.pair[0]
+
+    @property
+    def z(self) -> Array:
+        return self.pair[1]
 
 
 def initial_state(x0, z0=None) -> CoupledState:
-    x0 = np.asarray(x0, dtype=float).copy()
-    z0 = x0.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
-    return CoupledState(x=x0, z=z0, t=0.0, event_count=0)
+    x0 = np.asarray(x0, dtype=float)
+    z0 = x0 if z0 is None else np.asarray(z0, dtype=float)
+    if x0.shape != z0.shape:
+        raise DimensionMismatchError(f"x and z disagree: {x0.shape} vs {z0.shape}")
+    return CoupledState(np.array([x0, z0]), 0.0, 0)
 
 
 def midpoint_contract(x, z, decay):
@@ -83,34 +90,41 @@ def mix_closed_form(
     exp(-2c dt).  At t0 = 0 the time-varying flow collapses x onto z, the
     exact limit of the 2/t rate.
     """
-    if until < state.t:
-        raise ValueError(f"cannot mix backwards: {until} < {state.t}")
-    if until == state.t:
+    t, pair = state.t, state.pair
+    if until < t:
+        raise ValueError(f"cannot mix backwards: {until} < {t}")
+    if until == t:
         return state
+    x, z = pair[0], pair[1]
     if schedule.is_time_varying:
-        shrink = (state.t / until) ** 2
-        x = state.z + shrink * (state.x - state.z)
-        return replace(state, x=x, t=until)
-    decay = math.exp(-2.0 * schedule.mix_rate * (until - state.t))
-    x, z = midpoint_contract(state.x, state.z, decay)
-    return replace(state, x=x, z=z, t=until)
+        mixed = pair.copy()
+        mixed[0] = z + (t / until) ** 2 * (x - z)
+    else:
+        # midpoint_contract on both rows at once, in place on the new pair
+        mid = 0.5 * (x + z)
+        mixed = pair - mid
+        mixed *= math.exp(-2.0 * schedule.mix_rate * (until - t))
+        mixed += mid
+    return CoupledState(mixed, until, state.event_count)
 
 
-def gradient_jump(
-    state: CoupledState, gamma: float, gamma_p: float, g: Array
-) -> CoupledState:
-    """Apply one gradient event: x and z step along g, the event count ticks."""
+def step_column(schedule: ParamSchedule, t: float) -> Array:
+    """The jump sizes (gamma_t, gamma'_t) as the (2, 1) column of ``gradient_jump``."""
+    _, _, gamma, gamma_p = schedule_eval(schedule, t)
+    return np.array([[gamma], [gamma_p]])
+
+
+def gradient_jump(state: CoupledState, steps: Array, g: Array) -> CoupledState:
+    """Apply one gradient event: x and z step along g by the (2, 1) column
+    ``steps`` = (gamma, gamma'), and the event count ticks."""
     g = np.asarray(g, dtype=float)
-    if g.shape != state.x.shape:
+    if g.shape != state.pair.shape[1:]:
         raise DimensionMismatchError(
             f"gradient has shape {g.shape}, state has {state.x.shape}"
         )
-    return CoupledState(
-        x=state.x - gamma * g,
-        z=state.z - gamma_p * g,
-        t=state.t,
-        event_count=state.event_count + 1,
-    )
+    jumped = steps * g
+    np.subtract(state.pair, jumped, out=jumped)
+    return CoupledState(jumped, state.t, state.event_count + 1)
 
 
 def lyapunov_value(
@@ -179,13 +193,15 @@ def run_continuized(
         )
     if schedule.is_time_varying and not np.array_equal(state.x, state.z):
         raise ValueError("time-varying schedules require x0 == z0")
+    noise_rng = streams.noise
+    # constant kinds jump by the same column at every event
+    column = None if schedule.is_time_varying else step_column(schedule, horizon)
 
     def step(k, te):
         nonlocal state
         pre = mix_closed_form(state, schedule, te)
-        g = stochastic_gradient(problem, noise, pre.x, streams.noise)
-        _, _, gamma, gamma_p = schedule_eval(schedule, te)
-        state = gradient_jump(pre, gamma, gamma_p, g)
+        g = stochastic_gradient(problem, noise, pre.x, noise_rng)
+        state = gradient_jump(pre, step_column(schedule, te) if column is None else column, g)
 
     # the event times: running sums of clock waits, drawn one at a time
     times = accumulate(iter(partial(sample_interarrival, clock, streams.clock), None))
@@ -299,7 +315,7 @@ def _gap_trace(problem: ConvexProblem, weights, x0=None, z0=None) -> Trace:
     trace = Trace([float(k) for k in range(iters + 1)])
     for x in xs:
         trace.add({"gap": problem.gap(x)})
-    trace.terminal_state = CoupledState(x=xs[-1], z=zs[-1], t=float(iters), event_count=iters)
+    trace.terminal_state = CoupledState(np.array([xs[-1], zs[-1]]), float(iters), iters)
     return trace
 
 

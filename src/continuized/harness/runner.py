@@ -104,6 +104,9 @@ def theory_bounds(spec: ExperimentSpec, resolved: ResolvedExperiment) -> dict[st
         if abs(algo.step - 1.0 / big_l) > 1e-15:
             return {}
         return {"gap": gap0 * (1.0 - mu / big_l) ** t}
+    if algo.clock.kind != "exponential" or algo.clock.rate != 1.0:
+        # the continuized bounds are proven for the rate-1 Poisson clock only
+        return {}
     schedule = algo.schedule
     if schedule.kind == "convex":
         bound = 2.0 * big_l * dist0 / t**2 + sigma2 * t / (3.0 * big_l)

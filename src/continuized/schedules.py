@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,20 +94,21 @@ class ParamSchedule:
             "multiplicative_strongly_convex",
         )
 
-    @property
+    @cached_property
     def scales(self) -> tuple[float, float, float]:
-        """The normalized (G, K, m) triple."""
+        """The normalized (G, K, m) triple, computed on first use."""
         if self.is_multiplicative:
             return self.r_squared, self.kappa_tilde, self.mu
         return self.smoothness, 1.0, self.mu
 
-    @property
+    @cached_property
     def is_time_varying(self) -> bool:
         return self.mu == 0.0
 
-    @property
+    @cached_property
     def mix_rate(self) -> float:
-        """The constant rate c = eta = eta' of the strongly convex kinds."""
+        """The constant rate c = eta = eta' of the strongly convex kinds,
+        computed on first use."""
         g, k, m = self.scales
         if m == 0.0:
             raise ValueError("time-varying schedules have no constant mix rate")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuized.dynamics import (
@@ -10,6 +10,7 @@ from continuized.dynamics import (
     gradient_jump,
     initial_state,
     lyapunov_value,
+    midpoint_contract,
     mix_closed_form,
     run_continuized,
     run_gd,
@@ -70,7 +71,7 @@ class TestMixClosedForm:
 
     def test_fixed_point_when_equal(self):
         x = np.array([3.0, -1.0])
-        s = CoupledState(x=x, z=x.copy(), t=1.0, event_count=0)
+        s = CoupledState(np.array([x, x]), t=1.0, event_count=0)
         for sched in (ParamSchedule.convex(1.0), ParamSchedule.strongly_convex(1.0, 0.2)):
             out = mix_closed_form(s, sched, 9.0)
             np.testing.assert_allclose(out.x, x)
@@ -79,7 +80,7 @@ class TestMixClosedForm:
     def test_constant_rate_matches_numeric_ode(self):
         sched = ParamSchedule.strongly_convex(1.0, 0.09)
         x0, z0 = np.array([1.0, -2.0]), np.array([0.5, 4.0])
-        s = CoupledState(x=x0, z=z0, t=0.7, event_count=3)
+        s = CoupledState(np.array([x0, z0]), t=0.7, event_count=3)
         out = mix_closed_form(s, sched, 3.2)
         xr, zr = rk4_mix(x0, z0, sched, 0.7, 3.2)
         np.testing.assert_allclose(out.x, xr, atol=1e-8)
@@ -88,7 +89,7 @@ class TestMixClosedForm:
     def test_time_varying_matches_numeric_ode(self):
         sched = ParamSchedule.convex(1.0)
         x0, z0 = np.array([2.0, 0.0]), np.array([-1.0, 1.0])
-        s = CoupledState(x=x0, z=z0, t=1.0, event_count=0)
+        s = CoupledState(np.array([x0, z0]), t=1.0, event_count=0)
         out = mix_closed_form(s, sched, 4.0)
         xr, zr = rk4_mix(x0, z0, sched, 1.0, 4.0)
         np.testing.assert_allclose(out.x, xr, atol=1e-8)
@@ -97,7 +98,7 @@ class TestMixClosedForm:
 
     def test_midpoint_preserved_constant_rate(self):
         sched = ParamSchedule.strongly_convex(2.0, 0.5)
-        s = CoupledState(x=np.array([1.0]), z=np.array([5.0]), t=0.0, event_count=0)
+        s = CoupledState(np.array([[1.0], [5.0]]), t=0.0, event_count=0)
         out = mix_closed_form(s, sched, 10.0)
         assert 0.5 * (out.x + out.z) == pytest.approx(3.0)
 
@@ -112,10 +113,10 @@ GAPS = st.floats(1e-6, 50.0)
 
 
 @st.composite
-def mixing_cases(draw):
-    """A state (x, z) at t0 >= 0, a schedule of either shape, and two later
-    times t1 < t2."""
-    d = draw(st.integers(1, 4))
+def mixing_cases(draw, max_dim=4):
+    """A state (x, z) of dimension at most ``max_dim`` at t0 >= 0, a schedule
+    of either shape, and two later times t1 < t2."""
+    d = draw(st.integers(1, max_dim))
     x = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
     z = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
     big_l = draw(st.floats(0.1, 10.0))
@@ -126,7 +127,7 @@ def mixing_cases(draw):
     t0 = draw(st.floats(0.0, 50.0))
     t1 = t0 + draw(GAPS)
     t2 = t1 + draw(GAPS)
-    return CoupledState(x=x, z=z, t=t0, event_count=0), sched, t1, t2
+    return CoupledState(np.array([x, z]), t=t0, event_count=0), sched, t1, t2
 
 
 def _tolerance(state: CoupledState) -> float:
@@ -158,24 +159,60 @@ def test_mixing_equals_twin_weights(case):
     np.testing.assert_allclose(mixed.z, s.z + tau_p * (y - s.z), rtol=0, atol=tol)
 
 
+def _kernel_example(sched, t0, until):
+    x, z = [1.0, -2.0, 0.3], [0.0, 4.0, -1.7]
+    return CoupledState(np.array([x, z]), t=t0, event_count=4), sched, until, until + 1.0
+
+
+@settings(deadline=None)
+@given(mixing_cases(max_dim=40), st.lists(COORDS, min_size=40, max_size=40))
+# (t0/until)**2 != (t0/until) * (t0/until) here, so the 2/t shrink must stay
+# Python **; and np.exp != math.exp at this constant-rate decay
+@example(_kernel_example(ParamSchedule.convex(1.0), 3.505, 8.781), [0.25, -1.0, 3.0])
+@example(_kernel_example(ParamSchedule.strongly_convex(1.0, 0.25), 3.931, 5.674),
+         [0.25, -1.0, 3.0])
+def test_pair_kernel_equals_rowwise_formulas(case, g_values):
+    # the (2, d) pair is mixed and jumped bit for bit as the rows one by one
+    s, sched, until, _ = case
+    x, z = s.x.copy(), s.z.copy()
+    mixed = mix_closed_form(s, sched, until)
+    if sched.is_time_varying:
+        want_x, want_z = z + (s.t / until) ** 2 * (x - z), z
+    else:
+        want_x, want_z = midpoint_contract(x, z, math.exp(-2.0 * sched.mix_rate * (until - s.t)))
+    assert np.array_equal(mixed.x, want_x)
+    assert np.array_equal(mixed.z, want_z)
+    g = np.array(g_values[:x.size])
+    _, _, gamma, gamma_p = schedule_eval(sched, until)
+    jumped = gradient_jump(mixed, np.array([[gamma], [gamma_p]]), g)
+    assert np.array_equal(jumped.x, mixed.x - gamma * g)
+    assert np.array_equal(jumped.z, mixed.z - gamma_p * g)
+    assert (jumped.t, jumped.event_count) == (until, s.event_count + 1)
+
+
+def test_initial_state_rejects_unequal_shapes():
+    with pytest.raises(DimensionMismatchError, match="x and z disagree"):
+        initial_state(np.zeros(3), np.zeros(2))
+
+
 class TestGradientJump:
     def test_zero_gradient_only_counts(self):
         s = initial_state(np.array([1.0, 2.0]))
-        out = gradient_jump(s, 1.0, 2.0, np.zeros(2))
+        out = gradient_jump(s, np.array([[1.0], [2.0]]), np.zeros(2))
         np.testing.assert_array_equal(out.x, s.x)
         np.testing.assert_array_equal(out.z, s.z)
         assert out.event_count == 1
 
     def test_arithmetic(self):
-        s = CoupledState(x=np.array([2.0]), z=np.array([0.0]), t=1.0, event_count=0)
-        out = gradient_jump(s, 1.0, 1.0, s.x - s.z)
+        s = CoupledState(np.array([[2.0], [0.0]]), t=1.0, event_count=0)
+        out = gradient_jump(s, np.array([[1.0], [1.0]]), s.x - s.z)
         assert out.x[0] == 0.0
         assert out.z[0] == -2.0
 
     def test_dimension_mismatch(self):
         s = initial_state(np.zeros(2))
         with pytest.raises(DimensionMismatchError):
-            gradient_jump(s, 1.0, 1.0, np.zeros(3))
+            gradient_jump(s, np.array([[1.0], [1.0]]), np.zeros(3))
 
 
 class TestRunContinuized:
@@ -415,13 +452,13 @@ class TestLyapunov:
     def test_zero_at_optimum(self):
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
-        s = CoupledState(x=p.optimum.copy(), z=p.optimum.copy(), t=3.0, event_count=2)
+        s = CoupledState(np.array([p.optimum, p.optimum]), t=3.0, event_count=2)
         assert lyapunov_value(s, lyapunov_coeffs(sched, 3.0), p) == pytest.approx(0.0)
 
     def test_convex_value_formula(self):
         p = sc_problem()
         sched = ParamSchedule.convex(1.0)
-        s = CoupledState(x=np.zeros(3), z=np.zeros(3), t=2.0, event_count=0)
+        s = CoupledState(np.zeros((2, 3)), t=2.0, event_count=0)
         c = lyapunov_coeffs(sched, 2.0)
         want = (4.0 / 4.0) * 0.52 + 0.5 * 3.0
         assert lyapunov_value(s, c, p) == pytest.approx(want)
@@ -434,7 +471,7 @@ class TestLyapunov:
         )
         x = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        s = CoupledState(x=x, z=z, t=1.0, event_count=0)
+        s = CoupledState(np.array([x, z]), t=1.0, event_count=0)
         c = lyapunov_coeffs(sched, 1.0)
         want = 0.5 * c.a_t * float(x @ x) + 0.5 * c.b_t * float(z @ p.hessian_pinv @ z)
         assert lyapunov_value(s, c, p) == pytest.approx(want)

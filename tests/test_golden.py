@@ -3,6 +3,11 @@
 Each case runs a few seeded runs of one engine path and compares every
 checkpoint value, as ``float.hex``, with the value the engines produced
 before the gossip and dual simulators were merged into one event loop.
+The optimize cases from ``optimize_geometric_clock`` on (geometric clock,
+2/t schedule under additive noise, ``multiplicative_convex``, a constant
+schedule started from x0 != z0, and every post-event (t, x, z) of one run)
+were recorded before the continuized engine moved x and z into one (2, d)
+array.
 Refactors of the engines must keep these exact; a change that moves them
 on purpose regenerates the table and says so in CHANGES.md.
 """
@@ -55,12 +60,12 @@ def dual():
     ]
 
 
-def _optimize(problem, noise, schedule, metrics):
+def _optimize(problem, noise, schedule, metrics, clock=EventClock.exponential(), z0=None):
     out = []
     for i in range(RUNS):
-        tr = run_continuized(problem, noise, schedule, EventClock.exponential(),
+        tr = run_continuized(problem, noise, schedule, clock,
                              20.0, run_streams(2028, i), x0=np.zeros(problem.dimension),
-                             checkpoints=GRID)
+                             z0=z0, checkpoints=GRID)
         out.append(np.concatenate([tr.metric_at(GRID, m) for m in metrics]))
     return out
 
@@ -87,6 +92,42 @@ def optimize_multiplicative():
                      ("gap", "dist_sq", "lyapunov"))
 
 
+def optimize_geometric_clock():
+    p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
+    return _optimize(p, NoiseModel.none(), ParamSchedule.strongly_convex(1.0, 0.01),
+                     ("gap", "dist_sq", "lyapunov"), clock=EventClock.geometric(0.1, 0.1))
+
+
+def optimize_convex_additive():
+    p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
+    return _optimize(p, NoiseModel.additive(3e-4), ParamSchedule.convex(1.0),
+                     ("gap", "dist_sq", "lyapunov"))
+
+
+def optimize_multiplicative_convex():
+    rng = np.random.default_rng(14)
+    p = make_least_squares(rng.standard_normal((6, 3)), rng.standard_normal(3))
+    schedule = ParamSchedule.multiplicative_convex(p.r_squared, p.kappa_tilde)
+    return _optimize(p, NoiseModel.multiplicative(), schedule,
+                     ("gap", "dist_sq", "lyapunov"))
+
+
+def optimize_split_start():
+    # a constant schedule started away from the diagonal x0 = z0
+    p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
+    return _optimize(p, NoiseModel.none(), ParamSchedule.strongly_convex(1.0, 0.01),
+                     ("gap", "dist_sq", "lyapunov"), z0=np.array([2.0, -1.0, 0.5]))
+
+
+def optimize_event_states():
+    # every post-jump (t, x, z) of one run, one row per event
+    p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
+    tr = run_continuized(p, NoiseModel.additive(3e-4), ParamSchedule.strongly_convex(1.0, 0.01),
+                         EventClock.exponential(), 8.0, run_streams(2029, 0),
+                         x0=np.zeros(3), record_states=True)
+    return [np.concatenate([[s.t], s.x, s.z]) for s in tr.event_states]
+
+
 CASES = {
     f.__name__: f
     for f in (
@@ -97,6 +138,11 @@ CASES = {
         optimize_strongly_convex,
         optimize_convex,
         optimize_multiplicative,
+        optimize_geometric_clock,
+        optimize_convex_additive,
+        optimize_multiplicative_convex,
+        optimize_split_start,
+        optimize_event_states,
     )
 }
 
@@ -215,6 +261,133 @@ GOLDEN = {
             "0x1.943e436307abep-2", "0x1.2a227d30d4922p+2", "0x1.285a0577ec91cp+2",
             "0x1.40704971e772ap+1", "0x1.eae55a49ad94bp-1", "0x1.f7d0fa3b7e726p+1",
             "0x1.2125b20146fbfp+2", "0x1.21bb32347b868p+2", "0x1.753fbcd8d713ap+2",
+        ],
+    ],
+    "optimize_geometric_clock": [
+        [
+            "0x1.0a3d70a3d70a4p-1", "0x1.1c9c2ffb5c0dap-6", "0x1.28de3171d3919p-7",
+            "0x1.fa41583943568p-11", "0x1.8000000000000p+1", "0x1.bf218c8cf6ce4p+0",
+            "0x1.173846eb0f2bep+0", "0x1.73dfb6f6114b8p-3", "0x1.1ff6d46aa2fb2p-1",
+            "0x1.f531731637f17p-6", "0x1.7faaf50a12c64p-6", "0x1.4952c5cd24076p-7",
+        ],
+        [
+            "0x1.7726cfe362f34p-6", "0x1.160bd19078117p-6", "0x1.10e55d7d2c684p-7",
+            "0x1.41f0a29436b6ap-11", "0x1.ec08080425fedp+0", "0x1.c184626af1dccp+0",
+            "0x1.fd75b4481eed5p-1", "0x1.97c34cdaa9cd4p-4", "0x1.cb116b9feec56p-2",
+            "0x1.38ee98e9cd097p-3", "0x1.9ff032e35934dp-6", "0x1.510be5e51166ap-8",
+        ],
+        [
+            "0x1.0a3d70a3d70a4p-1", "0x1.3e60fd0dc1e33p-1", "0x1.e3eef0adc8190p-8",
+            "0x1.8165141104c8cp-11", "0x1.8000000000000p+1", "0x1.85a952de02afdp+1",
+            "0x1.e0bb7d0c14ed0p-1", "0x1.11083846051a6p-3", "0x1.1ff6d46aa2fb2p-1",
+            "0x1.262b2eaecfc58p+0", "0x1.4903a6ffcc9cep-6", "0x1.a76ff2180cbf0p-8",
+        ],
+    ],
+    "optimize_convex_additive": [
+        [
+            "0x1.0a3d70a3d70a4p-1", "0x1.79d55502c8d43p-6", "0x1.d5a46353b959ap-7",
+            "0x1.56026ac6754a0p-10", "0x1.8000000000000p+1", "0x1.f1121ff973e08p+0",
+            "0x1.7fdb6dd442973p+0", "0x1.0aa92e6defcd4p-2", "0x1.8851eb851eb85p+0",
+            "0x1.0652460d35650p+0", "0x1.929a776596507p-1", "0x1.6ad45e35b1137p-3",
+        ],
+        [
+            "0x1.19710deee1a19p-3", "0x1.350c96cfb7067p-6", "0x1.d360ed4b12ef3p-7",
+            "0x1.e9737044a2c43p-11", "0x1.18e1fd192fbdcp+1", "0x1.ebf1b57480943p+0",
+            "0x1.8958c8cae0750p+0", "0x1.0644f45adc719p-3", "0x1.5a365e2accc9bp+0",
+            "0x1.f662352d24a09p-1", "0x1.baf73b36a2ebfp-1", "0x1.0df82c13f652ap-3",
+        ],
+        [
+            "0x1.0a3d70a3d70a4p-1", "0x1.bfd36b9e63821p-3", "0x1.b92aa490e9c04p-7",
+            "0x1.bb940847b63a4p-10", "0x1.8000000000000p+1", "0x1.2ef3486bddbecp+1",
+            "0x1.7fb4d028b4040p+0", "0x1.56ba7e37fc285p-2", "0x1.8851eb851eb85p+0",
+            "0x1.7291758ea47ccp+0", "0x1.89460a3738f69p-1", "0x1.209cbfe458591p-2",
+        ],
+    ],
+    "optimize_multiplicative_convex": [
+        [
+            "0x1.03422e8a7f2d2p+3", "0x1.f05683bbcc93fp+2", "0x1.0de8e8331ef5fp-3",
+            "0x1.81ddefa8df4bfp-7", "0x1.f3e902f627e65p+2", "0x1.e15a850b7f876p+2",
+            "0x1.90ccf9f8b65b6p-2", "0x1.ab448d455a677p-6", "0x1.eb9f394f75919p+0",
+            "0x1.f7f3729835263p+0", "0x1.cd721a60ca485p-2", "0x1.fd26dcccecba2p-5",
+        ],
+        [
+            "0x1.01f3fbc439693p+3", "0x1.8e2d8d5ee70b4p+2", "0x1.924234edde5f8p+2",
+            "0x1.d844214bb52e7p-9", "0x1.f1871a582bc83p+2", "0x1.742634e72adc8p+2",
+            "0x1.85ec4d7060796p+2", "0x1.4558161c2837dp-7", "0x1.eb6aab907bdf1p+0",
+            "0x1.d5b3273ab7570p+0", "0x1.359e8ccf41c21p+1", "0x1.919436a5bacbep-6",
+        ],
+        [
+            "0x1.03422e8a7f2d2p+3", "0x1.0144ae7300e4ep+3", "0x1.96fde5ebc85bcp+2",
+            "0x1.112dc602ffbe0p-5", "0x1.f3e902f627e65p+2", "0x1.f0c8809b37c0dp+2",
+            "0x1.8c07ddcbd3679p+2", "0x1.452c69539c882p-5", "0x1.eb9f394f75919p+0",
+            "0x1.fca1936f30927p+0", "0x1.3cc049917ac8bp+1", "0x1.0b150af1b04a8p-4",
+        ],
+    ],
+    "optimize_split_start": [
+        [
+            "0x1.fcf9fea4ab235p-2", "0x1.438c95ca5e565p-6", "0x1.96dfe81d580a5p-7",
+            "0x1.ae978e67ae254p-14", "0x1.6f400bafb63c9p+1", "0x1.86dd6d373541bp+0",
+            "0x1.ae13242f36e7dp-1", "0x1.d6fdd33bddd4fp-7", "0x1.18bca137f2a38p-1",
+            "0x1.654ac89aefd56p-5", "0x1.e333579d98f71p-6", "0x1.1920f226150d4p-8",
+        ],
+        [
+            "0x1.0c3306daa298fp-5", "0x1.36bf5e00aeebdp-6", "0x1.80ee995d178a8p-7",
+            "0x1.5cf0c4e32e2f3p-12", "0x1.d982250a29ccep+0", "0x1.89de568bc6c98p+0",
+            "0x1.78d8ee605d235p-1", "0x1.eab3e6b4a6ae3p-6", "0x1.fb57a00771748p-2",
+            "0x1.9fdea798aa555p-3", "0x1.2c94cfdb9acf0p-5", "0x1.4fa8a01e55840p-8",
+        ],
+        [
+            "0x1.fcf9fea4ab235p-2", "0x1.49288f12f6147p-1", "0x1.3da6331aa1d5ep-7",
+            "0x1.51e8350893370p-13", "0x1.6f400bafb63c9p+1", "0x1.70386a26553efp+1",
+            "0x1.50974a48de459p-1", "0x1.2bba7a7b2f2c1p-6", "0x1.18bca137f2a38p-1",
+            "0x1.33754e6248001p+0", "0x1.95a7d145b982ap-6", "0x1.0cc62b0473691p-8",
+        ],
+    ],
+    "optimize_event_states": [
+        [
+            "0x1.d7398b4f98c41p-1", "0x1.b61f2ccebc084p-8", "0x1.0a529d9b5448bp-6",
+            "0x1.01ac390834a14p+0", "0x1.11d37c0135852p-4", "0x1.4ce74502295aep-3",
+            "0x1.4217474a41c99p+3",
+        ],
+        [
+            "0x1.e167c3aafb786p+0", "0x1.26373fb51e2bcp-6", "0x1.b6271d992817ap-5",
+            "0x1.fff05f5a247e0p-1", "0x1.f2b98e3b919b9p-4", "0x1.93bcd0382f426p-2",
+            "0x1.4b3f6ee766a80p+0",
+        ],
+        [
+            "0x1.14d781c0df68fp+1", "0x1.20949dcc8d3ddp-5", "0x1.3b4fbb7920e67p-4",
+            "0x1.00905ef6820dap+0", "0x1.0d6ce073abe70p-2", "0x1.0d7975ebf0185p-1",
+            "0x1.3a76097587c11p+0",
+        ],
+        [
+            "0x1.b8256d906af08p+1", "0x1.a2eaaf852ee83p-5", "0x1.400478555108ep-3",
+            "0x1.0376e732b2978p+0", "0x1.1e9ab8adfbdf9p-3", "0x1.8669d00610a72p-1",
+            "0x1.0fc0702865f68p+0",
+        ],
+        [
+            "0x1.f8ae0d152ee62p+1", "0x1.00a9f58b971bfp-4", "0x1.b94ee2a9b25d6p-3",
+            "0x1.faf40c3c68193p-1", "0x1.aaaf676ec21f9p-3", "0x1.08f16dbfb6a6cp+0",
+            "0x1.9ac87c628594ep-1",
+        ],
+        [
+            "0x1.82c46d39009f7p+2", "0x1.becc6a339d308p-4", "0x1.89b5222e5e45ap-2",
+            "0x1.01668f56644ecp+0", "0x1.973feebae9128p-2", "0x1.2dd11e5fa9ce7p+0",
+            "0x1.4f58a2f6fb075p+0",
+        ],
+        [
+            "0x1.ac58add23e2ebp+2", "0x1.08d9d2a76590cp-3", "0x1.c3663112bce0bp-2",
+            "0x1.0400447b37d17p+0", "0x1.a07128eb83a06p-2", "0x1.35bdfdc3636c8p+0",
+            "0x1.351d4a9b3565bp+0",
+        ],
+        [
+            "0x1.b548f88aee3cap+2", "0x1.21ec117cc4638p-3", "0x1.e875e527eaebdp-2",
+            "0x1.f574d5485809ap-1", "0x1.f2c4945cc4af0p-2", "0x1.74909fe7b7775p+0",
+            "0x1.a1e3c3201dedcp-1",
+        ],
+        [
+            "0x1.c043f541e7e2fp+2", "0x1.33df72d004f60p-3", "0x1.109d4da23c656p-1",
+            "0x1.ff18edeeba44bp-1", "0x1.0570d4fcf8561p-1", "0x1.d405754a28d3ep+0",
+            "0x1.08e6d58ed0422p+0",
         ],
     ],
 }

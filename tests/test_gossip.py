@@ -195,7 +195,7 @@ class TestCrossModuleEquivalence:
         state = mix_closed_form(state, sched, t1)
         a = np.array([1.0, -1.0])
         grad = float(a @ state.x) * a
-        state = gradient_jump(state, 0.5, params.z_step, grad)
+        state = gradient_jump(state, np.array([[0.5], [params.z_step]]), grad)
         np.testing.assert_allclose(state.x, s.x, atol=1e-12)
         np.testing.assert_allclose(state.z, s.z, atol=1e-12)
 
@@ -226,7 +226,7 @@ class TestCrossModuleEquivalence:
             a = np.zeros(5)
             a[v], a[w] = 1.0, -1.0
             grad = float(a @ state.x) * a
-            state = gradient_jump(state, 0.5, params.z_step, grad)
+            state = gradient_jump(state, np.array([[0.5], [params.z_step]]), grad)
             np.testing.assert_allclose(state.x, xs, atol=1e-12)
             np.testing.assert_allclose(state.z, zs, atol=1e-12)
 

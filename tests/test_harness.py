@@ -385,6 +385,35 @@ schedule = multiplicative_strongly_convex
         assert mean[-1] < mean[0]
         assert np.all(0.5 * mean <= 1.1 * 0.5 * rs.bounds["dist_sq"] + 1e-12)
 
+    @pytest.mark.parametrize("clock", [
+        "clock = geometric\np = 1\ntick = 5",
+        "clock = exponential\nrate = 2",
+    ], ids=["geometric-tick5", "exponential-rate2"])
+    def test_continuized_bound_only_on_rate_one_poisson_clock(self, clock):
+        # on a deterministic 5-tick clock the strongly convex schedule blows
+        # up (mean gap ~1e32 at t ~ 212), far above the Poisson-clock bound
+        cfg = """
+[experiment]
+kind = optimize
+horizon = 300
+runs = 3
+include_bounds = true
+
+[problem]
+kind = quadratic
+diag = 0.01 0.03 1.0
+center = 1 1 1
+
+[algo]
+method = continuized
+schedule = strongly_convex
+"""
+        rs = run_experiment(parse_config_text(cfg + clock))
+        assert rs.bounds == {}
+        assert render_csv(rs).splitlines()[0] == "t,metric,mean,q05,q95"
+        poisson = run_experiment(parse_config_text(cfg))
+        assert set(poisson.bounds) == {"gap"}
+
     def test_run_failures_carry_run_index(self):
         cfg = """
 [experiment]

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from continuized.seeding import (
     CLOCK_STREAM,
@@ -16,8 +18,22 @@ def test_splitmix64_reference_vector():
     assert 0 <= splitmix64(2**64 - 1) < 2**64
 
 
-def test_derive_seed_composes():
-    assert derive_seed(7, 3, 11) == derive_seed(derive_seed(7, 3), 11)
+@example(master=7, indices=[3, 11], split=1)
+@example(master=2**64 - 1, indices=[-1, 2**64], split=1)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(-(2**80), 2**80), max_size=5),
+    st.integers(0, 5),
+)
+def test_derive_seed_composes(master, indices, split):
+    # components compose left to right at any split, each index is taken
+    # mod 2^64 (negative ones and ones above 2^64 included), and the result
+    # is a 64-bit seed
+    split = min(split, len(indices))
+    whole = derive_seed(master, *indices)
+    assert whole == derive_seed(derive_seed(master, *indices[:split]), *indices[split:])
+    assert whole == derive_seed(master, *(ix % 2**64 for ix in indices))
+    assert 0 <= whole < 2**64
 
 
 def test_derive_seed_distinct_runs():

@@ -43,19 +43,24 @@ def test_bench_trace_targets_resolve():
     assert tracer.absent == []
 
 
-KIND_PRESETS = {
-    "optimize": "appendix-a1-strongly-convex",
-    "gossip": "appendix-a2-line30",
-    "decentralized": "decentralized-line10",
+# case -> (kind, preset).  The optimize cases cover the constant schedule,
+# the 2/t schedule and additive noise.
+KERNEL_CASES = {
+    "optimize": ("optimize", "appendix-a1-strongly-convex"),
+    "optimize-convex": ("optimize", "appendix-a1-convex"),
+    "optimize-additive": ("optimize", "appendix-b-additive"),
+    "gossip": ("gossip", "appendix-a2-line30"),
+    "decentralized": ("decentralized", "decentralized-line10"),
 }
 
 
-@pytest.mark.parametrize("kind", list(KIND_PRESETS))
-def test_event_kernel_called_once_per_event(kind):
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_event_kernel_called_once_per_event(case):
     # the benchmark's traced gate: each simulated event calls the kind's
     # kernel exactly once, counted against the events on the clock streams
     workload = _bench_module("workload")
-    spec = get_preset(KIND_PRESETS[kind]).with_overrides(runs=2, horizon=20.0)
+    kind, preset = KERNEL_CASES[case]
+    spec = get_preset(preset).with_overrides(runs=2, horizon=20.0)
     assert spec.kind == kind
     tracer = _bench_module("tracer").Tracer()
     try:
