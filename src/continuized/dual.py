@@ -50,10 +50,6 @@ class LocalFunction:
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
 
-    def value(self, x: Array) -> float:
-        d = np.asarray(x) - self.center
-        return 0.5 * self.curvature * float(d @ d)
-
     def grad(self, x: Array) -> Array:
         return self.curvature * (np.asarray(x) - self.center)
 
@@ -162,55 +158,32 @@ class DualParams:
         )
 
 
-class DualState(PairState):
-    """Node images (y, z) of the two dual iterates, with lazy clocks.
-
-    y lives in the x slot of the pair state shared with gossip, so the
-    gossip event loop, lazy mixer and snapshot serve the dual unchanged.
-    """
-
-    @property
-    def y(self) -> Array:
-        return self.x
-
-    @y.setter
-    def y(self, value: Array) -> None:
-        self.x = value
-
-
-def initial_dual_state(node_count: int, dimension: int) -> DualState:
-    """y = z = 0: float lists when d = 1, (n, d) rows otherwise."""
+def initial_dual_state(node_count: int, dimension: int) -> PairState:
+    """y = z = 0 in gossip's pair state, y in its x slot, so the gossip event
+    loop, lazy mixer and snapshot serve the dual unchanged: float lists when
+    d = 1, (n, d) rows otherwise."""
     zeros = np.zeros(node_count if dimension == 1 else (node_count, dimension))
-    return DualState(**vars(initial_network_state(zeros)))
+    return initial_network_state(zeros)
 
 
 lazy_mix_dual_node = lazy_mix_node
 
 
-def dual_update(
-    state: DualState,
-    edge: tuple[int, int],
-    fv: LocalFunction | NodeConjugate,
-    fw: LocalFunction | NodeConjugate,
-    t_event: float,
-    p_e: float,
-    y_coef: float,
-    z_coef: float,
-) -> None:
-    """Pairwise dual coordinate step; endpoints must be mixed to t_event.
+def dual_update(state: PairState, edge: tuple[int, int], coefs: tuple) -> None:
+    """Pairwise dual coordinate step; endpoints must be mixed to the event time.
 
-    The edge gradient is g = P_e (grad f_v^*(y_v) - grad f_w^*(y_w)); the
-    y-pair moves by -+ y_coef g, with y_coef = gamma R_e / P_e^2, and the
-    z-pair by -+ z_coef g, with z_coef = gamma' / P_e.
+    With ``coefs`` = (f_v, f_w, P_e, y_coef, z_coef), the edge gradient is
+    g = P_e (grad f_v^*(y_v) - grad f_w^*(y_w)); the y-pair moves by -+ y_coef g,
+    with y_coef = gamma R_e / P_e^2, and the z-pair by -+ z_coef g, z_coef = gamma' / P_e.
     """
     v, w = edge
-    y, z = state.y, state.z
+    fv, fw, p_e, y_coef, z_coef = coefs
+    y, z = state.x, state.z
     g = p_e * (conjugate_grad(fv, y[v]) - conjugate_grad(fw, y[w]))
     y[v] -= y_coef * g
     y[w] += y_coef * g
     z[v] -= z_coef * g
     z[w] += z_coef * g
-    state.t = t_event
 
 
 synchronized_dual = synchronized_values
@@ -245,15 +218,13 @@ def run_decentralized(
     nodes = node_conjugates(local_functions)
     dimension = local_functions[0].center.size
     x_star = optimum_of(nodes)
-    # Per-edge coefficients, indexed by edge id, computed once per run.
-    p_edge = graph.edge_probs.tolist()
-    y_coef = [params.gamma * r_e / (p_e * p_e)
-              for r_e, p_e in zip(incidence_r(graph, cache).tolist(), p_edge)]
-    z_coef = [params.gamma_prime / p_e for p_e in p_edge]
-
-    def jump(state, edge, ei, te):
-        v, w = edge
-        dual_update(state, edge, nodes[v], nodes[w], te, p_edge[ei], y_coef[ei], z_coef[ei])
+    # The coefficients of ``dual_update``, one tuple per edge, computed once per run.
+    coefs = [
+        (nodes[v], nodes[w], p_e, params.gamma * r_e / (p_e * p_e), params.gamma_prime / p_e)
+        for (v, w), r_e, p_e in zip(
+            graph.edges, incidence_r(graph, cache).tolist(), graph.edge_probs.tolist()
+        )
+    ]
 
     def primal_error(ys, zs):
         err = 0.0
@@ -266,7 +237,8 @@ def run_decentralized(
         graph,
         initial_dual_state(graph.node_count, dimension),
         params.eta,
-        jump,
+        dual_update,
+        coefs,
         primal_error,
         horizon,
         rng,

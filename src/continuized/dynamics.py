@@ -42,7 +42,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class CoupledState:
-    """The coupled pair (x, z) at time t after k gradient events.
+    """The coupled pair (x, z) at time t.
 
     x and z are the two rows of the (2, d) array ``pair``, so they always
     share a shape; ``x`` and ``z`` are views of those rows.
@@ -50,7 +50,6 @@ class CoupledState:
 
     pair: Array
     t: float
-    event_count: int
 
     @property
     def x(self) -> Array:
@@ -66,7 +65,7 @@ def initial_state(x0, z0=None) -> CoupledState:
     z0 = x0 if z0 is None else np.asarray(z0, dtype=float)
     if x0.shape != z0.shape:
         raise DimensionMismatchError(f"x and z disagree: {x0.shape} vs {z0.shape}")
-    return CoupledState(np.array([x0, z0]), 0.0, 0)
+    return CoupledState(np.array([x0, z0]), 0.0)
 
 
 def midpoint_contract(x, z, decay):
@@ -105,7 +104,7 @@ def mix_closed_form(
         mixed = pair - mid
         mixed *= math.exp(-2.0 * schedule.mix_rate * (until - t))
         mixed += mid
-    return CoupledState(mixed, until, state.event_count)
+    return CoupledState(mixed, until)
 
 
 def step_column(schedule: ParamSchedule, t: float) -> Array:
@@ -116,7 +115,7 @@ def step_column(schedule: ParamSchedule, t: float) -> Array:
 
 def gradient_jump(state: CoupledState, steps: Array, g: Array) -> CoupledState:
     """Apply one gradient event: x and z step along g by the (2, 1) column
-    ``steps`` = (gamma, gamma'), and the event count ticks."""
+    ``steps`` = (gamma, gamma')."""
     g = np.asarray(g, dtype=float)
     if g.shape != state.pair.shape[1:]:
         raise DimensionMismatchError(
@@ -124,7 +123,7 @@ def gradient_jump(state: CoupledState, steps: Array, g: Array) -> CoupledState:
         )
     jumped = steps * g
     np.subtract(state.pair, jumped, out=jumped)
-    return CoupledState(jumped, state.t, state.event_count + 1)
+    return CoupledState(jumped, state.t)
 
 
 def lyapunov_value(
@@ -219,16 +218,15 @@ def nesterov_recursion(
     weights: Iterable[tuple[float, float, float, float]],
     grad: Callable[[Array], Array],
     x0=None,
-    z0=None,
 ) -> tuple[list[Array], list[Array], list[Array]]:
     """Nesterov's three-sequence recursion, one step per (tau, tau', gamma, gamma').
 
     Returns (xs, ys, zs) where xs[k], zs[k] are the iterates after k steps
-    (xs[0] = x0, zs[0] = z0, which defaults to x0) and ys[k] is the point
+    (xs[0] = zs[0] = x0, by default 0) and ys[k] is the point
     whose gradient ``grad(ys[k])`` drives step k+1.
     """
     x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
+    z = x.copy()
     xs, ys, zs = [x], [], [z]
     for tau, tau_p, gamma, gamma_p in weights:
         y = x + tau * (z - x)
@@ -248,13 +246,12 @@ def run_three_sequence(
     *,
     noise: NoiseModel | None = None,
     noise_rng: np.random.Generator | None = None,
-    x0=None,
-    z0=None,
 ) -> tuple[list[Array], list[Array], list[Array]]:
     """The discrete twin: Nesterov recursion with random weights.
 
     The weights come from ``discrete_params`` over consecutive event times
-    (starting at 0), so xs[k], zs[k] are the snapshots after k events.
+    (starting at 0, from x0 = z0 = 0), so xs[k], zs[k] are the snapshots
+    after k events.
     """
     noise = noise or NoiseModel.none()
     if noise.kind == "none":
@@ -263,7 +260,7 @@ def run_three_sequence(
         grad = partial(stochastic_gradient, problem, noise, rng=noise_rng)
     times = [0.0, *event_times]
     weights = (discrete_params(schedule, t0, t1) for t0, t1 in zip(times, times[1:]))
-    return nesterov_recursion(problem, weights, grad, x0, z0)
+    return nesterov_recursion(problem, weights, grad)
 
 
 def nesterov_weights_convex(iters: int) -> list[tuple[float, float]]:
@@ -291,7 +288,6 @@ def run_nesterov(
     iters: int,
     *,
     x0=None,
-    z0=None,
 ) -> Trace:
     """Classical accelerated baseline, convex or strongly convex variant:
     the three-sequence recursion with fixed weights, ``gap`` at each iterate."""
@@ -305,17 +301,17 @@ def run_nesterov(
     else:
         q = math.sqrt(mu / big_l)
         weights = [(q / (1.0 + q), q, 1.0 / big_l, 1.0 / math.sqrt(mu * big_l))] * iters
-    return _gap_trace(problem, weights, x0, z0)
+    return _gap_trace(problem, weights, x0)
 
 
-def _gap_trace(problem: ConvexProblem, weights, x0=None, z0=None) -> Trace:
+def _gap_trace(problem: ConvexProblem, weights, x0=None) -> Trace:
     """Run the recursion with fixed ``weights``, ``gap`` at each iterate."""
-    xs, _, zs = nesterov_recursion(problem, weights, problem.grad_oracle, x0, z0)
+    xs, _, zs = nesterov_recursion(problem, weights, problem.grad_oracle, x0)
     iters = len(weights)
     trace = Trace([float(k) for k in range(iters + 1)])
     for x in xs:
         trace.add({"gap": problem.gap(x)})
-    trace.terminal_state = CoupledState(np.array([xs[-1], zs[-1]]), float(iters), iters)
+    trace.terminal_state = CoupledState(np.array([xs[-1], zs[-1]]), float(iters))
     return trace
 
 

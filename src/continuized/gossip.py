@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -58,22 +58,23 @@ class PairState:
     x: list[float] | Array
     z: list[float] | Array
     last_t: list[float]
-    t: float
 
 
 def initial_network_state(x0) -> PairState:
     x0 = np.asarray(x0, dtype=float)
     x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
-    return PairState(x=x, z=z, last_t=[0.0] * len(x0), t=0.0)
+    return PairState(x=x, z=z, last_t=[0.0] * len(x0))
 
 
-def sample_event_stream(
-    graph: Graph, horizon: float, rng: RunStreams, chunk: int = 4096
-) -> tuple[Array, Array]:
+# Exp(1) waits drawn from the clock stream per block.
+EVENT_CHUNK = 4096
+
+
+def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[Array, Array]:
     """All activations up to ``horizon`` as (times, edge indices) arrays."""
     times = np.empty(0)
     while times.size == 0 or times[-1] <= horizon:
-        more = rng.clock.exponential(size=chunk)
+        more = rng.clock.exponential(size=EVENT_CHUNK)
         base = times[-1] if times.size else 0.0
         times = np.concatenate([times, base + np.cumsum(more)])
     count = int(np.searchsorted(times, horizon, side="right"))
@@ -96,22 +97,16 @@ def lazy_mix_node(state: PairState, v: int, to_t: float, mix_rate: float) -> Non
     state.last_t[v] = to_t
 
 
-def accelerated_step(
-    state: PairState,
-    edge: tuple[int, int],
-    params: GossipParams,
-    t_event: float,
-) -> None:
-    """Pairwise accelerated update; endpoints must be mixed to t_event."""
+def accelerated_step(state: PairState, edge: tuple[int, int], z_step: float) -> None:
+    """Pairwise accelerated update; endpoints must be mixed to the event time."""
     v, w = edge
     xv, xw = state.x[v], state.x[w]
     mean = 0.5 * (xv + xw)
-    step = params.z_step * (xv - xw)
+    step = z_step * (xv - xw)
     state.x[v] = mean
     state.x[w] = mean
     state.z[v] -= step
     state.z[w] += step
-    state.t = t_event
 
 
 def synchronized_values(
@@ -133,7 +128,8 @@ def run_pairwise(
     graph: Graph,
     state: PairState,
     mix_rate: float,
-    jump: Callable[[PairState, tuple[int, int], int, float], None],
+    kernel: Callable[[PairState, tuple[int, int], Any], None],
+    edge_args: Sequence[Any],
     metrics: Callable[[Array, Array], dict[str, float]],
     horizon: float,
     rng: RunStreams | int,
@@ -144,7 +140,8 @@ def run_pairwise(
     """One run of pairwise events, shared by gossip and the dual solver.
 
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
-    are mixed to te and ``jump(state, (v, w), ei, te)`` applies the update.
+    are mixed to te and ``kernel(state, (v, w), edge_args[ei])`` applies the
+    update, with the edge's constants computed once per run.
     Each checkpoint records ``metrics(x, z)`` of a snapshot synchronized to
     its time.  The run ends with every node mixed to ``horizon``.
     """
@@ -157,7 +154,7 @@ def run_pairwise(
         v, w = edge = edges[ei]
         lazy_mix_node(state, v, te, mix_rate)
         lazy_mix_node(state, w, te, mix_rate)
-        jump(state, edge, ei, te)
+        kernel(state, edge, edge_args[ei])
 
     trace = run_events(
         times.tolist(), horizon, checkpoints,
@@ -166,7 +163,6 @@ def run_pairwise(
     )
     state.x, state.z = synchronized_values(state, mix_rate, horizon)
     state.last_t = [horizon] * graph.node_count
-    state.t = horizon
     trace.terminal_state = state
     return trace
 
@@ -206,7 +202,8 @@ def run_gossip(
         graph,
         initial_network_state(x0),
         params.mix_rate,
-        lambda state, edge, ei, te: accelerated_step(state, edge, params, te),
+        accelerated_step,
+        [params.z_step] * graph.edge_count,
         lambda xs, zs: {"energy": energy(xs, target)},
         horizon,
         rng,

@@ -150,7 +150,7 @@ def parse_edge_lines(text: str) -> Graph:
     return edge_list_graph(edges, np.array(weights))
 
 
-_TOPOLOGY_FIELDS = {
+TOPOLOGY_FIELDS = {
     "line": ("nodes",),
     "cycle": ("nodes",),
     "grid": ("rows", "cols"),
@@ -162,9 +162,9 @@ _TOPOLOGY_FIELDS = {
 def build_graph(topology: str, **kwargs) -> Graph:
     """Dispatch on a topology keyword (harness entry point); fields other
     than the topology's own are ignored."""
-    if topology not in _TOPOLOGY_FIELDS:
+    if topology not in TOPOLOGY_FIELDS:
         raise GraphError(f"unknown topology {topology!r}")
-    missing = [key for key in _TOPOLOGY_FIELDS[topology] if key not in kwargs]
+    missing = [key for key in TOPOLOGY_FIELDS[topology] if key not in kwargs]
     if missing:
         raise GraphError(f"topology {topology} needs " + " and ".join(map(repr, missing)))
     if topology == "line":

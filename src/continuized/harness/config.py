@@ -20,8 +20,9 @@ import numpy as np
 
 from ..dual import check_curvatures
 from ..dynamics import check_gd_step, check_nesterov_variant
-from ..graphs import Graph, build_graph
+from ..graphs import TOPOLOGY_FIELDS, Graph, build_graph
 from ..problems import (
+    PROBLEM_FIELDS,
     ConvexProblem,
     LeastSquaresProblem,
     NoiseModel,
@@ -50,19 +51,35 @@ DEFAULT_CHECKPOINT_COUNT = 50
 # Every run keeps one value per checkpoint and metric, so the grid is bounded.
 MAX_CHECKPOINT_COUNT = 10_000
 
+
+def _rows(text: str) -> np.ndarray:
+    rows = [parse_floats(line) for line in text.strip().splitlines()]
+    if len({row.size for row in rows}) != 1:
+        raise ValueError("expected rows of equal length, one per line")
+    return np.array(rows)
+
+
+_DECENTRALIZED_FIELDS = {
+    "mu": parse_float,
+    "smoothness": parse_float,
+    "dimension": int,
+    "center_scale": parse_float,
+    "curvatures": parse_floats,
+    "centers": _rows,
+}
+
+
 _SCHEMA: dict[str, set[str]] = {
     "experiment": {
         "kind", "preset", "runs", "seed", "horizon", "checkpoints", "out",
         "include_bounds",
     },
-    "problem": {"kind", "diag", "center", "optimum", "samples"},
+    "problem": {"kind"}.union(*PROBLEM_FIELDS.values()),
     "noise": {"kind", "sigma2"},
     "algo": {"method", "x0"}.union(*METHOD_KEYS.values()),
-    "graph": {"topology", "nodes", "rows", "cols", "edges"},
+    "graph": {"topology"}.union(*TOPOLOGY_FIELDS.values()),
     "gossip": {"algo", "init"},
-    "decentralized": {
-        "mu", "smoothness", "dimension", "center_scale", "curvatures", "centers",
-    },
+    "decentralized": set(_DECENTRALIZED_FIELDS),
 }
 
 _SECTIONS_BY_KIND = {
@@ -162,13 +179,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _rows(text: str) -> np.ndarray:
-    rows = [parse_floats(line) for line in text.strip().splitlines()]
-    if len({row.size for row in rows}) != 1:
-        raise ValueError("expected rows of equal length, one per line")
-    return np.array(rows)
 
 
 def _read(errors: list[str], name: str, section, key: str, parse, default=None):
@@ -278,16 +288,6 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     return AlgoSpec(method, schedule, clock, x0, variant, step, iters)
 
 
-_DECENTRALIZED_FIELDS = {
-    "mu": parse_float,
-    "smoothness": parse_float,
-    "dimension": int,
-    "center_scale": parse_float,
-    "curvatures": parse_floats,
-    "centers": _rows,
-}
-
-
 def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
     errors = [
         f"[decentralized] missing required field '{key}'"
@@ -332,7 +332,8 @@ def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
 
 def _checkpoints(text: str, horizon: float) -> np.ndarray:
     tokens = text.split()
-    if len(tokens) == 1 and "." not in tokens[0]:
+    # one integer is a count; any other text lists the times, as in 1e-05
+    if len(tokens) == 1 and tokens[0].lstrip("+-").isdecimal():
         return log_spaced_checkpoints(horizon, int(tokens[0]))
     grid = parse_floats(text)
     broken = []
@@ -475,15 +476,16 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
 
 
 def parse_config(path: str) -> ExperimentSpec:
-    """Read and validate a config file; raises ConfigError with every violation."""
+    """Read and validate a UTF-8 config file; raises ConfigError with every
+    violation, or when the file cannot be read."""
     if not os.path.exists(path):
         raise ConfigError([f"config file not found: {path}"])
-    cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
-    return spec_from_parser(cp)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
+    return parse_config_text(text)
 
 
 def parse_config_text(text: str) -> ExperimentSpec:

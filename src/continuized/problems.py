@@ -333,15 +333,15 @@ def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
     return problem
 
 
-_PROBLEM_FIELDS = {"quadratic": ("diag", "center"), "least_squares": ("optimum", "samples")}
+PROBLEM_FIELDS = {"quadratic": ("diag", "center"), "least_squares": ("optimum", "samples")}
 
 
 def problem_from_section(section) -> ConvexProblem:
     """Build the problem of a ``[problem]`` section (any str -> str mapping)."""
     kind = section.get("kind", "")
-    if kind not in _PROBLEM_FIELDS:
+    if kind not in PROBLEM_FIELDS:
         raise InvalidProblemError(f"unknown problem kind {kind!r}")
-    missing = [key for key in _PROBLEM_FIELDS[kind] if key not in section]
+    missing = [key for key in PROBLEM_FIELDS[kind] if key not in section]
     if missing:
         raise InvalidProblemError(f"{kind} needs " + " and ".join(map(repr, missing)))
     if kind == "quadratic":

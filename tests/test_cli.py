@@ -70,6 +70,16 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["optimize", "--config", "/no/such/file.cfg"]) == 1
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(OPTIMIZE_CFG.encode() + b"; caf\xe9\n")
+        assert main(["optimize", "--config", str(path)]) == 1
+        assert f"cannot read {path}" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["optimize", "--config", str(tmp_path)]) == 1
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
     def test_kind_mismatch(self, cfg_file):
         path = cfg_file(OPTIMIZE_CFG)
         assert main(["gossip", "--config", path]) == 1

@@ -96,15 +96,14 @@ class TestDualUpdate:
     @staticmethod
     def _coefs(g, params, r, e):
         p_e = float(g.edge_probs[e])
-        return dict(p_e=p_e, y_coef=params.gamma * float(r[e]) / (p_e * p_e),
-                    z_coef=params.gamma_prime / p_e)
+        return p_e, params.gamma * float(r[e]) / (p_e * p_e), params.gamma_prime / p_e
 
     def test_dual_consensus_is_fixed_point(self):
         g, params, r = self._setup()
         fns = node_conjugates([LocalFunction(1.0, np.array([0.5])) for _ in range(3)])
         state = initial_dual_state(3, 1)
-        dual_update(state, (0, 1), fns[0], fns[1], 1.0, **self._coefs(g, params, r, 0))
-        np.testing.assert_allclose(state.y, 0.0, atol=1e-15)
+        dual_update(state, (0, 1), (fns[0], fns[1], *self._coefs(g, params, r, 0)))
+        np.testing.assert_allclose(state.x, 0.0, atol=1e-15)
         np.testing.assert_allclose(state.z, 0.0, atol=1e-15)
 
     def test_antisymmetric_and_mean_zero(self):
@@ -113,21 +112,21 @@ class TestDualUpdate:
         fns = [LocalFunction(float(c), rng.standard_normal(2))
                for c in rng.uniform(0.5, 1.0, 3)]
         state = initial_dual_state(3, 2)
-        state.y = rng.standard_normal((3, 2))
-        state.y -= state.y.mean(axis=0)
+        state.x = rng.standard_normal((3, 2))
+        state.x -= state.x.mean(axis=0)
         state.z = rng.standard_normal((3, 2))
         state.z -= state.z.mean(axis=0)
-        dual_update(state, (1, 2), fns[1], fns[2], 1.0, **self._coefs(g, params, r, 1))
-        np.testing.assert_allclose(state.y.sum(axis=0), 0.0, atol=1e-12)
+        dual_update(state, (1, 2), (fns[1], fns[2], *self._coefs(g, params, r, 1)))
+        np.testing.assert_allclose(state.x.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-12)
 
     def test_lazy_mix_matches_pair_contraction(self):
         state = initial_dual_state(2, 1)
-        state.y[0] = 3.0
+        state.x[0] = 3.0
         state.z[0] = -1.0
         lazy_mix_dual_node(state, 0, 2.0, 0.25)
         d = math.exp(-2.0 * 0.25 * 2.0)
-        assert state.y[0] == pytest.approx(1.0 + 2.0 * d)
+        assert state.x[0] == pytest.approx(1.0 + 2.0 * d)
         assert state.z[0] == pytest.approx(1.0 - 2.0 * d)
 
 
@@ -156,7 +155,7 @@ class TestRunDecentralized:
         fns = random_local_functions(9, 0.5, 1.0, 2, rng)
         tr = run_decentralized(g, fns, 0.5, 1.0, 40.0, run_streams(3, 0))
         state = tr.terminal_state
-        np.testing.assert_allclose(state.y.sum(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(state.x.sum(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-9)
 
     def test_curvature_outside_bounds_rejected(self):
@@ -215,11 +214,11 @@ def dual_update_cases(draw):
 
     y, z, centers = node_values(), node_values(), node_values()
     state = initial_dual_state(n, d)
-    state.y, state.z = (y[:, 0].tolist(), z[:, 0].tolist()) if d == 1 else (y, z)
+    state.x, state.z = (y[:, 0].tolist(), z[:, 0].tolist()) if d == 1 else (y, z)
     curvatures = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
     nodes = node_conjugates([LocalFunction(c, centers[v]) for v, c in enumerate(curvatures)])
     v, w = draw(st.permutations(range(n)))[:2]
-    coefs = {key: draw(st.floats(1e-3, 10.0)) for key in ("p_e", "y_coef", "z_coef")}
+    coefs = tuple(draw(st.floats(1e-3, 10.0)) for _ in range(3))  # P_e, y_coef, z_coef
     return state, nodes, (v, w), coefs
 
 
@@ -228,9 +227,9 @@ def dual_update_cases(draw):
 def test_dual_update_antisymmetric_and_keeps_sums(case):
     # relative tolerance 1e-12 of the largest |y|, |z| before or after
     state, nodes, (v, w), coefs = case
-    y0, z0 = np.array(state.y), np.array(state.z)
-    dual_update(state, (v, w), nodes[v], nodes[w], 1.0, **coefs)
-    y1, z1 = np.array(state.y), np.array(state.z)
+    y0, z0 = np.array(state.x), np.array(state.z)
+    dual_update(state, (v, w), (nodes[v], nodes[w], *coefs))
+    y1, z1 = np.array(state.x), np.array(state.z)
     assert y1.shape == y0.shape and z1.shape == z0.shape
     tol = 1e-12 * max(np.max(np.abs(a)) for a in (y0, z0, y1, z1))
     others = [u for u in range(len(y0)) if u not in (v, w)]
@@ -289,7 +288,7 @@ def test_one_dimensional_dual_matches_recorded_run(run):
     state = tr.terminal_state
     got = (
         [float(v).hex() for v in tr.metric_at(FLOAT_PATH_GRID, "primal_dist_sq")],
-        [v.hex() for v in np.ravel(state.y).tolist()],
+        [v.hex() for v in np.ravel(state.x).tolist()],
         [v.hex() for v in np.ravel(state.z).tolist()],
     )
     assert got == FLOAT_PATH_GOLDEN[run]

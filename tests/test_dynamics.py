@@ -71,7 +71,7 @@ class TestMixClosedForm:
 
     def test_fixed_point_when_equal(self):
         x = np.array([3.0, -1.0])
-        s = CoupledState(np.array([x, x]), t=1.0, event_count=0)
+        s = CoupledState(np.array([x, x]), t=1.0)
         for sched in (ParamSchedule.convex(1.0), ParamSchedule.strongly_convex(1.0, 0.2)):
             out = mix_closed_form(s, sched, 9.0)
             np.testing.assert_allclose(out.x, x)
@@ -80,7 +80,7 @@ class TestMixClosedForm:
     def test_constant_rate_matches_numeric_ode(self):
         sched = ParamSchedule.strongly_convex(1.0, 0.09)
         x0, z0 = np.array([1.0, -2.0]), np.array([0.5, 4.0])
-        s = CoupledState(np.array([x0, z0]), t=0.7, event_count=3)
+        s = CoupledState(np.array([x0, z0]), t=0.7)
         out = mix_closed_form(s, sched, 3.2)
         xr, zr = rk4_mix(x0, z0, sched, 0.7, 3.2)
         np.testing.assert_allclose(out.x, xr, atol=1e-8)
@@ -89,7 +89,7 @@ class TestMixClosedForm:
     def test_time_varying_matches_numeric_ode(self):
         sched = ParamSchedule.convex(1.0)
         x0, z0 = np.array([2.0, 0.0]), np.array([-1.0, 1.0])
-        s = CoupledState(np.array([x0, z0]), t=1.0, event_count=0)
+        s = CoupledState(np.array([x0, z0]), t=1.0)
         out = mix_closed_form(s, sched, 4.0)
         xr, zr = rk4_mix(x0, z0, sched, 1.0, 4.0)
         np.testing.assert_allclose(out.x, xr, atol=1e-8)
@@ -98,7 +98,7 @@ class TestMixClosedForm:
 
     def test_midpoint_preserved_constant_rate(self):
         sched = ParamSchedule.strongly_convex(2.0, 0.5)
-        s = CoupledState(np.array([[1.0], [5.0]]), t=0.0, event_count=0)
+        s = CoupledState(np.array([[1.0], [5.0]]), t=0.0)
         out = mix_closed_form(s, sched, 10.0)
         assert 0.5 * (out.x + out.z) == pytest.approx(3.0)
 
@@ -127,7 +127,7 @@ def mixing_cases(draw, max_dim=4):
     t0 = draw(st.floats(0.0, 50.0))
     t1 = t0 + draw(GAPS)
     t2 = t1 + draw(GAPS)
-    return CoupledState(np.array([x, z]), t=t0, event_count=0), sched, t1, t2
+    return CoupledState(np.array([x, z]), t=t0), sched, t1, t2
 
 
 def _tolerance(state: CoupledState) -> float:
@@ -161,7 +161,7 @@ def test_mixing_equals_twin_weights(case):
 
 def _kernel_example(sched, t0, until):
     x, z = [1.0, -2.0, 0.3], [0.0, 4.0, -1.7]
-    return CoupledState(np.array([x, z]), t=t0, event_count=4), sched, until, until + 1.0
+    return CoupledState(np.array([x, z]), t=t0), sched, until, until + 1.0
 
 
 @settings(deadline=None)
@@ -187,7 +187,7 @@ def test_pair_kernel_equals_rowwise_formulas(case, g_values):
     jumped = gradient_jump(mixed, np.array([[gamma], [gamma_p]]), g)
     assert np.array_equal(jumped.x, mixed.x - gamma * g)
     assert np.array_equal(jumped.z, mixed.z - gamma_p * g)
-    assert (jumped.t, jumped.event_count) == (until, s.event_count + 1)
+    assert jumped.t == until
 
 
 def test_initial_state_rejects_unequal_shapes():
@@ -196,15 +196,14 @@ def test_initial_state_rejects_unequal_shapes():
 
 
 class TestGradientJump:
-    def test_zero_gradient_only_counts(self):
+    def test_zero_gradient_keeps_pair(self):
         s = initial_state(np.array([1.0, 2.0]))
         out = gradient_jump(s, np.array([[1.0], [2.0]]), np.zeros(2))
         np.testing.assert_array_equal(out.x, s.x)
         np.testing.assert_array_equal(out.z, s.z)
-        assert out.event_count == 1
 
     def test_arithmetic(self):
-        s = CoupledState(np.array([[2.0], [0.0]]), t=1.0, event_count=0)
+        s = CoupledState(np.array([[2.0], [0.0]]), t=1.0)
         out = gradient_jump(s, np.array([[1.0], [1.0]]), s.x - s.z)
         assert out.x[0] == 0.0
         assert out.z[0] == -2.0
@@ -452,13 +451,13 @@ class TestLyapunov:
     def test_zero_at_optimum(self):
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
-        s = CoupledState(np.array([p.optimum, p.optimum]), t=3.0, event_count=2)
+        s = CoupledState(np.array([p.optimum, p.optimum]), t=3.0)
         assert lyapunov_value(s, lyapunov_coeffs(sched, 3.0), p) == pytest.approx(0.0)
 
     def test_convex_value_formula(self):
         p = sc_problem()
         sched = ParamSchedule.convex(1.0)
-        s = CoupledState(np.zeros((2, 3)), t=2.0, event_count=0)
+        s = CoupledState(np.zeros((2, 3)), t=2.0)
         c = lyapunov_coeffs(sched, 2.0)
         want = (4.0 / 4.0) * 0.52 + 0.5 * 3.0
         assert lyapunov_value(s, c, p) == pytest.approx(want)
@@ -471,7 +470,7 @@ class TestLyapunov:
         )
         x = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        s = CoupledState(np.array([x, z]), t=1.0, event_count=0)
+        s = CoupledState(np.array([x, z]), t=1.0)
         c = lyapunov_coeffs(sched, 1.0)
         want = 0.5 * c.a_t * float(x @ x) + 0.5 * c.b_t * float(z @ p.hessian_pinv @ z)
         assert lyapunov_value(s, c, p) == pytest.approx(want)

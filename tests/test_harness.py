@@ -24,6 +24,7 @@ from continuized.harness.runner import (
     aggregate_values,
     run_experiment,
 )
+from continuized.schedules import EventClock
 
 MINIMAL_OPTIMIZE = """
 [experiment]
@@ -242,6 +243,61 @@ def test_fuzzed_numeric_key_parses_or_raises_config_error(base, section, key, va
         parse_config_text(_render(sections))
     except ConfigError as exc:
         assert exc.violations
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def optimize_configs(draw):
+    """(INI text with repr floats, the drawn values) of an optimize config:
+    a quadratic, explicit checkpoints and an exponential or geometric clock."""
+    d = draw(st.integers(1, 4))
+    horizon = draw(st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
+    times = st.floats(min_value=0.0, max_value=horizon, exclude_min=True)
+    drawn = {
+        "diag": draw(st.lists(POSITIVE, min_size=d, max_size=d)),
+        "center": draw(st.lists(FINITE, min_size=d, max_size=d)),
+        "runs": draw(st.integers(1, 10**9)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "horizon": horizon,
+        "checkpoints": sorted(set(draw(st.lists(times, min_size=1, max_size=6)))),
+    }
+    if draw(st.booleans()):
+        drawn["clock"] = EventClock.exponential(draw(POSITIVE))
+        clock_keys = f"clock = exponential\nrate = {drawn['clock'].rate!r}\n"
+    else:
+        drawn["clock"] = EventClock.geometric(
+            draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)), draw(POSITIVE)
+        )
+        clock_keys = (f"clock = geometric\np = {drawn['clock'].p!r}\n"
+                      f"tick = {drawn['clock'].tick!r}\n")
+
+    def floats(key):
+        return " ".join(map(repr, drawn[key]))
+
+    text = (
+        f"[experiment]\nkind = optimize\nruns = {drawn['runs']}\nseed = {drawn['seed']}\n"
+        f"horizon = {horizon!r}\ncheckpoints = {floats('checkpoints')}\n\n"
+        f"[problem]\nkind = quadratic\ndiag = {floats('diag')}\n"
+        f"center = {floats('center')}\n\n"
+        f"[algo]\nmethod = continuized\n{clock_keys}"
+    )
+    return text, drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(optimize_configs())
+def test_optimize_config_round_trips(case):
+    text, drawn = case
+    spec = parse_config_text(text)
+    assert (spec.kind, spec.algo.method) == ("optimize", "continuized")
+    assert (spec.runs, spec.seed, spec.horizon) == (drawn["runs"], drawn["seed"], drawn["horizon"])
+    assert spec.checkpoints.tolist() == drawn["checkpoints"]
+    assert spec.problem.diag.tolist() == drawn["diag"]
+    assert spec.problem.optimum.tolist() == drawn["center"]
+    assert spec.algo.clock == drawn["clock"]
 
 
 class TestPresets:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_readme_layout_names_exist():
+    # each Python name quoted in README's "Library layout" (dotted parts
+    # separately, call arguments stripped) must be a word of the source
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    quoted = [re.match(r"[A-Za-z_][\w.]*", tok) for tok in re.findall(r"`([^`]+)`", section)]
+    names = {part for m in quoted if m for part in m.group().split(".") if part}
+    source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
+    missing = sorted(names - set(re.findall(r"\w+", source)))
+    assert not missing, missing
 
 
 def test_bench_trace_targets_resolve():
