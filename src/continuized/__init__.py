@@ -2,7 +2,6 @@
 dual decentralized optimization with exact closed-form discretization."""
 
 from .dynamics import (
-    CoupledState,
     gradient_jump,
     initial_state,
     lyapunov_value,
@@ -46,6 +45,6 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams, derive_seed, run_streams, splitmix64
-from .trace import Trace
+from .trace import Snapshot, Trace
 
 __version__ = "0.1.0"

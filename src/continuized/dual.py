@@ -226,9 +226,9 @@ def run_decentralized(
         )
     ]
 
-    def primal_error(ys, zs):
+    def primal_error(s):
         err = 0.0
-        for node, zv in zip(nodes, zs.tolist() if dimension == 1 else zs):
+        for node, zv in zip(nodes, s.z.tolist() if dimension == 1 else s.z):
             d = conjugate_grad(node, zv) - x_star
             err += 0.5 * float(d * d if dimension == 1 else d @ d)
         return {"primal_dist_sq": err}

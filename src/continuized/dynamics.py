@@ -11,7 +11,6 @@ gradient-descent baselines run the same recursion with fixed weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -35,37 +34,18 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams, as_streams
-from .trace import Trace, run_events
+from .trace import Snapshot, Trace, run_events
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class CoupledState:
-    """The coupled pair (x, z) at time t.
-
-    x and z are the two rows of the (2, d) array ``pair``, so they always
-    share a shape; ``x`` and ``z`` are views of those rows.
-    """
-
-    pair: Array
-    t: float
-
-    @property
-    def x(self) -> Array:
-        return self.pair[0]
-
-    @property
-    def z(self) -> Array:
-        return self.pair[1]
-
-
-def initial_state(x0, z0=None) -> CoupledState:
+def initial_state(x0, z0=None) -> Array:
+    """The (2, d) pair whose rows are x0 and z0 (z0 = x0 by default)."""
     x0 = np.asarray(x0, dtype=float)
     z0 = x0 if z0 is None else np.asarray(z0, dtype=float)
     if x0.shape != z0.shape:
         raise DimensionMismatchError(f"x and z disagree: {x0.shape} vs {z0.shape}")
-    return CoupledState(np.array([x0, z0]), 0.0)
+    return np.array([x0, z0])
 
 
 def midpoint_contract(x, z, decay):
@@ -79,21 +59,19 @@ def midpoint_contract(x, z, decay):
     return mid + (x - mid) * decay, mid + (z - mid) * decay
 
 
-def mix_closed_form(
-    state: CoupledState, schedule: ParamSchedule, until: float
-) -> CoupledState:
-    """Advance the mixing ODE from state.t to ``until`` in closed form.
+def mix_closed_form(pair: Array, t: float, schedule: ParamSchedule, until: float) -> Array:
+    """Advance the mixing ODE of the (2, d) pair from t to ``until`` in closed form.
 
     Time-varying kinds keep z fixed and contract x toward z by (t0/t)^2;
     constant kinds contract both variables toward their midpoint by
     exp(-2c dt).  At t0 = 0 the time-varying flow collapses x onto z, the
-    exact limit of the 2/t rate.
+    exact limit of the 2/t rate.  The result is a new array (``pair`` itself
+    when until == t): no pair is ever written after it is built.
     """
-    t, pair = state.t, state.pair
     if until < t:
         raise ValueError(f"cannot mix backwards: {until} < {t}")
     if until == t:
-        return state
+        return pair
     x, z = pair[0], pair[1]
     if schedule.is_time_varying:
         mixed = pair.copy()
@@ -104,7 +82,7 @@ def mix_closed_form(
         mixed = pair - mid
         mixed *= math.exp(-2.0 * schedule.mix_rate * (until - t))
         mixed += mid
-    return CoupledState(mixed, until)
+    return mixed
 
 
 def step_column(schedule: ParamSchedule, t: float) -> Array:
@@ -113,21 +91,19 @@ def step_column(schedule: ParamSchedule, t: float) -> Array:
     return np.array([[gamma], [gamma_p]])
 
 
-def gradient_jump(state: CoupledState, steps: Array, g: Array) -> CoupledState:
-    """Apply one gradient event: x and z step along g by the (2, 1) column
-    ``steps`` = (gamma, gamma')."""
+def gradient_jump(pair: Array, steps: Array, g: Array) -> Array:
+    """Apply one gradient event to the (2, d) pair: x and z step along g by
+    the (2, 1) column ``steps`` = (gamma, gamma'), into a new array."""
     g = np.asarray(g, dtype=float)
-    if g.shape != state.pair.shape[1:]:
-        raise DimensionMismatchError(
-            f"gradient has shape {g.shape}, state has {state.x.shape}"
-        )
+    if g.shape != pair.shape[1:]:
+        raise DimensionMismatchError(f"gradient has shape {g.shape}, state has {pair[0].shape}")
     jumped = steps * g
-    np.subtract(state.pair, jumped, out=jumped)
-    return CoupledState(jumped, state.t)
+    np.subtract(pair, jumped, out=jumped)
+    return jumped
 
 
 def lyapunov_value(
-    state: CoupledState,
+    state: Snapshot,
     coeffs: LyapunovCoeffs,
     problem: ConvexProblem,
     gap: float | None = None,
@@ -149,9 +125,7 @@ def lyapunov_value(
     return coeffs.a_t * gap + 0.5 * coeffs.b_t * float(dz @ dz)
 
 
-def _metrics(
-    state: CoupledState, problem: ConvexProblem, schedule: ParamSchedule
-) -> dict[str, float]:
+def _metrics(state: Snapshot, problem: ConvexProblem, schedule: ParamSchedule) -> dict[str, float]:
     dx = state.x - problem.optimum
     values = {"gap": problem.gap(state.x), "dist_sq": float(dx @ dx)}
     coeffs = lyapunov_coeffs(schedule, state.t)
@@ -185,32 +159,32 @@ def run_continuized(
     streams = as_streams(rng)
     if x0 is None:
         x0 = np.zeros(problem.dimension)
-    state = initial_state(x0, z0)
-    if state.x.shape != (problem.dimension,):
+    pair, now = initial_state(x0, z0), 0.0
+    if pair.shape[1:] != (problem.dimension,):
         raise DimensionMismatchError(
-            f"x0 has shape {state.x.shape}, problem dimension is {problem.dimension}"
+            f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
         )
-    if schedule.is_time_varying and not np.array_equal(state.x, state.z):
+    if schedule.is_time_varying and not np.array_equal(pair[0], pair[1]):
         raise ValueError("time-varying schedules require x0 == z0")
     noise_rng = streams.noise
     # constant kinds jump by the same column at every event
     column = None if schedule.is_time_varying else step_column(schedule, horizon)
 
     def step(k, te):
-        nonlocal state
-        pre = mix_closed_form(state, schedule, te)
-        g = stochastic_gradient(problem, noise, pre.x, noise_rng)
-        state = gradient_jump(pre, step_column(schedule, te) if column is None else column, g)
+        nonlocal pair, now
+        pair, now = mix_closed_form(pair, now, schedule, te), te
+        g = stochastic_gradient(problem, noise, pair[0], noise_rng)
+        pair = gradient_jump(pair, step_column(schedule, te) if column is None else column, g)
+
+    def state_at(t):
+        return Snapshot(t, *mix_closed_form(pair, now, schedule, t))
 
     # the event times: running sums of clock waits, drawn one at a time
     times = accumulate(iter(partial(sample_interarrival, clock, streams.clock), None))
-    trace = run_events(
-        times, horizon, checkpoints,
-        lambda t: _metrics(mix_closed_form(state, schedule, t), problem, schedule), step,
-        (lambda te: state) if record_states else None,
+    return run_events(
+        times, horizon, checkpoints, state_at,
+        lambda s: _metrics(s, problem, schedule), step, record_states,
     )
-    trace.terminal_state = mix_closed_form(state, schedule, horizon)
-    return trace
 
 
 def nesterov_recursion(
@@ -307,12 +281,8 @@ def run_nesterov(
 def _gap_trace(problem: ConvexProblem, weights, x0=None) -> Trace:
     """Run the recursion with fixed ``weights``, ``gap`` at each iterate."""
     xs, _, zs = nesterov_recursion(problem, weights, problem.grad_oracle, x0)
-    iters = len(weights)
-    trace = Trace([float(k) for k in range(iters + 1)])
-    for x in xs:
-        trace.add({"gap": problem.gap(x)})
-    trace.terminal_state = CoupledState(np.array([xs[-1], zs[-1]]), float(iters))
-    return trace
+    grid = [float(k) for k in range(len(xs))]
+    return Trace(grid, {"gap": [problem.gap(x) for x in xs]}, Snapshot(grid[-1], xs[-1], zs[-1]))
 
 
 def check_gd_step(problem: ConvexProblem, step: float) -> None:

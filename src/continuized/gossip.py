@@ -7,13 +7,14 @@ the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
 (``dual``) runs its own jump through the same ``run_pairwise``.  Mixing is
 node-local, so a node's ODE is only advanced lazily when the node takes
-part in an event; checkpoints advance a throwaway copy.
+part in an event; every snapshot of the run is a synchronized copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import LeastSquaresProblem, make_least_squares
 from .seeding import RunStreams, as_streams
-from .trace import Trace, run_events
+from .trace import Snapshot, Trace, run_events
 
 Array = np.ndarray
 
@@ -109,19 +110,17 @@ def accelerated_step(state: PairState, edge: tuple[int, int], z_step: float) -> 
     state.z[w] += step
 
 
-def synchronized_values(
-    state: PairState, mix_rate: float, at_t: float
-) -> tuple[Array, Array]:
-    """Copies of (x, z) with every node mixed forward to ``at_t``."""
+def synchronized_values(state: PairState, mix_rate: float, at_t: float) -> Snapshot:
+    """The snapshot at ``at_t``: copies of (x, z) with every node mixed forward."""
     xs = np.array(state.x)
     zs = np.array(state.z)
     if not mix_rate:
-        return xs, zs
+        return Snapshot(at_t, xs, zs)
     dt = at_t - np.array(state.last_t)
     if np.any(dt < -1e-12):
         raise ValueError("some node is already past the requested time")
     decay = np.exp(-2.0 * mix_rate * np.maximum(dt, 0.0))
-    return midpoint_contract(xs, zs, decay if xs.ndim == 1 else decay[:, None])
+    return Snapshot(at_t, *midpoint_contract(xs, zs, decay if xs.ndim == 1 else decay[:, None]))
 
 
 def run_pairwise(
@@ -130,7 +129,7 @@ def run_pairwise(
     mix_rate: float,
     kernel: Callable[[PairState, tuple[int, int], Any], None],
     edge_args: Sequence[Any],
-    metrics: Callable[[Array, Array], dict[str, float]],
+    metrics: Callable[[Snapshot], dict[str, float]],
     horizon: float,
     rng: RunStreams | int,
     *,
@@ -142,8 +141,8 @@ def run_pairwise(
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
     are mixed to te and ``kernel(state, (v, w), edge_args[ei])`` applies the
     update, with the edge's constants computed once per run.
-    Each checkpoint records ``metrics(x, z)`` of a snapshot synchronized to
-    its time.  The run ends with every node mixed to ``horizon``.
+    Each checkpoint records ``metrics`` of the snapshot synchronized to its
+    time, and the terminal state is the snapshot at ``horizon``.
     """
     times, edge_idx = sample_event_stream(graph, horizon, as_streams(rng))
     edge_idx = edge_idx.tolist()
@@ -156,15 +155,10 @@ def run_pairwise(
         lazy_mix_node(state, w, te, mix_rate)
         kernel(state, edge, edge_args[ei])
 
-    trace = run_events(
-        times.tolist(), horizon, checkpoints,
-        lambda t: metrics(*synchronized_values(state, mix_rate, t)), step,
-        (lambda te: (te, *synchronized_values(state, mix_rate, te))) if record_states else None,
+    return run_events(
+        times.tolist(), horizon, checkpoints, partial(synchronized_values, state, mix_rate),
+        metrics, step, record_states,
     )
-    state.x, state.z = synchronized_values(state, mix_rate, horizon)
-    state.last_t = [horizon] * graph.node_count
-    trace.terminal_state = state
-    return trace
 
 
 def energy(values: Array, target) -> float:
@@ -204,7 +198,7 @@ def run_gossip(
         params.mix_rate,
         accelerated_step,
         [params.z_step] * graph.edge_count,
-        lambda xs, zs: {"energy": energy(xs, target)},
+        lambda s: {"energy": energy(s.x, target)},
         horizon,
         rng,
         checkpoints=checkpoints,

@@ -65,7 +65,12 @@ def _validate(node_count: int, edges, probs) -> Graph:
     bad = [normalized[i] for i in np.flatnonzero(~(np.isfinite(probs) & (probs > 0)))]
     if bad:
         raise GraphError(f"edge weights must be finite and > 0; edges {bad} are not")
-    probs /= probs.sum()
+    with np.errstate(over="ignore"):
+        total = probs.sum()
+    if not np.isfinite(total):  # weights near the float maximum
+        probs /= probs.max()
+        total = probs.sum()
+    probs /= total
     probs.setflags(write=False)
 
     # BFS connectivity check.

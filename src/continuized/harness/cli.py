@@ -97,9 +97,11 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    return spec.with_overrides(
-        seed=_resolve_seed(args.seed), runs=args.runs, out=args.out, horizon=args.horizon
-    )
+    seed = _resolve_seed(args.seed)
+    try:
+        return spec.with_overrides(seed=seed, runs=args.runs, out=args.out, horizon=args.horizon)
+    except ValueError as exc:  # a horizon whose default grid repeats a time
+        raise ConfigError([f"--horizon {args.horizon!r}: {exc}"]) from None
 
 
 def _run_spec(spec: ExperimentSpec, quiet: bool) -> None:

@@ -169,7 +169,10 @@ def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
     # Near the float maximum numpy's internal power overshoots to inf before
     # geomspace sets the last point to ``horizon``; the grid is finite.
     with np.errstate(over="ignore"):
-        return np.geomspace(1.0, horizon, count)
+        grid = np.geomspace(1.0, horizon, count)
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{count} log-spaced checkpoints on [1, {horizon}] repeat a time")
+    return grid
 
 
 def _parse_bool(text: str) -> bool:

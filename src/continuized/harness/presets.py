@@ -18,10 +18,9 @@ def _three_dim_strongly_convex():
     return make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
 
 
-def _optimize_spec(problem, schedule, horizon, *, noise=None, x0="zeros", runs=1000):
+def _optimize_spec(problem, schedule, horizon, *, noise=None, x0="zeros"):
     return ExperimentSpec(
         kind="optimize",
-        runs=runs,
         horizon=horizon,
         checkpoints=log_spaced_checkpoints(horizon, 50),
         include_bounds=True,
@@ -31,10 +30,9 @@ def _optimize_spec(problem, schedule, horizon, *, noise=None, x0="zeros", runs=1
     )
 
 
-def _gossip_spec(graph, horizon, runs=1000):
+def _gossip_spec(graph, horizon):
     return ExperimentSpec(
         kind="gossip",
-        runs=runs,
         horizon=horizon,
         checkpoints=log_spaced_checkpoints(horizon, 50),
         include_bounds=True,

@@ -182,9 +182,9 @@ def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
 
 def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
     """Execute every run of the ensemble; per-run seeds derive from the
-    master seed, so the result is replay-exact.  Each run's checkpoint
-    values go straight into the (runs, checkpoints) arrays and its Trace
-    is dropped."""
+    master seed, so the result is replay-exact.  Each run's values follow
+    the grid, so they go straight into row i of the (runs, checkpoints)
+    arrays, and its Trace is dropped."""
     resolved = resolve(spec)
     grid = resolved.checkpoints
     values = {m: np.empty((spec.runs, len(grid))) for m in resolved.metrics}
@@ -194,7 +194,7 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
         except Exception as exc:
             raise RuntimeError(f"run {i} failed: {exc}") from exc
         for m, row in values.items():
-            row[i] = trace.metric_at(grid, m)
+            row[i] = trace.values[m]
         if progress:
             progress(i + 1, spec.runs)
     runset = build_runset(values, grid)

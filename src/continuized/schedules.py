@@ -178,6 +178,9 @@ class EventClock:
     def geometric(cls, p: float, tick: float) -> "EventClock":
         if not 0 < p <= 1:
             raise ValueError(f"p must be in (0, 1], got {p}")
+        # the longest wait, at the largest uniform 1 - 2**-53, must count finitely many trials
+        if p < 1 and not math.isfinite(math.log(2.0**-53) / math.log1p(-p)):
+            raise ValueError(f"p = {p} is too small: the longest geometric wait overflows")
         _require_positive(tick, "tick")
         return cls("geometric", p=p, tick=tick)
 

@@ -182,7 +182,7 @@ def test_criterion_5_supermartingale_monitor():
                 problem, NoiseModel.none(), schedule, EventClock.exponential(),
                 20.0, run_streams(MASTER_SEED + 4, i), checkpoints=cps,
             )
-            vals[i] = trace.metric_at(cps, "lyapunov")
+            vals[i] = trace.values["lyapunov"]
         diffs = np.diff(vals, axis=1)
         mean_d = diffs.mean(axis=0)
         se_d = diffs.std(axis=0) / math.sqrt(runs)

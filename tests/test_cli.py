@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from continuized.harness import cli
@@ -104,6 +105,12 @@ class TestExitCodes:
         assert main(["optimize", "--config", path, "--quiet", *flags]) == 1
         assert f"argument {flags[0]}" in capsys.readouterr().err
 
+    def test_horizon_flag_whose_grid_repeats_exits_1(self, cfg_file, capsys):
+        path = cfg_file(OPTIMIZE_CFG)
+        flags = ["--quiet", "--horizon", "1.0000000000000002"]
+        assert main(["optimize", "--config", path, *flags]) == 1
+        assert "--horizon 1.0000000000000002: 50 log-spaced" in capsys.readouterr().err
+
     def test_runtime_error_exits_2(self, cfg_file, capsys, monkeypatch):
         # a valid config whose run fails: the CLI maps the error to exit 2
         def fail(spec, progress=None):
@@ -148,6 +155,10 @@ INVALID_INPUTS = [
     ("sigma2", QUADRATIC_2D + "[noise]\nkind = additive\nsigma2 = -1\n", ["sigma2"]),
     ("geometric-p", QUADRATIC_2D + "[algo]\nclock = geometric\np = 2\n",
      ["p must be in (0, 1]"]),
+    # log1p(-p) is about -1e-320, so the longest wait would count inf trials
+    ("geometric-p-subnormal",
+     QUADRATIC_2D + "[algo]\nclock = geometric\np = 1e-320\ntick = 0.01\n",
+     ["[algo] p = 1e-320 is too small"]),
     ("variant", QUADRATIC_2D + "[algo]\nmethod = nesterov\nvariant = bogus\n",
      ["unknown variant 'bogus'"]),
     ("step", QUADRATIC_2D + "[algo]\nmethod = gd\nstep = abc\n", ["[algo] step"]),
@@ -157,6 +168,10 @@ INVALID_INPUTS = [
      ["key 'variant' does not apply to method continuized"]),
     ("checkpoint-count", QUADRATIC_2D.replace("runs = 2", "runs = 2\ncheckpoints = 10000000000"),
      ["[experiment] checkpoints: log-spaced checkpoints need a count in [1, 10000]"]),
+    # one ulp above 1 leaves two floats for the 50 log-spaced checkpoints
+    ("checkpoint-repeat", QUADRATIC_2D.replace("horizon = 10", "horizon = 1.0000000000000002"),
+     ["[experiment] checkpoints: 50 log-spaced checkpoints on [1, 1.0000000000000002] "
+      "repeat a time"]),
     ("multiplicative-on-quadratic", QUADRATIC_2D + "[noise]\nkind = multiplicative\n",
      ["multiplicative noise requires a least-squares problem"]),
     ("curvatures-without-centers",
@@ -255,6 +270,16 @@ class TestRuns:
         path = cfg_file(OPTIMIZE_CFG)
         monkeypatch.setenv("CONTINUIZED_SEED", "not-a-number")
         assert main(["optimize", "--config", path, "--quiet"]) == 1
+
+    def test_tiny_geometric_p_still_runs(self, cfg_file, tmp_path):
+        # p = 1e-300 lies above the bound (about 2e-307): its longest wait is
+        # finite, so the config parses and the 2-run ensemble finishes
+        out = tmp_path / "tiny_p.csv"
+        path = cfg_file(QUADRATIC_2D + "[algo]\nclock = geometric\np = 1e-300\ntick = 0.01\n")
+        assert main(["optimize", "--config", path, "--out", str(out), "--quiet"]) == 0
+        grid, series = load_csv(str(out))
+        assert grid.shape == (50,)
+        assert np.all(np.isfinite(series["gap"]["mean"]))
 
     def test_runs_override(self, cfg_file, capsys):
         path = cfg_file(OPTIMIZE_CFG)

@@ -147,7 +147,7 @@ class TestRunDecentralized:
         state = tr.terminal_state
         for v, f in enumerate(fns):
             np.testing.assert_allclose(conjugate_grad(f, state.z[v]), 0.0, atol=1e-6)
-        assert tr.metric_at([200.0], "primal_dist_sq")[0] <= 1e-12
+        assert tr.values["primal_dist_sq"][0] <= 1e-12
 
     def test_mean_zero_preserved_after_sync(self):
         g = grid_graph(3, 3)
@@ -287,7 +287,7 @@ def test_one_dimensional_dual_matches_recorded_run(run):
                            checkpoints=FLOAT_PATH_GRID)
     state = tr.terminal_state
     got = (
-        [float(v).hex() for v in tr.metric_at(FLOAT_PATH_GRID, "primal_dist_sq")],
+        [float(v).hex() for v in tr.values["primal_dist_sq"]],
         [v.hex() for v in np.ravel(state.x).tolist()],
         [v.hex() for v in np.ravel(state.z).tolist()],
     )

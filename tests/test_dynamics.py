@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuized.dynamics import (
-    CoupledState,
     gradient_jump,
     initial_state,
     lyapunov_value,
@@ -32,6 +31,7 @@ from continuized.schedules import (
     schedule_eval,
 )
 from continuized.seeding import run_streams
+from continuized.trace import Snapshot
 
 
 def sc_problem():
@@ -66,46 +66,46 @@ def rk4_mix(x0, z0, schedule, t0, t1, steps=20_000):
 class TestMixClosedForm:
     def test_identity_at_same_time(self):
         s = initial_state(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-        out = mix_closed_form(s, ParamSchedule.strongly_convex(1.0, 0.5), 0.0)
+        out = mix_closed_form(s, 0.0, ParamSchedule.strongly_convex(1.0, 0.5), 0.0)
         assert out is s
 
     def test_fixed_point_when_equal(self):
         x = np.array([3.0, -1.0])
-        s = CoupledState(np.array([x, x]), t=1.0)
+        s = np.array([x, x])
         for sched in (ParamSchedule.convex(1.0), ParamSchedule.strongly_convex(1.0, 0.2)):
-            out = mix_closed_form(s, sched, 9.0)
-            np.testing.assert_allclose(out.x, x)
-            np.testing.assert_allclose(out.z, x)
+            out = mix_closed_form(s, 1.0, sched, 9.0)
+            np.testing.assert_allclose(out[0], x)
+            np.testing.assert_allclose(out[1], x)
 
     def test_constant_rate_matches_numeric_ode(self):
         sched = ParamSchedule.strongly_convex(1.0, 0.09)
         x0, z0 = np.array([1.0, -2.0]), np.array([0.5, 4.0])
-        s = CoupledState(np.array([x0, z0]), t=0.7)
-        out = mix_closed_form(s, sched, 3.2)
+        s = np.array([x0, z0])
+        out = mix_closed_form(s, 0.7, sched, 3.2)
         xr, zr = rk4_mix(x0, z0, sched, 0.7, 3.2)
-        np.testing.assert_allclose(out.x, xr, atol=1e-8)
-        np.testing.assert_allclose(out.z, zr, atol=1e-8)
+        np.testing.assert_allclose(out[0], xr, atol=1e-8)
+        np.testing.assert_allclose(out[1], zr, atol=1e-8)
 
     def test_time_varying_matches_numeric_ode(self):
         sched = ParamSchedule.convex(1.0)
         x0, z0 = np.array([2.0, 0.0]), np.array([-1.0, 1.0])
-        s = CoupledState(np.array([x0, z0]), t=1.0)
-        out = mix_closed_form(s, sched, 4.0)
+        s = np.array([x0, z0])
+        out = mix_closed_form(s, 1.0, sched, 4.0)
         xr, zr = rk4_mix(x0, z0, sched, 1.0, 4.0)
-        np.testing.assert_allclose(out.x, xr, atol=1e-8)
-        np.testing.assert_allclose(out.z, z0)
-        np.testing.assert_allclose(out.x, z0 + (1.0 / 4.0) ** 2 * (x0 - z0))
+        np.testing.assert_allclose(out[0], xr, atol=1e-8)
+        np.testing.assert_allclose(out[1], z0)
+        np.testing.assert_allclose(out[0], z0 + (1.0 / 4.0) ** 2 * (x0 - z0))
 
     def test_midpoint_preserved_constant_rate(self):
         sched = ParamSchedule.strongly_convex(2.0, 0.5)
-        s = CoupledState(np.array([[1.0], [5.0]]), t=0.0)
-        out = mix_closed_form(s, sched, 10.0)
-        assert 0.5 * (out.x + out.z) == pytest.approx(3.0)
+        s = np.array([[1.0], [5.0]])
+        out = mix_closed_form(s, 0.0, sched, 10.0)
+        assert 0.5 * (out[0] + out[1]) == pytest.approx(3.0)
 
     def test_rejects_backward_time(self):
         s = initial_state(np.zeros(1))
         with pytest.raises(ValueError):
-            mix_closed_form(s, ParamSchedule.convex(1.0), -1.0)
+            mix_closed_form(s, 0.0, ParamSchedule.convex(1.0), -1.0)
 
 
 COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)
@@ -114,8 +114,8 @@ GAPS = st.floats(1e-6, 50.0)
 
 @st.composite
 def mixing_cases(draw, max_dim=4):
-    """A state (x, z) of dimension at most ``max_dim`` at t0 >= 0, a schedule
-    of either shape, and two later times t1 < t2."""
+    """A state (x, z) of dimension at most ``max_dim`` at t0 >= 0, as a
+    snapshot, a schedule of either shape, and two later times t1 < t2."""
     d = draw(st.integers(1, max_dim))
     x = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
     z = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
@@ -127,10 +127,10 @@ def mixing_cases(draw, max_dim=4):
     t0 = draw(st.floats(0.0, 50.0))
     t1 = t0 + draw(GAPS)
     t2 = t1 + draw(GAPS)
-    return CoupledState(np.array([x, z]), t=t0), sched, t1, t2
+    return Snapshot(t0, x, z), sched, t1, t2
 
 
-def _tolerance(state: CoupledState) -> float:
+def _tolerance(state: Snapshot) -> float:
     return 1e-12 * max(np.max(np.abs(state.x)), np.max(np.abs(state.z)))
 
 
@@ -138,11 +138,12 @@ def _tolerance(state: CoupledState) -> float:
 @given(mixing_cases())
 def test_mixing_is_a_semigroup(case):
     s, sched, t1, t2 = case
-    twice = mix_closed_form(mix_closed_form(s, sched, t1), sched, t2)
-    once = mix_closed_form(s, sched, t2)
+    pair = np.array([s.x, s.z])
+    twice = mix_closed_form(mix_closed_form(pair, s.t, sched, t1), t1, sched, t2)
+    once = mix_closed_form(pair, s.t, sched, t2)
     tol = _tolerance(s)
-    np.testing.assert_allclose(twice.x, once.x, rtol=0, atol=tol)
-    np.testing.assert_allclose(twice.z, once.z, rtol=0, atol=tol)
+    np.testing.assert_allclose(twice[0], once[0], rtol=0, atol=tol)
+    np.testing.assert_allclose(twice[1], once[1], rtol=0, atol=tol)
 
 
 @settings(deadline=None)
@@ -152,16 +153,16 @@ def test_mixing_equals_twin_weights(case):
     # mixed x is y = x + tau (z - x), and the mixed z is z + tau' (y - z)
     s, sched, t1, _ = case
     tau, tau_p, _, _ = discrete_params(sched, s.t, t1)
-    mixed = mix_closed_form(s, sched, t1)
-    y = mixed.x
+    mixed = mix_closed_form(np.array([s.x, s.z]), s.t, sched, t1)
+    y = mixed[0]
     tol = _tolerance(s)
     np.testing.assert_allclose(y, s.x + tau * (s.z - s.x), rtol=0, atol=tol)
-    np.testing.assert_allclose(mixed.z, s.z + tau_p * (y - s.z), rtol=0, atol=tol)
+    np.testing.assert_allclose(mixed[1], s.z + tau_p * (y - s.z), rtol=0, atol=tol)
 
 
 def _kernel_example(sched, t0, until):
     x, z = [1.0, -2.0, 0.3], [0.0, 4.0, -1.7]
-    return CoupledState(np.array([x, z]), t=t0), sched, until, until + 1.0
+    return Snapshot(t0, np.array(x), np.array(z)), sched, until, until + 1.0
 
 
 @settings(deadline=None)
@@ -175,19 +176,18 @@ def test_pair_kernel_equals_rowwise_formulas(case, g_values):
     # the (2, d) pair is mixed and jumped bit for bit as the rows one by one
     s, sched, until, _ = case
     x, z = s.x.copy(), s.z.copy()
-    mixed = mix_closed_form(s, sched, until)
+    mixed = mix_closed_form(np.array([s.x, s.z]), s.t, sched, until)
     if sched.is_time_varying:
         want_x, want_z = z + (s.t / until) ** 2 * (x - z), z
     else:
         want_x, want_z = midpoint_contract(x, z, math.exp(-2.0 * sched.mix_rate * (until - s.t)))
-    assert np.array_equal(mixed.x, want_x)
-    assert np.array_equal(mixed.z, want_z)
+    assert np.array_equal(mixed[0], want_x)
+    assert np.array_equal(mixed[1], want_z)
     g = np.array(g_values[:x.size])
     _, _, gamma, gamma_p = schedule_eval(sched, until)
     jumped = gradient_jump(mixed, np.array([[gamma], [gamma_p]]), g)
-    assert np.array_equal(jumped.x, mixed.x - gamma * g)
-    assert np.array_equal(jumped.z, mixed.z - gamma_p * g)
-    assert jumped.t == until
+    assert np.array_equal(jumped[0], mixed[0] - gamma * g)
+    assert np.array_equal(jumped[1], mixed[1] - gamma_p * g)
 
 
 def test_initial_state_rejects_unequal_shapes():
@@ -199,14 +199,14 @@ class TestGradientJump:
     def test_zero_gradient_keeps_pair(self):
         s = initial_state(np.array([1.0, 2.0]))
         out = gradient_jump(s, np.array([[1.0], [2.0]]), np.zeros(2))
-        np.testing.assert_array_equal(out.x, s.x)
-        np.testing.assert_array_equal(out.z, s.z)
+        np.testing.assert_array_equal(out[0], s[0])
+        np.testing.assert_array_equal(out[1], s[1])
 
     def test_arithmetic(self):
-        s = CoupledState(np.array([[2.0], [0.0]]), t=1.0)
-        out = gradient_jump(s, np.array([[1.0], [1.0]]), s.x - s.z)
-        assert out.x[0] == 0.0
-        assert out.z[0] == -2.0
+        s = np.array([[2.0], [0.0]])
+        out = gradient_jump(s, np.array([[1.0], [1.0]]), s[0] - s[1])
+        assert out[0][0] == 0.0
+        assert out[1][0] == -2.0
 
     def test_dimension_mismatch(self):
         s = initial_state(np.zeros(2))
@@ -265,7 +265,7 @@ class TestRunContinuized:
         cps = [1.0, 2.0, 5.0, 10.0]
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
                              10.0, run_streams(2, 2), checkpoints=cps)
-        vals = tr.metric_at(cps, "gap")
+        vals = np.asarray(tr.values["gap"])
         assert vals.shape == (4,)
         ts = tr.checkpoints
         assert ts == sorted(ts)
@@ -291,7 +291,7 @@ class TestRunContinuized:
         tr = run_continuized(p, NoiseModel.none(), sched,
                              EventClock.geometric(0.01, 0.01), 20.0,
                              run_streams(8, 0), checkpoints=[20.0])
-        assert tr.metric_at([20.0], "gap")[0] < 0.52
+        assert tr.values["gap"][0] < 0.52
 
     def test_noise_toggle_keeps_event_times(self):
         # clock and noise use disjoint streams: switching the noise model on
@@ -333,7 +333,7 @@ class TestGeometricClockAgreement:
             for i in range(runs):
                 tr = run_continuized(p, NoiseModel.none(), sched, clock, 20.0,
                                      run_streams(100, i), checkpoints=[20.0])
-                total += tr.metric_at([20.0], "gap")[0]
+                total += tr.values["gap"][0]
             return total / runs
 
         g_exp = mean_gap(EventClock.exponential())
@@ -360,7 +360,7 @@ class TestMultiplicativeRuns:
             tr = run_continuized(p, NoiseModel.multiplicative(), sched,
                                  EventClock.exponential(), horizon,
                                  run_streams(77, i), x0=x0, checkpoints=cps)
-            vals[i] = tr.metric_at(cps, "dist_sq")
+            vals[i] = tr.values["dist_sq"]
         mean_half = 0.5 * vals.mean(axis=0)
         se_half = 0.5 * vals.std(axis=0) / np.sqrt(runs)
         d0 = x0 - p.optimum
@@ -451,13 +451,13 @@ class TestLyapunov:
     def test_zero_at_optimum(self):
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
-        s = CoupledState(np.array([p.optimum, p.optimum]), t=3.0)
+        s = Snapshot(3.0, p.optimum, p.optimum)
         assert lyapunov_value(s, lyapunov_coeffs(sched, 3.0), p) == pytest.approx(0.0)
 
     def test_convex_value_formula(self):
         p = sc_problem()
         sched = ParamSchedule.convex(1.0)
-        s = CoupledState(np.zeros((2, 3)), t=2.0)
+        s = Snapshot(2.0, np.zeros(3), np.zeros(3))
         c = lyapunov_coeffs(sched, 2.0)
         want = (4.0 / 4.0) * 0.52 + 0.5 * 3.0
         assert lyapunov_value(s, c, p) == pytest.approx(want)
@@ -470,7 +470,7 @@ class TestLyapunov:
         )
         x = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        s = CoupledState(np.array([x, z]), t=1.0)
+        s = Snapshot(1.0, x, z)
         c = lyapunov_coeffs(sched, 1.0)
         want = 0.5 * c.a_t * float(x @ x) + 0.5 * c.b_t * float(z @ p.hessian_pinv @ z)
         assert lyapunov_value(s, c, p) == pytest.approx(want)
@@ -485,7 +485,8 @@ class TestLyapunov:
                              record_states=True)
         before = [s for s in tr.event_states if s.t <= 4.0]
         assert before
-        state = mix_closed_form(before[-1], sched, 4.0)
-        recorded = tr.metric_at([4.0], "lyapunov")[0]
+        last = before[-1]
+        state = Snapshot(4.0, *mix_closed_form(np.array([last.x, last.z]), last.t, sched, 4.0))
+        recorded = tr.values["lyapunov"][0]
         want = lyapunov_value(state, lyapunov_coeffs(sched, 4.0), p)
         assert recorded == pytest.approx(want, rel=1e-12)

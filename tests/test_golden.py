@@ -32,7 +32,7 @@ def _gossip(algo, x0):
     params = GossipParams.from_cache(spectral(g), algo)
     return [
         run_gossip(g, params, x0, 20.0, run_streams(2026, i), checkpoints=GRID)
-        .metric_at(GRID, "energy")
+        .values["energy"]
         for i in range(RUNS)
     ]
 
@@ -55,7 +55,7 @@ def dual():
     fns = random_local_functions(5, 0.5, 1.0, 2, np.random.default_rng(12))
     return [
         run_decentralized(g, fns, 0.5, 1.0, 20.0, run_streams(2027, i), checkpoints=GRID)
-        .metric_at(GRID, "primal_dist_sq")
+        .values["primal_dist_sq"]
         for i in range(RUNS)
     ]
 
@@ -66,7 +66,7 @@ def _optimize(problem, noise, schedule, metrics, clock=EventClock.exponential(),
         tr = run_continuized(problem, noise, schedule, clock,
                              20.0, run_streams(2028, i), x0=np.zeros(problem.dimension),
                              z0=z0, checkpoints=GRID)
-        out.append(np.concatenate([tr.metric_at(GRID, m) for m in metrics]))
+        out.append(np.concatenate([tr.values[m] for m in metrics]))
     return out
 
 

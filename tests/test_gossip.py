@@ -192,12 +192,12 @@ class TestCrossModuleEquivalence:
             prob.r_squared, prob.kappa_tilde, cache.mu_gossip
         )
         state = initial_state(np.array([0.0, 1.0]))
-        state = mix_closed_form(state, sched, t1)
+        state = mix_closed_form(state, 0.0, sched, t1)
         a = np.array([1.0, -1.0])
-        grad = float(a @ state.x) * a
+        grad = float(a @ state[0]) * a
         state = gradient_jump(state, np.array([[0.5], [params.z_step]]), grad)
-        np.testing.assert_allclose(state.x, s.x, atol=1e-12)
-        np.testing.assert_allclose(state.z, s.z, atol=1e-12)
+        np.testing.assert_allclose(state[0], s.x, atol=1e-12)
+        np.testing.assert_allclose(state[1], s.z, atol=1e-12)
 
     def test_full_run_matches_continuized_optimizer(self):
         # a whole gossip trajectory equals the continuized multiplicative
@@ -219,16 +219,16 @@ class TestCrossModuleEquivalence:
         from continuized.dynamics import gradient_jump, initial_state, mix_closed_form
 
         times, idx = sample_event_stream(g, horizon, run_streams(21, 0))
-        state = initial_state(x0)
+        state, t = initial_state(x0), 0.0
         for (te, xs, zs), t_event, ei in zip(tr.event_states, times, idx):
-            state = mix_closed_form(state, sched, float(t_event))
+            state, t = mix_closed_form(state, t, sched, float(t_event)), float(t_event)
             v, w = g.edges[ei]
             a = np.zeros(5)
             a[v], a[w] = 1.0, -1.0
-            grad = float(a @ state.x) * a
+            grad = float(a @ state[0]) * a
             state = gradient_jump(state, np.array([[0.5], [params.z_step]]), grad)
-            np.testing.assert_allclose(state.x, xs, atol=1e-12)
-            np.testing.assert_allclose(state.z, zs, atol=1e-12)
+            np.testing.assert_allclose(state[0], xs, atol=1e-12)
+            np.testing.assert_allclose(state[1], zs, atol=1e-12)
 
 
 class TestRunGossip:
@@ -309,8 +309,8 @@ class TestRunGossip:
             run_gossip(g, params, x0[:, j], 20.0, run_streams(11, 0), checkpoints=cps)
             for j in range(2)
         ]
-        want = sum(p.metric_at(cps, "energy") for p in parts)
-        np.testing.assert_allclose(tr.metric_at(cps, "energy"), want, atol=1e-12)
+        want = sum(np.asarray(p.values["energy"]) for p in parts)
+        np.testing.assert_allclose(tr.values["energy"], want, atol=1e-12)
 
     def test_shared_events_reproduce(self):
         g, cache = k10()
@@ -319,7 +319,7 @@ class TestRunGossip:
         x0[0] = 1.0
         a = run_gossip(g, params, x0, 20.0, run_streams(12, 0), checkpoints=[20.0])
         b = run_gossip(g, params, x0, 20.0, run_streams(12, 0), checkpoints=[20.0])
-        assert a.metric_at([20.0], "energy")[0] == b.metric_at([20.0], "energy")[0]
+        assert a.values["energy"][0] == b.values["energy"][0]
 
 
 class TestEnergyProblem:

@@ -45,6 +45,11 @@ class TestConstruction:
         np.testing.assert_allclose(g.edge_probs, [0.25, 0.75])
         assert g.edge_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_weights_near_float_max_normalized(self):
+        # their sum overflows to inf, which used to turn every probability into 0
+        g = edge_list_graph([(0, 1), (1, 2)], weights=[1e308, 1.5e308])
+        np.testing.assert_allclose(g.edge_probs, [0.4, 0.6], rtol=1e-15)
+
     def test_parse_edge_lines(self):
         g = parse_edge_lines("0 1 0.5\n1 2 0.5\n")
         assert g.node_count == 3

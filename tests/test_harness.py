@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuized.graphs import spectral
+from continuized.graphs import (
+    TOPOLOGY_FIELDS,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    line_graph,
+    spectral,
+)
 from continuized.harness import runner
 from continuized.harness.config import (
     AlgoSpec,
@@ -252,7 +259,8 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @st.composite
 def optimize_configs(draw):
     """(INI text with repr floats, the drawn values) of an optimize config:
-    a quadratic, explicit checkpoints and an exponential or geometric clock."""
+    a quadratic, explicit checkpoints and an exponential or geometric clock.
+    The clock is None for a geometric p too small for its longest wait."""
     d = draw(st.integers(1, 4))
     horizon = draw(st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
     times = st.floats(min_value=0.0, max_value=horizon, exclude_min=True)
@@ -268,11 +276,13 @@ def optimize_configs(draw):
         drawn["clock"] = EventClock.exponential(draw(POSITIVE))
         clock_keys = f"clock = exponential\nrate = {drawn['clock'].rate!r}\n"
     else:
-        drawn["clock"] = EventClock.geometric(
-            draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)), draw(POSITIVE)
-        )
-        clock_keys = (f"clock = geometric\np = {drawn['clock'].p!r}\n"
-                      f"tick = {drawn['clock'].tick!r}\n")
+        p = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+        tick = draw(POSITIVE)
+        try:
+            drawn["clock"] = EventClock.geometric(p, tick)
+        except ValueError:
+            drawn["clock"] = None
+        clock_keys = f"clock = geometric\np = {p!r}\ntick = {tick!r}\n"
 
     def floats(key):
         return " ".join(map(repr, drawn[key]))
@@ -291,6 +301,10 @@ def optimize_configs(draw):
 @given(optimize_configs())
 def test_optimize_config_round_trips(case):
     text, drawn = case
+    if drawn["clock"] is None:
+        with pytest.raises(ConfigError, match=r"\[algo\] p = \S+ is too small"):
+            parse_config_text(text)
+        return
     spec = parse_config_text(text)
     assert (spec.kind, spec.algo.method) == ("optimize", "continuized")
     assert (spec.runs, spec.seed, spec.horizon) == (drawn["runs"], drawn["seed"], drawn["horizon"])
@@ -298,6 +312,103 @@ def test_optimize_config_round_trips(case):
     assert spec.problem.diag.tolist() == drawn["diag"]
     assert spec.problem.optimum.tolist() == drawn["center"]
     assert spec.algo.clock == drawn["clock"]
+
+
+@st.composite
+def graph_sections(draw):
+    """(the [graph] section as INI text, the node count, the drawn edges and
+    their weights) of any topology, every field drawn."""
+    topology = draw(st.sampled_from(sorted(TOPOLOGY_FIELDS)))
+    if topology == "grid":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        n, fields = rows * cols, f"rows = {rows}\ncols = {cols}\n"
+        edges = grid_graph(rows, cols).edges
+    elif topology == "edge_list":
+        n = draw(st.integers(2, 6))
+        # a spanning path keeps the graph connected; any other pairs may join it
+        others = [(v, w) for v in range(n) for w in range(v + 2, n)]
+        extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        edges = tuple([(v, v + 1) for v in range(n - 1)] + extra)
+    else:
+        n = draw(st.integers(3 if topology == "cycle" else 2, 8))
+        fields = f"nodes = {n}\n"
+        edges = {"line": line_graph, "cycle": cycle_graph, "complete": complete_graph}[
+            topology](n).edges
+    if topology == "edge_list":
+        weights = draw(st.lists(POSITIVE, min_size=len(edges), max_size=len(edges)))
+        fields = "edges =\n" + "".join(f"    {v} {w} {p!r}\n" for (v, w), p in zip(edges, weights))
+    else:
+        weights = [1.0] * len(edges)
+    return f"[graph]\ntopology = {topology}\n{fields}", n, edges, weights
+
+
+@st.composite
+def graph_configs(draw):
+    """(INI text with repr floats, the drawn values) of a gossip or a
+    decentralized config with explicit checkpoints, on any topology."""
+    graph_text, n, edges, weights = draw(graph_sections())
+    horizon = draw(st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
+    times = st.floats(min_value=0.0, max_value=horizon, exclude_min=True)
+    drawn = {
+        "kind": draw(st.sampled_from(["gossip", "decentralized"])),
+        "runs": draw(st.integers(1, 10**9)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "horizon": horizon,
+        "checkpoints": sorted(set(draw(st.lists(times, min_size=1, max_size=6)))),
+        "nodes": n, "edges": edges, "weights": weights,
+    }
+
+    def floats(values):
+        return " ".join(map(repr, values))
+
+    if drawn["kind"] == "gossip":
+        drawn["algo"] = draw(st.sampled_from(["accelerated", "naive"]))
+        drawn["init"] = draw(st.lists(FINITE, min_size=n, max_size=n))
+        section = f"[gossip]\nalgo = {drawn['algo']}\ninit = {floats(drawn['init'])}\n"
+    else:
+        mu = draw(POSITIVE)
+        smoothness = draw(st.floats(min_value=mu, allow_infinity=False))
+        d = draw(st.integers(1, 3))
+        drawn.update(
+            mu=mu, smoothness=smoothness,
+            curvatures=draw(st.lists(st.floats(mu, smoothness), min_size=n, max_size=n)),
+            centers=draw(st.lists(st.lists(FINITE, min_size=d, max_size=d),
+                                  min_size=n, max_size=n)),
+        )
+        rows = "".join(f"    {floats(row)}\n" for row in drawn["centers"])
+        section = (f"[decentralized]\nmu = {mu!r}\nsmoothness = {smoothness!r}\n"
+                   f"curvatures = {floats(drawn['curvatures'])}\ncenters =\n{rows}")
+    text = (
+        f"[experiment]\nkind = {drawn['kind']}\nruns = {drawn['runs']}\n"
+        f"seed = {drawn['seed']}\nhorizon = {horizon!r}\n"
+        f"checkpoints = {floats(drawn['checkpoints'])}\n\n{graph_text}\n{section}"
+    )
+    return text, drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_configs())
+def test_graph_config_round_trips(case):
+    text, drawn = case
+    spec = parse_config_text(text)
+    assert spec.kind == drawn["kind"]
+    assert (spec.runs, spec.seed, spec.horizon) == (drawn["runs"], drawn["seed"], drawn["horizon"])
+    assert spec.checkpoints.tolist() == drawn["checkpoints"]
+    graph = spec.graph
+    assert (graph.node_count, graph.edges) == (drawn["nodes"], drawn["edges"])
+    # the weights, normalized to probabilities without overflow (the absolute
+    # slack covers the few bits of subnormal probabilities)
+    w = np.array(drawn["weights"]) / max(drawn["weights"])
+    np.testing.assert_allclose(graph.edge_probs, w / w.sum(), rtol=1e-12, atol=1e-300)
+    if drawn["kind"] == "gossip":
+        assert spec.gossip_algo == drawn["algo"]
+        assert spec.gossip_init.tolist() == drawn["init"]
+        return
+    dec = spec.decentralized
+    assert (dec.mu, dec.smoothness) == (drawn["mu"], drawn["smoothness"])
+    assert dec.dimension == len(drawn["centers"][0])
+    assert dec.curvatures.tolist() == drawn["curvatures"]
+    assert dec.centers.tolist() == drawn["centers"]
 
 
 class TestPresets:
