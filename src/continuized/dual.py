@@ -195,7 +195,7 @@ def run_decentralized(
     mu: float,
     smoothness: float,
     horizon: float,
-    rng: RunStreams | int,
+    rng: RunStreams,
     *,
     cache: SpectralCache | None = None,
     params: DualParams | None = None,

@@ -33,7 +33,7 @@ from .schedules import (
     sample_interarrival,
     schedule_eval,
 )
-from .seeding import RunStreams, as_streams
+from .seeding import RunStreams
 from .trace import Snapshot, Trace, run_events
 
 Array = np.ndarray
@@ -140,7 +140,7 @@ def run_continuized(
     schedule: ParamSchedule,
     clock: EventClock,
     horizon: float,
-    rng: RunStreams | int,
+    rng: RunStreams,
     *,
     x0=None,
     z0=None,
@@ -156,7 +156,6 @@ def run_continuized(
     schedules require x0 = z0 (their mixing flow is constant before the
     first event, which sidesteps the t = 0 singularity).
     """
-    streams = as_streams(rng)
     if x0 is None:
         x0 = np.zeros(problem.dimension)
     pair, now = initial_state(x0, z0), 0.0
@@ -166,7 +165,7 @@ def run_continuized(
         )
     if schedule.is_time_varying and not np.array_equal(pair[0], pair[1]):
         raise ValueError("time-varying schedules require x0 == z0")
-    noise_rng = streams.noise
+    noise_rng = rng.noise
     # constant kinds jump by the same column at every event
     column = None if schedule.is_time_varying else step_column(schedule, horizon)
 
@@ -180,7 +179,7 @@ def run_continuized(
         return Snapshot(t, *mix_closed_form(pair, now, schedule, t))
 
     # the event times: running sums of clock waits, drawn one at a time
-    times = accumulate(iter(partial(sample_interarrival, clock, streams.clock), None))
+    times = accumulate(iter(partial(sample_interarrival, clock, rng.clock), None))
     return run_events(
         times, horizon, checkpoints, state_at,
         lambda s: _metrics(s, problem, schedule), step, record_states,
@@ -229,7 +228,7 @@ def run_three_sequence(
     """
     noise = noise or NoiseModel.none()
     if noise.kind == "none":
-        grad = problem.grad_oracle
+        grad = problem.grad
     else:
         grad = partial(stochastic_gradient, problem, noise, rng=noise_rng)
     times = [0.0, *event_times]
@@ -280,7 +279,7 @@ def run_nesterov(
 
 def _gap_trace(problem: ConvexProblem, weights, x0=None) -> Trace:
     """Run the recursion with fixed ``weights``, ``gap`` at each iterate."""
-    xs, _, zs = nesterov_recursion(problem, weights, problem.grad_oracle, x0)
+    xs, _, zs = nesterov_recursion(problem, weights, problem.grad, x0)
     grid = [float(k) for k in range(len(xs))]
     return Trace(grid, {"gap": [problem.gap(x) for x in xs]}, Snapshot(grid[-1], xs[-1], zs[-1]))
 

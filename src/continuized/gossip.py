@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import LeastSquaresProblem, make_least_squares
-from .seeding import RunStreams, as_streams
+from .seeding import RunStreams
 from .trace import Snapshot, Trace, run_events
 
 Array = np.ndarray
@@ -131,7 +131,7 @@ def run_pairwise(
     edge_args: Sequence[Any],
     metrics: Callable[[Snapshot], dict[str, float]],
     horizon: float,
-    rng: RunStreams | int,
+    rng: RunStreams,
     *,
     checkpoints=(),
     record_states: bool = False,
@@ -144,7 +144,7 @@ def run_pairwise(
     Each checkpoint records ``metrics`` of the snapshot synchronized to its
     time, and the terminal state is the snapshot at ``horizon``.
     """
-    times, edge_idx = sample_event_stream(graph, horizon, as_streams(rng))
+    times, edge_idx = sample_event_stream(graph, horizon, rng)
     edge_idx = edge_idx.tolist()
     edges = graph.edges
 
@@ -175,7 +175,7 @@ def run_gossip(
     params: GossipParams,
     x0,
     horizon: float,
-    rng: RunStreams | int,
+    rng: RunStreams,
     *,
     checkpoints=(),
     record_states: bool = False,

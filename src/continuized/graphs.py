@@ -71,6 +71,9 @@ def _validate(node_count: int, edges, probs) -> Graph:
         probs /= probs.max()
         total = probs.sum()
     probs /= total
+    bad = [normalized[i] for i in np.flatnonzero(probs == 0)]
+    if bad:
+        raise GraphError(f"edge weights underflow to probability 0 beside the others: edges {bad}")
     probs.setflags(write=False)
 
     # BFS connectivity check.

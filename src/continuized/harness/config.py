@@ -24,7 +24,6 @@ from ..graphs import TOPOLOGY_FIELDS, Graph, build_graph
 from ..problems import (
     PROBLEM_FIELDS,
     ConvexProblem,
-    LeastSquaresProblem,
     NoiseModel,
     check_noise,
     check_point,
@@ -33,7 +32,6 @@ from ..problems import (
     parse_floats,
     problem_from_section,
 )
-from ..schedules import KINDS as SCHEDULE_KINDS
 from ..schedules import EventClock, ParamSchedule
 
 EXPERIMENT_KINDS = ("optimize", "gossip", "decentralized", "graph-info")
@@ -147,7 +145,6 @@ class ExperimentSpec:
     gossip_algo: str = "accelerated"
     gossip_init: np.ndarray | None = None
     decentralized: DecentralizedSpec | None = None
-    preset_name: str | None = None
 
     def with_overrides(self, **kw) -> "ExperimentSpec":
         """A copy with every non-None keyword replaced; a new horizon
@@ -208,26 +205,6 @@ def _attempt(errors: list[str], where: str, build, *args, **kwargs):
     return None
 
 
-def build_schedule(problem: ConvexProblem, name: str | None = None) -> ParamSchedule:
-    """The schedule ``name`` with the problem's constants; by default the
-    strongly convex one when mu > 0 and the convex one otherwise."""
-    if name is None:
-        name = "strongly_convex" if problem.strong_convexity > 0 else "convex"
-    if name not in SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule {name!r}")
-    if name == "convex":
-        return ParamSchedule.convex(problem.smoothness)
-    if name == "strongly_convex":
-        return ParamSchedule.strongly_convex(problem.smoothness, problem.strong_convexity)
-    if not isinstance(problem, LeastSquaresProblem):
-        raise ValueError(f"schedule {name} needs a least-squares problem")
-    if name == "multiplicative_convex":
-        return ParamSchedule.multiplicative_convex(problem.r_squared, problem.kappa_tilde)
-    return ParamSchedule.multiplicative_strongly_convex(
-        problem.r_squared, problem.kappa_tilde, problem.strong_convexity
-    )
-
-
 def _clock(kind: str, rate: float, p: float, tick: float) -> EventClock:
     if kind == "exponential":
         return EventClock.exponential(rate)
@@ -278,7 +255,9 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
         if errors:
             raise ConfigError(errors)
         return None
-    schedule = _attempt(errors, "[algo]", build_schedule, problem, section.get("schedule"))
+    schedule = _attempt(
+        errors, "[algo]", ParamSchedule.for_problem, problem, section.get("schedule")
+    )
     x0 = _attempt(errors, "[algo] x0:", _initial_x, problem, section.get("x0", "zeros"))
     if step is None:
         step = 1.0 / problem.smoothness
@@ -374,8 +353,8 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
         horizon = None
     include_bounds = read("include_bounds", _parse_bool, False)
 
-    preset_name = exp.get("preset")
-    if preset_name is not None:
+    preset = exp.get("preset")
+    if preset is not None:
         from .presets import get_preset
 
         extra = [s for s in cp.sections() if s != "experiment"]
@@ -393,9 +372,9 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
             "include_bounds": include_bounds,
         }
         try:
-            spec = get_preset(preset_name)
+            spec = get_preset(preset)
         except KeyError:
-            errors.append(f"unknown preset {preset_name!r}")
+            errors.append(f"unknown preset {preset!r}")
         else:
             spec = _attempt(
                 errors, "[experiment]", spec.with_overrides,

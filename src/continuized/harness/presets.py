@@ -97,9 +97,7 @@ PRESETS = {
 def get_preset(name: str) -> ExperimentSpec:
     if name not in PRESETS:
         raise KeyError(name)
-    spec = PRESETS[name]()
-    spec.preset_name = name
-    return spec
+    return PRESETS[name]()
 
 
 def preset_names() -> list[str]:

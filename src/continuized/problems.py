@@ -12,7 +12,6 @@ constants (L, mu, R^2, kappa_tilde) computable in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,12 +32,11 @@ class DimensionMismatchError(ValueError):
 class ConvexProblem:
     """An L-smooth, mu-strongly-convex objective with exact oracles.
 
+    Each family defines ``value(x)`` and ``grad(x)`` over its own fields.
+
     Attributes:
         dimension: ambient dimension d.
-        value_oracle: x -> f(x).
-        grad_oracle: x -> grad f(x).
         optimum: a minimizer x_*.
-        optimum_value: f(x_*).
         smoothness: smoothness constant L (quadratic upper curvature).
         strong_convexity: strong convexity mu >= 0 (0 means merely convex;
             for singular least-squares Hessians this is the smallest positive
@@ -46,32 +44,36 @@ class ConvexProblem:
     """
 
     dimension: int
-    value_oracle: Callable[[Array], float]
-    grad_oracle: Callable[[Array], Array]
     optimum: Array
-    optimum_value: float
     smoothness: float
     strong_convexity: float
 
-    def value(self, x: Array) -> float:
-        return self.value_oracle(np.asarray(x, dtype=float))
-
     def gap(self, x: Array) -> float:
-        return self.value(x) - self.optimum_value
+        """f(x) - f(x_*), which is f(x): both families vanish at x_*."""
+        return self.value(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
 class QuadraticProblem(ConvexProblem):
-    """Separable quadratic; ``diag`` holds the per-coordinate curvatures."""
+    """Separable quadratic centered at ``optimum``; ``diag`` holds the
+    per-coordinate curvatures."""
 
     diag: Array
+
+    def value(self, x: Array) -> float:
+        d = x - self.optimum
+        return float(0.5 * np.dot(self.diag * d, d))
+
+    def grad(self, x: Array) -> Array:
+        return self.diag * (x - self.optimum)
 
 
 @dataclass(frozen=True)
 class LeastSquaresProblem(ConvexProblem):
     """Noiseless least squares over a finite weighted list of samples.
 
-    ``hessian`` is H = sum_i w_i a_i a_i^T, ``r_squared`` and ``kappa_tilde``
+    ``weighted_atoms`` holds the rows w_i a_i.  ``hessian`` is
+    H = sum_i w_i a_i a_i^T, ``r_squared`` and ``kappa_tilde``
     are the smallest constants with E[|a|^2 a a^T] <= R^2 H and
     E[|a|^2_{H^-1} a a^T] <= kappa_tilde H (pseudo-inverse on the span).
     """
@@ -79,11 +81,19 @@ class LeastSquaresProblem(ConvexProblem):
     atoms: Array
     targets: Array
     weights: Array
+    weighted_atoms: Array
     hessian: Array
     hessian_pinv: Array
     r_squared: float
     kappa_tilde: float
     cum_weights: Array
+
+    def value(self, x: Array) -> float:
+        res = self.targets - self.atoms @ x
+        return float(0.5 * np.dot(self.weights * res, res))
+
+    def grad(self, x: Array) -> Array:
+        return self.weighted_atoms.T @ (self.atoms @ x - self.targets)
 
     def dist_sq_hinv(self, u: Array) -> float:
         """Squared H^-1 norm of ``u`` (pseudo-inverse on the data span)."""
@@ -147,20 +157,9 @@ def make_quadratic(diag_coeffs, center) -> QuadraticProblem:
         )
     diag.setflags(write=False)
     center.setflags(write=False)
-
-    def value(x: Array) -> float:
-        d = x - center
-        return float(0.5 * np.dot(diag * d, d))
-
-    def grad(x: Array) -> Array:
-        return diag * (x - center)
-
     return QuadraticProblem(
         dimension=diag.size,
-        value_oracle=value,
-        grad_oracle=grad,
         optimum=center,
-        optimum_value=0.0,
         smoothness=float(diag.max()),
         strong_convexity=float(diag.min()),
         diag=diag,
@@ -229,27 +228,17 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
     top = float(eigvals[-1])
     positive = eigvals[eigvals > _EIG_REL_TOL * top]
 
-    for arr in (atoms, optimum, weights, targets, hessian, pinv):
+    for arr in (atoms, optimum, weights, targets, weighted_atoms, hessian, pinv):
         arr.setflags(write=False)
-
-    def value(x: Array) -> float:
-        res = targets - atoms @ x
-        return float(0.5 * np.dot(weights * res, res))
-
-    def grad(x: Array) -> Array:
-        return weighted_atoms.T @ (atoms @ x - targets)
-
     return LeastSquaresProblem(
         dimension=d,
-        value_oracle=value,
-        grad_oracle=grad,
         optimum=optimum,
-        optimum_value=0.0,
         smoothness=top,
         strong_convexity=float(positive.min()),
         atoms=atoms,
         targets=targets,
         weights=weights,
+        weighted_atoms=weighted_atoms,
         hessian=hessian,
         hessian_pinv=pinv,
         r_squared=r_squared,
@@ -260,7 +249,7 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
 
 def gradient(problem: ConvexProblem, x: Array) -> Array:
     """Exact gradient of ``problem`` at ``x``."""
-    return problem.grad_oracle(check_point(problem, x))
+    return problem.grad(check_point(problem, x))
 
 
 def check_noise(problem: ConvexProblem, noise: NoiseModel) -> None:
@@ -277,10 +266,10 @@ def stochastic_gradient(
     """One stochastic gradient draw at ``x`` under the given noise model."""
     x = check_point(problem, x)
     if noise.kind == "none":
-        return problem.grad_oracle(x)
+        return problem.grad(x)
     if noise.kind == "additive":
         scale = np.sqrt(noise.sigma2 / problem.dimension)
-        return problem.grad_oracle(x) + scale * rng.standard_normal(problem.dimension)
+        return problem.grad(x) + scale * rng.standard_normal(problem.dimension)
     check_noise(problem, noise)
     i = int(np.searchsorted(problem.cum_weights, rng.random(), side="right"))
     i = min(i, len(problem.targets) - 1)

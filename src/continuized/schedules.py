@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .problems import ConvexProblem, LeastSquaresProblem
+
 KINDS = (
     "convex",
     "strongly_convex",
@@ -40,70 +42,66 @@ class SingularScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """One of the four schedule kinds plus the constants it consumes."""
+    """One of the four schedule kinds and its normalized (G, K, m) triple.
+
+    The kind's published constants enter only through the named
+    constructors or ``for_problem``; m = 0 marks the time-varying kinds.
+    """
 
     kind: str
-    smoothness: float = 0.0
-    mu: float = 0.0
-    r_squared: float = 0.0
-    kappa_tilde: float = 0.0
+    scales: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        g, k, m = self.scales
+        for name, v in (("G", g), ("K", k)):
+            _require_positive(v, f"{self.kind} scale {name}")
+        if self.kind.endswith("strongly_convex"):
+            _require_positive(m, f"{self.kind} scale m")
+        elif m != 0.0:
+            raise ValueError(f"{self.kind} needs m = 0, got {m}")
 
     @classmethod
     def convex(cls, smoothness: float) -> "ParamSchedule":
-        _require_positive(smoothness, "smoothness")
-        return cls("convex", smoothness=smoothness)
+        return cls("convex", (smoothness, 1.0, 0.0))
 
     @classmethod
     def strongly_convex(cls, smoothness: float, mu: float) -> "ParamSchedule":
-        _require_positive(smoothness, "smoothness")
-        _require_positive(mu, "mu")
-        return cls("strongly_convex", smoothness=smoothness, mu=mu)
+        return cls("strongly_convex", (smoothness, 1.0, mu))
 
     @classmethod
-    def multiplicative_convex(
-        cls, r_squared: float, kappa_tilde: float
-    ) -> "ParamSchedule":
-        _require_positive(r_squared, "r_squared")
-        _require_positive(kappa_tilde, "kappa_tilde")
-        return cls(
-            "multiplicative_convex", r_squared=r_squared, kappa_tilde=kappa_tilde
-        )
+    def multiplicative_convex(cls, r_squared: float, kappa_tilde: float) -> "ParamSchedule":
+        return cls("multiplicative_convex", (r_squared, kappa_tilde, 0.0))
 
     @classmethod
     def multiplicative_strongly_convex(
         cls, r_squared: float, kappa_tilde: float, mu: float
     ) -> "ParamSchedule":
-        _require_positive(r_squared, "r_squared")
-        _require_positive(kappa_tilde, "kappa_tilde")
-        _require_positive(mu, "mu")
-        return cls(
-            "multiplicative_strongly_convex",
-            r_squared=r_squared,
-            kappa_tilde=kappa_tilde,
-            mu=mu,
-        )
+        return cls("multiplicative_strongly_convex", (r_squared, kappa_tilde, mu))
+
+    @classmethod
+    def for_problem(cls, problem: ConvexProblem, kind: str | None = None) -> "ParamSchedule":
+        """The schedule ``kind`` with the problem's constants; by default the
+        strongly convex one when mu > 0 and the convex one otherwise."""
+        if kind is None:
+            kind = "strongly_convex" if problem.strong_convexity > 0 else "convex"
+        if kind not in KINDS:
+            raise ValueError(f"unknown schedule {kind!r}")
+        m = problem.strong_convexity if kind.endswith("strongly_convex") else 0.0
+        if not kind.startswith("multiplicative"):
+            return cls(kind, (problem.smoothness, 1.0, m))
+        if not isinstance(problem, LeastSquaresProblem):
+            raise ValueError(f"schedule {kind} needs a least-squares problem")
+        return cls(kind, (problem.r_squared, problem.kappa_tilde, m))
 
     @property
     def is_multiplicative(self) -> bool:
-        return self.kind in (
-            "multiplicative_convex",
-            "multiplicative_strongly_convex",
-        )
-
-    @cached_property
-    def scales(self) -> tuple[float, float, float]:
-        """The normalized (G, K, m) triple, computed on first use."""
-        if self.is_multiplicative:
-            return self.r_squared, self.kappa_tilde, self.mu
-        return self.smoothness, 1.0, self.mu
+        return self.kind.startswith("multiplicative")
 
     @cached_property
     def is_time_varying(self) -> bool:
-        return self.mu == 0.0
+        return self.scales[2] == 0.0
 
     @cached_property
     def mix_rate(self) -> float:

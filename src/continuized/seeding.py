@@ -61,9 +61,3 @@ def run_streams(master: int, run_index: int = 0) -> RunStreams:
         noise=np.random.default_rng(derive_seed(run_seed, NOISE_STREAM)),
     )
 
-
-def as_streams(rng: RunStreams | int) -> RunStreams:
-    """Coerce an integer seed into a pair of run streams."""
-    if isinstance(rng, RunStreams):
-        return rng
-    return run_streams(int(rng))

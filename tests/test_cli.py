@@ -201,6 +201,10 @@ INVALID_INPUTS = [
     ("edge-weight-inf", LINE2.format(kind="gossip").replace(
         "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 1\n    1 2 inf"),
      ["[graph] edge weights must be finite and > 0; edges [(1, 2)] are not"]),
+    # finite and > 0, but 5e-324 / 2.0 rounds to probability 0
+    ("edge-weight-underflow", LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 2.0\n    1 2 5e-324"),
+     ["[graph] edge weights underflow to probability 0", "edges [(1, 2)]"]),
 ]
 
 

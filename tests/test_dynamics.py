@@ -240,7 +240,7 @@ class TestRunContinuized:
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
                              50.0, st, record_states=True)
         t1 = tr.event_states[0].t
-        g0 = p.grad_oracle(np.zeros(3))
+        g0 = p.grad(np.zeros(3))
         np.testing.assert_allclose(tr.event_states[0].x, -g0, atol=1e-15)
         np.testing.assert_allclose(tr.event_states[0].z, -t1 / 2.0 * g0, atol=1e-15)
 

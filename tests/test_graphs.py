@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ class TestConstruction:
         # their sum overflows to inf, which used to turn every probability into 0
         g = edge_list_graph([(0, 1), (1, 2)], weights=[1e308, 1.5e308])
         np.testing.assert_allclose(g.edge_probs, [0.4, 0.6], rtol=1e-15)
+
+    def test_rejects_weight_underflowing_to_probability_zero(self):
+        with pytest.raises(GraphError, match=re.escape("edges [(1, 2)]")):
+            edge_list_graph([(0, 1), (1, 2)], weights=[2.0, 5e-324])
 
     def test_parse_edge_lines(self):
         g = parse_edge_lines("0 1 0.5\n1 2 0.5\n")

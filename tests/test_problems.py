@@ -35,7 +35,7 @@ class TestQuadratic:
         assert p.smoothness == 1.0
         assert p.strong_convexity == 0.01
         assert p.value(np.zeros(3)) == pytest.approx(0.52, abs=1e-15)
-        assert p.optimum_value == 0.0
+        assert p.gap(p.optimum) == 0.0
 
     def test_one_dim_at_optimum(self):
         p = make_quadratic([1.0], [0.0])

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from continuized.problems import make_least_squares, make_quadratic
 from continuized.schedules import (
+    KINDS,
     EventClock,
     ParamSchedule,
     SingularScheduleError,
@@ -148,3 +150,54 @@ class TestLyapunovCoeffs:
         c = lyapunov_coeffs(s, 3.0)
         assert c.multiplicative
         assert c.a_t == pytest.approx(9.0 / (4.0 * 2.0 * 9.0))
+
+
+class TestParamScheduleRule:
+    QUADRATIC = make_quadratic([0.5, 2.0], [1.0, -1.0])
+    LEAST_SQUARES = make_least_squares([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]], [0.5, -0.5])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_for_problem_equals_named_constructor(self, kind):
+        q, ls = self.QUADRATIC, self.LEAST_SQUARES
+        named = {
+            "convex": (q, ParamSchedule.convex(q.smoothness)),
+            "strongly_convex": (
+                q, ParamSchedule.strongly_convex(q.smoothness, q.strong_convexity)),
+            "multiplicative_convex": (
+                ls, ParamSchedule.multiplicative_convex(ls.r_squared, ls.kappa_tilde)),
+            "multiplicative_strongly_convex": (
+                ls, ParamSchedule.multiplicative_strongly_convex(
+                    ls.r_squared, ls.kappa_tilde, ls.strong_convexity)),
+        }
+        problem, expected = named[kind]
+        assert ParamSchedule.for_problem(problem, kind) == expected
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_non_positive_g_and_k(self, kind, bad):
+        m = 0.5 if kind.endswith("strongly_convex") else 0.0
+        for scales in ((bad, 1.0, m), (1.0, bad, m)):
+            with pytest.raises(ValueError, match="must be > 0"):
+                ParamSchedule(kind, scales)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_strongly_convex_kinds_reject_non_positive_m(self, bad):
+        with pytest.raises(ValueError, match="must be > 0"):
+            ParamSchedule.strongly_convex(1.0, bad)
+        with pytest.raises(ValueError, match="must be > 0"):
+            ParamSchedule.multiplicative_strongly_convex(1.0, 1.0, bad)
+
+    @pytest.mark.parametrize("kind", ["convex", "multiplicative_convex"])
+    @pytest.mark.parametrize("m", [0.5, -1.0, math.nan])
+    def test_convex_kinds_reject_nonzero_m(self, kind, m):
+        with pytest.raises(ValueError, match="needs m = 0"):
+            ParamSchedule(kind, (1.0, 1.0, m))
+
+    def test_for_problem_errors(self):
+        needs = "schedule multiplicative_convex needs a least-squares problem"
+        with pytest.raises(ValueError, match=needs):
+            ParamSchedule.for_problem(self.QUADRATIC, "multiplicative_convex")
+        with pytest.raises(ValueError, match="unknown schedule 'x'"):
+            ParamSchedule.for_problem(self.QUADRATIC, "x")
+        with pytest.raises(ValueError, match="unknown schedule kind 'x'"):
+            ParamSchedule("x", (1.0, 1.0, 0.0))

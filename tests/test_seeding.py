@@ -1,11 +1,9 @@
-import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from continuized.seeding import (
     CLOCK_STREAM,
     NOISE_STREAM,
-    as_streams,
     derive_seed,
     run_streams,
     splitmix64,
@@ -51,9 +49,4 @@ def test_streams_are_disjoint_and_reproducible():
     c.noise.random(100)
     d = run_streams(99, 5)
     assert c.clock.random() == d.clock.random()
-
-
-def test_as_streams_accepts_int():
-    st = as_streams(123)
-    assert isinstance(st.clock, np.random.Generator)
     assert derive_seed(123, 0, CLOCK_STREAM) != derive_seed(123, 0, NOISE_STREAM)

@@ -84,3 +84,26 @@ def test_event_kernel_called_once_per_event(case):
     events = workload.count_events(spec)
     assert events > 0
     assert tracer.summary()[workload.EVENT_KERNEL[spec.kind]] == events
+
+
+def test_no_unused_imports():
+    # no linter ships with the project: every name a module imports must be
+    # read in it, unless its own line marks a re-export with "noqa: F401"
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.relative_to(SRC)}:{alias.lineno} {name}")
+    assert not unused, unused
