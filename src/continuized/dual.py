@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, SpectralCache, spectral
+from .graphs import Graph
 from .gossip import (
     PairState,
     initial_network_state,
@@ -34,45 +33,28 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class LocalFunction:
-    """Quadratic local objective f_v(x) = mu_v/2 |x - c_v|^2.
+    """Quadratic local objective f_v(x) = mu_v/2 |x - c_v|^2, with its
+    conjugate gradient in closed form (``conjugate_grad``).
 
-    Quadratics ship with their conjugate gradient in closed form; other
-    strongly convex families can plug in by mirroring this interface.
+    The center follows gossip's rule for node values: a float when d = 1,
+    a read-only row otherwise.
     """
 
     curvature: float
-    center: Array
+    center: float | Array
 
     def __post_init__(self) -> None:
         if self.curvature <= 0:
             raise ValueError("curvature must be > 0")
         center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
         center.setflags(write=False)
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", float(center[0]) if center.size == 1 else center)
 
     def grad(self, x: Array) -> Array:
         return self.curvature * (np.asarray(x) - self.center)
 
 
-class NodeConjugate(NamedTuple):
-    """A node's conjugate data: its center (a float when d = 1) and curvature."""
-
-    center: float | Array
-    curvature: float
-
-
-def node_conjugates(local_functions: list[LocalFunction]) -> list[NodeConjugate]:
-    """Conjugate data of every node, with float centers when d = 1 (gossip's
-    rule for node values)."""
-    dims = {f.center.size for f in local_functions}
-    if len(dims) != 1:
-        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
-    if dims == {1}:
-        return [NodeConjugate(float(f.center[0]), f.curvature) for f in local_functions]
-    return [NodeConjugate(f.center, f.curvature) for f in local_functions]
-
-
-def conjugate_grad(fv: LocalFunction | NodeConjugate, y):
+def conjugate_grad(fv: LocalFunction, y):
     """Gradient of the Fenchel conjugate: the inverse map of grad f_v."""
     return fv.center + y / fv.curvature
 
@@ -106,16 +88,16 @@ def check_curvatures(curvatures, mu: float, smoothness: float) -> None:
         )
 
 
-def optimum_of(local_functions: list[LocalFunction] | list[NodeConjugate]):
+def optimum_of(local_functions: list[LocalFunction]):
     """Minimizer of the sum: curvature-weighted mean of the centers (a float
     for float centers)."""
     total = sum(f.curvature for f in local_functions)
     return sum(f.curvature * f.center for f in local_functions) / total
 
 
-def incidence_r(graph: Graph, cache: SpectralCache) -> Array:
+def incidence_r(graph: Graph) -> Array:
     """Diagonal of the projector A^+ A in edge space: R_e = P_e r_eff(e)."""
-    return np.asarray(graph.edge_probs * cache.r_eff)
+    return np.asarray(graph.edge_probs * graph.spectrum.r_eff)
 
 
 @dataclass(frozen=True)
@@ -134,11 +116,9 @@ class DualParams:
     gamma_prime: float
 
     @classmethod
-    def from_graph(
-        cls, graph: Graph, cache: SpectralCache, mu: float, smoothness: float
-    ) -> "DualParams":
+    def from_graph(cls, graph: Graph, mu: float, smoothness: float) -> "DualParams":
         check_curvatures((), mu, smoothness)
-        r_edge = incidence_r(graph, cache)
+        r_edge = incidence_r(graph)
         ratio = float(np.max(r_edge / graph.edge_probs))
         l_dual = ratio / mu
         # Directional smoothness bound M_ee = P_e / mu from the conjugate
@@ -147,14 +127,14 @@ class DualParams:
         short = np.flatnonzero(l_dual < m_ee * r_edge / graph.edge_probs**2 - 1e-12 * l_dual)
         if short.size:
             raise RuntimeError(f"dual smoothness bound fails on edges {short.tolist()}")
-        theta_arg_prime = math.sqrt(cache.mu_gossip / ratio)
+        theta_arg_prime = math.sqrt(graph.spectrum.mu_gossip / ratio)
         kappa = smoothness / mu
         return cls(
             l_dual=l_dual,
             theta_arg_prime=theta_arg_prime,
             eta=theta_arg_prime / math.sqrt(kappa),
             gamma=1.0 / l_dual,
-            gamma_prime=math.sqrt(smoothness / (cache.mu_gossip * l_dual)),
+            gamma_prime=math.sqrt(smoothness / (graph.spectrum.mu_gossip * l_dual)),
         )
 
 
@@ -197,7 +177,6 @@ def run_decentralized(
     horizon: float,
     rng: RunStreams,
     *,
-    cache: SpectralCache | None = None,
     params: DualParams | None = None,
     checkpoints=(),
     record_states: bool = False,
@@ -211,24 +190,25 @@ def run_decentralized(
     if len(local_functions) != graph.node_count:
         raise ValueError("need one local function per node")
     check_curvatures([f.curvature for f in local_functions], mu, smoothness)
-    if cache is None:
-        cache = spectral(graph)
+    dims = {np.size(f.center) for f in local_functions}
+    if len(dims) != 1:
+        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
+    (dimension,) = dims
     if params is None:
-        params = DualParams.from_graph(graph, cache, mu, smoothness)
-    nodes = node_conjugates(local_functions)
-    dimension = local_functions[0].center.size
-    x_star = optimum_of(nodes)
+        params = DualParams.from_graph(graph, mu, smoothness)
+    fns = local_functions
+    x_star = optimum_of(fns)
     # The coefficients of ``dual_update``, one tuple per edge, computed once per run.
     coefs = [
-        (nodes[v], nodes[w], p_e, params.gamma * r_e / (p_e * p_e), params.gamma_prime / p_e)
+        (fns[v], fns[w], p_e, params.gamma * r_e / (p_e * p_e), params.gamma_prime / p_e)
         for (v, w), r_e, p_e in zip(
-            graph.edges, incidence_r(graph, cache).tolist(), graph.edge_probs.tolist()
+            graph.edges, incidence_r(graph).tolist(), graph.edge_probs.tolist()
         )
     ]
 
     def primal_error(s):
         err = 0.0
-        for node, zv in zip(nodes, s.z.tolist() if dimension == 1 else s.z):
+        for node, zv in zip(fns, s.z.tolist() if dimension == 1 else s.z):
             d = conjugate_grad(node, zv) - x_star
             err += 0.5 * float(d * d if dimension == 1 else d @ d)
         return {"primal_dist_sq": err}

@@ -12,6 +12,7 @@ least-squares objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,12 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def spectrum(self) -> "SpectralCache":
+        """The graph's ``spectral`` quantities, decomposed on first read;
+        the graph is immutable, so they never go stale."""
+        return spectral(self)
 
 
 def _validate(node_count: int, edges, probs) -> Graph:
@@ -213,7 +220,11 @@ def spectral(graph: Graph) -> SpectralCache:
     eigvals, q = np.linalg.eigh(lap)
     top = float(eigvals[-1])
     if eigvals[1] <= _EIG_REL_TOL * top:
-        raise DisconnectedGraphError("Laplacian has a repeated zero eigenvalue")
+        weak = [e for e, p in zip(graph.edges, graph.edge_probs) if p <= _EIG_REL_TOL * top]
+        named = f"; edges {weak} have probability <= {_EIG_REL_TOL:g} x its largest eigenvalue"
+        raise DisconnectedGraphError(
+            "Laplacian has a repeated zero eigenvalue" + (named if weak else "")
+        )
     mu_gossip = float(eigvals[1])
     basis = q[:, 1:]
     pinv = (basis / eigvals[1:]) @ basis.T

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from ..graphs import GraphError, build_graph, gossip_rates, spectral
+from ..graphs import GraphError, build_graph, gossip_rates
 from .config import ConfigError, ExperimentSpec, parse_config
 from .csvio import emit_csv, render_csv
 from .presets import get_preset, preset_names
@@ -104,6 +104,17 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
         raise ConfigError([f"--horizon {args.horizon!r}: {exc}"]) from None
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before the ensemble runs if ``out`` cannot be written as a file."""
+    if not out:  # no out writes to stdout
+        return
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError([f"out {out}: directory {parent} does not exist"])
+    if os.path.isdir(out):
+        raise ConfigError([f"out {out} is a directory"])
+
+
 def _run_spec(spec: ExperimentSpec, quiet: bool) -> None:
     progress = None
     if not quiet:
@@ -131,7 +142,7 @@ def _graph_info(args) -> None:
     else:
         raise ConfigError(["graph-info needs --config or --topology"])
 
-    cache = spectral(graph)
+    cache = graph.spectrum
     theta_rg, theta_arg = gossip_rates(cache)
     p_min = float(graph.edge_probs.min())
     print(f"nodes          {graph.node_count}")
@@ -176,6 +187,7 @@ def main(argv=None) -> int:
                     [f"config kind is {spec.kind!r}, subcommand is {args.command!r}"]
                 )
         spec = _apply_overrides(spec, args)
+        _check_out(spec.out)
         _run_spec(spec, args.quiet)
         return 0
     except (ConfigError, GraphError) as exc:

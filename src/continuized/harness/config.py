@@ -424,6 +424,10 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
         if spec.problem is not None and spec.noise is not None:
             _attempt(errors, "[noise]", check_noise, spec.problem, spec.noise)
         algo = cp["algo"] if "algo" in cp else {}
+        method = algo.get("method", "continuized")
+        if method in ("nesterov", "gd") and "checkpoints" in exp:
+            # the deterministic baselines report every iteration t = 0..iters
+            errors.append(f"[experiment] key 'checkpoints' does not apply to method {method}")
         spec.algo = _attempt(errors, "[algo]", resolve_algo, algo, spec.problem)
 
     elif kind in ("gossip", "decentralized", "graph-info"):

@@ -17,7 +17,7 @@ import numpy as np
 from ..dual import DualParams, LocalFunction, random_local_functions, run_decentralized
 from ..dynamics import run_continuized, run_gd, run_nesterov
 from ..gossip import GossipParams, run_gossip
-from ..graphs import SpectralCache, gossip_rates, spectral
+from ..graphs import gossip_rates
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
 from ..trace import Trace
 from .config import ExperimentSpec
@@ -40,13 +40,12 @@ class RunSet:
 @dataclass(frozen=True)
 class ResolvedExperiment:
     """What every run of an ensemble shares: the call from run index to
-    Trace, the checkpoint grid, the metric names, and the graph's spectral
-    cache and gossip start for the bounds."""
+    Trace, the checkpoint grid, the metric names, and the gossip start for
+    the bounds."""
 
     run: Callable[[int], Trace]
     checkpoints: np.ndarray
     metrics: tuple[str, ...]
-    cache: SpectralCache | None = None
     x0: np.ndarray | None = None
 
 
@@ -82,7 +81,7 @@ def theory_bounds(spec: ExperimentSpec, resolved: ResolvedExperiment) -> dict[st
     """Closed-form reference curves for the metrics that have one."""
     t = resolved.checkpoints
     if spec.kind == "gossip" and spec.gossip_algo == "accelerated":
-        _, theta_arg = gossip_rates(resolved.cache)
+        _, theta_arg = gossip_rates(spec.graph.spectrum)
         x0 = resolved.x0
         e0 = 0.5 * float(np.sum((x0 - x0.mean()) ** 2))
         return {"energy": 2.0 * e0 * np.exp(-theta_arg * t)}
@@ -136,7 +135,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         else:
             trajectory = cache(lambda: run_gd(problem, algo.step, iters, x0=algo.x0))
         return ResolvedExperiment(lambda i: trajectory(), np.arange(iters + 1.0), ("gap",))
-    grid, spectral_cache, x0 = np.asarray(spec.checkpoints, dtype=float), None, None
+    grid, x0 = np.asarray(spec.checkpoints, dtype=float), None
     # Each engine takes the run's streams as its last positional argument.
     if spec.kind == "optimize":
         algo = spec.algo
@@ -146,8 +145,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
             x0=algo.x0, checkpoints=grid,
         )
     elif spec.kind == "gossip":
-        spectral_cache = spectral(spec.graph)
-        params = GossipParams.from_cache(spectral_cache, algo=spec.gossip_algo)
+        params = GossipParams.from_cache(spec.graph.spectrum, algo=spec.gossip_algo)
         x0 = spec.gossip_init
         if x0 is None:  # a unit spike at node 0
             x0 = np.eye(1, spec.graph.node_count)[0]
@@ -155,16 +153,13 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         engine = partial(run_gossip, spec.graph, params, x0, spec.horizon, checkpoints=grid)
     else:
         cfg = spec.decentralized
-        spectral_cache = spectral(spec.graph)
-        params = DualParams.from_graph(spec.graph, spectral_cache, cfg.mu, cfg.smoothness)
+        params = DualParams.from_graph(spec.graph, cfg.mu, cfg.smoothness)
         metrics = ("primal_dist_sq",)
         engine = partial(
             run_decentralized, spec.graph, _local_functions(spec), cfg.mu, cfg.smoothness,
-            spec.horizon, cache=spectral_cache, params=params, checkpoints=grid,
+            spec.horizon, params=params, checkpoints=grid,
         )
-    return ResolvedExperiment(
-        lambda i: engine(run_streams(spec.seed, i)), grid, metrics, spectral_cache, x0
-    )
+    return ResolvedExperiment(lambda i: engine(run_streams(spec.seed, i)), grid, metrics, x0)
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:

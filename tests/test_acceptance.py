@@ -296,7 +296,7 @@ def test_criterion_10_gossip_dual_reduction():
             gamma_prime=gparams.z_step,
         )
         tr_dual = run_decentralized(
-            graph, fns, 1.0, 1.0, horizon, run_streams(MASTER_SEED + 6, 0), cache=cache,
+            graph, fns, 1.0, 1.0, horizon, run_streams(MASTER_SEED + 6, 0),
             params=dparams, record_states=True,
         )
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
@@ -315,8 +315,7 @@ def test_criterion_10_gossip_dual_reduction():
 def test_criterion_11_decentralized_rate():
     spec = get_preset("decentralized-line10").with_overrides(seed=MASTER_SEED + 7)
     runset = run_experiment(spec)
-    cache = spectral(spec.graph)
-    params = DualParams.from_graph(spec.graph, cache, 0.1, 1.0)
+    params = DualParams.from_graph(spec.graph, 0.1, 1.0)
     rate = params.theta_arg_prime / math.sqrt(1.0 / 0.1)
     grid = runset.checkpoints
     horizon = float(grid[-1])

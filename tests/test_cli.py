@@ -111,6 +111,23 @@ class TestExitCodes:
         assert main(["optimize", "--config", path, *flags]) == 1
         assert "--horizon 1.0000000000000002: 50 log-spaced" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "config", "directory"])
+    def test_unwritable_out_exits_1_before_running(
+        self, cfg_file, capsys, monkeypatch, tmp_path, where
+    ):
+        def fail(spec, progress=None):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        out = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.csv")
+        if where == "config":
+            text = OPTIMIZE_CFG.replace("seed = 5", f"seed = 5\nout = {out}")
+            argv = ["optimize", "--config", cfg_file(text)]
+        else:
+            argv = ["reproduce", "appendix-a2-complete10", "--out", out]
+        assert main([*argv, "--quiet"]) == 1
+        assert f"error: out {out}" in capsys.readouterr().err
+
     def test_runtime_error_exits_2(self, cfg_file, capsys, monkeypatch):
         # a valid config whose run fails: the CLI maps the error to exit 2
         def fail(spec, progress=None):
@@ -205,6 +222,17 @@ INVALID_INPUTS = [
     ("edge-weight-underflow", LINE2.format(kind="gossip").replace(
         "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 2.0\n    1 2 5e-324"),
      ["[graph] edge weights underflow to probability 0", "edges [(1, 2)]"]),
+    # probability 1e-300 is positive but far below the Laplacian's eigenvalue tolerance
+    ("edge-weight-tiny-gossip", LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 1.0\n    1 2 1e-300"),
+     ["Laplacian has a repeated zero eigenvalue", "edges [(1, 2)]"]),
+    ("edge-weight-tiny-decentralized", LINE2.format(kind="decentralized").replace(
+        "topology = line\nnodes = 2", "topology = edge_list\nedges =\n    0 1 1.0\n    1 2 1e-300")
+     + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\n",
+     ["Laplacian has a repeated zero eigenvalue", "edges [(1, 2)]"]),
+    ("gd-checkpoints", QUADRATIC_2D.replace("runs = 2", "runs = 2\ncheckpoints = 1 2 3")
+     + "[algo]\nmethod = gd\n",
+     ["[experiment] key 'checkpoints' does not apply to method gd"]),
 ]
 
 

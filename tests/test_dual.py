@@ -13,7 +13,6 @@ from continuized.dual import (
     incidence_r,
     initial_dual_state,
     lazy_mix_dual_node,
-    node_conjugates,
     optimum_of,
     random_local_functions,
     run_decentralized,
@@ -43,27 +42,32 @@ class TestLocalFunction:
         with pytest.raises(ValueError):
             LocalFunction(0.0, np.zeros(1))
 
+    def test_center_is_a_float_when_one_dimensional(self):
+        assert type(LocalFunction(1.0, np.array([0.3])).center) is float
+        center = LocalFunction(1.0, np.array([0.3, -0.1])).center
+        assert center.shape == (2,) and not center.flags.writeable
+
     def test_optimum_weighted_mean(self):
         fns = [LocalFunction(1.0, np.array([1.0])), LocalFunction(3.0, np.array([-1.0]))]
-        assert optimum_of(fns)[0] == pytest.approx((1.0 - 3.0) / 4.0)
+        assert optimum_of(fns) == pytest.approx((1.0 - 3.0) / 4.0)
 
 
 class TestIncidence:
     def test_line2_projector(self):
         g = line_graph(2)
-        r = incidence_r(g, spectral(g))
+        r = incidence_r(g)
         # rank-one projector in edge space: R_e = 1 on the single edge
         assert r[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_complete10_value(self):
         g = complete_graph(10)
-        r = incidence_r(g, spectral(g))
+        r = incidence_r(g)
         np.testing.assert_allclose(r, 1.0 / 5.0, atol=1e-10)
 
     @pytest.mark.parametrize("graph", [line_graph(7), complete_graph(6), grid_graph(3, 4)])
     def test_trace_identity(self, graph):
         # sum of the projector diagonal equals its rank, node_count - 1
-        r = incidence_r(graph, spectral(graph))
+        r = incidence_r(graph)
         assert r.sum() == pytest.approx(graph.node_count - 1, rel=1e-10)
 
 
@@ -71,7 +75,7 @@ class TestDualParams:
     def test_line10_constants(self):
         g = line_graph(10)
         cache = spectral(g)
-        p = DualParams.from_graph(g, cache, 0.1, 1.0)
+        p = DualParams.from_graph(g, 0.1, 1.0)
         # uniform tree: R_e / P_e = r_eff = 9 on every edge
         assert p.l_dual == pytest.approx(90.0, rel=1e-10)
         assert p.theta_arg_prime == pytest.approx(math.sqrt(cache.mu_gossip / 9.0), rel=1e-10)
@@ -82,15 +86,14 @@ class TestDualParams:
     def test_rejects_bad_mu(self):
         g = line_graph(3)
         with pytest.raises(ValueError):
-            DualParams.from_graph(g, spectral(g), 2.0, 1.0)
+            DualParams.from_graph(g, 2.0, 1.0)
 
 
 class TestDualUpdate:
     def _setup(self):
         g = line_graph(3)
-        cache = spectral(g)
-        params = DualParams.from_graph(g, cache, 1.0, 1.0)
-        r = incidence_r(g, cache)
+        params = DualParams.from_graph(g, 1.0, 1.0)
+        r = incidence_r(g)
         return g, params, r
 
     @staticmethod
@@ -100,7 +103,7 @@ class TestDualUpdate:
 
     def test_dual_consensus_is_fixed_point(self):
         g, params, r = self._setup()
-        fns = node_conjugates([LocalFunction(1.0, np.array([0.5])) for _ in range(3)])
+        fns = [LocalFunction(1.0, np.array([0.5])) for _ in range(3)]
         state = initial_dual_state(3, 1)
         dual_update(state, (0, 1), (fns[0], fns[1], *self._coefs(g, params, r, 0)))
         np.testing.assert_allclose(state.x, 0.0, atol=1e-15)
@@ -158,6 +161,12 @@ class TestRunDecentralized:
         np.testing.assert_allclose(state.x.sum(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-9)
 
+    def test_mixed_dimensions_rejected(self):
+        g = line_graph(2)
+        fns = [LocalFunction(1.0, np.zeros(1)), LocalFunction(1.0, np.zeros(2))]
+        with pytest.raises(ValueError, match=r"local functions mix dimensions \[1, 2\]"):
+            run_decentralized(g, fns, 1.0, 1.0, 1.0, run_streams(0, 0))
+
     def test_curvature_outside_bounds_rejected(self):
         g = line_graph(2)
         fns = [LocalFunction(5.0, np.zeros(1)), LocalFunction(1.0, np.zeros(1))]
@@ -190,7 +199,7 @@ class TestGossipReduction:
             gamma_prime=gparams.z_step,
         )
         tr_dual = run_decentralized(graph, fns, 1.0, 1.0, horizon, run_streams(5, 0),
-                                    cache=cache, params=dparams, record_states=True)
+                                    params=dparams, record_states=True)
         assert len(tr_gossip.event_states) == len(tr_dual.event_states)
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
             assert tg == td
@@ -216,7 +225,7 @@ def dual_update_cases(draw):
     state = initial_dual_state(n, d)
     state.x, state.z = (y[:, 0].tolist(), z[:, 0].tolist()) if d == 1 else (y, z)
     curvatures = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
-    nodes = node_conjugates([LocalFunction(c, centers[v]) for v, c in enumerate(curvatures)])
+    nodes = [LocalFunction(c, centers[v]) for v, c in enumerate(curvatures)]
     v, w = draw(st.permutations(range(n)))[:2]
     coefs = tuple(draw(st.floats(1e-3, 10.0)) for _ in range(3))  # P_e, y_coef, z_coef
     return state, nodes, (v, w), coefs

@@ -104,6 +104,13 @@ class TestSpectral:
         # uniform-weight tree: every edge resistance is 1/P = |E|
         np.testing.assert_allclose(cache.r_eff, 29.0, atol=1e-9)
 
+    def test_spectrum_is_decomposed_once_per_graph(self):
+        g = grid_graph(3, 4)
+        assert g.spectrum is g.spectrum
+        fresh = spectral(g)
+        for name in ("laplacian", "mu_gossip", "pinv_laplacian", "r_eff", "r_max"):
+            np.testing.assert_array_equal(getattr(g.spectrum, name), getattr(fresh, name))
+
     def test_laplacian_rebuild(self):
         g = grid_graph(4, 5)
         lap = np.zeros((20, 20))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import continuized.graphs
 from continuized.graphs import (
     TOPOLOGY_FIELDS,
     complete_graph,
@@ -16,7 +17,6 @@ from continuized.graphs import (
     line_graph,
     spectral,
 )
-from continuized.harness import runner
 from continuized.harness.config import (
     AlgoSpec,
     ConfigError,
@@ -183,7 +183,10 @@ _OPTIMIZE = {
     "noise": {"kind": "additive", "sigma2": "1e-4"},
 }
 FUZZ_BASES = {
-    "gd": {**_OPTIMIZE, "algo": {"method": "gd", "step": "0.5", "iters": "10", "x0": "0 0 0"}},
+    # the deterministic baselines read no checkpoints
+    "gd": {**_OPTIMIZE, "experiment": {k: v for k, v in _OPTIMIZE["experiment"].items()
+                                       if k != "checkpoints"},
+           "algo": {"method": "gd", "step": "0.5", "iters": "10", "x0": "0 0 0"}},
     "exponential": {**_OPTIMIZE, "algo": {"method": "continuized", "clock": "exponential",
                                           "rate": "1.0"}},
     "geometric": {**_OPTIMIZE, "algo": {"method": "continuized", "clock": "geometric",
@@ -204,7 +207,8 @@ FUZZ_BASES = {
 }
 
 FUZZ_KEYS = (
-    [("gd", "experiment", k) for k in ("runs", "seed", "horizon", "checkpoints")]
+    [("gd", "experiment", k) for k in ("runs", "seed", "horizon")]
+    + [("exponential", "experiment", "checkpoints")]
     + [("gd", "algo", k) for k in ("step", "iters", "x0")]
     + [("exponential", "algo", "rate")]
     + [("geometric", "algo", k) for k in ("p", "tick")]
@@ -524,12 +528,18 @@ class TestRunner:
         assert "energy" in rs.bounds
         assert rs.bounds["energy"][0] == pytest.approx(2.0 * 0.45 * np.exp(-1.0 / 9.0))
 
-    def test_gossip_bounds_reuse_the_one_spectral_cache(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["gossip", "decentralized"])
+    def test_gossip_bounds_reuse_the_one_spectral_cache(self, monkeypatch, kind):
         graphs = []
-        monkeypatch.setattr(runner, "spectral", lambda g: graphs.append(g) or spectral(g))
-        spec = parse_config_text(GOSSIP_CFG)
+        monkeypatch.setattr(
+            continuized.graphs, "spectral", lambda g: graphs.append(g) or spectral(g)
+        )
+        cfg = GOSSIP_CFG.replace("kind = gossip", f"kind = {kind}")
+        if kind == "decentralized":
+            cfg += "\n[decentralized]\nmu = 0.5\nsmoothness = 1.0\n"
+        spec = parse_config_text(cfg)
         spec.include_bounds = True
-        assert "energy" in run_experiment(spec).bounds
+        assert ("energy" in run_experiment(spec).bounds) == (kind == "gossip")
         assert len(graphs) == 1
 
     def test_multiplicative_config_end_to_end(self):
