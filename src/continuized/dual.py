@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -178,8 +179,7 @@ def run_decentralized(
     rng: RunStreams,
     *,
     params: DualParams | None = None,
-    checkpoints=(),
-    record_states: bool = False,
+    checkpoints: Sequence[float],
 ) -> Trace:
     """Simulate the dual coordinate-descent run from y = z = 0.
 
@@ -223,5 +223,4 @@ def run_decentralized(
         horizon,
         rng,
         checkpoints=checkpoints,
-        record_states=record_states,
     )

@@ -39,13 +39,10 @@ from .trace import Snapshot, Trace, run_events
 Array = np.ndarray
 
 
-def initial_state(x0, z0=None) -> Array:
-    """The (2, d) pair whose rows are x0 and z0 (z0 = x0 by default)."""
+def initial_state(x0) -> Array:
+    """The (2, d) pair (x0, x0): the run starts on the diagonal x = z."""
     x0 = np.asarray(x0, dtype=float)
-    z0 = x0 if z0 is None else np.asarray(z0, dtype=float)
-    if x0.shape != z0.shape:
-        raise DimensionMismatchError(f"x and z disagree: {x0.shape} vs {z0.shape}")
-    return np.array([x0, z0])
+    return np.array([x0, x0])
 
 
 def midpoint_contract(x, z, decay):
@@ -143,28 +140,23 @@ def run_continuized(
     rng: RunStreams,
     *,
     x0=None,
-    z0=None,
-    checkpoints: Sequence[float] = (),
-    record_states: bool = False,
+    checkpoints: Sequence[float],
 ) -> Trace:
-    """Simulate the continuized iteration up to ``horizon``.
+    """Simulate the continuized iteration up to ``horizon`` from x0 = z0.
 
-    Gradients are evaluated at the left limit x_{T-} of each event.  Metrics
-    are recorded, by mixing a throwaway copy forward, at each requested
-    checkpoint time, so ensembles are comparable on a common grid;
-    ``record_states`` also keeps each post-jump state.  Time-varying
-    schedules require x0 = z0 (their mixing flow is constant before the
-    first event, which sidesteps the t = 0 singularity).
+    Gradients are evaluated at the left limit x_{T-} of each event.  The
+    state and its metrics are recorded, by mixing a throwaway copy forward,
+    at each requested checkpoint time, so ensembles share a common grid.
+    The mixing flow is constant before the first event, which sidesteps
+    the t = 0 singularity of the time-varying schedules.
     """
     if x0 is None:
         x0 = np.zeros(problem.dimension)
-    pair, now = initial_state(x0, z0), 0.0
+    pair, now = initial_state(x0), 0.0
     if pair.shape[1:] != (problem.dimension,):
         raise DimensionMismatchError(
             f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
         )
-    if schedule.is_time_varying and not np.array_equal(pair[0], pair[1]):
-        raise ValueError("time-varying schedules require x0 == z0")
     noise_rng = rng.noise
     # constant kinds jump by the same column at every event
     column = None if schedule.is_time_varying else step_column(schedule, horizon)
@@ -182,7 +174,7 @@ def run_continuized(
     times = accumulate(iter(partial(sample_interarrival, clock, rng.clock), None))
     return run_events(
         times, horizon, checkpoints, state_at,
-        lambda s: _metrics(s, problem, schedule), step, record_states,
+        lambda s: _metrics(s, problem, schedule), step,
     )
 
 
@@ -278,10 +270,10 @@ def run_nesterov(
 
 
 def _gap_trace(problem: ConvexProblem, weights, x0=None) -> Trace:
-    """Run the recursion with fixed ``weights``, ``gap`` at each iterate."""
+    """Run the recursion with fixed ``weights``: (k, x_k, z_k) and ``gap`` per iterate."""
     xs, _, zs = nesterov_recursion(problem, weights, problem.grad, x0)
-    grid = [float(k) for k in range(len(xs))]
-    return Trace(grid, {"gap": [problem.gap(x) for x in xs]}, Snapshot(grid[-1], xs[-1], zs[-1]))
+    states = [Snapshot(float(k), x, z) for k, (x, z) in enumerate(zip(xs, zs))]
+    return Trace(states, {"gap": [problem.gap(x) for x in xs]})
 
 
 def check_gd_step(problem: ConvexProblem, step: float) -> None:

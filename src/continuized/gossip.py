@@ -133,16 +133,14 @@ def run_pairwise(
     horizon: float,
     rng: RunStreams,
     *,
-    checkpoints=(),
-    record_states: bool = False,
+    checkpoints: Sequence[float],
 ) -> Trace:
     """One run of pairwise events, shared by gossip and the dual solver.
 
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
     are mixed to te and ``kernel(state, (v, w), edge_args[ei])`` applies the
-    update, with the edge's constants computed once per run.
-    Each checkpoint records ``metrics`` of the snapshot synchronized to its
-    time, and the terminal state is the snapshot at ``horizon``.
+    update, with the edge's constants computed once per run.  Each
+    checkpoint records the snapshot synchronized to its time and its ``metrics``.
     """
     times, edge_idx = sample_event_stream(graph, horizon, rng)
     edge_idx = edge_idx.tolist()
@@ -157,7 +155,7 @@ def run_pairwise(
 
     return run_events(
         times.tolist(), horizon, checkpoints, partial(synchronized_values, state, mix_rate),
-        metrics, step, record_states,
+        metrics, step,
     )
 
 
@@ -177,10 +175,9 @@ def run_gossip(
     horizon: float,
     rng: RunStreams,
     *,
-    checkpoints=(),
-    record_states: bool = False,
+    checkpoints: Sequence[float],
 ) -> Trace:
-    """Simulate one gossip run, recording the energy at checkpoint times.
+    """Simulate one gossip run, recording the state and its energy at checkpoints.
 
     ``x0`` holds one value per node, or one row of d components per node
     (the components then share every event).  Runs given the same streams
@@ -202,7 +199,6 @@ def run_gossip(
         horizon,
         rng,
         checkpoints=checkpoints,
-        record_states=record_states,
     )
 
 

@@ -29,9 +29,12 @@ class DisconnectedGraphError(GraphError):
     """The graph does not connect all nodes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Connected undirected graph with a probability weight per edge."""
+    """Connected undirected graph with a probability weight per edge.
+
+    Graphs compare and hash by value: nodes, edges and edge weights.
+    """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
@@ -39,6 +42,15 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cum_probs", np.cumsum(self.edge_probs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        same_shape = (self.node_count, self.edges) == (other.node_count, other.edges)
+        return same_shape and bool(np.array_equal(self.edge_probs, other.edge_probs))
+
+    def __hash__(self) -> int:
+        return hash((self.node_count, self.edges, tuple(np.asarray(self.edge_probs).tolist())))
 
     @property
     def edge_count(self) -> int:
@@ -141,14 +153,13 @@ def complete_graph(m: int) -> Graph:
     return _validate(m, edges, np.full(len(edges), 1.0 / len(edges)))
 
 
-def edge_list_graph(edges, weights=None, node_count=None) -> Graph:
-    """Graph from explicit edges; weights (default uniform) are normalized."""
+def edge_list_graph(edges, weights=None) -> Graph:
+    """Graph on nodes 0..max index from explicit edges; weights (default
+    uniform) are normalized."""
     edges = [(int(v), int(w)) for v, w in edges]
-    if node_count is None:
-        node_count = 1 + max(max(v, w) for v, w in edges)
     if weights is None:
         weights = np.full(len(edges), 1.0 / len(edges))
-    return _validate(int(node_count), edges, weights)
+    return _validate(1 + max(max(v, w) for v, w in edges), edges, weights)
 
 
 def parse_edge_lines(text: str) -> Graph:

@@ -2,7 +2,8 @@
 
 Subcommands: ``optimize``, ``gossip``, ``decentralized`` (run a config file),
 ``graph-info`` (print spectral quantities), and ``reproduce <preset>``.
-Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
+Exit codes: 0 success, 1 validation/usage error, 2 runtime error, 141 when
+the reader of stdout has closed it.
 The environment variable CONTINUIZED_SEED overrides the config seed; the
 ``--seed`` flag overrides both.
 """
@@ -156,6 +157,20 @@ def _graph_info(args) -> None:
     print(f"cor1_lower     {math.sqrt(theta_rg * p_min / 2.0):.12g}")
 
 
+def _load_spec(args) -> ExperimentSpec:
+    if args.command == "reproduce":
+        try:
+            return get_preset(args.preset)
+        except KeyError:
+            raise ConfigError(
+                [f"unknown preset {args.preset!r}; choose from " + ", ".join(preset_names())]
+            ) from None
+    spec = parse_config(args.config)
+    if spec.kind != args.command:
+        raise ConfigError([f"config kind is {spec.kind!r}, subcommand is {args.command!r}"])
+    return spec
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -171,25 +186,19 @@ def main(argv=None) -> int:
     try:
         if args.command == "graph-info":
             _graph_info(args)
-            return 0
-        if args.command == "reproduce":
-            try:
-                spec = get_preset(args.preset)
-            except KeyError:
-                raise ConfigError(
-                    [f"unknown preset {args.preset!r}; choose from "
-                     + ", ".join(preset_names())]
-                ) from None
         else:
-            spec = parse_config(args.config)
-            if spec.kind != args.command:
-                raise ConfigError(
-                    [f"config kind is {spec.kind!r}, subcommand is {args.command!r}"]
-                )
-        spec = _apply_overrides(spec, args)
-        _check_out(spec.out)
-        _run_spec(spec, args.quiet)
+            spec = _apply_overrides(_load_spec(args), args)
+            _check_out(spec.out)
+            _run_spec(spec, args.quiet)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return 0
+    except BrokenPipeError:
+        # The reader went away: stop quietly with the status a shell reports
+        # for SIGPIPE (128 + 13), and let the exit-time flush write nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, GraphError) as exc:
         violations = getattr(exc, "violations", [str(exc)])
         for v in violations:

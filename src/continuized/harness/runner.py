@@ -190,6 +190,7 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
             raise RuntimeError(f"run {i} failed: {exc}") from exc
         for m, row in values.items():
             row[i] = trace.values[m]
+        del trace  # only one run's states are alive at a time
         if progress:
             progress(i + 1, spec.runs)
     runset = build_runset(values, grid)

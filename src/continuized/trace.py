@@ -16,19 +16,18 @@ class Snapshot(NamedTuple):
 
 @dataclass
 class Trace:
-    """Metric values on the caller's checkpoint grid plus the run's terminal state.
+    """The run's state and metric values at each point of the caller's grid.
 
-    ``values[name][i]`` is the value of metric ``name`` at ``checkpoints[i]``;
-    ``add`` appends one value per metric, in grid order.  ``event_states`` is
-    a list of post-event snapshots only when the engine is asked to keep them.
+    ``states[i]`` is the snapshot at the i-th checkpoint, so its ``t`` is
+    that checkpoint, and ``values[name][i]`` is metric ``name`` of it;
+    ``add`` appends one checkpoint, in grid order.
     """
 
-    checkpoints: list[float]
+    states: list[Snapshot] = field(default_factory=list)
     values: dict[str, list[float]] = field(default_factory=dict)
-    terminal_state: Snapshot | None = None
-    event_states: list[Snapshot] | None = None
 
-    def add(self, values: dict[str, float]) -> None:
+    def add(self, state: Snapshot, values: dict[str, float]) -> None:
+        self.states.append(state)
         for name, value in values.items():
             self.values.setdefault(name, []).append(value)
 
@@ -36,7 +35,7 @@ class Trace:
 def run_events(
     times: Iterable[float], horizon: float, checkpoints: Sequence[float],
     state_at: Callable[[float], Snapshot], metrics: Callable[[Snapshot], dict[str, float]],
-    step: Callable[[int, float], None], record_states: bool = False,
+    step: Callable[[int, float], None],
 ) -> Trace:
     """Apply the events of one run up to ``horizon`` and record checkpoints.
 
@@ -44,10 +43,8 @@ def run_events(
     horizon; ``step(k, te)`` applies the k-th event, for te <= horizon only.
     ``state_at(t)`` is the state synchronized to t, a copy: the engine's own
     state is left as it is.  Each point t of the strictly increasing grid in
-    (0, horizon] records ``metrics(state_at(t))``: before an event it sees the
-    pre-event state, at an event's time the post-jump state.  The terminal
-    state is ``state_at(horizon)``; ``record_states`` keeps ``state_at(te)``
-    after each event in ``event_states``.
+    (0, horizon] records ``state_at(t)`` and its ``metrics``: before an event
+    it sees the pre-event state, at an event's time the post-jump state.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -57,19 +54,18 @@ def run_events(
     outside = [t for t in grid if not 0 < t <= horizon]
     if outside:
         raise ValueError(f"checkpoints {outside} lie outside (0, horizon = {horizon}]")
-    trace = Trace(grid, event_states=[] if record_states else None)
+    trace = Trace()
     pending = grid + [float("inf")]
     ci = 0
     for k, te in enumerate(times):
         if te > horizon:
             break
         while pending[ci] < te:
-            trace.add(metrics(state_at(pending[ci])))
+            state = state_at(pending[ci])
+            trace.add(state, metrics(state))
             ci += 1
         step(k, te)
-        if record_states:
-            trace.event_states.append(state_at(te))
     for t in grid[ci:]:
-        trace.add(metrics(state_at(t)))
-    trace.terminal_state = state_at(horizon)
+        state = state_at(t)
+        trace.add(state, metrics(state))
     return trace

@@ -19,6 +19,7 @@ from continuized.harness.runner import run_experiment
 from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import run_streams
+from replay import event_times
 
 MASTER_SEED = 20210211
 
@@ -142,14 +143,15 @@ def test_criterion_4_exact_discretization():
         ("strongly_convex", ParamSchedule.strongly_convex(1.0, 0.01)),
     ):
         for seed in range(100):
-            streams = run_streams(MASTER_SEED + 3, seed)
+            # a checkpoint at each event time records the post-jump state
+            times = event_times(EventClock.exponential(), 30.0, run_streams(MASTER_SEED + 3, seed))
             trace = run_continuized(
                 problem, NoiseModel.none(), schedule, EventClock.exponential(),
-                30.0, streams, record_states=True,
+                30.0, run_streams(MASTER_SEED + 3, seed), checkpoints=times,
             )
-            times = [s.t for s in trace.event_states]
+            assert len(trace.states) == len(times) > 0
             xs, _, zs = run_three_sequence(problem, schedule, times)
-            for k, state in enumerate(trace.event_states):
+            for k, state in enumerate(trace.states):
                 worst = max(
                     worst,
                     float(np.max(np.abs(state.x - xs[k + 1]))),
@@ -282,9 +284,9 @@ def test_criterion_10_gossip_dual_reduction():
         rng = np.random.default_rng(MASTER_SEED)
         x0 = rng.standard_normal(graph.node_count)
         horizon = 60.0
+        times = event_times(graph, horizon, run_streams(MASTER_SEED + 6, 0))
         tr_gossip = run_gossip(
-            graph, gparams, x0, horizon, run_streams(MASTER_SEED + 6, 0),
-            record_states=True,
+            graph, gparams, x0, horizon, run_streams(MASTER_SEED + 6, 0), checkpoints=times,
         )
         fns = [LocalFunction(1.0, np.array([v])) for v in x0]
         r_eff = float(cache.r_eff[0])
@@ -297,9 +299,10 @@ def test_criterion_10_gossip_dual_reduction():
         )
         tr_dual = run_decentralized(
             graph, fns, 1.0, 1.0, horizon, run_streams(MASTER_SEED + 6, 0),
-            params=dparams, record_states=True,
+            params=dparams, checkpoints=times,
         )
-        for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
+        assert len(tr_gossip.states) == len(tr_dual.states) == len(times) > 0
+        for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.states, tr_dual.states):
             worst = max(
                 worst,
                 float(np.max(np.abs(x0 + yd - xg))),

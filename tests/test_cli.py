@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import continuized
 from continuized.harness import cli
 from continuized.harness.cli import main
 from continuized.harness.csvio import load_csv
@@ -137,6 +143,27 @@ class TestExitCodes:
         path = cfg_file(OPTIMIZE_CFG)
         assert main(["optimize", "--config", path, "--quiet"]) == 2
         assert "run 0 failed: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["graph-info", "--topology", "line", "--nodes", "4"],
+        ["reproduce", "appendix-a2-complete10", "--runs", "2", "--quiet"],
+    ])
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        # a reader that went away (as in ``| head``) is no runtime error: the
+        # CLI exits 128 + SIGPIPE, as a shell reports it, and writes no stderr
+        src = str(Path(continuized.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "continuized", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 QUADRATIC_2D = """

@@ -20,6 +20,7 @@ from continuized.dual import (
 from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
 from continuized.seeding import run_streams
+from replay import event_times
 
 
 class TestLocalFunction:
@@ -147,7 +148,7 @@ class TestRunDecentralized:
         fns = [LocalFunction(1.0, np.array([1.0])), LocalFunction(1.0, np.array([-1.0]))]
         tr = run_decentralized(g, fns, 1.0, 1.0, 200.0, run_streams(1, 0),
                                checkpoints=[200.0])
-        state = tr.terminal_state
+        state = tr.states[-1]
         for v, f in enumerate(fns):
             np.testing.assert_allclose(conjugate_grad(f, state.z[v]), 0.0, atol=1e-6)
         assert tr.values["primal_dist_sq"][0] <= 1e-12
@@ -156,8 +157,8 @@ class TestRunDecentralized:
         g = grid_graph(3, 3)
         rng = np.random.default_rng(2)
         fns = random_local_functions(9, 0.5, 1.0, 2, rng)
-        tr = run_decentralized(g, fns, 0.5, 1.0, 40.0, run_streams(3, 0))
-        state = tr.terminal_state
+        tr = run_decentralized(g, fns, 0.5, 1.0, 40.0, run_streams(3, 0), checkpoints=[40.0])
+        state = tr.states[-1]
         np.testing.assert_allclose(state.x.sum(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-9)
 
@@ -165,13 +166,13 @@ class TestRunDecentralized:
         g = line_graph(2)
         fns = [LocalFunction(1.0, np.zeros(1)), LocalFunction(1.0, np.zeros(2))]
         with pytest.raises(ValueError, match=r"local functions mix dimensions \[1, 2\]"):
-            run_decentralized(g, fns, 1.0, 1.0, 1.0, run_streams(0, 0))
+            run_decentralized(g, fns, 1.0, 1.0, 1.0, run_streams(0, 0), checkpoints=[1.0])
 
     def test_curvature_outside_bounds_rejected(self):
         g = line_graph(2)
         fns = [LocalFunction(5.0, np.zeros(1)), LocalFunction(1.0, np.zeros(1))]
         with pytest.raises(ValueError):
-            run_decentralized(g, fns, 0.5, 1.0, 1.0, run_streams(0, 0))
+            run_decentralized(g, fns, 0.5, 1.0, 1.0, run_streams(0, 0), checkpoints=[1.0])
 
 
 class TestGossipReduction:
@@ -185,8 +186,9 @@ class TestGossipReduction:
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(graph.node_count)
         horizon = 50.0
+        times = event_times(graph, horizon, run_streams(5, 0))
         tr_gossip = run_gossip(graph, gparams, x0, horizon, run_streams(5, 0),
-                               record_states=True)
+                               checkpoints=times)
 
         fns = [LocalFunction(1.0, np.array([v])) for v in x0]
         r_eff = cache.r_eff
@@ -199,9 +201,9 @@ class TestGossipReduction:
             gamma_prime=gparams.z_step,
         )
         tr_dual = run_decentralized(graph, fns, 1.0, 1.0, horizon, run_streams(5, 0),
-                                    params=dparams, record_states=True)
-        assert len(tr_gossip.event_states) == len(tr_dual.event_states)
-        for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.event_states, tr_dual.event_states):
+                                    params=dparams, checkpoints=times)
+        assert len(tr_gossip.states) == len(tr_dual.states) == len(times) > 0
+        for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.states, tr_dual.states):
             assert tg == td
             np.testing.assert_allclose(x0 + yd, xg, atol=1e-10)
             np.testing.assert_allclose(x0 + zd, zg, atol=1e-10)
@@ -294,7 +296,7 @@ def test_one_dimensional_dual_matches_recorded_run(run):
     fns = random_local_functions(9, 0.5, 1.0, 1, np.random.default_rng(13))
     tr = run_decentralized(g, fns, 0.5, 1.0, 30.0, run_streams(2028, run),
                            checkpoints=FLOAT_PATH_GRID)
-    state = tr.terminal_state
+    state = tr.states[-1]
     got = (
         [float(v).hex() for v in tr.values["primal_dist_sq"]],
         [v.hex() for v in np.ravel(state.x).tolist()],

@@ -32,6 +32,7 @@ from continuized.schedules import (
 )
 from continuized.seeding import run_streams
 from continuized.trace import Snapshot
+from replay import event_times
 
 
 def sc_problem():
@@ -65,7 +66,7 @@ def rk4_mix(x0, z0, schedule, t0, t1, steps=20_000):
 
 class TestMixClosedForm:
     def test_identity_at_same_time(self):
-        s = initial_state(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+        s = np.array([[1.0, 2.0], [0.0, 0.0]])
         out = mix_closed_form(s, 0.0, ParamSchedule.strongly_convex(1.0, 0.5), 0.0)
         assert out is s
 
@@ -190,11 +191,6 @@ def test_pair_kernel_equals_rowwise_formulas(case, g_values):
     assert np.array_equal(jumped[1], mixed[1] - gamma_p * g)
 
 
-def test_initial_state_rejects_unequal_shapes():
-    with pytest.raises(DimensionMismatchError, match="x and z disagree"):
-        initial_state(np.zeros(3), np.zeros(2))
-
-
 class TestGradientJump:
     def test_zero_gradient_keeps_pair(self):
         s = initial_state(np.array([1.0, 2.0]))
@@ -224,38 +220,30 @@ class TestRunContinuized:
         for gap in tr.values["gap"]:
             assert gap == pytest.approx(0.0, abs=1e-30)
 
-    def test_convex_requires_equal_start(self):
-        p = sc_problem()
-        with pytest.raises(ValueError):
-            run_continuized(p, NoiseModel.none(), ParamSchedule.convex(1.0),
-                            EventClock.exponential(), 5.0, run_streams(0, 0),
-                            x0=np.zeros(3), z0=np.ones(3))
-
     def test_first_convex_event_unrolls_by_hand(self):
         # before T1 the state is frozen at x0 = z0, so the first jump is a
         # plain gradient step with gamma = 1/L, gamma' = T1/(2L)
         p = sc_problem()
         sched = ParamSchedule.convex(1.0)
-        st = run_streams(5, 3)
+        t1 = event_times(EventClock.exponential(), 50.0, run_streams(5, 3))[0]
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
-                             50.0, st, record_states=True)
-        t1 = tr.event_states[0].t
+                             50.0, run_streams(5, 3), checkpoints=[t1])
         g0 = p.grad(np.zeros(3))
-        np.testing.assert_allclose(tr.event_states[0].x, -g0, atol=1e-15)
-        np.testing.assert_allclose(tr.event_states[0].z, -t1 / 2.0 * g0, atol=1e-15)
+        np.testing.assert_allclose(tr.states[0].x, -g0, atol=1e-15)
+        np.testing.assert_allclose(tr.states[0].z, -t1 / 2.0 * g0, atol=1e-15)
 
     def test_event_snapshots_match_three_sequence(self):
         # exact-discretization equivalence on both schedule kinds
         p = sc_problem()
         for sched in (ParamSchedule.convex(1.0), ParamSchedule.strongly_convex(1.0, 0.01)):
             for seed in range(10):
-                st = run_streams(31, seed)
+                times = event_times(EventClock.exponential(), 30.0, run_streams(31, seed))
                 tr = run_continuized(p, NoiseModel.none(), sched,
-                                     EventClock.exponential(), 30.0, st,
-                                     record_states=True)
-                times = [s.t for s in tr.event_states]
+                                     EventClock.exponential(), 30.0, run_streams(31, seed),
+                                     checkpoints=times)
+                assert len(tr.states) == len(times) > 0
                 xs, _, zs = run_three_sequence(p, sched, times)
-                for k, state in enumerate(tr.event_states):
+                for k, state in enumerate(tr.states):
                     np.testing.assert_allclose(state.x, xs[k + 1], atol=1e-12)
                     np.testing.assert_allclose(state.z, zs[k + 1], atol=1e-12)
 
@@ -267,7 +255,9 @@ class TestRunContinuized:
                              10.0, run_streams(2, 2), checkpoints=cps)
         vals = np.asarray(tr.values["gap"])
         assert vals.shape == (4,)
-        ts = tr.checkpoints
+        assert all(len(v) == len(cps) for v in tr.values.values())
+        ts = [s.t for s in tr.states]
+        assert ts == cps
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
 
@@ -279,11 +269,19 @@ class TestRunContinuized:
                             10.0, run_streams(4, 0), checkpoints=[5.0, 50.0])
 
     def test_terminal_state_at_horizon(self):
+        # a grid that ends at the horizon records the terminal state: the
+        # last post-event state mixed forward to the horizon
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
+        times = event_times(EventClock.exponential(), 7.5, run_streams(4, 0))
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
-                             7.5, run_streams(4, 0))
-        assert tr.terminal_state.t == 7.5
+                             7.5, run_streams(4, 0), checkpoints=[*times, 7.5])
+        assert len(tr.states) == len(times) + 1 > 1
+        last, terminal = tr.states[-2:]
+        assert terminal.t == 7.5
+        want = mix_closed_form(np.array([last.x, last.z]), last.t, sched, 7.5)
+        np.testing.assert_array_equal(terminal.x, want[0])
+        np.testing.assert_array_equal(terminal.z, want[1])
 
     def test_geometric_clock_runs(self):
         p = sc_problem()
@@ -294,29 +292,21 @@ class TestRunContinuized:
         assert tr.values["gap"][0] < 0.52
 
     def test_noise_toggle_keeps_event_times(self):
-        # clock and noise use disjoint streams: switching the noise model on
-        # must not move the event times
+        # clock and noise use disjoint streams: with the noise model on, the
+        # run still jumps at the times its clock stream alone gives, so its
+        # states there are those of the noisy recursion on the same times
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
-        quiet = run_continuized(p, NoiseModel.none(), sched,
-                                EventClock.exponential(), 15.0, run_streams(42, 1),
-                                record_states=True)
-        noisy = run_continuized(p, NoiseModel.additive(0.1), sched,
-                                EventClock.exponential(), 15.0, run_streams(42, 1),
-                                record_states=True)
-        times = [s.t for s in quiet.event_states]
-        assert times
-        assert times == [s.t for s in noisy.event_states]
-
-    def test_event_samples_only_on_request(self):
-        p = sc_problem()
-        sched = ParamSchedule.strongly_convex(1.0, 0.01)
-        cps = [1.0, 5.0, 15.0]
-        tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
-                             15.0, run_streams(42, 1), checkpoints=cps)
-        assert all(len(v) == len(cps) for v in tr.values.values())
-        assert tr.checkpoints == cps
-        assert tr.event_states is None
+        noise = NoiseModel.additive(0.1)
+        times = event_times(EventClock.exponential(), 15.0, run_streams(42, 1))
+        noisy = run_continuized(p, noise, sched, EventClock.exponential(), 15.0,
+                                run_streams(42, 1), checkpoints=times)
+        assert len(noisy.states) == len(times) > 0
+        xs, _, zs = run_three_sequence(p, sched, times, noise=noise,
+                                       noise_rng=run_streams(42, 1).noise)
+        for k, state in enumerate(noisy.states):
+            np.testing.assert_allclose(state.x, xs[k + 1], atol=1e-12)
+            np.testing.assert_allclose(state.z, zs[k + 1], atol=1e-12)
 
 
 class TestGeometricClockAgreement:
@@ -376,16 +366,15 @@ class TestMultiplicativeRuns:
         sched = ParamSchedule.multiplicative_strongly_convex(
             p.r_squared, p.kappa_tilde, p.strong_convexity
         )
-        st = run_streams(55, 0)
+        times = event_times(EventClock.exponential(), 15.0, run_streams(55, 0))
         tr = run_continuized(p, NoiseModel.multiplicative(), sched,
-                             EventClock.exponential(), 15.0, st,
-                             record_states=True)
-        times = [s.t for s in tr.event_states]
-        replay = run_streams(55, 0)
+                             EventClock.exponential(), 15.0, run_streams(55, 0),
+                             checkpoints=times)
+        assert len(tr.states) == len(times) > 0
         xs, _, zs = run_three_sequence(p, sched, times,
                                        noise=NoiseModel.multiplicative(),
-                                       noise_rng=replay.noise)
-        for k, state in enumerate(tr.event_states):
+                                       noise_rng=run_streams(55, 0).noise)
+        for k, state in enumerate(tr.states):
             np.testing.assert_allclose(state.x, xs[k + 1], atol=1e-12)
             np.testing.assert_allclose(state.z, zs[k + 1], atol=1e-12)
 
@@ -480,13 +469,12 @@ class TestLyapunov:
         # of the last event state before the checkpoint, mixed forward to it
         p = sc_problem()
         sched = ParamSchedule.strongly_convex(1.0, 0.01)
+        before = event_times(EventClock.exponential(), 4.0, run_streams(9, 0))
         tr = run_continuized(p, NoiseModel.none(), sched, EventClock.exponential(),
-                             10.0, run_streams(9, 0), checkpoints=[4.0],
-                             record_states=True)
-        before = [s for s in tr.event_states if s.t <= 4.0]
-        assert before
-        last = before[-1]
+                             10.0, run_streams(9, 0), checkpoints=[*before, 4.0])
+        assert len(tr.states) == len(before) + 1 > 1
+        last = tr.states[-2]
         state = Snapshot(4.0, *mix_closed_form(np.array([last.x, last.z]), last.t, sched, 4.0))
-        recorded = tr.values["lyapunov"][0]
+        recorded = tr.values["lyapunov"][-1]
         want = lyapunov_value(state, lyapunov_coeffs(sched, 4.0), p)
         assert recorded == pytest.approx(want, rel=1e-12)

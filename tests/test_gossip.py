@@ -208,8 +208,9 @@ class TestCrossModuleEquivalence:
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(5)
         horizon = 40.0
-        st = run_streams(21, 0)
-        tr = run_gossip(g, params, x0, horizon, st, record_states=True)
+        times, idx = sample_event_stream(g, horizon, run_streams(21, 0))
+        tr = run_gossip(g, params, x0, horizon, run_streams(21, 0), checkpoints=times.tolist())
+        assert len(tr.states) == len(times) > 0
 
         prob = energy_problem(g, x0)
         sched = ParamSchedule.multiplicative_strongly_convex(
@@ -218,9 +219,8 @@ class TestCrossModuleEquivalence:
         # drive the generic optimizer on the same event stream
         from continuized.dynamics import gradient_jump, initial_state, mix_closed_form
 
-        times, idx = sample_event_stream(g, horizon, run_streams(21, 0))
         state, t = initial_state(x0), 0.0
-        for (te, xs, zs), t_event, ei in zip(tr.event_states, times, idx):
+        for (te, xs, zs), t_event, ei in zip(tr.states, times, idx):
             state, t = mix_closed_form(state, t, sched, float(t_event)), float(t_event)
             v, w = g.edges[ei]
             a = np.zeros(5)
@@ -253,8 +253,8 @@ class TestRunGossip:
         params = GossipParams.from_cache(cache)
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal(9)
-        tr = run_gossip(g, params, x0, 50.0, run_streams(6, 0))
-        state = tr.terminal_state
+        tr = run_gossip(g, params, x0, 50.0, run_streams(6, 0), checkpoints=[50.0])
+        state = tr.states[-1]
         total = sum(state.x) + sum(state.z)
         assert total == pytest.approx(2.0 * x0.sum(), abs=1e-9)
 
@@ -263,8 +263,8 @@ class TestRunGossip:
         params = NAIVE
         rng = np.random.default_rng(6)
         x0 = rng.standard_normal(6)
-        tr = run_gossip(g, params, x0, 40.0, run_streams(7, 0))
-        assert sum(tr.terminal_state.x) == pytest.approx(x0.sum(), abs=1e-10)
+        tr = run_gossip(g, params, x0, 40.0, run_streams(7, 0), checkpoints=[40.0])
+        assert sum(tr.states[-1].x) == pytest.approx(x0.sum(), abs=1e-10)
 
     def test_lazy_equals_eager(self):
         # advancing only event endpoints must equal mixing every node at
@@ -276,14 +276,16 @@ class TestRunGossip:
         x0 = rng.standard_normal(6)
         horizon = 25.0
         events = sample_event_stream(g, horizon, run_streams(9, 0))
-        tr = run_gossip(g, params, x0, horizon, run_streams(9, 0), record_states=True)
+        tr = run_gossip(g, params, x0, horizon, run_streams(9, 0),
+                        checkpoints=events[0].tolist())
+        assert len(tr.states) == len(events[0]) > 0
 
         # eager reference: numpy state, all nodes mixed to each event time
         xs = x0.copy()
         zs = x0.copy()
         t_prev = 0.0
         c = params.mix_rate
-        for (te, x_lazy, z_lazy), t_event, ei in zip(tr.event_states, *events):
+        for (te, x_lazy, z_lazy), t_event, ei in zip(tr.states, *events):
             d = math.exp(-2.0 * c * (float(t_event) - t_prev))
             mid = 0.5 * (xs + zs)
             xs = mid + (xs - mid) * d

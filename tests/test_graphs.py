@@ -79,6 +79,35 @@ class TestConstruction:
             build_graph("torus", nodes=4)
 
 
+class TestValueEquality:
+    def test_equal_graphs(self):
+        a, b = line_graph(3), line_graph(3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        # edges are normalized to (min, max) and weights to probabilities
+        assert edge_list_graph([(1, 0), (2, 1)], weights=[3.0, 3.0]) == a
+
+    def test_different_weights(self):
+        skewed = edge_list_graph([(0, 1), (1, 2)], weights=[1.0, 2.0])
+        assert skewed.edges == line_graph(3).edges
+        assert skewed != line_graph(3)
+
+    def test_different_sizes(self):
+        assert line_graph(3) != line_graph(4)
+        assert line_graph(3) != "line 3"
+
+    def test_spectrum_takes_no_part(self):
+        a, b = line_graph(3), line_graph(3)
+        assert a.spectrum.mu_gossip > 0
+        assert a == b and hash(a) == hash(b)
+
+    def test_dict_key(self):
+        table = {line_graph(3): "line", grid_graph(2, 2): "grid"}
+        assert table[line_graph(3)] == "line"
+        assert table[grid_graph(2, 2)] == "grid"
+        assert cycle_graph(4) not in table
+
+
 class TestSpectral:
     def test_complete10_closed_form(self):
         # K_m with uniform weights: Laplacian (m I - J) / |E|, so the gossip
@@ -152,13 +181,13 @@ class TestSpectral:
                 v, w = sorted(rng.choice(n, 2, replace=False))
                 if (v, w) not in edges:
                     extra.add((int(v), int(w)))
-            base = edge_list_graph(edges, np.ones(len(edges)), node_count=n)
+            # the path spans nodes 0..n-1, so the node count is n
+            base = edge_list_graph(edges, np.ones(len(edges)))
+            assert base.node_count == n
             cache_base = spectral(base)
             # unnormalized conductances stay fixed; the new edge adds one
             new_edge = extra.pop()
-            grown = edge_list_graph(
-                edges + [new_edge], np.ones(len(edges) + 1), node_count=n
-            )
+            grown = edge_list_graph(edges + [new_edge], np.ones(len(edges) + 1))
             cache_grown = spectral(grown)
             # compare resistances of the shared edges with matching
             # conductances: rescale by the normalization factors

@@ -139,3 +139,99 @@ def test_every_definition_has_a_source_caller():
         and not any(node.name in names for _, stmt, names in statements if stmt is not node)
     ]
     assert not uncalled, uncalled
+
+
+# Options no package code sets: ``cli.main(argv)`` is the CLI's in-process
+# test seam; the console script calls it with no argument.
+UNSET_OPTIONS = {("main", "argv")}
+
+
+def _options(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(index among the positional arguments a call passes, or None for a
+    keyword-only one; name) of each parameter of ``fn`` with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    shift = 1 if method else 0  # self or cls is bound, not passed
+    found = [(i - shift, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _setters(tree: ast.Module, defined: set[str]):
+    """(function name, positional count, keyword names) per call in ``tree``,
+    counting calls through ``partial(f, ...)`` and through a name bound to
+    one; a count of None (``*args``) sets every positional option, a keyword
+    set of None (``**kwargs``) every option.  A function passed as a value
+    may be called with anything, so it yields (name, None, None)."""
+    bound = {}  # name -> the partial(f, ...) call bound to it
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call) and _name(node.value.func) == "partial"):
+            bound[node.targets[0].id] = node.value
+
+    def shape(call, skip=0):
+        args = call.args[skip:]
+        count = None if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        keys = {k.arg for k in call.keywords}
+        return count, None if None in keys else keys
+
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called.add(id(node.func))
+        name = _name(node.func)
+        if name == "partial" and node.args:
+            called.add(id(node.args[0]))
+            yield (_name(node.args[0]), *shape(node, skip=1))
+        elif isinstance(node.func, ast.Name) and name in bound:
+            inner = bound[name]
+            (pcount, pkeys), (count, keys) = shape(inner, skip=1), shape(node)
+            yield (
+                _name(inner.args[0]),
+                None if None in (pcount, count) else pcount + count,
+                None if None in (pkeys, keys) else pkeys | keys,
+            )
+        else:
+            yield (name, *shape(node))
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                and id(node) not in called and _name(node) in defined):
+            yield (_name(node), None, None)
+
+
+def test_every_option_is_set_by_a_source_caller():
+    # ROADMAP's options rule: a parameter with a default is one some package
+    # code sets, by keyword or by position; an option only tests set is dead
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))}
+    functions = []  # (path, def, is a method)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    decorators = {_name(d) for d in child.decorator_list}
+                    method = isinstance(node, ast.ClassDef) and "staticmethod" not in decorators
+                    functions.append((path, child, method))
+    defined = {fn.name for _, fn, _ in functions}
+    setters = [s for tree in trees.values() for s in _setters(tree, defined)]
+    unset = [
+        f"{path.relative_to(SRC)}:{fn.lineno} {fn.name}({option})"
+        for path, fn, method in functions
+        if fn.name not in UNCALLED_API
+        for index, option in _options(fn, method)
+        if (fn.name, option) not in UNSET_OPTIONS
+        and not any(
+            name == fn.name and (
+                keys is None or option in keys
+                or (index is not None and (count is None or 0 <= index < count))
+            )
+            for name, count, keys in setters
+        )
+    ]
+    assert not unset, unset

@@ -1,6 +1,3 @@
-from functools import partial
-from itertools import accumulate, takewhile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +5,13 @@ from hypothesis import strategies as st
 
 from continuized.dual import random_local_functions, run_decentralized
 from continuized.dynamics import run_continuized, run_nesterov
-from continuized.gossip import GossipParams, run_gossip, sample_event_stream
+from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import line_graph, spectral
 from continuized.problems import NoiseModel, make_quadratic
-from continuized.schedules import EventClock, ParamSchedule, sample_interarrival
+from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import run_streams
 from continuized.trace import Snapshot, run_events
+from replay import event_times
 
 # Half-integer times on a short range, so that checkpoints often fall exactly
 # on an event time or on the horizon.
@@ -42,16 +40,13 @@ def test_checkpoint_rule(case):
 
     trace = run_events(
         iter(times), horizon, grid, lambda t: Snapshot(t, len(applied), None),
-        lambda s: {"events": s.x}, step, record_states=True,
+        lambda s: {"events": s.x}, step,
     )
     inside = [te for te in times if te <= horizon]
     assert applied == list(enumerate(inside))
-    assert trace.event_states == [Snapshot(te, k + 1, None) for k, te in enumerate(inside)]
-    assert trace.terminal_state == Snapshot(horizon, len(inside), None)
-    assert trace.checkpoints == grid
-    assert len(trace.values.get("events", [])) == len(grid)
-    for t, count in zip(trace.checkpoints, trace.values.get("events", [])):
-        assert count == sum(te <= t for te in times)
+    # one snapshot per checkpoint, and at an event's time the post-jump state
+    assert trace.states == [Snapshot(t, sum(te <= t for te in times), None) for t in grid]
+    assert trace.values.get("events", []) == [s.x for s in trace.states]
 
 
 @pytest.mark.parametrize("grid", [[5.0, 50.0], [0.0, 5.0], [-1.0]])
@@ -69,54 +64,47 @@ def test_non_increasing_grid_rejected(grid):
                    lambda s: {}, lambda k, te: None)
 
 
-def _event_times(name, horizon, streams):
-    """The event times up to ``horizon`` that engine ``name`` draws from ``streams``."""
-    if name == "continuized":
-        times = accumulate(iter(partial(sample_interarrival, EventClock.exponential(),
-                                        streams.clock), None))
-        return list(takewhile(lambda te: te <= horizon, times))
-    return sample_event_stream(line_graph(4), horizon, streams)[0].tolist()
+def _source(name):
+    return EventClock.exponential() if name == "continuized" else line_graph(4)
 
 
-def _run(name, horizon, streams, record_states):
+def _run(name, horizon, streams, checkpoints):
     if name == "continuized":
         p = make_quadratic([0.1, 1.0], [1.0, -1.0])
         return run_continuized(p, NoiseModel.none(), ParamSchedule.strongly_convex(1.0, 0.1),
                                EventClock.exponential(), horizon, streams,
-                               checkpoints=[1.0, horizon], record_states=record_states)
+                               checkpoints=checkpoints)
     g = line_graph(4)
     if name == "gossip":
         return run_gossip(g, GossipParams.from_cache(spectral(g)), [1.0, 0.0, 0.0, 2.0],
-                          horizon, streams, checkpoints=[1.0, horizon],
-                          record_states=record_states)
+                          horizon, streams, checkpoints=checkpoints)
     fns = random_local_functions(4, 0.5, 1.0, 2, np.random.default_rng(3))
-    return run_decentralized(g, fns, 0.5, 1.0, horizon, streams, checkpoints=[1.0, horizon],
-                             record_states=record_states)
+    return run_decentralized(g, fns, 0.5, 1.0, horizon, streams, checkpoints=checkpoints)
 
 
 @pytest.mark.parametrize("name", ["continuized", "gossip", "decentralized", "nesterov"])
 def test_every_engine_records_snapshots(name):
-    # one record shape: the terminal state is the Snapshot at the horizon (the
-    # iteration count for a baseline) and each kept event state the Snapshot
-    # at its event time
+    # one record shape: the Snapshot at each checkpoint, whose time is that
+    # checkpoint (the iteration count for a baseline)
     if name == "nesterov":
         tr = run_nesterov(make_quadratic([0.1, 1.0], [1.0, -1.0]), "strongly_convex", 7)
-        assert isinstance(tr.terminal_state, Snapshot)
-        assert tr.terminal_state.t == 7.0
+        assert all(isinstance(s, Snapshot) for s in tr.states)
+        assert [s.t for s in tr.states] == [float(k) for k in range(8)]
+        assert len(tr.values["gap"]) == 8
         return
     horizon = 6.0
-    quiet = _run(name, horizon, run_streams(40, 0), record_states=False)
-    assert quiet.event_states is None
-    assert isinstance(quiet.terminal_state, Snapshot)
-    assert quiet.terminal_state.t == horizon
-    tr = _run(name, horizon, run_streams(40, 0), record_states=True)
-    times = _event_times(name, horizon, run_streams(40, 0))
+    times = event_times(_source(name), horizon, run_streams(40, 0))
     assert times
-    assert all(isinstance(s, Snapshot) for s in tr.event_states)
-    assert [s.t for s in tr.event_states] == times
-    assert isinstance(tr.terminal_state, Snapshot)
-    assert tr.terminal_state.t == horizon
-    # keeping the event states changes nothing that is recorded
-    assert tr.values == quiet.values
-    for got, want in zip(tr.terminal_state[1:], quiet.terminal_state[1:]):
-        np.testing.assert_array_equal(got, want)
+    grid = sorted({1.0, *times, horizon})
+    tr = _run(name, horizon, run_streams(40, 0), grid)
+    assert all(isinstance(s, Snapshot) for s in tr.states)
+    assert [s.t for s in tr.states] == grid
+    # a checkpoint only observes: adding the event times to the grid changes
+    # nothing recorded at the other points
+    coarse = _run(name, horizon, run_streams(40, 0), [1.0, horizon])
+    kept = [grid.index(1.0), len(grid) - 1]
+    assert coarse.values == {m: [v[i] for i in kept] for m, v in tr.values.items()}
+    for got, want in zip(coarse.states, [tr.states[i] for i in kept]):
+        assert got.t == want.t
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.z, want.z)
