@@ -26,6 +26,7 @@ from .gossip import (
     sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
     synchronized_values,
 )
+from .problems import row_dots
 from .seeding import RunStreams
 from .trace import Trace
 
@@ -170,6 +171,19 @@ def dual_update(state: PairState, edge: tuple[int, int], coefs: tuple) -> None:
 synchronized_dual = synchronized_values
 
 
+def primal_dist_sq(local_functions: list[LocalFunction], x_star, zs: Array) -> Array:
+    """The primal error sum_v 1/2 |grad f_v^*(z_v) - x_*|^2 of each state of
+    a (C, n) or (C, n, d) stack of z node values.
+
+    One vectorized step per node over all C states, summed in node order.
+    """
+    err = 0.0
+    for v, fv in enumerate(local_functions):
+        d = conjugate_grad(fv, zs[:, v]) - x_star
+        err = err + 0.5 * (d * d if zs.ndim == 2 else row_dots(d, d))
+    return err
+
+
 def run_decentralized(
     graph: Graph,
     local_functions: list[LocalFunction],
@@ -183,9 +197,9 @@ def run_decentralized(
 ) -> Trace:
     """Simulate the dual coordinate-descent run from y = z = 0.
 
-    Records the primal error sum_v 1/2 |grad f_v^*(z_v) - x_*|^2 at
-    checkpoint times, with x_* computed centrally for the quadratics (the
-    algorithm itself never reads it).
+    Records the primal error (``primal_dist_sq``) at checkpoint times, with
+    x_* computed centrally for the quadratics (the algorithm itself never
+    reads it).
     """
     if len(local_functions) != graph.node_count:
         raise ValueError("need one local function per node")
@@ -206,20 +220,13 @@ def run_decentralized(
         )
     ]
 
-    def primal_error(s):
-        err = 0.0
-        for node, zv in zip(fns, s.z.tolist() if dimension == 1 else s.z):
-            d = conjugate_grad(node, zv) - x_star
-            err += 0.5 * float(d * d if dimension == 1 else d @ d)
-        return {"primal_dist_sq": err}
-
     return run_pairwise(
         graph,
         initial_dual_state(graph.node_count, dimension),
         params.eta,
         dual_update,
         coefs,
-        primal_error,
+        lambda ys, zs: {"primal_dist_sq": primal_dist_sq(fns, x_star, zs)},
         horizon,
         rng,
         checkpoints=checkpoints,

@@ -22,6 +22,7 @@ from .problems import (
     DimensionMismatchError,
     LeastSquaresProblem,
     NoiseModel,
+    row_dots,
     stochastic_gradient,
 )
 from .schedules import (
@@ -99,36 +100,56 @@ def gradient_jump(pair: Array, steps: Array, g: Array) -> Array:
     return jumped
 
 
+def mix_to_checkpoints(pairs: Array, starts: Sequence[float], schedule: ParamSchedule,
+                       grid: Sequence[float]) -> Array:
+    """``mix_closed_form`` of each captured pair ``pairs[i]`` from ``starts[i]``
+    to ``grid[i]``, in one pass over the (C, 2, d) stack.
+
+    Row by row the arithmetic is that of ``mix_closed_form``: one
+    ``math.exp`` decay, or one Python ``(t0/t) ** 2``, per checkpoint, and a
+    row whose checkpoint equals its start keeps the unmixed pair.
+    """
+    x, z = pairs[:, 0], pairs[:, 1]
+    if schedule.is_time_varying:
+        mixed = pairs.copy()
+        factors = np.array([(t / until) ** 2 for t, until in zip(starts, grid)])
+        mixed[:, 0] = z + factors[:, None] * (x - z)
+    else:
+        rate = schedule.mix_rate
+        decays = [math.exp(-2.0 * rate * (until - t)) for t, until in zip(starts, grid)]
+        mid = 0.5 * (x + z)[:, None]
+        mixed = pairs - mid
+        mixed *= np.array(decays)[:, None, None]
+        mixed += mid
+    unmixed = [t == until for t, until in zip(starts, grid)]
+    if any(unmixed):
+        mixed[unmixed] = pairs[unmixed]
+    return mixed
+
+
 def lyapunov_value(
     state: Snapshot,
     coeffs: LyapunovCoeffs,
     problem: ConvexProblem,
-    gap: float | None = None,
-) -> float:
+    gap: float | Array | None = None,
+) -> float | Array:
     """The certificate phi_t whose ensemble mean is non-increasing.
 
     Noiseless kinds: A_t (f(x) - f_*) + B_t/2 |z - x_*|^2.  Multiplicative
     kinds shift the norms: A_t/2 |x - x_*|^2 + B_t/2 |z - x_*|^2_{H^-1}.
     ``gap`` may pass f(x) - f_* when the caller has already evaluated it.
+    The state's x and z may also be (C, d) stacks, with (C,) arrays as the
+    coefficients, for one certificate per row.
     """
     dz = state.z - problem.optimum
     if coeffs.multiplicative:
         if not isinstance(problem, LeastSquaresProblem):
             raise TypeError("multiplicative certificate needs a least-squares problem")
         dx = state.x - problem.optimum
-        return 0.5 * coeffs.a_t * float(dx @ dx) + 0.5 * coeffs.b_t * problem.dist_sq_hinv(dz)
+        return 0.5 * coeffs.a_t * row_dots(dx, dx) + 0.5 * coeffs.b_t * problem.dist_sq_hinv(dz)
     if gap is None:
         gap = problem.gap(state.x)
-    return coeffs.a_t * gap + 0.5 * coeffs.b_t * float(dz @ dz)
-
-
-def _metrics(state: Snapshot, problem: ConvexProblem, schedule: ParamSchedule) -> dict[str, float]:
-    dx = state.x - problem.optimum
-    values = {"gap": problem.gap(state.x), "dist_sq": float(dx @ dx)}
-    coeffs = lyapunov_coeffs(schedule, state.t)
-    if not coeffs.multiplicative or isinstance(problem, LeastSquaresProblem):
-        values["lyapunov"] = lyapunov_value(state, coeffs, problem, values["gap"])
-    return values
+    return coeffs.a_t * gap + 0.5 * coeffs.b_t * row_dots(dz, dz)
 
 
 def run_continuized(
@@ -144,11 +165,12 @@ def run_continuized(
 ) -> Trace:
     """Simulate the continuized iteration up to ``horizon`` from x0 = z0.
 
-    Gradients are evaluated at the left limit x_{T-} of each event.  The
-    state and its metrics are recorded, by mixing a throwaway copy forward,
-    at each requested checkpoint time, so ensembles share a common grid.
-    The mixing flow is constant before the first event, which sidesteps
-    the t = 0 singularity of the time-varying schedules.
+    Gradients are evaluated at the left limit x_{T-} of each event.  Each
+    checkpoint captures the pair and its time; after the last event every
+    capture is mixed forward to its checkpoint and measured (``gap``,
+    ``dist_sq``, ``lyapunov``) in one stacked pass, so ensembles share a
+    common grid.  The mixing flow is constant before the first event, which
+    sidesteps the t = 0 singularity of the time-varying schedules.
     """
     if x0 is None:
         x0 = np.zeros(problem.dimension)
@@ -160,6 +182,8 @@ def run_continuized(
     noise_rng = rng.noise
     # constant kinds jump by the same column at every event
     column = None if schedule.is_time_varying else step_column(schedule, horizon)
+    pairs = np.empty((len(checkpoints), *pair.shape))
+    starts = [0.0] * len(checkpoints)
 
     def step(k, te):
         nonlocal pair, now
@@ -167,15 +191,28 @@ def run_continuized(
         g = stochastic_gradient(problem, noise, pair[0], noise_rng)
         pair = gradient_jump(pair, step_column(schedule, te) if column is None else column, g)
 
-    def state_at(t):
-        return Snapshot(t, *mix_closed_form(pair, now, schedule, t))
+    def capture(i):
+        pairs[i] = pair
+        starts[i] = now
+
+    def finish(grid):
+        mixed = mix_to_checkpoints(pairs, starts, schedule, grid)
+        xs, zs = mixed[:, 0], mixed[:, 1]
+        dx = xs - problem.optimum
+        values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
+        if not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem):
+            each = [lyapunov_coeffs(schedule, t) for t in grid]
+            coeffs = LyapunovCoeffs(
+                np.array([c.a_t for c in each]), np.array([c.b_t for c in each]),
+                schedule.is_multiplicative,
+            )
+            values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
+                                                values["gap"])
+        return xs, zs, values
 
     # the event times: running sums of clock waits, drawn one at a time
     times = accumulate(iter(partial(sample_interarrival, clock, rng.clock), None))
-    return run_events(
-        times, horizon, checkpoints, state_at,
-        lambda s: _metrics(s, problem, schedule), step,
-    )
+    return run_events(times, horizon, checkpoints, capture, step, finish)
 
 
 def nesterov_recursion(

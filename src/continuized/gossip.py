@@ -7,23 +7,23 @@ the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
 (``dual``) runs its own jump through the same ``run_pairwise``.  Mixing is
 node-local, so a node's ODE is only advanced lazily when the node takes
-part in an event; every snapshot of the run is a synchronized copy.
+part in an event; the run's checkpoints are all synchronized at once, after
+its last event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
-from .problems import LeastSquaresProblem, make_least_squares
+from .problems import LeastSquaresProblem, make_least_squares, row_dots
 from .seeding import RunStreams
-from .trace import Snapshot, Trace, run_events
+from .trace import Trace, run_events
 
 Array = np.ndarray
 
@@ -110,17 +110,23 @@ def accelerated_step(state: PairState, edge: tuple[int, int], z_step: float) -> 
     state.z[w] += step
 
 
-def synchronized_values(state: PairState, mix_rate: float, at_t: float) -> Snapshot:
-    """The snapshot at ``at_t``: copies of (x, z) with every node mixed forward."""
-    xs = np.array(state.x)
-    zs = np.array(state.z)
+def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
+                        times: Array) -> tuple[Array, Array]:
+    """Every node of every captured state mixed forward to its checkpoint.
+
+    ``xs`` and ``zs`` are (C, n) or (C, n, d) stacks of captured node
+    values, ``last_t`` the (C, n) node clocks and ``times`` the C
+    checkpoints; the result is new (x, z) stacks.  The decays are one
+    ``np.exp`` over the (C, n) array, which rounds each entry as a
+    per-state call would.
+    """
     if not mix_rate:
-        return Snapshot(at_t, xs, zs)
-    dt = at_t - np.array(state.last_t)
+        return xs, zs
+    dt = times[:, None] - last_t
     if np.any(dt < -1e-12):
         raise ValueError("some node is already past the requested time")
     decay = np.exp(-2.0 * mix_rate * np.maximum(dt, 0.0))
-    return Snapshot(at_t, *midpoint_contract(xs, zs, decay if xs.ndim == 1 else decay[:, None]))
+    return midpoint_contract(xs, zs, decay if xs.ndim == 2 else decay[..., None])
 
 
 def run_pairwise(
@@ -129,7 +135,7 @@ def run_pairwise(
     mix_rate: float,
     kernel: Callable[[PairState, tuple[int, int], Any], None],
     edge_args: Sequence[Any],
-    metrics: Callable[[Snapshot], dict[str, float]],
+    metrics: Callable[[Array, Array], dict[str, Array]],
     horizon: float,
     rng: RunStreams,
     *,
@@ -140,11 +146,18 @@ def run_pairwise(
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
     are mixed to te and ``kernel(state, (v, w), edge_args[ei])`` applies the
     update, with the edge's constants computed once per run.  Each
-    checkpoint records the snapshot synchronized to its time and its ``metrics``.
+    checkpoint captures the node values and clocks into preallocated
+    (C, n[, d]) rows; after the last event ``synchronized_values`` mixes
+    them all forward and ``metrics(xs, zs)`` measures the synchronized
+    stacks, one (C,) array per metric.
     """
     times, edge_idx = sample_event_stream(graph, horizon, rng)
     edge_idx = edge_idx.tolist()
     edges = graph.edges
+    count = len(checkpoints)
+    xs = np.empty((count, *np.shape(state.x)))
+    zs = np.empty_like(xs)
+    last_t = np.empty((count, graph.node_count))
 
     def step(k, te):
         ei = edge_idx[k]
@@ -153,19 +166,28 @@ def run_pairwise(
         lazy_mix_node(state, w, te, mix_rate)
         kernel(state, edge, edge_args[ei])
 
-    return run_events(
-        times.tolist(), horizon, checkpoints, partial(synchronized_values, state, mix_rate),
-        metrics, step,
-    )
+    def capture(i):
+        xs[i] = state.x
+        zs[i] = state.z
+        last_t[i] = state.last_t
+
+    def finish(grid):
+        sx, sz = synchronized_values(xs, zs, last_t, mix_rate, np.array(grid))
+        return sx, sz, metrics(sx, sz)
+
+    return run_events(times.tolist(), horizon, checkpoints, capture, step, finish)
 
 
-def energy(values: Array, target) -> float:
-    """Sum over nodes of half the squared deviation from the average, summed
-    over components for vector node values."""
+def energy(values: Array, target) -> Array:
+    """Sum over nodes of half the squared deviation from the average, for
+    each state of a (C, n) stack; for a (C, n, d) stack of vector node
+    values, summed over components in component order."""
     d = values - target
-    if d.ndim == 1:
-        return 0.5 * float(d @ d)
-    return sum(0.5 * float(col @ col) for col in d.T.copy())
+    if d.ndim == 2:
+        return 0.5 * row_dots(d, d)
+    # one contiguous row per component: row_dots rounds strided rows differently
+    cols = np.ascontiguousarray(d.transpose(0, 2, 1))
+    return sum((0.5 * row_dots(cols, cols)).T)
 
 
 def run_gossip(
@@ -195,7 +217,7 @@ def run_gossip(
         params.mix_rate,
         accelerated_step,
         [params.z_step] * graph.edge_count,
-        lambda s: {"energy": energy(s.x, target)},
+        lambda xs, zs: {"energy": energy(xs, target)},
         horizon,
         rng,
         checkpoints=checkpoints,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -87,6 +87,26 @@ _SECTIONS_BY_KIND = {
     "graph-info": {"experiment", "graph"},
 }
 
+
+def _same_value(a, b) -> bool:
+    """Equality that compares numpy arrays by their elements and dataclass
+    instances (problems, schedules, graphs, specs) field by field."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        both = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        return both and bool(np.array_equal(a, b))
+    if is_dataclass(a) and type(a) is type(b):
+        return all(_same_value(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return a == b
+
+
+def _fields_equal(self, other) -> bool:
+    """``__eq__`` of the specs: field by field, array fields by value, as
+    ``Graph`` compares its edge weights."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return _same_value(self, other)
+
+
 class ConfigError(ValueError):
     """Carries the full list of validation violations."""
 
@@ -112,6 +132,8 @@ class AlgoSpec:
     step: float
     iters: int | None
 
+    __eq__ = _fields_equal
+
 
 @dataclass(frozen=True)
 class DecentralizedSpec:
@@ -125,6 +147,8 @@ class DecentralizedSpec:
     center_scale: float = 1.0
     curvatures: np.ndarray | None = None
     centers: np.ndarray | None = None
+
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -145,6 +169,8 @@ class ExperimentSpec:
     gossip_algo: str = "accelerated"
     gossip_init: np.ndarray | None = None
     decentralized: DecentralizedSpec | None = None
+
+    __eq__ = _fields_equal
 
     def with_overrides(self, **kw) -> "ExperimentSpec":
         """A copy with every non-None keyword replaced; a new horizon

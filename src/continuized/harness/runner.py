@@ -49,16 +49,23 @@ class ResolvedExperiment:
     x0: np.ndarray | None = None
 
 
-def aggregate_values(values: np.ndarray, metric: str = "value") -> dict[str, np.ndarray]:
+def aggregate_values(
+    values: np.ndarray, checkpoints: np.ndarray, metric: str = "value"
+) -> dict[str, np.ndarray]:
     """Per-checkpoint mean and 5/95% quantiles (linear interpolation of
     order statistics) of the (runs, checkpoints) ``values`` of ``metric``.
 
-    Raises FloatingPointError naming the runs with a non-finite value.
+    Raises FloatingPointError naming the runs with a non-finite value and
+    the time of each one's first non-finite checkpoint.
     """
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    finite = np.isfinite(values)
+    bad = np.flatnonzero(~finite.all(axis=1))
     if bad.size:
+        first = np.argmin(finite[bad], axis=1)
+        where = ", ".join(f"run {i} at t = {checkpoints[j]:.12g}" for i, j in zip(bad, first))
         raise FloatingPointError(
-            f"metric {metric} is not finite in runs {', '.join(map(str, bad))}"
+            f"metric {metric} is not finite in runs {', '.join(map(str, bad))} "
+            f"(first non-finite checkpoint: {where})"
         )
     return {
         "mean": values.mean(axis=0),
@@ -73,7 +80,7 @@ def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray) -> RunS
         checkpoints=checkpoints,
         metrics=tuple(values),
         values=values,
-        aggregate={m: aggregate_values(v, m) for m, v in values.items()},
+        aggregate={m: aggregate_values(v, checkpoints, m) for m, v in values.items()},
     )
 
 

@@ -28,11 +28,23 @@ class DimensionMismatchError(ValueError):
     """Raised when a point does not match the problem dimension."""
 
 
+def row_dots(a: Array, b: Array) -> Array:
+    """Dot products of matching rows of ``a`` and ``b`` over the last axis.
+
+    The batched ``np.matmul`` form matches ``a @ b`` row by row bit for bit
+    when the rows are contiguous (``einsum`` and ``(a * b).sum`` do not), so
+    a stack of states measures exactly as each state alone.  1-D inputs give
+    a 0-d array.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class ConvexProblem:
     """An L-smooth, mu-strongly-convex objective with exact oracles.
 
-    Each family defines ``value(x)`` and ``grad(x)`` over its own fields.
+    Each family defines ``value(x)`` and ``grad(x)`` over its own fields;
+    ``value`` also takes a (C, d) stack of points, one value per row.
 
     Attributes:
         dimension: ambient dimension d.
@@ -48,8 +60,9 @@ class ConvexProblem:
     smoothness: float
     strong_convexity: float
 
-    def gap(self, x: Array) -> float:
-        """f(x) - f(x_*), which is f(x): both families vanish at x_*."""
+    def gap(self, x: Array):
+        """f(x) - f(x_*), which is f(x): both families vanish at x_*.  A
+        (C, d) stack of points gives the (C,) gaps of its rows."""
         return self.value(np.asarray(x, dtype=float))
 
 
@@ -60,9 +73,9 @@ class QuadraticProblem(ConvexProblem):
 
     diag: Array
 
-    def value(self, x: Array) -> float:
+    def value(self, x: Array):
         d = x - self.optimum
-        return float(0.5 * np.dot(self.diag * d, d))
+        return 0.5 * row_dots(self.diag * d, d)
 
     def grad(self, x: Array) -> Array:
         return self.diag * (x - self.optimum)
@@ -88,15 +101,20 @@ class LeastSquaresProblem(ConvexProblem):
     kappa_tilde: float
     cum_weights: Array
 
-    def value(self, x: Array) -> float:
+    def value(self, x: Array):
+        if x.ndim == 2:  # row by row: no stacked product is known to round alike
+            return np.array([self.value(row) for row in x])
         res = self.targets - self.atoms @ x
         return float(0.5 * np.dot(self.weights * res, res))
 
     def grad(self, x: Array) -> Array:
         return self.weighted_atoms.T @ (self.atoms @ x - self.targets)
 
-    def dist_sq_hinv(self, u: Array) -> float:
-        """Squared H^-1 norm of ``u`` (pseudo-inverse on the data span)."""
+    def dist_sq_hinv(self, u: Array):
+        """Squared H^-1 norm of ``u`` (pseudo-inverse on the data span), or
+        of each row of a (C, d) stack, row by row as for ``value``."""
+        if u.ndim == 2:
+            return np.array([self.dist_sq_hinv(row) for row in u])
         return float(u @ self.hessian_pinv @ u)
 
 

@@ -1,0 +1,256 @@
+"""The stacked checkpoint pass against per-checkpoint oracles.
+
+Each engine captures its raw state at the checkpoints and synchronizes and
+measures all of them at once after the run.  Here every recorded state is
+rebuilt from a by-hand replay of the run's events, synchronized one
+checkpoint at a time, and every recorded value is compared with the scalar
+metric of its recorded ``Snapshot``.  All comparisons are exact.
+"""
+
+import numpy as np
+import pytest
+
+from continuized.dual import (
+    DualParams,
+    conjugate_grad,
+    dual_update,
+    incidence_r,
+    initial_dual_state,
+    optimum_of,
+    random_local_functions,
+    run_decentralized,
+)
+from continuized.dynamics import (
+    gradient_jump,
+    initial_state,
+    lyapunov_value,
+    midpoint_contract,
+    mix_closed_form,
+    mix_to_checkpoints,
+    run_continuized,
+    step_column,
+)
+from continuized.gossip import (
+    GossipParams,
+    accelerated_step,
+    energy,
+    initial_network_state,
+    lazy_mix_node,
+    run_gossip,
+    sample_event_stream,
+)
+from continuized.graphs import grid_graph, line_graph
+from continuized.problems import (
+    NoiseModel,
+    make_least_squares,
+    make_quadratic,
+    stochastic_gradient,
+)
+from continuized.schedules import EventClock, ParamSchedule, lyapunov_coeffs
+from continuized.seeding import run_streams
+from replay import event_times
+
+SEED = 31
+
+
+def _grid(times, horizon, extra):
+    """The event times, a few points between them, and the horizon."""
+    return sorted({*times, *extra, horizon})
+
+
+# ---------------------------------------------------------------- optimizer
+
+def _quadratic():
+    return make_quadratic([0.02, 0.3, 1.0], [1.0, -0.5, 2.0])
+
+
+def _least_squares():
+    atoms = [[1.0, 0.0, 0.5], [0.2, 1.0, 0.0], [0.0, -0.4, 1.0], [1.0, 1.0, 1.0]]
+    return make_least_squares(atoms, [0.5, -1.0, 2.0], [1.0, 2.0, 1.0, 3.0])
+
+
+def _multiplicative(kind):
+    problem = _least_squares()
+    return (problem, NoiseModel.multiplicative(), ParamSchedule.for_problem(problem, kind),
+            EventClock.exponential())
+
+
+HORIZON = 12.0
+# case -> (problem, noise, schedule, clock)
+OPTIMIZE_CASES = {
+    "constant": lambda: (_quadratic(), NoiseModel.none(),
+                         ParamSchedule.strongly_convex(1.0, 0.02), EventClock.exponential()),
+    "two-over-t": lambda: (_quadratic(), NoiseModel.additive(0.01),
+                           ParamSchedule.convex(1.0), EventClock.exponential()),
+    "geometric-on-events": lambda: (_quadratic(), NoiseModel.none(),
+                                    ParamSchedule.strongly_convex(1.0, 0.02),
+                                    EventClock.geometric(1.0, 1.0)),
+    "multiplicative": lambda: _multiplicative("multiplicative_strongly_convex"),
+    "multiplicative-convex": lambda: _multiplicative("multiplicative_convex"),
+}
+
+
+def _replay_pairs(problem, noise, schedule, clock, grid, x0):
+    """(pair, time of its last event) after the events up to each checkpoint,
+    replayed by hand from the run's streams."""
+    times = event_times(clock, HORIZON, run_streams(SEED, 0))
+    noise_rng = run_streams(SEED, 0).noise
+    pair, now, k, raw = initial_state(x0), 0.0, 0, []
+    for t in grid:
+        while k < len(times) and times[k] <= t:
+            te = times[k]
+            pair, now = mix_closed_form(pair, now, schedule, te), te
+            g = stochastic_gradient(problem, noise, pair[0], noise_rng)
+            pair = gradient_jump(pair, step_column(schedule, te), g)
+            k += 1
+        raw.append((pair, now))
+    return raw
+
+
+@pytest.mark.parametrize("case", list(OPTIMIZE_CASES))
+def test_optimizer_checkpoints_match_scalar_oracles(case):
+    problem, noise, schedule, clock = OPTIMIZE_CASES[case]()
+    times = event_times(clock, HORIZON, run_streams(SEED, 0))
+    assert len(times) > 3
+    if clock.kind == "geometric":
+        grid = [float(k) for k in range(1, int(HORIZON) + 1)]  # every point is an event
+        assert set(grid) <= set(times)
+    else:
+        grid = _grid(times, HORIZON, [0.3, 2.5, 7.25])
+    x0 = np.array([0.5, 0.0, -1.0])
+    tr = run_continuized(problem, noise, schedule, clock, HORIZON, run_streams(SEED, 0),
+                         x0=x0, checkpoints=grid)
+    raw = _replay_pairs(problem, noise, schedule, clock, grid, x0)
+    assert [s.t for s in tr.states] == grid
+    for i, (s, (pair, now)) in enumerate(zip(tr.states, raw)):
+        # the state is the last pre-checkpoint pair mixed to the checkpoint
+        # (the pair itself when the checkpoint is its event time)
+        want = mix_closed_form(pair, now, schedule, s.t)
+        assert (now == s.t) == (want is pair)
+        np.testing.assert_array_equal(s.x, want[0])
+        np.testing.assert_array_equal(s.z, want[1])
+        dx = s.x - problem.optimum
+        assert tr.values["gap"][i] == problem.gap(s.x)
+        assert tr.values["dist_sq"][i] == float(dx @ dx)
+        assert tr.values["lyapunov"][i] == lyapunov_value(
+            s, lyapunov_coeffs(schedule, s.t), problem)
+
+
+@pytest.mark.parametrize("schedule", [ParamSchedule.strongly_convex(1.0, 0.02),
+                                      ParamSchedule.convex(1.0)])
+def test_mix_to_checkpoints_matches_mix_closed_form_row_by_row(schedule):
+    # numpy's exp and power round differently from math.exp and Python ** on
+    # a few inputs in a thousand, so many random rows are needed to see it
+    rng = np.random.default_rng(2)
+    count = 20_000
+    pairs = rng.standard_normal((count, 2, 2))
+    starts = rng.uniform(0.0, 50.0, count)
+    grid = starts + rng.exponential(3.0, count)
+    grid[::97] = starts[::97]  # checkpoints on their pair's event time
+    stacked = mix_to_checkpoints(pairs, starts.tolist(), schedule, grid.tolist())
+    for pair, t, until, got in zip(pairs, starts.tolist(), grid.tolist(), stacked):
+        np.testing.assert_array_equal(got, mix_closed_form(pair, t, schedule, until))
+
+
+def test_quadratic_gap_matches_per_point_dot():
+    # the stacked quadratic value rounds as the per-point np.dot form did
+    problem = make_quadratic(1.0 / np.arange(1, 101) ** 2, 1.0 / np.arange(1, 101))
+    xs = np.random.default_rng(0).standard_normal((40, 100))
+    stacked = problem.gap(xs)
+    for x, got in zip(xs, stacked):
+        d = x - problem.optimum
+        assert got == float(0.5 * np.dot(problem.diag * d, d)) == problem.gap(x)
+
+
+# ------------------------------------------------------ gossip and the dual
+
+def _replay_nodes(graph, state, mix_rate, kernel, edge_args, horizon, grid):
+    """Raw node values and clocks after the events up to each checkpoint,
+    replayed by hand with the engine's own kernels."""
+    times, picks = sample_event_stream(graph, horizon, run_streams(SEED, 0))
+    k, raw = 0, []
+    for t in grid:
+        while k < len(times) and times[k] <= t:
+            v, w = edge = graph.edges[picks[k]]
+            lazy_mix_node(state, v, times[k], mix_rate)
+            lazy_mix_node(state, w, times[k], mix_rate)
+            kernel(state, edge, edge_args[picks[k]])
+            k += 1
+        raw.append((np.array(state.x), np.array(state.z), np.array(state.last_t)))
+    return raw
+
+
+def _synchronize(x, z, last_t, mix_rate, t):
+    """One state's nodes mixed forward to t: the per-checkpoint snapshot."""
+    if not mix_rate:
+        return x, z
+    decay = np.exp(-2.0 * mix_rate * np.maximum(t - last_t, 0.0))
+    return midpoint_contract(x, z, decay if x.ndim == 1 else decay[:, None])
+
+
+def _scalar_energy(x, target):
+    d = x - target
+    if d.ndim == 1:
+        return 0.5 * float(d @ d)
+    return sum(0.5 * float(col @ col) for col in d.T.copy())
+
+
+def _check_states(tr, raw, mix_rate):
+    for s, (x, z, last_t) in zip(tr.states, raw):
+        want_x, want_z = _synchronize(x, z, last_t, mix_rate, s.t)
+        np.testing.assert_array_equal(s.x, want_x)
+        np.testing.assert_array_equal(s.z, want_z)
+
+
+GOSSIP_CASES = {
+    "scalar": ("accelerated", 1),
+    "vector": ("accelerated", 3),
+    "naive": ("naive", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(GOSSIP_CASES))
+def test_gossip_checkpoints_match_scalar_oracles(case):
+    algo, dim = GOSSIP_CASES[case]
+    graph, horizon = grid_graph(3, 4), 30.0
+    params = GossipParams.from_cache(graph.spectrum, algo)
+    x0 = np.random.default_rng(5).standard_normal(graph.node_count if dim == 1 else (12, dim))
+    times = sample_event_stream(graph, horizon, run_streams(SEED, 0))[0]
+    grid = _grid(times[::7].tolist(), horizon, [0.05, 1.0, 12.5])
+    tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
+    raw = _replay_nodes(graph, initial_network_state(x0), params.mix_rate, accelerated_step,
+                        [params.z_step] * graph.edge_count, horizon, grid)
+    _check_states(tr, raw, params.mix_rate)
+    target = np.mean(x0) if dim == 1 else x0.T.copy().mean(axis=1)
+    for s, value in zip(tr.states, tr.values["energy"]):
+        assert value == _scalar_energy(s.x, target) == energy(s.x[None], target)[0]
+
+
+def _scalar_primal_error(fns, x_star, z):
+    err = 0.0
+    for f, zv in zip(fns, z.tolist() if z.ndim == 1 else z):
+        d = conjugate_grad(f, zv) - x_star
+        err += 0.5 * float(d * d if z.ndim == 1 else d @ d)
+    return err
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dual_checkpoints_match_scalar_oracles(dim):
+    graph, horizon, mu, big_l = line_graph(6), 40.0, 0.2, 1.0
+    fns = random_local_functions(6, mu, big_l, dim, np.random.default_rng(8))
+    times = sample_event_stream(graph, horizon, run_streams(SEED, 0))[0]
+    grid = _grid(times[::5].tolist(), horizon, [0.02, 3.0, 17.5])
+    tr = run_decentralized(graph, fns, mu, big_l, horizon, run_streams(SEED, 0),
+                           checkpoints=grid)
+    params = DualParams.from_graph(graph, mu, big_l)
+    coefs = [
+        (fns[v], fns[w], p, params.gamma * r / (p * p), params.gamma_prime / p)
+        for (v, w), r, p in zip(graph.edges, incidence_r(graph).tolist(),
+                                graph.edge_probs.tolist())
+    ]
+    raw = _replay_nodes(graph, initial_dual_state(6, dim), params.eta, dual_update, coefs,
+                        horizon, grid)
+    _check_states(tr, raw, params.eta)
+    x_star = optimum_of(fns)
+    for s, value in zip(tr.states, tr.values["primal_dist_sq"]):
+        assert value == _scalar_primal_error(fns, x_star, s.z)

@@ -477,4 +477,4 @@ class TestLyapunov:
         state = Snapshot(4.0, *mix_closed_form(np.array([last.x, last.z]), last.t, sched, 4.0))
         recorded = tr.values["lyapunov"][-1]
         want = lyapunov_value(state, lyapunov_coeffs(sched, 4.0), p)
-        assert recorded == pytest.approx(want, rel=1e-12)
+        assert recorded == want

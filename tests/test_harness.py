@@ -457,6 +457,31 @@ class TestPresets:
         with pytest.raises(KeyError):
             get_preset("appendix-z9")
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_equals_a_fresh_copy(self, name):
+        # specs compare their array fields by value, as graphs do: a rebuilt
+        # preset is equal, and a changed seed or checkpoint is not
+        spec = get_preset(name)
+        assert spec == get_preset(name)
+        assert not spec != get_preset(name)
+        assert spec != spec.with_overrides(seed=spec.seed + 1)
+        moved = spec.checkpoints.copy()
+        moved[-2] = 0.5 * (moved[-3] + moved[-2])
+        assert spec != spec.with_overrides(checkpoints=moved)
+        assert spec == spec.with_overrides(checkpoints=spec.checkpoints.copy())
+
+    def test_spec_fields_compare_by_value(self):
+        spec = get_preset("appendix-a1-convex")
+        algo = dataclasses.replace(spec.algo, x0=spec.algo.x0.copy())
+        assert algo == spec.algo
+        assert dataclasses.replace(algo, x0=algo.x0 + 1.0) != spec.algo
+        dec = get_preset("decentralized-line10").decentralized
+        explicit = dataclasses.replace(dec, curvatures=np.array([0.5, 1.0]),
+                                       centers=np.array([[1.0], [2.0]]))
+        assert explicit == dataclasses.replace(explicit, centers=np.array([[1.0], [2.0]]))
+        assert explicit != dataclasses.replace(explicit, centers=np.array([[1.0], [3.0]]))
+        assert explicit != dec
+
 
 class TestRunner:
     def test_repeat_runs_identical(self):
@@ -482,7 +507,7 @@ class TestRunner:
 
     def test_quantiles_linear_interpolation(self):
         values = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-        agg = aggregate_values(values)
+        agg = aggregate_values(values, np.array([1.0]))
         assert agg["q05"][0] == pytest.approx(np.quantile([1, 2, 3, 4, 5], 0.05))
         assert agg["mean"][0] == pytest.approx(3.0)
 
@@ -513,7 +538,16 @@ class TestRunner:
     def test_non_finite_values_name_metric_and_runs(self):
         values = np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0], [1.0, np.inf]])
         with pytest.raises(FloatingPointError, match="metric energy is not finite in runs 1, 3"):
-            aggregate_values(values, "energy")
+            aggregate_values(values, np.array([0.5, 2.0]), "energy")
+
+    def test_non_finite_values_name_first_bad_checkpoint(self):
+        # each bad run is named with the time of its first non-finite value
+        values = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, np.inf], [-np.inf, 1.0, 1.0]])
+        grid = np.array([0.25, 1.0 / 3.0, 7.0])
+        msg = ("metric gap is not finite in runs 1, 2 (first non-finite checkpoint: "
+               "run 1 at t = 0.333333333333, run 2 at t = 0.25)")
+        with pytest.raises(FloatingPointError, match=re.escape(msg)):
+            aggregate_values(values, grid, "gap")
 
     def test_decentralized_ensemble(self):
         spec = get_preset("decentralized-line10").with_overrides(runs=3, horizon=20.0)
@@ -665,7 +699,7 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(rs, str(path))
         _, series = load_csv(str(path))
-        fresh = aggregate_values(rs.values["energy"])
+        fresh = aggregate_values(rs.values["energy"], rs.checkpoints)
         np.testing.assert_allclose(series["energy"]["q05"], fresh["q05"], rtol=1e-11)
         np.testing.assert_allclose(series["energy"]["q95"], fresh["q95"], rtol=1e-11)
 
@@ -681,16 +715,18 @@ class TestCsv:
 
     def test_single_cell(self):
         values = {"gap": np.array([[2.0]])}
-        rs = RunSet(checkpoints=np.array([1.0]), metrics=("gap",),
-                    values=values, aggregate={"gap": aggregate_values(values["gap"])})
+        grid = np.array([1.0])
+        rs = RunSet(checkpoints=grid, metrics=("gap",),
+                    values=values, aggregate={"gap": aggregate_values(values["gap"], grid)})
         lines = render_csv(rs).splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("1,gap,2,")
 
     def test_twelve_significant_digits(self):
         values = {"gap": np.array([[1.0 / 3.0]])}
-        rs = RunSet(checkpoints=np.array([1.0]), metrics=("gap",),
-                    values=values, aggregate={"gap": aggregate_values(values["gap"])})
+        grid = np.array([1.0])
+        rs = RunSet(checkpoints=grid, metrics=("gap",),
+                    values=values, aggregate={"gap": aggregate_values(values["gap"], grid)})
         assert "0.333333333333" in render_csv(rs)
 
     def test_unwritable_path(self):

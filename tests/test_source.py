@@ -86,6 +86,21 @@ def test_event_kernel_called_once_per_event(case):
     assert tracer.summary()[workload.EVENT_KERNEL[spec.kind]] == events
 
 
+def test_checkpoints_synchronized_once_per_run():
+    # the checkpoint layer's traced gate: a run synchronizes all its
+    # checkpoints in one stacked call, not one call per checkpoint
+    runs = 2
+    spec = get_preset("appendix-a2-line30").with_overrides(runs=runs)
+    assert len(spec.checkpoints) > 1
+    tracer = _bench_module("tracer").Tracer()
+    try:
+        tracer.install()
+        runner.run_experiment(spec)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["gossip.synchronized_values.calls"] == runs
+
+
 def test_no_unused_imports():
     # no linter ships with the project: every name a module imports must be
     # read in it, unless its own line marks a re-export with "noqa: F401"

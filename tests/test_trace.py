@@ -34,14 +34,19 @@ def test_checkpoint_rule(case):
     # a fake engine whose state is the number of events applied so far
     times, horizon, grid = case
     applied = []
+    captured = [None] * len(grid)
 
     def step(k, te):
         applied.append((k, te))
 
-    trace = run_events(
-        iter(times), horizon, grid, lambda t: Snapshot(t, len(applied), None),
-        lambda s: {"events": s.x}, step,
-    )
+    def capture(i):
+        captured[i] = len(applied)
+
+    def finish(grid):
+        counts = np.array(captured, dtype=float)
+        return counts, [None] * len(grid), {"events": counts}
+
+    trace = run_events(iter(times), horizon, grid, capture, step, finish)
     inside = [te for te in times if te <= horizon]
     assert applied == list(enumerate(inside))
     # one snapshot per checkpoint, and at an event's time the post-jump state
@@ -49,19 +54,21 @@ def test_checkpoint_rule(case):
     assert trace.values.get("events", []) == [s.x for s in trace.states]
 
 
+def _never(*args):
+    raise AssertionError("an invalid grid must fail before the run starts")
+
+
 @pytest.mark.parametrize("grid", [[5.0, 50.0], [0.0, 5.0], [-1.0]])
 def test_checkpoint_outside_horizon_rejected(grid):
     with pytest.raises(ValueError, match=r"outside \(0, horizon = 10\.0\]"):
-        run_events(iter([1.0, 2.0]), 10.0, grid, lambda t: Snapshot(t, 0, 0),
-                   lambda s: {}, lambda k, te: None)
+        run_events(iter([1.0, 2.0]), 10.0, grid, _never, _never, _never)
 
 
 @pytest.mark.parametrize("grid", [[5.0, 2.0], [2.0, 2.0], [1.0, 3.0, 3.0, 4.0]])
 def test_non_increasing_grid_rejected(grid):
     # values follow the caller's grid, so an unsorted or repeated time is an error
     with pytest.raises(ValueError, match="not strictly increasing"):
-        run_events(iter([1.0, 2.0]), 10.0, grid, lambda t: Snapshot(t, 0, 0),
-                   lambda s: {}, lambda k, te: None)
+        run_events(iter([1.0, 2.0]), 10.0, grid, _never, _never, _never)
 
 
 def _source(name):
