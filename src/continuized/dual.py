@@ -148,6 +148,7 @@ def initial_dual_state(node_count: int, dimension: int) -> PairState:
     return initial_network_state(zeros)
 
 
+# the dual's name for the per-node oracle of run_pairwise's inline mix
 lazy_mix_dual_node = lazy_mix_node
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -185,11 +184,12 @@ def run_continuized(
     pairs = np.empty((len(checkpoints), *pair.shape))
     starts = [0.0] * len(checkpoints)
 
-    def step(k, te):
+    def advance(a, b):
         nonlocal pair, now
-        pair, now = mix_closed_form(pair, now, schedule, te), te
-        g = stochastic_gradient(problem, noise, pair[0], noise_rng)
-        pair = gradient_jump(pair, step_column(schedule, te) if column is None else column, g)
+        for te in times[a:b]:
+            pair, now = mix_closed_form(pair, now, schedule, te), te
+            g = stochastic_gradient(problem, noise, pair[0], noise_rng)
+            pair = gradient_jump(pair, step_column(schedule, te) if column is None else column, g)
 
     def capture(i):
         pairs[i] = pair
@@ -210,9 +210,13 @@ def run_continuized(
                                                 values["gap"])
         return xs, zs, values
 
-    # the event times: running sums of clock waits, drawn one at a time
-    times = accumulate(iter(partial(sample_interarrival, clock, rng.clock), None))
-    return run_events(times, horizon, checkpoints, capture, step, finish)
+    # the event times: running sums of clock waits, drawn one at a time up
+    # to the first one past the horizon
+    times, t = [], 0.0
+    while t <= horizon:
+        t += sample_interarrival(clock, rng.clock)
+        times.append(t)
+    return run_events(times, horizon, checkpoints, capture, advance, finish)
 
 
 def nesterov_recursion(

@@ -87,7 +87,8 @@ def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[
 def lazy_mix_node(state: PairState, v: int, to_t: float, mix_rate: float) -> None:
     """Advance node v's pair (x_v, z_v) to time ``to_t`` in closed form.
 
-    A zero rate leaves the pair as it is (naive gossip never mixes).
+    A zero rate leaves the pair as it is (naive gossip never mixes).  This
+    is the per-node oracle of the mix that ``run_pairwise`` writes inline.
     """
     dt = to_t - state.last_t[v]
     if dt < 0:
@@ -116,17 +117,28 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
 
     ``xs`` and ``zs`` are (C, n) or (C, n, d) stacks of captured node
     values, ``last_t`` the (C, n) node clocks and ``times`` the C
-    checkpoints; the result is new (x, z) stacks.  The decays are one
-    ``np.exp`` over the (C, n) array, which rounds each entry as a
-    per-state call would.
+    checkpoints; both stacks are mixed in place and returned.  The decays
+    are one ``np.exp`` over the (C, n) array, which rounds each entry as a
+    per-state call would, and each entry takes ``midpoint_contract``'s
+    operations on the same operands, so it rounds as that would too.
     """
     if not mix_rate:
         return xs, zs
     dt = times[:, None] - last_t
     if np.any(dt < -1e-12):
         raise ValueError("some node is already past the requested time")
-    decay = np.exp(-2.0 * mix_rate * np.maximum(dt, 0.0))
-    return midpoint_contract(xs, zs, decay if xs.ndim == 2 else decay[..., None])
+    np.maximum(dt, 0.0, out=dt)
+    dt *= -2.0 * mix_rate
+    decay = np.exp(dt, out=dt)
+    if xs.ndim == 3:
+        decay = decay[..., None]
+    mid = xs + zs
+    mid *= 0.5
+    for values in (xs, zs):
+        values -= mid
+        values *= decay
+        values += mid
+    return xs, zs
 
 
 def run_pairwise(
@@ -144,38 +156,56 @@ def run_pairwise(
     """One run of pairwise events, shared by gossip and the dual solver.
 
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
-    are mixed to te and ``kernel(state, (v, w), edge_args[ei])`` applies the
-    update, with the edge's constants computed once per run.  Each
-    checkpoint captures the node values and clocks into preallocated
-    (C, n[, d]) rows; after the last event ``synchronized_values`` mixes
-    them all forward and ``metrics(xs, zs)`` measures the synchronized
-    stacks, one (C,) array per metric.
+    are mixed to te inline, with the arithmetic of ``lazy_mix_node``, and
+    ``kernel(state, (v, w), edge_args[ei])`` applies the update, with the
+    edge's constants computed once per run.  Each checkpoint captures the
+    node values and clocks into preallocated (C, n[, d]) rows; after the
+    last event ``synchronized_values`` mixes them all forward in place and
+    ``metrics(xs, zs)`` measures the synchronized stacks, one (C,) array
+    per metric.
     """
     times, edge_idx = sample_event_stream(graph, horizon, rng)
-    edge_idx = edge_idx.tolist()
+    event_times, edge_idx = times.tolist(), edge_idx.tolist()
     edges = graph.edges
+    x, z, clocks = state.x, state.z, state.last_t
+    rate = -2.0 * mix_rate
     count = len(checkpoints)
-    xs = np.empty((count, *np.shape(state.x)))
+    xs = np.empty((count, *np.shape(x)))
     zs = np.empty_like(xs)
     last_t = np.empty((count, graph.node_count))
 
-    def step(k, te):
-        ei = edge_idx[k]
-        v, w = edge = edges[ei]
-        lazy_mix_node(state, v, te, mix_rate)
-        lazy_mix_node(state, w, te, mix_rate)
-        kernel(state, edge, edge_args[ei])
+    def advance(a, b):
+        for ei, te in zip(edge_idx[a:b], event_times[a:b]):
+            v, w = edge = edges[ei]
+            if mix_rate:
+                # lazy_mix_node of v, then of w: a pair already at te keeps its bits
+                dt = te - clocks[v]
+                if dt > 0:
+                    decay = math.exp(rate * dt)
+                    xv, zv = x[v], z[v]
+                    mid = 0.5 * (xv + zv)
+                    x[v] = mid + (xv - mid) * decay
+                    z[v] = mid + (zv - mid) * decay
+                dt = te - clocks[w]
+                if dt > 0:
+                    decay = math.exp(rate * dt)
+                    xw, zw = x[w], z[w]
+                    mid = 0.5 * (xw + zw)
+                    x[w] = mid + (xw - mid) * decay
+                    z[w] = mid + (zw - mid) * decay
+            clocks[v] = clocks[w] = te
+            kernel(state, edge, edge_args[ei])
 
     def capture(i):
-        xs[i] = state.x
-        zs[i] = state.z
-        last_t[i] = state.last_t
+        xs[i] = x
+        zs[i] = z
+        last_t[i] = clocks
 
     def finish(grid):
         sx, sz = synchronized_values(xs, zs, last_t, mix_rate, np.array(grid))
         return sx, sz, metrics(sx, sz)
 
-    return run_events(times.tolist(), horizon, checkpoints, capture, step, finish)
+    return run_events(times, horizon, checkpoints, capture, advance, finish)
 
 
 def energy(values: Array, target) -> Array:

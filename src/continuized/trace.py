@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 class Snapshot(NamedTuple):
@@ -20,11 +22,14 @@ class Trace:
 
     ``states[i]`` is the snapshot at the i-th checkpoint, so its ``t`` is
     that checkpoint, and ``values[name][i]`` is metric ``name`` of it;
-    ``add`` appends a block of checkpoints, in grid order.
+    ``add`` appends a block of checkpoints, in grid order.  ``events`` is
+    the number of events ``run_events`` applied (0 for the fixed-weight
+    baselines, which have none).
     """
 
     states: list[Snapshot] = field(default_factory=list)
     values: dict[str, list[float]] = field(default_factory=dict)
+    events: int = 0
 
     def add(self, states: Sequence[Snapshot], values: Mapping[str, Sequence[float]]) -> None:
         self.states.extend(states)
@@ -33,21 +38,23 @@ class Trace:
 
 
 def run_events(
-    times: Iterable[float], horizon: float, checkpoints: Sequence[float],
-    capture: Callable[[int], None], step: Callable[[int, float], None],
+    times: Sequence[float], horizon: float, checkpoints: Sequence[float],
+    capture: Callable[[int], None], advance: Callable[[int, int], None],
     finish: Callable[[list[float]], tuple[Any, Any, Mapping[str, Any]]],
 ) -> Trace:
     """Apply the events of one run up to ``horizon`` and record checkpoints.
 
-    ``times`` are the run's ascending event times, possibly beyond the
-    horizon; ``step(k, te)`` applies the k-th event, for te <= horizon only.
-    At the i-th point of the strictly increasing grid in (0, horizon],
-    ``capture(i)`` copies the engine's raw state into row i of its per-run
-    buffers: before an event it sees the pre-event state, at an event's
-    time the post-jump state.  After the last event ``finish(grid)``
-    synchronizes every captured row to its checkpoint and measures it in
-    one stacked pass, returning the (C, ...) stacks of x and z and one
-    (C,) array per metric; the trace holds their rows.
+    ``times`` are the run's event times in non-decreasing order, possibly
+    beyond the horizon.  ``advance(a, b)`` applies events a to b - 1, in
+    order; it is called once per non-empty stretch of events between two
+    checkpoints and never reaches an event past the horizon.  At the i-th
+    point t of the strictly increasing grid in (0, horizon], after every
+    event at or before t, ``capture(i)`` copies the engine's raw state into
+    row i of its per-run buffers: a checkpoint at an event's time sees the
+    post-jump state.  After the last event ``finish(grid)`` synchronizes
+    every captured row to its checkpoint and measures it in one stacked
+    pass, returning the (C, ...) stacks of x and z and one (C,) array per
+    metric; the trace holds their rows and the number of events applied.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -57,19 +64,21 @@ def run_events(
     outside = [t for t in grid if not 0 < t <= horizon]
     if outside:
         raise ValueError(f"checkpoints {outside} lie outside (0, horizon = {horizon}]")
-    pending = grid + [float("inf")]
-    ci = 0
-    for k, te in enumerate(times):
-        if te > horizon:
-            break
-        while pending[ci] < te:
-            capture(ci)
-            ci += 1
-        step(k, te)
-    for i in range(ci, len(grid)):
+    stream = np.asarray(times, dtype=float)
+    if not np.all(stream[1:] >= stream[:-1]):
+        raise ValueError("event times are not in non-decreasing order")
+    # the first event after each checkpoint, then the first after the horizon
+    *ends, count = np.searchsorted(stream, [*grid, horizon], side="right").tolist()
+    k = 0
+    for i, end in enumerate(ends):
+        if end > k:
+            advance(k, end)
+            k = end
         capture(i)
+    if count > k:
+        advance(k, count)
     xs, zs, values = finish(grid)
-    trace = Trace()
+    trace = Trace(events=count)
     trace.add(
         list(map(Snapshot, grid, xs, zs)),
         {name: column.tolist() for name, column in values.items()},

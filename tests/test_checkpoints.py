@@ -10,6 +10,7 @@ metric of its recorded ``Snapshot``.  All comparisons are exact.
 import numpy as np
 import pytest
 
+from continuized import gossip
 from continuized.dual import (
     DualParams,
     conjugate_grad,
@@ -164,10 +165,11 @@ def test_quadratic_gap_matches_per_point_dot():
 
 # ------------------------------------------------------ gossip and the dual
 
-def _replay_nodes(graph, state, mix_rate, kernel, edge_args, horizon, grid):
-    """Raw node values and clocks after the events up to each checkpoint,
-    replayed by hand with the engine's own kernels."""
-    times, picks = sample_event_stream(graph, horizon, run_streams(SEED, 0))
+def _replay_nodes(graph, state, mix_rate, kernel, edge_args, events, grid):
+    """Raw node values and clocks after the ``events`` = (times, edge
+    indices) up to each checkpoint, replayed by hand with the engine's own
+    kernels."""
+    times, picks = events
     k, raw = 0, []
     for t in grid:
         while k < len(times) and times[k] <= t:
@@ -219,11 +221,36 @@ def test_gossip_checkpoints_match_scalar_oracles(case):
     grid = _grid(times[::7].tolist(), horizon, [0.05, 1.0, 12.5])
     tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
     raw = _replay_nodes(graph, initial_network_state(x0), params.mix_rate, accelerated_step,
-                        [params.z_step] * graph.edge_count, horizon, grid)
+                        [params.z_step] * graph.edge_count,
+                        sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
     _check_states(tr, raw, params.mix_rate)
     target = np.mean(x0) if dim == 1 else x0.T.copy().mean(axis=1)
     for s, value in zip(tr.states, tr.values["energy"]):
         assert value == _scalar_energy(s.x, target) == energy(s.x[None], target)[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gossip_events_at_one_time_match_scalar_oracles(monkeypatch, dim):
+    # events that share a node at one time: the second mixes that node over
+    # dt = 0, which must leave its pair's bits as they are
+    graph, horizon = line_graph(4), 10.0
+    rng = np.random.default_rng(12)
+    times = np.repeat(np.sort(rng.uniform(0.0, horizon, 200)), 3)
+    picks = rng.integers(0, graph.edge_count, times.size)
+    shared = [
+        k for k in range(1, times.size)
+        if times[k] == times[k - 1] and set(graph.edges[picks[k]]) & set(graph.edges[picks[k - 1]])
+    ]
+    assert len(shared) > 20
+    monkeypatch.setattr(gossip, "sample_event_stream", lambda *args: (times, picks))
+    params = GossipParams.from_cache(graph.spectrum)
+    x0 = rng.standard_normal(4 if dim == 1 else (4, dim))
+    grid = _grid(times[::4].tolist(), horizon, [0.05, 5.0])
+    tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
+    raw = _replay_nodes(graph, initial_network_state(x0), params.mix_rate, accelerated_step,
+                        [params.z_step] * graph.edge_count, (times, picks), grid)
+    _check_states(tr, raw, params.mix_rate)
+    assert tr.events == times.size
 
 
 def _scalar_primal_error(fns, x_star, z):
@@ -249,7 +276,7 @@ def test_dual_checkpoints_match_scalar_oracles(dim):
                                 graph.edge_probs.tolist())
     ]
     raw = _replay_nodes(graph, initial_dual_state(6, dim), params.eta, dual_update, coefs,
-                        horizon, grid)
+                        sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
     _check_states(tr, raw, params.eta)
     x_star = optimum_of(fns)
     for s, value in zip(tr.states, tr.values["primal_dist_sq"]):

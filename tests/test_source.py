@@ -86,6 +86,20 @@ def test_event_kernel_called_once_per_event(case):
     assert tracer.summary()[workload.EVENT_KERNEL[spec.kind]] == events
 
 
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_trace_counts_the_events_on_the_clock_streams(case):
+    # each run's trace reports the events it applied, which are exactly the
+    # events on its clock stream up to the horizon
+    workload = _bench_module("workload")
+    _, preset = KERNEL_CASES[case]
+    spec = get_preset(preset).with_overrides(runs=3, horizon=20.0)
+    resolved = runner.resolve(spec)
+    events = [resolved.run(i).events for i in range(spec.runs)]
+    upto = [workload.count_events(spec.with_overrides(runs=k)) for k in range(1, spec.runs + 1)]
+    assert events == [b - a for a, b in zip([0, *upto], upto)]
+    assert min(events) > 0
+
+
 def test_checkpoints_synchronized_once_per_run():
     # the checkpoint layer's traced gate: a run synchronizes all its
     # checkpoints in one stacked call, not one call per checkpoint

@@ -28,30 +28,94 @@ def loop_cases(draw):
     return times, horizon, grid
 
 
-@settings(deadline=None)
-@given(loop_cases())
-def test_checkpoint_rule(case):
-    # a fake engine whose state is the number of events applied so far
-    times, horizon, grid = case
-    applied = []
+def per_event_log(times, horizon, grid):
+    """The loop rule one event at a time, as the oracle of ``run_events``:
+    before each event at te <= horizon, every checkpoint earlier than te is
+    captured; after the last such event, every checkpoint left."""
+    log, ci = [], 0
+    for k, te in enumerate(times):
+        if te > horizon:
+            break
+        while ci < len(grid) and grid[ci] < te:
+            log.append(("capture", ci))
+            ci += 1
+        log.append(("event", k))
+    return log + [("capture", i) for i in range(ci, len(grid))]
+
+
+def _record(times, horizon, grid):
+    """Run a fake engine whose state is the number of events applied so
+    far; return the trace, the log of applied events and captures, and the
+    (a, b) stretches passed to ``advance``."""
+    log, stretches = [], []
     captured = [None] * len(grid)
 
-    def step(k, te):
-        applied.append((k, te))
+    def advance(a, b):
+        stretches.append((a, b))
+        log.extend(("event", k) for k in range(a, b))
 
     def capture(i):
-        captured[i] = len(applied)
+        log.append(("capture", i))
+        captured[i] = sum(entry[0] == "event" for entry in log)
 
     def finish(grid):
         counts = np.array(captured, dtype=float)
         return counts, [None] * len(grid), {"events": counts}
 
-    trace = run_events(iter(times), horizon, grid, capture, step, finish)
+    return run_events(times, horizon, grid, capture, advance, finish), log, stretches
+
+
+@settings(deadline=None)
+@given(loop_cases())
+def test_checkpoint_rule(case):
+    times, horizon, grid = case
+    trace, log, stretches = _record(times, horizon, grid)
     inside = [te for te in times if te <= horizon]
-    assert applied == list(enumerate(inside))
+    # the events up to the horizon, each once and in order, in non-empty
+    # stretches that follow one another
+    assert [k for kind, k in log if kind == "event"] == list(range(len(inside)))
+    assert all(a < b for a, b in stretches)
+    assert [a for a, _ in stretches] == [0, *(b for _, b in stretches)][:len(stretches)]
+    assert trace.events == len(inside)
     # one snapshot per checkpoint, and at an event's time the post-jump state
     assert trace.states == [Snapshot(t, sum(te <= t for te in times), None) for t in grid]
     assert trace.values.get("events", []) == [s.x for s in trace.states]
+
+
+@settings(deadline=None)
+@given(loop_cases())
+def test_events_and_captures_interleave_as_the_per_event_rule(case):
+    times, horizon, grid = case
+    _, log, _ = _record(times, horizon, grid)
+    assert log == per_event_log(times, horizon, grid)
+
+
+# case -> (times, horizon, grid, expected log)
+LOOP_CASES = {
+    "event-on-checkpoint": ([1.0, 2.0, 3.0], 4.0, [2.0],
+                            [("event", 0), ("event", 1), ("capture", 0), ("event", 2)]),
+    "checkpoint-before-first-event": ([3.0, 3.5], 4.0, [1.0, 2.0],
+                                      [("capture", 0), ("capture", 1),
+                                       ("event", 0), ("event", 1)]),
+    "no-events": ([], 4.0, [1.0, 4.0], [("capture", 0), ("capture", 1)]),
+    "events-past-horizon": ([1.0, 4.5, 9.0], 4.0, [2.0],
+                            [("event", 0), ("capture", 0)]),
+    "checkpoint-at-horizon": ([1.0, 4.0, 4.0, 5.0], 4.0, [3.0, 4.0],
+                              [("event", 0), ("capture", 0), ("event", 1), ("event", 2),
+                               ("capture", 1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_loop_edge_cases(case):
+    times, horizon, grid, expected = LOOP_CASES[case]
+    trace, log, _ = _record(times, horizon, grid)
+    assert log == expected == per_event_log(times, horizon, grid)
+    assert trace.events == sum(kind == "event" for kind, _ in expected)
+    assert [s.x for s in trace.states] == [
+        sum(kind == "event" for kind, _ in expected[:expected.index(("capture", i))])
+        for i in range(len(grid))
+    ]
 
 
 def _never(*args):
@@ -61,14 +125,23 @@ def _never(*args):
 @pytest.mark.parametrize("grid", [[5.0, 50.0], [0.0, 5.0], [-1.0]])
 def test_checkpoint_outside_horizon_rejected(grid):
     with pytest.raises(ValueError, match=r"outside \(0, horizon = 10\.0\]"):
-        run_events(iter([1.0, 2.0]), 10.0, grid, _never, _never, _never)
+        run_events([1.0, 2.0], 10.0, grid, _never, _never, _never)
 
 
 @pytest.mark.parametrize("grid", [[5.0, 2.0], [2.0, 2.0], [1.0, 3.0, 3.0, 4.0]])
 def test_non_increasing_grid_rejected(grid):
     # values follow the caller's grid, so an unsorted or repeated time is an error
     with pytest.raises(ValueError, match="not strictly increasing"):
-        run_events(iter([1.0, 2.0]), 10.0, grid, _never, _never, _never)
+        run_events([1.0, 2.0], 10.0, grid, _never, _never, _never)
+
+
+@pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 3.0, 2.0, 4.0], [1.0, float("nan")],
+                                   [5.0, 20.0, 15.0]])
+def test_descending_event_times_rejected(times):
+    # the loop finds each checkpoint's events by bisection, so the stream must
+    # be ordered, beyond the horizon too
+    with pytest.raises(ValueError, match="not in non-decreasing order"):
+        run_events(times, 10.0, [5.0], _never, _never, _never)
 
 
 def _source(name):
