@@ -1,7 +1,12 @@
 """The continuized iteration, its discrete twin, and baselines.
 
 The continuized run alternates closed-form mixing of the coupled pair (x, z)
-with gradient jumps at clock events, through ``trace.run_events``.  Because
+with gradient jumps at clock events, through ``trace.run_events``.  Its
+random Nesterov parameters depend only on the event times, so each run
+computes them in one pass before its event loop: the times from block draws
+of its clock stream, and the jump column of every event.  The certificate
+coefficients depend only on the grid, which all runs share, so an ensemble
+builds them once.  The loop then only applies the parameters.  Because
 the mixing ODE integrates exactly, the event-time snapshots coincide (to
 rounding) with the three-sequence recursion with random weights, which is
 also provided here and used as a cross-check in the tests; the Nesterov and
@@ -29,8 +34,8 @@ from .schedules import (
     LyapunovCoeffs,
     ParamSchedule,
     discrete_params,
-    lyapunov_coeffs,
-    sample_interarrival,
+    lyapunov_on_grid,
+    sample_event_times,
     schedule_eval,
 )
 from .seeding import RunStreams
@@ -82,10 +87,15 @@ def mix_closed_form(pair: Array, t: float, schedule: ParamSchedule, until: float
     return mixed
 
 
-def step_column(schedule: ParamSchedule, t: float) -> Array:
-    """The jump sizes (gamma_t, gamma'_t) as the (2, 1) column of ``gradient_jump``."""
+def step_column(schedule: ParamSchedule, t: float | Array) -> Array:
+    """The jump sizes (gamma_t, gamma'_t) as the (2, 1) column of
+    ``gradient_jump``; at an array of K times, the (K, 2, 1) stack of their
+    columns, from one ``schedule_eval`` over the array."""
     _, _, gamma, gamma_p = schedule_eval(schedule, t)
-    return np.array([[gamma], [gamma_p]])
+    columns = np.empty((*np.shape(t), 2, 1))
+    columns[..., 0, 0] = gamma
+    columns[..., 1, 0] = gamma_p
+    return columns
 
 
 def gradient_jump(pair: Array, steps: Array, g: Array) -> Array:
@@ -164,12 +174,19 @@ def run_continuized(
 ) -> Trace:
     """Simulate the continuized iteration up to ``horizon`` from x0 = z0.
 
-    Gradients are evaluated at the left limit x_{T-} of each event.  Each
-    checkpoint captures the pair and its time; after the last event every
-    capture is mixed forward to its checkpoint and measured (``gap``,
-    ``dist_sq``, ``lyapunov``) in one stacked pass, so ensembles share a
-    common grid.  The mixing flow is constant before the first event, which
-    sidesteps the t = 0 singularity of the time-varying schedules.
+    The run first derives every random parameter of its Nesterov steps
+    from its clock stream: the event times (``sample_event_times``) and
+    each event's jump column, one ``step_column`` stack over all the times
+    on the 2/t kinds and one shared column on the constant kinds.  The
+    event loop then only applies them: per event one ``mix_closed_form``,
+    one ``stochastic_gradient`` at the left limit x_{T-} and one
+    ``gradient_jump``.  Each checkpoint captures the pair and its time;
+    after the last event every capture is mixed forward to its checkpoint
+    and measured (``gap``, ``dist_sq``, ``lyapunov``) in one stacked pass,
+    with the certificate coefficients that ``lyapunov_on_grid`` builds once
+    per ensemble, so ensembles share a common grid.  The mixing flow is
+    constant before the first event, which sidesteps the t = 0 singularity
+    of the time-varying schedules; an event at t = 0 is still singular.
     """
     if x0 is None:
         x0 = np.zeros(problem.dimension)
@@ -179,17 +196,20 @@ def run_continuized(
             f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
         )
     noise_rng = rng.noise
-    # constant kinds jump by the same column at every event
-    column = None if schedule.is_time_varying else step_column(schedule, horizon)
+    times = sample_event_times(clock, horizon, rng.clock)
+    if schedule.is_time_varying:
+        columns = list(step_column(schedule, np.array(times)))
+    else:  # constant kinds jump by the same column at every event
+        columns = [step_column(schedule, horizon)] * len(times)
     pairs = np.empty((len(checkpoints), *pair.shape))
     starts = [0.0] * len(checkpoints)
 
     def advance(a, b):
         nonlocal pair, now
-        for te in times[a:b]:
+        for te, steps in zip(times[a:b], columns[a:b]):
             pair, now = mix_closed_form(pair, now, schedule, te), te
             g = stochastic_gradient(problem, noise, pair[0], noise_rng)
-            pair = gradient_jump(pair, step_column(schedule, te) if column is None else column, g)
+            pair = gradient_jump(pair, steps, g)
 
     def capture(i):
         pairs[i] = pair
@@ -201,21 +221,12 @@ def run_continuized(
         dx = xs - problem.optimum
         values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
         if not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem):
-            each = [lyapunov_coeffs(schedule, t) for t in grid]
-            coeffs = LyapunovCoeffs(
-                np.array([c.a_t for c in each]), np.array([c.b_t for c in each]),
-                schedule.is_multiplicative,
+            values["lyapunov"] = lyapunov_value(
+                Snapshot(grid, xs, zs), lyapunov_on_grid(schedule, grid), problem,
+                values["gap"],
             )
-            values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
-                                                values["gap"])
         return xs, zs, values
 
-    # the event times: running sums of clock waits, drawn one at a time up
-    # to the first one past the horizon
-    times, t = [], 0.0
-    while t <= horizon:
-        t += sample_interarrival(clock, rng.clock)
-        times.append(t)
     return run_events(times, horizon, checkpoints, capture, advance, finish)
 
 

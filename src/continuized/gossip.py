@@ -22,6 +22,7 @@ import numpy as np
 from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import LeastSquaresProblem, make_least_squares, row_dots
+from .schedules import EVENT_CHUNK
 from .seeding import RunStreams
 from .trace import Trace, run_events
 
@@ -67,12 +68,9 @@ def initial_network_state(x0) -> PairState:
     return PairState(x=x, z=z, last_t=[0.0] * len(x0))
 
 
-# Exp(1) waits drawn from the clock stream per block.
-EVENT_CHUNK = 4096
-
-
 def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[Array, Array]:
-    """All activations up to ``horizon`` as (times, edge indices) arrays."""
+    """All activations up to ``horizon`` as (times, edge indices) arrays;
+    the Exp(1) waits come from the clock stream in blocks of ``EVENT_CHUNK``."""
     times = np.empty(0)
     while times.size == 0 or times[-1] <= horizon:
         more = rng.clock.exponential(size=EVENT_CHUNK)

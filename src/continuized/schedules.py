@@ -16,6 +16,13 @@ multiplicative noise), and m is the strong convexity (mu, or 0).  Then
     constant:      c = sqrt(m / (G K)),  gamma = 1/G,  gamma' = 1/sqrt(m G K)
 
 which reproduces each kind's published constants.
+
+``schedule_eval`` also takes an array of times, so a run evaluates its jump
+sizes at all of its event times in one pass, and ``lyapunov_on_grid`` builds
+the certificate coefficients once for the grid an ensemble shares.  Event
+clocks turn uniform draws into waiting times: ``sample_interarrival``
+inverts one uniform, and ``sample_event_times`` draws a run's uniforms in
+blocks and sums the waits into its event times.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -104,6 +112,12 @@ class ParamSchedule:
         return self.scales[2] == 0.0
 
     @cached_property
+    def grid_coeffs(self) -> dict:
+        """``lyapunov_on_grid``'s coefficients, keyed by the one grid they
+        were last built for: a cache, no field of the schedule's value."""
+        return {}
+
+    @cached_property
     def mix_rate(self) -> float:
         """The constant rate c = eta = eta' of the strongly convex kinds,
         computed on first use."""
@@ -119,12 +133,17 @@ def _require_positive(v: float, name: str) -> None:
 
 
 def schedule_eval(
-    schedule: ParamSchedule, t: float
+    schedule: ParamSchedule, t: float | np.ndarray
 ) -> tuple[float, float, float, float]:
-    """Evaluate (eta, eta', gamma, gamma') at time t."""
+    """Evaluate (eta, eta', gamma, gamma') at time t.
+
+    ``t`` may also be an array of times: each function that varies with
+    time is then an array of its values, with the arithmetic of a scalar t
+    element by element, and any t <= 0 is singular on the 2/t kinds.
+    """
     g, k, m = schedule.scales
     if schedule.is_time_varying:
-        if t <= 0:
+        if np.any(t <= 0):
             raise SingularScheduleError("2/t schedule is singular at t = 0")
         return 2.0 / t, 0.0, 1.0 / g, t / (2.0 * g * k)
     c = schedule.mix_rate
@@ -183,20 +202,49 @@ class EventClock:
         return cls("geometric", p=p, tick=tick)
 
 
-def sample_interarrival(clock: EventClock, rng: np.random.Generator) -> float:
-    """Draw one waiting time from the clock.
+def sample_interarrival(clock: EventClock, u: float) -> float:
+    """The clock's waiting time at the uniform draw ``u`` in [0, 1).
 
-    Both laws invert one uniform draw, so runs on different clocks but the
+    Both laws invert the one uniform, so runs on different clocks but the
     same seed are coupled event by event (the geometric wait converges to
     the exponential one as p -> 0 with tick = p).
     """
-    u = rng.random()
     if clock.kind == "exponential":
         return -math.log(1.0 - u) / clock.rate
     if clock.p == 1.0:
         return clock.tick
     trials = 1.0 + math.floor(math.log(1.0 - u) / math.log1p(-clock.p))
     return clock.tick * trials
+
+
+# Most uniforms one block draw takes from a clock stream.
+EVENT_CHUNK = 4096
+
+
+def sample_event_times(clock: EventClock, horizon: float, rng: np.random.Generator) -> list[float]:
+    """The event times up to ``horizon`` of a run whose clock stream is ``rng``.
+
+    The times are the running sums of the waits ``sample_interarrival``
+    gives the stream's uniforms, one per uniform, in stream order: bit for
+    bit what drawing one uniform per event gives.  The uniforms come in
+    blocks, each sized to the expected event count plus three standard
+    deviations and at most ``EVENT_CHUNK``, so one block covers nearly every
+    run; the clock stream feeds nothing else, so the uniforms left in the
+    last block are simply unused.  A negative or NaN horizon has no times.
+    """
+    times: list[float] = []
+    if not horizon >= 0.0:
+        return times
+    mean_rate = clock.rate if clock.kind == "exponential" else clock.p / clock.tick
+    expected = horizon * mean_rate
+    size = min(EVENT_CHUNK, 1 + int(expected + 3.0 * math.sqrt(expected)))
+    t = 0.0
+    while True:
+        for u in rng.random(size).tolist():
+            t += sample_interarrival(clock, u)
+            if t > horizon:
+                return times
+            times.append(t)
 
 
 @dataclass(frozen=True)
@@ -220,3 +268,24 @@ def lyapunov_coeffs(schedule: ParamSchedule, t: float) -> LyapunovCoeffs:
     return LyapunovCoeffs(
         a_t=a_t, b_t=m * a_t, multiplicative=schedule.is_multiplicative
     )
+
+
+def lyapunov_on_grid(schedule: ParamSchedule, grid: Sequence[float]) -> LyapunovCoeffs:
+    """The certificate coefficients at every point of ``grid``, as (C,)
+    arrays of ``lyapunov_coeffs``' A_t and B_t.
+
+    The runs of an ensemble share their schedule and their grid, so the
+    schedule keeps the arrays of the last grid they were built for, and an
+    ensemble calls ``lyapunov_coeffs`` once per checkpoint, not once per
+    checkpoint and run.
+    """
+    grid = tuple(grid)
+    coeffs = schedule.grid_coeffs.get(grid)
+    if coeffs is None:
+        each = [lyapunov_coeffs(schedule, t) for t in grid]
+        a_t, b_t = np.array([c.a_t for c in each]), np.array([c.b_t for c in each])
+        a_t.flags.writeable = b_t.flags.writeable = False  # shared by every run
+        coeffs = LyapunovCoeffs(a_t, b_t, schedule.is_multiplicative)
+        schedule.grid_coeffs.clear()
+        schedule.grid_coeffs[grid] = coeffs
+    return coeffs

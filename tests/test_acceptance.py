@@ -120,7 +120,7 @@ def test_criterion_3_discrete_bound():
     for i in range(runs):
         streams = run_streams(MASTER_SEED + 2, i)
         times = np.cumsum(
-            [sample_interarrival(clock, streams.clock) for _ in range(100)]
+            [sample_interarrival(clock, streams.clock.random()) for _ in range(100)]
         )
         xs, _, _ = run_three_sequence(problem, schedule, times)
         for k in ks:

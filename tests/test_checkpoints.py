@@ -10,7 +10,7 @@ metric of its recorded ``Snapshot``.  All comparisons are exact.
 import numpy as np
 import pytest
 
-from continuized import gossip
+from continuized import gossip, seeding
 from continuized.dual import (
     DualParams,
     conjugate_grad,
@@ -47,9 +47,16 @@ from continuized.problems import (
     make_quadratic,
     stochastic_gradient,
 )
-from continuized.schedules import EventClock, ParamSchedule, lyapunov_coeffs
-from continuized.seeding import run_streams
-from replay import event_times
+from continuized.harness import runner
+from continuized.harness.presets import get_preset
+from continuized.schedules import (
+    EventClock,
+    ParamSchedule,
+    SingularScheduleError,
+    lyapunov_coeffs,
+)
+from continuized.seeding import RunStreams, run_streams
+from replay import ScriptedClock, event_times
 
 SEED = 31
 
@@ -135,6 +142,52 @@ def test_optimizer_checkpoints_match_scalar_oracles(case):
         assert tr.values["dist_sq"][i] == float(dx @ dx)
         assert tr.values["lyapunov"][i] == lyapunov_value(
             s, lyapunov_coeffs(schedule, s.t), problem)
+
+
+def _scripted_streams(head):
+    """``run_streams`` with the clock stream replaced: its first uniforms are
+    ``head``, the rest come from a generator seeded with the run's seed."""
+    def streams(seed, i=0):
+        return RunStreams(clock=ScriptedClock(head, seed), noise=seeding.run_streams(seed, i).noise)
+
+    return streams
+
+
+@pytest.mark.parametrize("schedule", [ParamSchedule.strongly_convex(1.0, 0.02),
+                                      ParamSchedule.convex(1.0)])
+def test_optimizer_events_at_one_time_match_scalar_oracles(monkeypatch, schedule):
+    # a uniform of 0.0 is a zero wait, so consecutive events fall at one
+    # time: each later one mixes the pair over dt = 0, which must leave its
+    # bits as they are
+    head = [0.4, 0.0, 0.0, 0.7, 0.0, 0.25, 0.0, 0.0, 0.0, 0.6, 0.0]
+    monkeypatch.setitem(globals(), "run_streams", _scripted_streams(head))
+    problem, noise, clock = _quadratic(), NoiseModel.additive(0.01), EventClock.exponential()
+    times = event_times(clock, HORIZON, run_streams(SEED, 0))
+    assert sum(b == a for a, b in zip(times, times[1:])) == head.count(0.0)
+    grid = _grid(times, HORIZON, [0.3, 2.5, 7.25])
+    x0 = np.array([0.5, 0.0, -1.0])
+    tr = run_continuized(problem, noise, schedule, clock, HORIZON, run_streams(SEED, 0),
+                         x0=x0, checkpoints=grid)
+    raw = _replay_pairs(problem, noise, schedule, clock, grid, x0)
+    assert tr.events == len(times)
+    for s, (pair, now) in zip(tr.states, raw):
+        want = mix_closed_form(pair, now, schedule, s.t)
+        np.testing.assert_array_equal(s.x, want[0])
+        np.testing.assert_array_equal(s.z, want[1])
+
+
+def test_time_varying_event_at_zero_is_singular(monkeypatch):
+    # a first uniform of 0.0 puts the first event at t = 0, where the 2/t
+    # jump size is singular; the run fails and the runner names it
+    spec = get_preset("appendix-a1-convex").with_overrides(runs=3, horizon=5.0)
+    monkeypatch.setattr(runner, "run_streams", lambda seed, i: _scripted_streams(
+        [0.0] if i == 1 else [])(seed, i))
+    with pytest.raises(RuntimeError, match="run 1 failed: 2/t schedule is singular") as info:
+        runner.run_experiment(spec)
+    assert isinstance(info.value.__cause__, SingularScheduleError)
+    with pytest.raises(SingularScheduleError):
+        run_continuized(spec.problem, spec.noise, spec.algo.schedule, spec.algo.clock, 5.0,
+                        _scripted_streams([0.0])(SEED), checkpoints=[5.0])
 
 
 @pytest.mark.parametrize("schedule", [ParamSchedule.strongly_convex(1.0, 0.02),

@@ -482,6 +482,14 @@ class TestPresets:
         assert explicit != dataclasses.replace(explicit, centers=np.array([[1.0], [3.0]]))
         assert explicit != dec
 
+    def test_spec_equals_a_fresh_copy_after_running(self):
+        # the certificate coefficients an ensemble leaves on its schedule are
+        # a cache, not part of the spec's value
+        spec = get_preset("appendix-a1-convex").with_overrides(runs=2, horizon=5.0)
+        run_experiment(spec)
+        assert spec.algo.schedule.grid_coeffs
+        assert spec == get_preset("appendix-a1-convex").with_overrides(runs=2, horizon=5.0)
+
 
 class TestRunner:
     def test_repeat_runs_identical(self):

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from continuized.problems import make_least_squares, make_quadratic
+from continuized import schedules
+from continuized.dynamics import run_continuized, step_column
+from continuized.problems import NoiseModel, make_least_squares, make_quadratic
 from continuized.schedules import (
+    EVENT_CHUNK,
     KINDS,
     EventClock,
     ParamSchedule,
     SingularScheduleError,
     discrete_params,
     lyapunov_coeffs,
+    lyapunov_on_grid,
+    sample_event_times,
     sample_interarrival,
     schedule_eval,
 )
+from continuized.seeding import run_streams
+from replay import event_times
 
 
 class TestScheduleEval:
@@ -92,34 +99,30 @@ class TestDiscreteParams:
 
 class TestEventClock:
     def test_exponential_inverse_cdf(self):
-        class FixedRng:
-            def random(self):
-                return 1.0 - math.exp(-1.0)
-
         clock = EventClock.exponential(1.0)
-        assert sample_interarrival(clock, FixedRng()) == pytest.approx(1.0)
+        assert sample_interarrival(clock, 1.0 - math.exp(-1.0)) == pytest.approx(1.0)
 
     def test_geometric_p_one(self):
         clock = EventClock.geometric(1.0, 1.0)
-        rng = np.random.default_rng(0)
-        assert all(sample_interarrival(clock, rng) == 1.0 for _ in range(20))
+        uniforms = np.random.default_rng(0).random(20)
+        assert all(sample_interarrival(clock, u) == 1.0 for u in uniforms)
 
     def test_exponential_mean(self):
         clock = EventClock.exponential(1.0)
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_interarrival(clock, rng) for _ in range(100_000)])
+        uniforms = np.random.default_rng(1).random(100_000)
+        draws = np.array([sample_interarrival(clock, u) for u in uniforms])
         assert 0.99 <= draws.mean() <= 1.01
 
     def test_exponential_rate_scales(self):
         clock = EventClock.exponential(4.0)
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_interarrival(clock, rng) for _ in range(20_000)])
+        uniforms = np.random.default_rng(2).random(20_000)
+        draws = np.array([sample_interarrival(clock, u) for u in uniforms])
         assert draws.mean() == pytest.approx(0.25, rel=0.05)
 
     def test_geometric_mean_matches_exponential(self):
         clock = EventClock.geometric(0.01, 0.01)
-        rng = np.random.default_rng(3)
-        draws = np.array([sample_interarrival(clock, rng) for _ in range(50_000)])
+        uniforms = np.random.default_rng(3).random(50_000)
+        draws = np.array([sample_interarrival(clock, u) for u in uniforms])
         assert draws.mean() == pytest.approx(1.0, rel=0.03)
 
     def test_validation(self):
@@ -129,6 +132,108 @@ class TestEventClock:
             EventClock.geometric(0.0, 1.0)
         with pytest.raises(ValueError):
             EventClock.geometric(0.5, -1.0)
+
+
+# The block sampler against ``replay.event_times``, which draws one uniform
+# per event: every clock kind, the p = 1 geometric clock that ignores its
+# uniform, and a rate that is not 1.
+SAMPLER_CLOCKS = {
+    "exponential-1": EventClock.exponential(1.0),
+    "exponential-2.5": EventClock.exponential(2.5),
+    "geometric-0.3": EventClock.geometric(0.3, 0.3),
+    "geometric-1": EventClock.geometric(1.0, 1.0),
+}
+SAMPLER_SEEDS = range(20)
+
+
+def _bits(times):
+    return [float(t).hex() for t in times]
+
+
+def _first_wait(clock, seed):
+    return sample_interarrival(clock, run_streams(seed, 0).clock.random())
+
+
+class TestSampleEventTimes:
+    @pytest.mark.parametrize("name", list(SAMPLER_CLOCKS))
+    @pytest.mark.parametrize("horizon", [0.9, 7.3, 60.0])
+    def test_equals_one_draw_per_event(self, name, horizon):
+        clock = SAMPLER_CLOCKS[name]
+        for seed in SAMPLER_SEEDS:
+            want = event_times(clock, horizon, run_streams(seed, 0))
+            got = sample_event_times(clock, horizon, run_streams(seed, 0).clock)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("name", list(SAMPLER_CLOCKS))
+    def test_horizon_over_several_blocks(self, name):
+        clock = SAMPLER_CLOCKS[name]
+        mean_wait = 1.0 / clock.rate if clock.kind == "exponential" else clock.tick / clock.p
+        horizon = 2.2 * EVENT_CHUNK * mean_wait
+        for seed in SAMPLER_SEEDS:
+            got = sample_event_times(clock, horizon, run_streams(seed, 0).clock)
+            assert len(got) > 2 * EVENT_CHUNK
+            assert _bits(got) == _bits(event_times(clock, horizon, run_streams(seed, 0)))
+
+    @pytest.mark.parametrize("name", list(SAMPLER_CLOCKS))
+    def test_block_size_does_not_move_the_times(self, monkeypatch, name):
+        # blocks of 7 uniforms: many block edges inside one run
+        monkeypatch.setattr(schedules, "EVENT_CHUNK", 7)
+        clock = SAMPLER_CLOCKS[name]
+        for seed in SAMPLER_SEEDS:
+            got = sample_event_times(clock, 30.0, run_streams(seed, 0).clock)
+            assert len(got) > 7
+            assert _bits(got) == _bits(event_times(clock, 30.0, run_streams(seed, 0)))
+
+    @pytest.mark.parametrize("name", list(SAMPLER_CLOCKS))
+    def test_horizon_before_the_first_wait(self, name):
+        clock = SAMPLER_CLOCKS[name]
+        problem = make_quadratic([0.5, 2.0], [1.0, -1.0])
+        for seed in SAMPLER_SEEDS:
+            horizon = 0.5 * _first_wait(clock, seed)
+            assert sample_event_times(clock, horizon, run_streams(seed, 0).clock) == []
+            assert event_times(clock, horizon, run_streams(seed, 0)) == []
+            grid = [0.25 * horizon, 0.5 * horizon, horizon]
+            tr = run_continuized(problem, NoiseModel.none(), ParamSchedule.convex(2.0), clock,
+                                 horizon, run_streams(seed, 0), checkpoints=grid)
+            assert tr.events == 0
+            assert [st.t for st in tr.states] == grid
+            assert all(len(tr.values[m]) == len(grid) for m in ("gap", "dist_sq", "lyapunov"))
+
+    @pytest.mark.parametrize("name", ["exponential-2.5", "geometric-0.3", "geometric-1"])
+    def test_trace_counts_the_replayed_events(self, name):
+        clock = SAMPLER_CLOCKS[name]
+        problem = make_quadratic([0.5, 2.0], [1.0, -1.0])
+        for seed in SAMPLER_SEEDS:
+            tr = run_continuized(problem, NoiseModel.none(),
+                                 ParamSchedule.strongly_convex(2.0, 0.5), clock, 20.0,
+                                 run_streams(seed, 0), checkpoints=[1.0, 20.0])
+            assert tr.events == len(event_times(clock, 20.0, run_streams(seed, 0))) > 0
+
+    def test_no_times_for_a_horizon_that_is_not_a_positive_number(self):
+        clock = EventClock.exponential(1.0)
+        for horizon in (-1.0, math.nan):
+            assert sample_event_times(clock, horizon, run_streams(1, 0).clock) == []
+
+
+class TestStepColumns:
+    @pytest.mark.parametrize("schedule", [ParamSchedule.convex(3.0),
+                                          ParamSchedule.multiplicative_convex(2.0, 5.0),
+                                          ParamSchedule.strongly_convex(1.0, 0.04)])
+    def test_stack_equals_one_column_per_time(self, schedule):
+        times = np.cumsum(np.random.default_rng(4).exponential(size=500))
+        stack = step_column(schedule, times)
+        assert stack.shape == (500, 2, 1)
+        for t, column in zip(times.tolist(), stack):
+            _, _, gamma, gamma_p = schedule_eval(schedule, t)
+            np.testing.assert_array_equal(column, [[gamma], [gamma_p]])
+            np.testing.assert_array_equal(column, step_column(schedule, t))
+
+    def test_stack_with_a_time_at_zero_is_singular(self):
+        with pytest.raises(SingularScheduleError):
+            step_column(ParamSchedule.convex(1.0), np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(SingularScheduleError):
+            schedule_eval(ParamSchedule.convex(1.0), np.array([0.5, -1.0]))
+        assert step_column(ParamSchedule.convex(1.0), np.array([])).shape == (0, 2, 1)
 
 
 class TestLyapunovCoeffs:
@@ -150,6 +255,28 @@ class TestLyapunovCoeffs:
         c = lyapunov_coeffs(s, 3.0)
         assert c.multiplicative
         assert c.a_t == pytest.approx(9.0 / (4.0 * 2.0 * 9.0))
+
+    @pytest.mark.parametrize("schedule", [ParamSchedule.convex(2.0),
+                                          ParamSchedule.strongly_convex(1.0, 0.04),
+                                          ParamSchedule.multiplicative_convex(2.0, 9.0)])
+    def test_on_grid_equals_each_point(self, schedule):
+        grid = np.geomspace(1.0, 100.0, 50).tolist()
+        c = lyapunov_on_grid(schedule, grid)
+        assert c.multiplicative == schedule.is_multiplicative
+        for t, a_t, b_t in zip(grid, c.a_t, c.b_t):
+            each = lyapunov_coeffs(schedule, t)
+            assert (a_t, b_t) == (each.a_t, each.b_t)
+
+    def test_on_grid_is_kept_for_the_last_grid(self):
+        s = ParamSchedule.strongly_convex(1.0, 0.04)
+        first = lyapunov_on_grid(s, [1.0, 2.0])
+        assert lyapunov_on_grid(s, np.array([1.0, 2.0])) is first
+        other = lyapunov_on_grid(s, [1.0, 3.0])
+        assert other is not first and other.a_t[1] == lyapunov_coeffs(s, 3.0).a_t
+        assert lyapunov_on_grid(s, [1.0, 2.0]) is not first
+        # the kept arrays are no part of the schedule's value
+        assert s == ParamSchedule.strongly_convex(1.0, 0.04)
+        assert hash(s) == hash(ParamSchedule.strongly_convex(1.0, 0.04))
 
 
 class TestParamScheduleRule:

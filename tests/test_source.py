@@ -115,6 +115,21 @@ def test_checkpoints_synchronized_once_per_run():
     assert tracer.summary()["gossip.synchronized_values.calls"] == runs
 
 
+def test_lyapunov_coefficients_built_once_per_ensemble():
+    # the certificate's coefficients depend only on the schedule and the grid
+    # that every run shares: an ensemble builds them once per checkpoint,
+    # not once per checkpoint and run
+    spec = get_preset("appendix-a1-convex").with_overrides(runs=3)
+    assert len(spec.checkpoints) > 1
+    tracer = _bench_module("tracer").Tracer()
+    try:
+        tracer.install()
+        runner.run_experiment(spec)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["schedules.lyapunov_coeffs.calls"] == len(spec.checkpoints)
+
+
 def test_no_unused_imports():
     # no linter ships with the project: every name a module imports must be
     # read in it, unless its own line marks a re-export with "noqa: F401"
