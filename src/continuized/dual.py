@@ -3,10 +3,10 @@
 Each node holds a strongly convex local function.  The consensus problem is
 solved on its dual, where edge activations become coordinate gradient steps:
 the activated pair exchanges conjugate gradients and applies antisymmetric
-corrections to the node images (y, z) of the two dual iterates, which mix
-node-locally between events exactly as in accelerated gossip.  With
-quadratic local terms of unit curvature the whole construction collapses to
-the averaging problem.
+corrections to the node values y and z of the two dual iterates, which mix
+node-locally between events exactly as in accelerated gossip: the run is
+gossip's ``run_pairwise`` with ``dual_update`` as its jump.  With quadratic
+local terms of unit curvature the whole construction collapses to averaging.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from .graphs import Graph
 from .gossip import (
-    PairState,
-    initial_network_state,
     lazy_mix_node,
     run_pairwise,
     sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
@@ -140,28 +138,18 @@ class DualParams:
         )
 
 
-def initial_dual_state(node_count: int, dimension: int) -> PairState:
-    """y = z = 0 in gossip's pair state, y in its x slot, so the gossip event
-    loop, lazy mixer and snapshot serve the dual unchanged: float lists when
-    d = 1, (n, d) rows otherwise."""
-    zeros = np.zeros(node_count if dimension == 1 else (node_count, dimension))
-    return initial_network_state(zeros)
-
-
 # the dual's name for the per-node oracle of run_pairwise's inline mix
 lazy_mix_dual_node = lazy_mix_node
 
 
-def dual_update(state: PairState, edge: tuple[int, int], coefs: tuple) -> None:
-    """Pairwise dual coordinate step; endpoints must be mixed to the event time.
+def dual_update(y, z, v: int, w: int, coefs: tuple) -> None:
+    """Dual coordinate step on edge (v, w); endpoints must be mixed to the event time.
 
     With ``coefs`` = (f_v, f_w, P_e, y_coef, z_coef), the edge gradient is
     g = P_e (grad f_v^*(y_v) - grad f_w^*(y_w)); the y-pair moves by -+ y_coef g,
     with y_coef = gamma R_e / P_e^2, and the z-pair by -+ z_coef g, z_coef = gamma' / P_e.
     """
-    v, w = edge
     fv, fw, p_e, y_coef, z_coef = coefs
-    y, z = state.x, state.z
     g = p_e * (conjugate_grad(fv, y[v]) - conjugate_grad(fw, y[w]))
     y[v] -= y_coef * g
     y[w] += y_coef * g
@@ -223,7 +211,7 @@ def run_decentralized(
 
     return run_pairwise(
         graph,
-        initial_dual_state(graph.node_count, dimension),
+        np.zeros(graph.node_count if dimension == 1 else (graph.node_count, dimension)),
         params.eta,
         dual_update,
         coefs,

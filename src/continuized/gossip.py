@@ -5,8 +5,9 @@ mixes toward its midpoint between the node's own events, and the two
 endpoints of an activated edge jump.  Accelerated gossip averages x over
 the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
-(``dual``) runs its own jump through the same ``run_pairwise``.  Mixing is
-node-local, so a node's ODE is only advanced lazily when the node takes
+(``dual``) runs its jump on its y and z through the same ``run_pairwise``,
+whose node values are bare: floats in lists, or (n, d) array rows.  Mixing
+is node-local, so a node's ODE is only advanced lazily when the node takes
 part in an event; the run's checkpoints are all synchronized at once, after
 its last event.
 """
@@ -24,7 +25,7 @@ from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import LeastSquaresProblem, make_least_squares, row_dots
 from .schedules import EVENT_CHUNK
 from .seeding import RunStreams
-from .trace import Trace, run_events
+from .trace import Trace, check_horizon, run_events
 
 Array = np.ndarray
 
@@ -50,24 +51,6 @@ class GossipParams:
         )
 
 
-@dataclass
-class PairState:
-    """Per-node pairs (x_v, z_v) with per-node clocks for lazy mixing.
-
-    Node values are floats in lists, or the rows of (n, d) arrays.
-    """
-
-    x: list[float] | Array
-    z: list[float] | Array
-    last_t: list[float]
-
-
-def initial_network_state(x0) -> PairState:
-    x0 = np.asarray(x0, dtype=float)
-    x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
-    return PairState(x=x, z=z, last_t=[0.0] * len(x0))
-
-
 def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[Array, Array]:
     """All activations up to ``horizon`` as (times, edge indices) arrays;
     the Exp(1) waits come from the clock stream in blocks of ``EVENT_CHUNK``."""
@@ -82,31 +65,30 @@ def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[
     return times, np.minimum(picks, graph.edge_count - 1)
 
 
-def lazy_mix_node(state: PairState, v: int, to_t: float, mix_rate: float) -> None:
-    """Advance node v's pair (x_v, z_v) to time ``to_t`` in closed form.
+def lazy_mix_node(x, z, clocks: list[float], v: int, to_t: float, mix_rate: float) -> None:
+    """Advance node v's pair (x[v], z[v]) from its clock to ``to_t`` in closed form.
 
     A zero rate leaves the pair as it is (naive gossip never mixes).  This
     is the per-node oracle of the mix that ``run_pairwise`` writes inline.
     """
-    dt = to_t - state.last_t[v]
+    dt = to_t - clocks[v]
     if dt < 0:
         raise ValueError(f"node {v} already past t = {to_t}")
     if dt > 0 and mix_rate:
         decay = math.exp(-2.0 * mix_rate * dt)
-        state.x[v], state.z[v] = midpoint_contract(state.x[v], state.z[v], decay)
-    state.last_t[v] = to_t
+        x[v], z[v] = midpoint_contract(x[v], z[v], decay)
+    clocks[v] = to_t
 
 
-def accelerated_step(state: PairState, edge: tuple[int, int], z_step: float) -> None:
-    """Pairwise accelerated update; endpoints must be mixed to the event time."""
-    v, w = edge
-    xv, xw = state.x[v], state.x[w]
+def accelerated_step(x, z, v: int, w: int, z_step: float) -> None:
+    """Accelerated update of edge (v, w); endpoints must be mixed to the event time."""
+    xv, xw = x[v], x[w]
     mean = 0.5 * (xv + xw)
     step = z_step * (xv - xw)
-    state.x[v] = mean
-    state.x[w] = mean
-    state.z[v] -= step
-    state.z[w] += step
+    x[v] = mean
+    x[w] = mean
+    z[v] -= step
+    z[w] += step
 
 
 def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
@@ -141,9 +123,9 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
 
 def run_pairwise(
     graph: Graph,
-    state: PairState,
+    x0,
     mix_rate: float,
-    kernel: Callable[[PairState, tuple[int, int], Any], None],
+    kernel: Callable[[Any, Any, int, int, Any], None],
     edge_args: Sequence[Any],
     metrics: Callable[[Array, Array], dict[str, Array]],
     horizon: float,
@@ -151,30 +133,37 @@ def run_pairwise(
     *,
     checkpoints: Sequence[float],
 ) -> Trace:
-    """One run of pairwise events, shared by gossip and the dual solver.
+    """One run of pairwise events from x = z = x0, shared by gossip and the
+    dual solver.
 
-    At each activation of edge ``ei`` = (v, w) at time te, both endpoints
-    are mixed to te inline, with the arithmetic of ``lazy_mix_node``, and
-    ``kernel(state, (v, w), edge_args[ei])`` applies the update, with the
-    edge's constants computed once per run.  Each checkpoint captures the
-    node values and clocks into preallocated (C, n[, d]) rows; after the
-    last event ``synchronized_values`` mixes them all forward in place and
-    ``metrics(xs, zs)`` measures the synchronized stacks, one (C,) array
-    per metric.
+    The run's node values are its own: floats in lists for a 1-D x0, copies
+    of its (n, d) rows otherwise.  At each activation of edge ``ei`` = (v, w)
+    at time te, both endpoints are mixed to te inline, with the arithmetic
+    of ``lazy_mix_node``, and ``kernel(x, z, v, w, edge_args[ei])`` applies
+    the update, with the edge's constants computed once per run.  Each
+    checkpoint captures the node values and clocks into (C, n[, d]) rows;
+    after the last event ``synchronized_values`` mixes them all forward in
+    place and ``metrics(xs, zs)`` measures the synchronized stacks, one (C,)
+    array per metric.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
+        raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
+    check_horizon(horizon)
+    x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
+    clocks = [0.0] * graph.node_count
     times, edge_idx = sample_event_stream(graph, horizon, rng)
     event_times, edge_idx = times.tolist(), edge_idx.tolist()
     edges = graph.edges
-    x, z, clocks = state.x, state.z, state.last_t
     rate = -2.0 * mix_rate
     count = len(checkpoints)
-    xs = np.empty((count, *np.shape(x)))
+    xs = np.empty((count, *x0.shape))
     zs = np.empty_like(xs)
     last_t = np.empty((count, graph.node_count))
 
     def advance(a, b):
         for ei, te in zip(edge_idx[a:b], event_times[a:b]):
-            v, w = edge = edges[ei]
+            v, w = edges[ei]
             if mix_rate:
                 # lazy_mix_node of v, then of w: a pair already at te keeps its bits
                 dt = te - clocks[v]
@@ -192,7 +181,7 @@ def run_pairwise(
                     x[w] = mid + (xw - mid) * decay
                     z[w] = mid + (zw - mid) * decay
             clocks[v] = clocks[w] = te
-            kernel(state, edge, edge_args[ei])
+            kernel(x, z, v, w, edge_args[ei])
 
     def capture(i):
         xs[i] = x
@@ -234,14 +223,12 @@ def run_gossip(
     share one activation sequence.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
-        raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
     # per-component means of contiguous copies, as for one 1-D run each
-    target = np.mean(x0) if x0.ndim == 1 else x0.T.copy().mean(axis=1)
+    target = x0.T.copy().mean(axis=1) if x0.ndim == 2 else np.mean(x0)
 
     return run_pairwise(
         graph,
-        initial_network_state(x0),
+        x0,
         params.mix_rate,
         accelerated_step,
         [params.z_step] * graph.edge_count,

@@ -33,6 +33,7 @@ from ..problems import (
     problem_from_section,
 )
 from ..schedules import EventClock, ParamSchedule
+from ..trace import checkpoint_grid
 
 EXPERIMENT_KINDS = ("optimize", "gossip", "decentralized", "graph-info")
 # The [algo] keys each method reads, besides method and x0.
@@ -344,14 +345,9 @@ def _checkpoints(text: str, horizon: float) -> np.ndarray:
     if len(tokens) == 1 and tokens[0].lstrip("+-").isdecimal():
         return log_spaced_checkpoints(horizon, int(tokens[0]))
     grid = parse_floats(text)
-    broken = []
-    if np.any(np.diff(grid) <= 0):
-        broken.append("be strictly increasing")
-    if grid.size == 0 or grid[0] <= 0 or grid[-1] > horizon:
-        broken.append("lie in (0, horizon]")
-    if broken:
-        raise ValueError("must " + " and ".join(broken))
-    return grid
+    if grid.size == 0:
+        raise ValueError("must list at least one time")
+    return checkpoint_grid(grid, horizon)
 
 
 def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:

@@ -188,7 +188,9 @@ class EventClock:
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> "EventClock":
-        _require_positive(rate, "rate")
+        # an infinite rate makes every wait 0: a run would never pass its horizon
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {rate}")
         return cls("exponential", rate=rate)
 
     @classmethod

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -37,6 +38,30 @@ class Trace:
             self.values.setdefault(name, []).extend(column)
 
 
+def check_horizon(horizon: float) -> None:
+    """Raise unless ``horizon`` is finite and > 0: the event samplers draw
+    until they pass it, so every engine checks it before the first draw."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+
+
+def checkpoint_grid(checkpoints: Sequence[float], horizon: float) -> np.ndarray:
+    """The checkpoints as a float array, after checking the horizon
+    (``check_horizon``) and that the grid is strictly increasing inside
+    (0, horizon]; one error names both faults.  A grid with no points passes."""
+    check_horizon(horizon)
+    grid = np.asarray(checkpoints, dtype=float)
+    broken = []
+    if np.any(grid[1:] <= grid[:-1]):
+        broken.append(f"checkpoints {grid.tolist()} are not strictly increasing")
+    outside = grid[~((grid > 0) & (grid <= horizon))]
+    if outside.size:
+        broken.append(f"checkpoints {outside.tolist()} lie outside (0, horizon = {horizon}]")
+    if broken:
+        raise ValueError("; ".join(broken))
+    return grid
+
+
 def run_events(
     times: Sequence[float], horizon: float, checkpoints: Sequence[float],
     capture: Callable[[int], None], advance: Callable[[int, int], None],
@@ -48,7 +73,7 @@ def run_events(
     beyond the horizon.  ``advance(a, b)`` applies events a to b - 1, in
     order; it is called once per non-empty stretch of events between two
     checkpoints and never reaches an event past the horizon.  At the i-th
-    point t of the strictly increasing grid in (0, horizon], after every
+    point t of the grid (checked by ``checkpoint_grid``), after every
     event at or before t, ``capture(i)`` copies the engine's raw state into
     row i of its per-run buffers: a checkpoint at an event's time sees the
     post-jump state.  After the last event ``finish(grid)`` synchronizes
@@ -56,19 +81,14 @@ def run_events(
     pass, returning the (C, ...) stacks of x and z and one (C,) array per
     metric; the trace holds their rows and the number of events applied.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    grid = [float(t) for t in checkpoints]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"checkpoints {grid} are not strictly increasing")
-    outside = [t for t in grid if not 0 < t <= horizon]
-    if outside:
-        raise ValueError(f"checkpoints {outside} lie outside (0, horizon = {horizon}]")
+    grid = checkpoint_grid(checkpoints, horizon)
     stream = np.asarray(times, dtype=float)
     if not np.all(stream[1:] >= stream[:-1]):
         raise ValueError("event times are not in non-decreasing order")
     # the first event after each checkpoint, then the first after the horizon
-    *ends, count = np.searchsorted(stream, [*grid, horizon], side="right").tolist()
+    *ends, count = np.searchsorted(stream, np.append(grid, horizon), side="right").tolist()
+    # Python floats: a numpy scalar would square as x * x in mix_to_checkpoints
+    grid = grid.tolist()
     k = 0
     for i, end in enumerate(ends):
         if end > k:

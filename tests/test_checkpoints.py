@@ -16,7 +16,6 @@ from continuized.dual import (
     conjugate_grad,
     dual_update,
     incidence_r,
-    initial_dual_state,
     optimum_of,
     random_local_functions,
     run_decentralized,
@@ -35,7 +34,6 @@ from continuized.gossip import (
     GossipParams,
     accelerated_step,
     energy,
-    initial_network_state,
     lazy_mix_node,
     run_gossip,
     sample_event_stream,
@@ -218,20 +216,22 @@ def test_quadratic_gap_matches_per_point_dot():
 
 # ------------------------------------------------------ gossip and the dual
 
-def _replay_nodes(graph, state, mix_rate, kernel, edge_args, events, grid):
+def _replay_nodes(graph, x0, mix_rate, kernel, edge_args, events, grid):
     """Raw node values and clocks after the ``events`` = (times, edge
-    indices) up to each checkpoint, replayed by hand with the engine's own
-    kernels."""
+    indices) up to each checkpoint, replayed by hand from x = z = x0 (float
+    lists for 1-D x0, array rows otherwise) with the engine's own kernels."""
     times, picks = events
+    x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
+    clocks = [0.0] * graph.node_count
     k, raw = 0, []
     for t in grid:
         while k < len(times) and times[k] <= t:
-            v, w = edge = graph.edges[picks[k]]
-            lazy_mix_node(state, v, times[k], mix_rate)
-            lazy_mix_node(state, w, times[k], mix_rate)
-            kernel(state, edge, edge_args[picks[k]])
+            v, w = graph.edges[picks[k]]
+            lazy_mix_node(x, z, clocks, v, times[k], mix_rate)
+            lazy_mix_node(x, z, clocks, w, times[k], mix_rate)
+            kernel(x, z, v, w, edge_args[picks[k]])
             k += 1
-        raw.append((np.array(state.x), np.array(state.z), np.array(state.last_t)))
+        raw.append((np.array(x), np.array(z), np.array(clocks)))
     return raw
 
 
@@ -273,7 +273,7 @@ def test_gossip_checkpoints_match_scalar_oracles(case):
     times = sample_event_stream(graph, horizon, run_streams(SEED, 0))[0]
     grid = _grid(times[::7].tolist(), horizon, [0.05, 1.0, 12.5])
     tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
-    raw = _replay_nodes(graph, initial_network_state(x0), params.mix_rate, accelerated_step,
+    raw = _replay_nodes(graph, x0, params.mix_rate, accelerated_step,
                         [params.z_step] * graph.edge_count,
                         sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
     _check_states(tr, raw, params.mix_rate)
@@ -300,7 +300,7 @@ def test_gossip_events_at_one_time_match_scalar_oracles(monkeypatch, dim):
     x0 = rng.standard_normal(4 if dim == 1 else (4, dim))
     grid = _grid(times[::4].tolist(), horizon, [0.05, 5.0])
     tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
-    raw = _replay_nodes(graph, initial_network_state(x0), params.mix_rate, accelerated_step,
+    raw = _replay_nodes(graph, x0, params.mix_rate, accelerated_step,
                         [params.z_step] * graph.edge_count, (times, picks), grid)
     _check_states(tr, raw, params.mix_rate)
     assert tr.events == times.size
@@ -328,7 +328,8 @@ def test_dual_checkpoints_match_scalar_oracles(dim):
         for (v, w), r, p in zip(graph.edges, incidence_r(graph).tolist(),
                                 graph.edge_probs.tolist())
     ]
-    raw = _replay_nodes(graph, initial_dual_state(6, dim), params.eta, dual_update, coefs,
+    y0 = np.zeros(6 if dim == 1 else (6, dim))
+    raw = _replay_nodes(graph, y0, params.eta, dual_update, coefs,
                         sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
     _check_states(tr, raw, params.eta)
     x_star = optimum_of(fns)

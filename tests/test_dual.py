@@ -11,7 +11,6 @@ from continuized.dual import (
     conjugate_grad,
     dual_update,
     incidence_r,
-    initial_dual_state,
     lazy_mix_dual_node,
     optimum_of,
     random_local_functions,
@@ -105,33 +104,30 @@ class TestDualUpdate:
     def test_dual_consensus_is_fixed_point(self):
         g, params, r = self._setup()
         fns = [LocalFunction(1.0, np.array([0.5])) for _ in range(3)]
-        state = initial_dual_state(3, 1)
-        dual_update(state, (0, 1), (fns[0], fns[1], *self._coefs(g, params, r, 0)))
-        np.testing.assert_allclose(state.x, 0.0, atol=1e-15)
-        np.testing.assert_allclose(state.z, 0.0, atol=1e-15)
+        y, z = [0.0] * 3, [0.0] * 3
+        dual_update(y, z, 0, 1, (fns[0], fns[1], *self._coefs(g, params, r, 0)))
+        np.testing.assert_allclose(y, 0.0, atol=1e-15)
+        np.testing.assert_allclose(z, 0.0, atol=1e-15)
 
     def test_antisymmetric_and_mean_zero(self):
         g, params, r = self._setup()
         rng = np.random.default_rng(1)
         fns = [LocalFunction(float(c), rng.standard_normal(2))
                for c in rng.uniform(0.5, 1.0, 3)]
-        state = initial_dual_state(3, 2)
-        state.x = rng.standard_normal((3, 2))
-        state.x -= state.x.mean(axis=0)
-        state.z = rng.standard_normal((3, 2))
-        state.z -= state.z.mean(axis=0)
-        dual_update(state, (1, 2), (fns[1], fns[2], *self._coefs(g, params, r, 1)))
-        np.testing.assert_allclose(state.x.sum(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(state.z.sum(axis=0), 0.0, atol=1e-12)
+        y = rng.standard_normal((3, 2))
+        y -= y.mean(axis=0)
+        z = rng.standard_normal((3, 2))
+        z -= z.mean(axis=0)
+        dual_update(y, z, 1, 2, (fns[1], fns[2], *self._coefs(g, params, r, 1)))
+        np.testing.assert_allclose(y.sum(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(z.sum(axis=0), 0.0, atol=1e-12)
 
     def test_lazy_mix_matches_pair_contraction(self):
-        state = initial_dual_state(2, 1)
-        state.x[0] = 3.0
-        state.z[0] = -1.0
-        lazy_mix_dual_node(state, 0, 2.0, 0.25)
+        y, z = [3.0, 0.0], [-1.0, 0.0]
+        lazy_mix_dual_node(y, z, [0.0, 0.0], 0, 2.0, 0.25)
         d = math.exp(-2.0 * 0.25 * 2.0)
-        assert state.x[0] == pytest.approx(1.0 + 2.0 * d)
-        assert state.z[0] == pytest.approx(1.0 - 2.0 * d)
+        assert y[0] == pytest.approx(1.0 + 2.0 * d)
+        assert z[0] == pytest.approx(1.0 - 2.0 * d)
 
 
 class TestRunDecentralized:
@@ -214,8 +210,8 @@ COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)
 
 @st.composite
 def dual_update_cases(draw):
-    """A dual state on n nodes, as float lists (d = 1) or (n, d) rows, the
-    nodes' conjugate data, an edge (v, w) and its coefficients."""
+    """Dual node values y and z on n nodes, as float lists (d = 1) or (n, d)
+    rows, the nodes' conjugate data, an edge (v, w) and its coefficients."""
     n = draw(st.integers(2, 6))
     d = draw(st.integers(1, 3))
 
@@ -224,23 +220,23 @@ def dual_update_cases(draw):
         return np.array(flat).reshape(n, d)
 
     y, z, centers = node_values(), node_values(), node_values()
-    state = initial_dual_state(n, d)
-    state.x, state.z = (y[:, 0].tolist(), z[:, 0].tolist()) if d == 1 else (y, z)
+    if d == 1:
+        y, z = y[:, 0].tolist(), z[:, 0].tolist()
     curvatures = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
     nodes = [LocalFunction(c, centers[v]) for v, c in enumerate(curvatures)]
     v, w = draw(st.permutations(range(n)))[:2]
     coefs = tuple(draw(st.floats(1e-3, 10.0)) for _ in range(3))  # P_e, y_coef, z_coef
-    return state, nodes, (v, w), coefs
+    return y, z, nodes, (v, w), coefs
 
 
 @settings(deadline=None)
 @given(dual_update_cases())
 def test_dual_update_antisymmetric_and_keeps_sums(case):
     # relative tolerance 1e-12 of the largest |y|, |z| before or after
-    state, nodes, (v, w), coefs = case
-    y0, z0 = np.array(state.x), np.array(state.z)
-    dual_update(state, (v, w), (nodes[v], nodes[w], *coefs))
-    y1, z1 = np.array(state.x), np.array(state.z)
+    y, z, nodes, (v, w), coefs = case
+    y0, z0 = np.array(y), np.array(z)
+    dual_update(y, z, v, w, (nodes[v], nodes[w], *coefs))
+    y1, z1 = np.array(y), np.array(z)
     assert y1.shape == y0.shape and z1.shape == z0.shape
     tol = 1e-12 * max(np.max(np.abs(a)) for a in (y0, z0, y1, z1))
     others = [u for u in range(len(y0)) if u not in (v, w)]

@@ -9,7 +9,6 @@ from continuized.gossip import (
     GossipParams,
     accelerated_step,
     energy_problem,
-    initial_network_state,
     lazy_mix_node,
     run_gossip,
     sample_event_stream,
@@ -84,15 +83,15 @@ class TestSteps:
         assert GossipParams.from_cache(cache, "naive") == NAIVE
 
     def test_naive_averages(self):
-        s = initial_network_state([0.0, 1.0])
-        accelerated_step(s, (0, 1), NAIVE.z_step)
-        assert s.x == [0.5, 0.5]
-        assert s.z == [0.0, 1.0]
+        x, z = [0.0, 1.0], [0.0, 1.0]
+        accelerated_step(x, z, 0, 1, NAIVE.z_step)
+        assert x == [0.5, 0.5]
+        assert z == [0.0, 1.0]
 
     def test_naive_noop_when_equal(self):
-        s = initial_network_state([0.3, 0.3, 0.9])
-        accelerated_step(s, (0, 1), NAIVE.z_step)
-        assert s.x[:2] == [0.3, 0.3]
+        x, z = [0.3, 0.3, 0.9], [0.3, 0.3, 0.9]
+        accelerated_step(x, z, 0, 1, NAIVE.z_step)
+        assert x[:2] == [0.3, 0.3]
 
     def test_naive_is_half_step_sgd(self):
         # pairwise averaging is a stochastic gradient step of size 1/2 on
@@ -100,44 +99,42 @@ class TestSteps:
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(4)
         g = line_graph(4)
-        s = initial_network_state(x0)
-        accelerated_step(s, (1, 2), NAIVE.z_step)
+        x, z = x0.tolist(), x0.tolist()
+        accelerated_step(x, z, 1, 2, NAIVE.z_step)
         a = np.zeros(4)
         a[1], a[2] = 1.0, -1.0
         want = x0 - 0.5 * float(a @ x0) * a
-        np.testing.assert_allclose(s.x, want, atol=1e-15)
+        np.testing.assert_allclose(x, want, atol=1e-15)
 
     def test_naive_conserves_sum(self):
         rng = np.random.default_rng(0)
-        s = initial_network_state(rng.standard_normal(6))
-        total = sum(s.x)
-        for e in [(0, 1), (2, 3), (1, 4), (4, 5)]:
-            accelerated_step(s, e, NAIVE.z_step)
-        assert sum(s.x) == pytest.approx(total, abs=1e-12)
+        x = rng.standard_normal(6).tolist()
+        z = list(x)
+        total = sum(x)
+        for v, w in [(0, 1), (2, 3), (1, 4), (4, 5)]:
+            accelerated_step(x, z, v, w, NAIVE.z_step)
+        assert sum(x) == pytest.approx(total, abs=1e-12)
 
     def test_lazy_mix_identity_and_limit(self):
-        s = initial_network_state([1.0, 0.0])
-        s.z[0] = -1.0
-        lazy_mix_node(s, 0, 0.0, 1.0)
-        assert (s.x[0], s.z[0]) == (1.0, -1.0)
-        lazy_mix_node(s, 0, 1e6, 1.0)
-        assert s.x[0] == pytest.approx(0.0, abs=1e-12)
-        assert s.z[0] == pytest.approx(0.0, abs=1e-12)
+        x, z, clocks = [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]
+        lazy_mix_node(x, z, clocks, 0, 0.0, 1.0)
+        assert (x[0], z[0]) == (1.0, -1.0)
+        lazy_mix_node(x, z, clocks, 0, 1e6, 1.0)
+        assert x[0] == pytest.approx(0.0, abs=1e-12)
+        assert z[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_lazy_mix_zero_rate_keeps_pair_bits(self):
         # naive gossip never mixes: contracting by exp(0) = 1 anyway would
         # turn x = -0.01 into -0.010000000000000002 here
-        s = initial_network_state([-0.01, 0.7])
-        s.z[0] = -0.1
-        lazy_mix_node(s, 0, 5.0, 0.0)
-        assert (s.x[0], s.z[0], s.last_t[0]) == (-0.01, -0.1, 5.0)
+        x, z, clocks = [-0.01, 0.7], [-0.1, 0.7], [0.0, 0.0]
+        lazy_mix_node(x, z, clocks, 0, 5.0, 0.0)
+        assert (x[0], z[0], clocks[0]) == (-0.01, -0.1, 5.0)
 
     def test_lazy_mix_matches_numeric_ode(self):
         c = 0.37
         x0, z0 = 2.0, -1.5
-        s = initial_network_state([x0])
-        s.z[0] = z0
-        lazy_mix_node(s, 0, 2.0, c)
+        xs, zs = [x0], [z0]
+        lazy_mix_node(xs, zs, [0.0], 0, 2.0, c)
         # RK4 on the pair ODE
         x, z = x0, z0
         h = 1e-4
@@ -150,26 +147,27 @@ class TestSteps:
             k4 = f(x + h * k3[0], z + h * k3[1])
             x += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             z += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        assert s.x[0] == pytest.approx(x, abs=1e-8)
-        assert s.z[0] == pytest.approx(z, abs=1e-8)
+        assert xs[0] == pytest.approx(x, abs=1e-8)
+        assert zs[0] == pytest.approx(z, abs=1e-8)
 
     def test_accelerated_step_consensus_fixed_point(self):
         _, cache = k10()
         params = GossipParams.from_cache(cache)
-        s = initial_network_state([0.4] * 10)
-        accelerated_step(s, (0, 1), params.z_step)
-        assert s.x[0] == s.x[1] == 0.4
-        assert s.z[0] == s.z[1] == 0.4
+        x, z = [0.4] * 10, [0.4] * 10
+        accelerated_step(x, z, 0, 1, params.z_step)
+        assert x[0] == x[1] == 0.4
+        assert z[0] == z[1] == 0.4
 
     def test_accelerated_step_conserves_pair_sums(self):
         _, cache = k10()
         params = GossipParams.from_cache(cache)
         rng = np.random.default_rng(1)
-        s = initial_network_state(rng.standard_normal(10))
-        sx, sz = sum(s.x), sum(s.z)
-        accelerated_step(s, (2, 7), params.z_step)
-        assert sum(s.x) == pytest.approx(sx, abs=1e-12)
-        assert sum(s.z) == pytest.approx(sz, abs=1e-12)
+        x = rng.standard_normal(10).tolist()
+        z = list(x)
+        sx, sz = sum(x), sum(z)
+        accelerated_step(x, z, 2, 7, params.z_step)
+        assert sum(x) == pytest.approx(sx, abs=1e-12)
+        assert sum(z) == pytest.approx(sz, abs=1e-12)
 
 
 class TestCrossModuleEquivalence:
@@ -179,11 +177,11 @@ class TestCrossModuleEquivalence:
         g = line_graph(2)
         cache = spectral(g)
         params = GossipParams.from_cache(cache)
-        s = initial_network_state([0.0, 1.0])
+        x, z, clocks = [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]
         t1 = 0.8
-        lazy_mix_node(s, 0, t1, params.mix_rate)
-        lazy_mix_node(s, 1, t1, params.mix_rate)
-        accelerated_step(s, (0, 1), params.z_step)
+        lazy_mix_node(x, z, clocks, 0, t1, params.mix_rate)
+        lazy_mix_node(x, z, clocks, 1, t1, params.mix_rate)
+        accelerated_step(x, z, 0, 1, params.z_step)
 
         from continuized.dynamics import gradient_jump, initial_state, mix_closed_form
 
@@ -196,8 +194,8 @@ class TestCrossModuleEquivalence:
         a = np.array([1.0, -1.0])
         grad = float(a @ state[0]) * a
         state = gradient_jump(state, np.array([[0.5], [params.z_step]]), grad)
-        np.testing.assert_allclose(state[0], s.x, atol=1e-12)
-        np.testing.assert_allclose(state[1], s.z, atol=1e-12)
+        np.testing.assert_allclose(state[0], x, atol=1e-12)
+        np.testing.assert_allclose(state[1], z, atol=1e-12)
 
     def test_full_run_matches_continuized_optimizer(self):
         # a whole gossip trajectory equals the continuized multiplicative
@@ -246,6 +244,26 @@ class TestRunGossip:
         with pytest.raises(ValueError, match=r"checkpoints \[50\.0\].*horizon = 10"):
             run_gossip(g, params, np.eye(1, 10)[0], 10, run_streams(4, 0),
                        checkpoints=[5, 50])
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (9, 2), (10, 1, 2), ()])
+    def test_x0_not_one_value_or_row_per_node_rejected(self, shape):
+        g, cache = k10()
+        params = GossipParams.from_cache(cache)
+        with pytest.raises(ValueError, match=r"x0 has shape .*, graph has 10 nodes"):
+            run_gossip(g, params, np.ones(shape), 10.0, run_streams(4, 0), checkpoints=[10.0])
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 2)])
+    def test_run_leaves_x0_unchanged(self, shape):
+        # the runner hands every run of an ensemble the same x0 array: a
+        # run that wrote into it would start the next run from its end state
+        g = grid_graph(3, 3)
+        params = GossipParams.from_cache(g.spectrum)
+        x0 = np.random.default_rng(7).standard_normal(shape)
+        before = x0.tobytes()
+        tr = run_gossip(g, params, x0, 20.0, run_streams(8, 0), checkpoints=[5.0, 20.0])
+        assert tr.events > 0
+        assert x0.tobytes() == before
+        assert not np.array_equal(tr.states[-1].x, x0)
 
     def test_conservation_after_sync(self):
         g = grid_graph(3, 3)
@@ -339,21 +357,19 @@ COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)
 
 @st.composite
 def pair_states(draw):
-    """A pair state on n nodes, as float lists (d = 1) or (n, d) rows, with
-    node clocks in [0, 10], and an edge (v, w)."""
+    """Node values x and z on n nodes, as float lists (d = 1) or (n, d)
+    rows, node clocks in [0, 10], and an edge (v, w)."""
     n = draw(st.integers(2, 6))
     d = draw(st.integers(1, 3))
 
     def node_values():
         flat = np.array(draw(st.lists(COORDS, min_size=n * d, max_size=n * d)))
-        return flat if d == 1 else flat.reshape(n, d)
+        return flat.tolist() if d == 1 else flat.reshape(n, d)
 
-    state = initial_network_state(node_values())
-    z = node_values()
-    state.z = z.tolist() if d == 1 else z
-    state.last_t = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    x, z = node_values(), node_values()
+    clocks = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     v, w = draw(st.permutations(range(n)))[:2]
-    return state, (v, w)
+    return x, z, clocks, (v, w)
 
 
 def _scale(*arrays) -> float:
@@ -364,10 +380,10 @@ def _scale(*arrays) -> float:
 @given(pair_states(), st.floats(0.0, 10.0))
 def test_accelerated_step_keeps_sums(case, z_step):
     # relative tolerance 1e-12 of the largest |x|, |z| before or after
-    state, edge = case
-    x0, z0 = np.array(state.x), np.array(state.z)
-    accelerated_step(state, edge, z_step)
-    x1, z1 = np.array(state.x), np.array(state.z)
+    x, z, _, (v, w) = case
+    x0, z0 = np.array(x), np.array(z)
+    accelerated_step(x, z, v, w, z_step)
+    x1, z1 = np.array(x), np.array(z)
     tol = 1e-12 * _scale(x0, z0, x1, z1)
     np.testing.assert_allclose(x1.sum(axis=0), x0.sum(axis=0), rtol=0, atol=tol)
     np.testing.assert_allclose(z1.sum(axis=0), z0.sum(axis=0), rtol=0, atol=tol)
@@ -377,9 +393,9 @@ def test_accelerated_step_keeps_sums(case, z_step):
 @given(pair_states(), st.floats(0.0, 10.0), st.floats(0.0, 20.0))
 def test_lazy_mix_node_keeps_pair_sums(case, mix_rate, dt):
     # relative tolerance 1e-12 of the largest |x|, |z| before or after
-    state, (v, _) = case
-    x0, z0 = np.array(state.x), np.array(state.z)
-    lazy_mix_node(state, v, state.last_t[v] + dt, mix_rate)
-    x1, z1 = np.array(state.x), np.array(state.z)
+    x, z, clocks, (v, _) = case
+    x0, z0 = np.array(x), np.array(z)
+    lazy_mix_node(x, z, clocks, v, clocks[v] + dt, mix_rate)
+    x1, z1 = np.array(x), np.array(z)
     tol = 1e-12 * _scale(x0, z0, x1, z1)
     np.testing.assert_allclose(x1 + z1, x0 + z0, rtol=0, atol=tol)

@@ -128,6 +128,12 @@ runs = 0
             parse_config_text(bad)
         assert any("increasing" in v for v in err.value.violations)
 
+    def test_empty_checkpoint_list_rejected(self):
+        bad = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 20\ncheckpoints =")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bad)
+        assert err.value.violations == ["[experiment] checkpoints: must list at least one time"]
+
     def test_gossip_config(self):
         spec = parse_config_text(GOSSIP_CFG)
         assert spec.kind == "gossip"

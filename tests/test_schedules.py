@@ -128,6 +128,9 @@ class TestEventClock:
     def test_validation(self):
         with pytest.raises(ValueError):
             EventClock.exponential(0.0)
+        # every wait would be 0, so a run would never reach its horizon
+        with pytest.raises(ValueError, match="rate must be finite and > 0"):
+            EventClock.exponential(math.inf)
         with pytest.raises(ValueError):
             EventClock.geometric(0.0, 1.0)
         with pytest.raises(ValueError):

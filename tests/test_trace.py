@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import line_graph, spectral
 from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
-from continuized.seeding import run_streams
+from continuized.seeding import RunStreams, run_streams
 from continuized.trace import Snapshot, run_events
 from replay import event_times
 
@@ -188,3 +190,39 @@ def test_every_engine_records_snapshots(name):
         assert got.t == want.t
         np.testing.assert_array_equal(got.x, want.x)
         np.testing.assert_array_equal(got.z, want.z)
+
+
+class DryingClock:
+    """A clock stream that gives ``blocks`` draws, then raises: an engine
+    that samples without end fails fast here instead of hanging."""
+
+    def __init__(self, blocks=3):
+        self.rng, self.blocks = np.random.default_rng(0), blocks
+
+    def _give(self):
+        if not self.blocks:
+            raise RuntimeError("the clock stream ran dry")
+        self.blocks -= 1
+        return self.rng
+
+    def random(self, size=None):
+        return self._give().random(size)
+
+    def exponential(self, scale=1.0, size=None):
+        return self._give().exponential(scale, size)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["continuized", "gossip", "decentralized"])
+def test_horizon_not_finite_and_positive_rejected_before_sampling(name, horizon):
+    # the samplers draw until they pass the horizon, which an infinite one
+    # never lets them do
+    streams = RunStreams(clock=DryingClock(), noise=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        _run(name, horizon, streams, [1.0])
+    assert streams.clock.blocks == 3
+
+
+def test_grid_faults_reported_together():
+    with pytest.raises(ValueError, match="not strictly increasing; .* lie outside"):
+        run_events([1.0, 2.0], 10.0, [5.0, 5.0, 20.0], _never, _never, _never)
