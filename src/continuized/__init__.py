@@ -1,6 +1,17 @@
 """Continuized acceleration: Poisson-clocked optimization, gossip, and
 dual decentralized optimization with exact closed-form discretization."""
 
+import os
+
+# OpenBLAS reads this when numpy loads it.  After start-up and after every
+# threaded call, its idle worker threads spin for 2**28 cycles (~0.1 s)
+# before they sleep; the simulators make tiny numpy calls whose largest BLAS
+# work is one small ``eigh`` (``graphs.spectral``), so that spin only takes a
+# core from the event loop.  2**4 cycles puts the workers to sleep at once.
+# The thread count, and so the bits of the threaded ``eigh``, is unchanged;
+# a value the user sets wins, and numpy imported first keeps its setting.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .dynamics import (
     gradient_jump,
     initial_state,

@@ -39,7 +39,7 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams
-from .trace import Snapshot, Trace, check_horizon, run_events
+from .trace import Snapshot, Trace, run_events
 
 Array = np.ndarray
 
@@ -196,7 +196,6 @@ def run_continuized(
             f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
         )
     noise_rng = rng.noise
-    check_horizon(horizon)
     times = sample_event_times(clock, horizon, rng.clock)
     if schedule.is_time_varying:
         columns = list(step_column(schedule, np.array(times)))

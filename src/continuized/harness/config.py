@@ -33,7 +33,7 @@ from ..problems import (
     problem_from_section,
 )
 from ..schedules import EventClock, ParamSchedule
-from ..trace import checkpoint_grid
+from ..trace import check_horizon, checkpoint_grid
 
 EXPERIMENT_KINDS = ("optimize", "gossip", "decentralized", "graph-info")
 # The [algo] keys each method reads, besides method and x0.
@@ -370,9 +370,8 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
         errors.append("[experiment] runs must be >= 1")
     seed = read("seed", int, DEFAULT_SEED)
     horizon = read("horizon", parse_float)
-    if horizon is not None and horizon <= 0:
-        errors.append("[experiment] horizon must be > 0")
-        horizon = None
+    if horizon is not None:
+        horizon = _attempt(errors, "[experiment]", check_horizon, horizon)
     include_bounds = read("include_bounds", _parse_bool, False)
 
     preset = exp.get("preset")

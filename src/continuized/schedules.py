@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .problems import ConvexProblem, LeastSquaresProblem
+from .trace import check_horizon
 
 KINDS = (
     "convex",
@@ -232,11 +233,10 @@ def sample_event_times(clock: EventClock, horizon: float, rng: np.random.Generat
     blocks, each sized to the expected event count plus three standard
     deviations and at most ``EVENT_CHUNK``, so one block covers nearly every
     run; the clock stream feeds nothing else, so the uniforms left in the
-    last block are simply unused.  A negative or NaN horizon has no times.
+    last block are simply unused.  The horizon must pass ``check_horizon``.
     """
+    check_horizon(horizon)
     times: list[float] = []
-    if not horizon >= 0.0:
-        return times
     mean_rate = clock.rate if clock.kind == "exponential" else clock.p / clock.tick
     expected = horizon * mean_rate
     size = min(EVENT_CHUNK, 1 + int(expected + 3.0 * math.sqrt(expected)))

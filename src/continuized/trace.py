@@ -38,11 +38,13 @@ class Trace:
             self.values.setdefault(name, []).extend(column)
 
 
-def check_horizon(horizon: float) -> None:
-    """Raise unless ``horizon`` is finite and > 0: the event samplers draw
-    until they pass it, so every engine checks it before the first draw."""
+def check_horizon(horizon: float) -> float:
+    """``horizon``, after raising unless it is finite and > 0: the event
+    samplers draw until they pass it, so every engine checks it before the
+    first draw."""
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    return horizon
 
 
 def checkpoint_grid(checkpoints: Sequence[float], horizon: float) -> np.ndarray:

@@ -9,7 +9,9 @@ says so in CHANGES.md.
 """
 
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from continuized.harness.config import parse_config_text
@@ -84,7 +86,22 @@ CASES = {
 }
 
 
+def _blas_context() -> str:
+    """numpy's BLAS build and thread settings.  A graph's spectrum comes from
+    a threaded ``eigh`` whose last bits depend on OpenBLAS's thread count, so
+    a gossip or decentralized digest can move with these alone."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        build = "unknown"
+    threads = ", ".join(
+        f"{k}={os.environ.get(k)}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    )
+    return f"numpy {np.__version__} on BLAS {build}; {threads}, os.cpu_count()={os.cpu_count()}"
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_csv_digest(case):
     render, *args = CASES[case]
-    assert hashlib.sha256(render(*args).encode()).hexdigest() == GOLDEN[case]
+    assert hashlib.sha256(render(*args).encode()).hexdigest() == GOLDEN[case], _blas_context()

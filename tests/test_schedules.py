@@ -214,8 +214,9 @@ class TestSampleEventTimes:
 
     def test_no_times_for_a_horizon_that_is_not_a_positive_number(self):
         clock = EventClock.exponential(1.0)
-        for horizon in (-1.0, math.nan):
-            assert sample_event_times(clock, horizon, run_streams(1, 0).clock) == []
+        for horizon in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+                sample_event_times(clock, horizon, run_streams(1, 0).clock)
 
 
 class TestStepColumns:

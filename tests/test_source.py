@@ -2,9 +2,14 @@
 
 import ast
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from continuized.harness import runner
@@ -128,6 +133,59 @@ def test_lyapunov_coefficients_built_once_per_ensemble():
     finally:
         tracer.uninstall()
     assert tracer.summary()["schedules.lyapunov_coeffs.calls"] == len(spec.checkpoints)
+
+
+# A fresh interpreter imports the package, decomposes a 225-node Laplacian
+# (the largest BLAS call of any preset) and then sleeps: it prints the
+# process's CPU time during the sleep, which counts every thread, and the
+# BLAS variables it sees.
+IDLE_PROBE = """
+import json, os, time
+import continuized
+continuized.grid_graph(15, 15).spectrum
+start = time.process_time()
+time.sleep(0.3)
+print(json.dumps({"idle_cpu_s": time.process_time() - start,
+                  "env": {k: os.environ.get(k) for k in %r}}))
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        return False
+    return "openblas" in json.dumps(blas).lower()
+
+
+def _idle_probe(**env) -> dict:
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), child.get("PYTHONPATH")]))
+    names = ("OPENBLAS_THREAD_TIMEOUT", *BLAS_THREAD_VARS)
+    proc = subprocess.run(
+        [sys.executable, "-c", IDLE_PROBE % (names,)], env={**child, **env},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not built on OpenBLAS")
+def test_idle_blas_workers_sleep_instead_of_spinning():
+    # OpenBLAS workers spin ~0.1 s after start-up and after each threaded
+    # call unless OPENBLAS_THREAD_TIMEOUT is set before numpy loads; the
+    # package sets it, and no thread count, so the threaded eigh keeps its bits
+    probe = _idle_probe()
+    assert probe["idle_cpu_s"] < 0.03, probe
+    assert probe["env"]["OPENBLAS_THREAD_TIMEOUT"] == "4"
+    assert {k: probe["env"][k] for k in BLAS_THREAD_VARS} == {
+        k: os.environ.get(k) for k in BLAS_THREAD_VARS
+    }
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not built on OpenBLAS")
+def test_preset_blas_thread_timeout_kept():
+    assert _idle_probe(OPENBLAS_THREAD_TIMEOUT="6")["env"]["OPENBLAS_THREAD_TIMEOUT"] == "6"
 
 
 def test_no_unused_imports():
