@@ -6,7 +6,8 @@ random Nesterov parameters depend only on the event times, so each run
 computes them in one pass before its event loop: the times from block draws
 of its clock stream, and the jump column of every event.  The certificate
 coefficients depend only on the grid, which all runs share, so an ensemble
-builds them once.  The loop then only applies the parameters.  Because
+builds them once.  The loop then only applies the parameters, to one (2, d)
+pair that the run builds once and mixes and jumps in place.  Because
 the mixing ODE integrates exactly, the event-time snapshots coincide (to
 rounding) with the three-sequence recursion with random weights, which is
 also provided here and used as a cross-check in the tests; the Nesterov and
@@ -26,6 +27,7 @@ from .problems import (
     DimensionMismatchError,
     LeastSquaresProblem,
     NoiseModel,
+    gradient_oracle,
     row_dots,
     stochastic_gradient,
 )
@@ -62,13 +64,16 @@ def midpoint_contract(x, z, decay):
 
 
 def mix_closed_form(pair: Array, t: float, schedule: ParamSchedule, until: float) -> Array:
-    """Advance the mixing ODE of the (2, d) pair from t to ``until`` in closed form.
+    """Advance the mixing ODE of the (2, d) pair from t to ``until`` in
+    closed form, in place, and return ``pair``.
 
     Time-varying kinds keep z fixed and contract x toward z by (t0/t)^2;
     constant kinds contract both variables toward their midpoint by
     exp(-2c dt).  At t0 = 0 the time-varying flow collapses x onto z, the
-    exact limit of the 2/t rate.  The result is a new array (``pair`` itself
-    when until == t): no pair is ever written after it is built.
+    exact limit of the 2/t rate.  When until == t the pair is left as it
+    is.  Each element is computed as ``midpoint_contract`` and
+    ``z + (t0/t) ** 2 * (x - z)`` compute it, so the in-place pair carries
+    the same bits as those allocating formulas.
     """
     if until < t:
         raise ValueError(f"cannot mix backwards: {until} < {t}")
@@ -76,15 +81,17 @@ def mix_closed_form(pair: Array, t: float, schedule: ParamSchedule, until: float
         return pair
     x, z = pair[0], pair[1]
     if schedule.is_time_varying:
-        mixed = pair.copy()
-        mixed[0] = z + (t / until) ** 2 * (x - z)
+        x -= z
+        x *= (t / until) ** 2
+        x += z
     else:
-        # midpoint_contract on both rows at once, in place on the new pair
-        mid = 0.5 * (x + z)
-        mixed = pair - mid
-        mixed *= math.exp(-2.0 * schedule.mix_rate * (until - t))
-        mixed += mid
-    return mixed
+        # midpoint_contract on both rows at once
+        mid = x + z
+        mid *= 0.5
+        pair -= mid
+        pair *= math.exp(-2.0 * schedule.mix_rate * (until - t))
+        pair += mid
+    return pair
 
 
 def step_column(schedule: ParamSchedule, t: float | Array) -> Array:
@@ -99,14 +106,15 @@ def step_column(schedule: ParamSchedule, t: float | Array) -> Array:
 
 
 def gradient_jump(pair: Array, steps: Array, g: Array) -> Array:
-    """Apply one gradient event to the (2, d) pair: x and z step along g by
-    the (2, 1) column ``steps`` = (gamma, gamma'), into a new array."""
+    """Apply one gradient event to the (2, d) pair in place, and return
+    ``pair``: x and z step along g by the (2, 1) column ``steps`` =
+    (gamma, gamma').  The step ``steps * g`` is formed before the pair is
+    written, so ``g`` may be a row of ``pair``."""
     g = np.asarray(g, dtype=float)
     if g.shape != pair.shape[1:]:
         raise DimensionMismatchError(f"gradient has shape {g.shape}, state has {pair[0].shape}")
-    jumped = steps * g
-    np.subtract(pair, jumped, out=jumped)
-    return jumped
+    pair -= steps * g
+    return pair
 
 
 def mix_to_checkpoints(pairs: Array, starts: Sequence[float], schedule: ParamSchedule,
@@ -177,10 +185,13 @@ def run_continuized(
     The run first derives every random parameter of its Nesterov steps
     from its clock stream: the event times (``sample_event_times``) and
     each event's jump column, one ``step_column`` stack over all the times
-    on the 2/t kinds and one shared column on the constant kinds.  The
-    event loop then only applies them: per event one ``mix_closed_form``,
-    one ``stochastic_gradient`` at the left limit x_{T-} and one
-    ``gradient_jump``.  Each checkpoint captures the pair and its time;
+    on the 2/t kinds and one shared column on the constant kinds.  It
+    checks x0's shape once and binds its gradient oracle
+    (``gradient_oracle``) once.  The event loop then only applies the
+    parameters to the run's one (2, d) pair, in place: per event one
+    ``mix_closed_form``, one oracle draw at the left limit x_{T-} and one
+    ``gradient_jump``.  The caller's x0 is copied, never written.  Each
+    checkpoint copies the pair and its time into the run's capture buffers;
     after the last event every capture is mixed forward to its checkpoint
     and measured (``gap``, ``dist_sq``, ``lyapunov``) in one stacked pass,
     with the certificate coefficients that ``lyapunov_on_grid`` builds once
@@ -195,7 +206,8 @@ def run_continuized(
         raise DimensionMismatchError(
             f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
         )
-    noise_rng = rng.noise
+    x = pair[0]  # a view: it follows the pair through every in-place event
+    gradient_at = gradient_oracle(problem, noise, rng.noise)
     times = sample_event_times(clock, horizon, rng.clock)
     if schedule.is_time_varying:
         columns = list(step_column(schedule, np.array(times)))
@@ -205,11 +217,11 @@ def run_continuized(
     starts = [0.0] * len(checkpoints)
 
     def advance(a, b):
-        nonlocal pair, now
+        nonlocal now
         for te, steps in zip(times[a:b], columns[a:b]):
-            pair, now = mix_closed_form(pair, now, schedule, te), te
-            g = stochastic_gradient(problem, noise, pair[0], noise_rng)
-            pair = gradient_jump(pair, steps, g)
+            mix_closed_form(pair, now, schedule, te)
+            now = te
+            gradient_jump(pair, steps, gradient_at(x))
 
     def capture(i):
         pairs[i] = pair
@@ -324,8 +336,9 @@ def run_nesterov(
 def _gap_trace(problem: ConvexProblem, weights, x0=None) -> Trace:
     """Run the recursion with fixed ``weights``: (k, x_k, z_k) and ``gap`` per iterate."""
     xs, _, zs = nesterov_recursion(problem, weights, problem.grad, x0)
-    states = [Snapshot(float(k), x, z) for k, (x, z) in enumerate(zip(xs, zs))]
-    return Trace(states, {"gap": [problem.gap(x) for x in xs]})
+    trace = Trace()
+    trace.add([float(k) for k in range(len(xs))], xs, zs, {"gap": [problem.gap(x) for x in xs]})
+    return trace
 
 
 def check_gd_step(problem: ConvexProblem, step: float) -> None:

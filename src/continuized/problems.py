@@ -12,6 +12,7 @@ constants (L, mu, R^2, kappa_tilde) computable in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -278,21 +279,46 @@ def check_noise(problem: ConvexProblem, noise: NoiseModel) -> None:
         )
 
 
+def gradient_oracle(
+    problem: ConvexProblem, noise: NoiseModel, rng: np.random.Generator
+) -> Callable[[Array], Array]:
+    """The stochastic gradient x -> g of ``problem`` under ``noise``, drawing
+    from ``rng``.
+
+    The noise kind is dispatched here, once, and the returned oracle does
+    not check its point: an engine binds it once per run and calls it only
+    at rows of its own state, whose shape it has checked.
+    """
+    grad = problem.grad
+    if noise.kind == "none":
+        return grad
+    if noise.kind == "additive":
+        scale = np.sqrt(noise.sigma2 / problem.dimension)
+        dimension, normal = problem.dimension, rng.standard_normal
+
+        def additive(x: Array) -> Array:
+            return grad(x) + scale * normal(dimension)
+
+        return additive
+    check_noise(problem, noise)
+    cum_weights, atoms, targets = problem.cum_weights, problem.atoms, problem.targets
+    last, uniform = len(targets) - 1, rng.random
+
+    def multiplicative(x: Array) -> Array:
+        i = min(int(np.searchsorted(cum_weights, uniform(), side="right")), last)
+        a = atoms[i]
+        return (float(a @ x) - targets[i]) * a
+
+    return multiplicative
+
+
 def stochastic_gradient(
     problem: ConvexProblem, noise: NoiseModel, x: Array, rng: np.random.Generator
 ) -> Array:
-    """One stochastic gradient draw at ``x`` under the given noise model."""
+    """One stochastic gradient draw at ``x`` under the given noise model,
+    after checking ``x`` (``check_point``)."""
     x = check_point(problem, x)
-    if noise.kind == "none":
-        return problem.grad(x)
-    if noise.kind == "additive":
-        scale = np.sqrt(noise.sigma2 / problem.dimension)
-        return problem.grad(x) + scale * rng.standard_normal(problem.dimension)
-    check_noise(problem, noise)
-    i = int(np.searchsorted(problem.cum_weights, rng.random(), side="right"))
-    i = min(i, len(problem.targets) - 1)
-    a = problem.atoms[i]
-    return (float(a @ x) - problem.targets[i]) * a
+    return gradient_oracle(problem, noise, rng)(x)
 
 
 def parse_floats(text: str, name: str | None = None, *, single: bool = False) -> Array:

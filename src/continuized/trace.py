@@ -21,19 +21,26 @@ class Snapshot(NamedTuple):
 class Trace:
     """The run's state and metric values at each point of the caller's grid.
 
-    ``states[i]`` is the snapshot at the i-th checkpoint, so its ``t`` is
-    that checkpoint, and ``values[name][i]`` is metric ``name`` of it;
-    ``add`` appends a block of checkpoints, in grid order.  ``events`` is
+    ``add`` appends a block of checkpoints, in grid order: their times, the
+    x and z at each (a (C, ...) stack or a list), and one value per
+    checkpoint for each metric.  The trace keeps the blocks as they come,
+    and ``states`` builds the ``Snapshot`` of each checkpoint only when it
+    is read, so ``states[i].t`` is the i-th checkpoint and
+    ``values[name][i]`` is metric ``name`` of ``states[i]``.  ``events`` is
     the number of events ``run_events`` applied (0 for the fixed-weight
     baselines, which have none).
     """
 
-    states: list[Snapshot] = field(default_factory=list)
     values: dict[str, list[float]] = field(default_factory=dict)
     events: int = 0
+    blocks: list[tuple[Sequence[float], Any, Any]] = field(default_factory=list)
 
-    def add(self, states: Sequence[Snapshot], values: Mapping[str, Sequence[float]]) -> None:
-        self.states.extend(states)
+    @property
+    def states(self) -> list[Snapshot]:
+        return [Snapshot(*row) for block in self.blocks for row in zip(*block)]
+
+    def add(self, ts: Sequence[float], xs, zs, values: Mapping[str, Sequence[float]]) -> None:
+        self.blocks.append((ts, xs, zs))
         for name, column in values.items():
             self.values.setdefault(name, []).extend(column)
 
@@ -81,7 +88,8 @@ def run_events(
     post-jump state.  After the last event ``finish(grid)`` synchronizes
     every captured row to its checkpoint and measures it in one stacked
     pass, returning the (C, ...) stacks of x and z and one (C,) array per
-    metric; the trace holds their rows and the number of events applied.
+    metric; the trace keeps the stacks as one block (``Trace.add``) with
+    the number of events applied.
     """
     grid = checkpoint_grid(checkpoints, horizon)
     stream = np.asarray(times, dtype=float)
@@ -101,8 +109,5 @@ def run_events(
         advance(k, count)
     xs, zs, values = finish(grid)
     trace = Trace(events=count)
-    trace.add(
-        list(map(Snapshot, grid, xs, zs)),
-        {name: column.tolist() for name, column in values.items()},
-    )
+    trace.add(grid, xs, zs, {name: column.tolist() for name, column in values.items()})
     return trace

@@ -4,8 +4,12 @@ Each engine captures its raw state at the checkpoints and synchronizes and
 measures all of them at once after the run.  Here every recorded state is
 rebuilt from a by-hand replay of the run's events, synchronized one
 checkpoint at a time, and every recorded value is compared with the scalar
-metric of its recorded ``Snapshot``.  All comparisons are exact.
+metric of its recorded ``Snapshot``.  The optimizer's replay steps x and z
+as separate rows with allocating formulas, independent of the engine's
+in-place (2, d) kernels.  All comparisons are exact.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,14 +25,11 @@ from continuized.dual import (
     run_decentralized,
 )
 from continuized.dynamics import (
-    gradient_jump,
-    initial_state,
     lyapunov_value,
     midpoint_contract,
     mix_closed_form,
     mix_to_checkpoints,
     run_continuized,
-    step_column,
 )
 from continuized.gossip import (
     GossipParams,
@@ -52,8 +53,10 @@ from continuized.schedules import (
     ParamSchedule,
     SingularScheduleError,
     lyapunov_coeffs,
+    schedule_eval,
 )
 from continuized.seeding import RunStreams, run_streams
+from continuized.trace import Snapshot
 from replay import ScriptedClock, event_times
 
 SEED = 31
@@ -96,20 +99,35 @@ OPTIMIZE_CASES = {
 }
 
 
-def _replay_pairs(problem, noise, schedule, clock, grid, x0):
-    """(pair, time of its last event) after the events up to each checkpoint,
-    replayed by hand from the run's streams."""
-    times = event_times(clock, HORIZON, run_streams(SEED, 0))
-    noise_rng = run_streams(SEED, 0).noise
-    pair, now, k, raw = initial_state(x0), 0.0, 0, []
+def _mix_rows(x, z, t, schedule, until):
+    """(x, z) mixed from t to ``until`` by the row formulas, into new arrays:
+    z + (t/until) ** 2 * (x - z) on the 2/t kinds, ``midpoint_contract``
+    on the constant kinds, and the rows themselves when until == t."""
+    if until == t:
+        return x, z
+    if schedule.is_time_varying:
+        return z + (t / until) ** 2 * (x - z), z
+    return midpoint_contract(x, z, math.exp(-2.0 * schedule.mix_rate * (until - t)))
+
+
+def _replay_pairs(problem, noise, schedule, clock, grid, x0, horizon=HORIZON, seed=SEED, i=0):
+    """(x, z, time of the last event) after the events up to each checkpoint,
+    replayed by hand from the streams of run i with allocating row formulas:
+    per event the mix, one gradient at the mixed x, x - gamma g and
+    z - gamma' g."""
+    times = event_times(clock, horizon, run_streams(seed, i))
+    noise_rng = run_streams(seed, i).noise
+    x, z, now, k, raw = x0.copy(), x0.copy(), 0.0, 0, []
     for t in grid:
         while k < len(times) and times[k] <= t:
             te = times[k]
-            pair, now = mix_closed_form(pair, now, schedule, te), te
-            g = stochastic_gradient(problem, noise, pair[0], noise_rng)
-            pair = gradient_jump(pair, step_column(schedule, te), g)
+            x, z = _mix_rows(x, z, now, schedule, te)
+            now = te
+            g = stochastic_gradient(problem, noise, x, noise_rng)
+            _, _, gamma, gamma_p = schedule_eval(schedule, te)
+            x, z = x - gamma * g, z - gamma_p * g
             k += 1
-        raw.append((pair, now))
+        raw.append((x, z, now))
     return raw
 
 
@@ -128,13 +146,13 @@ def test_optimizer_checkpoints_match_scalar_oracles(case):
                          x0=x0, checkpoints=grid)
     raw = _replay_pairs(problem, noise, schedule, clock, grid, x0)
     assert [s.t for s in tr.states] == grid
-    for i, (s, (pair, now)) in enumerate(zip(tr.states, raw)):
+    for i, (s, (x, z, now)) in enumerate(zip(tr.states, raw)):
         # the state is the last pre-checkpoint pair mixed to the checkpoint
         # (the pair itself when the checkpoint is its event time)
-        want = mix_closed_form(pair, now, schedule, s.t)
-        assert (now == s.t) == (want is pair)
-        np.testing.assert_array_equal(s.x, want[0])
-        np.testing.assert_array_equal(s.z, want[1])
+        want_x, want_z = _mix_rows(x, z, now, schedule, s.t)
+        assert (now == s.t) == (want_x is x)
+        np.testing.assert_array_equal(s.x, want_x)
+        np.testing.assert_array_equal(s.z, want_z)
         dx = s.x - problem.optimum
         assert tr.values["gap"][i] == problem.gap(s.x)
         assert tr.values["dist_sq"][i] == float(dx @ dx)
@@ -168,10 +186,35 @@ def test_optimizer_events_at_one_time_match_scalar_oracles(monkeypatch, schedule
                          x0=x0, checkpoints=grid)
     raw = _replay_pairs(problem, noise, schedule, clock, grid, x0)
     assert tr.events == len(times)
-    for s, (pair, now) in zip(tr.states, raw):
-        want = mix_closed_form(pair, now, schedule, s.t)
-        np.testing.assert_array_equal(s.x, want[0])
-        np.testing.assert_array_equal(s.z, want[1])
+    for s, (x, z, now) in zip(tr.states, raw):
+        want_x, want_z = _mix_rows(x, z, now, schedule, s.t)
+        np.testing.assert_array_equal(s.x, want_x)
+        np.testing.assert_array_equal(s.z, want_z)
+
+
+@pytest.mark.parametrize("preset", ["appendix-a1-convex", "appendix-a1-strongly-convex",
+                                    "appendix-b-additive"])
+def test_optimize_presets_match_row_replay_run_by_run(preset):
+    # every recorded value of the preset's runs, at its own grid, equals the
+    # scalar metric of the row replay's state there, bit for bit
+    spec = get_preset(preset).with_overrides(runs=3)
+    # Python floats, as the engine's grid: a numpy scalar would square as t * t
+    grid = np.asarray(spec.checkpoints, dtype=float).tolist()
+    schedule, clock = spec.algo.schedule, spec.algo.clock
+    x0 = np.zeros(spec.problem.dimension) if spec.algo.x0 is None else spec.algo.x0
+    resolved = runner.resolve(spec)
+    for i in range(spec.runs):
+        tr = resolved.run(i)
+        assert tr.events > 0
+        raw = _replay_pairs(spec.problem, spec.noise, schedule, clock, grid, x0,
+                            spec.horizon, spec.seed, i)
+        for k, (t, (x, z, now)) in enumerate(zip(grid, raw)):
+            state = Snapshot(t, *_mix_rows(x, z, now, schedule, t))
+            dx = state.x - spec.problem.optimum
+            assert tr.values["gap"][k] == spec.problem.gap(state.x)
+            assert tr.values["dist_sq"][k] == float(dx @ dx)
+            assert tr.values["lyapunov"][k] == lyapunov_value(
+                state, lyapunov_coeffs(schedule, t), spec.problem)
 
 
 def test_time_varying_event_at_zero_is_singular(monkeypatch):

@@ -70,6 +70,25 @@ class TestMixClosedForm:
         out = mix_closed_form(s, 0.0, ParamSchedule.strongly_convex(1.0, 0.5), 0.0)
         assert out is s
 
+    @pytest.mark.parametrize("sched", [ParamSchedule.convex(1.0),
+                                       ParamSchedule.strongly_convex(1.0, 0.5)])
+    def test_zero_interval_leaves_pair_bytes(self, sched):
+        # events at one time mix over dt = 0, which must not touch the pair:
+        # not even a -0.0 or a NaN payload may change
+        s = np.array([[1.0, -0.0, np.nan, 1e-310], [0.3, 2.0, -7.5, np.inf]])
+        before = s.tobytes()
+        out = mix_closed_form(s, 2.5, sched, 2.5)
+        assert out is s
+        assert s.tobytes() == before
+
+    @pytest.mark.parametrize("sched", [ParamSchedule.convex(1.0),
+                                       ParamSchedule.strongly_convex(1.0, 0.5)])
+    def test_mixes_in_place(self, sched):
+        s = np.array([[1.0, -2.0], [0.5, 4.0]])
+        out = mix_closed_form(s, 0.7, sched, 3.2)
+        assert out is s
+        assert not np.array_equal(s[0], [1.0, -2.0])
+
     def test_fixed_point_when_equal(self):
         x = np.array([3.0, -1.0])
         s = np.array([x, x])
@@ -140,8 +159,8 @@ def _tolerance(state: Snapshot) -> float:
 def test_mixing_is_a_semigroup(case):
     s, sched, t1, t2 = case
     pair = np.array([s.x, s.z])
-    twice = mix_closed_form(mix_closed_form(pair, s.t, sched, t1), t1, sched, t2)
-    once = mix_closed_form(pair, s.t, sched, t2)
+    twice = mix_closed_form(mix_closed_form(pair.copy(), s.t, sched, t1), t1, sched, t2)
+    once = mix_closed_form(pair.copy(), s.t, sched, t2)
     tol = _tolerance(s)
     np.testing.assert_allclose(twice[0], once[0], rtol=0, atol=tol)
     np.testing.assert_allclose(twice[1], once[1], rtol=0, atol=tol)
@@ -186,7 +205,7 @@ def test_pair_kernel_equals_rowwise_formulas(case, g_values):
     assert np.array_equal(mixed[1], want_z)
     g = np.array(g_values[:x.size])
     _, _, gamma, gamma_p = schedule_eval(sched, until)
-    jumped = gradient_jump(mixed, np.array([[gamma], [gamma_p]]), g)
+    jumped = gradient_jump(mixed.copy(), np.array([[gamma], [gamma_p]]), g)
     assert np.array_equal(jumped[0], mixed[0] - gamma * g)
     assert np.array_equal(jumped[1], mixed[1] - gamma_p * g)
 
@@ -194,7 +213,7 @@ def test_pair_kernel_equals_rowwise_formulas(case, g_values):
 class TestGradientJump:
     def test_zero_gradient_keeps_pair(self):
         s = initial_state(np.array([1.0, 2.0]))
-        out = gradient_jump(s, np.array([[1.0], [2.0]]), np.zeros(2))
+        out = gradient_jump(s.copy(), np.array([[1.0], [2.0]]), np.zeros(2))
         np.testing.assert_array_equal(out[0], s[0])
         np.testing.assert_array_equal(out[1], s[1])
 
@@ -209,8 +228,40 @@ class TestGradientJump:
         with pytest.raises(DimensionMismatchError):
             gradient_jump(s, np.array([[1.0], [1.0]]), np.zeros(3))
 
+    def test_jumps_in_place(self):
+        s = np.array([[2.0, 1.0], [0.0, -1.0]])
+        out = gradient_jump(s, np.array([[0.5], [2.0]]), np.array([1.0, 4.0]))
+        assert out is s
+        np.testing.assert_array_equal(s, [[1.5, -1.0], [-2.0, -9.0]])
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_gradient_may_alias_the_pair(self, row):
+        # the step is formed from g before the pair is written, so a g that
+        # is a row of the pair jumps as its copy does
+        pair = np.array([[1.0, -2.0, 0.3], [0.5, 4.0, -1.7]])
+        steps = np.array([[0.75], [1.5]])
+        want = gradient_jump(pair.copy(), steps, pair[row].copy())
+        got = gradient_jump(pair, steps, pair[row])
+        assert got is pair
+        assert got.tobytes() == want.tobytes()
+
 
 class TestRunContinuized:
+    @pytest.mark.parametrize("sched", [ParamSchedule.convex(1.0),
+                                       ParamSchedule.strongly_convex(1.0, 0.01)])
+    def test_run_leaves_x0_unchanged(self, sched):
+        # the runner hands every run of an ensemble the same x0 array, and
+        # the run mixes and jumps its own pair in place: writing into x0
+        # would start the next run from this run's end state
+        p = sc_problem()
+        x0 = np.array([0.5, -1.0, 2.0])
+        before = x0.tobytes()
+        tr = run_continuized(p, NoiseModel.additive(0.01), sched, EventClock.exponential(),
+                             20.0, run_streams(8, 0), x0=x0, checkpoints=[5.0, 20.0])
+        assert tr.events > 0
+        assert x0.tobytes() == before
+        assert not np.array_equal(tr.states[-1].x, x0)
+
     def test_constant_objective_stays(self):
         p = make_quadratic([1.0], [0.0])
         sched = ParamSchedule.strongly_convex(1.0, 1.0)

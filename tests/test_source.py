@@ -120,6 +120,26 @@ def test_checkpoints_synchronized_once_per_run():
     assert tracer.summary()["gossip.synchronized_values.calls"] == runs
 
 
+def test_point_checked_once_per_run(monkeypatch):
+    # a run checks x0 once and binds its gradient oracle once; its events
+    # draw gradients at rows of its own pair, whose shape is already known,
+    # so no event re-checks the point
+    from continuized import problems
+
+    runs, calls = 2, [0]
+    check_point = problems.check_point
+
+    def counted(*args):
+        calls[0] += 1
+        return check_point(*args)
+
+    spec = get_preset("appendix-a1-strongly-convex").with_overrides(runs=runs)
+    monkeypatch.setattr(problems, "check_point", counted)
+    runset = runner.run_experiment(spec)
+    assert runset.values["gap"].shape == (runs, len(spec.checkpoints))
+    assert calls[0] <= runs
+
+
 def test_lyapunov_coefficients_built_once_per_ensemble():
     # the certificate's coefficients depend only on the schedule and the grid
     # that every run shares: an ensemble builds them once per checkpoint,
