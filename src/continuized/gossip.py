@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, gossip_rates
-from .problems import LeastSquaresProblem, make_least_squares, row_dots
+from .problems import row_dots
 from .schedules import EVENT_CHUNK
 from .seeding import RunStreams
 from .trace import Trace, check_horizon, run_events
@@ -238,14 +238,3 @@ def run_gossip(
         checkpoints=checkpoints,
     )
 
-
-def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:
-    """The edge-difference least-squares objective whose stochastic gradient
-    descent is naive gossip; its optimum is consensus at the mean of x0."""
-    atoms = np.zeros((graph.edge_count, graph.node_count))
-    for i, (v, w) in enumerate(graph.edges):
-        atoms[i, v] = 1.0
-        atoms[i, w] = -1.0
-    target = float(np.mean(np.asarray(x0, dtype=float)))
-    optimum = np.full(graph.node_count, target)
-    return make_least_squares(atoms, optimum, graph.edge_probs)

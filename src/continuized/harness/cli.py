@@ -5,7 +5,8 @@ Subcommands: ``optimize``, ``gossip``, ``decentralized`` (run a config file),
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error, 141 when
 the reader of stdout has closed it.
 The environment variable CONTINUIZED_SEED overrides the config seed; the
-``--seed`` flag overrides both.
+``--seed`` flag overrides both.  Flags, variable and config are checked
+together, by the config's one rule per field, and every violation is listed.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from ..graphs import GraphError, build_graph, gossip_rates
-from .config import ConfigError, ExperimentSpec, parse_config
+from .config import ConfigError, ExperimentSpec, override_fields, parse_config
 from .csvio import emit_csv, render_csv
 from .presets import get_preset, preset_names
 from .runner import run_experiment
@@ -33,27 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
-def _log_horizon(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 1 < value < math.inf:
-        # the overridden horizon brings the log-spaced grid on [1, horizon]
-        raise argparse.ArgumentTypeError(f"must be a finite number > 1, got {text!r}")
-    return value
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="continuized", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -61,10 +42,9 @@ def build_parser() -> _Parser:
     def add_common(p, config_required):
         if config_required:
             p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=_positive_int, default=None)
-        p.add_argument("--horizon", type=_log_horizon, default=None)
-        p.add_argument("--out", default=None, help="CSV output path")
+        for flag in ("--seed", "--runs", "--horizon"):  # text, checked in _load_spec
+            p.add_argument(flag)
+        p.add_argument("--out", help="CSV output path")
         p.add_argument("--quiet", action="store_true")
 
     for kind in ("optimize", "gossip", "decentralized"):
@@ -83,37 +63,6 @@ def build_parser() -> _Parser:
     rep.add_argument("preset", help="one of: " + ", ".join(preset_names()))
     add_common(rep, False)
     return parser
-
-
-def _resolve_seed(flag_seed: int | None) -> int | None:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError([f"{SEED_ENV_VAR} must be an integer, got {env!r}"]) from exc
-    return None
-
-
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    seed = _resolve_seed(args.seed)
-    try:
-        return spec.with_overrides(seed=seed, runs=args.runs, out=args.out, horizon=args.horizon)
-    except ValueError as exc:  # a horizon whose default grid repeats a time
-        raise ConfigError([f"--horizon {args.horizon!r}: {exc}"]) from None
-
-
-def _check_out(out: str | None) -> None:
-    """Fail before the ensemble runs if ``out`` cannot be written as a file."""
-    if not out:  # no out writes to stdout
-        return
-    parent = os.path.dirname(out) or "."
-    if not os.path.isdir(parent):
-        raise ConfigError([f"out {out}: directory {parent} does not exist"])
-    if os.path.isdir(out):
-        raise ConfigError([f"out {out} is a directory"])
 
 
 def _run_spec(spec: ExperimentSpec, quiet: bool) -> None:
@@ -158,17 +107,33 @@ def _graph_info(args) -> None:
 
 
 def _load_spec(args) -> ExperimentSpec:
+    """The preset or config of a run subcommand with its flags and, without
+    ``--seed``, CONTINUIZED_SEED applied; one ConfigError lists every
+    violation of the command line, before anything runs."""
+    errors: list[str] = []
     if args.command == "reproduce":
         try:
-            return get_preset(args.preset)
+            spec = get_preset(args.preset)
         except KeyError:
-            raise ConfigError(
-                [f"unknown preset {args.preset!r}; choose from " + ", ".join(preset_names())]
-            ) from None
-    spec = parse_config(args.config)
-    if spec.kind != args.command:
-        raise ConfigError([f"config kind is {spec.kind!r}, subcommand is {args.command!r}"])
-    return spec
+            names = ", ".join(preset_names())
+            errors.append(f"unknown preset {args.preset!r}; choose from {names}")
+    else:
+        try:
+            spec = parse_config(args.config)
+        except ConfigError as exc:
+            errors += exc.violations
+        else:
+            if spec.kind != args.command:
+                errors.append(f"config kind is {spec.kind!r}, subcommand is {args.command!r}")
+    flags = {key: getattr(args, key) for key in ("seed", "runs", "horizon", "out")}
+    given = {k: (f"argument --{k} {text}", text) for k, text in flags.items() if text is not None}
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if "seed" not in given and env_seed is not None:
+        given["seed"] = (f"{SEED_ENV_VAR}={env_seed}", env_seed)
+    fields = override_fields(given, errors)
+    if errors:
+        raise ConfigError(errors)
+    return replace(spec, **fields)
 
 
 def main(argv=None) -> int:
@@ -187,9 +152,7 @@ def main(argv=None) -> int:
         if args.command == "graph-info":
             _graph_info(args)
         else:
-            spec = _apply_overrides(_load_spec(args), args)
-            _check_out(spec.out)
-            _run_spec(spec, args.quiet)
+            _run_spec(_load_spec(args), args.quiet)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return 0
     except BrokenPipeError:
@@ -200,8 +163,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (ConfigError, GraphError) as exc:
-        violations = getattr(exc, "violations", [str(exc)])
-        for v in violations:
+        for v in getattr(exc, "violations", [str(exc)]):
             print(f"error: {v}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 2

@@ -6,12 +6,17 @@ together.  Each value is built into the object it describes (problem, noise
 model, schedule, clock, initial point, graph, local-function bounds) by the
 library constructor that validates it, so a spec that parses is ready to
 run.  A config may either describe an experiment in full or name a preset in
-``[experiment] preset`` and override its scalar fields.
+``[experiment] preset`` and override its scalar fields.  Each overridable
+field has one rule (``OVERRIDES``), which ``override_fields`` applies to
+config keys, to the command line's flags and seed variable, and to the typed
+values of ``ExperimentSpec.with_overrides``.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+import operator
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
@@ -68,11 +73,55 @@ _DECENTRALIZED_FIELDS = {
 }
 
 
+def _integer(value) -> int:
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ValueError("must be an integer") from None
+
+
+def _runs(value) -> dict:
+    if (runs := _integer(value)) < 1:
+        raise ValueError("must be >= 1")
+    return {"runs": runs}
+
+
+def _horizon(value) -> dict:
+    horizon = parse_float(value) if isinstance(value, str) else float(value)
+    grid = log_spaced_checkpoints(horizon, DEFAULT_CHECKPOINT_COUNT)
+    return {"horizon": horizon, "checkpoints": grid}
+
+
+def _include_bounds(value) -> dict:
+    text = str(value).strip().lower()  # a typed bool reads as its text
+    if text not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+        raise ValueError("not a boolean")
+    return {"include_bounds": text in ("true", "yes", "1", "on")}
+
+
+def _out(value) -> dict:
+    """A path the CSV can be written to as a file (empty for stdout).  Its
+    violation names the path itself, whichever source gave it."""
+    out = os.fspath(value)
+    parent = os.path.dirname(out) or "."
+    if out and not os.path.isdir(parent):
+        raise ConfigError([f"out {out}: directory {parent} does not exist"])
+    if out and os.path.isdir(out):
+        raise ConfigError([f"out {out} is a directory"])
+    return {"out": out}
+
+
+# The one rule of each [experiment] field that a preset config, a flag, the
+# seed variable or ``with_overrides`` may set: from text or a typed value to
+# the spec fields it sets, or a ValueError naming the fault.
+OVERRIDES = {
+    "runs": _runs, "seed": lambda value: {"seed": _integer(value)}, "horizon": _horizon,
+    "out": _out, "include_bounds": _include_bounds,
+}
+
+
 _SCHEMA: dict[str, set[str]] = {
-    "experiment": {
-        "kind", "preset", "runs", "seed", "horizon", "checkpoints", "out",
-        "include_bounds",
-    },
+    "experiment": {"kind", "preset", "checkpoints", *OVERRIDES},
     "problem": {"kind"}.union(*PROBLEM_FIELDS.values()),
     "noise": {"kind", "sigma2"},
     "algo": {"method", "x0"}.union(*METHOD_KEYS.values()),
@@ -174,18 +223,22 @@ class ExperimentSpec:
     __eq__ = _fields_equal
 
     def with_overrides(self, **kw) -> "ExperimentSpec":
-        """A copy with every non-None keyword replaced; a new horizon
-        without new checkpoints brings the default log-spaced grid."""
+        """A copy with every non-None keyword replaced, the fields of
+        ``OVERRIDES`` through their rules (a new horizon brings the default
+        grid unless checkpoints come with it); one ConfigError lists all."""
         kw = {k: v for k, v in kw.items() if v is not None}
-        if "horizon" in kw and "checkpoints" not in kw:
-            kw["checkpoints"] = log_spaced_checkpoints(kw["horizon"], DEFAULT_CHECKPOINT_COUNT)
-        return replace(self, **kw)
+        errors: list[str] = []
+        given = {k: (f"{k}={v!r}", v) for k, v in kw.items() if k in OVERRIDES}
+        fields = override_fields(given, errors)
+        if errors:
+            raise ConfigError(errors)
+        return replace(self, **{**fields, **{k: v for k, v in kw.items() if k not in OVERRIDES}})
 
 
 def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
     """The default grid: ``count`` log-spaced times in [1, horizon]."""
-    if not horizon > 1:
-        raise ValueError(f"log-spaced checkpoints need horizon > 1, got {horizon}")
+    if not 1 < horizon < math.inf:
+        raise ValueError(f"log-spaced checkpoints need a finite horizon > 1, got {horizon}")
     if not 1 <= count <= MAX_CHECKPOINT_COUNT:
         raise ValueError(
             f"log-spaced checkpoints need a count in [1, {MAX_CHECKPOINT_COUNT}], got {count}"
@@ -197,15 +250,6 @@ def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ValueError(f"{count} log-spaced checkpoints on [1, {horizon}] repeat a time")
     return grid
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _read(errors: list[str], name: str, section, key: str, parse, default=None):
@@ -230,6 +274,16 @@ def _attempt(errors: list[str], where: str, build, *args, **kwargs):
     except ValueError as exc:
         errors.append(f"{where} {exc}")
     return None
+
+
+def override_fields(given: dict[str, tuple[str, object]], errors: list[str]) -> dict:
+    """The spec fields that ``given`` sets, each field name mapped to (where
+    its value comes from, the value); a violation is recorded in ``errors``
+    as ``where: fault``."""
+    fields: dict = {}
+    for key, (where, value) in given.items():
+        fields.update(_attempt(errors, f"{where}:", OVERRIDES[key], value) or {})
+    return fields
 
 
 def _clock(kind: str, rate: float, p: float, tick: float) -> EventClock:
@@ -363,18 +417,11 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
     if "experiment" not in cp:
         raise ConfigError(errors + ["missing [experiment] section"])
     exp = cp["experiment"]
-    read = partial(_read, errors, "experiment", exp)
-
-    runs = read("runs", int, DEFAULT_RUNS)
-    if runs < 1:
-        errors.append("[experiment] runs must be >= 1")
-    seed = read("seed", int, DEFAULT_SEED)
-    horizon = read("horizon", parse_float)
-    if horizon is not None:
-        horizon = _attempt(errors, "[experiment]", check_horizon, horizon)
-    include_bounds = read("include_bounds", _parse_bool, False)
-
     preset = exp.get("preset")
+    # a full config's horizon may come with its own checkpoints, read below
+    keys = [k for k in OVERRIDES if k in exp and (preset is not None or k != "horizon")]
+    fields = override_fields({k: (f"[experiment] {k} = {exp[k]}", exp[k]) for k in keys}, errors)
+
     if preset is not None:
         from .presets import get_preset
 
@@ -384,27 +431,20 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
                 "a preset config may only contain [experiment], found "
                 + ", ".join(f"[{s}]" for s in extra)
             )
-        allowed = {"preset", "runs", "seed", "horizon", "out", "include_bounds"}
-        for key in exp:
-            if key not in allowed:
-                errors.append(f"key '{key}' cannot override a preset")
-        overrides = {
-            "runs": runs, "seed": seed, "horizon": horizon, "out": exp.get("out"),
-            "include_bounds": include_bounds,
-        }
+        errors += [
+            f"key '{k}' cannot override a preset" for k in exp if k not in {"preset", *OVERRIDES}
+        ]
         try:
             spec = get_preset(preset)
         except KeyError:
             errors.append(f"unknown preset {preset!r}")
-        else:
-            spec = _attempt(
-                errors, "[experiment]", spec.with_overrides,
-                **{key: v for key, v in overrides.items() if key in exp},
-            )
         if errors:
             raise ConfigError(errors)
-        return spec
+        return replace(spec, **fields)
 
+    horizon = _read(errors, "experiment", exp, "horizon", parse_float)
+    if horizon is not None:
+        horizon = _attempt(errors, "[experiment]", check_horizon, horizon)
     kind = exp.get("kind", "")
     if kind not in EXPERIMENT_KINDS:
         errors.append(
@@ -427,12 +467,9 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
 
     spec = ExperimentSpec(
         kind=kind if kind in EXPERIMENT_KINDS else "optimize",
-        runs=runs,
-        seed=seed,
         horizon=horizon,
         checkpoints=checkpoints,
-        out=exp.get("out"),
-        include_bounds=include_bounds,
+        **fields,
     )
 
     if kind == "optimize":

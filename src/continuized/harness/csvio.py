@@ -62,6 +62,8 @@ def load_csv(path: str):
         raise OSError(f"no such file: {path}")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"empty file, no CSV header: {path}")
     header, data = rows[0], rows[1:]
     columns = header[2:]
     times: list[float] = []

@@ -277,6 +277,46 @@ def test_invalid_input_exits_1_listing_every_violation(cfg_file, capsys, text, e
             violation, err)
 
 
+# Command lines with several faults, their environment and how many faults
+# each holds: {bad} is an optimize config with runs = 0 and horizon = -2,
+# {gossip} a valid gossip config and {missing} a path in a missing directory.
+EVERY_FAULT = [
+    ("config-and-runs-flag", ["optimize", "--config", "{bad}", "--runs", "0"], {}, 3),
+    ("runs-horizon-seed", ["reproduce", "appendix-a1-convex", "--runs", "0",
+                           "--horizon", "0.5", "--seed", "x"], {}, 3),
+    ("env-seed-and-out", ["reproduce", "appendix-a1-convex", "--out", "{missing}"],
+     {"CONTINUIZED_SEED": "abc"}, 2),
+    ("kind-and-horizon", ["optimize", "--config", "{gossip}", "--horizon", "0.5"], {}, 2),
+    ("kind-and-out", ["optimize", "--config", "{gossip}", "--out", "{missing}"], {}, 2),
+    ("grid-and-out", ["reproduce", "appendix-a1-convex", "--horizon", "1.0000000000000002",
+                      "--out", "{missing}"], {}, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, faults", [row[1:] for row in EVERY_FAULT], ids=[row[0] for row in EVERY_FAULT]
+)
+def test_command_line_lists_every_fault_before_running(
+    cfg_file, capsys, monkeypatch, tmp_path, argv, env, faults
+):
+    def fail(spec, progress=None):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.delenv("CONTINUIZED_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    bad = OPTIMIZE_CFG.replace("horizon = 10", "horizon = -2").replace("runs = 3", "runs = 0")
+    paths = {
+        "bad": cfg_file(bad),
+        "gossip": cfg_file(LINE2.format(kind="gossip"), "gossip.cfg"),
+        "missing": str(tmp_path / "missing" / "x.csv"),
+    }
+    assert main([*(arg.format(**paths) for arg in argv), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == faults and all(line.startswith("error: ") for line in lines), lines
+
+
 class TestRuns:
     def test_optimize_writes_csv(self, cfg_file, tmp_path):
         out = tmp_path / "run.csv"
@@ -325,10 +365,11 @@ class TestRuns:
         flagged = capsys.readouterr().out
         assert flagged == base
 
-    def test_bad_env_seed(self, cfg_file, monkeypatch):
+    def test_bad_env_seed(self, cfg_file, capsys, monkeypatch):
         path = cfg_file(OPTIMIZE_CFG)
         monkeypatch.setenv("CONTINUIZED_SEED", "not-a-number")
         assert main(["optimize", "--config", path, "--quiet"]) == 1
+        assert "error: CONTINUIZED_SEED=not-a-number" in capsys.readouterr().err
 
     def test_tiny_geometric_p_still_runs(self, cfg_file, tmp_path):
         # p = 1e-300 lies above the bound (about 2e-307): its longest wait is

@@ -8,14 +8,26 @@ from hypothesis import strategies as st
 from continuized.gossip import (
     GossipParams,
     accelerated_step,
-    energy_problem,
     lazy_mix_node,
     run_gossip,
     sample_event_stream,
 )
-from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
+from continuized.graphs import Graph, complete_graph, grid_graph, line_graph, spectral
+from continuized.problems import LeastSquaresProblem, make_least_squares
 from continuized.schedules import ParamSchedule
 from continuized.seeding import run_streams
+
+
+def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:
+    """The edge-difference least-squares objective whose stochastic gradient
+    descent is naive gossip; its optimum is consensus at the mean of x0."""
+    atoms = np.zeros((graph.edge_count, graph.node_count))
+    for i, (v, w) in enumerate(graph.edges):
+        atoms[i, v] = 1.0
+        atoms[i, w] = -1.0
+    target = float(np.mean(np.asarray(x0, dtype=float)))
+    optimum = np.full(graph.node_count, target)
+    return make_least_squares(atoms, optimum, graph.edge_probs)
 
 
 def k10():

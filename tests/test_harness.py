@@ -164,6 +164,39 @@ runs = 0
         kept = spec.with_overrides(horizon=60.0, checkpoints=np.array([1.0, 60.0]))
         np.testing.assert_array_equal(kept.checkpoints, [1.0, 60.0])
 
+    @pytest.mark.parametrize("overrides, violations", [
+        ({"runs": 0}, ["runs=0: must be >= 1"]),
+        ({"runs": -3}, ["runs=-3: must be >= 1"]),
+        ({"horizon": np.inf}, ["horizon=inf: log-spaced checkpoints need a finite horizon > 1"]),
+        ({"runs": 2.5, "seed": "x", "horizon": 0.5, "include_bounds": "maybe"},
+         ["runs=2.5: must be an integer", "seed='x': must be an integer",
+          "horizon=0.5: log-spaced checkpoints need a finite horizon > 1",
+          "include_bounds='maybe': not a boolean"]),
+    ])
+    def test_with_overrides_refuses_what_the_config_refuses(self, overrides, violations):
+        # the typed overrides follow the rules of the [experiment] keys, and
+        # one ConfigError lists each violation, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                get_preset("appendix-a1-convex").with_overrides(**overrides)
+        assert len(err.value.violations) == len(violations)
+        for line, violation in zip(err.value.violations, violations):
+            assert line.startswith(violation), (line, violation)
+
+    def test_with_overrides_takes_typed_values(self):
+        base = get_preset("appendix-a2-complete10")
+        spec = base.with_overrides(seed=7, runs=3, include_bounds=False, out="")
+        assert (spec.seed, spec.runs, spec.include_bounds, spec.out) == (7, 3, False, "")
+        np.testing.assert_array_equal(spec.checkpoints, base.checkpoints)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_log_spaced_checkpoints_refuse_a_non_finite_horizon(self, horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need a finite horizon > 1"):
+                log_spaced_checkpoints(horizon, 50)
+
     def test_largest_float_horizon_parses_without_warnings(self):
         text = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 1.7976931348623157e308")
         with warnings.catch_warnings():
@@ -716,6 +749,12 @@ class TestCsv:
         fresh = aggregate_values(rs.values["energy"], rs.checkpoints)
         np.testing.assert_allclose(series["energy"]["q05"], fresh["q05"], rtol=1e-11)
         np.testing.assert_allclose(series["energy"]["q95"], fresh["q95"], rtol=1e-11)
+
+    def test_load_empty_file_names_it(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"empty file, no CSV header: {path}")):
+            load_csv(str(path))
 
     def test_deterministic_bytes(self, tmp_path):
         rs1 = self._small_runset()

@@ -234,10 +234,9 @@ def test_no_unused_imports():
 
 # Public definitions with no caller in the package: the discrete twin
 # ``run_three_sequence`` is the oracle of criterion 4, ``load_csv`` is the
-# documented inverse of ``emit_csv``, ``energy_problem`` is the least-squares
-# objective whose stochastic gradient descent is naive gossip, and
-# ``gradient`` is the exact gradient exported beside ``stochastic_gradient``.
-UNCALLED_API = {"run_three_sequence", "load_csv", "energy_problem", "gradient"}
+# documented inverse of ``emit_csv``, and ``gradient`` is the exact gradient
+# exported beside ``stochastic_gradient``.
+UNCALLED_API = {"run_three_sequence", "load_csv", "gradient"}
 
 
 def test_every_definition_has_a_source_caller():
