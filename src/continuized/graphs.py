@@ -149,6 +149,8 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def complete_graph(m: int) -> Graph:
+    if m < 2:
+        raise GraphError("graphs need at least 2 nodes")
     edges = [(v, w) for v in range(m) for w in range(v + 1, m)]
     return _validate(m, edges, np.full(len(edges), 1.0 / len(edges)))
 
@@ -185,23 +187,45 @@ TOPOLOGY_FIELDS = {
 }
 
 
+# The least value of the size fields (nodes, or rows and cols) of each topology.
+_LEAST_SIZE = {"line": 2, "cycle": 3, "grid": 1, "complete": 2}
+
+
+def _size(value, least: int) -> int | None:
+    """``value`` as an integer, or None unless it is one of at least ``least``."""
+    try:
+        size = int(value)
+    except ValueError:
+        return None
+    return size if size >= least else None
+
+
 def build_graph(topology: str, **kwargs) -> Graph:
     """Dispatch on a topology keyword (harness entry point); fields other
-    than the topology's own are ignored."""
+    than the topology's own are ignored.  Before anything is built, one
+    GraphError names every size field that is not an integer large enough."""
     if topology not in TOPOLOGY_FIELDS:
         raise GraphError(f"unknown topology {topology!r}")
     missing = [key for key in TOPOLOGY_FIELDS[topology] if key not in kwargs]
     if missing:
         raise GraphError(f"topology {topology} needs " + " and ".join(map(repr, missing)))
+    if topology == "edge_list":
+        return parse_edge_lines(kwargs["edges"])
+    least = _LEAST_SIZE[topology]
+    sizes = {key: _size(kwargs[key], least) for key in TOPOLOGY_FIELDS[topology]}
+    faults = [
+        f"{key} must be an integer >= {least}, got {kwargs[key]!r}"
+        for key, size in sizes.items() if size is None
+    ]
+    if faults:
+        raise GraphError("; ".join(faults))
     if topology == "line":
-        return line_graph(int(kwargs["nodes"]))
+        return line_graph(sizes["nodes"])
     if topology == "cycle":
-        return cycle_graph(int(kwargs["nodes"]))
+        return cycle_graph(sizes["nodes"])
     if topology == "grid":
-        return grid_graph(int(kwargs["rows"]), int(kwargs["cols"]))
-    if topology == "complete":
-        return complete_graph(int(kwargs["nodes"]))
-    return parse_edge_lines(kwargs["edges"])
+        return grid_graph(sizes["rows"], sizes["cols"])
+    return complete_graph(sizes["nodes"])
 
 
 @dataclass(frozen=True)

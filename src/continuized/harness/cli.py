@@ -17,13 +17,15 @@ import os
 import sys
 from dataclasses import replace
 
-from ..graphs import GraphError, build_graph, gossip_rates
-from .config import ConfigError, ExperimentSpec, override_fields, parse_config
+from ..graphs import GraphError, gossip_rates
+from .config import ConfigError, ExperimentSpec, override_fields, parse_config, spec_from_sections
 from .csvio import emit_csv, render_csv
 from .presets import get_preset, preset_names
 from .runner import run_experiment
 
 SEED_ENV_VAR = "CONTINUIZED_SEED"
+# graph-info's flags, read as the [graph] keys of the same name
+GRAPH_KEYS = ("topology", "nodes", "rows", "cols")
 
 
 class _UsageError(Exception):
@@ -51,12 +53,8 @@ def build_parser() -> _Parser:
         add_common(sub.add_parser(kind, description=f"run a {kind} experiment"), True)
 
     info = sub.add_parser("graph-info", description="print graph spectral quantities")
-    info.add_argument("--config", default=None)
-    info.add_argument("--topology", default=None,
-                      choices=["line", "cycle", "grid", "complete"])
-    info.add_argument("--nodes", type=int, default=None)
-    info.add_argument("--rows", type=int, default=None)
-    info.add_argument("--cols", type=int, default=None)
+    for key in ("config", *GRAPH_KEYS):  # text, checked in _graph_info
+        info.add_argument(f"--{key}")
     info.add_argument("--quiet", action="store_true")
 
     rep = sub.add_parser("reproduce", description="run a named figure preset")
@@ -81,16 +79,13 @@ def _run_spec(spec: ExperimentSpec, quiet: bool) -> None:
 
 
 def _graph_info(args) -> None:
-    if args.config:
-        spec = parse_config(args.config)
-        if spec.graph is None:
-            raise ConfigError(["config has no [graph] section"])
-        graph = spec.graph
-    elif args.topology:
-        fields = {"nodes": args.nodes, "rows": args.rows, "cols": args.cols}
-        graph = build_graph(args.topology, **{k: v for k, v in fields.items() if v is not None})
-    else:
-        raise ConfigError(["graph-info needs --config or --topology"])
+    flags = {k: v for k in GRAPH_KEYS if (v := getattr(args, k)) is not None}
+    if (args.config is not None) == bool(flags):
+        raise ConfigError(["graph-info takes either --config or the topology flags"])
+    sections = {"experiment": {"kind": "graph-info"}, "graph": flags}
+    graph = spec_from_sections(sections).graph if flags else parse_config(args.config).graph
+    if graph is None:
+        raise ConfigError(["config has no [graph] section"])
 
     cache = graph.spectrum
     theta_rg, theta_arg = gossip_rates(cache)

@@ -1,15 +1,16 @@
 """Experiment configuration: strict parsing of cfg files into specs.
 
-The grammar is INI-style (configparser).  Every section and key is checked
-against a schema; unknown keys are rejected and all violations are reported
-together.  Each value is built into the object it describes (problem, noise
-model, schedule, clock, initial point, graph, local-function bounds) by the
-library constructor that validates it, so a spec that parses is ready to
-run.  A config may either describe an experiment in full or name a preset in
-``[experiment] preset`` and override its scalar fields.  Each overridable
-field has one rule (``OVERRIDES``), which ``override_fields`` applies to
-config keys, to the command line's flags and seed variable, and to the typed
-values of ``ExperimentSpec.with_overrides``.
+The grammar is INI-style (configparser).  One table (``SECTIONS``, ``KINDS``)
+checks every section and key: a section the experiment's kind does not use,
+or a key its section's variant does not read, is rejected, and all violations
+are reported together.  Each value is built into the object it describes
+(problem, noise model, schedule, clock, initial point, graph, local-function
+bounds) by the library constructor that validates it, so a spec that parses
+is ready to run.  A config may either describe an experiment in full or name
+a preset in ``[experiment] preset`` and override its scalar fields.  Each
+overridable field has one rule (``OVERRIDES``), which ``override_fields``
+applies to config keys, to the command line's flags and seed variable, and to
+the typed values of ``ExperimentSpec.with_overrides``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ from ..problems import (
 from ..schedules import EventClock, ParamSchedule
 from ..trace import check_horizon, checkpoint_grid
 
-EXPERIMENT_KINDS = ("optimize", "gossip", "decentralized", "graph-info")
 # The [algo] keys each method reads, besides method and x0.
 METHOD_KEYS = {
     "continuized": ("schedule", "clock", "rate", "p", "tick"),
     "nesterov": ("variant", "iters"),
     "gd": ("step", "iters"),
 }
-METHODS = tuple(METHOD_KEYS)
 
 DEFAULT_RUNS = 1000
 DEFAULT_SEED = 12345
@@ -86,6 +85,13 @@ def _runs(value) -> dict:
     return {"runs": runs}
 
 
+def _seed(value) -> dict:
+    # ``derive_seed`` keeps the low 64 bits, so any other seed aliases one of these
+    if not 0 <= (seed := _integer(value)) < 2**64:
+        raise ValueError("must be in [0, 2**64)")
+    return {"seed": seed}
+
+
 def _horizon(value) -> dict:
     horizon = parse_float(value) if isinstance(value, str) else float(value)
     grid = log_spaced_checkpoints(horizon, DEFAULT_CHECKPOINT_COUNT)
@@ -115,27 +121,36 @@ def _out(value) -> dict:
 # seed variable or ``with_overrides`` may set: from text or a typed value to
 # the spec fields it sets, or a ValueError naming the fault.
 OVERRIDES = {
-    "runs": _runs, "seed": lambda value: {"seed": _integer(value)}, "horizon": _horizon,
+    "runs": _runs, "seed": _seed, "horizon": _horizon,
     "out": _out, "include_bounds": _include_bounds,
 }
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "experiment": {"kind", "preset", "checkpoints", *OVERRIDES},
-    "problem": {"kind"}.union(*PROBLEM_FIELDS.values()),
-    "noise": {"kind", "sigma2"},
-    "algo": {"method", "x0"}.union(*METHOD_KEYS.values()),
-    "graph": {"topology"}.union(*TOPOLOGY_FIELDS.values()),
-    "gossip": {"algo", "init"},
-    "decentralized": set(_DECENTRALIZED_FIELDS),
+_RUN_KEYS = ("kind", "horizon", "checkpoints", *OVERRIDES)
+# For each section: its variant key, that key's default, and the keys each
+# variant reads besides the variant key.  The variant of [experiment] is its
+# kind, or "preset" when it names a preset; [decentralized] has one variant.
+SECTIONS = {
+    "experiment": (None, None, {
+        **dict.fromkeys(("optimize", "gossip", "decentralized"), _RUN_KEYS),
+        "graph-info": ("kind",), "preset": ("preset", *OVERRIDES),
+    }),
+    "problem": ("kind", "", PROBLEM_FIELDS),
+    "noise": ("kind", "none", {"none": (), "additive": ("sigma2",), "multiplicative": ()}),
+    "algo": ("method", "continuized", {m: ("x0", *keys) for m, keys in METHOD_KEYS.items()}),
+    "graph": ("topology", "", TOPOLOGY_FIELDS),
+    "gossip": ("algo", "accelerated", dict.fromkeys(("accelerated", "naive"), ("init",))),
+    "decentralized": (None, None, {None: tuple(_DECENTRALIZED_FIELDS)}),
 }
-
-_SECTIONS_BY_KIND = {
-    "optimize": {"experiment", "problem", "noise", "algo"},
-    "gossip": {"experiment", "graph", "gossip"},
-    "decentralized": {"experiment", "graph", "decentralized"},
-    "graph-info": {"experiment", "graph"},
+# For each [experiment] variant: the sections it requires and those it may add.
+KINDS = {
+    "optimize": (("problem",), ("noise", "algo")),
+    "gossip": (("graph",), ("gossip",)),
+    "decentralized": (("graph", "decentralized"), ()),
+    "graph-info": (("graph",), ()),
+    "preset": ((), ()),
 }
+EXPERIMENT_KINDS = tuple(kind for kind in KINDS if kind != "preset")
 
 
 def _same_value(a, b) -> bool:
@@ -314,14 +329,8 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     errors: list[str] = []
     read = partial(_read, errors, "algo", section)
     method = section.get("method", "continuized")
-    if method not in METHODS:
+    if method not in METHOD_KEYS:
         errors.append(f"[algo] unknown method {method!r}")
-    else:
-        errors += [
-            f"[algo] key '{key}' does not apply to method {method}"
-            for key in section
-            if key in _SCHEMA["algo"] and key not in ("method", "x0", *METHOD_KEYS[method])
-        ]
     variant = section.get("variant", "convex")
     step = read("step", parse_float)
     iters = read("iters", int)
@@ -404,40 +413,47 @@ def _checkpoints(text: str, horizon: float) -> np.ndarray:
     return checkpoint_grid(grid, horizon)
 
 
-def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
-    errors: list[str] = []
-
-    for name in cp.sections():
-        if name not in _SCHEMA:
+def _section_faults(sections: dict[str, dict], kind: str) -> list[str]:
+    """Every violation of SECTIONS and KINDS by the ``sections`` of a ``kind``
+    experiment; each stray key is dropped, so that no later check reads it."""
+    label = "a preset config" if kind == "preset" else f"kind {kind}"
+    required, optional = KINDS.get(kind, ((), ()))  # an unknown kind is named later
+    errors = [f"missing [{name}] section for {label}" for name in required if name not in sections]
+    for name, section in sections.items():
+        if name not in SECTIONS:
             errors.append(f"unknown section [{name}]")
+        elif kind in KINDS and name not in ("experiment", *required, *optional):
+            errors.append(f"section [{name}] does not apply to {label}")
         else:
-            for key in cp[name]:
-                if key not in _SCHEMA[name]:
-                    errors.append(f"unknown key '{key}' in [{name}]")
-    if "experiment" not in cp:
-        raise ConfigError(errors + ["missing [experiment] section"])
-    exp = cp["experiment"]
-    preset = exp.get("preset")
+            key, default, variants = SECTIONS[name]
+            variant = kind if name == "experiment" else section.get(key, default)
+            # under an unknown variant (its builder names it) only keys no variant reads are stray
+            reads = variants.get(variant, set().union(*variants.values()))
+            for k in [k for k in section if k not in (key, *reads)]:
+                errors.append(f"[{name}] key '{k}' does not apply to "
+                              + (f"{key} {variant}" if key else label))
+                del section[k]
+    return errors
+
+
+def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
+    """The spec of a config's sections (name -> key -> text), or a
+    ConfigError listing every violation."""
+    sections = {name: dict(keys) for name, keys in sections.items()}  # stray keys are dropped
+    exp = sections.get("experiment", {})
+    kind = "preset" if "preset" in exp else exp.get("kind", "")
+    errors = _section_faults(sections, kind)
     # a full config's horizon may come with its own checkpoints, read below
-    keys = [k for k in OVERRIDES if k in exp and (preset is not None or k != "horizon")]
+    keys = [k for k in OVERRIDES if k in exp and (kind == "preset" or k != "horizon")]
     fields = override_fields({k: (f"[experiment] {k} = {exp[k]}", exp[k]) for k in keys}, errors)
 
-    if preset is not None:
+    if kind == "preset":
         from .presets import get_preset
 
-        extra = [s for s in cp.sections() if s != "experiment"]
-        if extra:
-            errors.append(
-                "a preset config may only contain [experiment], found "
-                + ", ".join(f"[{s}]" for s in extra)
-            )
-        errors += [
-            f"key '{k}' cannot override a preset" for k in exp if k not in {"preset", *OVERRIDES}
-        ]
         try:
-            spec = get_preset(preset)
+            spec = get_preset(exp.get("preset", ""))  # "kind = preset" names none
         except KeyError:
-            errors.append(f"unknown preset {preset!r}")
+            errors.append(f"unknown preset {exp.get('preset', '')!r}")
         if errors:
             raise ConfigError(errors)
         return replace(spec, **fields)
@@ -445,15 +461,10 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
     horizon = _read(errors, "experiment", exp, "horizon", parse_float)
     if horizon is not None:
         horizon = _attempt(errors, "[experiment]", check_horizon, horizon)
-    kind = exp.get("kind", "")
     if kind not in EXPERIMENT_KINDS:
         errors.append(
             f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}, got {kind!r}"
         )
-    else:
-        for name in cp.sections():
-            if name in _SCHEMA and name not in _SECTIONS_BY_KIND[kind]:
-                errors.append(f"section [{name}] does not apply to kind {kind}")
 
     checkpoints = None
     if kind in ("optimize", "gossip", "decentralized"):
@@ -473,15 +484,13 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
     )
 
     if kind == "optimize":
-        if "problem" not in cp:
-            errors.append("missing [problem] section for kind optimize")
-        else:
-            spec.problem = _attempt(errors, "[problem]", problem_from_section, cp["problem"])
-        if "noise" in cp:
-            spec.noise = _attempt(errors, "[noise]", noise_from_section, cp["noise"])
+        if "problem" in sections:
+            spec.problem = _attempt(errors, "[problem]", problem_from_section, sections["problem"])
+        if "noise" in sections:
+            spec.noise = _attempt(errors, "[noise]", noise_from_section, sections["noise"])
         if spec.problem is not None and spec.noise is not None:
             _attempt(errors, "[noise]", check_noise, spec.problem, spec.noise)
-        algo = cp["algo"] if "algo" in cp else {}
+        algo = sections.get("algo", {})
         method = algo.get("method", "continuized")
         if method in ("nesterov", "gd") and "checkpoints" in exp:
             # the deterministic baselines report every iteration t = 0..iters
@@ -489,15 +498,13 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
         spec.algo = _attempt(errors, "[algo]", resolve_algo, algo, spec.problem)
 
     elif kind in ("gossip", "decentralized", "graph-info"):
-        if "graph" not in cp:
-            errors.append(f"missing [graph] section for kind {kind}")
-        else:
-            gfields = dict(cp["graph"])
+        if "graph" in sections:
+            gfields = sections["graph"]
             topology = gfields.pop("topology", "")
             spec.graph = _attempt(errors, "[graph]", build_graph, topology, **gfields)
         node_count = None if spec.graph is None else spec.graph.node_count
-        if kind == "gossip" and "gossip" in cp:
-            gsec = cp["gossip"]
+        if kind == "gossip" and "gossip" in sections:
+            gsec = sections["gossip"]
             spec.gossip_algo = gsec.get("algo", "accelerated")
             if spec.gossip_algo not in ("naive", "accelerated"):
                 errors.append(f"[gossip] unknown algo {spec.gossip_algo!r}")
@@ -506,13 +513,10 @@ def spec_from_parser(cp: configparser.ConfigParser) -> ExperimentSpec:
             if spec.gossip_init is not None and node_count is not None:
                 if spec.gossip_init.shape != (node_count,):
                     errors.append("[gossip] init length must equal the node count")
-        if kind == "decentralized":
-            if "decentralized" not in cp:
-                errors.append("missing [decentralized] section")
-            else:
-                spec.decentralized = _attempt(
-                    errors, "[decentralized]", _decentralized, cp["decentralized"], node_count
-                )
+        if kind == "decentralized" and "decentralized" in sections:
+            spec.decentralized = _attempt(
+                errors, "[decentralized]", _decentralized, sections["decentralized"], node_count
+            )
 
     if errors:
         raise ConfigError(errors)
@@ -538,4 +542,4 @@ def parse_config_text(text: str) -> ExperimentSpec:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"cannot parse config: {exc}"]) from exc
-    return spec_from_parser(cp)
+    return spec_from_sections({name: cp[name] for name in cp.sections()})

@@ -59,6 +59,28 @@ class TestGraphInfo:
     def test_missing_everything(self):
         assert main(["graph-info"]) == 1
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--topology", "line", "--nodes", "4", "--rows", "3"],
+         ["[graph] key 'rows' does not apply to topology line"]),
+        (["--config", "{cfg}"], [f"[experiment] key '{key}' does not apply to kind graph-info"
+                                 for key in ("runs", "horizon", "include_bounds")]),
+        (["--config", "{cfg}", "--topology", "grid"],
+         ["graph-info takes either --config or the topology flags"]),
+        (["--topology", "grid", "--rows", "x", "--cols", "0"],
+         ["[graph] rows must be an integer >= 1, got 'x'; cols must be an integer >= 1, got '0'"]),
+        (["--topology", "complete", "--nodes", "1"],
+         ["[graph] nodes must be an integer >= 2, got '1'"]),
+    ], ids=["stray-flag", "stray-run-keys", "config-and-flag", "rows-and-cols", "one-node"])
+    def test_faulty_input_exits_1_naming_each_fault(self, cfg_file, capsys, argv, expected):
+        # the flags are read as the [graph] keys of the same name, by the
+        # config's one key rule; a graph-info config reads no run keys
+        path = cfg_file(
+            "[experiment]\nkind = graph-info\nruns = 3\nhorizon = 10\ninclude_bounds = true\n\n"
+            "[graph]\ntopology = line\nnodes = 4\n"
+        )
+        assert main(["graph-info", *(arg.format(cfg=path) for arg in argv)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
+
 
 class TestExitCodes:
     def test_unknown_subcommand_usage(self, capsys):
@@ -193,6 +215,9 @@ nodes = 2
 INVALID_INPUTS = [
     ("runs", QUADRATIC_2D.replace("runs = 2", "runs = abc"), ["[experiment] runs"]),
     ("seed", QUADRATIC_2D.replace("seed = 5", "seed = xyz"), ["[experiment] seed"]),
+    # seeds are folded to 64 bits, so -1 would rerun the ensemble of 2**64 - 1
+    ("seed-negative", QUADRATIC_2D.replace("seed = 5", "seed = -1"),
+     ["[experiment] seed = -1: must be in [0, 2**64)"]),
     ("schedule-and-clock", QUADRATIC_2D + "[algo]\nschedule = bogus\nclock = weird\n",
      ["unknown schedule 'bogus'", "unknown clock 'weird'"]),
     ("x0-length", QUADRATIC_2D + "[algo]\nx0 = 1 2 3\n", ["[algo] x0"]),
@@ -260,6 +285,19 @@ INVALID_INPUTS = [
     ("gd-checkpoints", QUADRATIC_2D.replace("runs = 2", "runs = 2\ncheckpoints = 1 2 3")
      + "[algo]\nmethod = gd\n",
      ["[experiment] key 'checkpoints' does not apply to method gd"]),
+    # every section refuses a key that its variant does not read
+    ("line-rows", LINE2.format(kind="gossip").replace("nodes = 2", "nodes = 2\nrows = 3"),
+     ["[graph] key 'rows' does not apply to topology line"]),
+    ("quadratic-samples", QUADRATIC_2D + "samples =\n    1 0 | 1\n",
+     ["[problem] key 'samples' does not apply to kind quadratic"]),
+    ("no-noise-sigma2", QUADRATIC_2D + "[noise]\nkind = none\nsigma2 = 5\n",
+     ["[noise] key 'sigma2' does not apply to kind none"]),
+    ("grid-rows-and-cols", LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = grid\nrows = x\ncols = 0"),
+     ["[graph] rows must be an integer >= 1, got 'x'", "cols must be an integer >= 1, got '0'"]),
+    ("unknown-topology-and-key", LINE2.format(kind="gossip").replace(
+        "topology = line", "topology = torus\nfoo = 1"),
+     ["[graph] unknown topology 'torus'", "[graph] key 'foo' does not apply to topology torus"]),
 ]
 
 
@@ -290,6 +328,9 @@ EVERY_FAULT = [
     ("kind-and-out", ["optimize", "--config", "{gossip}", "--out", "{missing}"], {}, 2),
     ("grid-and-out", ["reproduce", "appendix-a1-convex", "--horizon", "1.0000000000000002",
                       "--out", "{missing}"], {}, 2),
+    ("seed-flag-negative", ["reproduce", "appendix-a1-convex", "--seed", "-1"], {}, 1),
+    ("env-seed-above-64-bits", ["reproduce", "appendix-a1-convex"],
+     {"CONTINUIZED_SEED": str(2**64)}, 1),
 ]
 
 

@@ -122,6 +122,11 @@ runs = 0
         with pytest.raises(ConfigError):
             parse_config_text(bad)
 
+    def test_preset_kind_without_a_preset_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("[experiment]\nkind = preset\n")
+        assert "unknown preset ''" in err.value.violations
+
     def test_explicit_checkpoints_validated(self):
         bad = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 20\ncheckpoints = 5 2")
         with pytest.raises(ConfigError) as err:
@@ -172,6 +177,8 @@ runs = 0
          ["runs=2.5: must be an integer", "seed='x': must be an integer",
           "horizon=0.5: log-spaced checkpoints need a finite horizon > 1",
           "include_bounds='maybe': not a boolean"]),
+        ({"seed": -1}, ["seed=-1: must be in [0, 2**64)"]),
+        ({"seed": 2**64}, [f"seed={2**64}: must be in [0, 2**64)"]),
     ])
     def test_with_overrides_refuses_what_the_config_refuses(self, overrides, violations):
         # the typed overrides follow the rules of the [experiment] keys, and

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from continuized.harness import runner
+from continuized.harness import config, runner
 from continuized.harness.presets import get_preset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +47,19 @@ def test_readme_layout_names_exist():
     names = {part for m in quoted if m for part in m.group().split(".") if part}
     source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
     missing = sorted(names - set(re.findall(r"\w+", source)))
+    assert not missing, missing
+
+
+def test_readme_config_files_names_every_key():
+    # README's "Config files" names each section, variant key, variant and
+    # key of the one key rule, so the docs cannot drift from the rule
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for key, _, variants in config.SECTIONS.values():
+        names |= {key, *variants, *(k for keys in variants.values() for k in keys)} - {None}
+    missing = sorted(names - set(re.findall(r"[\w-]+", section)))
+    missing += [f"[{name}]" for name in config.SECTIONS if f"[{name}]" not in section]
     assert not missing, missing
 
 
