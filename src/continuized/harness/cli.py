@@ -55,7 +55,6 @@ def build_parser() -> _Parser:
     info = sub.add_parser("graph-info", description="print graph spectral quantities")
     for key in ("config", *GRAPH_KEYS):  # text, checked in _graph_info
         info.add_argument(f"--{key}")
-    info.add_argument("--quiet", action="store_true")
 
     rep = sub.add_parser("reproduce", description="run a named figure preset")
     rep.add_argument("preset", help="one of: " + ", ".join(preset_names()))

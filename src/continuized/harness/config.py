@@ -41,9 +41,11 @@ from ..problems import (
 from ..schedules import EventClock, ParamSchedule
 from ..trace import check_horizon, checkpoint_grid
 
+# The [algo] keys each clock of the continuized method reads.
+CLOCK_KEYS = {"exponential": ("rate",), "geometric": ("p", "tick")}
 # The [algo] keys each method reads, besides method and x0.
 METHOD_KEYS = {
-    "continuized": ("schedule", "clock", "rate", "p", "tick"),
+    "continuized": ("schedule", "clock", *sum(CLOCK_KEYS.values(), ())),
     "nesterov": ("variant", "iters"),
     "gd": ("step", "iters"),
 }
@@ -301,11 +303,12 @@ def override_fields(given: dict[str, tuple[str, object]], errors: list[str]) -> 
     return fields
 
 
-def _clock(kind: str, rate: float, p: float, tick: float) -> EventClock:
+def _clock(kind: str, read) -> EventClock:
+    """The ``kind`` clock, its keys parsed by ``read(key, parse, default)``."""
     if kind == "exponential":
-        return EventClock.exponential(rate)
+        return EventClock.exponential(read("rate", parse_float, 1.0))
     if kind == "geometric":
-        return EventClock.geometric(p, tick)
+        return EventClock.geometric(read("p", parse_float, 0.01), read("tick", parse_float, 0.01))
     raise ValueError(f"unknown clock {kind!r}")
 
 
@@ -336,11 +339,12 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     iters = read("iters", int)
     if iters is not None and iters < 1:
         errors.append("[algo] iters must be >= 1")
-    clock = _attempt(
-        errors, "[algo]", _clock, section.get("clock", "exponential"),
-        read("rate", parse_float, 1.0), read("p", parse_float, 0.01),
-        read("tick", parse_float, 0.01),
-    )
+    clock_kind = section.get("clock", "exponential")
+    if clock_kind in CLOCK_KEYS:  # an unknown clock is named when it is built
+        errors += [f"[algo] key '{k}' does not apply to clock {clock_kind}"
+                   for keys in CLOCK_KEYS.values() for k in keys
+                   if k in section and k not in CLOCK_KEYS[clock_kind]]
+    clock = _attempt(errors, "[algo]", _clock, clock_kind, read)
     if problem is None:
         if errors:
             raise ConfigError(errors)
@@ -484,17 +488,20 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
     )
 
     if kind == "optimize":
+        algo = sections.get("algo", {})
+        method = algo.get("method", "continuized")
+        if method in ("nesterov", "gd"):
+            # the deterministic baselines report every iteration t = 0..iters and draw no noise
+            if "checkpoints" in exp:
+                errors.append(f"[experiment] key 'checkpoints' does not apply to method {method}")
+            if sections.pop("noise", None) is not None:
+                errors.append(f"section [noise] does not apply to method {method}")
         if "problem" in sections:
             spec.problem = _attempt(errors, "[problem]", problem_from_section, sections["problem"])
         if "noise" in sections:
             spec.noise = _attempt(errors, "[noise]", noise_from_section, sections["noise"])
         if spec.problem is not None and spec.noise is not None:
             _attempt(errors, "[noise]", check_noise, spec.problem, spec.noise)
-        algo = sections.get("algo", {})
-        method = algo.get("method", "continuized")
-        if method in ("nesterov", "gd") and "checkpoints" in exp:
-            # the deterministic baselines report every iteration t = 0..iters
-            errors.append(f"[experiment] key 'checkpoints' does not apply to method {method}")
         spec.algo = _attempt(errors, "[algo]", resolve_algo, algo, spec.problem)
 
     elif kind in ("gossip", "decentralized", "graph-info"):

@@ -1,103 +1,59 @@
-"""Named experiment presets, one per reproduced figure family."""
+"""Named experiment presets, one per reproduced figure family.
+
+Each preset is the config a user would write for it: its sections (name ->
+key -> text), built by the same rules as a config file.  Floats are written
+as their shortest ``repr``, which parses back to the same bits.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..graphs import complete_graph, grid_graph, line_graph
-from ..problems import NoiseModel, make_quadratic
-from .config import DecentralizedSpec, ExperimentSpec, log_spaced_checkpoints, resolve_algo
+from .config import ExperimentSpec, spec_from_sections
 
 
-def _hundred_dim_convex():
-    idx = np.arange(1, 101)
-    return make_quadratic(1.0 / idx**2, 1.0 / idx)
+def _floats(values) -> str:
+    return " ".join(map(repr, values))
 
 
-def _three_dim_strongly_convex():
-    return make_quadratic([0.01, 0.03, 1.0], [1.0, 1.0, 1.0])
+def _figure(kind: str, horizon: str, **sections) -> dict:
+    """The sections of a figure, which plots the theory bound beside the runs."""
+    return {"experiment": {"kind": kind, "horizon": horizon, "include_bounds": "true"}, **sections}
 
 
-def _optimize_spec(problem, schedule, horizon, *, noise=None, x0="zeros"):
-    return ExperimentSpec(
-        kind="optimize",
-        horizon=horizon,
-        checkpoints=log_spaced_checkpoints(horizon, 50),
-        include_bounds=True,
-        problem=problem,
-        noise=noise or NoiseModel.none(),
-        algo=resolve_algo({"schedule": schedule, "x0": x0}, problem),
-    )
-
-
-def _gossip_spec(graph, horizon):
-    return ExperimentSpec(
-        kind="gossip",
-        horizon=horizon,
-        checkpoints=log_spaced_checkpoints(horizon, 50),
-        include_bounds=True,
-        graph=graph,
-        gossip_algo="accelerated",
-    )
-
-
-def appendix_a1_convex() -> ExperimentSpec:
-    return _optimize_spec(_hundred_dim_convex(), "convex", 100.0)
-
-
-def appendix_a1_strongly_convex() -> ExperimentSpec:
-    return _optimize_spec(_three_dim_strongly_convex(), "strongly_convex", 300.0)
-
-
-def appendix_b_additive() -> ExperimentSpec:
-    problem = _three_dim_strongly_convex()
-    return _optimize_spec(
-        problem,
-        "strongly_convex",
-        120.0,
-        noise=NoiseModel.additive(1e-4 * problem.dimension),
-        x0="optimum",
-    )
-
-
-def appendix_a2_line30() -> ExperimentSpec:
-    return _gossip_spec(line_graph(30), 2400.0)
-
-
-def appendix_a2_grid225() -> ExperimentSpec:
-    return _gossip_spec(grid_graph(15, 15), 9000.0)
-
-
-def appendix_a2_complete10() -> ExperimentSpec:
-    return _gossip_spec(complete_graph(10), 80.0)
-
-
-def decentralized_line10() -> ExperimentSpec:
-    return ExperimentSpec(
-        kind="decentralized",
-        runs=500,
-        horizon=450.0,
-        checkpoints=log_spaced_checkpoints(450.0, 50),
-        graph=line_graph(10),
-        decentralized=DecentralizedSpec(mu=0.1, smoothness=1.0),
-    )
-
+_THREE_DIM_STRONGLY_CONVEX = {"kind": "quadratic", "diag": "0.01 0.03 1.0", "center": "1 1 1"}
 
 PRESETS = {
-    "appendix-a1-convex": appendix_a1_convex,
-    "appendix-a1-strongly-convex": appendix_a1_strongly_convex,
-    "appendix-b-additive": appendix_b_additive,
-    "appendix-a2-line30": appendix_a2_line30,
-    "appendix-a2-grid225": appendix_a2_grid225,
-    "appendix-a2-complete10": appendix_a2_complete10,
-    "decentralized-line10": decentralized_line10,
+    "appendix-a1-convex": _figure(
+        "optimize", "100",
+        problem={"kind": "quadratic", "diag": _floats(1 / i**2 for i in range(1, 101)),
+                 "center": _floats(1 / i for i in range(1, 101))},
+        algo={"schedule": "convex"},
+    ),
+    "appendix-a1-strongly-convex": _figure(
+        "optimize", "300", problem=_THREE_DIM_STRONGLY_CONVEX, algo={"schedule": "strongly_convex"},
+    ),
+    "appendix-b-additive": _figure(
+        "optimize", "120", problem=_THREE_DIM_STRONGLY_CONVEX,
+        noise={"kind": "additive", "sigma2": repr(1e-4 * 3)},  # 1e-4 per dimension
+        algo={"schedule": "strongly_convex", "x0": "optimum"},
+    ),
+    "appendix-a2-line30": _figure("gossip", "2400", graph={"topology": "line", "nodes": "30"}),
+    "appendix-a2-grid225": _figure(
+        "gossip", "9000", graph={"topology": "grid", "rows": "15", "cols": "15"},
+    ),
+    "appendix-a2-complete10": _figure(
+        "gossip", "80", graph={"topology": "complete", "nodes": "10"},
+    ),
+    "decentralized-line10": {
+        "experiment": {"kind": "decentralized", "runs": "500", "horizon": "450"},
+        "graph": {"topology": "line", "nodes": "10"},
+        "decentralized": {"mu": "0.1", "smoothness": "1.0"},
+    },
 }
 
 
 def get_preset(name: str) -> ExperimentSpec:
-    if name not in PRESETS:
-        raise KeyError(name)
-    return PRESETS[name]()
+    """The spec of preset ``name``; KeyError when there is none."""
+    return spec_from_sections(PRESETS[name])
 
 
 def preset_names() -> list[str]:

@@ -59,6 +59,12 @@ class TestGraphInfo:
     def test_missing_everything(self):
         assert main(["graph-info"]) == 1
 
+    def test_quiet_is_no_flag(self, capsys):
+        # graph-info prints only its table, so there is nothing to quieten
+        assert main(["graph-info", "--topology", "line", "--nodes", "3", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --quiet\nusage:"), err
+
     @pytest.mark.parametrize("argv, expected", [
         (["--topology", "line", "--nodes", "4", "--rows", "3"],
          ["[graph] key 'rows' does not apply to topology line"]),
@@ -298,6 +304,16 @@ INVALID_INPUTS = [
     ("unknown-topology-and-key", LINE2.format(kind="gossip").replace(
         "topology = line", "topology = torus\nfoo = 1"),
      ["[graph] unknown topology 'torus'", "[graph] key 'foo' does not apply to topology torus"]),
+    # each clock reads its own keys; exponential is the default
+    ("geometric-rate", QUADRATIC_2D + "[algo]\nclock = geometric\nrate = 5\n",
+     ["[algo] key 'rate' does not apply to clock geometric"]),
+    ("default-clock-p", QUADRATIC_2D + "[algo]\np = 0.5\n",
+     ["[algo] key 'p' does not apply to clock exponential"]),
+    # the deterministic baselines draw no noise
+    ("nesterov-noise", QUADRATIC_2D + "[noise]\nkind = additive\nsigma2 = 100\n"
+     "[algo]\nmethod = nesterov\n", ["section [noise] does not apply to method nesterov"]),
+    ("gd-noise", QUADRATIC_2D + "[noise]\nkind = none\n[algo]\nmethod = gd\n",
+     ["section [noise] does not apply to method gd"]),
 ]
 
 

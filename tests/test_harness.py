@@ -25,7 +25,7 @@ from continuized.harness.config import (
     parse_config_text,
 )
 from continuized.harness.csvio import emit_csv, load_csv, render_csv
-from continuized.harness.presets import get_preset, preset_names
+from continuized.harness.presets import PRESETS, get_preset, preset_names
 from continuized.harness.runner import (
     RunSet,
     aggregate_values,
@@ -229,9 +229,10 @@ _OPTIMIZE = {
     "noise": {"kind": "additive", "sigma2": "1e-4"},
 }
 FUZZ_BASES = {
-    # the deterministic baselines read no checkpoints
-    "gd": {**_OPTIMIZE, "experiment": {k: v for k, v in _OPTIMIZE["experiment"].items()
-                                       if k != "checkpoints"},
+    # the deterministic baselines read no checkpoints and no noise
+    "gd": {"experiment": {k: v for k, v in _OPTIMIZE["experiment"].items()
+                          if k != "checkpoints"},
+           "problem": _OPTIMIZE["problem"],
            "algo": {"method": "gd", "step": "0.5", "iters": "10", "x0": "0 0 0"}},
     "exponential": {**_OPTIMIZE, "algo": {"method": "continuized", "clock": "exponential",
                                           "rate": "1.0"}},
@@ -258,7 +259,7 @@ FUZZ_KEYS = (
     + [("gd", "algo", k) for k in ("step", "iters", "x0")]
     + [("exponential", "algo", "rate")]
     + [("geometric", "algo", k) for k in ("p", "tick")]
-    + [("gd", "noise", "sigma2"), ("decentralized", "experiment", "horizon")]
+    + [("exponential", "noise", "sigma2"), ("decentralized", "experiment", "horizon")]
     + [("decentralized", "decentralized", k)
        for k in ("mu", "smoothness", "dimension", "curvatures", "centers")]
     + [("decentralized-random", "decentralized", "center_scale")]
@@ -502,6 +503,11 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
             get_preset("appendix-z9")
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_is_its_config_text(self, name):
+        # a preset is the config a user would write, parsed by the same rules
+        assert parse_config_text(_render(PRESETS[name])) == get_preset(name)
 
     @pytest.mark.parametrize("name", preset_names())
     def test_preset_equals_a_fresh_copy(self, name):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from continuized.harness import config, runner
-from continuized.harness.presets import get_preset
+from continuized.harness.presets import get_preset, preset_names
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -61,6 +61,14 @@ def test_readme_config_files_names_every_key():
     missing = sorted(names - set(re.findall(r"[\w-]+", section)))
     missing += [f"[{name}]" for name in config.SECTIONS if f"[{name}]" not in section]
     assert not missing, missing
+
+
+def test_readme_presets_table_names_every_preset():
+    # README's "Presets" table has one row per preset of ``presets.PRESETS``,
+    # so the docs cannot drift from the presets
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Presets", 1)[1].split("\n#", 1)[0]
+    assert sorted(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == preset_names()
 
 
 def test_bench_trace_targets_resolve():
