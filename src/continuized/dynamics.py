@@ -7,11 +7,13 @@ computes them in one pass before its event loop: the times from block draws
 of its clock stream, and the jump column of every event.  The certificate
 coefficients depend only on the grid, which all runs share, so an ensemble
 builds them once.  The loop then only applies the parameters, to one (2, d)
-pair that the run builds once and mixes and jumps in place.  Because
-the mixing ODE integrates exactly, the event-time snapshots coincide (to
-rounding) with the three-sequence recursion with random weights, which is
-also provided here and used as a cross-check in the tests; the Nesterov and
-gradient-descent baselines run the same recursion with fixed weights.
+pair that the run builds once and mixes and jumps in place (on a small
+quadratic, two lists of Python floats, free of numpy's per-call cost).
+Because the mixing ODE integrates exactly, the event-time snapshots
+coincide (to rounding) with the three-sequence recursion with random
+weights, which is also provided here and used as a cross-check in the
+tests; the Nesterov and gradient-descent baselines run the same recursion
+with fixed weights.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .problems import (
     DimensionMismatchError,
     LeastSquaresProblem,
     NoiseModel,
+    QuadraticProblem,
     gradient_oracle,
     row_dots,
     stochastic_gradient,
@@ -44,6 +47,12 @@ from .seeding import RunStreams
 from .trace import Snapshot, Trace, run_events
 
 Array = np.ndarray
+
+# Largest d at which a run on a quadratic keeps its pair as Python floats: the
+# float loop's cost per event grows with d and numpy's on a (2, d) array hardly
+# does.  Measured on CPython 3.11, they cross near d = 22 on the 2/t schedule
+# and d = 25-28 on the constant one; at d = 16 floats are 1.1-1.5x faster.
+FLOAT_PAIR_MAX_DIM = 16
 
 
 def initial_state(x0) -> Array:
@@ -105,15 +114,25 @@ def step_column(schedule: ParamSchedule, t: float | Array) -> Array:
     return columns
 
 
-def gradient_jump(pair: Array, steps: Array, g: Array) -> Array:
-    """Apply one gradient event to the (2, d) pair in place, and return
-    ``pair``: x and z step along g by the (2, 1) column ``steps`` =
-    (gamma, gamma').  The step ``steps * g`` is formed before the pair is
-    written, so ``g`` may be a row of ``pair``."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != pair.shape[1:]:
-        raise DimensionMismatchError(f"gradient has shape {g.shape}, state has {pair[0].shape}")
-    pair -= steps * g
+def gradient_jump(pair, steps, g):
+    """Apply one gradient event to the pair in place, and return ``pair``:
+    x and z step along g by (gamma, gamma').  A (2, d) array pair takes
+    ``steps`` as the (2, 1) column; a float pair (x, z), two lists of d
+    floats, takes the two floats (gamma, gamma').  The step is formed before
+    the pair is written, so ``g`` may be a row of ``pair``."""
+    if isinstance(pair, np.ndarray):
+        g = np.asarray(g, dtype=float)
+        if g.shape != pair.shape[1:]:
+            raise DimensionMismatchError(f"gradient has shape {g.shape}, state has {pair[0].shape}")
+        pair -= steps * g
+        return pair
+    x, z = pair
+    if len(g) != len(x):
+        raise DimensionMismatchError(f"gradient has length {len(g)}, state has {len(x)}")
+    gamma, gamma_p = steps
+    for i, gi in enumerate(g):  # g[i] is read before x[i], z[i] are written
+        x[i] -= gamma * gi
+        z[i] -= gamma_p * gi
     return pair
 
 
@@ -190,7 +209,12 @@ def run_continuized(
     (``gradient_oracle``) once.  The event loop then only applies the
     parameters to the run's one (2, d) pair, in place: per event one
     ``mix_closed_form``, one oracle draw at the left limit x_{T-} and one
-    ``gradient_jump``.  The caller's x0 is copied, never written.  Each
+    ``gradient_jump``.  On a ``QuadraticProblem`` with noise ``none`` or
+    ``additive`` and d <= ``FLOAT_PAIR_MAX_DIM`` the pair is two float lists
+    instead, and each event runs the same IEEE operations coordinate by
+    coordinate, in the same order (additive noise from one
+    ``standard_normal((K, d))`` block), so every value keeps its bits.  The
+    caller's x0 is copied, never written.  Each
     checkpoint copies the pair and its time into the run's capture buffers;
     after the last event every capture is mixed forward to its checkpoint
     and measured (``gap``, ``dist_sq``, ``lyapunov``) in one stacked pass,
@@ -206,22 +230,59 @@ def run_continuized(
         raise DimensionMismatchError(
             f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
         )
-    x = pair[0]  # a view: it follows the pair through every in-place event
-    gradient_at = gradient_oracle(problem, noise, rng.noise)
     times = sample_event_times(clock, horizon, rng.clock)
+    floats = (isinstance(problem, QuadraticProblem) and noise.kind in ("none", "additive")
+              and problem.dimension <= FLOAT_PAIR_MAX_DIM)
     if schedule.is_time_varying:
-        columns = list(step_column(schedule, np.array(times)))
+        columns = step_column(schedule, np.array(times))
+        columns = columns[..., 0].tolist() if floats else list(columns)
     else:  # constant kinds jump by the same column at every event
-        columns = [step_column(schedule, horizon)] * len(times)
+        column = step_column(schedule, horizon)
+        columns = [column[:, 0].tolist() if floats else column] * len(times)
     pairs = np.empty((len(checkpoints), *pair.shape))
     starts = [0.0] * len(checkpoints)
 
-    def advance(a, b):
-        nonlocal now
-        for te, steps in zip(times[a:b], columns[a:b]):
-            mix_closed_form(pair, now, schedule, te)
-            now = te
-            gradient_jump(pair, steps, gradient_at(x))
+    if floats:
+        pair = x, z = pair.tolist()
+        diag, optimum, coords = problem.diag.tolist(), problem.optimum.tolist(), range(len(x))
+        varying, scale = schedule.is_time_varying, float(np.sqrt(noise.sigma2 / len(x)))
+        normals = None  # additive noise: one block, bit for bit one draw per event
+        if noise.kind == "additive":
+            normals = rng.noise.standard_normal((len(times), len(x))).tolist()
+
+        def advance(a, b):
+            nonlocal now
+            for k in range(a, b):
+                te, g = times[k], []
+                mix = te != now  # mix_closed_form leaves the pair as it is
+                if mix:
+                    f = (now / te) ** 2 if varying else math.exp(
+                        -2.0 * schedule.mix_rate * (te - now))
+                    now = te
+                noise_k = None if normals is None else normals[k]
+                for i in coords:
+                    xi = x[i]
+                    if mix:
+                        zi = z[i]
+                        if varying:
+                            x[i] = xi = (xi - zi) * f + zi
+                        else:
+                            m = (xi + zi) * 0.5
+                            x[i] = xi = (xi - m) * f + m
+                            z[i] = (zi - m) * f + m
+                    gi = diag[i] * (xi - optimum[i])
+                    g.append(gi if noise_k is None else gi + scale * noise_k[i])
+                gradient_jump(pair, columns[k], g)
+    else:
+        x = pair[0]  # a view: it follows the pair through every in-place event
+        gradient_at = gradient_oracle(problem, noise, rng.noise)
+
+        def advance(a, b):
+            nonlocal now
+            for te, steps in zip(times[a:b], columns[a:b]):
+                mix_closed_form(pair, now, schedule, te)
+                now = te
+                gradient_jump(pair, steps, gradient_at(x))
 
     def capture(i):
         pairs[i] = pair

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from continuized import dynamics
 from continuized.dynamics import (
+    FLOAT_PAIR_MAX_DIM,
     gradient_jump,
     initial_state,
     lyapunov_value,
@@ -234,6 +236,32 @@ class TestGradientJump:
         assert out is s
         np.testing.assert_array_equal(s, [[1.5, -1.0], [-2.0, -9.0]])
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_float_pair_dimension_mismatch_leaves_pair(self, length):
+        pair = [[1.0, -2.0], [0.5, 4.0]]
+        with pytest.raises(DimensionMismatchError, match="gradient has length"):
+            gradient_jump(pair, (0.5, 2.0), [1.0] * length)
+        assert pair == [[1.0, -2.0], [0.5, 4.0]]
+
+    @settings(deadline=None)
+    @given(st.integers(1, FLOAT_PAIR_MAX_DIM).flatmap(
+        lambda d: st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=3, max_size=3)),
+        st.tuples(COORDS, COORDS))
+    def test_float_pair_equals_array_pair(self, rows, steps):
+        # the float pair (x, z) with steps (gamma, gamma') jumps bit for bit
+        # as the (2, d) array pair with the (2, 1) column
+        x, z, g = rows
+        want = gradient_jump(np.array([x, z]), np.array(steps)[:, None], np.array(g))
+        pair = [list(x), list(z)]
+        assert gradient_jump(pair, steps, g) is pair
+        assert np.array(pair).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_float_pair_gradient_may_alias_the_pair(self, row):
+        pair = [[1.0, -2.0, 0.3], [0.5, 4.0, -1.7]]
+        want = gradient_jump([r.copy() for r in pair], (0.75, 1.5), pair[row].copy())
+        assert gradient_jump(pair, (0.75, 1.5), pair[row]) == want
+
     @pytest.mark.parametrize("row", [0, 1])
     def test_gradient_may_alias_the_pair(self, row):
         # the step is formed from g before the pair is written, so a g that
@@ -358,6 +386,61 @@ class TestRunContinuized:
         for k, state in enumerate(noisy.states):
             np.testing.assert_allclose(state.x, xs[k + 1], atol=1e-12)
             np.testing.assert_allclose(state.z, zs[k + 1], atol=1e-12)
+
+
+def _float_form_problem(d):
+    return make_quadratic(np.geomspace(0.01, 1.0, d), np.linspace(1.0, -0.5, d))
+
+
+FLOAT_FORM_CLOCKS = {
+    "exponential": EventClock.exponential(),
+    "geometric": EventClock.geometric(0.3, 0.3),
+    "geometric-p1": EventClock.geometric(1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("clock", list(FLOAT_FORM_CLOCKS))
+@pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.additive(0.01)],
+                         ids=["none", "additive"])
+@pytest.mark.parametrize("kind", ["convex", "strongly_convex"])
+def test_float_pair_runs_equal_array_pair_runs(monkeypatch, kind, noise, clock):
+    # a run on a small quadratic keeps its pair as Python floats; with the
+    # threshold at 0 the same run takes the (2, d) array, and every
+    # checkpoint (some on event times, so post-jump) must carry the same bits
+    clock, horizon = FLOAT_FORM_CLOCKS[clock], 30.0
+    mixes = [0]
+    mix = dynamics.mix_closed_form
+
+    def counted(*args):
+        mixes[0] += 1
+        return mix(*args)
+
+    monkeypatch.setattr(dynamics, "mix_closed_form", counted)
+    for d in (1, FLOAT_PAIR_MAX_DIM):
+        p = _float_form_problem(d)
+        if kind == "convex":
+            sched = ParamSchedule.convex(p.smoothness)
+        else:
+            sched = ParamSchedule.strongly_convex(p.smoothness, p.strong_convexity)
+        for x0 in (None, p.optimum, np.linspace(-2.0, 3.0, d)):
+            for run in range(2):
+                times = event_times(clock, horizon, run_streams(7, run))
+                grid = sorted({*times[::3], *np.geomspace(0.5, horizon, 8).tolist()})
+                traces = []
+                for threshold in (FLOAT_PAIR_MAX_DIM, 0):
+                    monkeypatch.setattr(dynamics, "FLOAT_PAIR_MAX_DIM", threshold)
+                    before = mixes[0]
+                    traces.append(run_continuized(p, noise, sched, clock, horizon,
+                                                  run_streams(7, run), x0=x0, checkpoints=grid))
+                    assert (mixes[0] > before) == (threshold == 0)
+                floats, array = traces
+                assert floats.events == array.events == len(times) > 0
+                assert floats.values.keys() == array.values.keys()
+                for name, column in array.values.items():
+                    assert np.array_equal(floats.values[name], column), name
+                for got, want in zip(floats.states, array.states, strict=True):
+                    assert got.t == want.t
+                    assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
 
 
 class TestGeometricClockAgreement:

@@ -609,6 +609,24 @@ class TestRunner:
         with pytest.raises(FloatingPointError, match=re.escape(msg)):
             aggregate_values(values, grid, "gap")
 
+    def test_diverging_ensemble_names_each_run_at_its_first_bad_checkpoint(self):
+        # the a1 quadratic on the strongly convex schedule with a p = 1
+        # geometric clock grows at every tick = 5 event; the pair stays
+        # finite up to the horizon and the certificate's products overflow
+        # first, at the same checkpoint in every run
+        cfg = MINIMAL_OPTIMIZE.replace("horizon = 20", "runs = 4\nhorizon = 2000")
+        cfg += "\n[algo]\nschedule = strongly_convex\nclock = geometric\np = 1\ntick = 5\n"
+        where = ", ".join(f"run {i} at t = 1712.62404266" for i in range(4))
+        msg = f"metric lyapunov is not finite in runs 0, 1, 2, 3 (first non-finite checkpoint: {where})"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match=re.escape(msg)):
+                run_experiment(parse_config_text(cfg))
+        assert {(w.category, str(w.message)) for w in caught} == {
+            (RuntimeWarning, "overflow encountered in multiply"),
+            (RuntimeWarning, "overflow encountered in matmul"),
+        }
+
     def test_decentralized_ensemble(self):
         spec = get_preset("decentralized-line10").with_overrides(runs=3, horizon=20.0)
         spec.checkpoints = log_spaced_checkpoints(20.0, 10)

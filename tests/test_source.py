@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from continuized.dynamics import FLOAT_PAIR_MAX_DIM
 from continuized.harness import config, runner
 from continuized.harness.presets import get_preset, preset_names
 
@@ -82,15 +83,41 @@ def test_bench_trace_targets_resolve():
     assert tracer.absent == []
 
 
-# case -> (kind, preset).  The optimize cases cover the constant schedule,
-# the 2/t schedule and additive noise.
+# A constant-schedule run one dimension above the float-pair threshold: it
+# keeps the (2, d) array pair, whose kernels are numpy calls.
+ARRAY_PAIR_CONFIG = f"""
+[experiment]
+kind = optimize
+horizon = 20
+
+[problem]
+kind = quadratic
+diag = 0.01 {" ".join(["1.0"] * FLOAT_PAIR_MAX_DIM)}
+center = {" ".join(["1"] * (FLOAT_PAIR_MAX_DIM + 1))}
+
+[algo]
+schedule = strongly_convex
+"""
+
+# case -> (kind, preset name or config text).  The optimize cases cover the
+# constant schedule, the 2/t schedule and additive noise, on the float pair
+# and on the array pair.
 KERNEL_CASES = {
     "optimize": ("optimize", "appendix-a1-strongly-convex"),
     "optimize-convex": ("optimize", "appendix-a1-convex"),
     "optimize-additive": ("optimize", "appendix-b-additive"),
+    "optimize-array-pair": ("optimize", ARRAY_PAIR_CONFIG),
     "gossip": ("gossip", "appendix-a2-line30"),
     "decentralized": ("decentralized", "decentralized-line10"),
 }
+
+
+def _kernel_spec(case, runs):
+    kind, source = KERNEL_CASES[case]
+    spec = config.parse_config_text(source) if "\n" in source else get_preset(source)
+    spec = spec.with_overrides(runs=runs, horizon=20.0)
+    assert spec.kind == kind
+    return spec
 
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
@@ -98,9 +125,7 @@ def test_event_kernel_called_once_per_event(case):
     # the benchmark's traced gate: each simulated event calls the kind's
     # kernel exactly once, counted against the events on the clock streams
     workload = _bench_module("workload")
-    kind, preset = KERNEL_CASES[case]
-    spec = get_preset(preset).with_overrides(runs=2, horizon=20.0)
-    assert spec.kind == kind
+    spec = _kernel_spec(case, runs=2)
     tracer = _bench_module("tracer").Tracer()
     try:
         tracer.install()
@@ -112,13 +137,31 @@ def test_event_kernel_called_once_per_event(case):
     assert tracer.summary()[workload.EVENT_KERNEL[spec.kind]] == events
 
 
+@pytest.mark.parametrize("case, floats", [("optimize", True), ("optimize-additive", True),
+                                          ("optimize-convex", False),
+                                          ("optimize-array-pair", False)])
+def test_small_quadratic_runs_take_the_float_pair(case, floats):
+    # the d = 3 presets mix their float pair inline, never through
+    # mix_closed_form; a1-convex (d = 100) and the run above the threshold
+    # keep the (2, d) array and mix once per event
+    tracer = _bench_module("tracer").Tracer()
+    try:
+        tracer.install()
+        runner.run_experiment(_kernel_spec(case, runs=2))
+    finally:
+        tracer.uninstall()
+    counts = tracer.summary()
+    events = counts["dynamics.gradient_jump.calls"]
+    assert events > 0
+    assert counts["dynamics.mix_closed_form.calls"] == (0 if floats else events)
+
+
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_trace_counts_the_events_on_the_clock_streams(case):
     # each run's trace reports the events it applied, which are exactly the
     # events on its clock stream up to the horizon
     workload = _bench_module("workload")
-    _, preset = KERNEL_CASES[case]
-    spec = get_preset(preset).with_overrides(runs=3, horizon=20.0)
+    spec = _kernel_spec(case, runs=3)
     resolved = runner.resolve(spec)
     events = [resolved.run(i).events for i in range(spec.runs)]
     upto = [workload.count_events(spec.with_overrides(runs=k)) for k in range(1, spec.runs + 1)]
