@@ -5,7 +5,7 @@ solved on its dual, where edge activations become coordinate gradient steps:
 the activated pair exchanges conjugate gradients and applies antisymmetric
 corrections to the node values y and z of the two dual iterates, which mix
 node-locally between events exactly as in accelerated gossip: the run is
-gossip's ``run_pairwise`` with ``dual_update`` as its jump.  With quadratic
+gossip's ``PairwisePlan`` with ``dual_update`` as its jump.  With quadratic
 local terms of unit curvature the whole construction collapses to averaging.
 """
 
@@ -19,8 +19,8 @@ import numpy as np
 
 from .graphs import Graph
 from .gossip import (
+    PairwisePlan,
     lazy_mix_node,
-    run_pairwise,
     sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
     synchronized_values,
 )
@@ -138,19 +138,21 @@ class DualParams:
         )
 
 
-# the dual's name for the per-node oracle of run_pairwise's inline mix
+# the dual's name for the per-node oracle of PairwisePlan's inline mix
 lazy_mix_dual_node = lazy_mix_node
 
 
 def dual_update(y, z, v: int, w: int, coefs: tuple) -> None:
     """Dual coordinate step on edge (v, w); endpoints must be mixed to the event time.
 
-    With ``coefs`` = (f_v, f_w, P_e, y_coef, z_coef), the edge gradient is
-    g = P_e (grad f_v^*(y_v) - grad f_w^*(y_w)); the y-pair moves by -+ y_coef g,
-    with y_coef = gamma R_e / P_e^2, and the z-pair by -+ z_coef g, z_coef = gamma' / P_e.
+    With ``coefs`` = (c_v, k_v, c_w, k_w, P_e, y_coef, z_coef), the centers and
+    curvatures of f_v and f_w, the edge gradient is g = P_e (grad f_v^*(y_v) -
+    grad f_w^*(y_w)), each c + y / k as ``conjugate_grad`` computes it; the y-pair
+    moves by -+ y_coef g, y_coef = gamma R_e / P_e^2, the z-pair by -+ z_coef g,
+    z_coef = gamma' / P_e.
     """
-    fv, fw, p_e, y_coef, z_coef = coefs
-    g = p_e * (conjugate_grad(fv, y[v]) - conjugate_grad(fw, y[w]))
+    c_v, k_v, c_w, k_w, p_e, y_coef, z_coef = coefs
+    g = p_e * ((c_v + y[v] / k_v) - (c_w + y[w] / k_w))
     y[v] -= y_coef * g
     y[w] += y_coef * g
     z[v] -= z_coef * g
@@ -173,6 +175,43 @@ def primal_dist_sq(local_functions: list[LocalFunction], x_star, zs: Array) -> A
     return err
 
 
+def decentralized_plan(
+    graph: Graph,
+    local_functions: list[LocalFunction],
+    mu: float,
+    smoothness: float,
+    horizon: float,
+    params: DualParams,
+    checkpoints: Sequence[float],
+) -> PairwisePlan:
+    """The plan of dual runs from y = z = 0: ``dual_update`` with one tuple
+    of coefficients per edge, measured by ``primal_dist_sq`` of the z
+    values, with x_* computed centrally for the quadratics (the algorithm
+    itself never reads it)."""
+    if len(local_functions) != graph.node_count:
+        raise ValueError("need one local function per node")
+    check_curvatures([f.curvature for f in local_functions], mu, smoothness)
+    dims = {np.size(f.center) for f in local_functions}
+    if len(dims) != 1:
+        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
+    (dimension,) = dims
+    fns = local_functions
+    x_star = optimum_of(fns)
+    coefs = [
+        (fns[v].center, fns[v].curvature, fns[w].center, fns[w].curvature,
+         p_e, params.gamma * r_e / (p_e * p_e), params.gamma_prime / p_e)
+        for (v, w), r_e, p_e in zip(
+            graph.edges, incidence_r(graph).tolist(), graph.edge_probs.tolist()
+        )
+    ]
+    return PairwisePlan(
+        graph, np.zeros(graph.node_count if dimension == 1 else (graph.node_count, dimension)),
+        params.eta, dual_update, coefs,
+        lambda ys, zs: {"primal_dist_sq": primal_dist_sq(fns, x_star, zs)}, ("primal_dist_sq",),
+        horizon, checkpoints,
+    )
+
+
 def run_decentralized(
     graph: Graph,
     local_functions: list[LocalFunction],
@@ -184,39 +223,12 @@ def run_decentralized(
     params: DualParams | None = None,
     checkpoints: Sequence[float],
 ) -> Trace:
-    """Simulate the dual coordinate-descent run from y = z = 0.
-
-    Records the primal error (``primal_dist_sq``) at checkpoint times, with
-    x_* computed centrally for the quadratics (the algorithm itself never
-    reads it).
-    """
-    if len(local_functions) != graph.node_count:
-        raise ValueError("need one local function per node")
-    check_curvatures([f.curvature for f in local_functions], mu, smoothness)
-    dims = {np.size(f.center) for f in local_functions}
-    if len(dims) != 1:
-        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
-    (dimension,) = dims
+    """Simulate the dual coordinate-descent run from y = z = 0, recording
+    the primal error (``primal_dist_sq``) at checkpoint times: the one-run
+    ``decentralized_plan``, with ``DualParams.from_graph`` unless ``params``
+    is given."""
     if params is None:
         params = DualParams.from_graph(graph, mu, smoothness)
-    fns = local_functions
-    x_star = optimum_of(fns)
-    # The coefficients of ``dual_update``, one tuple per edge, computed once per run.
-    coefs = [
-        (fns[v], fns[w], p_e, params.gamma * r_e / (p_e * p_e), params.gamma_prime / p_e)
-        for (v, w), r_e, p_e in zip(
-            graph.edges, incidence_r(graph).tolist(), graph.edge_probs.tolist()
-        )
-    ]
-
-    return run_pairwise(
-        graph,
-        np.zeros(graph.node_count if dimension == 1 else (graph.node_count, dimension)),
-        params.eta,
-        dual_update,
-        coefs,
-        lambda ys, zs: {"primal_dist_sq": primal_dist_sq(fns, x_star, zs)},
-        horizon,
-        rng,
-        checkpoints=checkpoints,
-    )
+    plan = decentralized_plan(graph, local_functions, mu, smoothness, horizon, params,
+                              checkpoints)
+    return plan.trace(rng)

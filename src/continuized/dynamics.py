@@ -44,7 +44,7 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams
-from .trace import Snapshot, Trace, run_events
+from .trace import EventPlan, Snapshot, Trace
 
 Array = np.ndarray
 
@@ -188,6 +188,104 @@ def lyapunov_value(
     return coeffs.a_t * gap + 0.5 * coeffs.b_t * row_dots(dz, dz)
 
 
+class ContinuizedPlan(EventPlan):
+    """What every continuized run of an ensemble shares, built once: the
+    checked (x0, x0) pair, the grid, the constant kinds' jump column, the
+    float pair's problem constants and the certificate coefficients
+    (``lyapunov_on_grid``); ``run(rng)`` is one run, as ``run_continuized``
+    describes it."""
+
+    def __init__(self, problem: ConvexProblem, noise: NoiseModel, schedule: ParamSchedule,
+                 clock: EventClock, horizon: float, x0, checkpoints: Sequence[float]):
+        pair = initial_state(np.zeros(problem.dimension) if x0 is None else x0)
+        if pair.shape[1:] != (problem.dimension,):
+            raise DimensionMismatchError(
+                f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
+            )
+        certified = not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem)
+        super().__init__(horizon, checkpoints, ("gap", "dist_sq", "lyapunov")[:2 + certified])
+        self.problem, self.noise, self.schedule, self.clock, self.pair = (
+            problem, noise, schedule, clock, pair)
+        self.floats = (isinstance(problem, QuadraticProblem)
+                       and noise.kind in ("none", "additive")
+                       and problem.dimension <= FLOAT_PAIR_MAX_DIM)
+        if not schedule.is_time_varying:  # constant kinds jump by one column at every event
+            column = step_column(schedule, horizon)
+            self.column = column[:, 0].tolist() if self.floats else column
+        self.coeffs = lyapunov_on_grid(schedule, self.grid) if certified else None
+
+    def run(self, rng: RunStreams):
+        problem, noise, schedule = self.problem, self.noise, self.schedule
+        times = sample_event_times(self.clock, self.horizon, rng.clock)
+        floats, now = self.floats, 0.0
+        if schedule.is_time_varying:
+            columns = step_column(schedule, np.array(times))
+            columns = columns[..., 0].tolist() if floats else list(columns)
+        else:
+            columns = [self.column] * len(times)
+        pairs = np.empty((len(self.grid), *self.pair.shape))
+        starts = [0.0] * len(self.grid)
+
+        if floats:
+            pair = x, z = self.pair.tolist()
+            diag, optimum, coords = problem.diag.tolist(), problem.optimum.tolist(), range(len(x))
+            varying, scale = schedule.is_time_varying, float(np.sqrt(noise.sigma2 / len(x)))
+            normals = None  # additive noise: one block, bit for bit one draw per event
+            if noise.kind == "additive":
+                normals = rng.noise.standard_normal((len(times), len(x))).tolist()
+
+            def advance(a, b):
+                nonlocal now
+                for k in range(a, b):
+                    te, g = times[k], []
+                    mix = te != now  # mix_closed_form leaves the pair as it is
+                    if mix:
+                        f = (now / te) ** 2 if varying else math.exp(
+                            -2.0 * schedule.mix_rate * (te - now))
+                        now = te
+                    noise_k = None if normals is None else normals[k]
+                    for i in coords:
+                        xi = x[i]
+                        if mix:
+                            zi = z[i]
+                            if varying:
+                                x[i] = xi = (xi - zi) * f + zi
+                            else:
+                                m = (xi + zi) * 0.5
+                                x[i] = xi = (xi - m) * f + m
+                                z[i] = (zi - m) * f + m
+                        gi = diag[i] * (xi - optimum[i])
+                        g.append(gi if noise_k is None else gi + scale * noise_k[i])
+                    gradient_jump(pair, columns[k], g)
+        else:
+            pair = self.pair.copy()
+            x = pair[0]  # a view: it follows the pair through every in-place event
+            gradient_at = gradient_oracle(problem, noise, rng.noise)
+
+            def advance(a, b):
+                nonlocal now
+                for te, steps in zip(times[a:b], columns[a:b]):
+                    mix_closed_form(pair, now, schedule, te)
+                    now = te
+                    gradient_jump(pair, steps, gradient_at(x))
+
+        def capture(i):
+            pairs[i] = pair
+            starts[i] = now
+
+        def finish(grid):
+            mixed = mix_to_checkpoints(pairs, starts, schedule, grid)
+            xs, zs = mixed[:, 0], mixed[:, 1]
+            dx = xs - problem.optimum
+            values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
+            if self.coeffs is not None:
+                values["lyapunov"] = lyapunov_value(
+                    Snapshot(grid, xs, zs), self.coeffs, problem, values["gap"])
+            return xs, zs, values
+
+        return self.run_events(times, capture, advance, finish)
+
+
 def run_continuized(
     problem: ConvexProblem,
     noise: NoiseModel,
@@ -205,102 +303,24 @@ def run_continuized(
     from its clock stream: the event times (``sample_event_times``) and
     each event's jump column, one ``step_column`` stack over all the times
     on the 2/t kinds and one shared column on the constant kinds.  It
-    checks x0's shape once and binds its gradient oracle
-    (``gradient_oracle``) once.  The event loop then only applies the
-    parameters to the run's one (2, d) pair, in place: per event one
-    ``mix_closed_form``, one oracle draw at the left limit x_{T-} and one
-    ``gradient_jump``.  On a ``QuadraticProblem`` with noise ``none`` or
-    ``additive`` and d <= ``FLOAT_PAIR_MAX_DIM`` the pair is two float lists
-    instead, and each event runs the same IEEE operations coordinate by
-    coordinate, in the same order (additive noise from one
-    ``standard_normal((K, d))`` block), so every value keeps its bits.  The
-    caller's x0 is copied, never written.  Each
-    checkpoint copies the pair and its time into the run's capture buffers;
-    after the last event every capture is mixed forward to its checkpoint
-    and measured (``gap``, ``dist_sq``, ``lyapunov``) in one stacked pass,
-    with the certificate coefficients that ``lyapunov_on_grid`` builds once
-    per ensemble, so ensembles share a common grid.  The mixing flow is
-    constant before the first event, which sidesteps the t = 0 singularity
-    of the time-varying schedules; an event at t = 0 is still singular.
+    binds its gradient oracle (``gradient_oracle``) once.  The event loop
+    then only applies the parameters to the run's one (2, d) pair, in
+    place: per event one ``mix_closed_form``, one oracle draw at the left
+    limit x_{T-} and one ``gradient_jump``.  On a ``QuadraticProblem`` with
+    noise ``none`` or ``additive`` and d <= ``FLOAT_PAIR_MAX_DIM`` the pair
+    is two float lists instead, and each event runs the same IEEE
+    operations coordinate by coordinate, in the same order (additive noise
+    from one ``standard_normal((K, d))`` block), so every value keeps its
+    bits.  The caller's x0 is checked once per ensemble and copied, never
+    written.  Each checkpoint copies the pair and its time into the run's
+    capture buffers; after the last event every capture is mixed forward
+    to its checkpoint and measured (``gap``, ``dist_sq``, ``lyapunov``) in
+    one stacked pass.  The mixing flow is constant before the first event,
+    which sidesteps the t = 0 singularity of the time-varying schedules;
+    an event at t = 0 is still singular.  This is the one-run
+    ``ContinuizedPlan``.
     """
-    if x0 is None:
-        x0 = np.zeros(problem.dimension)
-    pair, now = initial_state(x0), 0.0
-    if pair.shape[1:] != (problem.dimension,):
-        raise DimensionMismatchError(
-            f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
-        )
-    times = sample_event_times(clock, horizon, rng.clock)
-    floats = (isinstance(problem, QuadraticProblem) and noise.kind in ("none", "additive")
-              and problem.dimension <= FLOAT_PAIR_MAX_DIM)
-    if schedule.is_time_varying:
-        columns = step_column(schedule, np.array(times))
-        columns = columns[..., 0].tolist() if floats else list(columns)
-    else:  # constant kinds jump by the same column at every event
-        column = step_column(schedule, horizon)
-        columns = [column[:, 0].tolist() if floats else column] * len(times)
-    pairs = np.empty((len(checkpoints), *pair.shape))
-    starts = [0.0] * len(checkpoints)
-
-    if floats:
-        pair = x, z = pair.tolist()
-        diag, optimum, coords = problem.diag.tolist(), problem.optimum.tolist(), range(len(x))
-        varying, scale = schedule.is_time_varying, float(np.sqrt(noise.sigma2 / len(x)))
-        normals = None  # additive noise: one block, bit for bit one draw per event
-        if noise.kind == "additive":
-            normals = rng.noise.standard_normal((len(times), len(x))).tolist()
-
-        def advance(a, b):
-            nonlocal now
-            for k in range(a, b):
-                te, g = times[k], []
-                mix = te != now  # mix_closed_form leaves the pair as it is
-                if mix:
-                    f = (now / te) ** 2 if varying else math.exp(
-                        -2.0 * schedule.mix_rate * (te - now))
-                    now = te
-                noise_k = None if normals is None else normals[k]
-                for i in coords:
-                    xi = x[i]
-                    if mix:
-                        zi = z[i]
-                        if varying:
-                            x[i] = xi = (xi - zi) * f + zi
-                        else:
-                            m = (xi + zi) * 0.5
-                            x[i] = xi = (xi - m) * f + m
-                            z[i] = (zi - m) * f + m
-                    gi = diag[i] * (xi - optimum[i])
-                    g.append(gi if noise_k is None else gi + scale * noise_k[i])
-                gradient_jump(pair, columns[k], g)
-    else:
-        x = pair[0]  # a view: it follows the pair through every in-place event
-        gradient_at = gradient_oracle(problem, noise, rng.noise)
-
-        def advance(a, b):
-            nonlocal now
-            for te, steps in zip(times[a:b], columns[a:b]):
-                mix_closed_form(pair, now, schedule, te)
-                now = te
-                gradient_jump(pair, steps, gradient_at(x))
-
-    def capture(i):
-        pairs[i] = pair
-        starts[i] = now
-
-    def finish(grid):
-        mixed = mix_to_checkpoints(pairs, starts, schedule, grid)
-        xs, zs = mixed[:, 0], mixed[:, 1]
-        dx = xs - problem.optimum
-        values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
-        if not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem):
-            values["lyapunov"] = lyapunov_value(
-                Snapshot(grid, xs, zs), lyapunov_on_grid(schedule, grid), problem,
-                values["gap"],
-            )
-        return xs, zs, values
-
-    return run_events(times, horizon, checkpoints, capture, advance, finish)
+    return ContinuizedPlan(problem, noise, schedule, clock, horizon, x0, checkpoints).trace(rng)
 
 
 def nesterov_recursion(

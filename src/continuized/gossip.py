@@ -5,7 +5,7 @@ mixes toward its midpoint between the node's own events, and the two
 endpoints of an activated edge jump.  Accelerated gossip averages x over
 the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
-(``dual``) runs its jump on its y and z through the same ``run_pairwise``,
+(``dual``) runs its jump on its y and z through the same ``PairwisePlan``,
 whose node values are bare: floats in lists, or (n, d) array rows.  Mixing
 is node-local, so a node's ODE is only advanced lazily when the node takes
 part in an event; the run's checkpoints are all synchronized at once, after
@@ -25,7 +25,7 @@ from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import row_dots
 from .schedules import EVENT_CHUNK
 from .seeding import RunStreams
-from .trace import Trace, check_horizon, run_events
+from .trace import EventPlan, Trace
 
 Array = np.ndarray
 
@@ -69,7 +69,7 @@ def lazy_mix_node(x, z, clocks: list[float], v: int, to_t: float, mix_rate: floa
     """Advance node v's pair (x[v], z[v]) from its clock to ``to_t`` in closed form.
 
     A zero rate leaves the pair as it is (naive gossip never mixes).  This
-    is the per-node oracle of the mix that ``run_pairwise`` writes inline.
+    is the per-node oracle of the mix that ``PairwisePlan`` writes inline.
     """
     dt = to_t - clocks[v]
     if dt < 0:
@@ -121,78 +121,80 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
     return xs, zs
 
 
-def run_pairwise(
-    graph: Graph,
-    x0,
-    mix_rate: float,
-    kernel: Callable[[Any, Any, int, int, Any], None],
-    edge_args: Sequence[Any],
-    metrics: Callable[[Array, Array], dict[str, Array]],
-    horizon: float,
-    rng: RunStreams,
-    *,
-    checkpoints: Sequence[float],
-) -> Trace:
-    """One run of pairwise events from x = z = x0, shared by gossip and the
-    dual solver.
+class PairwisePlan(EventPlan):
+    """What every pairwise run of an ensemble shares, for gossip and the
+    dual solver: the checked start x0, the mixing rate, the kernel and its
+    per-edge table, the measure of the synchronized stacks and the grid.
 
-    The run's node values are its own: floats in lists for a 1-D x0, copies
-    of its (n, d) rows otherwise.  At each activation of edge ``ei`` = (v, w)
-    at time te, both endpoints are mixed to te inline, with the arithmetic
-    of ``lazy_mix_node``, and ``kernel(x, z, v, w, edge_args[ei])`` applies
-    the update, with the edge's constants computed once per run.  Each
+    ``run(rng)`` is one run from x = z = x0.  The run's node values are its
+    own: floats in lists for a 1-D x0, copies of its (n, d) rows otherwise.
+    At each activation of edge ``ei`` = (v, w) at time te, both endpoints
+    are mixed to te inline, with the arithmetic of ``lazy_mix_node``, and
+    ``kernel(x, z, v, w, edge_args[ei])`` applies the update.  Each
     checkpoint captures the node values and clocks into (C, n[, d]) rows;
     after the last event ``synchronized_values`` mixes them all forward in
-    place and ``metrics(xs, zs)`` measures the synchronized stacks, one (C,)
-    array per metric.
+    place and ``measure(xs, zs)`` measures the synchronized stacks, one (C,)
+    array per name of ``metrics``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
-        raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
-    check_horizon(horizon)
-    x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
-    clocks = [0.0] * graph.node_count
-    times, edge_idx = sample_event_stream(graph, horizon, rng)
-    event_times, edge_idx = times.tolist(), edge_idx.tolist()
-    edges = graph.edges
-    rate = -2.0 * mix_rate
-    count = len(checkpoints)
-    xs = np.empty((count, *x0.shape))
-    zs = np.empty_like(xs)
-    last_t = np.empty((count, graph.node_count))
 
-    def advance(a, b):
-        for ei, te in zip(edge_idx[a:b], event_times[a:b]):
-            v, w = edges[ei]
-            if mix_rate:
-                # lazy_mix_node of v, then of w: a pair already at te keeps its bits
-                dt = te - clocks[v]
-                if dt > 0:
-                    decay = math.exp(rate * dt)
-                    xv, zv = x[v], z[v]
-                    mid = 0.5 * (xv + zv)
-                    x[v] = mid + (xv - mid) * decay
-                    z[v] = mid + (zv - mid) * decay
-                dt = te - clocks[w]
-                if dt > 0:
-                    decay = math.exp(rate * dt)
-                    xw, zw = x[w], z[w]
-                    mid = 0.5 * (xw + zw)
-                    x[w] = mid + (xw - mid) * decay
-                    z[w] = mid + (zw - mid) * decay
-            clocks[v] = clocks[w] = te
-            kernel(x, z, v, w, edge_args[ei])
+    def __init__(self, graph: Graph, x0, mix_rate: float,
+                 kernel: Callable[[Any, Any, int, int, Any], None], edge_args: Sequence[Any],
+                 measure: Callable[[Array, Array], dict[str, Array]], metrics: tuple[str, ...],
+                 horizon: float, checkpoints: Sequence[float]):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
+            raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
+        super().__init__(horizon, checkpoints, metrics)
+        self.graph, self.x0, self.mix_rate = graph, x0, mix_rate
+        self.kernel, self.edge_args, self.measure = kernel, edge_args, measure
+        self.times = np.array(self.grid)
 
-    def capture(i):
-        xs[i] = x
-        zs[i] = z
-        last_t[i] = clocks
+    def run(self, rng: RunStreams):
+        graph, x0, mix_rate, kernel, edge_args = (
+            self.graph, self.x0, self.mix_rate, self.kernel, self.edge_args)
+        x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
+        clocks = [0.0] * graph.node_count
+        times, edge_idx = sample_event_stream(graph, self.horizon, rng)
+        event_times, edge_idx = times.tolist(), edge_idx.tolist()
+        edges = graph.edges
+        rate = -2.0 * mix_rate
+        count = len(self.grid)
+        xs = np.empty((count, *x0.shape))
+        zs = np.empty_like(xs)
+        last_t = np.empty((count, graph.node_count))
 
-    def finish(grid):
-        sx, sz = synchronized_values(xs, zs, last_t, mix_rate, np.array(grid))
-        return sx, sz, metrics(sx, sz)
+        def advance(a, b):
+            for ei, te in zip(edge_idx[a:b], event_times[a:b]):
+                v, w = edges[ei]
+                if mix_rate:
+                    # lazy_mix_node of v, then of w: a pair already at te keeps its bits
+                    dt = te - clocks[v]
+                    if dt > 0:
+                        decay = math.exp(rate * dt)
+                        xv, zv = x[v], z[v]
+                        mid = 0.5 * (xv + zv)
+                        x[v] = mid + (xv - mid) * decay
+                        z[v] = mid + (zv - mid) * decay
+                    dt = te - clocks[w]
+                    if dt > 0:
+                        decay = math.exp(rate * dt)
+                        xw, zw = x[w], z[w]
+                        mid = 0.5 * (xw + zw)
+                        x[w] = mid + (xw - mid) * decay
+                        z[w] = mid + (zw - mid) * decay
+                clocks[v] = clocks[w] = te
+                kernel(x, z, v, w, edge_args[ei])
 
-    return run_events(times, horizon, checkpoints, capture, advance, finish)
+        def capture(i):
+            xs[i] = x
+            zs[i] = z
+            last_t[i] = clocks
+
+        def finish(grid):
+            sx, sz = synchronized_values(xs, zs, last_t, mix_rate, self.times)
+            return sx, sz, self.measure(sx, sz)
+
+        return self.run_events(times, capture, advance, finish)
 
 
 def energy(values: Array, target) -> Array:
@@ -205,6 +207,19 @@ def energy(values: Array, target) -> Array:
     # one contiguous row per component: row_dots rounds strided rows differently
     cols = np.ascontiguousarray(d.transpose(0, 2, 1))
     return sum((0.5 * row_dots(cols, cols)).T)
+
+
+def gossip_plan(graph: Graph, params: GossipParams, x0, horizon: float,
+                checkpoints: Sequence[float]) -> PairwisePlan:
+    """The plan of gossip runs from ``x0``: ``accelerated_step`` with the
+    z-step on every edge, measured by ``energy`` about x0's average."""
+    x0 = np.asarray(x0, dtype=float)
+    # per-component means of contiguous copies, as for one 1-D run each
+    target = x0.T.copy().mean(axis=1) if x0.ndim == 2 else np.mean(x0)
+    return PairwisePlan(
+        graph, x0, params.mix_rate, accelerated_step, [params.z_step] * graph.edge_count,
+        lambda xs, zs: {"energy": energy(xs, target)}, ("energy",), horizon, checkpoints,
+    )
 
 
 def run_gossip(
@@ -220,21 +235,6 @@ def run_gossip(
 
     ``x0`` holds one value per node, or one row of d components per node
     (the components then share every event).  Runs given the same streams
-    share one activation sequence.
+    share one activation sequence.  This is the one-run ``gossip_plan``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    # per-component means of contiguous copies, as for one 1-D run each
-    target = x0.T.copy().mean(axis=1) if x0.ndim == 2 else np.mean(x0)
-
-    return run_pairwise(
-        graph,
-        x0,
-        params.mix_rate,
-        accelerated_step,
-        [params.z_step] * graph.edge_count,
-        lambda xs, zs: {"energy": energy(xs, target)},
-        horizon,
-        rng,
-        checkpoints=checkpoints,
-    )
-
+    return gossip_plan(graph, params, x0, horizon, checkpoints).trace(rng)

@@ -1,25 +1,26 @@
 """Ensemble orchestration and quantile aggregation.
 
-``resolve`` turns a spec, once, into a call from run index to Trace, the
-checkpoint grid, the metric names and the constants the bounds need;
-``run_experiment`` is the one loop over the runs of an ensemble.
+``resolve`` turns a spec, once, into its per-ensemble plan: a call from a
+block of run indices to their metric rows, the checkpoint grid, the metric
+names and the constants the bounds need; ``run_experiment`` is the one loop
+over the blocks of an ensemble.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..dual import DualParams, LocalFunction, random_local_functions, run_decentralized
-from ..dynamics import run_continuized, run_gd, run_nesterov
-from ..gossip import GossipParams, run_gossip
+from ..dual import DualParams, LocalFunction, decentralized_plan, random_local_functions
+from ..dynamics import ContinuizedPlan, run_gd, run_nesterov
+from ..dynamics import run_continuized  # noqa: F401  (re-exported: bench tests wrap it here)
+from ..gossip import GossipParams, gossip_plan
 from ..graphs import gossip_rates
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
-from ..trace import Trace
 from .config import ExperimentSpec
 
 
@@ -39,11 +40,11 @@ class RunSet:
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """What every run of an ensemble shares: the call from run index to
-    Trace, the checkpoint grid, the metric names, and the gossip start for
-    the bounds."""
+    """What every run of an ensemble shares: the call from a block of run
+    indices to one (R, C) array per metric and the (R,) event counts, the
+    checkpoint grid, the metric names, and the gossip start for the bounds."""
 
-    run: Callable[[int], Trace]
+    run_block: Callable[[Sequence[int]], tuple[dict[str, np.ndarray], np.ndarray]]
     checkpoints: np.ndarray
     metrics: tuple[str, ...]
     x0: np.ndarray | None = None
@@ -67,11 +68,30 @@ def aggregate_values(
             f"metric {metric} is not finite in runs {', '.join(map(str, bad))} "
             f"(first non-finite checkpoint: {where})"
         )
+    ordered = np.sort(values, axis=0)
     return {
         "mean": values.mean(axis=0),
-        "q05": np.quantile(values, 0.05, axis=0),
-        "q95": np.quantile(values, 0.95, axis=0),
+        "q05": quantile_of_sorted(ordered, 0.05),
+        "q95": quantile_of_sorted(ordered, 0.95),
     }
+
+
+def quantile_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
+    """The q-quantile of each column of the column-sorted (n, C) ``ordered``
+    by numpy's linear rule, bit for bit ``np.quantile(values, q, axis=0)``:
+    virtual index (n - 1) q, its floor and fraction gamma (the last row,
+    with gamma = index + 1, once the index reaches n - 1), and numpy's
+    two-sided interpolation a + d gamma, or b - d (1 - gamma) where
+    gamma >= 0.5, with d = b - a."""
+    index = (len(ordered) - 1) * q
+    below = math.floor(index)
+    above = below + 1
+    if index >= len(ordered) - 1:
+        below = above = -1
+    gamma = index - below
+    a, b = ordered[below], ordered[above]
+    d = b - a
+    return b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma
 
 
 def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray) -> RunSet:
@@ -129,7 +149,7 @@ def theory_bounds(spec: ExperimentSpec, resolved: ResolvedExperiment) -> dict[st
 
 
 def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
-    """Build, once, everything the runs of ``spec`` share."""
+    """Build, once, everything the runs of ``spec`` share: the kind's plan."""
     if spec.kind not in ("optimize", "gossip", "decentralized"):
         raise ValueError(f"experiment kind {spec.kind!r} does not produce a run set")
     if spec.kind == "optimize" and spec.algo.method != "continuized":
@@ -138,35 +158,38 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         problem, algo = spec.problem, spec.algo
         iters = round(spec.horizon) if algo.iters is None else algo.iters
         if algo.method == "nesterov":
-            trajectory = cache(lambda: run_nesterov(problem, algo.variant, iters, x0=algo.x0))
+            trajectory = run_nesterov(problem, algo.variant, iters, x0=algo.x0)
         else:
-            trajectory = cache(lambda: run_gd(problem, algo.step, iters, x0=algo.x0))
-        return ResolvedExperiment(lambda i: trajectory(), np.arange(iters + 1.0), ("gap",))
+            trajectory = run_gd(problem, algo.step, iters, x0=algo.x0)
+        gap = np.array(trajectory.values["gap"])
+        return ResolvedExperiment(
+            lambda runs: ({"gap": np.tile(gap, (len(runs), 1))}, np.zeros(len(runs), int)),
+            np.arange(iters + 1.0), ("gap",),
+        )
     grid, x0 = np.asarray(spec.checkpoints, dtype=float), None
-    # Each engine takes the run's streams as its last positional argument.
     if spec.kind == "optimize":
         algo = spec.algo
-        metrics = ("gap", "dist_sq", "lyapunov")
-        engine = partial(
-            run_continuized, spec.problem, spec.noise, algo.schedule, algo.clock, spec.horizon,
-            x0=algo.x0, checkpoints=grid,
-        )
+        build = partial(ContinuizedPlan, spec.problem, spec.noise, algo.schedule, algo.clock,
+                        spec.horizon, algo.x0, grid)
     elif spec.kind == "gossip":
         params = GossipParams.from_cache(spec.graph.spectrum, algo=spec.gossip_algo)
         x0 = spec.gossip_init
         if x0 is None:  # a unit spike at node 0
             x0 = np.eye(1, spec.graph.node_count)[0]
-        metrics = ("energy",)
-        engine = partial(run_gossip, spec.graph, params, x0, spec.horizon, checkpoints=grid)
+        build = partial(gossip_plan, spec.graph, params, x0, spec.horizon, grid)
     else:
         cfg = spec.decentralized
         params = DualParams.from_graph(spec.graph, cfg.mu, cfg.smoothness)
-        metrics = ("primal_dist_sq",)
-        engine = partial(
-            run_decentralized, spec.graph, _local_functions(spec), cfg.mu, cfg.smoothness,
-            spec.horizon, params=params, checkpoints=grid,
-        )
-    return ResolvedExperiment(lambda i: engine(run_streams(spec.seed, i)), grid, metrics, x0)
+        build = partial(decentralized_plan, spec.graph, _local_functions(spec), cfg.mu,
+                        cfg.smoothness, spec.horizon, params, grid)
+    try:  # the checks every run made, made once: a spec no run can take fails as run 0
+        plan = build()
+    except Exception as exc:
+        raise RuntimeError(f"run 0 failed: {exc}") from exc
+    return ResolvedExperiment(
+        lambda runs: plan.run_block(runs, lambda i: run_streams(spec.seed, i)),
+        grid, plan.metrics, x0,
+    )
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
@@ -184,22 +207,20 @@ def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
 
 def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
     """Execute every run of the ensemble; per-run seeds derive from the
-    master seed, so the result is replay-exact.  Each run's values follow
-    the grid, so they go straight into row i of the (runs, checkpoints)
-    arrays, and its Trace is dropped."""
+    master seed, so the result is replay-exact.  The runs go in blocks of a
+    tenth of the ensemble, each block's rows straight into the
+    (runs, checkpoints) arrays, and ``progress`` hears after each block."""
     resolved = resolve(spec)
     grid = resolved.checkpoints
     values = {m: np.empty((spec.runs, len(grid))) for m in resolved.metrics}
-    for i in range(spec.runs):
-        try:
-            trace = resolved.run(i)
-        except Exception as exc:
-            raise RuntimeError(f"run {i} failed: {exc}") from exc
-        for m, row in values.items():
-            row[i] = trace.values[m]
-        del trace  # only one run's states are alive at a time
+    size = max(spec.runs // 10, 1)
+    for start in range(0, spec.runs, size):
+        runs = range(start, min(start + size, spec.runs))
+        block, _ = resolved.run_block(runs)
+        for m, rows in values.items():
+            rows[runs.start:runs.stop] = block[m]
         if progress:
-            progress(i + 1, spec.runs)
+            progress(runs.stop, spec.runs)
     runset = build_runset(values, grid)
     if spec.include_bounds:
         runset.bounds = theory_bounds(spec, resolved)

@@ -19,7 +19,7 @@ which reproduces each kind's published constants.
 
 ``schedule_eval`` also takes an array of times, so a run evaluates its jump
 sizes at all of its event times in one pass, and ``lyapunov_on_grid`` builds
-the certificate coefficients once for the grid an ensemble shares.  Event
+the certificate coefficients at every point of a grid.  Event
 clocks turn uniform draws into waiting times: ``sample_interarrival``
 inverts one uniform, and ``sample_event_times`` draws a run's uniforms in
 blocks and sums the waits into its event times.
@@ -111,12 +111,6 @@ class ParamSchedule:
     @cached_property
     def is_time_varying(self) -> bool:
         return self.scales[2] == 0.0
-
-    @cached_property
-    def grid_coeffs(self) -> dict:
-        """``lyapunov_on_grid``'s coefficients, keyed by the one grid they
-        were last built for: a cache, no field of the schedule's value."""
-        return {}
 
     @cached_property
     def mix_rate(self) -> float:
@@ -274,20 +268,9 @@ def lyapunov_coeffs(schedule: ParamSchedule, t: float) -> LyapunovCoeffs:
 
 def lyapunov_on_grid(schedule: ParamSchedule, grid: Sequence[float]) -> LyapunovCoeffs:
     """The certificate coefficients at every point of ``grid``, as (C,)
-    arrays of ``lyapunov_coeffs``' A_t and B_t.
-
-    The runs of an ensemble share their schedule and their grid, so the
-    schedule keeps the arrays of the last grid they were built for, and an
-    ensemble calls ``lyapunov_coeffs`` once per checkpoint, not once per
-    checkpoint and run.
-    """
-    grid = tuple(grid)
-    coeffs = schedule.grid_coeffs.get(grid)
-    if coeffs is None:
-        each = [lyapunov_coeffs(schedule, t) for t in grid]
-        a_t, b_t = np.array([c.a_t for c in each]), np.array([c.b_t for c in each])
-        a_t.flags.writeable = b_t.flags.writeable = False  # shared by every run
-        coeffs = LyapunovCoeffs(a_t, b_t, schedule.is_multiplicative)
-        schedule.grid_coeffs.clear()
-        schedule.grid_coeffs[grid] = coeffs
-    return coeffs
+    arrays of ``lyapunov_coeffs``' A_t and B_t: one call per checkpoint,
+    which an ensemble's plan makes once for the grid its runs share."""
+    each = [lyapunov_coeffs(schedule, t) for t in grid]
+    a_t, b_t = np.array([c.a_t for c in each]), np.array([c.b_t for c in each])
+    a_t.flags.writeable = b_t.flags.writeable = False  # shared by every run
+    return LyapunovCoeffs(a_t, b_t, schedule.is_multiplicative)

@@ -19,7 +19,7 @@ from continuized.harness.runner import run_experiment
 from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import run_streams
-from replay import event_times
+from oracles import event_times
 
 MASTER_SEED = 20210211
 

@@ -9,24 +9,18 @@ as separate rows with allocating formulas, independent of the engine's
 in-place (2, d) kernels.  All comparisons are exact.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from continuized import gossip, seeding
 from continuized.dual import (
     DualParams,
-    conjugate_grad,
-    dual_update,
-    incidence_r,
     optimum_of,
     random_local_functions,
     run_decentralized,
 )
 from continuized.dynamics import (
     lyapunov_value,
-    midpoint_contract,
     mix_closed_form,
     mix_to_checkpoints,
     run_continuized,
@@ -35,7 +29,6 @@ from continuized.gossip import (
     GossipParams,
     accelerated_step,
     energy,
-    lazy_mix_node,
     run_gossip,
     sample_event_stream,
 )
@@ -44,20 +37,31 @@ from continuized.problems import (
     NoiseModel,
     make_least_squares,
     make_quadratic,
-    stochastic_gradient,
 )
 from continuized.harness import runner
-from continuized.harness.presets import get_preset
+from continuized.harness.presets import get_preset, preset_names
 from continuized.schedules import (
     EventClock,
     ParamSchedule,
     SingularScheduleError,
     lyapunov_coeffs,
-    schedule_eval,
 )
 from continuized.seeding import RunStreams, run_streams
 from continuized.trace import Snapshot
-from replay import ScriptedClock, event_times
+import oracles
+from oracles import (
+    ScriptedClock,
+    conjugate_update,
+    dual_coefs,
+    event_times,
+    mix_rows,
+    replay,
+    replay_nodes,
+    replay_pairs,
+    scalar_energy,
+    scalar_primal_error,
+    synchronize,
+)
 
 SEED = 31
 
@@ -99,38 +103,6 @@ OPTIMIZE_CASES = {
 }
 
 
-def _mix_rows(x, z, t, schedule, until):
-    """(x, z) mixed from t to ``until`` by the row formulas, into new arrays:
-    z + (t/until) ** 2 * (x - z) on the 2/t kinds, ``midpoint_contract``
-    on the constant kinds, and the rows themselves when until == t."""
-    if until == t:
-        return x, z
-    if schedule.is_time_varying:
-        return z + (t / until) ** 2 * (x - z), z
-    return midpoint_contract(x, z, math.exp(-2.0 * schedule.mix_rate * (until - t)))
-
-
-def _replay_pairs(problem, noise, schedule, clock, grid, x0, horizon=HORIZON, seed=SEED, i=0):
-    """(x, z, time of the last event) after the events up to each checkpoint,
-    replayed by hand from the streams of run i with allocating row formulas:
-    per event the mix, one gradient at the mixed x, x - gamma g and
-    z - gamma' g."""
-    times = event_times(clock, horizon, run_streams(seed, i))
-    noise_rng = run_streams(seed, i).noise
-    x, z, now, k, raw = x0.copy(), x0.copy(), 0.0, 0, []
-    for t in grid:
-        while k < len(times) and times[k] <= t:
-            te = times[k]
-            x, z = _mix_rows(x, z, now, schedule, te)
-            now = te
-            g = stochastic_gradient(problem, noise, x, noise_rng)
-            _, _, gamma, gamma_p = schedule_eval(schedule, te)
-            x, z = x - gamma * g, z - gamma_p * g
-            k += 1
-        raw.append((x, z, now))
-    return raw
-
-
 @pytest.mark.parametrize("case", list(OPTIMIZE_CASES))
 def test_optimizer_checkpoints_match_scalar_oracles(case):
     problem, noise, schedule, clock = OPTIMIZE_CASES[case]()
@@ -144,12 +116,12 @@ def test_optimizer_checkpoints_match_scalar_oracles(case):
     x0 = np.array([0.5, 0.0, -1.0])
     tr = run_continuized(problem, noise, schedule, clock, HORIZON, run_streams(SEED, 0),
                          x0=x0, checkpoints=grid)
-    raw = _replay_pairs(problem, noise, schedule, clock, grid, x0)
+    raw = replay_pairs(problem, noise, schedule, clock, grid, x0, HORIZON, SEED)
     assert [s.t for s in tr.states] == grid
     for i, (s, (x, z, now)) in enumerate(zip(tr.states, raw)):
         # the state is the last pre-checkpoint pair mixed to the checkpoint
         # (the pair itself when the checkpoint is its event time)
-        want_x, want_z = _mix_rows(x, z, now, schedule, s.t)
+        want_x, want_z = mix_rows(x, z, now, schedule, s.t)
         assert (now == s.t) == (want_x is x)
         np.testing.assert_array_equal(s.x, want_x)
         np.testing.assert_array_equal(s.z, want_z)
@@ -176,7 +148,9 @@ def test_optimizer_events_at_one_time_match_scalar_oracles(monkeypatch, schedule
     # time: each later one mixes the pair over dt = 0, which must leave its
     # bits as they are
     head = [0.4, 0.0, 0.0, 0.7, 0.0, 0.25, 0.0, 0.0, 0.0, 0.6, 0.0]
+    # the run below and the replay both read the scripted streams
     monkeypatch.setitem(globals(), "run_streams", _scripted_streams(head))
+    monkeypatch.setattr(oracles, "run_streams", _scripted_streams(head))
     problem, noise, clock = _quadratic(), NoiseModel.additive(0.01), EventClock.exponential()
     times = event_times(clock, HORIZON, run_streams(SEED, 0))
     assert sum(b == a for a, b in zip(times, times[1:])) == head.count(0.0)
@@ -184,10 +158,10 @@ def test_optimizer_events_at_one_time_match_scalar_oracles(monkeypatch, schedule
     x0 = np.array([0.5, 0.0, -1.0])
     tr = run_continuized(problem, noise, schedule, clock, HORIZON, run_streams(SEED, 0),
                          x0=x0, checkpoints=grid)
-    raw = _replay_pairs(problem, noise, schedule, clock, grid, x0)
+    raw = replay_pairs(problem, noise, schedule, clock, grid, x0, HORIZON, SEED)
     assert tr.events == len(times)
     for s, (x, z, now) in zip(tr.states, raw):
-        want_x, want_z = _mix_rows(x, z, now, schedule, s.t)
+        want_x, want_z = mix_rows(x, z, now, schedule, s.t)
         np.testing.assert_array_equal(s.x, want_x)
         np.testing.assert_array_equal(s.z, want_z)
 
@@ -202,19 +176,45 @@ def test_optimize_presets_match_row_replay_run_by_run(preset):
     grid = np.asarray(spec.checkpoints, dtype=float).tolist()
     schedule, clock = spec.algo.schedule, spec.algo.clock
     x0 = np.zeros(spec.problem.dimension) if spec.algo.x0 is None else spec.algo.x0
-    resolved = runner.resolve(spec)
+    values, events = runner.resolve(spec).run_block(range(spec.runs))
+    assert events.min() > 0
     for i in range(spec.runs):
-        tr = resolved.run(i)
-        assert tr.events > 0
-        raw = _replay_pairs(spec.problem, spec.noise, schedule, clock, grid, x0,
-                            spec.horizon, spec.seed, i)
+        raw = replay_pairs(spec.problem, spec.noise, schedule, clock, grid, x0,
+                           spec.horizon, spec.seed, i)
         for k, (t, (x, z, now)) in enumerate(zip(grid, raw)):
-            state = Snapshot(t, *_mix_rows(x, z, now, schedule, t))
+            state = Snapshot(t, *mix_rows(x, z, now, schedule, t))
             dx = state.x - spec.problem.optimum
-            assert tr.values["gap"][k] == spec.problem.gap(state.x)
-            assert tr.values["dist_sq"][k] == float(dx @ dx)
-            assert tr.values["lyapunov"][k] == lyapunov_value(
+            assert values["gap"][i, k] == spec.problem.gap(state.x)
+            assert values["dist_sq"][i, k] == float(dx @ dx)
+            assert values["lyapunov"][i, k] == lyapunov_value(
                 state, lyapunov_coeffs(schedule, t), spec.problem)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_blocks_match_replay_run_by_run(preset):
+    # every run of every preset, in blocks of one run and in one block of the
+    # whole ensemble, equals the hand replay of its own streams bit for bit
+    spec = get_preset(preset).with_overrides(runs=3)
+    resolved = runner.resolve(spec)
+    whole, whole_events = resolved.run_block(range(spec.runs))
+    for i in range(spec.runs):
+        want, want_events = replay(spec, i)
+        single, single_events = resolved.run_block(range(i, i + 1))
+        assert set(want) == set(whole) == set(single)
+        for m, row in want.items():
+            assert np.array_equal(single[m][0], row) and np.array_equal(whole[m][i], row), m
+        assert single_events.tolist() == [whole_events[i]] == [want_events]
+
+
+def test_failing_run_in_a_block_is_named_by_its_index(monkeypatch):
+    # twenty runs go in blocks of two; run 3, the second of its block, fails
+    spec = get_preset("appendix-a1-convex").with_overrides(runs=20, horizon=5.0)
+    monkeypatch.setattr(runner, "run_streams", lambda seed, i: _scripted_streams(
+        [0.0] if i == 3 else [])(seed, i))
+    with pytest.raises(RuntimeError, match="^run 3 failed: 2/t schedule is singular"):
+        runner.run_experiment(spec)
+    with pytest.raises(RuntimeError, match="^run 3 failed: "):
+        runner.resolve(spec).run_block(range(spec.runs))
 
 
 def test_time_varying_event_at_zero_is_singular(monkeypatch):
@@ -259,43 +259,9 @@ def test_quadratic_gap_matches_per_point_dot():
 
 # ------------------------------------------------------ gossip and the dual
 
-def _replay_nodes(graph, x0, mix_rate, kernel, edge_args, events, grid):
-    """Raw node values and clocks after the ``events`` = (times, edge
-    indices) up to each checkpoint, replayed by hand from x = z = x0 (float
-    lists for 1-D x0, array rows otherwise) with the engine's own kernels."""
-    times, picks = events
-    x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
-    clocks = [0.0] * graph.node_count
-    k, raw = 0, []
-    for t in grid:
-        while k < len(times) and times[k] <= t:
-            v, w = graph.edges[picks[k]]
-            lazy_mix_node(x, z, clocks, v, times[k], mix_rate)
-            lazy_mix_node(x, z, clocks, w, times[k], mix_rate)
-            kernel(x, z, v, w, edge_args[picks[k]])
-            k += 1
-        raw.append((np.array(x), np.array(z), np.array(clocks)))
-    return raw
-
-
-def _synchronize(x, z, last_t, mix_rate, t):
-    """One state's nodes mixed forward to t: the per-checkpoint snapshot."""
-    if not mix_rate:
-        return x, z
-    decay = np.exp(-2.0 * mix_rate * np.maximum(t - last_t, 0.0))
-    return midpoint_contract(x, z, decay if x.ndim == 1 else decay[:, None])
-
-
-def _scalar_energy(x, target):
-    d = x - target
-    if d.ndim == 1:
-        return 0.5 * float(d @ d)
-    return sum(0.5 * float(col @ col) for col in d.T.copy())
-
-
 def _check_states(tr, raw, mix_rate):
     for s, (x, z, last_t) in zip(tr.states, raw):
-        want_x, want_z = _synchronize(x, z, last_t, mix_rate, s.t)
+        want_x, want_z = synchronize(x, z, last_t, mix_rate, s.t)
         np.testing.assert_array_equal(s.x, want_x)
         np.testing.assert_array_equal(s.z, want_z)
 
@@ -316,13 +282,13 @@ def test_gossip_checkpoints_match_scalar_oracles(case):
     times = sample_event_stream(graph, horizon, run_streams(SEED, 0))[0]
     grid = _grid(times[::7].tolist(), horizon, [0.05, 1.0, 12.5])
     tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
-    raw = _replay_nodes(graph, x0, params.mix_rate, accelerated_step,
-                        [params.z_step] * graph.edge_count,
-                        sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
+    raw = replay_nodes(graph, x0, params.mix_rate, accelerated_step,
+                       [params.z_step] * graph.edge_count,
+                       sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
     _check_states(tr, raw, params.mix_rate)
     target = np.mean(x0) if dim == 1 else x0.T.copy().mean(axis=1)
     for s, value in zip(tr.states, tr.values["energy"]):
-        assert value == _scalar_energy(s.x, target) == energy(s.x[None], target)[0]
+        assert value == scalar_energy(s.x, target) == energy(s.x[None], target)[0]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -343,18 +309,10 @@ def test_gossip_events_at_one_time_match_scalar_oracles(monkeypatch, dim):
     x0 = rng.standard_normal(4 if dim == 1 else (4, dim))
     grid = _grid(times[::4].tolist(), horizon, [0.05, 5.0])
     tr = run_gossip(graph, params, x0, horizon, run_streams(SEED, 0), checkpoints=grid)
-    raw = _replay_nodes(graph, x0, params.mix_rate, accelerated_step,
-                        [params.z_step] * graph.edge_count, (times, picks), grid)
+    raw = replay_nodes(graph, x0, params.mix_rate, accelerated_step,
+                       [params.z_step] * graph.edge_count, (times, picks), grid)
     _check_states(tr, raw, params.mix_rate)
     assert tr.events == times.size
-
-
-def _scalar_primal_error(fns, x_star, z):
-    err = 0.0
-    for f, zv in zip(fns, z.tolist() if z.ndim == 1 else z):
-        d = conjugate_grad(f, zv) - x_star
-        err += 0.5 * float(d * d if z.ndim == 1 else d @ d)
-    return err
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -366,15 +324,10 @@ def test_dual_checkpoints_match_scalar_oracles(dim):
     tr = run_decentralized(graph, fns, mu, big_l, horizon, run_streams(SEED, 0),
                            checkpoints=grid)
     params = DualParams.from_graph(graph, mu, big_l)
-    coefs = [
-        (fns[v], fns[w], p, params.gamma * r / (p * p), params.gamma_prime / p)
-        for (v, w), r, p in zip(graph.edges, incidence_r(graph).tolist(),
-                                graph.edge_probs.tolist())
-    ]
     y0 = np.zeros(6 if dim == 1 else (6, dim))
-    raw = _replay_nodes(graph, y0, params.eta, dual_update, coefs,
-                        sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
+    raw = replay_nodes(graph, y0, params.eta, conjugate_update, dual_coefs(graph, fns, params),
+                       sample_event_stream(graph, horizon, run_streams(SEED, 0)), grid)
     _check_states(tr, raw, params.eta)
     x_star = optimum_of(fns)
     for s, value in zip(tr.states, tr.values["primal_dist_sq"]):
-        assert value == _scalar_primal_error(fns, x_star, s.z)
+        assert value == scalar_primal_error(fns, x_star, s.z)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from continuized.dual import (
 from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
 from continuized.seeding import run_streams
-from replay import event_times
+from oracles import conjugate_update, event_times
 
 
 class TestLocalFunction:
@@ -97,15 +98,16 @@ class TestDualUpdate:
         return g, params, r
 
     @staticmethod
-    def _coefs(g, params, r, e):
+    def _coefs(g, params, r, e, fv, fw):
         p_e = float(g.edge_probs[e])
-        return p_e, params.gamma * float(r[e]) / (p_e * p_e), params.gamma_prime / p_e
+        return (fv.center, fv.curvature, fw.center, fw.curvature,
+                p_e, params.gamma * float(r[e]) / (p_e * p_e), params.gamma_prime / p_e)
 
     def test_dual_consensus_is_fixed_point(self):
         g, params, r = self._setup()
         fns = [LocalFunction(1.0, np.array([0.5])) for _ in range(3)]
         y, z = [0.0] * 3, [0.0] * 3
-        dual_update(y, z, 0, 1, (fns[0], fns[1], *self._coefs(g, params, r, 0)))
+        dual_update(y, z, 0, 1, self._coefs(g, params, r, 0, fns[0], fns[1]))
         np.testing.assert_allclose(y, 0.0, atol=1e-15)
         np.testing.assert_allclose(z, 0.0, atol=1e-15)
 
@@ -118,7 +120,7 @@ class TestDualUpdate:
         y -= y.mean(axis=0)
         z = rng.standard_normal((3, 2))
         z -= z.mean(axis=0)
-        dual_update(y, z, 1, 2, (fns[1], fns[2], *self._coefs(g, params, r, 1)))
+        dual_update(y, z, 1, 2, self._coefs(g, params, r, 1, fns[1], fns[2]))
         np.testing.assert_allclose(y.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.sum(axis=0), 0.0, atol=1e-12)
 
@@ -235,7 +237,8 @@ def test_dual_update_antisymmetric_and_keeps_sums(case):
     # relative tolerance 1e-12 of the largest |y|, |z| before or after
     y, z, nodes, (v, w), coefs = case
     y0, z0 = np.array(y), np.array(z)
-    dual_update(y, z, v, w, (nodes[v], nodes[w], *coefs))
+    fv, fw = nodes[v], nodes[w]
+    dual_update(y, z, v, w, (fv.center, fv.curvature, fw.center, fw.curvature, *coefs))
     y1, z1 = np.array(y), np.array(z)
     assert y1.shape == y0.shape and z1.shape == z0.shape
     tol = 1e-12 * max(np.max(np.abs(a)) for a in (y0, z0, y1, z1))
@@ -245,6 +248,19 @@ def test_dual_update_antisymmetric_and_keeps_sums(case):
     for new, old in ((y1, y0), (z1, z0)):
         np.testing.assert_allclose(new[v] - old[v], old[w] - new[w], rtol=0, atol=tol)
         np.testing.assert_allclose(new.sum(axis=0), old.sum(axis=0), rtol=0, atol=tol)
+
+
+@settings(deadline=None)
+@given(dual_update_cases())
+def test_dual_update_equals_the_conjugate_grad_form(case):
+    # the kernel reads each node's center and curvature as plain numbers and
+    # computes c + y / k as conjugate_grad does, so it keeps every bit
+    y, z, nodes, (v, w), coefs = case
+    fv, fw = nodes[v], nodes[w]
+    want_y, want_z = copy.deepcopy(y), copy.deepcopy(z)
+    conjugate_update(want_y, want_z, v, w, (fv, fw, *coefs))
+    dual_update(y, z, v, w, (fv.center, fv.curvature, fw.center, fw.curvature, *coefs))
+    assert np.array_equal(y, want_y) and np.array_equal(z, want_z)
 
 
 # A d = 1 dual on a graph with non-uniform resistances and random curvatures,

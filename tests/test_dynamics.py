@@ -34,7 +34,7 @@ from continuized.schedules import (
 )
 from continuized.seeding import run_streams
 from continuized.trace import Snapshot
-from replay import event_times
+from oracles import event_times
 
 
 def sc_problem():

@@ -22,7 +22,7 @@ from continuized.graphs import grid_graph, line_graph, spectral
 from continuized.problems import NoiseModel, make_least_squares, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import run_streams
-from replay import event_times
+from oracles import event_times
 
 RUNS = 3
 GRID = [0.5, 2.0, 7.5, 20.0]

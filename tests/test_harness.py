@@ -535,11 +535,9 @@ class TestPresets:
         assert explicit != dec
 
     def test_spec_equals_a_fresh_copy_after_running(self):
-        # the certificate coefficients an ensemble leaves on its schedule are
-        # a cache, not part of the spec's value
+        # running an ensemble leaves its spec's value as it was
         spec = get_preset("appendix-a1-convex").with_overrides(runs=2, horizon=5.0)
         run_experiment(spec)
-        assert spec.algo.schedule.grid_coeffs
         assert spec == get_preset("appendix-a1-convex").with_overrides(runs=2, horizon=5.0)
 
 
@@ -556,6 +554,14 @@ class TestRunner:
         rs = run_experiment(spec)
         np.testing.assert_array_equal(rs.aggregate["energy"]["mean"], rs.values["energy"][0])
         np.testing.assert_array_equal(rs.aggregate["energy"]["q05"], rs.values["energy"][0])
+
+    def test_progress_hears_each_block(self):
+        # blocks of a tenth of the runs: the CLI's progress lines, one every
+        # tenth of the runs and the last, stay those of a run-by-run loop
+        heard = []
+        spec = parse_config_text(GOSSIP_CFG).with_overrides(runs=25)
+        run_experiment(spec, progress=lambda done, total: heard.append((done, total)))
+        assert heard == [(done, 25) for done in (*range(2, 25, 2), 25)]
 
     def test_quantile_order(self):
         spec = parse_config_text(GOSSIP_CFG)
@@ -745,6 +751,35 @@ centers =
         with pytest.raises(RuntimeError, match="run 0 failed"):
             run_experiment(spec)
 
+
+
+# Magnitudes from 1e-300 to 1e300 of either sign.
+SIGNED_MAGNITUDES = st.tuples(st.floats(1e-300, 1e300), st.booleans()).map(
+    lambda m: -m[0] if m[1] else m[0])
+
+
+@st.composite
+def run_values(draw):
+    """(runs, checkpoints) values with 1 to 1000 runs: each entry picked
+    from a short list of signed magnitudes, so that ties and repeated values
+    are common, or all drawn log-uniformly over the same range."""
+    runs, columns = draw(st.integers(1, 1000)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(SIGNED_MAGNITUDES, min_size=1, max_size=12)))
+        return pool[rng.integers(len(pool), size=(runs, columns))]
+    signs = rng.choice([-1.0, 1.0], size=(runs, columns))
+    return signs * 10.0 ** rng.uniform(-300, 300, size=(runs, columns))
+
+
+@settings(deadline=None)
+@given(run_values())
+def test_quantiles_equal_np_quantile(values):
+    # the runner's quantile rule on one sort is numpy's linear rule, bit for bit
+    agg = aggregate_values(values, np.arange(1.0, values.shape[1] + 1))
+    for key, q in (("q05", 0.05), ("q95", 0.95)):
+        want = np.quantile(values, q, axis=0)
+        assert np.array_equal(agg[key], want) and agg[key].tobytes() == want.tobytes()
 
 class TestCsv:
     def _small_runset(self):

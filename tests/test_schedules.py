@@ -20,7 +20,7 @@ from continuized.schedules import (
     schedule_eval,
 )
 from continuized.seeding import run_streams
-from replay import event_times
+from oracles import event_times
 
 
 class TestScheduleEval:
@@ -270,17 +270,6 @@ class TestLyapunovCoeffs:
         for t, a_t, b_t in zip(grid, c.a_t, c.b_t):
             each = lyapunov_coeffs(schedule, t)
             assert (a_t, b_t) == (each.a_t, each.b_t)
-
-    def test_on_grid_is_kept_for_the_last_grid(self):
-        s = ParamSchedule.strongly_convex(1.0, 0.04)
-        first = lyapunov_on_grid(s, [1.0, 2.0])
-        assert lyapunov_on_grid(s, np.array([1.0, 2.0])) is first
-        other = lyapunov_on_grid(s, [1.0, 3.0])
-        assert other is not first and other.a_t[1] == lyapunov_coeffs(s, 3.0).a_t
-        assert lyapunov_on_grid(s, [1.0, 2.0]) is not first
-        # the kept arrays are no part of the schedule's value
-        assert s == ParamSchedule.strongly_convex(1.0, 0.04)
-        assert hash(s) == hash(ParamSchedule.strongly_convex(1.0, 0.04))
 
 
 class TestParamScheduleRule:

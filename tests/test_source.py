@@ -162,8 +162,7 @@ def test_trace_counts_the_events_on_the_clock_streams(case):
     # events on its clock stream up to the horizon
     workload = _bench_module("workload")
     spec = _kernel_spec(case, runs=3)
-    resolved = runner.resolve(spec)
-    events = [resolved.run(i).events for i in range(spec.runs)]
+    events = runner.resolve(spec).run_block(range(spec.runs))[1].tolist()
     upto = [workload.count_events(spec.with_overrides(runs=k)) for k in range(1, spec.runs + 1)]
     assert events == [b - a for a, b in zip([0, *upto], upto)]
     assert min(events) > 0
@@ -272,6 +271,29 @@ def test_preset_blas_thread_timeout_kept():
     assert _idle_probe(OPENBLAS_THREAD_TIMEOUT="6")["env"]["OPENBLAS_THREAD_TIMEOUT"] == "6"
 
 
+# A fresh interpreter runs a 2-run ensemble of each kind, renders its CSV
+# and prints whether numpy.ma was imported.
+MASKED_PROBE = """
+import sys
+from continuized.harness import csvio, presets, runner
+for name in %r:
+    csvio.render_csv(runner.run_experiment(presets.get_preset(name).with_overrides(runs=2)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_ensembles_leave_numpy_ma_unimported():
+    # np.quantile imports numpy.ma (through np.unique) in every fresh process;
+    # the runner's quantiles come from one sort and need none of it
+    names = ("appendix-a1-strongly-convex", "appendix-a2-complete10", "decentralized-line10")
+    assert {get_preset(name).kind for name in names} == {"optimize", "gossip", "decentralized"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", MASKED_PROBE % (names,)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_no_unused_imports():
     # no linter ships with the project: every name a module imports must be
     # read in it, unless its own line marks a re-export with "noqa: F401"
@@ -299,8 +321,11 @@ def test_no_unused_imports():
 # Public definitions with no caller in the package: the discrete twin
 # ``run_three_sequence`` is the oracle of criterion 4, ``load_csv`` is the
 # documented inverse of ``emit_csv``, and ``gradient`` is the exact gradient
-# exported beside ``stochastic_gradient``.
-UNCALLED_API = {"run_three_sequence", "load_csv", "gradient"}
+# exported beside ``stochastic_gradient``.  The one-run engines
+# ``run_continuized``, ``run_gossip`` and ``run_decentralized`` are the public
+# API and the oracles of the runner's blocks, which run the plans directly.
+UNCALLED_API = {"run_three_sequence", "load_csv", "gradient",
+                "run_continuized", "run_gossip", "run_decentralized"}
 
 
 def test_every_definition_has_a_source_caller():
