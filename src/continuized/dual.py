@@ -5,7 +5,7 @@ solved on its dual, where edge activations become coordinate gradient steps:
 the activated pair exchanges conjugate gradients and applies antisymmetric
 corrections to the node values y and z of the two dual iterates, which mix
 node-locally between events exactly as in accelerated gossip: the run is
-gossip's ``PairwisePlan`` with ``dual_update`` as its jump.  With quadratic
+gossip's ``pairwise_plan`` with ``dual_update`` as its jump.  With quadratic
 local terms of unit curvature the whole construction collapses to averaging.
 """
 
@@ -19,14 +19,14 @@ import numpy as np
 
 from .graphs import Graph
 from .gossip import (
-    PairwisePlan,
     lazy_mix_node,
+    pairwise_plan,
     sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
     synchronized_values,
 )
 from .problems import row_dots
 from .seeding import RunStreams
-from .trace import Trace
+from .trace import Run, Trace, record_run
 
 Array = np.ndarray
 
@@ -138,7 +138,7 @@ class DualParams:
         )
 
 
-# the dual's name for the per-node oracle of PairwisePlan's inline mix
+# the dual's name for the per-node oracle of pairwise_plan's inline mix
 lazy_mix_dual_node = lazy_mix_node
 
 
@@ -183,7 +183,7 @@ def decentralized_plan(
     horizon: float,
     params: DualParams,
     checkpoints: Sequence[float],
-) -> PairwisePlan:
+) -> Run:
     """The plan of dual runs from y = z = 0: ``dual_update`` with one tuple
     of coefficients per edge, measured by ``primal_dist_sq`` of the z
     values, with x_* computed centrally for the quadratics (the algorithm
@@ -204,11 +204,10 @@ def decentralized_plan(
             graph.edges, incidence_r(graph).tolist(), graph.edge_probs.tolist()
         )
     ]
-    return PairwisePlan(
+    return pairwise_plan(
         graph, np.zeros(graph.node_count if dimension == 1 else (graph.node_count, dimension)),
         params.eta, dual_update, coefs,
-        lambda ys, zs: {"primal_dist_sq": primal_dist_sq(fns, x_star, zs)}, ("primal_dist_sq",),
-        horizon, checkpoints,
+        lambda ys, zs: {"primal_dist_sq": primal_dist_sq(fns, x_star, zs)}, horizon, checkpoints,
     )
 
 
@@ -220,15 +219,12 @@ def run_decentralized(
     horizon: float,
     rng: RunStreams,
     *,
-    params: DualParams | None = None,
     checkpoints: Sequence[float],
 ) -> Trace:
     """Simulate the dual coordinate-descent run from y = z = 0, recording
     the primal error (``primal_dist_sq``) at checkpoint times: the one-run
-    ``decentralized_plan``, with ``DualParams.from_graph`` unless ``params``
-    is given."""
-    if params is None:
-        params = DualParams.from_graph(graph, mu, smoothness)
+    ``decentralized_plan`` with ``DualParams.from_graph``."""
+    params = DualParams.from_graph(graph, mu, smoothness)
     plan = decentralized_plan(graph, local_functions, mu, smoothness, horizon, params,
                               checkpoints)
-    return plan.trace(rng)
+    return record_run(plan, rng, checkpoints)

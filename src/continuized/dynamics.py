@@ -44,7 +44,7 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams
-from .trace import EventPlan, Snapshot, Trace
+from .trace import Run, Snapshot, Trace, checkpoint_grid, record_run, run_events
 
 Array = np.ndarray
 
@@ -188,48 +188,45 @@ def lyapunov_value(
     return coeffs.a_t * gap + 0.5 * coeffs.b_t * row_dots(dz, dz)
 
 
-class ContinuizedPlan(EventPlan):
-    """What every continuized run of an ensemble shares, built once: the
-    checked (x0, x0) pair, the grid, the constant kinds' jump column, the
-    float pair's problem constants and the certificate coefficients
-    (``lyapunov_on_grid``); ``run(rng)`` is one run, as ``run_continuized``
-    describes it."""
+def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamSchedule,
+                     clock: EventClock, horizon: float, x0, checkpoints: Sequence[float]) -> Run:
+    """The plan of an ensemble of continuized runs: the (x0, x0) pair and
+    the grid are checked once, and the constant kinds' jump column and the
+    certificate coefficients (``lyapunov_on_grid``) are built once;
+    ``run(rng)`` is one run, as ``run_continuized`` describes it."""
+    pair0 = initial_state(np.zeros(problem.dimension) if x0 is None else x0)
+    if pair0.shape[1:] != (problem.dimension,):
+        raise DimensionMismatchError(
+            f"x0 has shape {pair0.shape[1:]}, problem dimension is {problem.dimension}"
+        )
+    grid = checkpoint_grid(checkpoints, horizon)
+    stops = np.append(grid, horizon)
+    # Python floats: a numpy scalar would square as x * x in mix_to_checkpoints
+    grid = grid.tolist()
+    floats = (isinstance(problem, QuadraticProblem) and noise.kind in ("none", "additive")
+              and problem.dimension <= FLOAT_PAIR_MAX_DIM)
+    varying = schedule.is_time_varying
+    if not varying:  # constant kinds jump by one column at every event
+        column = step_column(schedule, horizon)
+        column = column[:, 0].tolist() if floats else column
+    certified = not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem)
+    coeffs = lyapunov_on_grid(schedule, grid) if certified else None
 
-    def __init__(self, problem: ConvexProblem, noise: NoiseModel, schedule: ParamSchedule,
-                 clock: EventClock, horizon: float, x0, checkpoints: Sequence[float]):
-        pair = initial_state(np.zeros(problem.dimension) if x0 is None else x0)
-        if pair.shape[1:] != (problem.dimension,):
-            raise DimensionMismatchError(
-                f"x0 has shape {pair.shape[1:]}, problem dimension is {problem.dimension}"
-            )
-        certified = not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem)
-        super().__init__(horizon, checkpoints, ("gap", "dist_sq", "lyapunov")[:2 + certified])
-        self.problem, self.noise, self.schedule, self.clock, self.pair = (
-            problem, noise, schedule, clock, pair)
-        self.floats = (isinstance(problem, QuadraticProblem)
-                       and noise.kind in ("none", "additive")
-                       and problem.dimension <= FLOAT_PAIR_MAX_DIM)
-        if not schedule.is_time_varying:  # constant kinds jump by one column at every event
-            column = step_column(schedule, horizon)
-            self.column = column[:, 0].tolist() if self.floats else column
-        self.coeffs = lyapunov_on_grid(schedule, self.grid) if certified else None
-
-    def run(self, rng: RunStreams):
-        problem, noise, schedule = self.problem, self.noise, self.schedule
-        times = sample_event_times(self.clock, self.horizon, rng.clock)
-        floats, now = self.floats, 0.0
-        if schedule.is_time_varying:
+    def run(rng: RunStreams):
+        times = sample_event_times(clock, horizon, rng.clock)
+        now = 0.0
+        if varying:
             columns = step_column(schedule, np.array(times))
             columns = columns[..., 0].tolist() if floats else list(columns)
         else:
-            columns = [self.column] * len(times)
-        pairs = np.empty((len(self.grid), *self.pair.shape))
-        starts = [0.0] * len(self.grid)
+            columns = [column] * len(times)
+        pairs = np.empty((len(grid), *pair0.shape))
+        starts = [0.0] * len(grid)
 
         if floats:
-            pair = x, z = self.pair.tolist()
+            pair = x, z = pair0.tolist()
             diag, optimum, coords = problem.diag.tolist(), problem.optimum.tolist(), range(len(x))
-            varying, scale = schedule.is_time_varying, float(np.sqrt(noise.sigma2 / len(x)))
+            scale = float(np.sqrt(noise.sigma2 / len(x)))
             normals = None  # additive noise: one block, bit for bit one draw per event
             if noise.kind == "additive":
                 normals = rng.noise.standard_normal((len(times), len(x))).tolist()
@@ -258,7 +255,7 @@ class ContinuizedPlan(EventPlan):
                         g.append(gi if noise_k is None else gi + scale * noise_k[i])
                     gradient_jump(pair, columns[k], g)
         else:
-            pair = self.pair.copy()
+            pair = pair0.copy()
             x = pair[0]  # a view: it follows the pair through every in-place event
             gradient_at = gradient_oracle(problem, noise, rng.noise)
 
@@ -273,17 +270,17 @@ class ContinuizedPlan(EventPlan):
             pairs[i] = pair
             starts[i] = now
 
-        def finish(grid):
-            mixed = mix_to_checkpoints(pairs, starts, schedule, grid)
-            xs, zs = mixed[:, 0], mixed[:, 1]
-            dx = xs - problem.optimum
-            values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
-            if self.coeffs is not None:
-                values["lyapunov"] = lyapunov_value(
-                    Snapshot(grid, xs, zs), self.coeffs, problem, values["gap"])
-            return xs, zs, values
+        count = run_events(times, stops, capture, advance)
+        mixed = mix_to_checkpoints(pairs, starts, schedule, grid)
+        xs, zs = mixed[:, 0], mixed[:, 1]
+        dx = xs - problem.optimum
+        values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
+        if coeffs is not None:
+            values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
+                                                values["gap"])
+        return xs, zs, values, count
 
-        return self.run_events(times, capture, advance, finish)
+    return run
 
 
 def run_continuized(
@@ -318,9 +315,10 @@ def run_continuized(
     one stacked pass.  The mixing flow is constant before the first event,
     which sidesteps the t = 0 singularity of the time-varying schedules;
     an event at t = 0 is still singular.  This is the one-run
-    ``ContinuizedPlan``.
+    ``continuized_plan``.
     """
-    return ContinuizedPlan(problem, noise, schedule, clock, horizon, x0, checkpoints).trace(rng)
+    run = continuized_plan(problem, noise, schedule, clock, horizon, x0, checkpoints)
+    return record_run(run, rng, checkpoints)
 
 
 def nesterov_recursion(

@@ -5,7 +5,7 @@ mixes toward its midpoint between the node's own events, and the two
 endpoints of an activated edge jump.  Accelerated gossip averages x over
 the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
-(``dual``) runs its jump on its y and z through the same ``PairwisePlan``,
+(``dual``) runs its jump on its y and z through the same ``pairwise_plan``,
 whose node values are bare: floats in lists, or (n, d) array rows.  Mixing
 is node-local, so a node's ODE is only advanced lazily when the node takes
 part in an event; the run's checkpoints are all synchronized at once, after
@@ -25,7 +25,7 @@ from .graphs import Graph, SpectralCache, gossip_rates
 from .problems import row_dots
 from .schedules import EVENT_CHUNK
 from .seeding import RunStreams
-from .trace import EventPlan, Trace
+from .trace import Run, Trace, checkpoint_grid, record_run, run_events
 
 Array = np.ndarray
 
@@ -69,7 +69,7 @@ def lazy_mix_node(x, z, clocks: list[float], v: int, to_t: float, mix_rate: floa
     """Advance node v's pair (x[v], z[v]) from its clock to ``to_t`` in closed form.
 
     A zero rate leaves the pair as it is (naive gossip never mixes).  This
-    is the per-node oracle of the mix that ``PairwisePlan`` writes inline.
+    is the per-node oracle of the mix that ``pairwise_plan`` writes inline.
     """
     dt = to_t - clocks[v]
     if dt < 0:
@@ -121,12 +121,13 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
     return xs, zs
 
 
-class PairwisePlan(EventPlan):
-    """What every pairwise run of an ensemble shares, for gossip and the
-    dual solver: the checked start x0, the mixing rate, the kernel and its
-    per-edge table, the measure of the synchronized stacks and the grid.
-
-    ``run(rng)`` is one run from x = z = x0.  The run's node values are its
+def pairwise_plan(graph: Graph, x0, mix_rate: float,
+                  kernel: Callable[[Any, Any, int, int, Any], None], edge_args: Sequence[Any],
+                  measure: Callable[[Array, Array], dict[str, Array]],
+                  horizon: float, checkpoints: Sequence[float]) -> Run:
+    """The plan of an ensemble of pairwise runs, for gossip and the dual
+    solver: x0 and the grid are checked once, and ``run(rng)`` is one run
+    from x = z = x0.  The run's node values are its
     own: floats in lists for a 1-D x0, copies of its (n, d) rows otherwise.
     At each activation of edge ``ei`` = (v, w) at time te, both endpoints
     are mixed to te inline, with the arithmetic of ``lazy_mix_node``, and
@@ -134,34 +135,23 @@ class PairwisePlan(EventPlan):
     checkpoint captures the node values and clocks into (C, n[, d]) rows;
     after the last event ``synchronized_values`` mixes them all forward in
     place and ``measure(xs, zs)`` measures the synchronized stacks, one (C,)
-    array per name of ``metrics``.
+    array per metric.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
+        raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
+    grid = checkpoint_grid(checkpoints, horizon)
+    stops = np.append(grid, horizon)
+    edges, rate = graph.edges, -2.0 * mix_rate
 
-    def __init__(self, graph: Graph, x0, mix_rate: float,
-                 kernel: Callable[[Any, Any, int, int, Any], None], edge_args: Sequence[Any],
-                 measure: Callable[[Array, Array], dict[str, Array]], metrics: tuple[str, ...],
-                 horizon: float, checkpoints: Sequence[float]):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
-            raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
-        super().__init__(horizon, checkpoints, metrics)
-        self.graph, self.x0, self.mix_rate = graph, x0, mix_rate
-        self.kernel, self.edge_args, self.measure = kernel, edge_args, measure
-        self.times = np.array(self.grid)
-
-    def run(self, rng: RunStreams):
-        graph, x0, mix_rate, kernel, edge_args = (
-            self.graph, self.x0, self.mix_rate, self.kernel, self.edge_args)
+    def run(rng: RunStreams):
         x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
         clocks = [0.0] * graph.node_count
-        times, edge_idx = sample_event_stream(graph, self.horizon, rng)
+        times, edge_idx = sample_event_stream(graph, horizon, rng)
         event_times, edge_idx = times.tolist(), edge_idx.tolist()
-        edges = graph.edges
-        rate = -2.0 * mix_rate
-        count = len(self.grid)
-        xs = np.empty((count, *x0.shape))
+        xs = np.empty((len(grid), *x0.shape))
         zs = np.empty_like(xs)
-        last_t = np.empty((count, graph.node_count))
+        last_t = np.empty((len(grid), graph.node_count))
 
         def advance(a, b):
             for ei, te in zip(edge_idx[a:b], event_times[a:b]):
@@ -190,11 +180,11 @@ class PairwisePlan(EventPlan):
             zs[i] = z
             last_t[i] = clocks
 
-        def finish(grid):
-            sx, sz = synchronized_values(xs, zs, last_t, mix_rate, self.times)
-            return sx, sz, self.measure(sx, sz)
+        count = run_events(times, stops, capture, advance)
+        sx, sz = synchronized_values(xs, zs, last_t, mix_rate, grid)
+        return sx, sz, measure(sx, sz), count
 
-        return self.run_events(times, capture, advance, finish)
+    return run
 
 
 def energy(values: Array, target) -> Array:
@@ -210,15 +200,15 @@ def energy(values: Array, target) -> Array:
 
 
 def gossip_plan(graph: Graph, params: GossipParams, x0, horizon: float,
-                checkpoints: Sequence[float]) -> PairwisePlan:
+                checkpoints: Sequence[float]) -> Run:
     """The plan of gossip runs from ``x0``: ``accelerated_step`` with the
     z-step on every edge, measured by ``energy`` about x0's average."""
     x0 = np.asarray(x0, dtype=float)
     # per-component means of contiguous copies, as for one 1-D run each
     target = x0.T.copy().mean(axis=1) if x0.ndim == 2 else np.mean(x0)
-    return PairwisePlan(
+    return pairwise_plan(
         graph, x0, params.mix_rate, accelerated_step, [params.z_step] * graph.edge_count,
-        lambda xs, zs: {"energy": energy(xs, target)}, ("energy",), horizon, checkpoints,
+        lambda xs, zs: {"energy": energy(xs, target)}, horizon, checkpoints,
     )
 
 
@@ -237,4 +227,4 @@ def run_gossip(
     (the components then share every event).  Runs given the same streams
     share one activation sequence.  This is the one-run ``gossip_plan``.
     """
-    return gossip_plan(graph, params, x0, horizon, checkpoints).trace(rng)
+    return record_run(gossip_plan(graph, params, x0, horizon, checkpoints), rng, checkpoints)

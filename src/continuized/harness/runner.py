@@ -1,9 +1,9 @@
 """Ensemble orchestration and quantile aggregation.
 
 ``resolve`` turns a spec, once, into its per-ensemble plan: a call from a
-block of run indices to their metric rows, the checkpoint grid, the metric
-names and the constants the bounds need; ``run_experiment`` is the one loop
-over the blocks of an ensemble.
+block of run indices to their metric rows, the checkpoint grid and the
+constants the bounds need; ``run_experiment`` is the one loop over the
+blocks of an ensemble.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..dual import DualParams, LocalFunction, decentralized_plan, random_local_functions
-from ..dynamics import ContinuizedPlan, run_gd, run_nesterov
+from ..dynamics import continuized_plan, run_gd, run_nesterov
 from ..dynamics import run_continuized  # noqa: F401  (re-exported: bench tests wrap it here)
 from ..gossip import GossipParams, gossip_plan
 from ..graphs import gossip_rates
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
+from ..trace import run_block
 from .config import ExperimentSpec
 
 
@@ -42,11 +43,10 @@ class RunSet:
 class ResolvedExperiment:
     """What every run of an ensemble shares: the call from a block of run
     indices to one (R, C) array per metric and the (R,) event counts, the
-    checkpoint grid, the metric names, and the gossip start for the bounds."""
+    checkpoint grid and the gossip start for the bounds."""
 
     run_block: Callable[[Sequence[int]], tuple[dict[str, np.ndarray], np.ndarray]]
     checkpoints: np.ndarray
-    metrics: tuple[str, ...]
     x0: np.ndarray | None = None
 
 
@@ -164,12 +164,12 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         gap = np.array(trajectory.values["gap"])
         return ResolvedExperiment(
             lambda runs: ({"gap": np.tile(gap, (len(runs), 1))}, np.zeros(len(runs), int)),
-            np.arange(iters + 1.0), ("gap",),
+            np.arange(iters + 1.0),
         )
     grid, x0 = np.asarray(spec.checkpoints, dtype=float), None
     if spec.kind == "optimize":
         algo = spec.algo
-        build = partial(ContinuizedPlan, spec.problem, spec.noise, algo.schedule, algo.clock,
+        build = partial(continuized_plan, spec.problem, spec.noise, algo.schedule, algo.clock,
                         spec.horizon, algo.x0, grid)
     elif spec.kind == "gossip":
         params = GossipParams.from_cache(spec.graph.spectrum, algo=spec.gossip_algo)
@@ -183,13 +183,11 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         build = partial(decentralized_plan, spec.graph, _local_functions(spec), cfg.mu,
                         cfg.smoothness, spec.horizon, params, grid)
     try:  # the checks every run made, made once: a spec no run can take fails as run 0
-        plan = build()
+        run = build()
     except Exception as exc:
         raise RuntimeError(f"run 0 failed: {exc}") from exc
     return ResolvedExperiment(
-        lambda runs: plan.run_block(runs, lambda i: run_streams(spec.seed, i)),
-        grid, plan.metrics, x0,
-    )
+        lambda runs: run_block(run, runs, lambda i: run_streams(spec.seed, i)), grid, x0)
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
@@ -212,13 +210,13 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
     (runs, checkpoints) arrays, and ``progress`` hears after each block."""
     resolved = resolve(spec)
     grid = resolved.checkpoints
-    values = {m: np.empty((spec.runs, len(grid))) for m in resolved.metrics}
+    values = {}
     size = max(spec.runs // 10, 1)
     for start in range(0, spec.runs, size):
         runs = range(start, min(start + size, spec.runs))
         block, _ = resolved.run_block(runs)
-        for m, rows in values.items():
-            rows[runs.start:runs.stop] = block[m]
+        for m, rows in block.items():
+            values.setdefault(m, np.empty((spec.runs, len(grid))))[runs.start:runs.stop] = rows
         if progress:
             progress(runs.stop, spec.runs)
     runset = build_runset(values, grid)

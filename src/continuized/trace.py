@@ -1,4 +1,4 @@
-"""The record of one run, and the per-ensemble plan whose one event loop fills it."""
+"""The record of one run, the one event loop of every engine, and the runs of a plan."""
 
 from __future__ import annotations
 
@@ -71,76 +71,65 @@ def checkpoint_grid(checkpoints: Sequence[float], horizon: float) -> np.ndarray:
     return grid
 
 
-class EventPlan:
-    """What every run of an ensemble shares, built and checked once: the
-    horizon, the checkpoint grid (checked by ``checkpoint_grid``, kept as
-    Python floats) and the names of the metrics a run measures.
+def run_events(times: Sequence[float], stops: np.ndarray, capture: Callable[[int], None],
+               advance: Callable[[int, int], None]) -> int:
+    """Apply the events of one run up to the horizon, capturing its checkpoints.
 
-    An engine's plan defines ``run(rng)``, one run on the streams ``rng``
-    through ``run_events``, returning the (C, ...) stacks of x and z, one
-    (C,) array per metric and the number of events applied.
+    ``times`` are the run's event times in non-decreasing order, possibly
+    beyond the horizon; ``stops`` is the grid (checked by
+    ``checkpoint_grid``) followed by the horizon.  ``advance(a, b)``
+    applies events a to b - 1, in order; it is called once per non-empty
+    stretch of events between two checkpoints and never reaches an event
+    past the horizon.  At the i-th point t of the grid, after every event
+    at or before t, ``capture(i)`` copies the engine's raw state into row i
+    of its per-run buffers: a checkpoint at an event's time sees the
+    post-jump state.  Returns the number of events applied; the engine then
+    synchronizes every captured row to its checkpoint and measures it in
+    one stacked pass.
     """
+    stream = np.asarray(times, dtype=float)
+    if not np.all(stream[1:] >= stream[:-1]):
+        raise ValueError("event times are not in non-decreasing order")
+    # the first event after each checkpoint, then the first after the horizon
+    *ends, count = np.searchsorted(stream, stops, side="right").tolist()
+    k = 0
+    for i, end in enumerate(ends):
+        if end > k:
+            advance(k, end)
+            k = end
+        capture(i)
+    if count > k:
+        advance(k, count)
+    return count
 
-    def __init__(self, horizon: float, checkpoints: Sequence[float], metrics: tuple[str, ...]):
-        grid = checkpoint_grid(checkpoints, horizon)
-        self.horizon, self.grid, self.metrics = horizon, grid.tolist(), metrics
-        # the first event after each checkpoint, then the first after the horizon
-        self.stops = np.append(grid, horizon)
 
-    def run_block(self, runs: Sequence[int], streams: Callable[[int], Any]
-                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Runs ``runs`` (indices into the ensemble, run i on ``streams(i)``)
-        as one (R, C) array per metric, row r for run ``runs[r]``, and the
-        (R,) event counts.  A run that raises is named by its index."""
-        values = {m: np.empty((len(runs), len(self.grid))) for m in self.metrics}
-        events = np.empty(len(runs), dtype=np.int64)
-        for r, i in enumerate(runs):
-            try:
-                _, _, measured, events[r] = self.run(streams(i))
-            except Exception as exc:
-                raise RuntimeError(f"run {i} failed: {exc}") from exc
-            for m, rows in values.items():
-                rows[r] = measured[m]
-        return values, events
+# A plan's run: one run on the streams it is given, as the (C, ...) stacks
+# of x and z, one (C,) array per metric and the number of events applied.
+Run = Callable[[Any], tuple[Any, Any, Mapping[str, np.ndarray], int]]
 
-    def trace(self, rng) -> Trace:
-        """One run on the streams ``rng``, recorded as a ``Trace``."""
-        xs, zs, values, count = self.run(rng)
-        trace = Trace(events=count)
-        trace.add(self.grid, xs, zs, {name: column.tolist() for name, column in values.items()})
-        return trace
 
-    def run_events(
-        self, times: Sequence[float], capture: Callable[[int], None],
-        advance: Callable[[int, int], None],
-        finish: Callable[[list[float]], tuple[Any, Any, Mapping[str, Any]]],
-    ) -> tuple[Any, Any, Mapping[str, Any], int]:
-        """Apply the events of one run up to the horizon and measure its checkpoints.
+def run_block(run: Run, runs: Sequence[int], streams: Callable[[int], Any]
+              ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Runs ``runs`` of a plan (indices into the ensemble, run i on
+    ``streams(i)``) as one (R, C) array per metric, row r for run
+    ``runs[r]``, and the (R,) event counts.  A run that raises is named by
+    its index."""
+    values, events = {}, np.empty(len(runs), dtype=np.int64)
+    for r, i in enumerate(runs):
+        try:
+            _, _, measured, events[r] = run(streams(i))
+        except Exception as exc:
+            raise RuntimeError(f"run {i} failed: {exc}") from exc
+        for m, column in measured.items():
+            values.setdefault(m, np.empty((len(runs), len(column))))[r] = column
+    return values, events
 
-        ``times`` are the run's event times in non-decreasing order,
-        possibly beyond the horizon.  ``advance(a, b)`` applies events a to
-        b - 1, in order; it is called once per non-empty stretch of events
-        between two checkpoints and never reaches an event past the
-        horizon.  At the i-th point t of the grid, after every event at or
-        before t, ``capture(i)`` copies the engine's raw state into row i of
-        its per-run buffers: a checkpoint at an event's time sees the
-        post-jump state.  After the last event ``finish(grid)``
-        synchronizes every captured row to its checkpoint and measures it
-        in one stacked pass, returning the (C, ...) stacks of x and z and
-        one (C,) array per metric; these come back with the number of
-        events applied.
-        """
-        stream = np.asarray(times, dtype=float)
-        if not np.all(stream[1:] >= stream[:-1]):
-            raise ValueError("event times are not in non-decreasing order")
-        *ends, count = np.searchsorted(stream, self.stops, side="right").tolist()
-        k = 0
-        for i, end in enumerate(ends):
-            if end > k:
-                advance(k, end)
-                k = end
-            capture(i)
-        if count > k:
-            advance(k, count)
-        # Python floats: a numpy scalar would square as x * x in mix_to_checkpoints
-        return (*finish(self.grid), count)
+
+def record_run(run: Run, rng, checkpoints: Sequence[float]) -> Trace:
+    """One run of a plan on the streams ``rng``, recorded as a ``Trace`` at
+    the plan's ``checkpoints``."""
+    xs, zs, values, count = run(rng)
+    trace = Trace(events=count)
+    trace.add(np.asarray(checkpoints, dtype=float).tolist(), xs, zs,
+              {name: column.tolist() for name, column in values.items()})
+    return trace

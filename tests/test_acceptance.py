@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from continuized.dual import DualParams, LocalFunction, run_decentralized
+from continuized.dual import DualParams, LocalFunction, decentralized_plan
 from continuized.dynamics import run_continuized, run_three_sequence
 from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import complete_graph, gossip_rates, grid_graph, line_graph, spectral
@@ -19,6 +19,7 @@ from continuized.harness.runner import run_experiment
 from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import run_streams
+from continuized.trace import record_run
 from oracles import event_times
 
 MASTER_SEED = 20210211
@@ -297,10 +298,8 @@ def test_criterion_10_gossip_dual_reduction():
             gamma=1.0 / (2.0 * r_eff),
             gamma_prime=gparams.z_step,
         )
-        tr_dual = run_decentralized(
-            graph, fns, 1.0, 1.0, horizon, run_streams(MASTER_SEED + 6, 0),
-            params=dparams, checkpoints=times,
-        )
+        plan = decentralized_plan(graph, fns, 1.0, 1.0, horizon, dparams, times)
+        tr_dual = record_run(plan, run_streams(MASTER_SEED + 6, 0), times)
         assert len(tr_gossip.states) == len(tr_dual.states) == len(times) > 0
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.states, tr_dual.states):
             worst = max(

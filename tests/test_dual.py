@@ -10,6 +10,7 @@ from continuized.dual import (
     DualParams,
     LocalFunction,
     conjugate_grad,
+    decentralized_plan,
     dual_update,
     incidence_r,
     lazy_mix_dual_node,
@@ -20,6 +21,7 @@ from continuized.dual import (
 from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
 from continuized.seeding import run_streams
+from continuized.trace import record_run
 from oracles import conjugate_update, event_times
 
 
@@ -198,8 +200,8 @@ class TestGossipReduction:
             gamma=1.0 / (2.0 * float(r_eff[0])),
             gamma_prime=gparams.z_step,
         )
-        tr_dual = run_decentralized(graph, fns, 1.0, 1.0, horizon, run_streams(5, 0),
-                                    params=dparams, checkpoints=times)
+        plan = decentralized_plan(graph, fns, 1.0, 1.0, horizon, dparams, times)
+        tr_dual = record_run(plan, run_streams(5, 0), times)
         assert len(tr_gossip.states) == len(tr_dual.states) == len(times) > 0
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.states, tr_dual.states):
             assert tg == td

@@ -321,11 +321,13 @@ def test_no_unused_imports():
 # Public definitions with no caller in the package: the discrete twin
 # ``run_three_sequence`` is the oracle of criterion 4, ``load_csv`` is the
 # documented inverse of ``emit_csv``, and ``gradient`` is the exact gradient
-# exported beside ``stochastic_gradient``.  The one-run engines
-# ``run_continuized``, ``run_gossip`` and ``run_decentralized`` are the public
-# API and the oracles of the runner's blocks, which run the plans directly.
-UNCALLED_API = {"run_three_sequence", "load_csv", "gradient",
-                "run_continuized", "run_gossip", "run_decentralized"}
+# exported beside ``stochastic_gradient``.
+UNCALLED_API = {"run_three_sequence", "load_csv", "gradient"}
+
+# The one-run engines are the public API and the oracles of the runner's
+# blocks, which run the plans directly; unlike ``UNCALLED_API``, their
+# options are still held to the options rule.
+ONE_RUN_ENGINES = {"run_continuized", "run_gossip", "run_decentralized"}
 
 
 def test_every_definition_has_a_source_caller():
@@ -345,7 +347,7 @@ def test_every_definition_has_a_source_caller():
         f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
         for path, node, _ in statements
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in UNCALLED_API
+        and node.name not in UNCALLED_API | ONE_RUN_ENGINES
         and not any(node.name in names for _, stmt, names in statements if stmt is not node)
     ]
     assert not uncalled, uncalled
@@ -353,7 +355,9 @@ def test_every_definition_has_a_source_caller():
 
 # Options no package code sets: ``cli.main(argv)`` is the CLI's in-process
 # test seam; the console script calls it with no argument.
-UNSET_OPTIONS = {("main", "argv")}
+# ``run_continuized(x0=)`` is the one-run engine's start, the x0 the runner
+# passes to ``continuized_plan``; tests start single runs away from 0 with it.
+UNSET_OPTIONS = {("main", "argv"), ("run_continuized", "x0")}
 
 
 def _options(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:

@@ -12,23 +12,22 @@ from continuized.graphs import line_graph, spectral
 from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import RunStreams, run_streams
-from continuized.trace import EventPlan, Snapshot
+from continuized.trace import Snapshot, checkpoint_grid, record_run
+from continuized.trace import run_events as event_loop
 from oracles import event_times
 
 
-class _Loop(EventPlan):
-    """A plan whose one run drives the caller's fake engine through
-    ``EventPlan.run_events``."""
-
-    def __init__(self, times, horizon, grid, capture, advance, finish):
-        super().__init__(horizon, grid, ())
-        self.run = lambda rng: self.run_events(times, capture, advance, finish)
-
-
 def run_events(times, horizon, grid, capture, advance, finish):
-    """One run of the fake engine on a plan of ``grid``, as a ``Trace``: the
-    grid is checked when the plan is built, before the run starts."""
-    return _Loop(times, horizon, grid, capture, advance, finish).trace(None)
+    """One run of the fake engine through ``trace.run_events``, as a
+    ``Trace``: the grid is checked before the run starts, as a plan checks
+    it, and ``finish(grid)`` measures the captures after the last event."""
+    stops = np.append(checkpoint_grid(grid, horizon), horizon)
+
+    def run(rng):
+        count = event_loop(times, stops, capture, advance)
+        return (*finish(stops[:-1].tolist()), count)
+
+    return record_run(run, None, grid)
 
 
 # Half-integer times on a short range, so that checkpoints often fall exactly
