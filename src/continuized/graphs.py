@@ -230,11 +230,10 @@ def build_graph(topology: str, **kwargs) -> Graph:
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Laplacian-derived quantities, computed once per graph."""
+    """What the engines read of the Laplacian, computed once per graph: the
+    gossip gap, the effective resistance of each edge and their maximum."""
 
-    laplacian: Array
     mu_gossip: float
-    pinv_laplacian: Array
     r_eff: Array
     r_max: float
 
@@ -250,7 +249,8 @@ def laplacian_matrix(graph: Graph) -> Array:
 
 
 def spectral(graph: Graph) -> SpectralCache:
-    """Eigendecompose the Laplacian and cache gossip-relevant quantities."""
+    """Eigendecompose the Laplacian and keep the quantities gossip reads;
+    the Laplacian and its pseudo-inverse are not kept."""
     lap = laplacian_matrix(graph)
     eigvals, q = np.linalg.eigh(lap)
     top = float(eigvals[-1])
@@ -266,13 +266,9 @@ def spectral(graph: Graph) -> SpectralCache:
     r_eff = np.array(
         [pinv[v, v] + pinv[w, w] - 2.0 * pinv[v, w] for v, w in graph.edges]
     )
-    lap.setflags(write=False)
-    pinv.setflags(write=False)
     r_eff.setflags(write=False)
     return SpectralCache(
-        laplacian=lap,
         mu_gossip=mu_gossip,
-        pinv_laplacian=pinv,
         r_eff=r_eff,
         r_max=float(r_eff.max()),
     )

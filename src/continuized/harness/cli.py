@@ -64,10 +64,9 @@ def build_parser() -> _Parser:
 
 def _run_spec(spec: ExperimentSpec, quiet: bool) -> None:
     progress = None
-    if not quiet:
+    if not quiet:  # run_experiment reports after each tenth of the runs and the last
         def progress(done, total):
-            if done % max(total // 10, 1) == 0 or done == total:
-                print(f"  run {done}/{total}", file=sys.stderr)
+            print(f"  run {done}/{total}", file=sys.stderr)
     runset = run_experiment(spec, progress=progress)
     if spec.out:
         emit_csv(runset, spec.out)

@@ -220,7 +220,11 @@ class DecentralizedSpec:
 
 @dataclass
 class ExperimentSpec:
-    """A fully validated experiment description."""
+    """A fully validated experiment description.
+
+    A gossip spec always carries its read-only start ``gossip_init``: the
+    ``[gossip] init`` values, or a unit spike at node 0.
+    """
 
     kind: str
     runs: int = DEFAULT_RUNS
@@ -510,15 +514,18 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
             topology = gfields.pop("topology", "")
             spec.graph = _attempt(errors, "[graph]", build_graph, topology, **gfields)
         node_count = None if spec.graph is None else spec.graph.node_count
-        if kind == "gossip" and "gossip" in sections:
-            gsec = sections["gossip"]
+        if kind == "gossip":
+            gsec = sections.get("gossip", {})
             spec.gossip_algo = gsec.get("algo", "accelerated")
             if spec.gossip_algo not in ("naive", "accelerated"):
                 errors.append(f"[gossip] unknown algo {spec.gossip_algo!r}")
             if gsec.get("init", "spike") != "spike":
                 spec.gossip_init = _read(errors, "gossip", gsec, "init", parse_floats)
-            if spec.gossip_init is not None and node_count is not None:
-                if spec.gossip_init.shape != (node_count,):
+            elif node_count is not None:  # a unit spike at node 0
+                spec.gossip_init = np.eye(1, node_count)[0]
+            if spec.gossip_init is not None:
+                spec.gossip_init.setflags(write=False)  # every run starts from it
+                if node_count is not None and spec.gossip_init.shape != (node_count,):
                     errors.append("[gossip] init length must equal the node count")
         if kind == "decentralized" and "decentralized" in sections:
             spec.decentralized = _attempt(

@@ -42,12 +42,11 @@ class RunSet:
 @dataclass(frozen=True)
 class ResolvedExperiment:
     """What every run of an ensemble shares: the call from a block of run
-    indices to one (R, C) array per metric and the (R,) event counts, the
-    checkpoint grid and the gossip start for the bounds."""
+    indices to one (R, C) array per metric and the (R,) event counts, and
+    the checkpoint grid."""
 
     run_block: Callable[[Sequence[int]], tuple[dict[str, np.ndarray], np.ndarray]]
     checkpoints: np.ndarray
-    x0: np.ndarray | None = None
 
 
 def aggregate_values(
@@ -104,12 +103,13 @@ def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray) -> RunS
     )
 
 
-def theory_bounds(spec: ExperimentSpec, resolved: ResolvedExperiment) -> dict[str, np.ndarray]:
-    """Closed-form reference curves for the metrics that have one."""
-    t = resolved.checkpoints
+def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Closed-form reference curves on the ensemble's ``grid`` for the
+    metrics that have one."""
+    t = grid
     if spec.kind == "gossip" and spec.gossip_algo == "accelerated":
         _, theta_arg = gossip_rates(spec.graph.spectrum)
-        x0 = resolved.x0
+        x0 = spec.gossip_init
         e0 = 0.5 * float(np.sum((x0 - x0.mean()) ** 2))
         return {"energy": 2.0 * e0 * np.exp(-theta_arg * t)}
     if spec.kind != "optimize":
@@ -166,17 +166,14 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
             lambda runs: ({"gap": np.tile(gap, (len(runs), 1))}, np.zeros(len(runs), int)),
             np.arange(iters + 1.0),
         )
-    grid, x0 = np.asarray(spec.checkpoints, dtype=float), None
+    grid = np.asarray(spec.checkpoints, dtype=float)
     if spec.kind == "optimize":
         algo = spec.algo
         build = partial(continuized_plan, spec.problem, spec.noise, algo.schedule, algo.clock,
                         spec.horizon, algo.x0, grid)
     elif spec.kind == "gossip":
         params = GossipParams.from_cache(spec.graph.spectrum, algo=spec.gossip_algo)
-        x0 = spec.gossip_init
-        if x0 is None:  # a unit spike at node 0
-            x0 = np.eye(1, spec.graph.node_count)[0]
-        build = partial(gossip_plan, spec.graph, params, x0, spec.horizon, grid)
+        build = partial(gossip_plan, spec.graph, params, spec.gossip_init, spec.horizon, grid)
     else:
         cfg = spec.decentralized
         params = DualParams.from_graph(spec.graph, cfg.mu, cfg.smoothness)
@@ -187,7 +184,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     except Exception as exc:
         raise RuntimeError(f"run 0 failed: {exc}") from exc
     return ResolvedExperiment(
-        lambda runs: run_block(run, runs, lambda i: run_streams(spec.seed, i)), grid, x0)
+        lambda runs: run_block(run, runs, lambda i: run_streams(spec.seed, i)), grid)
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
@@ -221,5 +218,5 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
             progress(runs.stop, spec.runs)
     runset = build_runset(values, grid)
     if spec.include_bounds:
-        runset.bounds = theory_bounds(spec, resolved)
+        runset.bounds = theory_bounds(spec, grid)
     return runset

@@ -152,19 +152,19 @@ def discrete_params(
 
     These are the closed-form coefficients of the three-sequence recursion
     obtained by integrating the mixing ODE over [t_k, t_next) and applying
-    the jump at t_next (the z-step uses gamma'_{t_next}).
+    the jump at t_next: the steps are ``schedule_eval``'s (gamma, gamma')
+    at t_next.
     """
     if t_k < 0 or t_next <= t_k:
         raise ValueError(f"need 0 <= t_k < t_next, got {t_k}, {t_next}")
-    g, k, m = schedule.scales
+    c, _, gamma, gamma_p = schedule_eval(schedule, t_next)  # c = eta = eta' if constant
     if schedule.is_time_varying:
         tau = 1.0 - (t_k / t_next) ** 2
-        return tau, 0.0, 1.0 / g, t_next / (2.0 * g * k)
-    c = schedule.mix_rate
+        return tau, 0.0, gamma, gamma_p
     gap = t_next - t_k
     tau = 0.5 * (1.0 - math.exp(-2.0 * c * gap))
     tau_p = math.tanh(c * gap)
-    return tau, tau_p, 1.0 / g, 1.0 / math.sqrt(m * g * k)
+    return tau, tau_p, gamma, gamma_p
 
 
 @dataclass(frozen=True)

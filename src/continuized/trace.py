@@ -21,26 +21,20 @@ class Snapshot(NamedTuple):
 class Trace:
     """The run's state and metric values at each point of the caller's grid.
 
-    ``add`` appends a block of checkpoints, in grid order: their times, the
-    x and z at each (a (C, ...) stack or a list), and one value per
-    checkpoint for each metric.  The trace keeps the blocks as they come,
-    and ``states`` builds the ``Snapshot`` of each checkpoint only when it
-    is read, so ``states[i].t`` is the i-th checkpoint and
-    ``values[name][i]`` is metric ``name`` of ``states[i]``.  ``events`` is
-    the number of events ``run_events`` applied (0 for the fixed-weight
-    baselines, which have none).
+    ``add`` appends checkpoints, in grid order: their times, the x and z at
+    each (a (C, ...) stack or a list), and one value per checkpoint for
+    each metric.  So ``states[i]`` is the ``Snapshot`` at the i-th
+    checkpoint and ``values[name][i]`` is metric ``name`` of ``states[i]``.
+    ``events`` is the number of events ``run_events`` applied (0 for the
+    fixed-weight baselines, which have none).
     """
 
     values: dict[str, list[float]] = field(default_factory=dict)
     events: int = 0
-    blocks: list[tuple[Sequence[float], Any, Any]] = field(default_factory=list)
-
-    @property
-    def states(self) -> list[Snapshot]:
-        return [Snapshot(*row) for block in self.blocks for row in zip(*block)]
+    states: list[Snapshot] = field(default_factory=list)
 
     def add(self, ts: Sequence[float], xs, zs, values: Mapping[str, Sequence[float]]) -> None:
-        self.blocks.append((ts, xs, zs))
+        self.states.extend(map(Snapshot, ts, xs, zs))
         for name, column in values.items():
             self.values.setdefault(name, []).extend(column)
 

@@ -176,7 +176,6 @@ def replay(spec, run_index):
     if spec.kind == "gossip":
         params = GossipParams.from_cache(graph.spectrum, spec.gossip_algo)
         x0 = spec.gossip_init
-        x0 = np.eye(1, graph.node_count)[0] if x0 is None else x0
         raw = replay_nodes(graph, x0, params.mix_rate, accelerated_step,
                            [params.z_step] * graph.edge_count, events, grid)
         target = np.mean(x0) if x0.ndim == 1 else x0.T.copy().mean(axis=1)

@@ -162,6 +162,18 @@ class TestExitCodes:
         assert main([*argv, "--quiet"]) == 1
         assert f"error: out {out}" in capsys.readouterr().err
 
+    def test_progress_lines_every_tenth_of_the_runs(self, tmp_path, capsys):
+        # one stderr line after each block of a tenth of the runs, and one
+        # after the last run; the CSV goes to its file
+        out = tmp_path / "complete10.csv"
+        argv = ["reproduce", "appendix-a2-complete10", "--runs", "25", "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"  run {done}/25" for done in (*range(2, 25, 2), 25)]
+        assert captured.out == f"wrote {out}\n"
+        assert out.read_text().count("\n") > 1
+
     def test_runtime_error_exits_2(self, cfg_file, capsys, monkeypatch):
         # a valid config whose run fails: the CLI maps the error to exit 2
         def fail(spec, progress=None):

@@ -12,10 +12,17 @@ from continuized.gossip import (
     run_gossip,
     sample_event_stream,
 )
-from continuized.graphs import Graph, complete_graph, grid_graph, line_graph, spectral
+from continuized.graphs import (
+    Graph,
+    complete_graph,
+    grid_graph,
+    laplacian_matrix,
+    line_graph,
+    spectral,
+)
 from continuized.problems import LeastSquaresProblem, make_least_squares
 from continuized.schedules import ParamSchedule
-from continuized.seeding import run_streams
+from continuized.seeding import RunStreams, run_streams
 
 
 def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:
@@ -84,6 +91,23 @@ class TestNextEvent:
         assert times[-1] <= 5000.0
         assert np.mean(np.diff(times)) == pytest.approx(1.0, rel=0.05)
         assert set(np.unique(idx)) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("graph", [grid_graph(15, 15), line_graph(11)],
+                             ids=["grid225", "line11"])
+    def test_largest_uniform_picks_the_last_edge(self, graph):
+        # the cumulative probabilities end at or below the largest uniform
+        # 1 - 2**-53 (grid225 at 0x1.fffffffffffe6p-1), so that draw lands
+        # past the last edge unless it is clamped back to it
+        assert graph.cum_probs[-1] <= 1.0 - 2.0**-53
+
+        class Largest:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        streams = RunStreams(clock=np.random.default_rng(0), noise=Largest())
+        times, idx = sample_event_stream(graph, 5.0, streams)
+        assert times.size > 0
+        assert idx.tolist() == [graph.edge_count - 1] * times.size
 
 
 NAIVE = GossipParams(mix_rate=0.0, z_step=0.0)
@@ -254,7 +278,7 @@ class TestRunGossip:
         g, cache = k10()
         params = GossipParams.from_cache(cache)
         with pytest.raises(ValueError, match=r"checkpoints \[50\.0\].*horizon = 10"):
-            run_gossip(g, params, np.eye(1, 10)[0], 10, run_streams(4, 0),
+            run_gossip(g, params, np.zeros(10), 10, run_streams(4, 0),
                        checkpoints=[5, 50])
 
     @pytest.mark.parametrize("shape", [(9,), (11,), (9, 2), (10, 1, 2), ()])
@@ -361,7 +385,7 @@ class TestEnergyProblem:
         assert prob.r_squared == pytest.approx(2.0, rel=1e-10)
         assert prob.kappa_tilde == pytest.approx(cache.r_max, rel=1e-8)
         assert prob.strong_convexity == pytest.approx(cache.mu_gossip, rel=1e-10)
-        np.testing.assert_allclose(prob.hessian, cache.laplacian, atol=1e-12)
+        np.testing.assert_allclose(prob.hessian, laplacian_matrix(g), atol=1e-12)
 
 
 COORDS = st.floats(-1e3, 1e3, allow_subnormal=False)

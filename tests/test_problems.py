@@ -208,6 +208,19 @@ class TestNoise:
         se = draws.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - exact) <= 3 * se + 1e-12)
 
+    def test_multiplicative_largest_uniform_draws_the_last_sample(self):
+        # six equal weights sum to 1 - 2**-53, so the largest uniform lands
+        # past the last sample unless it is clamped back to it
+        p = make_least_squares(np.eye(6), np.arange(1.0, 7.0))
+        assert p.cum_weights[-1] <= 1.0 - 2.0**-53
+
+        class Largest:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        g = stochastic_gradient(p, NoiseModel.multiplicative(), np.zeros(6), Largest())
+        np.testing.assert_array_equal(g, [0.0, 0.0, 0.0, 0.0, 0.0, -6.0])
+
     def test_multiplicative_requires_least_squares(self):
         p = hundred_dim()
         with pytest.raises(InvalidProblemError):

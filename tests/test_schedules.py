@@ -136,6 +136,12 @@ class TestEventClock:
         with pytest.raises(ValueError):
             EventClock.geometric(0.5, -1.0)
 
+    @pytest.mark.parametrize("p", [1.0 + 2.0**-52, 1.2, 1.5])
+    def test_geometric_p_above_one_rejected(self, p):
+        # a success probability above 1 has no geometric law
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\]"):
+            EventClock.geometric(p, 0.1)
+
 
 # The block sampler against ``replay.event_times``, which draws one uniform
 # per event: every clock kind, the p = 1 geometric clock that ignores its

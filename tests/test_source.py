@@ -449,3 +449,38 @@ def test_every_option_is_set_by_a_source_caller():
         )
     ]
     assert not unset, unset
+
+
+# Record fields no package code reads, kept as what the records report to
+# their callers and tests.
+PUBLIC_FIELDS = {
+    "Snapshot.t": "the time of a recorded state, read by a trace's users",
+    "Trace.events": "the events a one-run engine applied, reported to its caller",
+    "LeastSquaresProblem.hessian": "H, the matrix the problem's constants are defined by",
+    "DualParams.l_dual": "the dual smoothness bound that the steps gamma derive from",
+    "DualParams.theta_arg_prime": "the dual graph rate that criterion 11 checks",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    decorators = {_name(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
+    return "dataclass" in decorators or "NamedTuple" in {_name(b) for b in cls.bases}
+
+
+def test_every_field_has_a_source_reader():
+    # a field of a package dataclass or named tuple is stored for a reader:
+    # some package code reads it as an attribute, unless it is public above
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [
+        (f"{cls.name}.{stmt.target.id}", stmt.target.id)
+        for tree in trees for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    unread = [qualified for qualified, name in fields
+              if name not in read and qualified not in PUBLIC_FIELDS]
+    assert not unread, unread
+    assert set(PUBLIC_FIELDS) <= {qualified for qualified, _ in fields}
