@@ -26,7 +26,7 @@ from .gossip import (
 )
 from .problems import row_dots
 from .seeding import RunStreams
-from .trace import Run, Trace, record_run
+from .trace import Plan, Trace, record_run
 
 Array = np.ndarray
 
@@ -183,7 +183,7 @@ def decentralized_plan(
     horizon: float,
     params: DualParams,
     checkpoints: Sequence[float],
-) -> Run:
+) -> Plan:
     """The plan of dual runs from y = z = 0: ``dual_update`` with one tuple
     of coefficients per edge, measured by ``primal_dist_sq`` of the z
     values, with x_* computed centrally for the quadratics (the algorithm

@@ -44,7 +44,7 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams
-from .trace import Run, Snapshot, Trace, checkpoint_grid, record_run, run_events
+from .trace import Plan, Snapshot, Trace, checkpoint_grid, record_run, run_events
 
 Array = np.ndarray
 
@@ -174,8 +174,8 @@ def lyapunov_value(
     Noiseless kinds: A_t (f(x) - f_*) + B_t/2 |z - x_*|^2.  Multiplicative
     kinds shift the norms: A_t/2 |x - x_*|^2 + B_t/2 |z - x_*|^2_{H^-1}.
     ``gap`` may pass f(x) - f_* when the caller has already evaluated it.
-    The state's x and z may also be (C, d) stacks, with (C,) arrays as the
-    coefficients, for one certificate per row.
+    The state's x and z may also be (..., C, d) stacks, with (C,) arrays as
+    the coefficients, for one certificate per row.
     """
     dz = state.z - problem.optimum
     if coeffs.multiplicative:
@@ -189,11 +189,16 @@ def lyapunov_value(
 
 
 def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamSchedule,
-                     clock: EventClock, horizon: float, x0, checkpoints: Sequence[float]) -> Run:
+                     clock: EventClock, horizon: float, x0, checkpoints: Sequence[float]) -> Plan:
     """The plan of an ensemble of continuized runs: the (x0, x0) pair and
     the grid are checked once, and the constant kinds' jump column and the
-    certificate coefficients (``lyapunov_on_grid``) are built once;
-    ``run(rng)`` is one run, as ``run_continuized`` describes it."""
+    certificate coefficients (``lyapunov_on_grid``) are built once.  Each
+    run is as ``run_continuized`` describes it; its checkpoints capture the
+    pair and its time, a float pair into the group's one flat list and an
+    array pair into its (R·C, 2, d) buffer.  The group's finisher mixes
+    every capture to its checkpoint (``mix_to_checkpoints``) and measures
+    ``gap``, ``dist_sq`` and ``lyapunov`` over the (R, C, d) stacks, with the
+    grid's coefficients broadcast over the group's runs."""
     pair0 = initial_state(np.zeros(problem.dimension) if x0 is None else x0)
     if pair0.shape[1:] != (problem.dimension,):
         raise DimensionMismatchError(
@@ -203,6 +208,7 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
     stops = np.append(grid, horizon)
     # Python floats: a numpy scalar would square as x * x in mix_to_checkpoints
     grid = grid.tolist()
+    width = len(grid)
     floats = (isinstance(problem, QuadraticProblem) and noise.kind in ("none", "additive")
               and problem.dimension <= FLOAT_PAIR_MAX_DIM)
     varying = schedule.is_time_varying
@@ -212,75 +218,92 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
     certified = not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem)
     coeffs = lyapunov_on_grid(schedule, grid) if certified else None
 
-    def run(rng: RunStreams):
-        times = sample_event_times(clock, horizon, rng.clock)
-        now = 0.0
-        if varying:
-            columns = step_column(schedule, np.array(times))
-            columns = columns[..., 0].tolist() if floats else list(columns)
-        else:
-            columns = [column] * len(times)
-        pairs = np.empty((len(grid), *pair0.shape))
-        starts = [0.0] * len(grid)
+    def group(size):
+        captured, starts = [], []  # the float pairs, and every capture's time
+        extend = captured.extend
+        if not floats:
+            pairs = np.empty((size * width, *pair0.shape))
 
-        if floats:
-            pair = x, z = pair0.tolist()
-            diag, optimum, coords = problem.diag.tolist(), problem.optimum.tolist(), range(len(x))
-            scale = float(np.sqrt(noise.sigma2 / len(x)))
-            normals = None  # additive noise: one block, bit for bit one draw per event
-            if noise.kind == "additive":
-                normals = rng.noise.standard_normal((len(times), len(x))).tolist()
+        def run(rng: RunStreams) -> int:
+            times = sample_event_times(clock, horizon, rng.clock)
+            now = 0.0
+            if varying:
+                columns = step_column(schedule, np.array(times))
+                columns = columns[..., 0].tolist() if floats else list(columns)
+            else:
+                columns = [column] * len(times)
 
-            def advance(a, b):
-                nonlocal now
-                for k in range(a, b):
-                    te, g = times[k], []
-                    mix = te != now  # mix_closed_form leaves the pair as it is
-                    if mix:
-                        f = (now / te) ** 2 if varying else math.exp(
-                            -2.0 * schedule.mix_rate * (te - now))
-                        now = te
-                    noise_k = None if normals is None else normals[k]
-                    for i in coords:
-                        xi = x[i]
+            if floats:
+                pair = x, z = pair0.tolist()
+                diag, optimum = problem.diag.tolist(), problem.optimum.tolist()
+                coords = range(len(x))
+                scale = float(np.sqrt(noise.sigma2 / len(x)))
+                normals = None  # additive noise: one block, bit for bit one draw per event
+                if noise.kind == "additive":
+                    normals = rng.noise.standard_normal((len(times), len(x))).tolist()
+
+                def advance(a, b):
+                    nonlocal now
+                    for k in range(a, b):
+                        te, g = times[k], []
+                        mix = te != now  # mix_closed_form leaves the pair as it is
                         if mix:
-                            zi = z[i]
-                            if varying:
-                                x[i] = xi = (xi - zi) * f + zi
-                            else:
-                                m = (xi + zi) * 0.5
-                                x[i] = xi = (xi - m) * f + m
-                                z[i] = (zi - m) * f + m
-                        gi = diag[i] * (xi - optimum[i])
-                        g.append(gi if noise_k is None else gi + scale * noise_k[i])
-                    gradient_jump(pair, columns[k], g)
-        else:
-            pair = pair0.copy()
-            x = pair[0]  # a view: it follows the pair through every in-place event
-            gradient_at = gradient_oracle(problem, noise, rng.noise)
+                            f = (now / te) ** 2 if varying else math.exp(
+                                -2.0 * schedule.mix_rate * (te - now))
+                            now = te
+                        noise_k = None if normals is None else normals[k]
+                        for i in coords:
+                            xi = x[i]
+                            if mix:
+                                zi = z[i]
+                                if varying:
+                                    x[i] = xi = (xi - zi) * f + zi
+                                else:
+                                    m = (xi + zi) * 0.5
+                                    x[i] = xi = (xi - m) * f + m
+                                    z[i] = (zi - m) * f + m
+                            gi = diag[i] * (xi - optimum[i])
+                            g.append(gi if noise_k is None else gi + scale * noise_k[i])
+                        gradient_jump(pair, columns[k], g)
 
-            def advance(a, b):
-                nonlocal now
-                for te, steps in zip(times[a:b], columns[a:b]):
-                    mix_closed_form(pair, now, schedule, te)
-                    now = te
-                    gradient_jump(pair, steps, gradient_at(x))
+                def capture(i):
+                    extend(x)
+                    extend(z)
+                    starts.append(now)
+            else:
+                pair = pair0.copy()
+                x = pair[0]  # a view: it follows the pair through every in-place event
+                gradient_at = gradient_oracle(problem, noise, rng.noise)
 
-        def capture(i):
-            pairs[i] = pair
-            starts[i] = now
+                def advance(a, b):
+                    nonlocal now
+                    for te, steps in zip(times[a:b], columns[a:b]):
+                        mix_closed_form(pair, now, schedule, te)
+                        now = te
+                        gradient_jump(pair, steps, gradient_at(x))
 
-        count = run_events(times, stops, capture, advance)
-        mixed = mix_to_checkpoints(pairs, starts, schedule, grid)
-        xs, zs = mixed[:, 0], mixed[:, 1]
-        dx = xs - problem.optimum
-        values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
-        if coeffs is not None:
-            values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
-                                                values["gap"])
-        return xs, zs, values, count
+                def capture(i):
+                    pairs[len(starts)] = pair
+                    starts.append(now)
 
-    return run
+            return run_events(times, stops, capture, advance)
+
+        def finish():
+            stack = np.fromiter(captured, float, len(captured)) if floats else pairs
+            mixed = mix_to_checkpoints(stack.reshape(size * width, *pair0.shape), starts,
+                                       schedule, grid * size)
+            # (size, C, d) views: the grid's coefficients broadcast over the runs
+            xs, zs = (mixed[:, row].reshape(size, width, problem.dimension) for row in (0, 1))
+            dx = xs - problem.optimum
+            values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
+            if coeffs is not None:
+                values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
+                                                    values["gap"])
+            return xs, zs, values
+
+        return run, finish
+
+    return Plan((pair0.size + 1) * width, group)
 
 
 def run_continuized(
@@ -317,8 +340,8 @@ def run_continuized(
     an event at t = 0 is still singular.  This is the one-run
     ``continuized_plan``.
     """
-    run = continuized_plan(problem, noise, schedule, clock, horizon, x0, checkpoints)
-    return record_run(run, rng, checkpoints)
+    plan = continuized_plan(problem, noise, schedule, clock, horizon, x0, checkpoints)
+    return record_run(plan, rng, checkpoints)
 
 
 def nesterov_recursion(

@@ -8,8 +8,8 @@ update with mixing rate 0 and z-step 0.  The dual decentralized solver
 (``dual``) runs its jump on its y and z through the same ``pairwise_plan``,
 whose node values are bare: floats in lists, or (n, d) array rows.  Mixing
 is node-local, so a node's ODE is only advanced lazily when the node takes
-part in an event; the run's checkpoints are all synchronized at once, after
-its last event.
+part in an event; the captured checkpoints of a group of runs are all
+synchronized at once, after the group's last run.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dynamics import midpoint_contract
-from .graphs import Graph, SpectralCache, gossip_rates
+from .graphs import Graph, SpectralCache, gossip_rates, pick_edges
 from .problems import row_dots
-from .schedules import EVENT_CHUNK
+from .schedules import EVENT_CHUNK, first_block_size
 from .seeding import RunStreams
-from .trace import Run, Trace, checkpoint_grid, record_run, run_events
+from .trace import Plan, Trace, check_horizon, checkpoint_grid, record_run, run_events
 
 Array = np.ndarray
 
@@ -52,16 +52,32 @@ class GossipParams:
 
 
 def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[Array, Array]:
-    """All activations up to ``horizon`` as (times, edge indices) arrays;
-    the Exp(1) waits come from the clock stream in blocks of ``EVENT_CHUNK``."""
-    times = np.empty(0)
-    while times.size == 0 or times[-1] <= horizon:
-        more = rng.clock.exponential(size=EVENT_CHUNK)
-        base = times[-1] if times.size else 0.0
-        times = np.concatenate([times, base + np.cumsum(more)])
-    count = int(np.searchsorted(times, horizon, side="right"))
-    times = times[:count]
-    picks = np.searchsorted(graph.cum_probs, rng.noise.random(count), side="right")
+    """All activations up to ``horizon`` as (times, edge indices) arrays.
+
+    The Exp(1) waits come from the clock stream in blocks of
+    ``EVENT_CHUNK``, each block's times the running sums of its waits after
+    the last time of the block before.  The first block is drawn in two
+    parts: ``first_block_size`` waits, which cover nearly every run, then
+    the rest of the block only if the run needs it; split draws read the
+    stream as one draw does, so the times keep their bits.  Each event's
+    edge is ``pick_edges`` of one uniform of the noise stream, clamped to
+    the last edge.  The horizon must pass ``check_horizon``.
+    """
+    check_horizon(horizon)
+    base, blocks = 0.0, []
+    waits = rng.clock.exponential(size=first_block_size(horizon))
+    while True:
+        times = base + np.cumsum(waits)
+        if times[-1] > horizon:
+            break
+        if waits.size < EVENT_CHUNK:  # the first block fell short: draw its rest
+            waits = np.concatenate([waits, rng.clock.exponential(size=EVENT_CHUNK - waits.size)])
+            continue
+        blocks.append(times)
+        base = times[-1]
+        waits = rng.clock.exponential(size=EVENT_CHUNK)
+    times = np.concatenate([*blocks, times[:np.searchsorted(times, horizon, side="right")]])
+    picks = pick_edges(graph, rng.noise.random(times.size))
     return times, np.minimum(picks, graph.edge_count - 1)
 
 
@@ -105,9 +121,10 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
     if not mix_rate:
         return xs, zs
     dt = times[:, None] - last_t
-    if np.any(dt < -1e-12):
+    # every captured clock is an applied event time at or before its
+    # checkpoint, and a - b rounds to >= 0 when a >= b: no gap is negative
+    if np.any(dt < 0):
         raise ValueError("some node is already past the requested time")
-    np.maximum(dt, 0.0, out=dt)
     dt *= -2.0 * mix_rate
     decay = np.exp(dt, out=dt)
     if xs.ndim == 3:
@@ -124,18 +141,19 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
 def pairwise_plan(graph: Graph, x0, mix_rate: float,
                   kernel: Callable[[Any, Any, int, int, Any], None], edge_args: Sequence[Any],
                   measure: Callable[[Array, Array], dict[str, Array]],
-                  horizon: float, checkpoints: Sequence[float]) -> Run:
+                  horizon: float, checkpoints: Sequence[float]) -> Plan:
     """The plan of an ensemble of pairwise runs, for gossip and the dual
-    solver: x0 and the grid are checked once, and ``run(rng)`` is one run
-    from x = z = x0.  The run's node values are its
-    own: floats in lists for a 1-D x0, copies of its (n, d) rows otherwise.
-    At each activation of edge ``ei`` = (v, w) at time te, both endpoints
-    are mixed to te inline, with the arithmetic of ``lazy_mix_node``, and
+    solver: x0 and the grid are checked once, and each run starts from
+    x = z = x0.  The run's node values are its own: floats in lists for a
+    1-D x0, copies of its (n, d) rows otherwise.  At each activation of
+    edge ``ei`` = (v, w) at time te, both endpoints are mixed to te inline,
+    with the arithmetic of ``lazy_mix_node``, and
     ``kernel(x, z, v, w, edge_args[ei])`` applies the update.  Each
-    checkpoint captures the node values and clocks into (C, n[, d]) rows;
-    after the last event ``synchronized_values`` mixes them all forward in
-    place and ``measure(xs, zs)`` measures the synchronized stacks, one (C,)
-    array per metric.
+    checkpoint captures the node values and clocks: float lists extend the
+    group's one flat list, (n, d) rows are copied into its (R·C, n, d)
+    buffers.  The group's finisher then mixes every capture forward in
+    place (``synchronized_values``) and ``measure(xs, zs)`` measures the
+    (R·C, n[, d]) stacks, one (R·C,) array per metric.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
@@ -143,48 +161,73 @@ def pairwise_plan(graph: Graph, x0, mix_rate: float,
     grid = checkpoint_grid(checkpoints, horizon)
     stops = np.append(grid, horizon)
     edges, rate = graph.edges, -2.0 * mix_rate
+    nodes, width, floats = graph.node_count, len(grid), x0.ndim == 1
 
-    def run(rng: RunStreams):
-        x, z = (x0.tolist(), x0.tolist()) if x0.ndim == 1 else (x0.copy(), x0.copy())
-        clocks = [0.0] * graph.node_count
-        times, edge_idx = sample_event_stream(graph, horizon, rng)
-        event_times, edge_idx = times.tolist(), edge_idx.tolist()
-        xs = np.empty((len(grid), *x0.shape))
-        zs = np.empty_like(xs)
-        last_t = np.empty((len(grid), graph.node_count))
+    def group(size):
+        captured = []  # the node clocks, and for float lists x and z before them
+        extend = captured.extend
+        if not floats:
+            xs = np.empty((size * width, *x0.shape))
+            zs = np.empty_like(xs)
+            firsts = iter(range(0, size * width, width))  # each run's first row
 
-        def advance(a, b):
-            for ei, te in zip(edge_idx[a:b], event_times[a:b]):
-                v, w = edges[ei]
-                if mix_rate:
-                    # lazy_mix_node of v, then of w: a pair already at te keeps its bits
-                    dt = te - clocks[v]
-                    if dt > 0:
-                        decay = math.exp(rate * dt)
-                        xv, zv = x[v], z[v]
-                        mid = 0.5 * (xv + zv)
-                        x[v] = mid + (xv - mid) * decay
-                        z[v] = mid + (zv - mid) * decay
-                    dt = te - clocks[w]
-                    if dt > 0:
-                        decay = math.exp(rate * dt)
-                        xw, zw = x[w], z[w]
-                        mid = 0.5 * (xw + zw)
-                        x[w] = mid + (xw - mid) * decay
-                        z[w] = mid + (zw - mid) * decay
-                clocks[v] = clocks[w] = te
-                kernel(x, z, v, w, edge_args[ei])
+        def run(rng: RunStreams) -> int:
+            x, z = (x0.tolist(), x0.tolist()) if floats else (x0.copy(), x0.copy())
+            clocks = [0.0] * nodes
+            times, edge_idx = sample_event_stream(graph, horizon, rng)
+            event_times, edge_idx = times.tolist(), edge_idx.tolist()
 
-        def capture(i):
-            xs[i] = x
-            zs[i] = z
-            last_t[i] = clocks
+            def advance(a, b):
+                for ei, te in zip(edge_idx[a:b], event_times[a:b]):
+                    v, w = edges[ei]
+                    if mix_rate:
+                        # lazy_mix_node of v, then of w: a pair already at te keeps its bits
+                        dt = te - clocks[v]
+                        if dt > 0:
+                            decay = math.exp(rate * dt)
+                            xv, zv = x[v], z[v]
+                            mid = 0.5 * (xv + zv)
+                            x[v] = mid + (xv - mid) * decay
+                            z[v] = mid + (zv - mid) * decay
+                        dt = te - clocks[w]
+                        if dt > 0:
+                            decay = math.exp(rate * dt)
+                            xw, zw = x[w], z[w]
+                            mid = 0.5 * (xw + zw)
+                            x[w] = mid + (xw - mid) * decay
+                            z[w] = mid + (zw - mid) * decay
+                    clocks[v] = clocks[w] = te
+                    kernel(x, z, v, w, edge_args[ei])
 
-        count = run_events(times, stops, capture, advance)
-        sx, sz = synchronized_values(xs, zs, last_t, mix_rate, grid)
-        return sx, sz, measure(sx, sz), count
+            if floats:
+                def capture(i):
+                    extend(x)
+                    extend(z)
+                    extend(clocks)
+            else:
+                first = next(firsts)
 
-    return run
+                def capture(i):
+                    xs[first + i] = x
+                    zs[first + i] = z
+                    extend(clocks)
+
+            return run_events(times, stops, capture, advance)
+
+        def finish():
+            flat = np.fromiter(captured, float, len(captured))
+            if floats:
+                sx, sz, last_t = flat.reshape(size * width, 3, nodes).transpose(1, 0, 2)
+            else:
+                sx, sz, last_t = xs, zs, flat.reshape(size * width, nodes)
+            synchronized_values(sx, sz, last_t, mix_rate, np.tile(grid, size))
+            stacked = (size, width, *x0.shape)
+            return sx.reshape(stacked), sz.reshape(stacked), {
+                name: column.reshape(size, width) for name, column in measure(sx, sz).items()}
+
+        return run, finish
+
+    return Plan(width * (2 * x0.size + nodes), group)
 
 
 def energy(values: Array, target) -> Array:
@@ -200,7 +243,7 @@ def energy(values: Array, target) -> Array:
 
 
 def gossip_plan(graph: Graph, params: GossipParams, x0, horizon: float,
-                checkpoints: Sequence[float]) -> Run:
+                checkpoints: Sequence[float]) -> Plan:
     """The plan of gossip runs from ``x0``: ``accelerated_step`` with the
     z-step on every edge, measured by ``energy`` about x0's average."""
     x0 = np.asarray(x0, dtype=float)

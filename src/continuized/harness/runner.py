@@ -180,11 +180,11 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         build = partial(decentralized_plan, spec.graph, _local_functions(spec), cfg.mu,
                         cfg.smoothness, spec.horizon, params, grid)
     try:  # the checks every run made, made once: a spec no run can take fails as run 0
-        run = build()
+        plan = build()
     except Exception as exc:
         raise RuntimeError(f"run 0 failed: {exc}") from exc
     return ResolvedExperiment(
-        lambda runs: run_block(run, runs, lambda i: run_streams(spec.seed, i)), grid)
+        lambda runs: run_block(plan, runs, lambda i: run_streams(spec.seed, i)), grid)
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:

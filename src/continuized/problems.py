@@ -63,7 +63,7 @@ class ConvexProblem:
 
     def gap(self, x: Array):
         """f(x) - f(x_*), which is f(x): both families vanish at x_*.  A
-        (C, d) stack of points gives the (C,) gaps of its rows."""
+        (..., d) stack of points gives the (...) gaps of its rows."""
         return self.value(np.asarray(x, dtype=float))
 
 
@@ -103,7 +103,7 @@ class LeastSquaresProblem(ConvexProblem):
     cum_weights: Array
 
     def value(self, x: Array):
-        if x.ndim == 2:  # row by row: no stacked product is known to round alike
+        if x.ndim > 1:  # row by row: no stacked product is known to round alike
             return np.array([self.value(row) for row in x])
         res = self.targets - self.atoms @ x
         return float(0.5 * np.dot(self.weights * res, res))
@@ -113,8 +113,8 @@ class LeastSquaresProblem(ConvexProblem):
 
     def dist_sq_hinv(self, u: Array):
         """Squared H^-1 norm of ``u`` (pseudo-inverse on the data span), or
-        of each row of a (C, d) stack, row by row as for ``value``."""
-        if u.ndim == 2:
+        of each row of a (..., d) stack, row by row as for ``value``."""
+        if u.ndim > 1:
             return np.array([self.dist_sq_hinv(row) for row in u])
         return float(u @ self.hessian_pinv @ u)
 

@@ -22,12 +22,13 @@ sizes at all of its event times in one pass, and ``lyapunov_on_grid`` builds
 the certificate coefficients at every point of a grid.  Event
 clocks turn uniform draws into waiting times: ``sample_interarrival``
 inverts one uniform, and ``sample_event_times`` draws a run's uniforms in
-blocks and sums the waits into its event times.
+blocks and turns each block into event times in one numpy pass.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -218,29 +219,52 @@ def sample_interarrival(clock: EventClock, u: float) -> float:
 EVENT_CHUNK = 4096
 
 
+def first_block_size(expected: float) -> int:
+    """The draws of a run's first block from its clock stream: the
+    ``expected`` event count plus three standard deviations, at most
+    ``EVENT_CHUNK``, so one block covers nearly every run."""
+    return min(EVENT_CHUNK, 1 + int(expected + 3.0 * math.sqrt(expected)))
+
+
 def sample_event_times(clock: EventClock, horizon: float, rng: np.random.Generator) -> list[float]:
     """The event times up to ``horizon`` of a run whose clock stream is ``rng``.
 
     The times are the running sums of the waits ``sample_interarrival``
     gives the stream's uniforms, one per uniform, in stream order: bit for
     bit what drawing one uniform per event gives.  The uniforms come in
-    blocks, each sized to the expected event count plus three standard
-    deviations and at most ``EVENT_CHUNK``, so one block covers nearly every
-    run; the clock stream feeds nothing else, so the uniforms left in the
-    last block are simply unused.  The horizon must pass ``check_horizon``.
+    blocks of ``first_block_size`` of the expected count; the clock stream
+    feeds nothing else, so the uniforms left in the last block are simply
+    unused.  Each block is one pass: ``math.log`` of each 1 - u, the
+    clock's law over the block in numpy (the same IEEE operations as
+    ``sample_interarrival``), and one ``np.cumsum`` continuing from the
+    last time, whose sequential sums are those of ``t += wait``.  The
+    horizon must pass ``check_horizon``.
     """
     check_horizon(horizon)
-    times: list[float] = []
     mean_rate = clock.rate if clock.kind == "exponential" else clock.p / clock.tick
-    expected = horizon * mean_rate
-    size = min(EVENT_CHUNK, 1 + int(expected + 3.0 * math.sqrt(expected)))
-    t = 0.0
+    size = first_block_size(horizon * mean_rate)
+    times, t = [], 0.0
     while True:
-        for u in rng.random(size).tolist():
-            t += sample_interarrival(clock, u)
-            if t > horizon:
-                return times
-            times.append(t)
+        u = rng.random(size)
+        if clock.kind == "geometric" and clock.p == 1.0:
+            waits = np.full(size, clock.tick)
+        else:
+            waits = np.fromiter(map(math.log, (1.0 - u).tolist()), float, size)
+            if clock.kind == "exponential":
+                np.negative(waits, out=waits)
+                waits /= clock.rate
+            else:  # tick * (1 + floor(log(1 - u) / log1p(-p)))
+                waits /= math.log1p(-clock.p)
+                np.floor(waits, out=waits)
+                waits += 1.0
+                waits *= clock.tick
+        waits[0] += t
+        block = np.cumsum(waits, out=waits).tolist()
+        count = bisect_right(block, horizon)
+        if count < size:
+            return times + block[:count]
+        times += block
+        t = block[-1]
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,9 @@ def run_events(times: Sequence[float], stops: np.ndarray, capture: Callable[[int
     past the horizon.  At the i-th point t of the grid, after every event
     at or before t, ``capture(i)`` copies the engine's raw state into row i
     of its per-run buffers: a checkpoint at an event's time sees the
-    post-jump state.  Returns the number of events applied; the engine then
-    synchronizes every captured row to its checkpoint and measures it in
-    one stacked pass.
+    post-jump state.  Returns the number of events applied; the plan's
+    finisher later synchronizes every captured row to its checkpoint and
+    measures it, in one stacked pass over a group of runs.
     """
     stream = np.asarray(times, dtype=float)
     if not np.all(stream[1:] >= stream[:-1]):
@@ -97,33 +97,72 @@ def run_events(times: Sequence[float], stops: np.ndarray, capture: Callable[[int
     return count
 
 
-# A plan's run: one run on the streams it is given, as the (C, ...) stacks
-# of x and z, one (C,) array per metric and the number of events applied.
-Run = Callable[[Any], tuple[Any, Any, Mapping[str, np.ndarray], int]]
+# Most captured floats a group of runs buffers before ``run_block`` finishes
+# it.  Groups amortize the finisher's numpy calls over runs, but with glibc
+# an array above 128 KiB (16 384 floats, its mmap threshold) comes from
+# fresh pages that every group touches anew: copying a1-convex captures into one
+# (R·50, 2, 100) buffer and its temporaries took 39 µs per run at R = 1 and
+# 130 µs at R = 2.  So a2-grid225 (33 750 floats per run) and a1-convex
+# (10 050) finish run by run, while a whole block of decentralized-line10
+# (1 500) or a1-strongly-convex (350) finishes at once.
+GROUP_FLOATS = 2**14
 
 
-def run_block(run: Run, runs: Sequence[int], streams: Callable[[int], Any]
+class Plan(NamedTuple):
+    """The runs of an ensemble, split into per-run event loops and one
+    finisher per group of runs.
+
+    ``floats_per_run`` is the number of floats one run captures.
+    ``group(size)`` returns ``(run, finish)`` for a group of ``size`` runs:
+    ``run(rng)`` is the group's next run on the streams ``rng``, which
+    applies its events, captures its checkpoints into the group's buffers
+    and returns the number of events applied; after the last run,
+    ``finish()`` mixes every capture forward to its checkpoint and measures
+    it in one stacked pass, and returns the (size, C, ...) stacks of x and
+    z and one (size, C) array per metric.
+    """
+
+    floats_per_run: int
+    group: Callable[[int], tuple[Callable[[Any], int],
+                                 Callable[[], tuple[Any, Any, Mapping[str, np.ndarray]]]]]
+
+
+def run_block(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]
               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Runs ``runs`` of a plan (indices into the ensemble, run i on
     ``streams(i)``) as one (R, C) array per metric, row r for run
-    ``runs[r]``, and the (R,) event counts.  A run that raises is named by
-    its index."""
+    ``runs[r]``, and the (R,) event counts.  The runs go in groups of at
+    most ``GROUP_FLOATS`` captured floats, each finished once.  A run that
+    raises is named by its index, a finisher by its group's."""
     values, events = {}, np.empty(len(runs), dtype=np.int64)
-    for r, i in enumerate(runs):
+    size = max(1, GROUP_FLOATS // max(plan.floats_per_run, 1))
+    for start in range(0, len(runs), size):
+        members = runs[start:start + size]
+        run, finish = plan.group(len(members))
+        for r, i in enumerate(members, start):
+            try:
+                events[r] = run(streams(i))
+            except Exception as exc:
+                raise RuntimeError(f"run {i} failed: {exc}") from exc
         try:
-            _, _, measured, events[r] = run(streams(i))
+            _, _, measured = finish()
         except Exception as exc:
-            raise RuntimeError(f"run {i} failed: {exc}") from exc
-        for m, column in measured.items():
-            values.setdefault(m, np.empty((len(runs), len(column))))[r] = column
+            which = f"run {members[0]}" if len(members) == 1 else \
+                f"runs {members[0]} to {members[-1]}"
+            raise RuntimeError(f"{which} failed: {exc}") from exc
+        for m, rows in measured.items():
+            block = values.setdefault(m, np.empty((len(runs), rows.shape[1])))
+            block[start:start + len(members)] = rows
     return values, events
 
 
-def record_run(run: Run, rng, checkpoints: Sequence[float]) -> Trace:
-    """One run of a plan on the streams ``rng``, recorded as a ``Trace`` at
-    the plan's ``checkpoints``."""
-    xs, zs, values, count = run(rng)
+def record_run(plan: Plan, rng, checkpoints: Sequence[float]) -> Trace:
+    """One run of a plan on the streams ``rng``, a group of one, recorded
+    as a ``Trace`` at the plan's ``checkpoints``."""
+    run, finish = plan.group(1)
+    count = run(rng)
+    xs, zs, values = finish()
     trace = Trace(events=count)
-    trace.add(np.asarray(checkpoints, dtype=float).tolist(), xs, zs,
-              {name: column.tolist() for name, column in values.items()})
+    trace.add(np.asarray(checkpoints, dtype=float).tolist(), xs[0], zs[0],
+              {name: rows[0].tolist() for name, rows in values.items()})
     return trace

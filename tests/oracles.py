@@ -6,6 +6,9 @@ by event put its event times (``event_times``) in the grid.
 ``ScriptedClock`` stands in for a run's clock stream where a test needs
 chosen uniforms, such as u = 0.0.
 
+``activations`` draws the edge activations of gossip and the dual from a
+run's streams without the engine's sampler.
+
 ``replay_pairs`` and ``replay_nodes`` rebuild the raw state of a run after
 the events up to each checkpoint: the optimizer's x and z as separate rows
 with allocating formulas, independent of the engine's in-place (2, d)
@@ -22,7 +25,7 @@ import numpy as np
 
 from continuized.dual import DualParams, conjugate_grad, incidence_r, optimum_of
 from continuized.dynamics import lyapunov_value, midpoint_contract
-from continuized.gossip import GossipParams, accelerated_step, lazy_mix_node, sample_event_stream
+from continuized.gossip import GossipParams, accelerated_step, lazy_mix_node
 from continuized.graphs import Graph
 from continuized.harness import runner
 from continuized.problems import stochastic_gradient
@@ -31,17 +34,34 @@ from continuized.seeding import run_streams
 from continuized.trace import Snapshot
 
 
+def activations(graph, horizon, streams):
+    """The (times, edge indices) arrays of the activations up to ``horizon``
+    of a gossip or dual run on ``streams``, drawn independently of the
+    engine's sampler: whole blocks of 4096 Exp(1) waits from the clock
+    stream, each block's times its running sums after the last time of the
+    block before, and each edge by ``np.searchsorted`` of one uniform of the
+    noise stream in the cumulative edge probabilities, clamped to the last
+    edge."""
+    times, base = np.empty(0), 0.0
+    while times.size == 0 or times[-1] <= horizon:
+        block = base + np.cumsum(streams.clock.exponential(size=4096))
+        times, base = np.concatenate([times, block]), block[-1]
+    times = times[:np.searchsorted(times, horizon, side="right")]
+    picks = np.searchsorted(graph.cum_probs, streams.noise.random(times.size), side="right")
+    return times, np.minimum(picks, graph.edge_count - 1)
+
+
 def event_times(source, horizon, streams) -> list[float]:
     """The event times up to ``horizon`` of a run on ``streams``.
 
     ``source`` is the optimizer's ``EventClock``, or the ``Graph`` whose edge
-    activations drive gossip and the dual.  Pass a fresh copy of the run's
-    streams: the replay consumes them as the run does.  The optimizer's
-    times are drawn one ``streams.clock.random()`` per event, independently
-    of the engine's block sampler.
+    activations drive gossip and the dual (``activations``).  Pass a fresh
+    copy of the run's streams: the replay consumes them as the run does.
+    The optimizer's times are drawn one ``streams.clock.random()`` per
+    event, independently of the engine's block sampler.
     """
     if isinstance(source, Graph):
-        return sample_event_stream(source, horizon, streams)[0].tolist()
+        return activations(source, horizon, streams)[0].tolist()
     uniforms = iter(streams.clock.random, None)
     waits = (sample_interarrival(source, u) for u in uniforms)
     return list(takewhile(lambda te: te <= horizon, accumulate(waits)))
@@ -172,7 +192,7 @@ def replay(spec, run_index):
     if spec.kind == "optimize":
         return _replay_continuized(spec, grid, run_index)
     graph = spec.graph
-    events = sample_event_stream(graph, spec.horizon, streams)
+    events = activations(graph, spec.horizon, streams)
     if spec.kind == "gossip":
         params = GossipParams.from_cache(graph.spectrum, spec.gossip_algo)
         x0 = spec.gossip_init

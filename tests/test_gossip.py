@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from continuized.gossip import (
@@ -11,6 +11,7 @@ from continuized.gossip import (
     lazy_mix_node,
     run_gossip,
     sample_event_stream,
+    synchronized_values,
 )
 from continuized.graphs import (
     Graph,
@@ -18,11 +19,14 @@ from continuized.graphs import (
     grid_graph,
     laplacian_matrix,
     line_graph,
+    pick_edges,
     spectral,
 )
+from continuized.harness.presets import get_preset, preset_names
 from continuized.problems import LeastSquaresProblem, make_least_squares
-from continuized.schedules import ParamSchedule
+from continuized.schedules import EVENT_CHUNK, ParamSchedule, first_block_size
 from continuized.seeding import RunStreams, run_streams
+from oracles import activations
 
 
 def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:
@@ -435,3 +439,109 @@ def test_lazy_mix_node_keeps_pair_sums(case, mix_rate, dt):
     x1, z1 = np.array(x), np.array(z)
     tol = 1e-12 * _scale(x0, z0, x1, z1)
     np.testing.assert_allclose(x1 + z1, x0 + z0, rtol=0, atol=tol)
+
+
+def test_synchronized_values_refuses_a_clock_past_its_checkpoint():
+    # every captured clock is an applied event time at or before its
+    # checkpoint, so the guard is exact: a clock one ulp past is refused
+    times = np.array([1.0, 2.0])
+    last_t = np.array([[0.5, 1.0], [2.0, 1.5]])
+    xs, zs = np.ones((2, 2)), np.zeros((2, 2))
+    synchronized_values(xs.copy(), zs.copy(), last_t, 0.3, times)
+    last_t[1, 0] = np.nextafter(2.0, np.inf)
+    with pytest.raises(ValueError, match="already past"):
+        synchronized_values(xs, zs, last_t, 0.3, times)
+
+
+# ------------------------------------------------ event streams and edge picks
+
+# The graphs of the gossip and decentralized presets.
+PRESET_GRAPHS = {
+    name: get_preset(name).graph for name in preset_names()
+    if get_preset(name).kind in ("gossip", "decentralized")
+}
+
+
+class ScaledClock:
+    """A clock stream whose Exp(1) draws are those of a generator seeded
+    with ``seed``, times ``scale``; it logs the size of each draw.  Split
+    draws read it as one draw does, as they read a numpy generator."""
+
+    def __init__(self, seed, scale):
+        self.rng, self.scale, self.sizes = np.random.default_rng(seed), scale, []
+
+    def exponential(self, size):
+        self.sizes.append(size)
+        return self.rng.exponential(size=size) * self.scale
+
+
+def _scaled_streams(seed, scale):
+    return RunStreams(clock=ScaledClock(seed, scale), noise=np.random.default_rng(seed + 1))
+
+
+def _nudged(t, side):
+    return t if side == 0 else float(np.nextafter(t, side * np.inf))
+
+
+def _assert_same_activations(graph, horizon, seed, scale):
+    streams = _scaled_streams(seed, scale)
+    times, picks = sample_event_stream(graph, horizon, streams)
+    want_times, want_picks = activations(graph, horizon, _scaled_streams(seed, scale))
+    assert np.array_equal(times, want_times) and np.array_equal(picks, want_picks)
+    return streams.clock.sizes
+
+
+SIDES = st.sampled_from([-1, 0, 1])
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(PRESET_GRAPHS)), st.integers(0, 2**32), st.floats(1.0, 3000.0),
+       SIDES)
+def test_stream_around_the_sized_first_draw(name, seed, base, side):
+    # the waits are scaled so that the first draw's last time lands at the
+    # horizon: one ulp under it the first draw covers the run, at it or over
+    # it the rest of the first 4096-block is drawn
+    size = first_block_size(base)
+    scale = base / np.cumsum(np.random.default_rng(seed).exponential(size=size))[-1]
+    last = float((0.0 + np.cumsum(ScaledClock(seed, scale).exponential(size)))[-1])
+    horizon = _nudged(last, side)
+    assume(first_block_size(horizon) == size < EVENT_CHUNK)
+    sizes = _assert_same_activations(PRESET_GRAPHS[name], horizon, seed, scale)
+    assert sizes[:2] == ([size] if side < 0 else [size, EVENT_CHUNK - size])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(list(PRESET_GRAPHS)), st.integers(0, 2**32), st.floats(0.5, 1.5),
+       st.sampled_from([1, 2]), SIDES)
+def test_stream_around_the_block_boundaries(name, seed, scale, blocks, side):
+    # horizons at, and one ulp around, the last time of the first or second
+    # 4096-block
+    clock, base = ScaledClock(seed, scale), 0.0
+    for _ in range(blocks):
+        base = (base + np.cumsum(clock.exponential(EVENT_CHUNK)))[-1]
+    _assert_same_activations(PRESET_GRAPHS[name], _nudged(float(base), side), seed, scale)
+
+
+def _adversarial_uniforms(graph):
+    """Uniforms at and one ulp around every bucket edge of the guide table
+    and every cumulative probability, with 0 and the largest uniform
+    1 - 2**-53; those outside [0, 1) are dropped."""
+    m = 4 * graph.edge_count
+    points = np.concatenate([np.arange(m + 1.0) / m, graph.cum_probs, [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("name", list(PRESET_GRAPHS))
+def test_guide_table_picks_equal_searchsorted(name):
+    # 10M uniforms plus the adversarial ones, in chunks of 2**20
+    graph = PRESET_GRAPHS[name]
+    rng = np.random.default_rng(20260917)
+    chunks = [_adversarial_uniforms(graph)] + [rng.random(2**20) for _ in range(10)]
+    for u in chunks:
+        want = np.searchsorted(graph.cum_probs, u, side="right")
+        assert np.array_equal(pick_edges(graph, u), want)
+    assert sum(map(len, chunks)) >= 10_000_000
+    top = np.array([1.0 - 2.0**-53])
+    assert pick_edges(graph, top)[0] == (graph.edge_count if graph.cum_probs[-1] <= top[0]
+                                          else graph.edge_count - 1)

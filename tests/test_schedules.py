@@ -17,10 +17,11 @@ from continuized.schedules import (
     lyapunov_on_grid,
     sample_event_times,
     sample_interarrival,
+    first_block_size,
     schedule_eval,
 )
 from continuized.seeding import run_streams
-from oracles import event_times
+from oracles import ScriptedClock, event_times
 
 
 class TestScheduleEval:
@@ -163,7 +164,45 @@ def _first_wait(clock, seed):
     return sample_interarrival(clock, run_streams(seed, 0).clock.random())
 
 
+def _per_uniform_loop(clock, horizon, uniforms):
+    """The times of ``t += sample_interarrival(clock, u)`` from t = 0, one
+    uniform per event, up to ``horizon`` (all of them when it is not
+    passed)."""
+    times, t = [], 0.0
+    for u in uniforms:
+        t += sample_interarrival(clock, u)
+        if t > horizon:
+            break
+        times.append(t)
+    return times
+
+
+# Uniforms at both ends of [0, 1): 0 waits 0 (or one tick), 1 - 2**-53 longest.
+EXTREME_HEAD = [0.0, 1.0 - 2.0**-53, 0.3, 0.0, 0.0, 1.0 - 2.0**-53, 0.9]
+
+
 class TestSampleEventTimes:
+    @pytest.mark.parametrize("name", list(SAMPLER_CLOCKS))
+    @pytest.mark.parametrize("chunk", [7, EVENT_CHUNK])
+    def test_blocks_equal_the_per_uniform_loop(self, monkeypatch, name, chunk):
+        # horizons at, and one ulp around, the time of the chunk-th and
+        # (2 chunk)-th event, where the count lands on a block edge; the
+        # stream starts with the extreme uniforms
+        monkeypatch.setattr(schedules, "EVENT_CHUNK", chunk)
+        clock = SAMPLER_CLOCKS[name]
+        mean_rate = clock.rate if clock.kind == "exponential" else clock.p / clock.tick
+        for seed in range(3):
+            uniforms = ScriptedClock(EXTREME_HEAD, seed).random(3 * chunk).tolist()
+            ends = _per_uniform_loop(clock, math.inf, uniforms)
+            for k in (chunk, 2 * chunk):
+                for side in (-1.0, 0.0, 1.0):
+                    horizon = float(np.nextafter(ends[k - 1], side * math.inf)) if side else \
+                        ends[k - 1]
+                    if not side:
+                        assert first_block_size(horizon * mean_rate) == chunk
+                    got = sample_event_times(clock, horizon, ScriptedClock(EXTREME_HEAD, seed))
+                    assert _bits(got) == _bits(_per_uniform_loop(clock, horizon, uniforms))
+
     @pytest.mark.parametrize("name", list(SAMPLER_CLOCKS))
     @pytest.mark.parametrize("horizon", [0.9, 7.3, 60.0])
     def test_equals_one_draw_per_event(self, name, horizon):

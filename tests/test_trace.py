@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from continuized.dual import random_local_functions, run_decentralized
 from continuized.dynamics import run_continuized, run_nesterov
-from continuized.gossip import GossipParams, run_gossip
+from continuized.gossip import GossipParams, run_gossip, sample_event_stream
 from continuized.graphs import line_graph, spectral
 from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import RunStreams, run_streams
-from continuized.trace import Snapshot, checkpoint_grid, record_run
+from continuized.trace import GROUP_FLOATS, Plan, Snapshot, checkpoint_grid, record_run, run_block
 from continuized.trace import run_events as event_loop
 from oracles import event_times
 
@@ -20,14 +20,18 @@ from oracles import event_times
 def run_events(times, horizon, grid, capture, advance, finish):
     """One run of the fake engine through ``trace.run_events``, as a
     ``Trace``: the grid is checked before the run starts, as a plan checks
-    it, and ``finish(grid)`` measures the captures after the last event."""
+    it, and ``finish(grid)`` measures the captures after the last event,
+    as the finisher of a group of one."""
     stops = np.append(checkpoint_grid(grid, horizon), horizon)
 
-    def run(rng):
-        count = event_loop(times, stops, capture, advance)
-        return (*finish(stops[:-1].tolist()), count)
+    def group(size):
+        def finish_group():
+            xs, zs, values = finish(stops[:-1].tolist())
+            return [xs], [zs], {name: np.array([column]) for name, column in values.items()}
 
-    return record_run(run, None, grid)
+        return lambda rng: event_loop(times, stops, capture, advance), finish_group
+
+    return record_run(Plan(len(grid), group), None, grid)
 
 
 # Half-integer times on a short range, so that checkpoints often fall exactly
@@ -135,6 +139,49 @@ def test_loop_edge_cases(case):
     ]
 
 
+def _index_plan(floats_per_run, failing_group=None):
+    """A plan whose run on the streams i applies i events and measures i at
+    two checkpoints, with the log of its group sizes; the finisher of the
+    ``failing_group``-th group raises."""
+    sizes = []
+
+    def group(size):
+        sizes.append(size)
+        members = []
+
+        def run(i):
+            members.append(i)
+            return i
+
+        def finish():
+            if len(sizes) == failing_group:
+                raise ValueError("boom")
+            rows = np.repeat(np.array(members, dtype=float)[:, None], 2, axis=1)
+            return rows, rows, {"index": rows}
+
+        return run, finish
+
+    return Plan(floats_per_run, group), sizes
+
+
+@pytest.mark.parametrize("floats_per_run, sizes", [
+    (GROUP_FLOATS, [1] * 5), (GROUP_FLOATS // 2, [2, 2, 1]), (1, [5]), (0, [5]),
+])
+def test_run_block_groups_runs_up_to_the_float_cap(floats_per_run, sizes):
+    plan, logged = _index_plan(floats_per_run)
+    values, events = run_block(plan, range(3, 8), lambda i: i)
+    assert logged == sizes
+    assert events.tolist() == list(range(3, 8))
+    assert values["index"].tolist() == [[i, i] for i in range(3, 8)]
+
+
+def test_failing_finisher_is_named_by_its_group():
+    with pytest.raises(RuntimeError, match="^runs 5 to 6 failed: boom"):
+        run_block(_index_plan(GROUP_FLOATS // 2, failing_group=2)[0], range(3, 8), lambda i: i)
+    with pytest.raises(RuntimeError, match="^run 4 failed: boom"):
+        run_block(_index_plan(GROUP_FLOATS, failing_group=2)[0], range(3, 8), lambda i: i)
+
+
 def _never(*args):
     raise AssertionError("an invalid grid must fail before the run starts")
 
@@ -235,6 +282,14 @@ def test_horizon_not_finite_and_positive_rejected_before_sampling(name, horizon)
     streams = RunStreams(clock=DryingClock(), noise=np.random.default_rng(1))
     with pytest.raises(ValueError, match="horizon must be finite and > 0"):
         _run(name, horizon, streams, [1.0])
+    assert streams.clock.blocks == 3
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+def test_gossip_sampler_rejects_the_horizon_before_drawing(horizon):
+    streams = RunStreams(clock=DryingClock(), noise=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        sample_event_stream(line_graph(3), horizon, streams)
     assert streams.clock.blocks == 3
 
 
