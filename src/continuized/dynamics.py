@@ -1,19 +1,21 @@
 """The continuized iteration, its discrete twin, and baselines.
 
 The continuized run alternates closed-form mixing of the coupled pair (x, z)
-with gradient jumps at clock events, through ``trace.run_events``.  Its
-random Nesterov parameters depend only on the event times, so each run
-computes them in one pass before its event loop: the times from block draws
-of its clock stream, and the jump column of every event.  The certificate
-coefficients depend only on the grid, which all runs share, so an ensemble
-builds them once.  The loop then only applies the parameters, to one (2, d)
-pair that the run builds once and mixes and jumps in place (on a small
-quadratic, two lists of Python floats, free of numpy's per-call cost).
-Because the mixing ODE integrates exactly, the event-time snapshots
-coincide (to rounding) with the three-sequence recursion with random
-weights, which is also provided here and used as a cross-check in the
-tests; the Nesterov and gradient-descent baselines run the same recursion
-with fixed weights.
+with gradient jumps at clock events: this module holds that physics, and
+``continuized_plan`` hands it to ``trace`` as a ``Plan``, which runs the
+events and captures the checkpoints.  A run's random Nesterov parameters
+depend only on the event times, so each run computes them in one pass
+before its event loop: the times from block draws of its clock stream, and
+the jump column of every event.  The certificate coefficients depend only
+on the grid, which all runs share, so an ensemble builds them once.  The loop then
+only applies the parameters, to one (2, d) pair that the run builds once
+and mixes and jumps in place (on a small quadratic, two lists of Python
+floats, free of numpy's per-call cost); the plan's finisher mixes the
+captured pairs to their checkpoints and measures them.  Because the mixing
+ODE integrates exactly, the event-time snapshots coincide (to rounding)
+with the three-sequence recursion with random weights, which is also
+provided here and used as a cross-check in the tests; the Nesterov and
+gradient-descent baselines run the same recursion with fixed weights.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .schedules import (
     schedule_eval,
 )
 from .seeding import RunStreams
-from .trace import Plan, Snapshot, Trace, checkpoint_grid, record_run, run_events
+from .trace import Plan, Snapshot, Trace, checkpoint_grid, record_run
 
 Array = np.ndarray
 
@@ -136,30 +138,36 @@ def gradient_jump(pair, steps, g):
     return pair
 
 
-def mix_to_checkpoints(pairs: Array, starts: Sequence[float], schedule: ParamSchedule,
-                       grid: Sequence[float]) -> Array:
-    """``mix_closed_form`` of each captured pair ``pairs[i]`` from ``starts[i]``
-    to ``grid[i]``, in one pass over the (C, 2, d) stack.
+def mix_to_checkpoints(xs: Array, zs: Array, starts: Array, schedule: ParamSchedule,
+                       grid: Array) -> tuple[Array, Array]:
+    """``mix_closed_form`` of every captured pair, in one pass over the
+    stacks: x and z are the (..., C, d) stacks ``xs`` and ``zs``, each pair
+    captured at its clock in the (..., C, 1) ``starts`` and mixed to its
+    checkpoint, the matching point of the C-point ``grid``: the stacks
+    ``synchronized_values`` takes for node values.  Returns the mixed x and
+    z stacks.
 
-    Row by row the arithmetic is that of ``mix_closed_form``: one
+    Pair by pair the arithmetic is that of ``mix_closed_form``: one
     ``math.exp`` decay, or one Python ``(t0/t) ** 2``, per checkpoint, and a
-    row whose checkpoint equals its start keeps the unmixed pair.
+    pair whose checkpoint equals its start keeps its bits.
     """
-    x, z = pairs[:, 0], pairs[:, 1]
+    shape = starts.shape  # one factor per pair, broadcast over its d components
+    spans = list(zip(starts.ravel().tolist(),
+                     np.broadcast_to(grid, shape[:-1]).ravel().tolist()))
     if schedule.is_time_varying:
-        mixed = pairs.copy()
-        factors = np.array([(t / until) ** 2 for t, until in zip(starts, grid)])
-        mixed[:, 0] = z + factors[:, None] * (x - z)
+        factors = np.array([(t / until) ** 2 for t, until in spans]).reshape(shape)
+        mixed = zs + factors * (xs - zs), zs
     else:
         rate = schedule.mix_rate
-        decays = [math.exp(-2.0 * rate * (until - t)) for t, until in zip(starts, grid)]
-        mid = 0.5 * (x + z)[:, None]
-        mixed = pairs - mid
-        mixed *= np.array(decays)[:, None, None]
-        mixed += mid
-    unmixed = [t == until for t, until in zip(starts, grid)]
-    if any(unmixed):
-        mixed[unmixed] = pairs[unmixed]
+        decays = np.array([math.exp(-2.0 * rate * (until - t)) for t, until in spans])
+        decays = decays.reshape(shape)
+        mid = (xs + zs) * 0.5
+        mixed = (xs - mid) * decays + mid, (zs - mid) * decays + mid
+    kept = [t == until for t, until in spans]
+    if any(kept):
+        kept = np.reshape(kept, shape[:-1])
+        for new, old in zip(mixed, (xs, zs)):
+            new[kept] = old[kept]
     return mixed
 
 
@@ -193,22 +201,17 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
     """The plan of an ensemble of continuized runs: the (x0, x0) pair and
     the grid are checked once, and the constant kinds' jump column and the
     certificate coefficients (``lyapunov_on_grid``) are built once.  Each
-    run is as ``run_continuized`` describes it; its checkpoints capture the
-    pair and its time, a float pair into the group's one flat list and an
-    array pair into its (R·C, 2, d) buffer.  The group's finisher mixes
-    every capture to its checkpoint (``mix_to_checkpoints``) and measures
-    ``gap``, ``dist_sq`` and ``lyapunov`` over the (R, C, d) stacks, with the
-    grid's coefficients broadcast over the group's runs."""
+    run is as ``run_continuized`` describes it; its live state is its pair
+    and the time it was last mixed to.  The finisher mixes every captured
+    pair to its checkpoint (``mix_to_checkpoints``) and measures ``gap``,
+    ``dist_sq`` and ``lyapunov`` over the (R, C, d) stacks, with the grid's
+    coefficients broadcast over the group's runs."""
     pair0 = initial_state(np.zeros(problem.dimension) if x0 is None else x0)
     if pair0.shape[1:] != (problem.dimension,):
         raise DimensionMismatchError(
             f"x0 has shape {pair0.shape[1:]}, problem dimension is {problem.dimension}"
         )
     grid = checkpoint_grid(checkpoints, horizon)
-    stops = np.append(grid, horizon)
-    # Python floats: a numpy scalar would square as x * x in mix_to_checkpoints
-    grid = grid.tolist()
-    width = len(grid)
     floats = (isinstance(problem, QuadraticProblem) and noise.kind in ("none", "additive")
               and problem.dimension <= FLOAT_PAIR_MAX_DIM)
     varying = schedule.is_time_varying
@@ -218,92 +221,73 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
     certified = not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem)
     coeffs = lyapunov_on_grid(schedule, grid) if certified else None
 
-    def group(size):
-        captured, starts = [], []  # the float pairs, and every capture's time
-        extend = captured.extend
-        if not floats:
-            pairs = np.empty((size * width, *pair0.shape))
+    def start(rng: RunStreams):
+        times = sample_event_times(clock, horizon, rng.clock)
+        clocks = [0.0]  # the pair's time, which advance keeps as a local while it runs
+        if varying:
+            columns = step_column(schedule, np.array(times))
+            columns = columns[..., 0].tolist() if floats else list(columns)
+        else:
+            columns = [column] * len(times)
 
-        def run(rng: RunStreams) -> int:
-            times = sample_event_times(clock, horizon, rng.clock)
-            now = 0.0
-            if varying:
-                columns = step_column(schedule, np.array(times))
-                columns = columns[..., 0].tolist() if floats else list(columns)
-            else:
-                columns = [column] * len(times)
+        if floats:
+            pair = x, z = pair0.tolist()
+            diag, optimum = problem.diag.tolist(), problem.optimum.tolist()
+            coords = range(len(x))
+            scale = float(np.sqrt(noise.sigma2 / len(x)))
+            normals = None  # additive noise: one block, bit for bit one draw per event
+            if noise.kind == "additive":
+                normals = rng.noise.standard_normal((len(times), len(x))).tolist()
 
-            if floats:
-                pair = x, z = pair0.tolist()
-                diag, optimum = problem.diag.tolist(), problem.optimum.tolist()
-                coords = range(len(x))
-                scale = float(np.sqrt(noise.sigma2 / len(x)))
-                normals = None  # additive noise: one block, bit for bit one draw per event
-                if noise.kind == "additive":
-                    normals = rng.noise.standard_normal((len(times), len(x))).tolist()
-
-                def advance(a, b):
-                    nonlocal now
-                    for k in range(a, b):
-                        te, g = times[k], []
-                        mix = te != now  # mix_closed_form leaves the pair as it is
-                        if mix:
-                            f = (now / te) ** 2 if varying else math.exp(
-                                -2.0 * schedule.mix_rate * (te - now))
-                            now = te
-                        noise_k = None if normals is None else normals[k]
-                        for i in coords:
-                            xi = x[i]
-                            if mix:
-                                zi = z[i]
-                                if varying:
-                                    x[i] = xi = (xi - zi) * f + zi
-                                else:
-                                    m = (xi + zi) * 0.5
-                                    x[i] = xi = (xi - m) * f + m
-                                    z[i] = (zi - m) * f + m
-                            gi = diag[i] * (xi - optimum[i])
-                            g.append(gi if noise_k is None else gi + scale * noise_k[i])
-                        gradient_jump(pair, columns[k], g)
-
-                def capture(i):
-                    extend(x)
-                    extend(z)
-                    starts.append(now)
-            else:
-                pair = pair0.copy()
-                x = pair[0]  # a view: it follows the pair through every in-place event
-                gradient_at = gradient_oracle(problem, noise, rng.noise)
-
-                def advance(a, b):
-                    nonlocal now
-                    for te, steps in zip(times[a:b], columns[a:b]):
-                        mix_closed_form(pair, now, schedule, te)
+            def advance(a, b):
+                now = clocks[0]
+                for k in range(a, b):
+                    te, g = times[k], []
+                    mix = te != now  # mix_closed_form leaves the pair as it is
+                    if mix:
+                        f = (now / te) ** 2 if varying else math.exp(
+                            -2.0 * schedule.mix_rate * (te - now))
                         now = te
-                        gradient_jump(pair, steps, gradient_at(x))
+                    noise_k = None if normals is None else normals[k]
+                    for i in coords:
+                        xi = x[i]
+                        if mix:
+                            zi = z[i]
+                            if varying:
+                                x[i] = xi = (xi - zi) * f + zi
+                            else:
+                                m = (xi + zi) * 0.5
+                                x[i] = xi = (xi - m) * f + m
+                                z[i] = (zi - m) * f + m
+                        gi = diag[i] * (xi - optimum[i])
+                        g.append(gi if noise_k is None else gi + scale * noise_k[i])
+                    gradient_jump(pair, columns[k], g)
+                clocks[0] = now
+        else:
+            pair = pair0.copy()
+            x = pair[0]  # a view: it follows the pair through every in-place event
+            gradient_at = gradient_oracle(problem, noise, rng.noise)
 
-                def capture(i):
-                    pairs[len(starts)] = pair
-                    starts.append(now)
+            def advance(a, b):
+                now = clocks[0]
+                for te, steps in zip(times[a:b], columns[a:b]):
+                    mix_closed_form(pair, now, schedule, te)
+                    now = te
+                    gradient_jump(pair, steps, gradient_at(x))
+                clocks[0] = now
 
-            return run_events(times, stops, capture, advance)
+        return times, advance, pair, clocks
 
-        def finish():
-            stack = np.fromiter(captured, float, len(captured)) if floats else pairs
-            mixed = mix_to_checkpoints(stack.reshape(size * width, *pair0.shape), starts,
-                                       schedule, grid * size)
-            # (size, C, d) views: the grid's coefficients broadcast over the runs
-            xs, zs = (mixed[:, row].reshape(size, width, problem.dimension) for row in (0, 1))
-            dx = xs - problem.optimum
-            values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
-            if coeffs is not None:
-                values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
-                                                    values["gap"])
-            return xs, zs, values
+    def finish(xs, zs, clocks):
+        xs, zs = mix_to_checkpoints(xs, zs, clocks, schedule, grid)
+        dx = xs - problem.optimum
+        values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
+        if coeffs is not None:
+            values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
+                                                values["gap"])
+        return xs, zs, values
 
-        return run, finish
-
-    return Plan((pair0.size + 1) * width, group)
+    return Plan(grid, horizon, start, finish)
 
 
 def run_continuized(
@@ -332,16 +316,16 @@ def run_continuized(
     operations coordinate by coordinate, in the same order (additive noise
     from one ``standard_normal((K, d))`` block), so every value keeps its
     bits.  The caller's x0 is checked once per ensemble and copied, never
-    written.  Each checkpoint copies the pair and its time into the run's
-    capture buffers; after the last event every capture is mixed forward
-    to its checkpoint and measured (``gap``, ``dist_sq``, ``lyapunov``) in
-    one stacked pass.  The mixing flow is constant before the first event,
-    which sidesteps the t = 0 singularity of the time-varying schedules;
-    an event at t = 0 is still singular.  This is the one-run
+    written.  Each checkpoint captures the pair and its time; after the
+    last event every capture is mixed forward to its checkpoint and
+    measured (``gap``, ``dist_sq``, ``lyapunov``) in one stacked pass.
+    The mixing flow is constant before the first event, which sidesteps
+    the t = 0 singularity of the time-varying schedules; an event at
+    t = 0 is still singular.  This is the one-run
     ``continuized_plan``.
     """
     plan = continuized_plan(problem, noise, schedule, clock, horizon, x0, checkpoints)
-    return record_run(plan, rng, checkpoints)
+    return record_run(plan, rng)
 
 
 def nesterov_recursion(

@@ -6,10 +6,12 @@ endpoints of an activated edge jump.  Accelerated gossip averages x over
 the edge and moves z along the edge difference; naive gossip is the same
 update with mixing rate 0 and z-step 0.  The dual decentralized solver
 (``dual``) runs its jump on its y and z through the same ``pairwise_plan``,
-whose node values are bare: floats in lists, or (n, d) array rows.  Mixing
-is node-local, so a node's ODE is only advanced lazily when the node takes
-part in an event; the captured checkpoints of a group of runs are all
-synchronized at once, after the group's last run.
+whose node values are bare: floats in two lists, or the rows of one
+(2, n, d) array.  Mixing is node-local, so a node's ODE is only advanced
+lazily when the node takes part in an event.  ``trace`` captures the node
+values and clocks at the checkpoints, and the plan's finisher synchronizes
+the captures of a group of runs at once, after the group's last run
+(``synchronized_values``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .graphs import Graph, SpectralCache, gossip_rates, pick_edges
 from .problems import row_dots
 from .schedules import EVENT_CHUNK, first_block_size
 from .seeding import RunStreams
-from .trace import Plan, Trace, check_horizon, checkpoint_grid, record_run, run_events
+from .trace import Plan, Trace, check_horizon, checkpoint_grid, record_run
 
 Array = np.ndarray
 
@@ -111,10 +113,10 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
                         times: Array) -> tuple[Array, Array]:
     """Every node of every captured state mixed forward to its checkpoint.
 
-    ``xs`` and ``zs`` are (C, n) or (C, n, d) stacks of captured node
-    values, ``last_t`` the (C, n) node clocks and ``times`` the C
+    ``xs`` and ``zs`` are (..., C, n) or (..., C, n, d) stacks of captured
+    node values, ``last_t`` the (..., C, n) node clocks and ``times`` the C
     checkpoints; both stacks are mixed in place and returned.  The decays
-    are one ``np.exp`` over the (C, n) array, which rounds each entry as a
+    are one ``np.exp`` over the clocks' array, which rounds each entry as a
     per-state call would, and each entry takes ``midpoint_contract``'s
     operations on the same operands, so it rounds as that would too.
     """
@@ -127,7 +129,7 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
         raise ValueError("some node is already past the requested time")
     dt *= -2.0 * mix_rate
     decay = np.exp(dt, out=dt)
-    if xs.ndim == 3:
+    if xs.ndim > decay.ndim:  # d components share their node's decay
         decay = decay[..., None]
     mid = xs + zs
     mid *= 0.5
@@ -144,90 +146,57 @@ def pairwise_plan(graph: Graph, x0, mix_rate: float,
                   horizon: float, checkpoints: Sequence[float]) -> Plan:
     """The plan of an ensemble of pairwise runs, for gossip and the dual
     solver: x0 and the grid are checked once, and each run starts from
-    x = z = x0.  The run's node values are its own: floats in lists for a
-    1-D x0, copies of its (n, d) rows otherwise.  At each activation of
-    edge ``ei`` = (v, w) at time te, both endpoints are mixed to te inline,
-    with the arithmetic of ``lazy_mix_node``, and
-    ``kernel(x, z, v, w, edge_args[ei])`` applies the update.  Each
-    checkpoint captures the node values and clocks: float lists extend the
-    group's one flat list, (n, d) rows are copied into its (R·C, n, d)
-    buffers.  The group's finisher then mixes every capture forward in
-    place (``synchronized_values``) and ``measure(xs, zs)`` measures the
+    x = z = x0.  The run's node values are its own: floats in two lists
+    for a 1-D x0, the rows of one (2, n, d) array otherwise, with one clock
+    per node.  At each activation of edge ``ei`` = (v, w) at time te, both
+    endpoints are mixed to te inline, with the arithmetic of
+    ``lazy_mix_node``, and ``kernel(x, z, v, w, edge_args[ei])`` applies
+    the update.  The finisher mixes every captured state forward in place
+    (``synchronized_values``) and ``measure(xs, zs)`` measures the
     (R·C, n[, d]) stacks, one (R·C,) array per metric.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
         raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
     grid = checkpoint_grid(checkpoints, horizon)
-    stops = np.append(grid, horizon)
-    edges, rate = graph.edges, -2.0 * mix_rate
-    nodes, width, floats = graph.node_count, len(grid), x0.ndim == 1
+    edges, rate, nodes = graph.edges, -2.0 * mix_rate, graph.node_count
 
-    def group(size):
-        captured = []  # the node clocks, and for float lists x and z before them
-        extend = captured.extend
-        if not floats:
-            xs = np.empty((size * width, *x0.shape))
-            zs = np.empty_like(xs)
-            firsts = iter(range(0, size * width, width))  # each run's first row
+    def start(rng: RunStreams):
+        pair = x, z = [x0.tolist(), x0.tolist()] if x0.ndim == 1 else np.array([x0, x0])
+        clocks = [0.0] * nodes
+        times, edge_idx = sample_event_stream(graph, horizon, rng)
+        event_times, edge_idx = times.tolist(), edge_idx.tolist()
 
-        def run(rng: RunStreams) -> int:
-            x, z = (x0.tolist(), x0.tolist()) if floats else (x0.copy(), x0.copy())
-            clocks = [0.0] * nodes
-            times, edge_idx = sample_event_stream(graph, horizon, rng)
-            event_times, edge_idx = times.tolist(), edge_idx.tolist()
+        def advance(a, b):
+            for ei, te in zip(edge_idx[a:b], event_times[a:b]):
+                v, w = edges[ei]
+                if mix_rate:
+                    # lazy_mix_node of v, then of w: a pair already at te keeps its bits
+                    dt = te - clocks[v]
+                    if dt > 0:
+                        decay = math.exp(rate * dt)
+                        xv, zv = x[v], z[v]
+                        mid = 0.5 * (xv + zv)
+                        x[v] = mid + (xv - mid) * decay
+                        z[v] = mid + (zv - mid) * decay
+                    dt = te - clocks[w]
+                    if dt > 0:
+                        decay = math.exp(rate * dt)
+                        xw, zw = x[w], z[w]
+                        mid = 0.5 * (xw + zw)
+                        x[w] = mid + (xw - mid) * decay
+                        z[w] = mid + (zw - mid) * decay
+                clocks[v] = clocks[w] = te
+                kernel(x, z, v, w, edge_args[ei])
 
-            def advance(a, b):
-                for ei, te in zip(edge_idx[a:b], event_times[a:b]):
-                    v, w = edges[ei]
-                    if mix_rate:
-                        # lazy_mix_node of v, then of w: a pair already at te keeps its bits
-                        dt = te - clocks[v]
-                        if dt > 0:
-                            decay = math.exp(rate * dt)
-                            xv, zv = x[v], z[v]
-                            mid = 0.5 * (xv + zv)
-                            x[v] = mid + (xv - mid) * decay
-                            z[v] = mid + (zv - mid) * decay
-                        dt = te - clocks[w]
-                        if dt > 0:
-                            decay = math.exp(rate * dt)
-                            xw, zw = x[w], z[w]
-                            mid = 0.5 * (xw + zw)
-                            x[w] = mid + (xw - mid) * decay
-                            z[w] = mid + (zw - mid) * decay
-                    clocks[v] = clocks[w] = te
-                    kernel(x, z, v, w, edge_args[ei])
+        return times, advance, pair, clocks
 
-            if floats:
-                def capture(i):
-                    extend(x)
-                    extend(z)
-                    extend(clocks)
-            else:
-                first = next(firsts)
+    def finish(xs, zs, clocks):
+        synchronized_values(xs, zs, clocks, mix_rate, grid)
+        stacked = (-1, *x0.shape)
+        return xs, zs, measure(xs.reshape(stacked), zs.reshape(stacked))
 
-                def capture(i):
-                    xs[first + i] = x
-                    zs[first + i] = z
-                    extend(clocks)
-
-            return run_events(times, stops, capture, advance)
-
-        def finish():
-            flat = np.fromiter(captured, float, len(captured))
-            if floats:
-                sx, sz, last_t = flat.reshape(size * width, 3, nodes).transpose(1, 0, 2)
-            else:
-                sx, sz, last_t = xs, zs, flat.reshape(size * width, nodes)
-            synchronized_values(sx, sz, last_t, mix_rate, np.tile(grid, size))
-            stacked = (size, width, *x0.shape)
-            return sx.reshape(stacked), sz.reshape(stacked), {
-                name: column.reshape(size, width) for name, column in measure(sx, sz).items()}
-
-        return run, finish
-
-    return Plan(width * (2 * x0.size + nodes), group)
+    return Plan(grid, horizon, start, finish)
 
 
 def energy(values: Array, target) -> Array:
@@ -270,4 +239,4 @@ def run_gossip(
     (the components then share every event).  Runs given the same streams
     share one activation sequence.  This is the one-run ``gossip_plan``.
     """
-    return record_run(gossip_plan(graph, params, x0, horizon, checkpoints), rng, checkpoints)
+    return record_run(gossip_plan(graph, params, x0, horizon, checkpoints), rng)

@@ -1,4 +1,12 @@
-"""The record of one run, the one event loop of every engine, and the runs of a plan."""
+"""The record of one run, the one event loop of every engine, and the
+checkpoints of a plan's runs.
+
+An engine module holds its physics and hands it over as a ``Plan``: the
+grid and horizon, and for each run its event times, its ``advance`` and its
+live state (x, z and their clocks), plus a finisher.  This module alone
+runs the events (``run_events``), captures the live state at each
+checkpoint, buffers the captures of a group of runs (``GROUP_FLOATS``) and
+decodes them into the (R, C, ...) stacks that every finisher takes."""
 
 from __future__ import annotations
 
@@ -75,11 +83,11 @@ def run_events(times: Sequence[float], stops: np.ndarray, capture: Callable[[int
     applies events a to b - 1, in order; it is called once per non-empty
     stretch of events between two checkpoints and never reaches an event
     past the horizon.  At the i-th point t of the grid, after every event
-    at or before t, ``capture(i)`` copies the engine's raw state into row i
-    of its per-run buffers: a checkpoint at an event's time sees the
-    post-jump state.  Returns the number of events applied; the plan's
-    finisher later synchronizes every captured row to its checkpoint and
-    measures it, in one stacked pass over a group of runs.
+    at or before t, ``capture(i)`` copies the run's live state: a
+    checkpoint at an event's time sees the post-jump state.  Returns the
+    number of events applied; ``run_block`` and ``record_run`` later hand
+    the captures of a group of runs to the plan's finisher, which
+    synchronizes them to their checkpoints and measures them in one pass.
     """
     stream = np.asarray(times, dtype=float)
     if not np.all(stream[1:] >= stream[:-1]):
@@ -97,10 +105,10 @@ def run_events(times: Sequence[float], stops: np.ndarray, capture: Callable[[int
     return count
 
 
-# Most captured floats a group of runs buffers before ``run_block`` finishes
-# it.  Groups amortize the finisher's numpy calls over runs, but with glibc
-# an array above 128 KiB (16 384 floats, its mmap threshold) comes from
-# fresh pages that every group touches anew: copying a1-convex captures into one
+# Most captured floats a group of runs buffers before its finisher runs.
+# Groups amortize the finisher's numpy calls over runs, but with glibc an
+# array above 128 KiB (16 384 floats, its mmap threshold) comes from fresh
+# pages that every group touches anew: copying a1-convex captures into one
 # (R·50, 2, 100) buffer and its temporaries took 39 µs per run at R = 1 and
 # 130 µs at R = 2.  So a2-grid225 (33 750 floats per run) and a1-convex
 # (10 050) finish run by run, while a whole block of decentralized-line10
@@ -109,22 +117,90 @@ GROUP_FLOATS = 2**14
 
 
 class Plan(NamedTuple):
-    """The runs of an ensemble, split into per-run event loops and one
-    finisher per group of runs.
+    """The runs of an ensemble: the grid they share (checked by
+    ``checkpoint_grid``) and their horizon, each run's events and physics,
+    and the finisher of a group of runs.
 
-    ``floats_per_run`` is the number of floats one run captures.
-    ``group(size)`` returns ``(run, finish)`` for a group of ``size`` runs:
-    ``run(rng)`` is the group's next run on the streams ``rng``, which
-    applies its events, captures its checkpoints into the group's buffers
-    and returns the number of events applied; after the last run,
-    ``finish()`` mixes every capture forward to its checkpoint and measures
-    it in one stacked pass, and returns the (size, C, ...) stacks of x and
-    z and one (size, C) array per metric.
+    ``start(rng)`` sets up a run on the streams ``rng`` and returns
+    ``(times, advance, pair, clocks)``: its event times, the
+    ``advance(a, b)`` that ``run_events`` calls, and its live state, which
+    ``advance`` updates in place.  The state is the pair x, z, either a
+    list of two float lists or one (2, ...) array whose rows are x and z,
+    and ``clocks``, a list of the times the values were last mixed to (one
+    for the optimizer's pair, one per node for gossip's).
+    ``finish(xs, zs, clocks)`` takes the (R, C, ...) stacks of x, z and
+    the clocks that a group of R runs captured at the C points of the
+    grid, mixes x and z to their checkpoints and returns them, with one
+    array of R·C values per metric, in the stacks' order.
     """
 
-    floats_per_run: int
-    group: Callable[[int], tuple[Callable[[Any], int],
-                                 Callable[[], tuple[Any, Any, Mapping[str, np.ndarray]]]]]
+    grid: np.ndarray
+    horizon: float
+    start: Callable[[Any], tuple[Sequence[float], Callable[[int, int], None], Any, list[float]]]
+    finish: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                     tuple[np.ndarray, np.ndarray, Mapping[str, np.ndarray]]]
+
+
+def _groups(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]):
+    """Run ``runs`` of a plan, run i on ``streams(i)``, in groups of at
+    most ``GROUP_FLOATS`` captured floats, and yield each group's position
+    in ``runs``, its event counts and its finisher's (xs, zs, values), each
+    metric as (R, C).
+
+    Each checkpoint of a run captures its live state: float lists extend
+    the group's one flat list, x then z then the clocks; an array pair is
+    copied as one row of the group's buffer, and its clocks extend the
+    flat list.  A run that raises is named by its index, a finisher by its
+    group's."""
+    width, stops = len(plan.grid), np.append(plan.grid, plan.horizon)
+    end = 0
+    for r, i in enumerate(runs):
+        try:
+            times, advance, pair, clocks = plan.start(streams(i))
+            arrays = isinstance(pair, np.ndarray)
+            if r == end:  # the group's first run: its state sizes the group
+                k = 0 if arrays else len(pair[0])  # floats per value list
+                listed = 2 * k + len(clocks)  # floats per capture in the flat list
+                floats = width * (listed + (pair.size if arrays else 0))
+                first, end = r, min(len(runs), r + max(1, GROUP_FLOATS // max(floats, 1)))
+                captured, counts = [], []
+                extend = captured.extend
+                if arrays:
+                    rows = np.empty((end - first, width, *pair.shape))
+            if arrays:
+                row = rows[r - first]
+
+                def capture(c):
+                    row[c] = pair
+                    extend(clocks)
+            else:
+                x, z = pair
+
+                def capture(c):
+                    extend(x)
+                    extend(z)
+                    extend(clocks)
+
+            counts.append(run_events(times, stops, capture, advance))
+        except Exception as exc:
+            raise RuntimeError(f"run {i} failed: {exc}") from exc
+        times = advance = None  # the run's events go before the next run draws its own
+        if r + 1 < end:
+            continue
+        flat = np.fromiter(captured, float, len(captured)).reshape(end - first, width, listed)
+        stacks = (rows[:, :, 0], rows[:, :, 1], flat) if arrays else \
+            (flat[..., :k], flat[..., k:2 * k], flat[..., 2 * k:])
+        try:
+            xs, zs, values = plan.finish(*stacks)
+        except Exception as exc:
+            which = f"run {runs[first]}" if end - first == 1 else \
+                f"runs {runs[first]} to {runs[end - 1]}"
+            raise RuntimeError(f"{which} failed: {exc}") from exc
+        yield first, counts, (xs, zs, {
+            name: column.reshape(end - first, width) for name, column in values.items()})
+        # and the group's captures before the next group's first run draws
+        captured.clear()
+        flat = stacks = rows = row = capture = xs = zs = values = None
 
 
 def run_block(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]
@@ -135,34 +211,24 @@ def run_block(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]
     most ``GROUP_FLOATS`` captured floats, each finished once.  A run that
     raises is named by its index, a finisher by its group's."""
     values, events = {}, np.empty(len(runs), dtype=np.int64)
-    size = max(1, GROUP_FLOATS // max(plan.floats_per_run, 1))
-    for start in range(0, len(runs), size):
-        members = runs[start:start + size]
-        run, finish = plan.group(len(members))
-        for r, i in enumerate(members, start):
-            try:
-                events[r] = run(streams(i))
-            except Exception as exc:
-                raise RuntimeError(f"run {i} failed: {exc}") from exc
-        try:
-            _, _, measured = finish()
-        except Exception as exc:
-            which = f"run {members[0]}" if len(members) == 1 else \
-                f"runs {members[0]} to {members[-1]}"
-            raise RuntimeError(f"{which} failed: {exc}") from exc
+    for first, counts, (_, _, measured) in _groups(plan, runs, streams):
+        end = first + len(counts)
+        events[first:end] = counts
         for m, rows in measured.items():
-            block = values.setdefault(m, np.empty((len(runs), rows.shape[1])))
-            block[start:start + len(members)] = rows
+            values.setdefault(m, np.empty((len(runs), rows.shape[1])))[first:end] = rows
     return values, events
 
 
-def record_run(plan: Plan, rng, checkpoints: Sequence[float]) -> Trace:
+def record_run(plan: Plan, rng) -> Trace:
     """One run of a plan on the streams ``rng``, a group of one, recorded
-    as a ``Trace`` at the plan's ``checkpoints``."""
-    run, finish = plan.group(1)
-    count = run(rng)
-    xs, zs, values = finish()
+    as a ``Trace`` at the plan's grid.  It raises what the run or the
+    finisher raises."""
+    try:
+        ((_, (count,), (xs, zs, values)),) = _groups(plan, [0], lambda _: rng)
+    except RuntimeError as named:  # the group names its one run: raise the run's own error
+        fault = named.__cause__
+        raise fault from fault.__cause__
     trace = Trace(events=count)
-    trace.add(np.asarray(checkpoints, dtype=float).tolist(), xs[0], zs[0],
+    trace.add(plan.grid.tolist(), xs[0], zs[0],
               {name: rows[0].tolist() for name, rows in values.items()})
     return trace

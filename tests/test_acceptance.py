@@ -299,7 +299,7 @@ def test_criterion_10_gossip_dual_reduction():
             gamma_prime=gparams.z_step,
         )
         plan = decentralized_plan(graph, fns, 1.0, 1.0, horizon, dparams, times)
-        tr_dual = record_run(plan, run_streams(MASTER_SEED + 6, 0), times)
+        tr_dual = record_run(plan, run_streams(MASTER_SEED + 6, 0))
         assert len(tr_gossip.states) == len(tr_dual.states) == len(times) > 0
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.states, tr_dual.states):
             worst = max(

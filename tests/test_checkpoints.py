@@ -9,6 +9,8 @@ as separate rows with allocating formulas, independent of the engine's
 in-place (2, d) kernels.  All comparisons are exact.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from continuized.problems import (
     make_least_squares,
     make_quadratic,
 )
-from continuized.harness import runner
+from continuized.harness import config, runner
 from continuized.harness.presets import get_preset, preset_names
 from continuized.schedules import (
     EventClock,
@@ -206,6 +208,47 @@ def test_blocks_match_replay_run_by_run(preset):
         assert single_events.tolist() == [whole_events[i]] == [want_events]
 
 
+# Ensembles whose node values are (n, 2) array rows, which no preset has:
+# captured in groups of several runs (2 500 floats per run), and here split
+# across two groups.  A config gives gossip one float per node, so the
+# (n, 2) start is set on the spec itself.
+VECTOR_SPECS = {
+    "gossip-n-by-2": lambda: replace(
+        get_preset("appendix-a2-complete10"),
+        gossip_init=np.random.default_rng(4).standard_normal((10, 2))),
+    "decentralized-dimension-2": lambda: config.parse_config_text("""
+[experiment]
+kind = decentralized
+horizon = 450
+
+[graph]
+topology = line
+nodes = 10
+
+[decentralized]
+mu = 0.1
+smoothness = 1.0
+dimension = 2
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(VECTOR_SPECS))
+def test_vector_blocks_match_replay_run_by_run(case):
+    # as test_blocks_match_replay_run_by_run, on runs whose captures are
+    # array rows: one block of the whole ensemble and blocks of one run
+    spec = VECTOR_SPECS[case]().with_overrides(runs=7)
+    resolved = runner.resolve(spec)
+    whole, whole_events = resolved.run_block(range(spec.runs))
+    for i in range(spec.runs):
+        want, want_events = replay(spec, i)
+        single, single_events = resolved.run_block(range(i, i + 1))
+        assert set(want) == set(whole) == set(single)
+        for m, row in want.items():
+            assert np.array_equal(single[m][0], row) and np.array_equal(whole[m][i], row), m
+        assert single_events.tolist() == [whole_events[i]] == [want_events]
+
+
 def test_failing_run_in_a_block_is_named_by_its_index(monkeypatch):
     # twenty runs go in blocks of two; run 3, the second of its block, fails
     spec = get_preset("appendix-a1-convex").with_overrides(runs=20, horizon=5.0)
@@ -242,9 +285,9 @@ def test_mix_to_checkpoints_matches_mix_closed_form_row_by_row(schedule):
     starts = rng.uniform(0.0, 50.0, count)
     grid = starts + rng.exponential(3.0, count)
     grid[::97] = starts[::97]  # checkpoints on their pair's event time
-    stacked = mix_to_checkpoints(pairs, starts.tolist(), schedule, grid.tolist())
-    for pair, t, until, got in zip(pairs, starts.tolist(), grid.tolist(), stacked):
-        np.testing.assert_array_equal(got, mix_closed_form(pair, t, schedule, until))
+    xs, zs = mix_to_checkpoints(pairs[:, 0], pairs[:, 1], starts[:, None], schedule, grid)
+    for pair, t, until, x, z in zip(pairs, starts.tolist(), grid.tolist(), xs, zs):
+        np.testing.assert_array_equal(np.array([x, z]), mix_closed_form(pair, t, schedule, until))
 
 
 def test_quadratic_gap_matches_per_point_dot():

@@ -19,7 +19,8 @@ from continuized.dual import (
     run_decentralized,
 )
 from continuized.gossip import GossipParams, run_gossip
-from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
+from continuized.graphs import complete_graph, edge_list_graph, grid_graph, line_graph, spectral
+from continuized.harness.presets import get_preset, preset_names
 from continuized.seeding import run_streams
 from continuized.trace import record_run
 from oracles import conjugate_update, event_times
@@ -85,6 +86,18 @@ class TestDualParams:
         assert p.eta == pytest.approx(p.theta_arg_prime / math.sqrt(10.0), rel=1e-12)
         assert p.gamma == pytest.approx(1.0 / 90.0, rel=1e-12)
         assert p.gamma_prime == pytest.approx(math.sqrt(1.0 / (cache.mu_gossip * 90.0)), rel=1e-10)
+
+    @pytest.mark.parametrize("graph", [
+        *(get_preset(name).graph for name in preset_names() if get_preset(name).graph),
+        edge_list_graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], [0.4, 0.05, 0.2, 0.3, 0.05]),
+    ])
+    def test_dual_smoothness_dominates_every_edge(self, graph):
+        # l_dual bounds M_ee R_e / P_e^2 = R_e / (P_e mu) on every edge, where
+        # M_ee = P_e / mu is the conjugate Hessian's directional smoothness;
+        # the two sides round in different orders, so they may differ by ulps
+        mu = 0.1
+        bound = incidence_r(graph) / (graph.edge_probs * mu)
+        assert np.all(DualParams.from_graph(graph, mu, 1.0).l_dual >= bound * (1 - 1e-12))
 
     def test_rejects_bad_mu(self):
         g = line_graph(3)
@@ -201,7 +214,7 @@ class TestGossipReduction:
             gamma_prime=gparams.z_step,
         )
         plan = decentralized_plan(graph, fns, 1.0, 1.0, horizon, dparams, times)
-        tr_dual = record_run(plan, run_streams(5, 0), times)
+        tr_dual = record_run(plan, run_streams(5, 0))
         assert len(tr_gossip.states) == len(tr_dual.states) == len(times) > 0
         for (tg, xg, zg), (td, yd, zd) in zip(tr_gossip.states, tr_dual.states):
             assert tg == td

@@ -39,6 +39,18 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_checkpoint_protocol_stays_in_trace():
+    # the event loop and the group cap are trace's: an engine module hands
+    # trace a plan, so no other module names either
+    named = [
+        f"{path.relative_to(SRC)} {name}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "trace.py"
+        for name in ("run_events", "GROUP_FLOATS")
+        if re.search(rf"\b{name}\b", path.read_text())
+    ]
+    assert not named, named
+
+
 def test_readme_layout_names_exist():
     # each Python name quoted in README's "Library layout" (dotted parts
     # separately, call arguments stripped) must be a word of the source

@@ -13,25 +13,28 @@ from continuized.problems import NoiseModel, make_quadratic
 from continuized.schedules import EventClock, ParamSchedule
 from continuized.seeding import RunStreams, run_streams
 from continuized.trace import GROUP_FLOATS, Plan, Snapshot, checkpoint_grid, record_run, run_block
-from continuized.trace import run_events as event_loop
 from oracles import event_times
 
 
-def run_events(times, horizon, grid, capture, advance, finish):
-    """One run of the fake engine through ``trace.run_events``, as a
-    ``Trace``: the grid is checked before the run starts, as a plan checks
-    it, and ``finish(grid)`` measures the captures after the last event,
-    as the finisher of a group of one."""
-    stops = np.append(checkpoint_grid(grid, horizon), horizon)
+def run_events(times, horizon, grid, advance, finish):
+    """One run of the fake engine through ``record_run``, as a ``Trace``:
+    its live state is the float pair ([events applied so far], [0.0]) and
+    one clock, ``advance(a, b)`` is told of each stretch of events it
+    applies, the grid is checked before the run starts, as a plan checks
+    it, and ``finish(xs, zs, clocks)`` measures the (1, C, ...) stacks of
+    its captures after the last event."""
+    grid = checkpoint_grid(grid, horizon)
 
-    def group(size):
-        def finish_group():
-            xs, zs, values = finish(stops[:-1].tolist())
-            return [xs], [zs], {name: np.array([column]) for name, column in values.items()}
+    def start(rng):
+        applied = [0.0]
 
-        return lambda rng: event_loop(times, stops, capture, advance), finish_group
+        def step(a, b):
+            advance(a, b)
+            applied[0] += b - a
 
-    return record_run(Plan(len(grid), group), None, grid)
+        return times, step, [applied, [0.0]], [0.0]
+
+    return record_run(Plan(grid, horizon, start, finish), None)
 
 
 # Half-integer times on a short range, so that checkpoints often fall exactly
@@ -67,23 +70,21 @@ def per_event_log(times, horizon, grid):
 def _record(times, horizon, grid):
     """Run a fake engine whose state is the number of events applied so
     far; return the trace, the log of applied events and captures, and the
-    (a, b) stretches passed to ``advance``."""
-    log, stretches = [], []
-    captured = [None] * len(grid)
+    (a, b) stretches passed to ``advance``.  A capture enters the log after
+    the events its captured state counts."""
+    stretches = []
 
     def advance(a, b):
         stretches.append((a, b))
-        log.extend(("event", k) for k in range(a, b))
 
-    def capture(i):
-        log.append(("capture", i))
-        captured[i] = sum(entry[0] == "event" for entry in log)
+    def finish(xs, zs, clocks):
+        return xs[..., 0], zs, {"events": xs[..., 0]}
 
-    def finish(grid):
-        counts = np.array(captured, dtype=float)
-        return counts, [None] * len(grid), {"events": counts}
-
-    return run_events(times, horizon, grid, capture, advance, finish), log, stretches
+    trace = run_events(times, horizon, grid, advance, finish)
+    events = [(k, 1, ("event", k)) for a, b in stretches for k in range(a, b)]
+    captures = [(int(n), 0, ("capture", i)) for i, n in enumerate(trace.values.get("events", []))]
+    log = [entry for *_, entry in sorted(events + captures)]
+    return trace, log, stretches
 
 
 @settings(deadline=None)
@@ -99,7 +100,7 @@ def test_checkpoint_rule(case):
     assert [a for a, _ in stretches] == [0, *(b for _, b in stretches)][:len(stretches)]
     assert trace.events == len(inside)
     # one snapshot per checkpoint, and at an event's time the post-jump state
-    assert trace.states == [Snapshot(t, sum(te <= t for te in times), None) for t in grid]
+    assert trace.states == [Snapshot(t, sum(te <= t for te in times), 0.0) for t in grid]
     assert trace.values.get("events", []) == [s.x for s in trace.states]
 
 
@@ -141,31 +142,27 @@ def test_loop_edge_cases(case):
 
 def _index_plan(floats_per_run, failing_group=None):
     """A plan whose run on the streams i applies i events and measures i at
-    two checkpoints, with the log of its group sizes; the finisher of the
-    ``failing_group``-th group raises."""
-    sizes = []
+    two checkpoints, with the log of its group sizes; its state is two
+    lists of floats_per_run / 4 floats and no clocks, and the finisher of
+    the ``failing_group``-th group raises."""
+    sizes, started = [], []
 
-    def group(size):
-        sizes.append(size)
-        members = []
+    def start(i):
+        started.append(i)
+        return [1.0] * i, lambda a, b: None, [[0.0] * (floats_per_run // 4)] * 2, []
 
-        def run(i):
-            members.append(i)
-            return i
+    def finish(xs, zs, clocks):
+        sizes.append(len(xs))
+        if len(sizes) == failing_group:
+            raise ValueError("boom")
+        rows = np.repeat(np.array(started[-len(xs):], dtype=float)[:, None], 2, axis=1)
+        return xs, zs, {"index": rows}
 
-        def finish():
-            if len(sizes) == failing_group:
-                raise ValueError("boom")
-            rows = np.repeat(np.array(members, dtype=float)[:, None], 2, axis=1)
-            return rows, rows, {"index": rows}
-
-        return run, finish
-
-    return Plan(floats_per_run, group), sizes
+    return Plan(np.array([1.5, 2.0]), 2.0, start, finish), sizes
 
 
 @pytest.mark.parametrize("floats_per_run, sizes", [
-    (GROUP_FLOATS, [1] * 5), (GROUP_FLOATS // 2, [2, 2, 1]), (1, [5]), (0, [5]),
+    (GROUP_FLOATS, [1] * 5), (GROUP_FLOATS // 2, [2, 2, 1]), (4, [5]), (0, [5]),
 ])
 def test_run_block_groups_runs_up_to_the_float_cap(floats_per_run, sizes):
     plan, logged = _index_plan(floats_per_run)
@@ -173,6 +170,71 @@ def test_run_block_groups_runs_up_to_the_float_cap(floats_per_run, sizes):
     assert logged == sizes
     assert events.tolist() == list(range(3, 8))
     assert values["index"].tolist() == [[i, i] for i in range(3, 8)]
+
+
+def _state_plan(arrays, k=1000):
+    """A plan whose run i, at event c (time c + 1, a checkpoint), sets x, z
+    and its two clocks to ``_state_values(i, c, k)``, kept as two float
+    lists or as one (2, k) array; its finisher measures x[0] and keeps a
+    copy of the stacks it is handed.  A run captures 3 (2k + 2) floats, so
+    five runs at k = 1000 go in groups of 2, 2 and 1."""
+    handed = []
+
+    def start(i):
+        pair = np.zeros((2, k)) if arrays else [[0.0] * k, [0.0] * k]
+        clocks = [0.0, 0.0]
+
+        def advance(a, b):
+            for c in range(a, b):
+                values = _state_values(i, c, k)
+                for row, part in zip(pair, (values[:k], values[k:2 * k])):
+                    row[:] = part if arrays else part.tolist()
+                clocks[:] = values[2 * k:].tolist()
+
+        return [1.0, 2.0, 3.0], advance, pair, clocks
+
+    def finish(xs, zs, clocks):
+        handed.append((xs.copy(), zs.copy(), clocks.copy()))
+        return xs, zs, {"x0": xs[..., 0]}
+
+    return Plan(np.array([1.0, 2.0, 3.0]), 3.0, start, finish), handed
+
+
+def _state_values(i, c, k):
+    values = np.random.default_rng([i, c]).standard_normal(2 * k + 2)
+    values[[0, 1, 2, k, 2 * k]] = -0.0, 5e-324, 1e300, -0.0, 5e-324
+    return values
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_float_lists_and_arrays_capture_the_same_stacks():
+    # the two capture forms hand the finisher the same (R, C, ...) stacks,
+    # -0.0, subnormals and 1e300 included, in groups split at GROUP_FLOATS;
+    # a run recorded alone equals its row of the block
+    handed = {}
+    for arrays in (False, True):
+        plan, handed[arrays] = _state_plan(arrays)
+        values, events = run_block(plan, range(5), lambda i: i)
+        assert events.tolist() == [3] * 5
+        assert [len(xs) for xs, _, _ in handed[arrays]] == [2, 2, 1]
+        for i in range(5):
+            trace = record_run(plan, i)
+            row = values["x0"][i]
+            assert _same_bits(np.array(trace.values["x0"]), row)
+            assert all(_same_bits(s.x, handed[arrays][-1][0][0, c])
+                       for c, s in enumerate(trace.states))
+    for floats, array in zip(handed[False], handed[True]):
+        assert all(_same_bits(a, b) for a, b in zip(floats, array))
+    xs, zs, clocks = (np.concatenate(stack) for stack in zip(*handed[True][:3]))
+    k = xs.shape[-1]
+    for i in range(5):
+        for c in range(3):
+            want = _state_values(i, c, k)
+            assert _same_bits(xs[i, c], want[:k]) and _same_bits(zs[i, c], want[k:2 * k])
+            assert _same_bits(clocks[i, c], want[2 * k:])
 
 
 def test_failing_finisher_is_named_by_its_group():
@@ -189,14 +251,14 @@ def _never(*args):
 @pytest.mark.parametrize("grid", [[5.0, 50.0], [0.0, 5.0], [-1.0]])
 def test_checkpoint_outside_horizon_rejected(grid):
     with pytest.raises(ValueError, match=r"outside \(0, horizon = 10\.0\]"):
-        run_events([1.0, 2.0], 10.0, grid, _never, _never, _never)
+        run_events([1.0, 2.0], 10.0, grid, _never, _never)
 
 
 @pytest.mark.parametrize("grid", [[5.0, 2.0], [2.0, 2.0], [1.0, 3.0, 3.0, 4.0]])
 def test_non_increasing_grid_rejected(grid):
     # values follow the caller's grid, so an unsorted or repeated time is an error
     with pytest.raises(ValueError, match="not strictly increasing"):
-        run_events([1.0, 2.0], 10.0, grid, _never, _never, _never)
+        run_events([1.0, 2.0], 10.0, grid, _never, _never)
 
 
 @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 3.0, 2.0, 4.0], [1.0, float("nan")],
@@ -205,7 +267,7 @@ def test_descending_event_times_rejected(times):
     # the loop finds each checkpoint's events by bisection, so the stream must
     # be ordered, beyond the horizon too
     with pytest.raises(ValueError, match="not in non-decreasing order"):
-        run_events(times, 10.0, [5.0], _never, _never, _never)
+        run_events(times, 10.0, [5.0], _never, _never)
 
 
 def _source(name):
@@ -295,4 +357,4 @@ def test_gossip_sampler_rejects_the_horizon_before_drawing(horizon):
 
 def test_grid_faults_reported_together():
     with pytest.raises(ValueError, match="not strictly increasing; .* lie outside"):
-        run_events([1.0, 2.0], 10.0, [5.0, 5.0, 20.0], _never, _never, _never)
+        run_events([1.0, 2.0], 10.0, [5.0, 5.0, 20.0], _never, _never)
