@@ -32,6 +32,10 @@ from .trace import Plan, Trace, check_horizon, checkpoint_grid, record_run
 Array = np.ndarray
 
 
+# The gossip algorithms ``GossipParams.from_cache`` builds.
+GOSSIP_ALGOS = ("accelerated", "naive")
+
+
 @dataclass(frozen=True)
 class GossipParams:
     """Mixing rate and z-step of the pairwise update; both are 0 for naive

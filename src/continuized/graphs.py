@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-Array = np.ndarray
+from .problems import _EIG_REL_TOL
 
-_EIG_REL_TOL = 1e-12
+Array = np.ndarray
 
 
 class GraphError(ValueError):
@@ -92,27 +92,32 @@ def pick_edges(graph: Graph, u: Array) -> Array:
     return picks
 
 
-def _validate(node_count: int, edges, probs) -> Graph:
-    if node_count < 2:
-        raise GraphError("graphs need at least 2 nodes")
-    normalized = []
-    seen = set()
-    for v, w in edges:
+def _validate(node_count: int, edges, probs=None) -> Graph:
+    """The graph of ``edges`` with weights ``probs`` (default uniform),
+    normalized; one GraphError names every self-loop, edge outside the node
+    range, duplicate edge and bad weight, and a graph of fewer than 2 nodes
+    without such faults is refused."""
+    normalized = [(min(v, w), max(v, w)) for v, w in edges]
+    faults, seen = [], set()
+    for (v, w), e in zip(edges, normalized):
         if v == w:
-            raise GraphError(f"self-loop at node {v}")
-        if not (0 <= v < node_count and 0 <= w < node_count):
-            raise GraphError(f"edge ({v}, {w}) leaves the node range")
-        e = (min(v, w), max(v, w))
-        if e in seen:
-            raise GraphError(f"duplicate edge {e}")
+            faults.append(f"self-loop at node {v}")
+        elif not (0 <= e[0] and e[1] < node_count):
+            faults.append(f"edge ({v}, {w}) leaves the node range")
+        elif e in seen:
+            faults.append(f"duplicate edge {e}")
         seen.add(e)
-        normalized.append(e)
-    probs = np.asarray(probs, dtype=float).copy()
-    if probs.shape != (len(normalized),):
+    if node_count < 2 and not faults:
+        raise GraphError("graphs need at least 2 nodes")
+    probs = np.full(len(edges), 1.0 / len(edges)) if probs is None else \
+        np.asarray(probs, dtype=float).copy()
+    if probs.shape != (len(edges),):
         raise GraphError("need exactly one weight per edge")
     bad = [normalized[i] for i in np.flatnonzero(~(np.isfinite(probs) & (probs > 0)))]
     if bad:
-        raise GraphError(f"edge weights must be finite and > 0; edges {bad} are not")
+        faults.append(f"edge weights must be finite and > 0; edges {bad} are not")
+    if faults:
+        raise GraphError("; ".join(faults))
     with np.errstate(over="ignore"):
         total = probs.sum()
     if not np.isfinite(total):  # weights near the float maximum
@@ -149,17 +154,13 @@ def _validate(node_count: int, edges, probs) -> Graph:
 
 def line_graph(m: int) -> Graph:
     """Path on m nodes, uniform edge probabilities."""
-    if m < 2:
-        raise GraphError("graphs need at least 2 nodes")
-    edges = [(i, i + 1) for i in range(m - 1)]
-    return _validate(m, edges, np.full(len(edges), 1.0 / len(edges)))
+    return _validate(m, [(i, i + 1) for i in range(m - 1)])
 
 
 def cycle_graph(m: int) -> Graph:
     if m < 3:
         raise GraphError("cycles need at least 3 nodes")
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    return _validate(m, edges, np.full(m, 1.0 / m))
+    return _validate(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -174,50 +175,49 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return _validate(rows * cols, edges, np.full(len(edges), 1.0 / len(edges)))
+    return _validate(rows * cols, edges)
 
 
 def complete_graph(m: int) -> Graph:
-    if m < 2:
-        raise GraphError("graphs need at least 2 nodes")
-    edges = [(v, w) for v in range(m) for w in range(v + 1, m)]
-    return _validate(m, edges, np.full(len(edges), 1.0 / len(edges)))
+    return _validate(m, [(v, w) for v in range(m) for w in range(v + 1, m)])
 
 
 def edge_list_graph(edges, weights=None) -> Graph:
     """Graph on nodes 0..max index from explicit edges; weights (default
     uniform) are normalized."""
     edges = [(int(v), int(w)) for v, w in edges]
-    if weights is None:
-        weights = np.full(len(edges), 1.0 / len(edges))
     return _validate(1 + max(max(v, w) for v, w in edges), edges, weights)
 
 
 def parse_edge_lines(text: str) -> Graph:
-    """Parse an explicit weighted edge list, one ``v w p`` triple per line."""
-    edges, weights = [], []
+    """Parse an explicit weighted edge list, one ``v w p`` triple per line;
+    one GraphError names every line that is not one."""
+    edges, weights, faults = [], [], []
     for line in text.strip().splitlines():
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphError(f"expected 'v w p', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-        weights.append(float(parts[2]))
+        try:
+            v, w, p = line.split()
+            edges.append((int(v), int(w)))
+            weights.append(float(p))
+        except ValueError:
+            faults.append(f"expected 'v w p', got {line!r}")
+    if faults:
+        raise GraphError("; ".join(faults))
     if not edges:
         raise GraphError("empty edge list")
     return edge_list_graph(edges, np.array(weights))
 
 
-TOPOLOGY_FIELDS = {
-    "line": ("nodes",),
-    "cycle": ("nodes",),
-    "grid": ("rows", "cols"),
-    "complete": ("nodes",),
-    "edge_list": ("edges",),
+# Each topology: its builder, the [graph] fields it reads (its arguments, in
+# order) and the least value of its size fields, or None when its one field
+# is the text of an edge list.
+TOPOLOGIES = {
+    "line": (line_graph, ("nodes",), 2),
+    "cycle": (cycle_graph, ("nodes",), 3),
+    "grid": (grid_graph, ("rows", "cols"), 1),
+    "complete": (complete_graph, ("nodes",), 2),
+    "edge_list": (parse_edge_lines, ("edges",), None),
 }
-
-
-# The least value of the size fields (nodes, or rows and cols) of each topology.
-_LEAST_SIZE = {"line": 2, "cycle": 3, "grid": 1, "complete": 2}
+TOPOLOGY_FIELDS = {name: keys for name, (_, keys, _) in TOPOLOGIES.items()}
 
 
 def _size(value, least: int) -> int | None:
@@ -233,28 +233,22 @@ def build_graph(topology: str, **kwargs) -> Graph:
     """Dispatch on a topology keyword (harness entry point); fields other
     than the topology's own are ignored.  Before anything is built, one
     GraphError names every size field that is not an integer large enough."""
-    if topology not in TOPOLOGY_FIELDS:
+    if topology not in TOPOLOGIES:
         raise GraphError(f"unknown topology {topology!r}")
-    missing = [key for key in TOPOLOGY_FIELDS[topology] if key not in kwargs]
+    build, keys, least = TOPOLOGIES[topology]
+    missing = [key for key in keys if key not in kwargs]
     if missing:
         raise GraphError(f"topology {topology} needs " + " and ".join(map(repr, missing)))
-    if topology == "edge_list":
-        return parse_edge_lines(kwargs["edges"])
-    least = _LEAST_SIZE[topology]
-    sizes = {key: _size(kwargs[key], least) for key in TOPOLOGY_FIELDS[topology]}
+    if least is None:
+        return build(*(kwargs[key] for key in keys))
+    sizes = [_size(kwargs[key], least) for key in keys]
     faults = [
         f"{key} must be an integer >= {least}, got {kwargs[key]!r}"
-        for key, size in sizes.items() if size is None
+        for key, size in zip(keys, sizes) if size is None
     ]
     if faults:
         raise GraphError("; ".join(faults))
-    if topology == "line":
-        return line_graph(sizes["nodes"])
-    if topology == "cycle":
-        return cycle_graph(sizes["nodes"])
-    if topology == "grid":
-        return grid_graph(sizes["rows"], sizes["cols"])
-    return complete_graph(sizes["nodes"])
+    return build(*sizes)
 
 
 @dataclass(frozen=True)

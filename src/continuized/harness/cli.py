@@ -17,15 +17,17 @@ import os
 import sys
 from dataclasses import replace
 
-from ..graphs import GraphError, gossip_rates
+from ..graphs import TOPOLOGIES, GraphError, gossip_rates
 from .config import ConfigError, ExperimentSpec, override_fields, parse_config, spec_from_sections
 from .csvio import emit_csv, render_csv
 from .presets import get_preset, preset_names
 from .runner import run_experiment
 
 SEED_ENV_VAR = "CONTINUIZED_SEED"
-# graph-info's flags, read as the [graph] keys of the same name
-GRAPH_KEYS = ("topology", "nodes", "rows", "cols")
+# graph-info's flags, read as the [graph] keys of the same name: the
+# topology and the size fields of the sized topologies
+GRAPH_KEYS = ("topology", *dict.fromkeys(
+    key for _, keys, least in TOPOLOGIES.values() if least for key in keys))
 
 
 class _UsageError(Exception):

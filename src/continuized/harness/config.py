@@ -26,8 +26,10 @@ import numpy as np
 
 from ..dual import check_curvatures
 from ..dynamics import check_gd_step, check_nesterov_variant
+from ..gossip import GOSSIP_ALGOS
 from ..graphs import TOPOLOGY_FIELDS, Graph, build_graph
 from ..problems import (
+    NOISE_FIELDS,
     PROBLEM_FIELDS,
     ConvexProblem,
     NoiseModel,
@@ -38,14 +40,12 @@ from ..problems import (
     parse_floats,
     problem_from_section,
 )
-from ..schedules import EventClock, ParamSchedule
+from ..schedules import CLOCKS, EventClock, ParamSchedule
 from ..trace import check_horizon, checkpoint_grid
 
-# The [algo] keys each clock of the continuized method reads.
-CLOCK_KEYS = {"exponential": ("rate",), "geometric": ("p", "tick")}
 # The [algo] keys each method reads, besides method and x0.
 METHOD_KEYS = {
-    "continuized": ("schedule", "clock", *sum(CLOCK_KEYS.values(), ())),
+    "continuized": ("schedule", "clock", *(k for _, keys in CLOCKS.values() for k in keys)),
     "nesterov": ("variant", "iters"),
     "gd": ("step", "iters"),
 }
@@ -138,10 +138,10 @@ SECTIONS = {
         "graph-info": ("kind",), "preset": ("preset", *OVERRIDES),
     }),
     "problem": ("kind", "", PROBLEM_FIELDS),
-    "noise": ("kind", "none", {"none": (), "additive": ("sigma2",), "multiplicative": ()}),
+    "noise": ("kind", "none", NOISE_FIELDS),
     "algo": ("method", "continuized", {m: ("x0", *keys) for m, keys in METHOD_KEYS.items()}),
     "graph": ("topology", "", TOPOLOGY_FIELDS),
-    "gossip": ("algo", "accelerated", dict.fromkeys(("accelerated", "naive"), ("init",))),
+    "gossip": ("algo", "accelerated", dict.fromkeys(GOSSIP_ALGOS, ("init",))),
     "decentralized": (None, None, {None: tuple(_DECENTRALIZED_FIELDS)}),
 }
 # For each [experiment] variant: the sections it requires and those it may add.
@@ -307,15 +307,6 @@ def override_fields(given: dict[str, tuple[str, object]], errors: list[str]) -> 
     return fields
 
 
-def _clock(kind: str, read) -> EventClock:
-    """The ``kind`` clock, its keys parsed by ``read(key, parse, default)``."""
-    if kind == "exponential":
-        return EventClock.exponential(read("rate", parse_float, 1.0))
-    if kind == "geometric":
-        return EventClock.geometric(read("p", parse_float, 0.01), read("tick", parse_float, 0.01))
-    raise ValueError(f"unknown clock {kind!r}")
-
-
 def _initial_x(problem: ConvexProblem, text: str) -> np.ndarray:
     if text == "optimum":
         return problem.optimum
@@ -343,12 +334,16 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     iters = read("iters", int)
     if iters is not None and iters < 1:
         errors.append("[algo] iters must be >= 1")
-    clock_kind = section.get("clock", "exponential")
-    if clock_kind in CLOCK_KEYS:  # an unknown clock is named when it is built
+    clock_kind, clock = section.get("clock", "exponential"), None
+    if clock_kind in CLOCKS:
+        build, defaults = CLOCKS[clock_kind]
         errors += [f"[algo] key '{k}' does not apply to clock {clock_kind}"
-                   for keys in CLOCK_KEYS.values() for k in keys
-                   if k in section and k not in CLOCK_KEYS[clock_kind]]
-    clock = _attempt(errors, "[algo]", _clock, clock_kind, read)
+                   for _, keys in CLOCKS.values() for k in keys
+                   if k in section and k not in defaults]
+        args = [read(key, parse_float, default) for key, default in defaults.items()]
+        clock = _attempt(errors, "[algo]", build, *args)
+    else:
+        errors.append(f"[algo] unknown clock {clock_kind!r}")
     if problem is None:
         if errors:
             raise ConfigError(errors)
@@ -517,7 +512,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
         if kind == "gossip":
             gsec = sections.get("gossip", {})
             spec.gossip_algo = gsec.get("algo", "accelerated")
-            if spec.gossip_algo not in ("naive", "accelerated"):
+            if spec.gossip_algo not in GOSSIP_ALGOS:
                 errors.append(f"[gossip] unknown algo {spec.gossip_algo!r}")
             if gsec.get("init", "spike") != "spike":
                 spec.gossip_init = _read(errors, "gossip", gsec, "init", parse_floats)

@@ -131,10 +131,8 @@ class NoiseModel:
     kind: str
     sigma2: float = 0.0
 
-    _KINDS = ("none", "additive", "multiplicative")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in NOISE_FIELDS:
             raise InvalidProblemError(f"unknown noise kind {self.kind!r}")
         if self.sigma2 < 0:
             raise InvalidProblemError("sigma2 must be >= 0")
@@ -366,7 +364,9 @@ def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
     return problem
 
 
+# The problem and noise kinds, and the [problem] or [noise] keys each reads.
 PROBLEM_FIELDS = {"quadratic": ("diag", "center"), "least_squares": ("optimum", "samples")}
+NOISE_FIELDS = {"none": (), "additive": ("sigma2",), "multiplicative": ()}
 
 
 def problem_from_section(section) -> ConvexProblem:

@@ -200,6 +200,14 @@ class EventClock:
         return cls("geometric", p=p, tick=tick)
 
 
+# Each clock kind: its constructor and the [algo] keys it reads, in the
+# constructor's argument order, with their defaults.
+CLOCKS = {
+    "exponential": (EventClock.exponential, {"rate": 1.0}),
+    "geometric": (EventClock.geometric, {"p": 0.01, "tick": 0.01}),
+}
+
+
 def sample_interarrival(clock: EventClock, u: float) -> float:
     """The clock's waiting time at the uniform draw ``u`` in [0, 1).
 

@@ -87,6 +87,11 @@ class TestGraphInfo:
         assert main(["graph-info", *(arg.format(cfg=path) for arg in argv)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
 
+    def test_config_without_graph(self, cfg_file, capsys):
+        # an optimize config parses, but holds no graph to describe
+        assert main(["graph-info", "--config", cfg_file(OPTIMIZE_CFG)]) == 1
+        assert capsys.readouterr().err == "error: config has no [graph] section\n"
+
 
 class TestExitCodes:
     def test_unknown_subcommand_usage(self, capsys):
@@ -341,6 +346,83 @@ def test_invalid_input_exits_1_listing_every_violation(cfg_file, capsys, text, e
     for violation in expected:
         assert any(line.startswith("error: ") and violation in line for line in lines), (
             violation, err)
+
+
+LEAST_SQUARES = """
+[experiment]
+kind = optimize
+horizon = 10
+
+[problem]
+kind = least_squares
+optimum = {optimum}
+samples =
+    {samples}
+"""
+
+
+def _edges(kind, *lines):
+    """The LINE2 config of ``kind`` on an edge list of ``lines``."""
+    edges = "".join(f"\n    {line}" for line in lines)
+    return LINE2.format(kind=kind).replace(
+        "topology = line\nnodes = 2", f"topology = edge_list\nedges ={edges}")
+
+
+# Configs that each refusal rejects: (id, subcommand, config text, the error
+# lines the CLI prints, all of them).
+REFUSALS = [
+    ("unknown-kind", "optimize", QUADRATIC_2D.replace("kind = optimize", "kind = bogus"),
+     ["[experiment] kind must be one of optimize, gossip, decentralized, graph-info, "
+      "got 'bogus'"]),
+    ("unknown-section", "optimize", QUADRATIC_2D + "[extra]\nkey = 1\n",
+     ["unknown section [extra]"]),
+    ("missing-horizon", "optimize", QUADRATIC_2D.replace("horizon = 10\n", ""),
+     ["[experiment] missing required field 'horizon'"]),
+    ("unknown-method", "optimize", QUADRATIC_2D + "[algo]\nmethod = bogus\n",
+     ["[algo] unknown method 'bogus'"]),
+    ("unknown-gossip-algo", "gossip", LINE2.format(kind="gossip") + "[gossip]\nalgo = bogus\n",
+     ["[gossip] unknown algo 'bogus'"]),
+    ("gossip-init-length", "gossip", LINE2.format(kind="gossip") + "[gossip]\ninit = 1 2 3\n",
+     ["[gossip] init length must equal the node count"]),
+    ("unknown-noise-kind", "optimize", QUADRATIC_2D + "[noise]\nkind = bogus\n",
+     ["[noise] unknown noise kind 'bogus'"]),
+    ("curvatures-and-center", "optimize", QUADRATIC_2D.replace("center = 1 1", "center = 1"),
+     ["[problem] curvatures and center disagree: (2,) vs (1,)"]),
+    ("problem-missing-field", "optimize", QUADRATIC_2D.replace("center = 1 1\n", ""),
+     ["[problem] quadratic needs 'center'"]),
+    ("zero-hessian", "optimize", LEAST_SQUARES.format(optimum="1 1", samples="0 0 | 0"),
+     ["[problem] Hessian has no positive eigenvalue"]),
+    ("optimum-shape", "optimize", LEAST_SQUARES.format(optimum="1 1 1", samples="1 0 | 1"),
+     ["[problem] optimum has shape (3,), atoms have dimension 2"]),
+    ("sample-weight", "optimize",
+     LEAST_SQUARES.format(optimum="1 1", samples="1 0 | 1 | -1\n    0 1 | 1 | 1"),
+     ["[problem] weights must be positive, one per sample"]),
+    ("sample-line", "optimize", LEAST_SQUARES.format(optimum="1 1", samples="1 0"),
+     ["[problem] bad sample line: '1 0'"]),
+    ("edge-out-of-range", "gossip", _edges("gossip", "0 1 1", "1 -2 1"),
+     ["[graph] edge (1, -2) leaves the node range"]),
+    ("empty-edge-list", "gossip", _edges("gossip"), ["[graph] empty edge list"]),
+    # an edge list names all its faults at once, checked before the node count
+    ("every-edge-fault", "gossip",
+     _edges("gossip", "0 0 1.0", "1 2 1.0", "2 1 1.0", "3 -4 1.0", "5 6 -1"),
+     ["[graph] self-loop at node 0; duplicate edge (1, 2); edge (3, -4) leaves the node "
+      "range; edge weights must be finite and > 0; edges [(5, 6)] are not"]),
+    ("lone-self-loop", "gossip", _edges("gossip", "0 0 1.0"), ["[graph] self-loop at node 0"]),
+    # a line that is no 'v w p' triple is named whole, never by Python's own words
+    ("edge-node-text", "gossip", _edges("gossip", "x 2 1.0"),
+     ["[graph] expected 'v w p', got 'x 2 1.0'"]),
+    ("edge-weight-text", "decentralized",
+     _edges("decentralized", "0 1 1.0", "1 2 abc") + "[decentralized]\nmu = 1\nsmoothness = 2\n",
+     ["[graph] expected 'v w p', got '1 2 abc'"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, expected", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS]
+)
+def test_refused_config_exits_1_printing_its_violations(cfg_file, capsys, command, text, expected):
+    assert main([command, "--config", cfg_file(text), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
 
 
 # Command lines with several faults, their environment and how many faults

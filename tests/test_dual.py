@@ -181,6 +181,13 @@ class TestRunDecentralized:
         with pytest.raises(ValueError, match=r"local functions mix dimensions \[1, 2\]"):
             run_decentralized(g, fns, 1.0, 1.0, 1.0, run_streams(0, 0), checkpoints=[1.0])
 
+    def test_local_function_count_must_match_nodes(self):
+        g = line_graph(3)
+        fns = [LocalFunction(1.0, 0.0), LocalFunction(1.0, 1.0)]
+        params = DualParams.from_graph(g, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^need one local function per node$"):
+            decentralized_plan(g, fns, 1.0, 1.0, 1.0, params, [1.0])
+
     def test_curvature_outside_bounds_rejected(self):
         g = line_graph(2)
         fns = [LocalFunction(5.0, np.zeros(1)), LocalFunction(1.0, np.zeros(1))]

@@ -607,6 +607,13 @@ class TestLyapunov:
         want = 0.5 * c.a_t * float(x @ x) + 0.5 * c.b_t * float(z @ p.hessian_pinv @ z)
         assert lyapunov_value(s, c, p) == pytest.approx(want)
 
+    def test_multiplicative_certificate_needs_least_squares(self):
+        p = sc_problem()
+        coeffs = lyapunov_coeffs(ParamSchedule.multiplicative_convex(1.0, 1.0), 1.0)
+        s = Snapshot(1.0, np.zeros(3), np.zeros(3))
+        with pytest.raises(TypeError, match="multiplicative certificate needs a least-squares"):
+            lyapunov_value(s, coeffs, p)
+
     def test_trace_records_lyapunov_value(self):
         # the values the run loop records agree with the public certificate
         # of the last event state before the checkpoint, mixed forward to it

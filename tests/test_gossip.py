@@ -163,6 +163,12 @@ class TestSteps:
         assert x[0] == pytest.approx(0.0, abs=1e-12)
         assert z[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_lazy_mix_refuses_a_node_past_the_time(self):
+        x, z, clocks = [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]
+        with pytest.raises(ValueError, match=r"^node 0 already past t = 1\.0$"):
+            lazy_mix_node(x, z, clocks, 0, 1.0, 1.0)
+        assert (x, z, clocks) == ([1.0, 0.0], [-1.0, 0.0], [2.0, 0.0])
+
     def test_lazy_mix_zero_rate_keeps_pair_bits(self):
         # naive gossip never mixes: contracting by exp(0) = 1 anyway would
         # turn x = -0.01 into -0.010000000000000002 here

@@ -7,6 +7,7 @@ import pytest
 from continuized.graphs import (
     DisconnectedGraphError,
     GraphError,
+    SpectralCache,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -72,6 +73,49 @@ class TestConstruction:
     def test_rejects_tiny(self):
         with pytest.raises(GraphError):
             line_graph(1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cycle_graph(2), "cycles need at least 3 nodes"),
+        (lambda: grid_graph(1, 1), "grid needs at least 2 nodes"),
+        (lambda: complete_graph(1), "graphs need at least 2 nodes"),
+        (lambda: edge_list_graph([(0, 1), (1, 2)], weights=[1.0]),
+         "need exactly one weight per edge"),
+        (lambda: parse_edge_lines(" \n"), "empty edge list"),
+    ], ids=["cycle", "grid", "complete", "weight-count", "empty-edge-list"])
+    def test_refusals_name_their_rule(self, build, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 0)], "self-loop at node 0"),
+        ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        ([(0, 1), (1, -2)], "edge (1, -2) leaves the node range"),
+    ], ids=["self-loop", "duplicate", "out-of-range"])
+    def test_single_edge_fault_keeps_its_message(self, edges, message):
+        # a lone self-loop is named, not refused by the node-count rule
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            edge_list_graph(edges)
+
+    def test_names_every_edge_fault(self):
+        edges = [(0, 0), (1, 2), (2, 1), (3, -4), (5, 6)]
+        with pytest.raises(GraphError) as caught:
+            edge_list_graph(edges, weights=[1.0, 1.0, 1.0, 1.0, -1.0])
+        assert str(caught.value) == (
+            "self-loop at node 0; duplicate edge (1, 2); edge (3, -4) leaves the node range; "
+            "edge weights must be finite and > 0; edges [(5, 6)] are not")
+
+    @pytest.mark.parametrize("line", ["x 2 1.0", "1 2 abc", "1 2", "1 2 3 4"])
+    def test_parse_edge_lines_names_the_bad_line(self, line):
+        # Python's own int() and float() messages name no line
+        with pytest.raises(GraphError) as caught:
+            parse_edge_lines(f"0 1 1.0\n{line}\n")
+        assert str(caught.value) == f"expected 'v w p', got {line!r}"
+
+    def test_parse_edge_lines_names_every_bad_line(self):
+        with pytest.raises(GraphError) as caught:
+            parse_edge_lines("x 2 1.0\n0 1 1.0\n1 2 abc")
+        assert str(caught.value) == (
+            "expected 'v w p', got 'x 2 1.0'; expected 'v w p', got '1 2 abc'")
 
     def test_build_dispatch(self):
         assert build_graph("complete", nodes=4).edge_count == 6
@@ -197,6 +241,12 @@ class TestSpectral:
 
 
 class TestRates:
+    def test_inconsistent_cache_refused(self):
+        # theta_ARG >= theta_RG / 2 holds for every graph's own spectrum
+        cache = SpectralCache(mu_gossip=1.0, r_eff=np.array([100.0]), r_max=100.0)
+        with pytest.raises(RuntimeError, match="the spectral cache is inconsistent"):
+            gossip_rates(cache)
+
     def test_complete10_rates(self):
         cache = spectral(complete_graph(10))
         theta_rg, theta_arg = gossip_rates(cache)

@@ -816,6 +816,11 @@ class TestCsv:
         np.testing.assert_allclose(series["energy"]["q05"], fresh["q05"], rtol=1e-11)
         np.testing.assert_allclose(series["energy"]["q95"], fresh["q95"], rtol=1e-11)
 
+    def test_load_missing_file_names_it(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(OSError, match=re.escape(f"no such file: {path}")):
+            load_csv(str(path))
+
     def test_load_empty_file_names_it(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

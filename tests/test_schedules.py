@@ -337,6 +337,13 @@ class TestParamScheduleRule:
         problem, expected = named[kind]
         assert ParamSchedule.for_problem(problem, kind) == expected
 
+    @pytest.mark.parametrize("kind", ["convex", "multiplicative_convex"])
+    def test_time_varying_kinds_have_no_mix_rate(self, kind):
+        problem = self.QUADRATIC if kind == "convex" else self.LEAST_SQUARES
+        schedule = ParamSchedule.for_problem(problem, kind)
+        with pytest.raises(ValueError, match="time-varying schedules have no constant mix rate"):
+            schedule.mix_rate
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("kind", KINDS)
     def test_rejects_non_positive_g_and_k(self, kind, bad):

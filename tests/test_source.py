@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from continuized import gossip, graphs, problems, schedules
 from continuized.dynamics import FLOAT_PAIR_MAX_DIM
-from continuized.harness import config, runner
+from continuized.harness import cli, config, runner
 from continuized.harness.presets import get_preset, preset_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +75,34 @@ def test_readme_config_files_names_every_key():
     missing = sorted(names - set(re.findall(r"[\w-]+", section)))
     missing += [f"[{name}]" for name in config.SECTIONS if f"[{name}]" not in section]
     assert not missing, missing
+
+
+def test_each_variant_list_has_one_owner():
+    # the parser reads the clock, noise, gossip and topology tables of the
+    # modules that build those variants, and restates none of them
+    assert config.CLOCKS is schedules.CLOCKS
+    assert config.SECTIONS["noise"][2] is problems.NOISE_FIELDS
+    assert config.GOSSIP_ALGOS is gossip.GOSSIP_ALGOS
+    assert list(config.SECTIONS["gossip"][2]) == list(gossip.GOSSIP_ALGOS)
+    assert config.SECTIONS["graph"][2] is graphs.TOPOLOGY_FIELDS
+    assert set(graphs.TOPOLOGY_FIELDS) == set(graphs.TOPOLOGIES)
+    assert set(cli.GRAPH_KEYS) == {"topology", "nodes", "rows", "cols"}
+    # build_graph dispatches through the table: it names no topology
+    tree = ast.parse((SRC / "continuized" / "graphs.py").read_text())
+    (build,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_graph"]
+    named = [node.value for node in ast.walk(build)
+             if isinstance(node, ast.Constant) and node.value in graphs.TOPOLOGIES]
+    assert not named, named
+    # the eigenvalue tolerance of every eigh is set in one module
+    owners = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_EIG_REL_TOL" for t in node.targets)
+    ]
+    assert owners == ["continuized/problems.py"]
 
 
 def test_readme_presets_table_names_every_preset():
