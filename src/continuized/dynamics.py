@@ -160,9 +160,7 @@ def mix_to_checkpoints(xs: Array, zs: Array, starts: Array, schedule: ParamSched
     else:
         rate = schedule.mix_rate
         decays = np.array([math.exp(-2.0 * rate * (until - t)) for t, until in spans])
-        decays = decays.reshape(shape)
-        mid = (xs + zs) * 0.5
-        mixed = (xs - mid) * decays + mid, (zs - mid) * decays + mid
+        mixed = midpoint_contract(xs, zs, decays.reshape(shape))
     kept = [t == until for t, until in spans]
     if any(kept):
         kept = np.reshape(kept, shape[:-1])

@@ -22,7 +22,12 @@ Array = np.ndarray
 
 
 class GraphError(ValueError):
-    """Invalid graph description."""
+    """Invalid graph description; ``violations`` lists each fault, which
+    the message joins by "; "."""
+
+    def __init__(self, *violations: str):
+        self.violations = list(violations)
+        super().__init__("; ".join(violations))
 
 
 class DisconnectedGraphError(GraphError):
@@ -117,7 +122,7 @@ def _validate(node_count: int, edges, probs=None) -> Graph:
     if bad:
         faults.append(f"edge weights must be finite and > 0; edges {bad} are not")
     if faults:
-        raise GraphError("; ".join(faults))
+        raise GraphError(*faults)
     with np.errstate(over="ignore"):
         total = probs.sum()
     if not np.isfinite(total):  # weights near the float maximum
@@ -201,7 +206,7 @@ def parse_edge_lines(text: str) -> Graph:
         except ValueError:
             faults.append(f"expected 'v w p', got {line!r}")
     if faults:
-        raise GraphError("; ".join(faults))
+        raise GraphError(*faults)
     if not edges:
         raise GraphError("empty edge list")
     return edge_list_graph(edges, np.array(weights))
@@ -247,7 +252,7 @@ def build_graph(topology: str, **kwargs) -> Graph:
         for key, size in zip(keys, sizes) if size is None
     ]
     if faults:
-        raise GraphError("; ".join(faults))
+        raise GraphError(*faults)
     return build(*sizes)
 
 

@@ -18,7 +18,8 @@ import sys
 from dataclasses import replace
 
 from ..graphs import TOPOLOGIES, GraphError, gossip_rates
-from .config import ConfigError, ExperimentSpec, override_fields, parse_config, spec_from_sections
+from .config import RUN_KINDS, ConfigError, ExperimentSpec, override_fields, parse_config
+from .config import spec_from_sections
 from .csvio import emit_csv, render_csv
 from .presets import get_preset, preset_names
 from .runner import run_experiment
@@ -51,7 +52,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="CSV output path")
         p.add_argument("--quiet", action="store_true")
 
-    for kind in ("optimize", "gossip", "decentralized"):
+    for kind in RUN_KINDS:
         add_common(sub.add_parser(kind, description=f"run a {kind} experiment"), True)
 
     info = sub.add_parser("graph-info", description="print graph spectral quantities")
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (ConfigError, GraphError) as exc:
-        for v in getattr(exc, "violations", [str(exc)]):
+        for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 2

@@ -49,6 +49,9 @@ METHOD_KEYS = {
     "nesterov": ("variant", "iters"),
     "gd": ("step", "iters"),
 }
+# The methods whose every run is one deterministic trajectory: the fixed-weight
+# baselines, which draw no noise and report every iteration.
+BASELINE_METHODS = ("nesterov", "gd")
 
 DEFAULT_RUNS = 1000
 DEFAULT_SEED = 12345
@@ -128,13 +131,15 @@ OVERRIDES = {
 }
 
 
+# The experiment kinds that run an ensemble and produce a run set.
+RUN_KINDS = ("optimize", "gossip", "decentralized")
 _RUN_KEYS = ("kind", "horizon", "checkpoints", *OVERRIDES)
 # For each section: its variant key, that key's default, and the keys each
 # variant reads besides the variant key.  The variant of [experiment] is its
 # kind, or "preset" when it names a preset; [decentralized] has one variant.
 SECTIONS = {
     "experiment": (None, None, {
-        **dict.fromkeys(("optimize", "gossip", "decentralized"), _RUN_KEYS),
+        **dict.fromkeys(RUN_KINDS, _RUN_KEYS),
         "graph-info": ("kind",), "preset": ("preset", *OVERRIDES),
     }),
     "problem": ("kind", "", PROBLEM_FIELDS),
@@ -237,7 +242,7 @@ class ExperimentSpec:
     noise: NoiseModel = field(default_factory=NoiseModel.none)
     algo: AlgoSpec | None = None
     graph: Graph | None = None
-    gossip_algo: str = "accelerated"
+    gossip_algo: str = SECTIONS["gossip"][1]
     gossip_init: np.ndarray | None = None
     decentralized: DecentralizedSpec | None = None
 
@@ -287,13 +292,14 @@ def _read(errors: list[str], name: str, section, key: str, parse, default=None):
 
 def _attempt(errors: list[str], where: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, or None after recording as violations
-    the ValueError it raises (each of a ConfigError's, unprefixed)."""
+    the ValueError it raises: each of a ConfigError's, unprefixed, and each
+    of a GraphError's after ``where``."""
     try:
         return build(*args, **kwargs)
     except ConfigError as exc:
         errors.extend(exc.violations)
-    except ValueError as exc:
-        errors.append(f"{where} {exc}")
+    except ValueError as exc:  # a GraphError lists each of its faults
+        errors += [f"{where} {v}" for v in getattr(exc, "violations", [exc])]
     return None
 
 
@@ -326,7 +332,7 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     """
     errors: list[str] = []
     read = partial(_read, errors, "algo", section)
-    method = section.get("method", "continuized")
+    method = section.get("method", SECTIONS["algo"][1])
     if method not in METHOD_KEYS:
         errors.append(f"[algo] unknown method {method!r}")
     variant = section.get("variant", "convex")
@@ -470,7 +476,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
         )
 
     checkpoints = None
-    if kind in ("optimize", "gossip", "decentralized"):
+    if kind in RUN_KINDS:
         if "horizon" not in exp:
             errors.append("[experiment] missing required field 'horizon'")
         elif horizon is not None:
@@ -488,8 +494,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
 
     if kind == "optimize":
         algo = sections.get("algo", {})
-        method = algo.get("method", "continuized")
-        if method in ("nesterov", "gd"):
+        if (method := algo.get("method", SECTIONS["algo"][1])) in BASELINE_METHODS:
             # the deterministic baselines report every iteration t = 0..iters and draw no noise
             if "checkpoints" in exp:
                 errors.append(f"[experiment] key 'checkpoints' does not apply to method {method}")
@@ -503,7 +508,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
             _attempt(errors, "[noise]", check_noise, spec.problem, spec.noise)
         spec.algo = _attempt(errors, "[algo]", resolve_algo, algo, spec.problem)
 
-    elif kind in ("gossip", "decentralized", "graph-info"):
+    elif "graph" in KINDS.get(kind, ((), ()))[0]:  # the kinds that require a graph
         if "graph" in sections:
             gfields = sections["graph"]
             topology = gfields.pop("topology", "")
@@ -511,7 +516,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
         node_count = None if spec.graph is None else spec.graph.node_count
         if kind == "gossip":
             gsec = sections.get("gossip", {})
-            spec.gossip_algo = gsec.get("algo", "accelerated")
+            spec.gossip_algo = gsec.get("algo", SECTIONS["gossip"][1])
             if spec.gossip_algo not in GOSSIP_ALGOS:
                 errors.append(f"[gossip] unknown algo {spec.gossip_algo!r}")
             if gsec.get("init", "spike") != "spike":

@@ -22,7 +22,7 @@ from ..gossip import GossipParams, gossip_plan
 from ..graphs import gossip_rates
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
 from ..trace import run_block
-from .config import ExperimentSpec
+from .config import BASELINE_METHODS, RUN_KINDS, ExperimentSpec
 
 
 @dataclass
@@ -103,10 +103,9 @@ def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray) -> RunS
     )
 
 
-def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarray]:
-    """Closed-form reference curves on the ensemble's ``grid`` for the
+def theory_bounds(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarray]:
+    """Closed-form reference curves on the ensemble's grid ``t`` for the
     metrics that have one."""
-    t = grid
     if spec.kind == "gossip" and spec.gossip_algo == "accelerated":
         _, theta_arg = gossip_rates(spec.graph.spectrum)
         x0 = spec.gossip_init
@@ -138,29 +137,28 @@ def theory_bounds(spec: ExperimentSpec, grid: np.ndarray) -> dict[str, np.ndarra
         bound = 2.0 * big_l * dist0 / t**2 + sigma2 * t / (3.0 * big_l)
         return {"gap": bound}
     if schedule.kind == "strongly_convex":
-        bound = (gap0 + 0.5 * mu * dist0) * np.exp(-math.sqrt(mu / big_l) * t)
+        bound = (gap0 + 0.5 * mu * dist0) * np.exp(-schedule.mix_rate * t)
         return {"gap": bound + sigma2 / math.sqrt(mu * big_l)}
     dist0_hinv = problem.dist_sq_hinv(x0 - problem.optimum)
     r2, kt = problem.r_squared, problem.kappa_tilde
     if schedule.kind == "multiplicative_convex":
         return {"dist_sq": 2.0 * r2 * kt * dist0_hinv / t**2}
-    rate = schedule.mix_rate
-    return {"dist_sq": (dist0 + mu * dist0_hinv) * np.exp(-rate * t)}
+    return {"dist_sq": (dist0 + mu * dist0_hinv) * np.exp(-schedule.mix_rate * t)}
 
 
 def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     """Build, once, everything the runs of ``spec`` share: the kind's plan."""
-    if spec.kind not in ("optimize", "gossip", "decentralized"):
+    if spec.kind not in RUN_KINDS:
         raise ValueError(f"experiment kind {spec.kind!r} does not produce a run set")
-    if spec.kind == "optimize" and spec.algo.method != "continuized":
+    algo = spec.algo
+    if spec.kind == "optimize" and algo.method in BASELINE_METHODS:
         # Deterministic: every run of the ensemble is the same trajectory,
         # so it is computed once and stands for each run.
-        problem, algo = spec.problem, spec.algo
         iters = round(spec.horizon) if algo.iters is None else algo.iters
         if algo.method == "nesterov":
-            trajectory = run_nesterov(problem, algo.variant, iters, x0=algo.x0)
+            trajectory = run_nesterov(spec.problem, algo.variant, iters, x0=algo.x0)
         else:
-            trajectory = run_gd(problem, algo.step, iters, x0=algo.x0)
+            trajectory = run_gd(spec.problem, algo.step, iters, x0=algo.x0)
         gap = np.array(trajectory.values["gap"])
         return ResolvedExperiment(
             lambda runs: ({"gap": np.tile(gap, (len(runs), 1))}, np.zeros(len(runs), int)),
@@ -168,7 +166,6 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         )
     grid = np.asarray(spec.checkpoints, dtype=float)
     if spec.kind == "optimize":
-        algo = spec.algo
         build = partial(continuized_plan, spec.problem, spec.noise, algo.schedule, algo.clock,
                         spec.horizon, algo.x0, grid)
     elif spec.kind == "gossip":

@@ -4,9 +4,10 @@ checkpoints of a plan's runs.
 An engine module holds its physics and hands it over as a ``Plan``: the
 grid and horizon, and for each run its event times, its ``advance`` and its
 live state (x, z and their clocks), plus a finisher.  This module alone
-runs the events (``run_events``), captures the live state at each
-checkpoint, buffers the captures of a group of runs (``GROUP_FLOATS``) and
-decodes them into the (R, C, ...) stacks that every finisher takes."""
+runs the events, in one loop per run (``_groups``), captures the live
+state at each checkpoint, buffers the captures of a group of runs
+(``GROUP_FLOATS``) and decodes them into the (R, C, ...) stacks that every
+finisher takes."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class Trace:
     each (a (C, ...) stack or a list), and one value per checkpoint for
     each metric.  So ``states[i]`` is the ``Snapshot`` at the i-th
     checkpoint and ``values[name][i]`` is metric ``name`` of ``states[i]``.
-    ``events`` is the number of events ``run_events`` applied (0 for the
+    ``events`` is the number of events the run applied (0 for the
     fixed-weight baselines, which have none).
     """
 
@@ -73,38 +74,6 @@ def checkpoint_grid(checkpoints: Sequence[float], horizon: float) -> np.ndarray:
     return grid
 
 
-def run_events(times: Sequence[float], stops: np.ndarray, capture: Callable[[int], None],
-               advance: Callable[[int, int], None]) -> int:
-    """Apply the events of one run up to the horizon, capturing its checkpoints.
-
-    ``times`` are the run's event times in non-decreasing order, possibly
-    beyond the horizon; ``stops`` is the grid (checked by
-    ``checkpoint_grid``) followed by the horizon.  ``advance(a, b)``
-    applies events a to b - 1, in order; it is called once per non-empty
-    stretch of events between two checkpoints and never reaches an event
-    past the horizon.  At the i-th point t of the grid, after every event
-    at or before t, ``capture(i)`` copies the run's live state: a
-    checkpoint at an event's time sees the post-jump state.  Returns the
-    number of events applied; ``run_block`` and ``record_run`` later hand
-    the captures of a group of runs to the plan's finisher, which
-    synchronizes them to their checkpoints and measures them in one pass.
-    """
-    stream = np.asarray(times, dtype=float)
-    if not np.all(stream[1:] >= stream[:-1]):
-        raise ValueError("event times are not in non-decreasing order")
-    # the first event after each checkpoint, then the first after the horizon
-    *ends, count = np.searchsorted(stream, stops, side="right").tolist()
-    k = 0
-    for i, end in enumerate(ends):
-        if end > k:
-            advance(k, end)
-            k = end
-        capture(i)
-    if count > k:
-        advance(k, count)
-    return count
-
-
 # Most captured floats a group of runs buffers before its finisher runs.
 # Groups amortize the finisher's numpy calls over runs, but with glibc an
 # array above 128 KiB (16 384 floats, its mmap threshold) comes from fresh
@@ -123,8 +92,8 @@ class Plan(NamedTuple):
 
     ``start(rng)`` sets up a run on the streams ``rng`` and returns
     ``(times, advance, pair, clocks)``: its event times, the
-    ``advance(a, b)`` that ``run_events`` calls, and its live state, which
-    ``advance`` updates in place.  The state is the pair x, z, either a
+    ``advance(a, b)`` that applies events a to b - 1, and its live state,
+    which ``advance`` updates in place.  The state is the pair x, z, either a
     list of two float lists or one (2, ...) array whose rows are x and z,
     and ``clocks``, a list of the times the values were last mixed to (one
     for the optimizer's pair, one per node for gossip's).
@@ -147,11 +116,15 @@ def _groups(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]):
     in ``runs``, its event counts and its finisher's (xs, zs, values), each
     metric as (R, C).
 
-    Each checkpoint of a run captures its live state: float lists extend
-    the group's one flat list, x then z then the clocks; an array pair is
-    copied as one row of the group's buffer, and its clocks extend the
-    flat list.  A run that raises is named by its index, a finisher by its
-    group's."""
+    A run's event times are in non-decreasing order, possibly beyond the
+    horizon.  Its events up to the horizon are applied in order, by one
+    ``advance(a, b)`` (events a to b - 1) per non-empty stretch between two
+    checkpoints.  At each point t of the grid, after every event at or
+    before t, the run's live state is captured: a checkpoint at an event's
+    time sees the post-jump state.  Float lists extend the group's one flat
+    list, x then z then the clocks; an array pair is copied as one row of
+    the group's buffer, and its clocks extend the flat list.  A run that
+    raises is named by its index, a finisher by its group's."""
     width, stops = len(plan.grid), np.append(plan.grid, plan.horizon)
     end = 0
     for r, i in enumerate(runs):
@@ -159,29 +132,32 @@ def _groups(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]):
             times, advance, pair, clocks = plan.start(streams(i))
             arrays = isinstance(pair, np.ndarray)
             if r == end:  # the group's first run: its state sizes the group
-                k = 0 if arrays else len(pair[0])  # floats per value list
-                listed = 2 * k + len(clocks)  # floats per capture in the flat list
+                d = 0 if arrays else len(pair[0])  # floats per value list
+                listed = 2 * d + len(clocks)  # floats per capture in the flat list
                 floats = width * (listed + (pair.size if arrays else 0))
                 first, end = r, min(len(runs), r + max(1, GROUP_FLOATS // max(floats, 1)))
                 captured, counts = [], []
                 extend = captured.extend
+                rows = np.empty((end - first, width, *pair.shape)) if arrays else None
+            times = np.asarray(times, dtype=float)
+            if not np.all(times[1:] >= times[:-1]):
+                raise ValueError("event times are not in non-decreasing order")
+            # the first event after each checkpoint, then the first after the horizon
+            *stretch_ends, count = np.searchsorted(times, stops, side="right").tolist()
+            k = 0  # the events applied so far
+            for c, stop in enumerate(stretch_ends):
+                if stop > k:
+                    advance(k, stop)
+                    k = stop
                 if arrays:
-                    rows = np.empty((end - first, width, *pair.shape))
-            if arrays:
-                row = rows[r - first]
-
-                def capture(c):
-                    row[c] = pair
-                    extend(clocks)
-            else:
-                x, z = pair
-
-                def capture(c):
-                    extend(x)
-                    extend(z)
-                    extend(clocks)
-
-            counts.append(run_events(times, stops, capture, advance))
+                    rows[r - first, c] = pair
+                else:
+                    extend(pair[0])
+                    extend(pair[1])
+                extend(clocks)
+            if count > k:
+                advance(k, count)
+            counts.append(count)
         except Exception as exc:
             raise RuntimeError(f"run {i} failed: {exc}") from exc
         times = advance = None  # the run's events go before the next run draws its own
@@ -189,7 +165,7 @@ def _groups(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]):
             continue
         flat = np.fromiter(captured, float, len(captured)).reshape(end - first, width, listed)
         stacks = (rows[:, :, 0], rows[:, :, 1], flat) if arrays else \
-            (flat[..., :k], flat[..., k:2 * k], flat[..., 2 * k:])
+            (flat[..., :d], flat[..., d:2 * d], flat[..., 2 * d:])
         try:
             xs, zs, values = plan.finish(*stacks)
         except Exception as exc:
@@ -200,7 +176,7 @@ def _groups(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]):
             name: column.reshape(end - first, width) for name, column in values.items()})
         # and the group's captures before the next group's first run draws
         captured.clear()
-        flat = stacks = rows = row = capture = xs = zs = values = None
+        flat = stacks = rows = xs = zs = values = None
 
 
 def run_block(plan: Plan, runs: Sequence[int], streams: Callable[[int], Any]

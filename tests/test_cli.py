@@ -73,7 +73,8 @@ class TestGraphInfo:
         (["--config", "{cfg}", "--topology", "grid"],
          ["graph-info takes either --config or the topology flags"]),
         (["--topology", "grid", "--rows", "x", "--cols", "0"],
-         ["[graph] rows must be an integer >= 1, got 'x'; cols must be an integer >= 1, got '0'"]),
+         ["[graph] rows must be an integer >= 1, got 'x'",
+          "[graph] cols must be an integer >= 1, got '0'"]),
         (["--topology", "complete", "--nodes", "1"],
          ["[graph] nodes must be an integer >= 2, got '1'"]),
     ], ids=["stray-flag", "stray-run-keys", "config-and-flag", "rows-and-cols", "one-node"])
@@ -405,8 +406,9 @@ REFUSALS = [
     # an edge list names all its faults at once, checked before the node count
     ("every-edge-fault", "gossip",
      _edges("gossip", "0 0 1.0", "1 2 1.0", "2 1 1.0", "3 -4 1.0", "5 6 -1"),
-     ["[graph] self-loop at node 0; duplicate edge (1, 2); edge (3, -4) leaves the node "
-      "range; edge weights must be finite and > 0; edges [(5, 6)] are not"]),
+     ["[graph] self-loop at node 0", "[graph] duplicate edge (1, 2)",
+      "[graph] edge (3, -4) leaves the node range",
+      "[graph] edge weights must be finite and > 0; edges [(5, 6)] are not"]),
     ("lone-self-loop", "gossip", _edges("gossip", "0 0 1.0"), ["[graph] self-loop at node 0"]),
     # a line that is no 'v w p' triple is named whole, never by Python's own words
     ("edge-node-text", "gossip", _edges("gossip", "x 2 1.0"),

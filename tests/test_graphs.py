@@ -103,6 +103,9 @@ class TestConstruction:
         assert str(caught.value) == (
             "self-loop at node 0; duplicate edge (1, 2); edge (3, -4) leaves the node range; "
             "edge weights must be finite and > 0; edges [(5, 6)] are not")
+        assert caught.value.violations == [
+            "self-loop at node 0", "duplicate edge (1, 2)", "edge (3, -4) leaves the node range",
+            "edge weights must be finite and > 0; edges [(5, 6)] are not"]
 
     @pytest.mark.parametrize("line", ["x 2 1.0", "1 2 abc", "1 2", "1 2 3 4"])
     def test_parse_edge_lines_names_the_bad_line(self, line):
@@ -116,6 +119,8 @@ class TestConstruction:
             parse_edge_lines("x 2 1.0\n0 1 1.0\n1 2 abc")
         assert str(caught.value) == (
             "expected 'v w p', got 'x 2 1.0'; expected 'v w p', got '1 2 abc'")
+        assert caught.value.violations == [
+            "expected 'v w p', got 'x 2 1.0'", "expected 'v w p', got '1 2 abc'"]
 
     def test_build_dispatch(self):
         assert build_graph("complete", nodes=4).edge_count == 6

@@ -16,12 +16,24 @@ commutes with every correctly rounded operation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from continuized.dual import DualParams, decentralized_plan, random_local_functions
-from continuized.gossip import GossipParams, gossip_plan
+from continuized.dual import (
+    DualParams,
+    LocalFunction,
+    decentralized_plan,
+    random_local_functions,
+    run_decentralized,
+)
+from continuized.dynamics import FLOAT_PAIR_MAX_DIM, run_continuized
+from continuized.gossip import GOSSIP_ALGOS, GossipParams, gossip_plan, run_gossip
 from continuized.harness import runner
 from continuized.harness.config import spec_from_sections
 from continuized.harness.presets import PRESETS, get_preset
+from continuized.problems import NOISE_FIELDS, PROBLEM_FIELDS
+from continuized.schedules import CLOCKS
+from continuized.schedules import KINDS as SCHEDULE_KINDS
 from continuized.seeding import run_streams
 from continuized.trace import record_run
 
@@ -114,3 +126,123 @@ def test_doubling_the_data_quadruples_every_metric_bit_for_bit(name):
     for metric, rows in values.items():
         assert np.all(rows != 0), metric
         np.testing.assert_array_equal(scaled_values[metric], 4 * rows, err_msg=metric)
+
+
+# Dyadic values k/16 on a short range: doubling them, and every product and
+# sum the runs form from them, stays far from overflow and underflow.
+DYADIC = st.integers(-64, 64).map(lambda k: k / 16)
+# The least-squares samples' atoms: full rank, so every schedule kind applies.
+ATOMS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+
+
+def _floats(values) -> str:
+    return " ".join(map(repr, values))
+
+
+@st.composite
+def optimize_cases(draw):
+    """The sections of a short optimize experiment over every noise kind,
+    both clocks and every schedule its problem takes, and the same sections
+    with the start, the optimum (a least-squares problem's targets too) and
+    the additive noise's standard deviation doubled."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    clock = draw(st.sampled_from(list(CLOCKS)))
+    noise = draw(st.sampled_from(list(NOISE_FIELDS)))
+    kind = "least_squares" if noise == "multiplicative" else \
+        draw(st.sampled_from(list(PROBLEM_FIELDS)))
+    # a quadratic at d = 3 runs on the float pair, above FLOAT_PAIR_MAX_DIM on the array pair
+    d = 2 if kind == "least_squares" else draw(st.sampled_from([3, FLOAT_PAIR_MAX_DIM + 1]))
+    optimum, x0 = (draw(st.lists(DYADIC, min_size=d, max_size=d)) for _ in range(2))
+    schedule = draw(st.sampled_from(
+        [k for k in SCHEDULE_KINDS if kind == "least_squares" or not k.startswith("mult")]))
+
+    def sections(scale):
+        center = [scale * v for v in optimum]
+        if kind == "quadratic":
+            diag = [1.0 / (i + 1) for i in range(d)]
+            problem = {"diag": _floats(diag), "center": _floats(center)}
+        else:
+            samples = [f"{_floats(a)} | {float(np.dot(a, center))!r}" for a in ATOMS]
+            problem = {"optimum": _floats(center), "samples": "\n".join(samples)}
+        noise_keys = {"sigma2": repr(scale**2 * 3e-4)} if noise == "additive" else {}
+        return {
+            "experiment": {"kind": "optimize", "horizon": "20", "checkpoints": "6",
+                           "seed": str(seed)},
+            "problem": {"kind": kind, **problem},
+            "noise": {"kind": noise, **noise_keys},
+            "algo": {"schedule": schedule, "clock": clock, "x0": _floats(scale * v for v in x0)},
+        }
+
+    return sections(1), sections(2)
+
+
+@st.composite
+def pairwise_cases(draw):
+    """The sections of a short gossip or decentralized experiment, and the
+    same with the start (the local functions' centers) doubled."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    kind = draw(st.sampled_from(["gossip", "decentralized"]))
+    algo = draw(st.sampled_from(list(GOSSIP_ALGOS)))
+    n = draw(st.integers(3, 6))
+    values = draw(st.lists(DYADIC, min_size=n, max_size=n))
+    curvatures = _floats(0.25 + 0.125 * v for v in range(n))
+
+    def sections(scale):
+        start = [repr(scale * v) for v in values]
+        own = {"gossip": {"algo": algo, "init": " ".join(start)}} if kind == "gossip" else \
+            {"decentralized": {"mu": "0.25", "smoothness": "1.0", "curvatures": curvatures,
+                               "centers": "\n".join(start)}}
+        return {"experiment": {"kind": kind, "horizon": "10", "checkpoints": "6",
+                               "seed": str(seed)},
+                "graph": {"topology": "complete", "nodes": str(n)}, **own}
+
+    return sections(1), sections(2)
+
+
+def _one_run(spec):
+    """Run 0 of ``spec`` through its kind's one-run engine."""
+    rng = run_streams(spec.seed, 0)
+    if spec.kind == "optimize":
+        algo = spec.algo
+        return run_continuized(spec.problem, spec.noise, algo.schedule, algo.clock, spec.horizon,
+                               rng, x0=algo.x0, checkpoints=spec.checkpoints)
+    if spec.kind == "gossip":
+        params = GossipParams.from_cache(spec.graph.spectrum, spec.gossip_algo)
+        return run_gossip(spec.graph, params, spec.gossip_init, spec.horizon, rng,
+                          checkpoints=spec.checkpoints)
+    cfg = spec.decentralized
+    fns = [LocalFunction(float(c), np.atleast_1d(cfg.centers[v]))
+           for v, c in enumerate(cfg.curvatures)]
+    return run_decentralized(spec.graph, fns, cfg.mu, cfg.smoothness, spec.horizon, rng,
+                             checkpoints=spec.checkpoints)
+
+
+def _assert_scaled(base, scaled):
+    """Each metric of ``scaled`` is exactly 4 times ``base``'s, in blocks of
+    two runs and in run 0 of the one-run engine, whose states double."""
+    values, events = runner.resolve(base).run_block(range(2))
+    scaled_values, scaled_events = runner.resolve(scaled).run_block(range(2))
+    assert events.tolist() == scaled_events.tolist()
+    assert set(scaled_values) == set(values)
+    for metric, rows in values.items():
+        np.testing.assert_array_equal(scaled_values[metric], 4 * rows, err_msg=metric)
+    one, doubled = _one_run(base), _one_run(scaled)
+    assert one.events == doubled.events == events[0]
+    for metric, column in one.values.items():
+        assert doubled.values[metric] == [4 * v for v in column], metric
+        assert column == values[metric][0].tolist(), metric
+    for state, twice in zip(one.states, doubled.states):
+        np.testing.assert_array_equal(np.asarray(twice.x), 2 * np.asarray(state.x))
+        np.testing.assert_array_equal(np.asarray(twice.z), 2 * np.asarray(state.z))
+
+
+@settings(max_examples=30, deadline=None)
+@given(optimize_cases())
+def test_optimize_runs_scale_by_powers_of_two_bit_for_bit(case):
+    _assert_scaled(*(spec_from_sections(sections) for sections in case))
+
+
+@settings(max_examples=15, deadline=None)
+@given(pairwise_cases())
+def test_pairwise_runs_scale_by_powers_of_two_bit_for_bit(case):
+    _assert_scaled(*(spec_from_sections(sections) for sections in case))

@@ -46,10 +46,43 @@ def test_checkpoint_protocol_stays_in_trace():
     named = [
         f"{path.relative_to(SRC)} {name}"
         for path in sorted(SRC.rglob("*.py")) if path.name != "trace.py"
-        for name in ("run_events", "GROUP_FLOATS")
+        for name in ("_groups", "GROUP_FLOATS")
         if re.search(rf"\b{name}\b", path.read_text())
     ]
     assert not named, named
+
+
+def test_each_run_has_one_loop():
+    # trace runs a run's events and captures its checkpoints in one loop,
+    # inside _groups: no separate event loop, no function built per run
+    tree = ast.parse((SRC / "continuized" / "trace.py").read_text())
+    top = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_groups" in top and "run_events" not in top
+    (groups,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_groups"]
+    inner = [node.name for node in ast.walk(groups)
+             if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not groups]
+    assert not inner, inner
+
+
+def test_run_kinds_and_baselines_are_spelled_once():
+    # the kinds that produce a run set and the deterministic baselines are
+    # config's tuples: no other module spells two of them in one display
+    owned = {"RUN_KINDS": {"optimize", "gossip", "decentralized"},
+             "BASELINE_METHODS": {"nesterov", "gd"}}
+    spelled = [
+        f"{path.relative_to(SRC)}:{node.lineno} {name}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        for name, members in owned.items()
+        if len(members & {e.value for e in node.elts if isinstance(e, ast.Constant)}) >= 2
+    ]
+    assert not spelled, spelled
+    assert {name: set(getattr(config, name)) for name in owned} == owned
+    # and the runner does not name the one non-baseline method to find them
+    runner_source = (SRC / "continuized" / "harness" / "runner.py").read_text()
+    assert '"continuized"' not in runner_source
 
 
 def test_readme_layout_names_exist():

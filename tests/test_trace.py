@@ -53,7 +53,7 @@ def loop_cases(draw):
 
 
 def per_event_log(times, horizon, grid):
-    """The loop rule one event at a time, as the oracle of ``run_events``:
+    """The loop rule one event at a time, as the oracle of trace's event loop:
     before each event at te <= horizon, every checkpoint earlier than te is
     captured; after the last such event, every checkpoint left."""
     log, ci = [], 0
