@@ -29,12 +29,11 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     edge_list_graph,
-    gossip_rates,
     grid_graph,
     line_graph,
     spectral,
 )
-from .gossip import GossipParams, run_gossip
+from .gossip import GossipParams, gossip_rates, run_gossip
 from .dual import DualParams, LocalFunction, run_decentralized
 from .problems import (
     ConvexProblem,

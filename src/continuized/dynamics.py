@@ -403,17 +403,20 @@ def run_nesterov(
     x0=None,
 ) -> Trace:
     """Classical accelerated baseline, convex or strongly convex variant:
-    the three-sequence recursion with fixed weights, ``gap`` at each iterate."""
+    the three-sequence recursion with fixed weights, ``gap`` at each iterate.
+    The strongly convex weights are the strongly convex schedule's: q = c,
+    tau = q / (1 + q), tau' = q and steps (gamma, gamma')."""
     check_nesterov_variant(problem, variant)
-    big_l, mu = problem.smoothness, problem.strong_convexity
     if variant == "convex":
+        big_l = problem.smoothness
         weights = [
             (1.0 - a / a_next, 0.0, 1.0 / big_l, (a_next - a) / big_l)
             for a, a_next in nesterov_weights_convex(iters)
         ]
     else:
-        q = math.sqrt(mu / big_l)
-        weights = [(q / (1.0 + q), q, 1.0 / big_l, 1.0 / math.sqrt(mu * big_l))] * iters
+        schedule = ParamSchedule.for_problem(problem, "strongly_convex")
+        q, _, gamma, gamma_p = schedule_eval(schedule, 0.0)
+        weights = [(q / (1.0 + q), q, gamma, gamma_p)] * iters
     return _gap_trace(problem, weights, x0)
 
 

@@ -23,9 +23,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dynamics import midpoint_contract
-from .graphs import Graph, SpectralCache, gossip_rates, pick_edges
+from .graphs import Graph, SpectralCache, pick_edges
 from .problems import row_dots
-from .schedules import EVENT_CHUNK, first_block_size
+from .schedules import EVENT_CHUNK, ParamSchedule, first_block_size, schedule_eval
 from .seeding import RunStreams
 from .trace import Plan, Trace, check_horizon, checkpoint_grid, record_run
 
@@ -39,22 +39,42 @@ GOSSIP_ALGOS = ("accelerated", "naive")
 @dataclass(frozen=True)
 class GossipParams:
     """Mixing rate and z-step of the pairwise update; both are 0 for naive
-    gossip, which then only averages the endpoint values."""
+    gossip, which then only averages the endpoint values.
+
+    Accelerated gossip is the continuized iteration with multiplicative
+    noise on the incidence least squares (atoms e_v - e_w drawn with the
+    edge weights), whose (R^2, kappa_tilde, mu) are (2, R_max, mu_gossip):
+    its rate theta_ARG and z-step are that schedule's c and gamma'.
+    """
 
     mix_rate: float
     z_step: float
 
     @classmethod
-    def from_cache(cls, cache: SpectralCache, algo: str = "accelerated") -> "GossipParams":
+    def from_cache(cls, cache: SpectralCache, algo: str = GOSSIP_ALGOS[0]) -> "GossipParams":
         if algo == "naive":
             return cls(mix_rate=0.0, z_step=0.0)
         if algo != "accelerated":
             raise ValueError(f"unknown gossip algo {algo!r}")
-        _, theta_arg = gossip_rates(cache)
-        return cls(
-            mix_rate=theta_arg,
-            z_step=1.0 / math.sqrt(2.0 * cache.mu_gossip * cache.r_max),
-        )
+        schedule = ParamSchedule.multiplicative_strongly_convex(2.0, cache.r_max, cache.mu_gossip)
+        theta_arg, _, _, z_step = schedule_eval(schedule, 0.0)
+        # theta_ARG >= theta_RG / 2 always (R_max <= 2 / mu_gossip, the
+        # statistical condition number bound)
+        if theta_arg < 0.5 * cache.mu_gossip * (1.0 - 1e-12):
+            raise RuntimeError(
+                f"theta_ARG = {theta_arg} < theta_RG / 2 = {0.5 * cache.mu_gossip}: "
+                "the spectral cache is inconsistent"
+            )
+        return cls(mix_rate=theta_arg, z_step=z_step)
+
+
+def gossip_rates(cache: SpectralCache) -> tuple[float, float]:
+    """Decay rates (theta_RG, theta_ARG) of naive and accelerated gossip.
+
+    theta_ARG >= theta_RG / 2, with equality on edge-transitive graphs such
+    as the complete graph.
+    """
+    return cache.mu_gossip, GossipParams.from_cache(cache).mix_rate
 
 
 def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[Array, Array]:

@@ -300,20 +300,3 @@ def spectral(graph: Graph) -> SpectralCache:
         r_eff=r_eff,
         r_max=float(r_eff.max()),
     )
-
-
-def gossip_rates(cache: SpectralCache) -> tuple[float, float]:
-    """Decay rates (theta_RG, theta_ARG) of naive and accelerated gossip.
-
-    theta_ARG >= theta_RG / 2 always (R_max <= 2 / mu_gossip, the statistical
-    condition number bound), with equality on edge-transitive graphs such as
-    the complete graph.
-    """
-    theta_rg = cache.mu_gossip
-    theta_arg = float(np.sqrt(cache.mu_gossip / (2.0 * cache.r_max)))
-    if theta_arg < 0.5 * theta_rg * (1.0 - 1e-12):
-        raise RuntimeError(
-            f"theta_ARG = {theta_arg} < theta_RG / 2 = {0.5 * theta_rg}: "
-            "the spectral cache is inconsistent"
-        )
-    return theta_rg, theta_arg

@@ -17,7 +17,8 @@ import os
 import sys
 from dataclasses import replace
 
-from ..graphs import TOPOLOGIES, GraphError, gossip_rates
+from ..gossip import gossip_rates
+from ..graphs import TOPOLOGIES, GraphError
 from .config import RUN_KINDS, ConfigError, ExperimentSpec, override_fields, parse_config
 from .config import spec_from_sections
 from .csvio import emit_csv, render_csv

@@ -146,7 +146,7 @@ SECTIONS = {
     "noise": ("kind", "none", NOISE_FIELDS),
     "algo": ("method", "continuized", {m: ("x0", *keys) for m, keys in METHOD_KEYS.items()}),
     "graph": ("topology", "", TOPOLOGY_FIELDS),
-    "gossip": ("algo", "accelerated", dict.fromkeys(GOSSIP_ALGOS, ("init",))),
+    "gossip": ("algo", GOSSIP_ALGOS[0], dict.fromkeys(GOSSIP_ALGOS, ("init",))),
     "decentralized": (None, None, {None: tuple(_DECENTRALIZED_FIELDS)}),
 }
 # For each [experiment] variant: the sections it requires and those it may add.

@@ -18,8 +18,8 @@ import numpy as np
 from ..dual import DualParams, LocalFunction, decentralized_plan, random_local_functions
 from ..dynamics import continuized_plan, run_gd, run_nesterov
 from ..dynamics import run_continuized  # noqa: F401  (re-exported: bench tests wrap it here)
-from ..gossip import GossipParams, gossip_plan
-from ..graphs import gossip_rates
+from ..gossip import GossipParams, gossip_plan, gossip_rates
+from ..schedules import ParamSchedule
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
 from ..trace import run_block
 from .config import BASELINE_METHODS, RUN_KINDS, ExperimentSpec
@@ -123,7 +123,7 @@ def theory_bounds(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarray]:
         k = np.maximum(t, 1.0)
         if algo.variant == "convex":
             return {"gap": np.where(t >= 1, 2.0 * big_l * dist0 / k**2, np.inf)}
-        rho = 1.0 - math.sqrt(mu / big_l)
+        rho = 1.0 - ParamSchedule.for_problem(problem, "strongly_convex").mix_rate
         return {"gap": (gap0 + 0.5 * mu * dist0) * rho**t}
     if algo.method == "gd":
         if abs(algo.step - 1.0 / big_l) > 1e-15:

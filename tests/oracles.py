@@ -7,7 +7,8 @@ by event put its event times (``event_times``) in the grid.
 chosen uniforms, such as u = 0.0.
 
 ``activations`` draws the edge activations of gossip and the dual from a
-run's streams without the engine's sampler.
+run's streams without the engine's sampler, and ``energy_problem`` is the
+least-squares objective whose continuized optimizer is accelerated gossip.
 
 ``replay_pairs`` and ``replay_nodes`` rebuild the raw state of a run after
 the events up to each checkpoint: the optimizer's x and z as separate rows
@@ -28,7 +29,7 @@ from continuized.dynamics import lyapunov_value, midpoint_contract
 from continuized.gossip import GossipParams, accelerated_step, lazy_mix_node
 from continuized.graphs import Graph
 from continuized.harness import runner
-from continuized.problems import stochastic_gradient
+from continuized.problems import LeastSquaresProblem, make_least_squares, stochastic_gradient
 from continuized.schedules import lyapunov_coeffs, sample_interarrival, schedule_eval
 from continuized.seeding import run_streams
 from continuized.trace import Snapshot
@@ -49,6 +50,18 @@ def activations(graph, horizon, streams):
     times = times[:np.searchsorted(times, horizon, side="right")]
     picks = np.searchsorted(graph.cum_probs, streams.noise.random(times.size), side="right")
     return times, np.minimum(picks, graph.edge_count - 1)
+
+
+def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:
+    """The edge-difference least-squares objective whose stochastic gradient
+    descent is naive gossip; its optimum is consensus at the mean of x0."""
+    atoms = np.zeros((graph.edge_count, graph.node_count))
+    for i, (v, w) in enumerate(graph.edges):
+        atoms[i, v] = 1.0
+        atoms[i, w] = -1.0
+    target = float(np.mean(np.asarray(x0, dtype=float)))
+    optimum = np.full(graph.node_count, target)
+    return make_least_squares(atoms, optimum, graph.edge_probs)
 
 
 def event_times(source, horizon, streams) -> list[float]:

@@ -12,8 +12,8 @@ import pytest
 
 from continuized.dual import DualParams, LocalFunction, decentralized_plan
 from continuized.dynamics import run_continuized, run_three_sequence
-from continuized.gossip import GossipParams, run_gossip
-from continuized.graphs import complete_graph, gossip_rates, grid_graph, line_graph, spectral
+from continuized.gossip import GossipParams, gossip_rates, run_gossip
+from continuized.graphs import complete_graph, grid_graph, line_graph, spectral
 from continuized.harness.presets import get_preset
 from continuized.harness.runner import run_experiment
 from continuized.problems import NoiseModel, make_quadratic

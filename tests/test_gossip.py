@@ -14,7 +14,6 @@ from continuized.gossip import (
     synchronized_values,
 )
 from continuized.graphs import (
-    Graph,
     complete_graph,
     grid_graph,
     laplacian_matrix,
@@ -23,22 +22,9 @@ from continuized.graphs import (
     spectral,
 )
 from continuized.harness.presets import get_preset, preset_names
-from continuized.problems import LeastSquaresProblem, make_least_squares
 from continuized.schedules import EVENT_CHUNK, ParamSchedule, first_block_size
 from continuized.seeding import RunStreams, run_streams
-from oracles import activations
-
-
-def energy_problem(graph: Graph, x0) -> LeastSquaresProblem:
-    """The edge-difference least-squares objective whose stochastic gradient
-    descent is naive gossip; its optimum is consensus at the mean of x0."""
-    atoms = np.zeros((graph.edge_count, graph.node_count))
-    for i, (v, w) in enumerate(graph.edges):
-        atoms[i, v] = 1.0
-        atoms[i, w] = -1.0
-    target = float(np.mean(np.asarray(x0, dtype=float)))
-    optimum = np.full(graph.node_count, target)
-    return make_least_squares(atoms, optimum, graph.edge_probs)
+from oracles import activations, energy_problem
 
 
 def k10():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from continuized.gossip import gossip_rates
 from continuized.graphs import (
     DisconnectedGraphError,
     GraphError,
@@ -12,7 +13,6 @@ from continuized.graphs import (
     complete_graph,
     cycle_graph,
     edge_list_graph,
-    gossip_rates,
     grid_graph,
     laplacian_matrix,
     line_graph,

@@ -85,6 +85,31 @@ def test_run_kinds_and_baselines_are_spelled_once():
     assert '"continuized"' not in runner_source
 
 
+def _sqrt_calls(tree) -> int:
+    return sum(isinstance(node, ast.Call) and _name(node.func) == "sqrt"
+               for node in ast.walk(tree))
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    (fn,) = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
+
+
+def test_continuized_rates_are_read_from_the_schedule():
+    # c = sqrt(m / (G K)) and gamma' = 1 / sqrt(m G K) are the schedule's:
+    # gossip's theta_ARG and z-step and the Nesterov baseline's weights read
+    # them, so neither gossip, graphs nor run_nesterov takes a square root
+    package = SRC / "continuized"
+    trees = {name: ast.parse((package / f"{name}.py").read_text())
+             for name in ("gossip", "graphs")}
+    trees["run_nesterov"] = _function(package / "dynamics.py", "run_nesterov")
+    assert {name: _sqrt_calls(tree) for name, tree in trees.items()} == dict.fromkeys(trees, 0)
+    # the one root left in theory_bounds is the additive plateau
+    # sigma^2 / sqrt(mu L), which rounds unlike sigma^2 * gamma'
+    assert _sqrt_calls(_function(package / "harness" / "runner.py", "theory_bounds")) == 1
+
+
 def test_readme_layout_names_exist():
     # each Python name quoted in README's "Library layout" (dotted parts
     # separately, call arguments stripped) must be a word of the source
@@ -117,6 +142,14 @@ def test_each_variant_list_has_one_owner():
     assert config.SECTIONS["noise"][2] is problems.NOISE_FIELDS
     assert config.GOSSIP_ALGOS is gossip.GOSSIP_ALGOS
     assert list(config.SECTIONS["gossip"][2]) == list(gossip.GOSSIP_ALGOS)
+    # the default gossip algo is spelled once: the config's default and
+    # GossipParams.from_cache's read GOSSIP_ALGOS[0]
+    gossip_tree = ast.parse((SRC / "continuized" / "gossip.py").read_text())
+    (from_cache,) = [node for node in ast.walk(gossip_tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "from_cache"]
+    assert ast.unparse(from_cache.args.defaults[-1]) == "GOSSIP_ALGOS[0]"
+    config_source = (SRC / "continuized" / "harness" / "config.py").read_text()
+    assert '"gossip": ("algo", GOSSIP_ALGOS[0],' in config_source
     assert config.SECTIONS["graph"][2] is graphs.TOPOLOGY_FIELDS
     assert set(graphs.TOPOLOGY_FIELDS) == set(graphs.TOPOLOGIES)
     assert set(cli.GRAPH_KEYS) == {"topology", "nodes", "rows", "cols"}
