@@ -14,7 +14,6 @@ unit curvature the whole construction collapses to averaging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,14 +26,14 @@ from .gossip import (
     synchronized_values,
 )
 from .problems import row_dots
+from .records import Record
 from .seeding import RunStreams
 from .trace import Plan, Trace, record_run
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class LocalFunction:
+class LocalFunction(Record):
     """Quadratic local objective f_v(x) = mu_v/2 |x - c_v|^2, with its
     conjugate gradient in closed form (``conjugate_grad``).
 
@@ -48,8 +47,7 @@ class LocalFunction:
     def __post_init__(self) -> None:
         if self.curvature <= 0:
             raise ValueError("curvature must be > 0")
-        center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
-        center.setflags(write=False)
+        center = np.atleast_1d(np.asarray(self.center, dtype=float))
         object.__setattr__(self, "center", float(center[0]) if center.size == 1 else center)
 
     def grad(self, x: Array) -> Array:
@@ -102,8 +100,7 @@ def incidence_r(graph: Graph) -> Array:
     return np.asarray(graph.edge_probs * graph.spectrum.r_eff)
 
 
-@dataclass(frozen=True)
-class DualParams:
+class DualParams(Record):
     """Constants of the dual coordinate-descent updates.
 
     ``l_dual`` bounds the dual directional smoothness-resistance products,

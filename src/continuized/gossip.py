@@ -17,7 +17,6 @@ the captures of a group of runs at once, after the group's last run
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .dynamics import midpoint_contract
 from .graphs import Graph, SpectralCache, pick_edges
 from .problems import row_dots
+from .records import Record
 from .schedules import EVENT_CHUNK, ParamSchedule, first_block_size, schedule_eval
 from .seeding import RunStreams
 from .trace import Plan, Trace, check_horizon, checkpoint_grid, record_run
@@ -36,8 +36,7 @@ Array = np.ndarray
 GOSSIP_ALGOS = ("accelerated", "naive")
 
 
-@dataclass(frozen=True)
-class GossipParams:
+class GossipParams(Record):
     """Mixing rate and z-step of the pairwise update; both are 0 for naive
     gossip, which then only averages the endpoint values.
 

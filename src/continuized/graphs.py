@@ -11,12 +11,12 @@ least-squares objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .problems import _EIG_REL_TOL
+from .records import Record, read_only
 
 Array = np.ndarray
 
@@ -34,11 +34,12 @@ class DisconnectedGraphError(GraphError):
     """The graph does not connect all nodes."""
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Record):
     """Connected undirected graph with a probability weight per edge.
 
-    Graphs compare and hash by value: nodes, edges and edge weights.
+    Graphs compare and hash by value (``records``): nodes, edges and edge
+    weights; the derived ``cum_probs``, ``spectrum`` and ``pick_table``
+    take no part.
     """
 
     node_count: int
@@ -47,15 +48,6 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cum_probs", np.cumsum(self.edge_probs))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        same_shape = (self.node_count, self.edges) == (other.node_count, other.edges)
-        return same_shape and bool(np.array_equal(self.edge_probs, other.edge_probs))
-
-    def __hash__(self) -> int:
-        return hash((self.node_count, self.edges, tuple(np.asarray(self.edge_probs).tolist())))
 
     @property
     def edge_count(self) -> int:
@@ -76,7 +68,7 @@ class Graph:
         inf, which stops the search past the last edge."""
         m = 4 * self.edge_count
         table = np.searchsorted(self.cum_probs, (np.arange(m + 1.0) - 1.0) / m, side="right")
-        return table, np.append(self.cum_probs, np.inf)
+        return read_only(table), read_only(np.append(self.cum_probs, np.inf))
 
 
 def pick_edges(graph: Graph, u: Array) -> Array:
@@ -132,7 +124,6 @@ def _validate(node_count: int, edges, probs=None) -> Graph:
     bad = [normalized[i] for i in np.flatnonzero(probs == 0)]
     if bad:
         raise GraphError(f"edge weights underflow to probability 0 beside the others: edges {bad}")
-    probs.setflags(write=False)
 
     # BFS connectivity check.
     adjacency: list[list[int]] = [[] for _ in range(node_count)]
@@ -256,8 +247,7 @@ def build_graph(topology: str, **kwargs) -> Graph:
     return build(*sizes)
 
 
-@dataclass(frozen=True)
-class SpectralCache:
+class SpectralCache(Record):
     """What the engines read of the Laplacian, computed once per graph: the
     gossip gap, the effective resistance of each edge and their maximum."""
 
@@ -294,7 +284,6 @@ def spectral(graph: Graph) -> SpectralCache:
     r_eff = np.array(
         [pinv[v, v] + pinv[w, w] - 2.0 * pinv[v, w] for v, w in graph.edges]
     )
-    r_eff.setflags(write=False)
     return SpectralCache(
         mu_gossip=mu_gossip,
         r_eff=r_eff,

@@ -19,7 +19,7 @@ import configparser
 import math
 import operator
 import os
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import field, replace
 from functools import partial
 
 import numpy as np
@@ -40,6 +40,7 @@ from ..problems import (
     parse_floats,
     problem_from_section,
 )
+from ..records import Record, read_only
 from ..schedules import CLOCKS, EventClock, ParamSchedule
 from ..trace import check_horizon, checkpoint_grid
 
@@ -160,25 +161,6 @@ KINDS = {
 EXPERIMENT_KINDS = tuple(kind for kind in KINDS if kind != "preset")
 
 
-def _same_value(a, b) -> bool:
-    """Equality that compares numpy arrays by their elements and dataclass
-    instances (problems, schedules, graphs, specs) field by field."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        both = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-        return both and bool(np.array_equal(a, b))
-    if is_dataclass(a) and type(a) is type(b):
-        return all(_same_value(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    return a == b
-
-
-def _fields_equal(self, other) -> bool:
-    """``__eq__`` of the specs: field by field, array fields by value, as
-    ``Graph`` compares its edge weights."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return _same_value(self, other)
-
-
 class ConfigError(ValueError):
     """Carries the full list of validation violations."""
 
@@ -187,8 +169,7 @@ class ConfigError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class AlgoSpec:
+class AlgoSpec(Record):
     """The resolved ``[algo]`` section of an optimize experiment.
 
     ``step`` is the gradient-descent step; ``iters`` of the Nesterov and GD
@@ -204,11 +185,8 @@ class AlgoSpec:
     step: float
     iters: int | None
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True)
-class DecentralizedSpec:
+class DecentralizedSpec(Record):
     """The resolved ``[decentralized]`` section: curvature bounds plus
     either explicit local functions (``curvatures`` with one ``centers``
     row per node) or the shape of the seeded random ones."""
@@ -220,11 +198,8 @@ class DecentralizedSpec:
     curvatures: np.ndarray | None = None
     centers: np.ndarray | None = None
 
-    __eq__ = _fields_equal
 
-
-@dataclass
-class ExperimentSpec:
+class ExperimentSpec(Record, frozen=False):
     """A fully validated experiment description.
 
     A gossip spec always carries its read-only start ``gossip_init``: the
@@ -245,8 +220,6 @@ class ExperimentSpec:
     gossip_algo: str = SECTIONS["gossip"][1]
     gossip_init: np.ndarray | None = None
     decentralized: DecentralizedSpec | None = None
-
-    __eq__ = _fields_equal
 
     def with_overrides(self, **kw) -> "ExperimentSpec":
         """A copy with every non-None keyword replaced, the fields of
@@ -317,11 +290,8 @@ def _initial_x(problem: ConvexProblem, text: str) -> np.ndarray:
     if text == "optimum":
         return problem.optimum
     if text == "zeros":
-        x0 = np.zeros(problem.dimension)
-    else:
-        x0 = check_point(problem, parse_floats(text))
-    x0.setflags(write=False)
-    return x0
+        return np.zeros(problem.dimension)
+    return check_point(problem, parse_floats(text))
 
 
 def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
@@ -524,7 +494,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
             elif node_count is not None:  # a unit spike at node 0
                 spec.gossip_init = np.eye(1, node_count)[0]
             if spec.gossip_init is not None:
-                spec.gossip_init.setflags(write=False)  # every run starts from it
+                spec.gossip_init = read_only(spec.gossip_init)  # every run starts from it
                 if node_count is not None and spec.gossip_init.shape != (node_count,):
                     errors.append("[gossip] init length must equal the node count")
         if kind == "decentralized" and "decentralized" in sections:

@@ -9,7 +9,7 @@ blocks of an ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -19,14 +19,14 @@ from ..dual import DualParams, LocalFunction, decentralized_plan, random_local_f
 from ..dynamics import continuized_plan, run_gd, run_nesterov
 from ..dynamics import run_continuized  # noqa: F401  (re-exported: bench tests wrap it here)
 from ..gossip import GossipParams, gossip_plan, gossip_rates
+from ..records import Record
 from ..schedules import ParamSchedule
 from ..seeding import PROBLEM_STREAM, derive_seed, run_streams
 from ..trace import run_block
 from .config import BASELINE_METHODS, RUN_KINDS, ExperimentSpec
 
 
-@dataclass
-class RunSet:
+class RunSet(Record, frozen=False):
     """Per-run metric values on a shared checkpoint grid, plus aggregates."""
 
     checkpoints: np.ndarray
@@ -39,8 +39,7 @@ class RunSet:
         return self.aggregate[metric]["mean"]
 
 
-@dataclass(frozen=True)
-class ResolvedExperiment:
+class ResolvedExperiment(Record):
     """What every run of an ensemble shares: the call from a block of run
     indices to one (R, C) array per metric and the (R,) event counts, and
     the checkpoint grid."""

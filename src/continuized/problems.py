@@ -11,10 +11,11 @@ constants (L, mu, R^2, kappa_tilde) computable in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .records import Record
 
 Array = np.ndarray
 
@@ -40,8 +41,7 @@ def row_dots(a: Array, b: Array) -> Array:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class ConvexProblem:
+class ConvexProblem(Record):
     """An L-smooth, mu-strongly-convex objective with exact oracles.
 
     Each family defines ``value(x)`` and ``grad(x)`` over its own fields;
@@ -67,7 +67,6 @@ class ConvexProblem:
         return self.value(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
 class QuadraticProblem(ConvexProblem):
     """Separable quadratic centered at ``optimum``; ``diag`` holds the
     per-coordinate curvatures."""
@@ -82,7 +81,6 @@ class QuadraticProblem(ConvexProblem):
         return self.diag * (x - self.optimum)
 
 
-@dataclass(frozen=True)
 class LeastSquaresProblem(ConvexProblem):
     """Noiseless least squares over a finite weighted list of samples.
 
@@ -119,8 +117,7 @@ class LeastSquaresProblem(ConvexProblem):
         return float(u @ self.hessian_pinv @ u)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Gradient noise description: none, additive(sigma2), or multiplicative.
 
     Additive noise is isotropic Gaussian with covariance (sigma2/d) I, so its
@@ -162,8 +159,8 @@ def check_point(problem: ConvexProblem, x: Array) -> Array:
 
 def make_quadratic(diag_coeffs, center) -> QuadraticProblem:
     """Build f(x) = 1/2 sum_i d_i (x_i - c_i)^2 with L = max d, mu = min d."""
-    diag = np.atleast_1d(np.asarray(diag_coeffs, dtype=float)).copy()
-    center = np.atleast_1d(np.asarray(center, dtype=float)).copy()
+    diag = np.atleast_1d(np.asarray(diag_coeffs, dtype=float))
+    center = np.atleast_1d(np.asarray(center, dtype=float))
     if diag.size == 0:
         raise InvalidProblemError("empty curvature vector")
     if np.any(diag <= 0):
@@ -172,8 +169,6 @@ def make_quadratic(diag_coeffs, center) -> QuadraticProblem:
         raise InvalidProblemError(
             f"curvatures and center disagree: {diag.shape} vs {center.shape}"
         )
-    diag.setflags(write=False)
-    center.setflags(write=False)
     return QuadraticProblem(
         dimension=diag.size,
         optimum=center,
@@ -230,7 +225,7 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
-        weights = np.asarray(weights, dtype=float).copy()
+        weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or np.any(weights <= 0):
             raise InvalidProblemError("weights must be positive, one per sample")
         weights = weights / weights.sum()
@@ -245,8 +240,6 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
     top = float(eigvals[-1])
     positive = eigvals[eigvals > _EIG_REL_TOL * top]
 
-    for arr in (atoms, optimum, weights, targets, weighted_atoms, hessian, pinv):
-        arr.setflags(write=False)
     return LeastSquaresProblem(
         dimension=d,
         optimum=optimum,

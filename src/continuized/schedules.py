@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .problems import ConvexProblem, LeastSquaresProblem
+from .records import Record
 from .trace import check_horizon
 
 KINDS = (
@@ -50,8 +50,7 @@ class SingularScheduleError(ValueError):
     """Evaluation of a 2/t schedule at t = 0."""
 
 
-@dataclass(frozen=True)
-class ParamSchedule:
+class ParamSchedule(Record):
     """One of the four schedule kinds and its normalized (G, K, m) triple.
 
     The kind's published constants enter only through the named
@@ -168,8 +167,7 @@ def discrete_params(
     return tau, tau_p, gamma, gamma_p
 
 
-@dataclass(frozen=True)
-class EventClock:
+class EventClock(Record):
     """Inter-arrival law of gradient events.
 
     ``exponential(rate)`` is the Poisson clock; ``geometric(p, tick)`` waits
@@ -275,12 +273,13 @@ def sample_event_times(clock: EventClock, horizon: float, rng: np.random.Generat
         t = block[-1]
 
 
-@dataclass(frozen=True)
-class LyapunovCoeffs:
-    """Coefficients (A_t, B_t) of the certificate phi_t, plus the norm flag."""
+class LyapunovCoeffs(Record):
+    """Coefficients (A_t, B_t) of the certificate phi_t, plus the norm flag:
+    floats at one time (``lyapunov_coeffs``), (C,) arrays on a grid
+    (``lyapunov_on_grid``)."""
 
-    a_t: float
-    b_t: float
+    a_t: float | np.ndarray
+    b_t: float | np.ndarray
     multiplicative: bool
 
 
@@ -300,9 +299,9 @@ def lyapunov_coeffs(schedule: ParamSchedule, t: float) -> LyapunovCoeffs:
 
 def lyapunov_on_grid(schedule: ParamSchedule, grid: Sequence[float]) -> LyapunovCoeffs:
     """The certificate coefficients at every point of ``grid``, as (C,)
-    arrays of ``lyapunov_coeffs``' A_t and B_t: one call per checkpoint,
-    which an ensemble's plan makes once for the grid its runs share."""
+    arrays of ``lyapunov_coeffs``' A_t and B_t, read-only like every array
+    of a record: one call per checkpoint, which an ensemble's plan makes
+    once for the grid its runs share."""
     each = [lyapunov_coeffs(schedule, t) for t in grid]
     a_t, b_t = np.array([c.a_t for c in each]), np.array([c.b_t for c in each])
-    a_t.flags.writeable = b_t.flags.writeable = False  # shared by every run
     return LyapunovCoeffs(a_t, b_t, schedule.is_multiplicative)

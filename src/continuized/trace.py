@@ -12,10 +12,12 @@ finisher takes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from .records import Record
 
 
 class Snapshot(NamedTuple):
@@ -26,8 +28,7 @@ class Snapshot(NamedTuple):
     z: Any
 
 
-@dataclass
-class Trace:
+class Trace(Record, frozen=False):
     """The run's state and metric values at each point of the caller's grid.
 
     ``add`` appends checkpoints, in grid order: their times, the x and z at

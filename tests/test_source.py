@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
+import importlib
 import importlib.util
 import json
 import os
@@ -16,6 +18,7 @@ from continuized import gossip, graphs, problems, schedules
 from continuized.dynamics import FLOAT_PAIR_MAX_DIM
 from continuized.harness import cli, config, runner
 from continuized.harness.presets import get_preset, preset_names
+from continuized.records import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -169,6 +172,39 @@ def test_each_variant_list_has_one_owner():
         and any(isinstance(t, ast.Name) and t.id == "_EIG_REL_TOL" for t in node.targets)
     ]
     assert owners == ["continuized/problems.py"]
+
+
+def test_the_value_rule_of_records_has_one_owner():
+    # records.py alone makes arrays read-only and defines equality and
+    # hashing: no other package module calls setflags, assigns
+    # flags.writeable or defines __eq__ or __hash__
+    owner = SRC / "continuized" / "records.py"
+    stated = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py")) if path != owner
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("setflags", "writeable")
+        or isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+        or isinstance(node, ast.Name) and node.id in ("__eq__", "__hash__")
+    ]
+    assert not stated, stated
+    # and every package dataclass whose fields can hold an array is a Record:
+    # an annotation naming an array, Any or a class that holds one
+    modules = [
+        importlib.import_module(".".join(path.relative_to(SRC).with_suffix("").parts))
+        for path in sorted(SRC.rglob("*.py")) if path.stem not in ("__init__", "__main__")
+    ]
+    classes = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__.startswith("continuized.")}
+    holding = {"Array", "ndarray", "Any"}
+    while more := {cls.__name__ for cls in classes if cls.__name__ not in holding and any(
+            holding & set(re.findall(r"\w+", str(hint)))
+            for hint in vars(cls).get("__annotations__", {}).values())}:
+        holding |= more
+    records = [cls for cls in classes if dataclasses.is_dataclass(cls) and cls.__name__ in holding]
+    assert not [cls.__name__ for cls in records if not issubclass(cls, Record)]
+    assert {"Graph", "QuadraticProblem", "Trace", "RunSet", "ExperimentSpec"} <= {
+        cls.__name__ for cls in records}
 
 
 def test_readme_presets_table_names_every_preset():
@@ -512,7 +548,8 @@ def _setters(tree: ast.Module, defined: set[str]):
     counting calls through ``partial(f, ...)`` and through a name bound to
     one; a count of None (``*args``) sets every positional option, a keyword
     set of None (``**kwargs``) every option.  A function passed as a value
-    may be called with anything, so it yields (name, None, None)."""
+    may be called with anything, so it yields (name, None, None), and the
+    keywords of a class statement are a call of ``__init_subclass__``."""
     bound = {}  # name -> the partial(f, ...) call bound to it
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
@@ -549,6 +586,8 @@ def _setters(tree: ast.Module, defined: set[str]):
         if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                 and id(node) not in called and _name(node) in defined):
             yield (_name(node), None, None)
+        if isinstance(node, ast.ClassDef) and node.keywords:
+            yield ("__init_subclass__", 0, {k.arg for k in node.keywords})
 
 
 def test_every_option_is_set_by_a_source_caller():
@@ -593,9 +632,20 @@ PUBLIC_FIELDS = {
 }
 
 
-def _is_record(cls: ast.ClassDef) -> bool:
-    decorators = {_name(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
-    return "dataclass" in decorators or "NamedTuple" in {_name(b) for b in cls.bases}
+def _records(trees) -> list[ast.ClassDef]:
+    """The package's dataclasses and named tuples: each class decorated with
+    ``dataclass`` or derived from ``NamedTuple``, ``records.Record`` or
+    another of them."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found, bases = [], {"NamedTuple", "Record"}
+    while more := [
+        cls for cls in classes if cls not in found and (
+            bases & {_name(b) for b in cls.bases}
+            or "dataclass" in {_name(getattr(d, "func", d)) for d in cls.decorator_list})
+    ]:
+        found += more
+        bases |= {cls.name for cls in more}
+    return found
 
 
 def test_every_field_has_a_source_reader():
@@ -606,8 +656,7 @@ def test_every_field_has_a_source_reader():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     fields = [
         (f"{cls.name}.{stmt.target.id}", stmt.target.id)
-        for tree in trees for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for cls in _records(trees)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
