@@ -3,19 +3,21 @@
 The continuized run alternates closed-form mixing of the coupled pair (x, z)
 with gradient jumps at clock events: this module holds that physics, and
 ``continuized_plan`` hands it to ``trace`` as a ``Plan``, which runs the
-events and captures the checkpoints.  A run's random Nesterov parameters
-depend only on the event times, so each run computes them in one pass
-before its event loop: the times from block draws of its clock stream, and
-the jump column of every event.  The certificate coefficients depend only
-on the grid, which all runs share, so an ensemble builds them once.  The loop then
-only applies the parameters, to one (2, d) pair that the run builds once
-and mixes and jumps in place (on a small quadratic, two lists of Python
-floats, free of numpy's per-call cost); the plan's finisher mixes the
-captured pairs to their checkpoints and measures them.  Because the mixing
-ODE integrates exactly, the event-time snapshots coincide (to rounding)
-with the three-sequence recursion with random weights, which is also
-provided here and used as a cross-check in the tests; the Nesterov and
-gradient-descent baselines run the same recursion with fixed weights.
+events and captures the checkpoints.  A run draws all of its randomness
+before its event loop: its event times from block draws of its clock
+stream, the jump column of every event (the random Nesterov parameters
+depend only on the times), and its gradient noise in one block of its noise
+stream (``noise_draws``).  The certificate coefficients depend only on the
+grid, which all runs share, so an ensemble builds them once.  The loop then
+draws nothing: it only applies the parameters and the noise, to one (2, d)
+pair that the run builds once and mixes and jumps in place (on a small
+quadratic, two lists of Python floats, free of numpy's per-call cost); the
+plan's finisher mixes the captured pairs to their checkpoints and measures
+them.  Because the mixing ODE integrates exactly, the event-time snapshots
+coincide (to rounding) with the three-sequence recursion with random
+weights, which is also provided here and used as a cross-check in the
+tests; the Nesterov and gradient-descent baselines run the same recursion
+with fixed weights.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .problems import (
     NoiseModel,
     QuadraticProblem,
     gradient_oracle,
+    noise_draws,
     row_dots,
     stochastic_gradient,
 )
@@ -210,8 +213,8 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
             f"x0 has shape {pair0.shape[1:]}, problem dimension is {problem.dimension}"
         )
     grid = checkpoint_grid(checkpoints, horizon)
-    floats = (isinstance(problem, QuadraticProblem) and noise.kind in ("none", "additive")
-              and problem.dimension <= FLOAT_PAIR_MAX_DIM)
+    # a quadratic takes no multiplicative noise: noise_draws refuses it in start
+    floats = isinstance(problem, QuadraticProblem) and problem.dimension <= FLOAT_PAIR_MAX_DIM
     varying = schedule.is_time_varying
     if not varying:  # constant kinds jump by one column at every event
         column = step_column(schedule, horizon)
@@ -221,6 +224,7 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
 
     def start(rng: RunStreams):
         times = sample_event_times(clock, horizon, rng.clock)
+        draws = noise_draws(problem, noise, rng.noise, len(times))
         clocks = [0.0]  # the pair's time, which advance keeps as a local while it runs
         if varying:
             columns = step_column(schedule, np.array(times))
@@ -232,10 +236,7 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
             pair = x, z = pair0.tolist()
             diag, optimum = problem.diag.tolist(), problem.optimum.tolist()
             coords = range(len(x))
-            scale = float(np.sqrt(noise.sigma2 / len(x)))
-            normals = None  # additive noise: one block, bit for bit one draw per event
-            if noise.kind == "additive":
-                normals = rng.noise.standard_normal((len(times), len(x))).tolist()
+            shifts = None if draws is None else draws.tolist()  # the additive noise
 
             def advance(a, b):
                 now = clocks[0]
@@ -246,7 +247,7 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
                         f = (now / te) ** 2 if varying else math.exp(
                             -2.0 * schedule.mix_rate * (te - now))
                         now = te
-                    noise_k = None if normals is None else normals[k]
+                    shift = None if shifts is None else shifts[k]
                     for i in coords:
                         xi = x[i]
                         if mix:
@@ -258,13 +259,13 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
                                 x[i] = xi = (xi - m) * f + m
                                 z[i] = (zi - m) * f + m
                         gi = diag[i] * (xi - optimum[i])
-                        g.append(gi if noise_k is None else gi + scale * noise_k[i])
+                        g.append(gi if shift is None else gi + shift[i])
                     gradient_jump(pair, columns[k], g)
                 clocks[0] = now
         else:
             pair = pair0.copy()
             x = pair[0]  # a view: it follows the pair through every in-place event
-            gradient_at = gradient_oracle(problem, noise, rng.noise)
+            gradient_at = gradient_oracle(problem, noise, draws)
 
             def advance(a, b):
                 now = clocks[0]
@@ -305,18 +306,19 @@ def run_continuized(
     from its clock stream: the event times (``sample_event_times``) and
     each event's jump column, one ``step_column`` stack over all the times
     on the 2/t kinds and one shared column on the constant kinds.  It
-    binds its gradient oracle (``gradient_oracle``) once.  The event loop
-    then only applies the parameters to the run's one (2, d) pair, in
-    place: per event one ``mix_closed_form``, one oracle draw at the left
-    limit x_{T-} and one ``gradient_jump``.  On a ``QuadraticProblem`` with
-    noise ``none`` or ``additive`` and d <= ``FLOAT_PAIR_MAX_DIM`` the pair
-    is two float lists instead, and each event runs the same IEEE
-    operations coordinate by coordinate, in the same order (additive noise
-    from one ``standard_normal((K, d))`` block), so every value keeps its
-    bits.  The caller's x0 is checked once per ensemble and copied, never
-    written.  Each checkpoint captures the pair and its time; after the
-    last event every capture is mixed forward to its checkpoint and
-    measured (``gap``, ``dist_sq``, ``lyapunov``) in one stacked pass.
+    draws the noise of all its gradients from its noise stream in one block
+    (``noise_draws``) and binds its gradient oracle over them
+    (``gradient_oracle``) once.  The event loop then draws nothing: it
+    only applies the parameters and the noise to the run's one (2, d) pair,
+    in place: per event one ``mix_closed_form``, one oracle call at the
+    left limit x_{T-} and one ``gradient_jump``.  On a ``QuadraticProblem`` (noise ``none`` or
+    ``additive``) with d <= ``FLOAT_PAIR_MAX_DIM`` the pair is two float
+    lists instead, and each event runs the same IEEE operations coordinate
+    by coordinate, in the same order, so every value keeps its bits.  The
+    caller's x0 is checked once per ensemble and copied, never written.
+    Each checkpoint captures the pair and its time; after the last event
+    every capture is mixed forward to its checkpoint and measured (``gap``,
+    ``dist_sq``, ``lyapunov``) in one stacked pass.
     The mixing flow is constant before the first event, which sidesteps
     the t = 0 singularity of the time-varying schedules; an event at
     t = 0 is still singular.  This is the one-run
@@ -364,13 +366,11 @@ def run_three_sequence(
 
     The weights come from ``discrete_params`` over consecutive event times
     (starting at 0, from x0 = z0 = 0), so xs[k], zs[k] are the snapshots
-    after k events.
+    after k events.  Each step's gradient is one ``stochastic_gradient``
+    draw from ``noise_rng``, the one-draw-per-step reference that the
+    block-drawing runs match.
     """
-    noise = noise or NoiseModel.none()
-    if noise.kind == "none":
-        grad = problem.grad
-    else:
-        grad = partial(stochastic_gradient, problem, noise, rng=noise_rng)
+    grad = partial(stochastic_gradient, problem, noise or NoiseModel.none(), rng=noise_rng)
     times = [0.0, *event_times]
     weights = (discrete_params(schedule, t0, t1) for t0, t1 in zip(times, times[1:]))
     return nesterov_recursion(problem, weights, grad)

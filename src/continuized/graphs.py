@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problems import _EIG_REL_TOL
+from .problems import _EIG_REL_TOL, normalized_weights
 from .records import Record, read_only
 
 Array = np.ndarray
@@ -107,7 +107,7 @@ def _validate(node_count: int, edges, probs=None) -> Graph:
     if node_count < 2 and not faults:
         raise GraphError("graphs need at least 2 nodes")
     probs = np.full(len(edges), 1.0 / len(edges)) if probs is None else \
-        np.asarray(probs, dtype=float).copy()
+        np.asarray(probs, dtype=float)
     if probs.shape != (len(edges),):
         raise GraphError("need exactly one weight per edge")
     bad = [normalized[i] for i in np.flatnonzero(~(np.isfinite(probs) & (probs > 0)))]
@@ -115,12 +115,7 @@ def _validate(node_count: int, edges, probs=None) -> Graph:
         faults.append(f"edge weights must be finite and > 0; edges {bad} are not")
     if faults:
         raise GraphError(*faults)
-    with np.errstate(over="ignore"):
-        total = probs.sum()
-    if not np.isfinite(total):  # weights near the float maximum
-        probs /= probs.max()
-        total = probs.sum()
-    probs /= total
+    probs = normalized_weights(probs)
     bad = [normalized[i] for i in np.flatnonzero(probs == 0)]
     if bad:
         raise GraphError(f"edge weights underflow to probability 0 beside the others: edges {bad}")

@@ -178,6 +178,23 @@ def make_quadratic(diag_coeffs, center) -> QuadraticProblem:
     )
 
 
+def normalized_weights(weights: Array) -> Array:
+    """Finite positive ``weights`` scaled to sum to one, in a new array,
+    by their largest first when their sum overflows.  A weight far below
+    the others can still normalize to 0, which each caller refuses in its
+    own terms."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(weights.sum()):  # weights near the float maximum
+            weights = weights / weights.max()
+    return weights / weights.sum()
+
+
+def _refuse_sample_lines(bad: Array, fault: str) -> None:
+    """Raise ``fault`` naming the sample lines (1-based) at indices ``bad``, if any."""
+    if bad.size:
+        raise InvalidProblemError(f"{fault} on sample lines " + ", ".join(str(i + 1) for i in bad))
+
+
 def _r2_kappa_tilde(atoms: Array, weights: Array, hessian: Array):
     """Smallest constants for the second-moment dominations, plus H pinv.
 
@@ -213,7 +230,7 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
 
     Targets are set to b_i = <a_i, x_*> exactly, so every stochastic gradient
     vanishes at the optimum.  ``weights`` default to uniform and are
-    normalized to sum to one.
+    normalized to sum to one (``normalized_weights``).
     """
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float)).copy()
     optimum = np.atleast_1d(np.asarray(optimum, dtype=float)).copy()
@@ -228,7 +245,9 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or np.any(weights <= 0):
             raise InvalidProblemError("weights must be positive, one per sample")
-        weights = weights / weights.sum()
+        weights = normalized_weights(weights)
+        _refuse_sample_lines(np.flatnonzero(weights == 0),
+                             "sample weights underflow to 0 beside the others")
 
     targets = atoms @ optimum
     weighted_atoms = atoms * weights[:, None]
@@ -270,11 +289,29 @@ def check_noise(problem: ConvexProblem, noise: NoiseModel) -> None:
         )
 
 
-def gradient_oracle(
-    problem: ConvexProblem, noise: NoiseModel, rng: np.random.Generator
-) -> Callable[[Array], Array]:
-    """The stochastic gradient x -> g of ``problem`` under ``noise``, drawing
-    from ``rng``.
+def noise_draws(problem: ConvexProblem, noise: NoiseModel, rng: np.random.Generator,
+                count: int) -> Array | None:
+    """The gradient noise of ``count`` stochastic gradients under ``noise``,
+    drawn from ``rng`` in one block: ``None`` for noise ``none``, the
+    (count, d) additive shifts, or the ``count`` indices of the atoms that
+    multiplicative noise samples (after ``check_noise``), each the first
+    sample whose cumulative weight exceeds a uniform, clamped to the last.
+    The block carries the bits of ``count`` draws of one gradient each."""
+    if noise.kind == "none":
+        return None
+    if noise.kind == "additive":
+        d = problem.dimension
+        return np.sqrt(noise.sigma2 / d) * rng.standard_normal((count, d))
+    check_noise(problem, noise)
+    picks = np.searchsorted(problem.cum_weights, rng.random(count), side="right")
+    return np.minimum(picks, len(problem.targets) - 1)
+
+
+def gradient_oracle(problem: ConvexProblem, noise: NoiseModel,
+                    draws: Array | None) -> Callable[[Array], Array]:
+    """The stochastic gradient x -> g of ``problem`` under ``noise``, whose
+    k-th call consumes the k-th of the ``draws`` that ``noise_draws`` made:
+    the oracle draws nothing, so its values follow from its points.
 
     The noise kind is dispatched here, once, and the returned oracle does
     not check its point: an engine binds it once per run and calls it only
@@ -284,19 +321,12 @@ def gradient_oracle(
     if noise.kind == "none":
         return grad
     if noise.kind == "additive":
-        scale = np.sqrt(noise.sigma2 / problem.dimension)
-        dimension, normal = problem.dimension, rng.standard_normal
-
-        def additive(x: Array) -> Array:
-            return grad(x) + scale * normal(dimension)
-
-        return additive
-    check_noise(problem, noise)
-    cum_weights, atoms, targets = problem.cum_weights, problem.atoms, problem.targets
-    last, uniform = len(targets) - 1, rng.random
+        shifts = iter(draws)
+        return lambda x: grad(x) + next(shifts)
+    atoms, targets, picks = problem.atoms, problem.targets, iter(draws.tolist())
 
     def multiplicative(x: Array) -> Array:
-        i = min(int(np.searchsorted(cum_weights, uniform(), side="right")), last)
+        i = next(picks)
         a = atoms[i]
         return (float(a @ x) - targets[i]) * a
 
@@ -307,9 +337,10 @@ def stochastic_gradient(
     problem: ConvexProblem, noise: NoiseModel, x: Array, rng: np.random.Generator
 ) -> Array:
     """One stochastic gradient draw at ``x`` under the given noise model,
-    after checking ``x`` (``check_point``)."""
+    after checking ``x`` (``check_point``): ``gradient_oracle`` over a
+    block of one draw from ``rng``."""
     x = check_point(problem, x)
-    return gradient_oracle(problem, noise, rng)(x)
+    return gradient_oracle(problem, noise, noise_draws(problem, noise, rng, 1))(x)
 
 
 def parse_floats(text: str, name: str | None = None, *, single: bool = False) -> Array:
@@ -348,12 +379,8 @@ def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
     problem = make_least_squares(
         np.array(atoms), parse_floats(optimum, "optimum"), np.array(weights)
     )
-    bad = np.flatnonzero(np.abs(problem.targets - np.array(targets)) > 1e-10)
-    if bad.size:
-        lines = ", ".join(str(i + 1) for i in bad)
-        raise InvalidProblemError(
-            f"targets are inconsistent with the optimum on sample lines {lines}"
-        )
+    bad = np.abs(problem.targets - np.array(targets)) > 1e-10
+    _refuse_sample_lines(np.flatnonzero(bad), "targets are inconsistent with the optimum")
     return problem
 
 

@@ -91,13 +91,14 @@ class Plan(NamedTuple):
     ``checkpoint_grid``) and their horizon, each run's events and physics,
     and the finisher of a group of runs.
 
-    ``start(rng)`` sets up a run on the streams ``rng`` and returns
-    ``(times, advance, pair, clocks)``: its event times, the
-    ``advance(a, b)`` that applies events a to b - 1, and its live state,
-    which ``advance`` updates in place.  The state is the pair x, z, either a
-    list of two float lists or one (2, ...) array whose rows are x and z,
-    and ``clocks``, a list of the times the values were last mixed to (one
-    for the optimizer's pair, one per node for gossip's).
+    ``start(rng)`` sets up a run on the streams ``rng``, making every draw
+    of the run, and returns ``(times, advance, pair, clocks)``: its event
+    times, the ``advance(a, b)`` that applies events a to b - 1 and draws
+    nothing, and its live state, which ``advance`` updates in place.  The
+    state is the pair x, z, either a list of two float lists or one
+    (2, ...) array whose rows are x and z, and ``clocks``, a list of the
+    times the values were last mixed to (one for the optimizer's pair, one
+    per node for gossip's).
     ``finish(xs, zs, clocks)`` takes the (R, C, ...) stacks of x, z and
     the clocks that a group of R runs captured at the C points of the
     grid, mixes x and z to their checkpoints and returns them, with one

@@ -10,6 +10,7 @@ in-place (2, d) kernels.  All comparisons are exact.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from continuized.dual import (
     run_decentralized,
 )
 from continuized.dynamics import (
+    FLOAT_PAIR_MAX_DIM,
+    continuized_plan,
     lyapunov_value,
     mix_closed_form,
     mix_to_checkpoints,
@@ -84,6 +87,12 @@ def _least_squares():
     return make_least_squares(atoms, [0.5, -1.0, 2.0], [1.0, 2.0, 1.0, 3.0])
 
 
+def _wide_quadratic():
+    # one dimension past the float pair's, so its runs keep a (2, d) array pair
+    d = FLOAT_PAIR_MAX_DIM + 1
+    return make_quadratic(np.linspace(0.02, 1.0, d), np.linspace(-1.0, 2.0, d))
+
+
 def _multiplicative(kind):
     problem = _least_squares()
     return (problem, NoiseModel.multiplicative(), ParamSchedule.for_problem(problem, kind),
@@ -102,7 +111,17 @@ OPTIMIZE_CASES = {
                                     EventClock.geometric(1.0, 1.0)),
     "multiplicative": lambda: _multiplicative("multiplicative_strongly_convex"),
     "multiplicative-convex": lambda: _multiplicative("multiplicative_convex"),
+    "additive-array-quadratic": lambda: (_wide_quadratic(), NoiseModel.additive(0.01),
+                                         ParamSchedule.strongly_convex(1.0, 0.02),
+                                         EventClock.exponential()),
+    "additive-least-squares": lambda: (_least_squares(), NoiseModel.additive(0.01),
+                                       ParamSchedule.for_problem(_least_squares(), "convex"),
+                                       EventClock.exponential()),
 }
+
+
+def _x0(problem):
+    return np.resize([0.5, 0.0, -1.0], problem.dimension)
 
 
 @pytest.mark.parametrize("case", list(OPTIMIZE_CASES))
@@ -115,7 +134,7 @@ def test_optimizer_checkpoints_match_scalar_oracles(case):
         assert set(grid) <= set(times)
     else:
         grid = _grid(times, HORIZON, [0.3, 2.5, 7.25])
-    x0 = np.array([0.5, 0.0, -1.0])
+    x0 = _x0(problem)
     tr = run_continuized(problem, noise, schedule, clock, HORIZON, run_streams(SEED, 0),
                          x0=x0, checkpoints=grid)
     raw = replay_pairs(problem, noise, schedule, clock, grid, x0, HORIZON, SEED)
@@ -190,6 +209,63 @@ def test_optimize_presets_match_row_replay_run_by_run(preset):
             assert values["dist_sq"][i, k] == float(dx @ dx)
             assert values["lyapunov"][i, k] == lyapunov_value(
                 state, lyapunov_coeffs(schedule, t), spec.problem)
+
+
+class Sealed:
+    """A run's generator whose every draw raises once ``sealed`` is set,
+    even through a method bound before."""
+
+    def __init__(self, generator):
+        self.generator, self.sealed = generator, False
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def draw(*args, **kwargs):
+            if self.sealed:
+                raise AssertionError(f"{name} drawn after the run started")
+            return method(*args, **kwargs)
+
+        return draw
+
+
+def _preset_plan(monkeypatch, name):
+    """The plan that ``runner.resolve`` builds for preset ``name``."""
+    plans = []
+    monkeypatch.setattr(runner, "run_block", lambda plan, runs, streams: plans.append(plan))
+    runner.resolve(get_preset(name)).run_block(range(1))
+    return plans[0]
+
+
+def _case_plan(case):
+    problem, noise, schedule, clock = OPTIMIZE_CASES[case]()
+    return continuized_plan(problem, noise, schedule, clock, HORIZON, _x0(problem),
+                            [0.3, 2.5, 7.25, HORIZON])
+
+
+# every optimize preset, a gossip preset and the dual, and the float and
+# array pairs under every noise kind each takes
+NO_DRAW_PLANS = {
+    **{name: partial(_preset_plan, name=name) for name in preset_names()
+       if get_preset(name).kind == "optimize"},
+    "appendix-a2-complete10": partial(_preset_plan, name="appendix-a2-complete10"),
+    "decentralized-line10": partial(_preset_plan, name="decentralized-line10"),
+    **{case: lambda _, case=case: _case_plan(case) for case in OPTIMIZE_CASES},
+}
+
+
+@pytest.mark.parametrize("case", list(NO_DRAW_PLANS))
+def test_advance_draws_nothing(monkeypatch, case):
+    # start makes every draw of a run: once it returns, the run's events
+    # apply without touching either stream
+    plan = NO_DRAW_PLANS[case](monkeypatch)
+    streams = run_streams(SEED, 0)
+    clock, noise = Sealed(streams.clock), Sealed(streams.noise)
+    times, advance, _, _ = plan.start(RunStreams(clock=clock, noise=noise))
+    clock.sealed = noise.sealed = True
+    count = int(np.searchsorted(times, plan.horizon, side="right"))
+    assert count > 3
+    advance(0, count)
 
 
 @pytest.mark.parametrize("preset", preset_names())

@@ -7,8 +7,11 @@ from continuized.problems import (
     LeastSquaresProblem,
     NoiseModel,
     gradient,
+    gradient_oracle,
+    least_squares_from_text,
     make_least_squares,
     make_quadratic,
+    noise_draws,
     noise_from_section,
     problem_from_section,
     stochastic_gradient,
@@ -148,6 +151,19 @@ class TestLeastSquares:
         with pytest.raises(InvalidProblemError):
             _r2_kappa_tilde(atoms, np.array([0.5, 0.5]), rank_one)
 
+    def test_weights_near_the_float_maximum_normalize(self):
+        # their sum overflows, so they are scaled by their largest first
+        samples = "1 0 | 0.5 | {w}\n0 1 | -1 | {w}"
+        big = least_squares_from_text("0.5 -1", samples.format(w=1e308))
+        assert big == least_squares_from_text("0.5 -1", samples.format(w=1))
+        np.testing.assert_array_equal(big.weights, [0.5, 0.5])
+
+    def test_weight_underflowing_to_zero_is_refused(self):
+        samples = "1 0 | 0.5 | 1e308\n0 1 | -1 | 1e-300\n1 1 | -0.5 | 1e-300"
+        with pytest.raises(InvalidProblemError, match="^sample weights underflow to 0 "
+                           "beside the others on sample lines 2, 3$"):
+            least_squares_from_text("0.5 -1", samples)
+
     def test_domination_tightness(self):
         rng = np.random.default_rng(12)
         p = make_least_squares(rng.standard_normal((15, 4)), np.zeros(4))
@@ -215,11 +231,28 @@ class TestNoise:
         assert p.cum_weights[-1] <= 1.0 - 2.0**-53
 
         class Largest:
-            def random(self):
-                return 1.0 - 2.0**-53
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
 
         g = stochastic_gradient(p, NoiseModel.multiplicative(), np.zeros(6), Largest())
         np.testing.assert_array_equal(g, [0.0, 0.0, 0.0, 0.0, 0.0, -6.0])
+
+    @pytest.mark.parametrize("noise", [NoiseModel.additive(0.3), NoiseModel.multiplicative()])
+    def test_one_block_draws_as_one_draw_per_gradient(self, noise):
+        # the oracle over a block of K draws gives, call by call, the bits
+        # of K single stochastic gradients on the same stream
+        rng = np.random.default_rng(6)
+        p = make_least_squares(rng.standard_normal((6, 3)), rng.standard_normal(3))
+        xs = rng.standard_normal((200, 3))
+        oracle = gradient_oracle(p, noise, noise_draws(p, noise, np.random.default_rng(1), 200))
+        single = np.random.default_rng(1)
+        for x in xs:
+            np.testing.assert_array_equal(oracle(x), stochastic_gradient(p, noise, x, single))
+
+    def test_no_noise_draws_nothing(self):
+        p = hundred_dim()
+        assert noise_draws(p, NoiseModel.none(), None, 5) is None
+        assert gradient_oracle(p, NoiseModel.none(), None) == p.grad
 
     def test_multiplicative_requires_least_squares(self):
         p = hundred_dim()
