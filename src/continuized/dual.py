@@ -45,9 +45,11 @@ class LocalFunction(Record):
     center: float | Array
 
     def __post_init__(self) -> None:
-        if self.curvature <= 0:
-            raise ValueError("curvature must be > 0")
+        if not (math.isfinite(self.curvature) and self.curvature > 0):
+            raise ValueError("curvature must be finite and > 0")
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if not np.all(np.isfinite(center)):
+            raise ValueError("the center must be finite")
         object.__setattr__(self, "center", float(center[0]) if center.size == 1 else center)
 
     def grad(self, x: Array) -> Array:

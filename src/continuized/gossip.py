@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dynamics import midpoint_contract
-from .graphs import Graph, SpectralCache, pick_edges
+from .graphs import Graph, SpectralCache
 from .problems import row_dots
 from .records import Record
 from .schedules import EVENT_CHUNK, ParamSchedule, first_block_size, schedule_eval
@@ -85,8 +85,8 @@ def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[
     parts: ``first_block_size`` waits, which cover nearly every run, then
     the rest of the block only if the run needs it; split draws read the
     stream as one draw does, so the times keep their bits.  Each event's
-    edge is ``pick_edges`` of one uniform of the noise stream, clamped to
-    the last edge.  The horizon must pass ``check_horizon``.
+    edge is the ``Graph.edge_draw`` pick of one uniform of the noise
+    stream.  The horizon must pass ``check_horizon``.
     """
     check_horizon(horizon)
     base, blocks = 0.0, []
@@ -102,8 +102,7 @@ def sample_event_stream(graph: Graph, horizon: float, rng: RunStreams) -> tuple[
         base = times[-1]
         waits = rng.clock.exponential(size=EVENT_CHUNK)
     times = np.concatenate([*blocks, times[:np.searchsorted(times, horizon, side="right")]])
-    picks = pick_edges(graph, rng.noise.random(times.size))
-    return times, np.minimum(picks, graph.edge_count - 1)
+    return times, graph.edge_draw.pick(rng.noise.random(times.size))
 
 
 def lazy_mix_node(x, z, clocks: list[float], v: int, to_t: float, mix_rate: float) -> None:
@@ -141,7 +140,8 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
     checkpoints; both stacks are mixed in place and returned.  The decays
     are one ``np.exp`` over the clocks' array, which rounds each entry as a
     per-state call would, and each entry takes ``midpoint_contract``'s
-    operations on the same operands, so it rounds as that would too.
+    operations on the same operands, so it rounds as that would too; a
+    node whose clock is its checkpoint keeps its bits.
     """
     if not mix_rate:
         return xs, zs
@@ -150,6 +150,8 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
     # checkpoint, and a - b rounds to >= 0 when a >= b: no gap is negative
     if np.any(dt < 0):
         raise ValueError("some node is already past the requested time")
+    held = dt == 0  # a node at its checkpoint keeps its bits, as in lazy_mix_node
+    kept = xs[held], zs[held]
     dt *= -2.0 * mix_rate
     decay = np.exp(dt, out=dt)
     if xs.ndim > decay.ndim:  # d components share their node's decay
@@ -160,6 +162,7 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
         values -= mid
         values *= decay
         values += mid
+    xs[held], zs[held] = kept
     return xs, zs
 
 

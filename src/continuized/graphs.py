@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .problems import _EIG_REL_TOL, normalized_weights
-from .records import Record, read_only
+from .problems import _EIG_REL_TOL, WeightedDraw, normalized_weights
+from .records import Record
 
 Array = np.ndarray
 
@@ -38,8 +38,8 @@ class Graph(Record):
     """Connected undirected graph with a probability weight per edge.
 
     Graphs compare and hash by value (``records``): nodes, edges and edge
-    weights; the derived ``cum_probs``, ``spectrum`` and ``pick_table``
-    take no part.
+    weights; the derived ``edge_draw``, which draws an edge with its
+    probability, and ``spectrum`` take no part.
     """
 
     node_count: int
@@ -47,7 +47,7 @@ class Graph(Record):
     edge_probs: Array
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cum_probs", np.cumsum(self.edge_probs))
+        object.__setattr__(self, "edge_draw", WeightedDraw(self.edge_probs))
 
     @property
     def edge_count(self) -> int:
@@ -58,35 +58,6 @@ class Graph(Record):
         """The graph's ``spectral`` quantities, decomposed on first read;
         the graph is immutable, so they never go stale."""
         return spectral(self)
-
-    @cached_property
-    def pick_table(self) -> tuple[Array, Array]:
-        """The guide table of ``pick_edges``, built on first read: with m =
-        4E equal buckets of [0, 1), entry k is the first edge whose
-        ``cum_probs`` exceeds (k - 1) / m (entry 0 is edge 0), so the entry
-        at floor(u m) starts one bucket low; and ``cum_probs`` followed by
-        inf, which stops the search past the last edge."""
-        m = 4 * self.edge_count
-        table = np.searchsorted(self.cum_probs, (np.arange(m + 1.0) - 1.0) / m, side="right")
-        return read_only(table), read_only(np.append(self.cum_probs, np.inf))
-
-
-def pick_edges(graph: Graph, u: Array) -> Array:
-    """The edge of each uniform of ``u``: bit for bit
-    ``np.searchsorted(graph.cum_probs, u, side="right")``, at O(1) per draw.
-
-    Each search starts at the guide table's entry for u's bucket, which is
-    at or before the answer even when u m rounds up to the next bucket,
-    and steps forward while ``cum_probs`` is <= u; a uniform at or above
-    the last ``cum_probs`` gets E.
-    """
-    table, bounds = graph.pick_table
-    picks = table[(u * (table.size - 1)).astype(np.intp)]
-    ahead = np.flatnonzero(bounds[picks] <= u)
-    while ahead.size:
-        picks[ahead] += 1
-        ahead = ahead[bounds[picks[ahead]] <= u[ahead]]
-    return picks
 
 
 def _validate(node_count: int, edges, probs=None) -> Graph:

@@ -81,6 +81,41 @@ class QuadraticProblem(ConvexProblem):
         return self.diag * (x - self.optimum)
 
 
+class WeightedDraw(Record):
+    """The draw of index i of a finite weighted set with probability
+    ``probs[i]``: the first index whose running sum ``cum`` exceeds a
+    uniform u, or the last index when rounding leaves ``cum`` at or below u.
+
+    ``pick`` finds it at O(1) per uniform through a guide table built with
+    the record.  The search bounds are ``cum`` with its last sum replaced
+    by inf, so every search stops by the last index; with m = 4n equal
+    buckets of [0, 1), table entry k is the pick of (k - 1) / m (entry 0
+    that of 0), at or before the pick of every u with floor(u m) = k, even
+    when u m rounds up to k.
+    """
+
+    probs: Array
+
+    def __post_init__(self) -> None:
+        cum = np.cumsum(self.probs)
+        bounds = np.append(cum[:-1], np.inf)
+        m = 4 * cum.size
+        table = np.searchsorted(bounds, np.arange(-1.0, m) / m, side="right")
+        vars(self).update(cum=cum, bounds=bounds, table=table)
+
+    def pick(self, u: Array) -> Array:
+        """The index of each uniform of ``u``: bit for bit
+        ``np.minimum(np.searchsorted(cum, u, side="right"), n - 1)``.  Each
+        search starts at the guide table's entry for u's bucket and steps
+        forward while the bound is <= u."""
+        picks = self.table[(u * (self.table.size - 1)).astype(np.intp)]
+        ahead = np.flatnonzero(self.bounds[picks] <= u)
+        while ahead.size:
+            picks[ahead] += 1
+            ahead = ahead[self.bounds[picks[ahead]] <= u[ahead]]
+        return picks
+
+
 class LeastSquaresProblem(ConvexProblem):
     """Noiseless least squares over a finite weighted list of samples.
 
@@ -88,6 +123,7 @@ class LeastSquaresProblem(ConvexProblem):
     H = sum_i w_i a_i a_i^T, ``r_squared`` and ``kappa_tilde``
     are the smallest constants with E[|a|^2 a a^T] <= R^2 H and
     E[|a|^2_{H^-1} a a^T] <= kappa_tilde H (pseudo-inverse on the span).
+    Multiplicative noise draws its samples with ``sample_draw``.
     """
 
     atoms: Array
@@ -98,7 +134,7 @@ class LeastSquaresProblem(ConvexProblem):
     hessian_pinv: Array
     r_squared: float
     kappa_tilde: float
-    cum_weights: Array
+    sample_draw: WeightedDraw
 
     def value(self, x: Array):
         if x.ndim > 1:  # row by row: no stacked product is known to round alike
@@ -163,12 +199,14 @@ def make_quadratic(diag_coeffs, center) -> QuadraticProblem:
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if diag.size == 0:
         raise InvalidProblemError("empty curvature vector")
-    if np.any(diag <= 0):
-        raise InvalidProblemError("all quadratic curvatures must be > 0")
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        raise InvalidProblemError("all quadratic curvatures must be finite and > 0")
     if diag.shape != center.shape:
         raise InvalidProblemError(
             f"curvatures and center disagree: {diag.shape} vs {center.shape}"
         )
+    if not np.all(np.isfinite(center)):
+        raise InvalidProblemError("the center must be finite")
     return QuadraticProblem(
         dimension=diag.size,
         optimum=center,
@@ -245,6 +283,8 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or np.any(weights <= 0):
             raise InvalidProblemError("weights must be positive, one per sample")
+        _refuse_sample_lines(np.flatnonzero(~np.isfinite(weights)),
+                             "sample weights must be finite and > 0")
         weights = normalized_weights(weights)
         _refuse_sample_lines(np.flatnonzero(weights == 0),
                              "sample weights underflow to 0 beside the others")
@@ -272,7 +312,7 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
         hessian_pinv=pinv,
         r_squared=r_squared,
         kappa_tilde=kappa_tilde,
-        cum_weights=np.cumsum(weights),
+        sample_draw=WeightedDraw(weights),
     )
 
 
@@ -294,17 +334,16 @@ def noise_draws(problem: ConvexProblem, noise: NoiseModel, rng: np.random.Genera
     """The gradient noise of ``count`` stochastic gradients under ``noise``,
     drawn from ``rng`` in one block: ``None`` for noise ``none``, the
     (count, d) additive shifts, or the ``count`` indices of the atoms that
-    multiplicative noise samples (after ``check_noise``), each the first
-    sample whose cumulative weight exceeds a uniform, clamped to the last.
-    The block carries the bits of ``count`` draws of one gradient each."""
+    multiplicative noise samples (after ``check_noise``), each the
+    ``sample_draw`` pick of one uniform.  The block carries the bits of
+    ``count`` draws of one gradient each."""
     if noise.kind == "none":
         return None
     if noise.kind == "additive":
         d = problem.dimension
         return np.sqrt(noise.sigma2 / d) * rng.standard_normal((count, d))
     check_noise(problem, noise)
-    picks = np.searchsorted(problem.cum_weights, rng.random(count), side="right")
-    return np.minimum(picks, len(problem.targets) - 1)
+    return problem.sample_draw.pick(rng.random(count))
 
 
 def gradient_oracle(problem: ConvexProblem, noise: NoiseModel,

@@ -48,7 +48,8 @@ def activations(graph, horizon, streams):
         block = base + np.cumsum(streams.clock.exponential(size=4096))
         times, base = np.concatenate([times, block]), block[-1]
     times = times[:np.searchsorted(times, horizon, side="right")]
-    picks = np.searchsorted(graph.cum_probs, streams.noise.random(times.size), side="right")
+    cum_probs = np.cumsum(graph.edge_probs)
+    picks = np.searchsorted(cum_probs, streams.noise.random(times.size), side="right")
     return times, np.minimum(picks, graph.edge_count - 1)
 
 
@@ -152,11 +153,15 @@ def replay_nodes(graph, x0, mix_rate, kernel, edge_args, events, grid):
 
 
 def synchronize(x, z, last_t, mix_rate, t):
-    """One state's nodes mixed forward to t: the per-checkpoint snapshot."""
+    """One state's nodes mixed forward to t: the per-checkpoint snapshot.
+    A node whose clock is t keeps its values, as ``lazy_mix_node`` keeps a
+    pair already at its time."""
     if not mix_rate:
         return x, z
     decay = np.exp(-2.0 * mix_rate * np.maximum(t - last_t, 0.0))
-    return midpoint_contract(x, z, decay if x.ndim == 1 else decay[:, None])
+    held = last_t == t if x.ndim == 1 else (last_t == t)[:, None]
+    mixed = midpoint_contract(x, z, decay if x.ndim == 1 else decay[:, None])
+    return tuple(np.where(held, old, new) for old, new in zip((x, z), mixed))
 
 
 def conjugate_update(y, z, v, w, coefs):

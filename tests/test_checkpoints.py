@@ -434,6 +434,41 @@ def test_gossip_events_at_one_time_match_scalar_oracles(monkeypatch, dim):
     assert tr.events == times.size
 
 
+def _pairwise_run_at_its_event_times(engine, dim):
+    """A gossip or dual run on line_graph(10) checkpointed at every one of
+    its event times, and its ``lazy_mix_node`` replay there."""
+    graph, horizon, streams = line_graph(10), 40.0, partial(run_streams, 9, 0)
+    events = sample_event_stream(graph, horizon, streams())
+    grid = events[0].tolist()
+    shape = 10 if dim == 1 else (10, dim)
+    if engine == "gossip":
+        params = GossipParams.from_cache(graph.spectrum)
+        x0 = np.random.default_rng(4).standard_normal(shape)
+        tr = run_gossip(graph, params, x0, horizon, streams(), checkpoints=grid)
+        return tr, replay_nodes(graph, x0, params.mix_rate, accelerated_step,
+                                [params.z_step] * graph.edge_count, events, grid)
+    fns = random_local_functions(10, 0.2, 1.0, dim, np.random.default_rng(4))
+    tr = run_decentralized(graph, fns, 0.2, 1.0, horizon, streams(), checkpoints=grid)
+    params = DualParams.from_graph(graph, 0.2, 1.0)
+    return tr, replay_nodes(graph, np.zeros(shape), params.eta, conjugate_update,
+                            dual_coefs(graph, fns, params), events, grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("engine", ["gossip", "dual"])
+def test_checkpoint_at_an_event_holds_its_post_jump_values(engine, dim):
+    # a node whose clock is the checkpoint is not mixed at all: a mix over
+    # dt = 0 through the midpoint moves the last bit of some values
+    tr, raw = _pairwise_run_at_its_event_times(engine, dim)
+    held = 0
+    for s, (x, z, clocks) in zip(tr.states, raw):
+        at = clocks == s.t
+        np.testing.assert_array_equal(s.x[at], x[at])
+        np.testing.assert_array_equal(s.z[at], z[at])
+        held += int(at.sum())
+    assert held >= 2 * len(tr.states) > 0
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dual_checkpoints_match_scalar_oracles(dim):
     graph, horizon, mu, big_l = line_graph(6), 40.0, 0.2, 1.0

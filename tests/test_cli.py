@@ -398,6 +398,10 @@ REFUSALS = [
     ("sample-weight", "optimize",
      LEAST_SQUARES.format(optimum="1 1", samples="1 0 | 1 | -1\n    0 1 | 1 | 1"),
      ["[problem] weights must be positive, one per sample"]),
+    # [algo] names its own faults when [problem] failed to build
+    ("problem-and-algo-faults", "optimize",
+     QUADRATIC_2D.replace("diag = 0.5 1.0", "diag = 0.5 nan") + "[algo]\nmethod = bogus\n",
+     ["[problem] diag: expected finite numbers, got '0.5 nan'", "[algo] unknown method 'bogus'"]),
     ("sample-line", "optimize", LEAST_SQUARES.format(optimum="1 1", samples="1 0"),
      ["[problem] bad sample line: '1 0'"]),
     ("edge-out-of-range", "gossip", _edges("gossip", "0 1 1", "1 -2 1"),

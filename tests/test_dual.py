@@ -46,6 +46,16 @@ class TestLocalFunction:
         with pytest.raises(ValueError):
             LocalFunction(0.0, np.zeros(1))
 
+    @pytest.mark.parametrize("curvature, center, fault", [
+        (np.nan, [0.0], "curvature must be finite and > 0"),
+        (np.inf, [0.0], "curvature must be finite and > 0"),
+        (1.0, [np.nan], "the center must be finite"),
+        (1.0, [0.0, np.inf], "the center must be finite"),
+    ])
+    def test_rejects_non_finite_inputs(self, curvature, center, fault):
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            LocalFunction(curvature, np.array(center))
+
     def test_center_is_a_float_when_one_dimensional(self):
         assert type(LocalFunction(1.0, np.array([0.3])).center) is float
         center = LocalFunction(1.0, np.array([0.3, -0.1])).center

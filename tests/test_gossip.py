@@ -18,10 +18,10 @@ from continuized.graphs import (
     grid_graph,
     laplacian_matrix,
     line_graph,
-    pick_edges,
     spectral,
 )
 from continuized.harness.presets import get_preset, preset_names
+from continuized.problems import make_least_squares
 from continuized.schedules import EVENT_CHUNK, ParamSchedule, first_block_size
 from continuized.seeding import RunStreams, run_streams
 from oracles import activations, energy_problem
@@ -88,7 +88,7 @@ class TestNextEvent:
         # the cumulative probabilities end at or below the largest uniform
         # 1 - 2**-53 (grid225 at 0x1.fffffffffffe6p-1), so that draw lands
         # past the last edge unless it is clamped back to it
-        assert graph.cum_probs[-1] <= 1.0 - 2.0**-53
+        assert graph.edge_draw.cum[-1] <= 1.0 - 2.0**-53
 
         class Largest:
             def random(self, size):
@@ -514,26 +514,47 @@ def test_stream_around_the_block_boundaries(name, seed, scale, blocks, side):
     _assert_same_activations(PRESET_GRAPHS[name], _nudged(float(base), side), seed, scale)
 
 
-def _adversarial_uniforms(graph):
+def _least_squares_draw(weights, dimension=3):
+    atoms = np.random.default_rng(len(weights)).standard_normal((len(weights), dimension))
+    return make_least_squares(atoms, np.arange(1.0, dimension + 1.0), weights).sample_draw
+
+
+# The weighted draws under test: the edge draw of every gossip and
+# decentralized preset graph, and the sample draws of least-squares
+# problems: six equal weights (their sums end at 1 - 2**-53), 420 random
+# ones, 64 halving ones (most of the mass in the first buckets) and the
+# edge-difference problem of the 15 x 15 grid, whose normalized weights
+# are those of grid225 renormalized.
+DRAWS = {
+    **{name: graph.edge_draw for name, graph in PRESET_GRAPHS.items()},
+    "least-squares-equal6": _least_squares_draw(np.ones(6), 6),
+    "least-squares-random420": _least_squares_draw(np.random.default_rng(1).uniform(0.01, 1.0, 420)),
+    "least-squares-halving64": _least_squares_draw(2.0 ** -np.arange(64.0)),
+    "least-squares-grid225-energy":
+        energy_problem(grid_graph(15, 15), np.arange(225.0)).sample_draw,
+}
+
+
+def _adversarial_uniforms(draw):
     """Uniforms at and one ulp around every bucket edge of the guide table
-    and every cumulative probability, with 0 and the largest uniform
-    1 - 2**-53; those outside [0, 1) are dropped."""
-    m = 4 * graph.edge_count
-    points = np.concatenate([np.arange(m + 1.0) / m, graph.cum_probs, [0.0, 1.0 - 2.0**-53]])
+    and every running sum, with 0 and the largest uniform 1 - 2**-53;
+    those outside [0, 1) are dropped."""
+    m = 4 * draw.probs.size
+    points = np.concatenate([np.arange(m + 1.0) / m, draw.cum, [0.0, 1.0 - 2.0**-53]])
     u = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
     return u[(u >= 0.0) & (u < 1.0)]
 
 
-@pytest.mark.parametrize("name", list(PRESET_GRAPHS))
+@pytest.mark.parametrize("name", list(DRAWS))
 def test_guide_table_picks_equal_searchsorted(name):
-    # 10M uniforms plus the adversarial ones, in chunks of 2**20
-    graph = PRESET_GRAPHS[name]
+    # 10M uniforms plus the adversarial ones, in chunks of 2**20: each pick
+    # is the searchsorted index clamped to the last (halving64's sums reach
+    # 1 before its last index, so even the largest uniform picks earlier)
+    draw = DRAWS[name]
+    last = draw.probs.size - 1
     rng = np.random.default_rng(20260917)
-    chunks = [_adversarial_uniforms(graph)] + [rng.random(2**20) for _ in range(10)]
+    chunks = [_adversarial_uniforms(draw)] + [rng.random(2**20) for _ in range(10)]
     for u in chunks:
-        want = np.searchsorted(graph.cum_probs, u, side="right")
-        assert np.array_equal(pick_edges(graph, u), want)
+        want = np.minimum(np.searchsorted(draw.cum, u, side="right"), last)
+        assert np.array_equal(draw.pick(u), want)
     assert sum(map(len, chunks)) >= 10_000_000
-    top = np.array([1.0 - 2.0**-53])
-    assert pick_edges(graph, top)[0] == (graph.edge_count if graph.cum_probs[-1] <= top[0]
-                                          else graph.edge_count - 1)

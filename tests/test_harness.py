@@ -29,6 +29,7 @@ from continuized.harness.presets import PRESETS, get_preset, preset_names
 from continuized.harness.runner import (
     RunSet,
     aggregate_values,
+    resolve,
     run_experiment,
 )
 from continuized.schedules import EventClock
@@ -600,6 +601,24 @@ class TestRunner:
         gap = rs.bounds["gap"]
         assert gap[0] == np.inf
         np.testing.assert_array_equal(gap[1:], 2.0 * 1.0 * 3.0 / rs.checkpoints[1:] ** 2)
+
+    @pytest.mark.parametrize("step", ["", "step = 0.5\n"], ids=["one-over-l", "half"])
+    def test_gd_bound_only_at_step_one_over_l(self, step):
+        # gap0 (1 - mu/L)^t is the bound of gd at step 1/L (here L = 1);
+        # another step gets no bound
+        cfg = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 20\ninclude_bounds = true")
+        rs = run_experiment(parse_config_text(cfg + "\n[algo]\nmethod = gd\n" + step))
+        if step:
+            assert rs.bounds == {}
+        else:
+            np.testing.assert_array_equal(
+                rs.bounds["gap"], rs.values["gap"][0, 0] * 0.99 ** rs.checkpoints)
+
+    def test_resolve_refuses_a_kind_without_runs(self):
+        spec = parse_config_text("[experiment]\nkind = graph-info\n[graph]\n"
+                                 "topology = line\nnodes = 4\n")
+        with pytest.raises(ValueError, match="kind 'graph-info' does not produce a run set"):
+            resolve(spec)
 
     def test_non_finite_values_name_metric_and_runs(self):
         values = np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0], [1.0, np.inf]])

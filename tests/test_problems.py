@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,16 @@ class TestQuadratic:
         with pytest.raises(DimensionMismatchError):
             gradient(make_quadratic([1.0], [0.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("diag, center, fault", [
+        ([1.0, np.nan], [0.0, 0.0], "all quadratic curvatures must be finite and > 0"),
+        ([np.inf, 1.0], [0.0, 0.0], "all quadratic curvatures must be finite and > 0"),
+        ([1.0, 2.0], [np.nan, 0.0], "the center must be finite"),
+        ([1.0, 2.0], [0.0, -np.inf], "the center must be finite"),
+    ])
+    def test_rejects_non_finite_inputs(self, diag, center, fault):
+        with pytest.raises(InvalidProblemError, match=f"^{fault}$"):
+            make_quadratic(diag, center)
+
 
 class TestFiniteDifferences:
     @pytest.mark.parametrize("seed", range(4))
@@ -164,6 +176,15 @@ class TestLeastSquares:
                            "beside the others on sample lines 2, 3$"):
             least_squares_from_text("0.5 -1", samples)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_is_refused(self, weight):
+        # one fault naming the sample, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblemError, match="^sample weights must be finite "
+                               "and > 0 on sample lines 2$"):
+                make_least_squares(np.eye(3), [1.0, 2.0, 3.0], [1.0, weight, 2.0])
+
     def test_domination_tightness(self):
         rng = np.random.default_rng(12)
         p = make_least_squares(rng.standard_normal((15, 4)), np.zeros(4))
@@ -228,7 +249,7 @@ class TestNoise:
         # six equal weights sum to 1 - 2**-53, so the largest uniform lands
         # past the last sample unless it is clamped back to it
         p = make_least_squares(np.eye(6), np.arange(1.0, 7.0))
-        assert p.cum_weights[-1] <= 1.0 - 2.0**-53
+        assert p.sample_draw.cum[-1] <= 1.0 - 2.0**-53
 
         class Largest:
             def random(self, size):

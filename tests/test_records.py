@@ -24,6 +24,7 @@ from continuized.harness.runner import run_experiment
 from continuized.problems import (
     ConvexProblem,
     NoiseModel,
+    WeightedDraw,
     make_least_squares,
     make_quadratic,
 )
@@ -34,7 +35,7 @@ from continuized.seeding import run_streams
 
 def _graph():
     graph = grid_graph(3, 4)
-    graph.pick_table, graph.spectrum  # the derived arrays, built on first read
+    graph.spectrum  # the derived spectrum, built on first read
     return graph
 
 
@@ -51,6 +52,7 @@ BUILDERS = {
     "QuadraticProblem": lambda: get_preset("appendix-a1-convex").problem,
     "LeastSquaresProblem": lambda: make_least_squares(
         [[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]], [0.5, -1.0], [1.0, 2.0, 3.0]),
+    "WeightedDraw": lambda: WeightedDraw(np.array([0.25, 0.5, 0.25])),
     "Graph": _graph,
     "SpectralCache": lambda: grid_graph(3, 4).spectrum,
     "LocalFunction": lambda: LocalFunction(0.7, np.array([0.3, -1.2])),
@@ -143,10 +145,11 @@ def test_frozen_records_hold_read_only_arrays(kind):
 
 def test_graph_derived_arrays_are_read_only():
     graph = _graph()
-    derived = [graph.cum_probs, *graph.pick_table, graph.spectrum.r_eff]
+    draw = graph.edge_draw
+    derived = [draw.probs, draw.cum, draw.bounds, draw.table, graph.spectrum.r_eff]
     assert all(not a.flags.writeable for a in derived)
-    problem = BUILDERS["LeastSquaresProblem"]()
-    assert not problem.cum_weights.flags.writeable
+    draw = BUILDERS["LeastSquaresProblem"]().sample_draw
+    assert not any(a.flags.writeable for a in (draw.probs, draw.cum, draw.bounds, draw.table))
 
 
 def test_a_callers_array_is_copied_never_frozen():

@@ -71,10 +71,11 @@ def test_gossip_is_the_continuized_optimizer(name, start, monkeypatch):
         times, edges = sample_event_stream(graph, horizon, run_streams(SEED, i))
         times = times.tolist()
         # the optimizer picks atom i for the uniform u as its oracle does;
-        # problem.cum_weights and graph.cum_probs differ in the last bits on
-        # some graphs, so a uniform between them would split the two runs
+        # the running sums of the problem's and the graph's weights differ
+        # in the last bits on some graphs, so a uniform between them would
+        # split the two runs
         u = run_streams(SEED, i).noise.random(len(times))
-        picks = np.searchsorted(problem.cum_weights, u, side="right")
+        picks = np.searchsorted(problem.sample_draw.cum, u, side="right")
         np.testing.assert_array_equal(np.minimum(picks, graph.edge_count - 1), edges)
         monkeypatch.setattr(dynamics, "sample_event_times", lambda *_: times)
         opt = run_continuized(problem, NoiseModel.multiplicative(), schedule,

@@ -207,6 +207,36 @@ def test_the_value_rule_of_records_has_one_owner():
         cls.__name__ for cls in records}
 
 
+def test_weighted_draws_have_one_owner():
+    # problems.WeightedDraw alone draws an index from running weight sums:
+    # outside problems every cumsum sums waits and every searchsorted
+    # searches event times, no module clamps a pick to the last index (the
+    # record's search bounds end in inf), and the names of the draws it
+    # replaced stay gone
+    gone = ("pick_edges", "pick_table", "cum_probs", "cum_weights")
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        text, where = path.read_text(), path.relative_to(SRC)
+        found += [f"{where} {name}" for name in gone if re.search(rf"\b{name}\b", text)]
+        for node in ast.walk(ast.parse(text, str(path))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            name, first = _name(node.func), ast.unparse(node.args[0])
+            if (name == "cumsum" and first != "waits" or name == "searchsorted" and first != "times"
+                    ) and path.name != "problems.py":
+                found.append(f"{where}:{node.lineno} {name}({first})")
+            if name in ("minimum", "clip") and any(
+                    isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub)
+                    and ast.unparse(a.right) == "1" for a in node.args):
+                found.append(f"{where}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+    # and both samplers pick through the record
+    for module, sampler in ((gossip, "sample_event_stream"), (problems, "noise_draws")):
+        calls = {_name(node.func) for node in ast.walk(_function(Path(module.__file__), sampler))
+                 if isinstance(node, ast.Call)}
+        assert "pick" in calls, sampler
+
+
 def test_readme_presets_table_names_every_preset():
     # README's "Presets" table has one row per preset of ``presets.PRESETS``,
     # so the docs cannot drift from the presets
