@@ -77,6 +77,29 @@ def midpoint_contract(x, z, decay):
     return mid + (x - mid) * decay, mid + (z - mid) * decay
 
 
+def checkpoint_gaps(clocks: Array, grid: Array) -> Array:
+    """Each capture's gap to its checkpoint, ``grid[:, None] - clocks``,
+    for the (..., C, k) clocks of values captured at the C points of
+    ``grid``.  A captured clock is an applied event time at or before its
+    checkpoint, and a - b rounds to >= 0 when a >= b, so a negative gap is
+    refused."""
+    gaps = grid[:, None] - clocks
+    if np.any(gaps < 0):
+        raise ValueError("some capture is already past its checkpoint")
+    return gaps
+
+
+def keep_captured(mixed, captured, gaps: Array):
+    """Restore, in the ``mixed`` stacks, the ``captured`` bits of every
+    entry whose gap is 0 (``gaps`` broadcast over each stack), and return
+    ``mixed``: a capture at its checkpoint is its checkpoint value, as the
+    per-event mix leaves a pair already at the event time as it is."""
+    held = gaps == 0
+    for new, old in zip(mixed, captured):
+        np.copyto(new, old, where=held)
+    return mixed
+
+
 def mix_closed_form(pair: Array, t: float, schedule: ParamSchedule, until: float) -> Array:
     """Advance the mixing ODE of the (2, d) pair from t to ``until`` in
     closed form, in place, and return ``pair``.
@@ -146,30 +169,23 @@ def mix_to_checkpoints(xs: Array, zs: Array, starts: Array, schedule: ParamSched
     """``mix_closed_form`` of every captured pair, in one pass over the
     stacks: x and z are the (..., C, d) stacks ``xs`` and ``zs``, each pair
     captured at its clock in the (..., C, 1) ``starts`` and mixed to its
-    checkpoint, the matching point of the C-point ``grid``: the stacks
-    ``synchronized_values`` takes for node values.  Returns the mixed x and
-    z stacks.
+    checkpoint, the matching point of the C-point ``grid``.  Returns the
+    mixed x and z stacks; a capture past its checkpoint is refused
+    (``checkpoint_gaps``).
 
     Pair by pair the arithmetic is that of ``mix_closed_form``: one
-    ``math.exp`` decay, or one Python ``(t0/t) ** 2``, per checkpoint, and a
-    pair whose checkpoint equals its start keeps its bits.
+    ``math.exp`` decay, or one Python ``(t0/t) ** 2``, per checkpoint (numpy's
+    exp and power round some inputs differently), and a pair whose
+    checkpoint equals its start keeps its bits (``keep_captured``).
     """
-    shape = starts.shape  # one factor per pair, broadcast over its d components
-    spans = list(zip(starts.ravel().tolist(),
-                     np.broadcast_to(grid, shape[:-1]).ravel().tolist()))
+    gaps = checkpoint_gaps(starts, grid)  # one factor per pair, broadcast over its d components
     if schedule.is_time_varying:
-        factors = np.array([(t / until) ** 2 for t, until in spans]).reshape(shape)
-        mixed = zs + factors * (xs - zs), zs
+        ratios = (starts / grid[:, None]).ravel().tolist()
+        mixed = zs + np.reshape([r ** 2 for r in ratios], gaps.shape) * (xs - zs), zs
     else:
-        rate = schedule.mix_rate
-        decays = np.array([math.exp(-2.0 * rate * (until - t)) for t, until in spans])
-        mixed = midpoint_contract(xs, zs, decays.reshape(shape))
-    kept = [t == until for t, until in spans]
-    if any(kept):
-        kept = np.reshape(kept, shape[:-1])
-        for new, old in zip(mixed, (xs, zs)):
-            new[kept] = old[kept]
-    return mixed
+        exponents = (gaps * (-2.0 * schedule.mix_rate)).ravel().tolist()
+        mixed = midpoint_contract(xs, zs, np.reshape([math.exp(e) for e in exponents], gaps.shape))
+    return keep_captured(mixed, (xs, zs), gaps)
 
 
 def lyapunov_value(

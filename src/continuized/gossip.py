@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .dynamics import midpoint_contract
+from .dynamics import checkpoint_gaps, keep_captured, midpoint_contract
 from .graphs import Graph, SpectralCache
 from .problems import row_dots
 from .records import Record
@@ -137,33 +137,20 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
 
     ``xs`` and ``zs`` are (..., C, n) or (..., C, n, d) stacks of captured
     node values, ``last_t`` the (..., C, n) node clocks and ``times`` the C
-    checkpoints; both stacks are mixed in place and returned.  The decays
-    are one ``np.exp`` over the clocks' array, which rounds each entry as a
-    per-state call would, and each entry takes ``midpoint_contract``'s
-    operations on the same operands, so it rounds as that would too; a
-    node whose clock is its checkpoint keeps its bits.
+    checkpoints.  Returns the mixed stacks, new ones unless the rate is 0;
+    the given stacks are never written.  A clock past its checkpoint is
+    refused (``checkpoint_gaps``).  The decays are one ``np.exp`` over the
+    gaps, which rounds each entry as a per-state call would, and each entry
+    is ``midpoint_contract``'s; a node whose clock is its checkpoint keeps
+    its bits (``keep_captured``), as in ``lazy_mix_node``.
     """
+    gaps = checkpoint_gaps(last_t, times)
     if not mix_rate:
         return xs, zs
-    dt = times[:, None] - last_t
-    # every captured clock is an applied event time at or before its
-    # checkpoint, and a - b rounds to >= 0 when a >= b: no gap is negative
-    if np.any(dt < 0):
-        raise ValueError("some node is already past the requested time")
-    held = dt == 0  # a node at its checkpoint keeps its bits, as in lazy_mix_node
-    kept = xs[held], zs[held]
-    dt *= -2.0 * mix_rate
-    decay = np.exp(dt, out=dt)
-    if xs.ndim > decay.ndim:  # d components share their node's decay
-        decay = decay[..., None]
-    mid = xs + zs
-    mid *= 0.5
-    for values in (xs, zs):
-        values -= mid
-        values *= decay
-        values += mid
-    xs[held], zs[held] = kept
-    return xs, zs
+    if xs.ndim > gaps.ndim:  # d components share their node's decay
+        gaps = gaps[..., None]
+    mixed = midpoint_contract(xs, zs, np.exp(gaps * (-2.0 * mix_rate)))
+    return keep_captured(mixed, (xs, zs), gaps)
 
 
 def pairwise_plan(graph: Graph, x0, mix_rate: float,
@@ -177,7 +164,7 @@ def pairwise_plan(graph: Graph, x0, mix_rate: float,
     per node.  At each activation of edge ``ei`` = (v, w) at time te, both
     endpoints are mixed to te inline, with the arithmetic of
     ``lazy_mix_node``, and ``kernel(x, z, v, w, edge_args[ei])`` applies
-    the update.  The finisher mixes every captured state forward in place
+    the update.  The finisher mixes every captured state forward
     (``synchronized_values``) and ``measure(xs, zs)`` measures the
     (R·C, n[, d]) stacks, one (R·C,) array per metric.
     """
@@ -218,7 +205,7 @@ def pairwise_plan(graph: Graph, x0, mix_rate: float,
         return times, advance, pair, clocks
 
     def finish(xs, zs, clocks):
-        synchronized_values(xs, zs, clocks, mix_rate, grid)
+        xs, zs = synchronized_values(xs, zs, clocks, mix_rate, grid)
         stacked = (-1, *x0.shape)
         return xs, zs, measure(xs.reshape(stacked), zs.reshape(stacked))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from continuized.dynamics import mix_to_checkpoints
 from continuized.gossip import (
     GossipParams,
     accelerated_step,
@@ -443,6 +444,34 @@ def test_synchronized_values_refuses_a_clock_past_its_checkpoint():
     last_t[1, 0] = np.nextafter(2.0, np.inf)
     with pytest.raises(ValueError, match="already past"):
         synchronized_values(xs, zs, last_t, 0.3, times)
+
+
+@pytest.mark.parametrize("schedule", [ParamSchedule.strongly_convex(1.0, 0.02),
+                                      ParamSchedule.convex(1.0)])
+def test_mix_to_checkpoints_refuses_a_clock_past_its_checkpoint(schedule):
+    # the optimizer's finisher shares the gossip finisher's gap check: a pair
+    # captured after its checkpoint is refused, not extrapolated backwards
+    grid = np.array([2.0])
+    xs, zs = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+    mix_to_checkpoints(xs, zs, np.full((1, 1, 1), 2.0), schedule, grid)
+    with pytest.raises(ValueError, match="already past"):
+        mix_to_checkpoints(xs, zs, np.full((1, 1, 1), 2.5), schedule, grid)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3, 4, 2)])
+def test_synchronized_values_leaves_its_stacks_unwritten(shape):
+    # it returns new mixed stacks; a node at its checkpoint keeps its bits
+    rng = np.random.default_rng(5)
+    xs, zs = rng.standard_normal(shape), rng.standard_normal(shape)
+    times = np.array([1.0, 2.0, 3.0])
+    last_t = times[:, None] * rng.uniform(0.0, 1.0, shape[:3])
+    last_t[0, 1, 2] = times[1]
+    given = xs.copy(), zs.copy()
+    mixed = synchronized_values(xs, zs, last_t, 0.3, times)
+    for before, after, new in zip(given, (xs, zs), mixed):
+        np.testing.assert_array_equal(after, before)
+        assert new is not after and not np.array_equal(new, before)
+        np.testing.assert_array_equal(new[0, 1, 2], before[0, 1, 2])
 
 
 # ------------------------------------------------ event streams and edge picks

@@ -105,6 +105,16 @@ runs = 0
         text = " ".join(err.value.violations)
         assert "horizon" in text and "runs" in text and "[problem]" in text
 
+    def test_decentralized_section_lists_each_violation_in_order(self):
+        bad = GOSSIP_CFG.replace("kind = gossip", "kind = decentralized")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bad + "\n[decentralized]\ndimension = 0\n")
+        assert err.value.violations == [
+            "[decentralized] missing required field 'mu'",
+            "[decentralized] missing required field 'smoothness'",
+            "[decentralized] dimension must be >= 1",
+        ]
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/definitely/not/here.cfg")

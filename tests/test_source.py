@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from continuized import gossip, graphs, problems, schedules
+from continuized import dynamics, gossip, graphs, problems, schedules
 from continuized.dynamics import FLOAT_PAIR_MAX_DIM
 from continuized.harness import cli, config, runner
 from continuized.harness.presets import get_preset, preset_names
@@ -235,6 +235,44 @@ def test_weighted_draws_have_one_owner():
         calls = {_name(node.func) for node in ast.walk(_function(Path(module.__file__), sampler))
                  if isinstance(node, ast.Call)}
         assert "pick" in calls, sampler
+
+
+def test_checkpoint_mix_has_one_owner():
+    # dynamics.checkpoint_gaps alone subtracts captured clocks from a grid
+    # (g[:, None] - clocks) and dynamics.keep_captured alone restores the
+    # captured bits of the entries at their checkpoint: no other function
+    # copies by mask (copyto, putmask) or stores through a mask built by ==
+    owners = {"checkpoint_gaps", "keep_captured"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree, where = ast.parse(path.read_text(), str(path)), path.relative_to(SRC)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in owners and path.stem == "dynamics":
+                continue
+            nodes = list(ast.walk(fn))
+            masks = {target.id for node in nodes if isinstance(node, ast.Assign)
+                     and any(isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.Eq)
+                             for c in ast.walk(node.value))
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in nodes:
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and ast.unparse(node.left).endswith("[:, None]")
+                        or isinstance(node, ast.Call) and _name(node.func) in ("copyto", "putmask")
+                        or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                        and ast.unparse(node.slice) in masks):
+                    found.append(f"{where}:{node.lineno} {fn.name}: {ast.unparse(node)}")
+    assert not found, found
+    # both finishers call the two, and gossip's contracts through
+    # midpoint_contract, with no in-place step such as values -= mid
+    for module, finisher in ((dynamics, "mix_to_checkpoints"),
+                             (gossip, "synchronized_values")):
+        fn = _function(Path(module.__file__), finisher)
+        calls = {_name(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert owners <= calls, finisher
+    fn = _function(Path(gossip.__file__), "synchronized_values")
+    assert "midpoint_contract" in {_name(node.func) for node in ast.walk(fn)
+                                   if isinstance(node, ast.Call)}
+    assert not [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.AugAssign)]
 
 
 def test_readme_presets_table_names_every_preset():
