@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problems import _EIG_REL_TOL, WeightedDraw, normalized_weights
+from .problems import _EIG_REL_TOL, WeightedDraw, normalized_weights, parse_int
 from .records import Record
 
 Array = np.ndarray
@@ -146,7 +146,14 @@ def complete_graph(m: int) -> Graph:
 
 def edge_list_graph(edges, weights=None) -> Graph:
     """Graph on nodes 0..max index from explicit edges; weights (default
-    uniform) are normalized."""
+    uniform) are normalized.  An empty list is refused, and one GraphError
+    names every edge with a node index that is not a whole number."""
+    if len(edges) == 0:
+        raise GraphError("empty edge list")
+    faults = [f"edge ({v}, {w}) has a node index that is not an integer"
+              for v, w in edges if not (float(v).is_integer() and float(w).is_integer())]
+    if faults:
+        raise GraphError(*faults)
     edges = [(int(v), int(w)) for v, w in edges]
     return _validate(1 + max(max(v, w) for v, w in edges), edges, weights)
 
@@ -164,8 +171,6 @@ def parse_edge_lines(text: str) -> Graph:
             faults.append(f"expected 'v w p', got {line!r}")
     if faults:
         raise GraphError(*faults)
-    if not edges:
-        raise GraphError("empty edge list")
     return edge_list_graph(edges, np.array(weights))
 
 
@@ -182,19 +187,10 @@ TOPOLOGIES = {
 TOPOLOGY_FIELDS = {name: keys for name, (_, keys, _) in TOPOLOGIES.items()}
 
 
-def _size(value, least: int) -> int | None:
-    """``value`` as an integer, or None unless it is one of at least ``least``."""
-    try:
-        size = int(value)
-    except ValueError:
-        return None
-    return size if size >= least else None
-
-
 def build_graph(topology: str, **kwargs) -> Graph:
     """Dispatch on a topology keyword (harness entry point); fields other
     than the topology's own are ignored.  Before anything is built, one
-    GraphError names every size field that is not an integer large enough."""
+    GraphError names every size field that ``parse_int`` refuses."""
     if topology not in TOPOLOGIES:
         raise GraphError(f"unknown topology {topology!r}")
     build, keys, least = TOPOLOGIES[topology]
@@ -203,11 +199,12 @@ def build_graph(topology: str, **kwargs) -> Graph:
         raise GraphError(f"topology {topology} needs " + " and ".join(map(repr, missing)))
     if least is None:
         return build(*(kwargs[key] for key in keys))
-    sizes = [_size(kwargs[key], least) for key in keys]
-    faults = [
-        f"{key} must be an integer >= {least}, got {kwargs[key]!r}"
-        for key, size in zip(keys, sizes) if size is None
-    ]
+    sizes, faults = [], []
+    for key in keys:
+        try:
+            sizes.append(parse_int(kwargs[key], least))
+        except ValueError as exc:
+            faults.append(f"{key} {exc}")
     if faults:
         raise GraphError(*faults)
     return build(*sizes)

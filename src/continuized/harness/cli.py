@@ -22,7 +22,7 @@ from ..graphs import TOPOLOGIES, GraphError
 from .config import RUN_KINDS, ConfigError, ExperimentSpec, override_fields, parse_config
 from .config import spec_from_sections
 from .csvio import emit_csv, render_csv
-from .presets import get_preset, preset_names
+from .presets import preset_names
 from .runner import run_experiment
 
 SEED_ENV_VAR = "CONTINUIZED_SEED"
@@ -108,20 +108,15 @@ def _load_spec(args) -> ExperimentSpec:
     ``--seed``, CONTINUIZED_SEED applied; one ConfigError lists every
     violation of the command line, before anything runs."""
     errors: list[str] = []
-    if args.command == "reproduce":
-        try:
-            spec = get_preset(args.preset)
-        except KeyError:
-            names = ", ".join(preset_names())
-            errors.append(f"unknown preset {args.preset!r}; choose from {names}")
-    else:
-        try:
-            spec = parse_config(args.config)
-        except ConfigError as exc:
-            errors += exc.violations
+    try:
+        if args.command == "reproduce":
+            spec = spec_from_sections({"experiment": {"preset": args.preset}})
         else:
+            spec = parse_config(args.config)
             if spec.kind != args.command:
                 errors.append(f"config kind is {spec.kind!r}, subcommand is {args.command!r}")
+    except ConfigError as exc:
+        errors += exc.violations
     flags = {key: getattr(args, key) for key in ("seed", "runs", "horizon", "out")}
     given = {k: (f"argument --{k} {text}", text) for k, text in flags.items() if text is not None}
     env_seed = os.environ.get(SEED_ENV_VAR)

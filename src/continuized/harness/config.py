@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import operator
 import os
 from dataclasses import field, replace
 from functools import partial
@@ -38,6 +37,7 @@ from ..problems import (
     noise_from_section,
     parse_float,
     parse_floats,
+    parse_int,
     problem_from_section,
 )
 from ..records import Record, read_only
@@ -71,29 +71,20 @@ def _rows(text: str) -> np.ndarray:
 _DECENTRALIZED_FIELDS = {
     "mu": parse_float,
     "smoothness": parse_float,
-    "dimension": int,
+    "dimension": partial(parse_int, least=1),
     "center_scale": parse_float,
     "curvatures": parse_floats,
     "centers": _rows,
 }
 
 
-def _integer(value) -> int:
-    try:
-        return int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        raise ValueError("must be an integer") from None
-
-
 def _runs(value) -> dict:
-    if (runs := _integer(value)) < 1:
-        raise ValueError("must be >= 1")
-    return {"runs": runs}
+    return {"runs": parse_int(value, 1)}
 
 
 def _seed(value) -> dict:
     # ``derive_seed`` keeps the low 64 bits, so any other seed aliases one of these
-    if not 0 <= (seed := _integer(value)) < 2**64:
+    if (seed := parse_int(value, 0)) >= 2**64:
         raise ValueError("must be in [0, 2**64)")
     return {"seed": seed}
 
@@ -222,16 +213,17 @@ class ExperimentSpec(Record, frozen=False):
     decentralized: DecentralizedSpec | None = None
 
     def with_overrides(self, **kw) -> "ExperimentSpec":
-        """A copy with every non-None keyword replaced, the fields of
-        ``OVERRIDES`` through their rules (a new horizon brings the default
-        grid unless checkpoints come with it); one ConfigError lists all."""
-        kw = {k: v for k, v in kw.items() if v is not None}
+        """A copy with each non-None keyword, a field of ``OVERRIDES``, set
+        through its rule (a new horizon brings the default grid); one
+        ConfigError lists every violation.  Any other keyword is a TypeError."""
+        if stray := [k for k in kw if k not in OVERRIDES]:
+            raise TypeError(f"with_overrides takes only {', '.join(OVERRIDES)}, got {stray}")
         errors: list[str] = []
-        given = {k: (f"{k}={v!r}", v) for k, v in kw.items() if k in OVERRIDES}
+        given = {k: (f"{k}={v!r}", v) for k, v in kw.items() if v is not None}
         fields = override_fields(given, errors)
         if errors:
             raise ConfigError(errors)
-        return replace(self, **{**fields, **{k: v for k, v in kw.items() if k not in OVERRIDES}})
+        return replace(self, **fields)
 
 
 def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
@@ -307,9 +299,7 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
         errors.append(f"[algo] unknown method {method!r}")
     variant = section.get("variant", "convex")
     step = read("step", parse_float)
-    iters = read("iters", int)
-    if iters is not None and iters < 1:
-        errors.append("[algo] iters must be >= 1")
+    iters = read("iters", partial(parse_int, least=1))
     clock_kind, clock = section.get("clock", "exponential"), None
     if clock_kind in CLOCKS:
         build, defaults = CLOCKS[clock_kind]
@@ -350,8 +340,6 @@ def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
         for key, parse in _DECENTRALIZED_FIELDS.items()
     }
     values = {key: v for key, v in values.items() if v is not None}
-    if values.get("dimension", 1) < 1:
-        errors.append("[decentralized] dimension must be >= 1")
     if ("curvatures" in section) != ("centers" in section):
         errors.append("[decentralized] explicit local functions need 'curvatures' and 'centers'")
     centers = values.get("centers")
@@ -385,7 +373,7 @@ def _checkpoints(text: str, horizon: float) -> np.ndarray:
     tokens = text.split()
     # one integer is a count; any other text lists the times, as in 1e-05
     if len(tokens) == 1 and tokens[0].lstrip("+-").isdecimal():
-        return log_spaced_checkpoints(horizon, int(tokens[0]))
+        return log_spaced_checkpoints(horizon, parse_int(tokens[0], 1))
     grid = parse_floats(text)
     if grid.size == 0:
         raise ValueError("must list at least one time")
@@ -427,12 +415,13 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
     fields = override_fields({k: (f"[experiment] {k} = {exp[k]}", exp[k]) for k in keys}, errors)
 
     if kind == "preset":
-        from .presets import get_preset
+        from .presets import get_preset, preset_names
 
+        name = exp.get("preset", "")  # "kind = preset" names none
         try:
-            spec = get_preset(exp.get("preset", ""))  # "kind = preset" names none
+            spec = get_preset(name)
         except KeyError:
-            errors.append(f"unknown preset {exp.get('preset', '')!r}")
+            errors.append(f"unknown preset {name!r}; choose from {', '.join(preset_names())}")
         if errors:
             raise ConfigError(errors)
         return replace(spec, **fields)

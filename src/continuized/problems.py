@@ -11,6 +11,7 @@ constants (L, mu, R^2, kappa_tilde) computable in closed form.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -277,6 +278,10 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
         raise InvalidProblemError(
             f"optimum has shape {optimum.shape}, atoms have dimension {d}"
         )
+    if not np.all(np.isfinite(optimum)):
+        raise InvalidProblemError("the optimum must be finite")
+    _refuse_sample_lines(np.flatnonzero(~np.isfinite(atoms).all(axis=1)),
+                         "sample atoms must be finite")
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
@@ -399,6 +404,19 @@ def parse_floats(text: str, name: str | None = None, *, single: bool = False) ->
 def parse_float(text: str, name: str | None = None) -> float:
     """Exactly one finite float."""
     return float(parse_floats(text, name, single=True)[0])
+
+
+def parse_int(value, least: int) -> int:
+    """An integer of at least ``least``: text through ``int``, a typed value
+    through ``operator.index``; a bool, or anything else, raises one
+    InvalidProblemError."""
+    try:
+        number = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or isinstance(value, bool) or number < least:
+        raise InvalidProblemError(f"must be an integer >= {least}, got {value!r}")
+    return number
 
 
 def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:

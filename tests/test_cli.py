@@ -9,7 +9,9 @@ import pytest
 import continuized
 from continuized.harness import cli
 from continuized.harness.cli import main
+from continuized.harness.config import ConfigError
 from continuized.harness.csvio import load_csv
+from continuized.harness.presets import get_preset
 
 OPTIMIZE_CFG = """
 [experiment]
@@ -125,8 +127,15 @@ class TestExitCodes:
         path = cfg_file(OPTIMIZE_CFG)
         assert main(["gossip", "--config", path]) == 1
 
-    def test_unknown_preset(self):
+    def test_unknown_preset(self, cfg_file, capsys):
+        # reproduce and a preset config load the name one way, listing the choices
         assert main(["reproduce", "appendix-z1"]) == 1
+        reproduced = capsys.readouterr().err
+        path = cfg_file("[experiment]\npreset = appendix-z1\n")
+        assert main(["optimize", "--config", path]) == 1
+        names = ", ".join(cli.preset_names())
+        assert reproduced == capsys.readouterr().err == (
+            f"error: unknown preset 'appendix-z1'; choose from {names}\n")
 
     def test_inconsistent_least_squares_targets(self, cfg_file, capsys):
         # targets must equal <a, optimum>: 1 and 1 here, not 99 and -7
@@ -241,7 +250,7 @@ INVALID_INPUTS = [
     ("seed", QUADRATIC_2D.replace("seed = 5", "seed = xyz"), ["[experiment] seed"]),
     # seeds are folded to 64 bits, so -1 would rerun the ensemble of 2**64 - 1
     ("seed-negative", QUADRATIC_2D.replace("seed = 5", "seed = -1"),
-     ["[experiment] seed = -1: must be in [0, 2**64)"]),
+     ["[experiment] seed = -1: must be an integer >= 0, got '-1'"]),
     ("schedule-and-clock", QUADRATIC_2D + "[algo]\nschedule = bogus\nclock = weird\n",
      ["unknown schedule 'bogus'", "unknown clock 'weird'"]),
     ("x0-length", QUADRATIC_2D + "[algo]\nx0 = 1 2 3\n", ["[algo] x0"]),
@@ -407,6 +416,8 @@ REFUSALS = [
     ("edge-out-of-range", "gossip", _edges("gossip", "0 1 1", "1 -2 1"),
      ["[graph] edge (1, -2) leaves the node range"]),
     ("empty-edge-list", "gossip", _edges("gossip"), ["[graph] empty edge list"]),
+    ("checkpoint-count-zero", "optimize", QUADRATIC_2D.replace("runs = 2", "checkpoints = 0"),
+     ["[experiment] checkpoints: must be an integer >= 1, got '0'"]),
     # an edge list names all its faults at once, checked before the node count
     ("every-edge-fault", "gossip",
      _edges("gossip", "0 0 1.0", "1 2 1.0", "2 1 1.0", "3 -4 1.0", "5 6 -1"),
@@ -472,6 +483,75 @@ def test_command_line_lists_every_fault_before_running(
     assert main([*(arg.format(**paths) for arg in argv), "--quiet"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == faults and all(line.startswith("error: ") for line in lines), lines
+
+
+# Each integer field of a config, its least value, a config that sets it to
+# {v} and the prefix its violation carries there, and the command lines
+# (with their environment) that set it too.  parse_int is the one rule of
+# every entry point, so each refusal reads alike.
+INTEGER_FIELDS = {
+    "runs": (1, QUADRATIC_2D.replace("runs = 2", "runs = {v}"), "[experiment] runs = {v}: ",
+             [(["reproduce", "appendix-a1-convex", "--runs", "{v}"], {}, "argument --runs {v}: ")]),
+    "seed": (0, QUADRATIC_2D.replace("seed = 5", "seed = {v}"), "[experiment] seed = {v}: ",
+             [(["reproduce", "appendix-a1-convex", "--seed", "{v}"], {}, "argument --seed {v}: "),
+              (["reproduce", "appendix-a1-convex"], {"CONTINUIZED_SEED": "{v}"},
+               "CONTINUIZED_SEED={v}: ")]),
+    "iters": (1, QUADRATIC_2D + "[algo]\nmethod = nesterov\niters = {v}\n", "[algo] iters: ", []),
+    "dimension": (1, LINE2.format(kind="decentralized")
+                  + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\ndimension = {v}\n",
+                  "[decentralized] dimension: ", []),
+    "nodes": (2, LINE2.format(kind="gossip").replace("nodes = 2", "nodes = {v}"), "[graph] nodes ",
+              [(["graph-info", "--topology", "line", "--nodes", "{v}"], {}, "[graph] nodes ")]),
+    "rows": (1, LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = grid\nrows = {v}\ncols = 2"), "[graph] rows ",
+             [(["graph-info", "--topology", "grid", "--rows", "{v}", "--cols", "2"], {},
+               "[graph] rows ")]),
+    "cols": (1, LINE2.format(kind="gossip").replace(
+        "topology = line\nnodes = 2", "topology = grid\nrows = 2\ncols = {v}"), "[graph] cols ",
+             [(["graph-info", "--topology", "grid", "--rows", "2", "--cols", "{v}"], {},
+               "[graph] cols ")]),
+}
+# not integers: a fraction, a word, a float in exponent form, the bool whose
+# integer value would be valid, and one below the least value
+INTEGER_CASES = [
+    (name, least, value)
+    for name, (least, *_) in INTEGER_FIELDS.items()
+    for value in ("2.5", "x", "1e3", str(bool(least)), str(least - 1))
+]
+
+
+@pytest.mark.parametrize("name, least, value", INTEGER_CASES)
+def test_every_integer_field_is_refused_by_one_rule(
+    cfg_file, capsys, monkeypatch, name, least, value
+):
+    def fail(spec, progress=None):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.delenv("CONTINUIZED_SEED", raising=False)
+    _, text, where, commands = INTEGER_FIELDS[name]
+    text = text.replace("{v}", value)
+    kind = text.split("kind = ", 1)[1].split()[0]
+    fault = f"must be an integer >= {least}, got {value!r}"
+    runs = [([kind, "--config", cfg_file(text)], {}, where), *commands]
+    for argv, env, prefix in runs:
+        with monkeypatch.context() as patch:
+            for var, setting in env.items():
+                patch.setenv(var, setting.replace("{v}", value))
+            assert main([arg.replace("{v}", value) for arg in argv]) == 1, argv
+        expected = f"error: {prefix.replace('{v}', value)}{fault}"
+        assert capsys.readouterr().err.splitlines() == [expected], argv
+
+
+@pytest.mark.parametrize("name", ["runs", "seed"])
+@pytest.mark.parametrize("value", [2.5, "x", 1e3, "bool", "below"])
+def test_with_overrides_refuses_integers_by_the_one_rule(name, value):
+    least = INTEGER_FIELDS[name][0]
+    value = {"bool": bool(least), "below": least - 1}.get(value, value)
+    with pytest.raises(ConfigError) as err:
+        get_preset("appendix-a1-convex").with_overrides(**{name: value})
+    fault = f"must be an integer >= {least}, got {value!r}"
+    assert err.value.violations == [f"{name}={value!r}: {fault}"]
 
 
 class TestRuns:

@@ -81,7 +81,8 @@ class TestConstruction:
         (lambda: edge_list_graph([(0, 1), (1, 2)], weights=[1.0]),
          "need exactly one weight per edge"),
         (lambda: parse_edge_lines(" \n"), "empty edge list"),
-    ], ids=["cycle", "grid", "complete", "weight-count", "empty-edge-list"])
+        (lambda: edge_list_graph([]), "empty edge list"),
+    ], ids=["cycle", "grid", "complete", "weight-count", "empty-edge-list", "no-edges"])
     def test_refusals_name_their_rule(self, build, message):
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             build()
@@ -106,6 +107,16 @@ class TestConstruction:
         assert caught.value.violations == [
             "self-loop at node 0", "duplicate edge (1, 2)", "edge (3, -4) leaves the node range",
             "edge weights must be finite and > 0; edges [(5, 6)] are not"]
+
+    def test_non_integral_node_index_is_refused(self):
+        # int() would truncate 1.7 to node 1 and build another graph; a
+        # whole float names its node
+        with pytest.raises(GraphError) as caught:
+            edge_list_graph([(0, 1.7), (1.2, 2), (2, 3), (3, np.nan)])
+        assert caught.value.violations == [
+            f"edge {edge} has a node index that is not an integer"
+            for edge in ("(0, 1.7)", "(1.2, 2)", "(3, nan)")]
+        assert edge_list_graph([(0, 1.0), (np.float64(1.0), 2)]) == line_graph(3)
 
     @pytest.mark.parametrize("line", ["x 2 1.0", "1 2 abc", "1 2", "1 2 3 4"])
     def test_parse_edge_lines_names_the_bad_line(self, line):

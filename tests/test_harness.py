@@ -112,7 +112,7 @@ runs = 0
         assert err.value.violations == [
             "[decentralized] missing required field 'mu'",
             "[decentralized] missing required field 'smoothness'",
-            "[decentralized] dimension must be >= 1",
+            "[decentralized] dimension: must be an integer >= 1, got '0'",
         ]
 
     def test_missing_file(self):
@@ -136,7 +136,7 @@ runs = 0
     def test_preset_kind_without_a_preset_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("[experiment]\nkind = preset\n")
-        assert "unknown preset ''" in err.value.violations
+        assert f"unknown preset ''; choose from {', '.join(preset_names())}" in err.value.violations
 
     def test_explicit_checkpoints_validated(self):
         bad = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 20\ncheckpoints = 5 2")
@@ -177,18 +177,19 @@ runs = 0
     def test_horizon_override_recomputes_grid(self):
         spec = parse_config_text(MINIMAL_OPTIMIZE).with_overrides(horizon=50.0)
         np.testing.assert_array_equal(spec.checkpoints, log_spaced_checkpoints(50.0, 50))
-        kept = spec.with_overrides(horizon=60.0, checkpoints=np.array([1.0, 60.0]))
+        kept = dataclasses.replace(spec.with_overrides(horizon=60.0),
+                                   checkpoints=np.array([1.0, 60.0]))
         np.testing.assert_array_equal(kept.checkpoints, [1.0, 60.0])
 
     @pytest.mark.parametrize("overrides, violations", [
-        ({"runs": 0}, ["runs=0: must be >= 1"]),
-        ({"runs": -3}, ["runs=-3: must be >= 1"]),
+        ({"runs": 0}, ["runs=0: must be an integer >= 1, got 0"]),
+        ({"runs": -3}, ["runs=-3: must be an integer >= 1, got -3"]),
         ({"horizon": np.inf}, ["horizon=inf: log-spaced checkpoints need a finite horizon > 1"]),
         ({"runs": 2.5, "seed": "x", "horizon": 0.5, "include_bounds": "maybe"},
          ["runs=2.5: must be an integer", "seed='x': must be an integer",
           "horizon=0.5: log-spaced checkpoints need a finite horizon > 1",
           "include_bounds='maybe': not a boolean"]),
-        ({"seed": -1}, ["seed=-1: must be in [0, 2**64)"]),
+        ({"seed": -1}, ["seed=-1: must be an integer >= 0, got -1"]),
         ({"seed": 2**64}, [f"seed={2**64}: must be in [0, 2**64)"]),
     ])
     def test_with_overrides_refuses_what_the_config_refuses(self, overrides, violations):
@@ -207,6 +208,16 @@ runs = 0
         spec = base.with_overrides(seed=7, runs=3, include_bounds=False, out="")
         assert (spec.seed, spec.runs, spec.include_bounds, spec.out) == (7, 3, False, "")
         np.testing.assert_array_equal(spec.checkpoints, base.checkpoints)
+
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoints", np.array([5.0, 1.0, 1e9])), ("gossip_init", np.ones(10)),
+        ("kind", "gossip"),
+    ])
+    def test_with_overrides_takes_only_the_overridable_fields(self, field, value):
+        # any other field would reach the spec past the rule that builds it:
+        # unsorted checkpoints beyond the horizon, or a writable gossip start
+        with pytest.raises(TypeError, match=f"got \\['{field}'\\]"):
+            get_preset("appendix-a2-complete10").with_overrides(seed=3, **{field: value})
 
     @pytest.mark.parametrize("horizon", [np.inf, np.nan])
     def test_log_spaced_checkpoints_refuse_a_non_finite_horizon(self, horizon):
@@ -530,8 +541,8 @@ class TestPresets:
         assert spec != spec.with_overrides(seed=spec.seed + 1)
         moved = spec.checkpoints.copy()
         moved[-2] = 0.5 * (moved[-3] + moved[-2])
-        assert spec != spec.with_overrides(checkpoints=moved)
-        assert spec == spec.with_overrides(checkpoints=spec.checkpoints.copy())
+        assert spec != dataclasses.replace(spec, checkpoints=moved)
+        assert spec == dataclasses.replace(spec, checkpoints=spec.checkpoints.copy())
 
     def test_spec_fields_compare_by_value(self):
         spec = get_preset("appendix-a1-convex")

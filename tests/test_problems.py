@@ -15,6 +15,7 @@ from continuized.problems import (
     make_quadratic,
     noise_draws,
     noise_from_section,
+    parse_int,
     problem_from_section,
     stochastic_gradient,
 )
@@ -185,6 +186,22 @@ class TestLeastSquares:
                                "and > 0 on sample lines 2$"):
                 make_least_squares(np.eye(3), [1.0, 2.0, 3.0], [1.0, weight, 2.0])
 
+    @pytest.mark.parametrize("atoms, optimum, fault", [
+        ([[1.0, 0.0], [0.0, np.nan]], [1.0, 1.0], "sample atoms must be finite on sample lines 2"),
+        ([[np.inf, 0.0], [0.0, 1.0], [1.0, -np.inf]], [1.0, 1.0],
+         "sample atoms must be finite on sample lines 1, 3"),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 1.0], "the optimum must be finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.nan], "the optimum must be finite"),
+    ], ids=["nan-atom", "infinite-atoms", "infinite-optimum", "nan-optimum"])
+    def test_non_finite_atom_or_optimum_is_refused(self, atoms, optimum, fault):
+        # the config refuses them in parse_floats; a direct call names them
+        # too, with no numpy warning and not as an atom leaving the span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblemError) as err:
+                make_least_squares(atoms, optimum)
+        assert str(err.value) == fault
+
     def test_domination_tightness(self):
         rng = np.random.default_rng(12)
         p = make_least_squares(rng.standard_normal((15, 4)), np.zeros(4))
@@ -318,3 +335,15 @@ class TestSerialization:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidProblemError):
             problem_from_section({"kind": "cubic"})
+
+
+@pytest.mark.parametrize("value", ["7", " 7 ", 7, np.int64(7), np.uint8(7)])
+def test_parse_int_reads_text_and_integer_types(value):
+    assert parse_int(value, 7) == 7 and type(parse_int(value, 7)) is int
+
+
+@pytest.mark.parametrize("value", ["7.0", "", 7.0, np.float64(7), True, np.True_, None, "6", 6])
+def test_parse_int_refuses_all_else_with_one_message(value):
+    with pytest.raises(InvalidProblemError) as err:
+        parse_int(value, 7)
+    assert str(err.value) == f"must be an integer >= 7, got {value!r}"

@@ -12,6 +12,8 @@ Criterion 8's gossip bound follows from that optimizer's bound, and the
 dual solver's constants are a strongly convex schedule's to within 2 ulp.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ def test_gossip_bound_follows_from_the_optimizer_theorem(name, start):
     # least that, with equality where every nonzero Laplacian eigenvalue is mu
     spec = get_preset(name)
     x0 = _starts(spec.graph.node_count)[start]
-    spec = spec.with_overrides(gossip_init=x0)
+    spec = dataclasses.replace(spec, gossip_init=x0)
     t = np.asarray(spec.checkpoints)
     gossip_bound = theory_bounds(spec, t)["energy"]
     problem = energy_problem(spec.graph, x0)

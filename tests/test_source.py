@@ -275,6 +275,34 @@ def test_checkpoint_mix_has_one_owner():
     assert not [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.AugAssign)]
 
 
+def test_integers_have_one_owner():
+    # problems.parse_int is the one integer rule of a config field, flag,
+    # seed variable and override: the readers it replaced stay gone, and no
+    # harness function or graphs.build_graph calls int or operator.index or
+    # hands either over as a parser (the edge-list lines keep their own
+    # per-line parse, whose fault names the line)
+    gone = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
+            for name in ("_integer", "_size") if re.search(rf"\b{name}\b", path.read_text())]
+    assert not gone, gone
+    harness = SRC / "continuized" / "harness"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(harness.glob("*.py"))}
+    trees["build_graph"] = _function(Path(graphs.__file__), "build_graph")
+    found = []
+    for where, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):  # a parser is handed to read, _read or partial
+                parsers = node.args if _name(node.func) in ("read", "_read", "partial") else []
+                values = [node.func, *parsers]
+            else:
+                values = node.values if isinstance(node, ast.Dict) else []
+            found += [f"{where}:{node.lineno} {ast.unparse(node)}" for value in values
+                      if ast.unparse(value) in ("int", "index", "operator.index")]
+    assert not found, found
+    for where in ("config.py", "build_graph"):
+        assert "parse_int" in {node.id for node in ast.walk(trees[where])
+                               if isinstance(node, ast.Name)}, where
+
+
 def test_readme_presets_table_names_every_preset():
     # README's "Presets" table has one row per preset of ``presets.PRESETS``,
     # so the docs cannot drift from the presets
