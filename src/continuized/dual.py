@@ -25,7 +25,7 @@ from .gossip import (
     sample_event_stream,  # noqa: F401  (re-exported: the dual runs on gossip's events)
     synchronized_values,
 )
-from .problems import row_dots
+from .problems import parse_positive, row_dots
 from .records import Record
 from .seeding import RunStreams
 from .trace import Plan, Trace, record_run
@@ -45,8 +45,7 @@ class LocalFunction(Record):
     center: float | Array
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.curvature) and self.curvature > 0):
-            raise ValueError("curvature must be finite and > 0")
+        parse_positive(self.curvature, "curvature")
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if not np.all(np.isfinite(center)):
             raise ValueError("the center must be finite")
@@ -76,9 +75,10 @@ def random_local_functions(
 
 
 def check_curvatures(curvatures, mu: float, smoothness: float) -> None:
-    """Raise unless 0 < mu <= L and every local curvature lies in [mu, L]."""
-    if not 0 < mu <= smoothness:
-        raise ValueError(f"need 0 < mu <= L, got mu = {mu}, L = {smoothness}")
+    """Raise unless mu and L are finite and > 0 (``parse_positive``),
+    mu <= L and every local curvature lies in [mu, L]."""
+    if parse_positive(mu, "mu") > parse_positive(smoothness, "L"):
+        raise ValueError(f"need mu <= L, got mu = {mu}, L = {smoothness}")
     outside = [
         v for v, c in enumerate(curvatures)
         if not mu - 1e-12 <= c <= smoothness + 1e-12

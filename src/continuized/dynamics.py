@@ -36,6 +36,7 @@ from .problems import (
     QuadraticProblem,
     gradient_oracle,
     noise_draws,
+    parse_choice,
     row_dots,
     stochastic_gradient,
 )
@@ -405,8 +406,7 @@ def nesterov_weights_convex(iters: int) -> list[tuple[float, float]]:
 
 def check_nesterov_variant(problem: ConvexProblem, variant: str) -> None:
     """Raise unless ``run_nesterov`` accepts ``variant`` on ``problem``."""
-    if variant not in ("convex", "strongly_convex"):
-        raise ValueError(f"unknown variant {variant!r}")
+    parse_choice(variant, ("convex", "strongly_convex"), "variant")
     if variant == "strongly_convex" and problem.strong_convexity <= 0:
         raise ValueError("strongly_convex variant needs mu > 0")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import checkpoint_gaps, keep_captured, midpoint_contract
 from .graphs import Graph, SpectralCache
-from .problems import row_dots
+from .problems import parse_choice, row_dots
 from .records import Record
 from .schedules import EVENT_CHUNK, ParamSchedule, first_block_size, schedule_eval
 from .seeding import RunStreams
@@ -51,10 +51,8 @@ class GossipParams(Record):
 
     @classmethod
     def from_cache(cls, cache: SpectralCache, algo: str = GOSSIP_ALGOS[0]) -> "GossipParams":
-        if algo == "naive":
+        if parse_choice(algo, GOSSIP_ALGOS, "gossip algo") == "naive":
             return cls(mix_rate=0.0, z_step=0.0)
-        if algo != "accelerated":
-            raise ValueError(f"unknown gossip algo {algo!r}")
         schedule = ParamSchedule.multiplicative_strongly_convex(2.0, cache.r_max, cache.mu_gossip)
         theta_arg, _, _, z_step = schedule_eval(schedule, 0.0)
         # theta_ARG >= theta_RG / 2 always (R_max <= 2 / mu_gossip, the

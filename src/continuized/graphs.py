@@ -12,10 +12,12 @@ least-squares objective.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
-from .problems import _EIG_REL_TOL, WeightedDraw, normalized_weights, parse_int
+from .problems import _EIG_REL_TOL, WeightedDraw, normalized_weights, parse_choice, parse_int
 from .records import Record
 
 Array = np.ndarray
@@ -91,25 +93,26 @@ def _validate(node_count: int, edges, probs=None) -> Graph:
     if bad:
         raise GraphError(f"edge weights underflow to probability 0 beside the others: edges {bad}")
 
-    # BFS connectivity check.
-    adjacency: list[list[int]] = [[] for _ in range(node_count)]
+    # BFS connectivity check, over the nodes the edges name: its work is
+    # bounded by the edge count, however large a node index is.
+    adjacency: dict[int, list[int]] = {}
     for v, w in normalized:
-        adjacency[v].append(w)
-        adjacency[w].append(v)
+        adjacency.setdefault(v, []).append(w)
+        adjacency.setdefault(w, []).append(v)
     seen_nodes = {0}
     frontier = [0]
     while frontier:
         nxt = []
         for v in frontier:
-            for w in adjacency[v]:
+            for w in adjacency.get(v, ()):
                 if w not in seen_nodes:
                     seen_nodes.add(w)
                     nxt.append(w)
         frontier = nxt
     if len(seen_nodes) != node_count:
-        missing = sorted(set(range(node_count)) - seen_nodes)
+        missing = islice((v for v in range(node_count) if v not in seen_nodes), 8)
         raise DisconnectedGraphError(
-            f"graph is disconnected; unreachable nodes {missing[:8]}"
+            f"graph is disconnected; unreachable nodes {list(missing)}"
         )
     return Graph(node_count=node_count, edges=tuple(normalized), edge_probs=probs)
 
@@ -150,8 +153,9 @@ def edge_list_graph(edges, weights=None) -> Graph:
     names every edge with a node index that is not a whole number."""
     if len(edges) == 0:
         raise GraphError("empty edge list")
-    faults = [f"edge ({v}, {w}) has a node index that is not an integer"
-              for v, w in edges if not (float(v).is_integer() and float(w).is_integer())]
+    # an integer is whole as it is: as a float, 10**400 would overflow
+    faults = [f"edge ({v}, {w}) has a node index that is not an integer" for v, w in edges
+              if not all(isinstance(i, Integral) or float(i).is_integer() for i in (v, w))]
     if faults:
         raise GraphError(*faults)
     edges = [(int(v), int(w)) for v, w in edges]
@@ -191,9 +195,10 @@ def build_graph(topology: str, **kwargs) -> Graph:
     """Dispatch on a topology keyword (harness entry point); fields other
     than the topology's own are ignored.  Before anything is built, one
     GraphError names every size field that ``parse_int`` refuses."""
-    if topology not in TOPOLOGIES:
-        raise GraphError(f"unknown topology {topology!r}")
-    build, keys, least = TOPOLOGIES[topology]
+    try:
+        build, keys, least = TOPOLOGIES[parse_choice(topology, TOPOLOGIES, "topology")]
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
     missing = [key for key in keys if key not in kwargs]
     if missing:
         raise GraphError(f"topology {topology} needs " + " and ".join(map(repr, missing)))

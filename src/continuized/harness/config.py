@@ -35,6 +35,7 @@ from ..problems import (
     check_noise,
     check_point,
     noise_from_section,
+    parse_choice,
     parse_float,
     parse_floats,
     parse_int,
@@ -227,7 +228,7 @@ class ExperimentSpec(Record, frozen=False):
 
 
 def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
-    """The default grid: ``count`` log-spaced times in [1, horizon]."""
+    """The default grid: ``count`` log-spaced times in [1, horizon], read-only."""
     if not 1 < horizon < math.inf:
         raise ValueError(f"log-spaced checkpoints need a finite horizon > 1, got {horizon}")
     if not 1 <= count <= MAX_CHECKPOINT_COUNT:
@@ -240,7 +241,7 @@ def log_spaced_checkpoints(horizon: float, count: int) -> np.ndarray:
         grid = np.geomspace(1.0, horizon, count)
     if np.any(np.diff(grid) <= 0):
         raise ValueError(f"{count} log-spaced checkpoints on [1, {horizon}] repeat a time")
-    return grid
+    return read_only(grid)
 
 
 def _read(errors: list[str], name: str, section, key: str, parse, default=None):
@@ -295,21 +296,18 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
     errors: list[str] = []
     read = partial(_read, errors, "algo", section)
     method = section.get("method", SECTIONS["algo"][1])
-    if method not in METHOD_KEYS:
-        errors.append(f"[algo] unknown method {method!r}")
+    _attempt(errors, "[algo]", parse_choice, method, METHOD_KEYS, "method")
     variant = section.get("variant", "convex")
     step = read("step", parse_float)
     iters = read("iters", partial(parse_int, least=1))
     clock_kind, clock = section.get("clock", "exponential"), None
-    if clock_kind in CLOCKS:
+    if _attempt(errors, "[algo]", parse_choice, clock_kind, CLOCKS, "clock"):
         build, defaults = CLOCKS[clock_kind]
         errors += [f"[algo] key '{k}' does not apply to clock {clock_kind}"
                    for _, keys in CLOCKS.values() for k in keys
                    if k in section and k not in defaults]
         args = [read(key, parse_float, default) for key, default in defaults.items()]
         clock = _attempt(errors, "[algo]", build, *args)
-    else:
-        errors.append(f"[algo] unknown clock {clock_kind!r}")
     if problem is None:
         if errors:
             raise ConfigError(errors)
@@ -417,11 +415,11 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
     if kind == "preset":
         from .presets import get_preset, preset_names
 
-        name = exp.get("preset", "")  # "kind = preset" names none
+        # "kind = preset" names none; the refusal names no section, as ``reproduce`` prints it
         try:
-            spec = get_preset(name)
-        except KeyError:
-            errors.append(f"unknown preset {name!r}; choose from {', '.join(preset_names())}")
+            spec = get_preset(parse_choice(exp.get("preset", ""), preset_names(), "preset"))
+        except ValueError as exc:
+            errors.append(str(exc))
         if errors:
             raise ConfigError(errors)
         return replace(spec, **fields)
@@ -429,10 +427,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
     horizon = _read(errors, "experiment", exp, "horizon", parse_float)
     if horizon is not None:
         horizon = _attempt(errors, "[experiment]", check_horizon, horizon)
-    if kind not in EXPERIMENT_KINDS:
-        errors.append(
-            f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}, got {kind!r}"
-        )
+    _attempt(errors, "[experiment]", parse_choice, kind, EXPERIMENT_KINDS, "kind")
 
     checkpoints = None
     if kind in RUN_KINDS:
@@ -476,8 +471,7 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
         if kind == "gossip":
             gsec = sections.get("gossip", {})
             spec.gossip_algo = gsec.get("algo", SECTIONS["gossip"][1])
-            if spec.gossip_algo not in GOSSIP_ALGOS:
-                errors.append(f"[gossip] unknown algo {spec.gossip_algo!r}")
+            _attempt(errors, "[gossip]", parse_choice, spec.gossip_algo, GOSSIP_ALGOS, "algo")
             if gsec.get("init", "spike") != "spike":
                 spec.gossip_init = _read(errors, "gossip", gsec, "init", parse_floats)
             elif node_count is not None:  # a unit spike at node 0

@@ -11,6 +11,7 @@ constants (L, mu, R^2, kappa_tilde) computable in closed form.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable
 
@@ -166,10 +167,9 @@ class NoiseModel(Record):
     sigma2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in NOISE_FIELDS:
-            raise InvalidProblemError(f"unknown noise kind {self.kind!r}")
-        if self.sigma2 < 0:
-            raise InvalidProblemError("sigma2 must be >= 0")
+        parse_choice(self.kind, NOISE_FIELDS, "noise kind")
+        if not 0 <= self.sigma2 < math.inf:
+            raise InvalidProblemError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -419,6 +419,23 @@ def parse_int(value, least: int) -> int:
     return number
 
 
+def parse_choice(value: str, choices, what: str) -> str:
+    """``value`` when it is one of ``choices`` (a tuple, or a table's
+    keys); otherwise one InvalidProblemError names ``what`` and lists the
+    choices in their order."""
+    if value not in choices:
+        raise InvalidProblemError(f"unknown {what} {value!r}; choose from {', '.join(choices)}")
+    return value
+
+
+def parse_positive(value: float, name: str) -> float:
+    """``value`` when it is finite and > 0; otherwise one
+    InvalidProblemError names it."""
+    if not 0 < value < math.inf:
+        raise InvalidProblemError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def least_squares_from_text(optimum: str, samples: str) -> LeastSquaresProblem:
     """Build a least-squares problem from its structured-text fields.
 
@@ -448,9 +465,7 @@ NOISE_FIELDS = {"none": (), "additive": ("sigma2",), "multiplicative": ()}
 
 def problem_from_section(section) -> ConvexProblem:
     """Build the problem of a ``[problem]`` section (any str -> str mapping)."""
-    kind = section.get("kind", "")
-    if kind not in PROBLEM_FIELDS:
-        raise InvalidProblemError(f"unknown problem kind {kind!r}")
+    kind = parse_choice(section.get("kind", ""), PROBLEM_FIELDS, "problem kind")
     missing = [key for key in PROBLEM_FIELDS[kind] if key not in section]
     if missing:
         raise InvalidProblemError(f"{kind} needs " + " and ".join(map(repr, missing)))

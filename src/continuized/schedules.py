@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problems import ConvexProblem, LeastSquaresProblem
+from .problems import ConvexProblem, LeastSquaresProblem, parse_choice, parse_positive
 from .records import Record
 from .trace import check_horizon
 
@@ -61,13 +61,12 @@ class ParamSchedule(Record):
     scales: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        parse_choice(self.kind, KINDS, "schedule")
         g, k, m = self.scales
         for name, v in (("G", g), ("K", k)):
-            _require_positive(v, f"{self.kind} scale {name}")
+            parse_positive(v, f"{self.kind} scale {name}")
         if self.kind.endswith("strongly_convex"):
-            _require_positive(m, f"{self.kind} scale m")
+            parse_positive(m, f"{self.kind} scale m")
         elif m != 0.0:
             raise ValueError(f"{self.kind} needs m = 0, got {m}")
 
@@ -95,14 +94,13 @@ class ParamSchedule(Record):
         strongly convex one when mu > 0 and the convex one otherwise."""
         if kind is None:
             kind = "strongly_convex" if problem.strong_convexity > 0 else "convex"
-        if kind not in KINDS:
-            raise ValueError(f"unknown schedule {kind!r}")
         m = problem.strong_convexity if kind.endswith("strongly_convex") else 0.0
-        if not kind.startswith("multiplicative"):
-            return cls(kind, (problem.smoothness, 1.0, m))
-        if not isinstance(problem, LeastSquaresProblem):
+        if kind.startswith("multiplicative") and isinstance(problem, LeastSquaresProblem):
+            return cls(kind, (problem.r_squared, problem.kappa_tilde, m))
+        schedule = cls(kind, (problem.smoothness, 1.0, m))  # the record checks the kind
+        if schedule.is_multiplicative:
             raise ValueError(f"schedule {kind} needs a least-squares problem")
-        return cls(kind, (problem.r_squared, problem.kappa_tilde, m))
+        return schedule
 
     @property
     def is_multiplicative(self) -> bool:
@@ -120,11 +118,6 @@ class ParamSchedule(Record):
         if m == 0.0:
             raise ValueError("time-varying schedules have no constant mix rate")
         return math.sqrt(m / (g * k))
-
-
-def _require_positive(v: float, name: str) -> None:
-    if not v > 0:
-        raise ValueError(f"{name} must be > 0, got {v}")
 
 
 def schedule_eval(
@@ -172,7 +165,9 @@ class EventClock(Record):
 
     ``exponential(rate)`` is the Poisson clock; ``geometric(p, tick)`` waits
     tick * Geometric(p) between events and interpolates toward the Poisson
-    clock as p -> 0 with tick = p.
+    clock as p -> 0 with tick = p.  The record checks its kind and every
+    field when it is built; the defaults of the fields a kind does not read
+    pass.
     """
 
     kind: str
@@ -180,21 +175,23 @@ class EventClock(Record):
     p: float = 1.0
     tick: float = 1.0
 
+    def __post_init__(self) -> None:
+        parse_choice(self.kind, CLOCKS, "clock")
+        # an infinite rate makes every wait 0: a run would never pass its horizon
+        parse_positive(self.rate, "rate")
+        if not 0 < self.p <= 1:
+            raise ValueError(f"p must be in (0, 1], got {self.p}")
+        # the longest wait, at the largest uniform 1 - 2**-53, must count finitely many trials
+        if self.p < 1 and not math.isfinite(math.log(2.0**-53) / math.log1p(-self.p)):
+            raise ValueError(f"p = {self.p} is too small: the longest geometric wait overflows")
+        parse_positive(self.tick, "tick")
+
     @classmethod
     def exponential(cls, rate: float = 1.0) -> "EventClock":
-        # an infinite rate makes every wait 0: a run would never pass its horizon
-        if not 0 < rate < math.inf:
-            raise ValueError(f"rate must be finite and > 0, got {rate}")
         return cls("exponential", rate=rate)
 
     @classmethod
     def geometric(cls, p: float, tick: float) -> "EventClock":
-        if not 0 < p <= 1:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        # the longest wait, at the largest uniform 1 - 2**-53, must count finitely many trials
-        if p < 1 and not math.isfinite(math.log(2.0**-53) / math.log1p(-p)):
-            raise ValueError(f"p = {p} is too small: the longest geometric wait overflows")
-        _require_positive(tick, "tick")
         return cls("geometric", p=p, tick=tick)
 
 

@@ -11,13 +11,13 @@ finisher takes."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .records import Record
+from .problems import parse_positive
+from .records import Record, read_only
 
 
 class Snapshot(NamedTuple):
@@ -50,18 +50,17 @@ class Trace(Record, frozen=False):
 
 
 def check_horizon(horizon: float) -> float:
-    """``horizon``, after raising unless it is finite and > 0: the event
-    samplers draw until they pass it, so every engine checks it before the
-    first draw."""
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    return horizon
+    """``horizon``, after raising unless it is finite and > 0
+    (``parse_positive``): the event samplers draw until they pass it, so
+    every engine checks it before the first draw."""
+    return parse_positive(horizon, "horizon")
 
 
 def checkpoint_grid(checkpoints: Sequence[float], horizon: float) -> np.ndarray:
-    """The checkpoints as a float array, after checking the horizon
-    (``check_horizon``) and that the grid is strictly increasing inside
-    (0, horizon]; one error names both faults.  A grid with no points passes."""
+    """The checkpoints as a read-only float array, after checking the
+    horizon (``check_horizon``) and that the grid is strictly increasing
+    inside (0, horizon]; one error names both faults.  A grid with no points
+    passes."""
     check_horizon(horizon)
     grid = np.asarray(checkpoints, dtype=float)
     broken = []
@@ -72,7 +71,7 @@ def checkpoint_grid(checkpoints: Sequence[float], horizon: float) -> np.ndarray:
         broken.append(f"checkpoints {outside.tolist()} lie outside (0, horizon = {horizon}]")
     if broken:
         raise ValueError("; ".join(broken))
-    return grid
+    return read_only(grid)
 
 
 # Most captured floats a group of runs buffers before its finisher runs.

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 import continuized
+from continuized.gossip import GOSSIP_ALGOS
+from continuized.graphs import TOPOLOGIES
 from continuized.harness import cli
 from continuized.harness.cli import main
-from continuized.harness.config import ConfigError
+from continuized.harness.config import EXPERIMENT_KINDS, METHOD_KEYS, ConfigError
 from continuized.harness.csvio import load_csv
-from continuized.harness.presets import get_preset
+from continuized.harness.presets import get_preset, preset_names
+from continuized.problems import NOISE_FIELDS, PROBLEM_FIELDS
+from continuized.schedules import CLOCKS, KINDS
 
 OPTIMIZE_CFG = """
 [experiment]
@@ -382,20 +386,20 @@ def _edges(kind, *lines):
 # lines the CLI prints, all of them).
 REFUSALS = [
     ("unknown-kind", "optimize", QUADRATIC_2D.replace("kind = optimize", "kind = bogus"),
-     ["[experiment] kind must be one of optimize, gossip, decentralized, graph-info, "
-      "got 'bogus'"]),
+     ["[experiment] unknown kind 'bogus'; choose from optimize, gossip, decentralized, "
+      "graph-info"]),
     ("unknown-section", "optimize", QUADRATIC_2D + "[extra]\nkey = 1\n",
      ["unknown section [extra]"]),
     ("missing-horizon", "optimize", QUADRATIC_2D.replace("horizon = 10\n", ""),
      ["[experiment] missing required field 'horizon'"]),
     ("unknown-method", "optimize", QUADRATIC_2D + "[algo]\nmethod = bogus\n",
-     ["[algo] unknown method 'bogus'"]),
+     ["[algo] unknown method 'bogus'; choose from continuized, nesterov, gd"]),
     ("unknown-gossip-algo", "gossip", LINE2.format(kind="gossip") + "[gossip]\nalgo = bogus\n",
-     ["[gossip] unknown algo 'bogus'"]),
+     ["[gossip] unknown algo 'bogus'; choose from accelerated, naive"]),
     ("gossip-init-length", "gossip", LINE2.format(kind="gossip") + "[gossip]\ninit = 1 2 3\n",
      ["[gossip] init length must equal the node count"]),
     ("unknown-noise-kind", "optimize", QUADRATIC_2D + "[noise]\nkind = bogus\n",
-     ["[noise] unknown noise kind 'bogus'"]),
+     ["[noise] unknown noise kind 'bogus'; choose from none, additive, multiplicative"]),
     ("curvatures-and-center", "optimize", QUADRATIC_2D.replace("center = 1 1", "center = 1"),
      ["[problem] curvatures and center disagree: (2,) vs (1,)"]),
     ("problem-missing-field", "optimize", QUADRATIC_2D.replace("center = 1 1\n", ""),
@@ -410,7 +414,8 @@ REFUSALS = [
     # [algo] names its own faults when [problem] failed to build
     ("problem-and-algo-faults", "optimize",
      QUADRATIC_2D.replace("diag = 0.5 1.0", "diag = 0.5 nan") + "[algo]\nmethod = bogus\n",
-     ["[problem] diag: expected finite numbers, got '0.5 nan'", "[algo] unknown method 'bogus'"]),
+     ["[problem] diag: expected finite numbers, got '0.5 nan'",
+      "[algo] unknown method 'bogus'; choose from continuized, nesterov, gd"]),
     ("sample-line", "optimize", LEAST_SQUARES.format(optimum="1 1", samples="1 0"),
      ["[problem] bad sample line: '1 0'"]),
     ("edge-out-of-range", "gossip", _edges("gossip", "0 1 1", "1 -2 1"),
@@ -552,6 +557,42 @@ def test_with_overrides_refuses_integers_by_the_one_rule(name, value):
         get_preset("appendix-a1-convex").with_overrides(**{name: value})
     fault = f"must be an integer >= {least}, got {value!r}"
     assert err.value.violations == [f"{name}={value!r}: {fault}"]
+
+
+# Each variant key of a config: the subcommand, a config that sets it to
+# 'bogus', the start of the one line its refusal prints and the choices of
+# the table that owns the names.  parse_choice is the one rule of every
+# name; the preset's line names no section, as ``reproduce <preset>`` prints it.
+VARIANT_KEYS = {
+    "[experiment] kind": ("optimize", QUADRATIC_2D.replace("kind = optimize", "kind = bogus"),
+                          "[experiment] unknown kind", EXPERIMENT_KINDS),
+    "[experiment] preset": ("optimize", "[experiment]\npreset = bogus\n", "unknown preset",
+                            preset_names()),
+    "[problem] kind": ("optimize", QUADRATIC_2D.replace("kind = quadratic", "kind = bogus"),
+                       "[problem] unknown problem kind", PROBLEM_FIELDS),
+    "[noise] kind": ("optimize", QUADRATIC_2D + "[noise]\nkind = bogus\n",
+                     "[noise] unknown noise kind", NOISE_FIELDS),
+    "[algo] method": ("optimize", QUADRATIC_2D + "[algo]\nmethod = bogus\n",
+                      "[algo] unknown method", METHOD_KEYS),
+    "[algo] schedule": ("optimize", QUADRATIC_2D + "[algo]\nschedule = bogus\n",
+                        "[algo] unknown schedule", KINDS),
+    "[algo] clock": ("optimize", QUADRATIC_2D + "[algo]\nclock = bogus\n",
+                     "[algo] unknown clock", CLOCKS),
+    "[algo] variant": ("optimize", QUADRATIC_2D + "[algo]\nmethod = nesterov\nvariant = bogus\n",
+                       "[algo] unknown variant", ("convex", "strongly_convex")),
+    "[graph] topology": ("gossip", LINE2.format(kind="gossip").replace("= line", "= bogus"),
+                         "[graph] unknown topology", TOPOLOGIES),
+    "[gossip] algo": ("gossip", LINE2.format(kind="gossip") + "[gossip]\nalgo = bogus\n",
+                      "[gossip] unknown algo", GOSSIP_ALGOS),
+}
+
+
+@pytest.mark.parametrize("key", VARIANT_KEYS)
+def test_every_variant_name_is_refused_by_one_rule(cfg_file, capsys, key):
+    command, text, refusal, choices = VARIANT_KEYS[key]
+    assert main([command, "--config", cfg_file(text), "--quiet"]) == 1
+    expected = f"error: {refusal} 'bogus'; choose from {', '.join(choices)}"
+    assert capsys.readouterr().err.splitlines() == [expected]
 
 
 class TestRuns:

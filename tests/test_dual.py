@@ -53,6 +53,8 @@ class TestLocalFunction:
         (1.0, [0.0, np.inf], "the center must be finite"),
     ])
     def test_rejects_non_finite_inputs(self, curvature, center, fault):
+        if fault.startswith("curvature"):  # parse_positive's refusal names the value
+            fault += f", got {curvature}"
         with pytest.raises(ValueError, match=f"^{fault}$"):
             LocalFunction(curvature, np.array(center))
 

@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,42 @@ from continuized.graphs import (
     parse_edge_lines,
     spectral,
 )
+
+# A child that builds, under a 2 GiB address-space limit, an edge list naming
+# node 10**400 and a gossip config naming node 10**8, and prints each
+# refusal, the seconds both took and the growth of its peak RSS.
+HUGE_INDEX_PROBE = '''
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from continuized.graphs import GraphError, edge_list_graph
+from continuized.harness.config import ConfigError, parse_config_text
+
+CONFIG = """
+[experiment]
+kind = gossip
+horizon = 5
+
+[graph]
+topology = edge_list
+edges =
+    0 1 1
+    1 100000000 1
+"""
+faults = []
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+try:
+    edge_list_graph([(0, 10**400)])
+except GraphError as exc:
+    faults.append(str(exc))
+try:
+    parse_config_text(CONFIG)
+except ConfigError as exc:
+    faults += exc.violations
+seconds = time.perf_counter() - start
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({"faults": faults, "seconds": seconds, "rss_growth_mib": growth / 1024}))
+'''
 
 
 class TestConstruction:
@@ -117,6 +158,23 @@ class TestConstruction:
             f"edge {edge} has a node index that is not an integer"
             for edge in ("(0, 1.7)", "(1.2, 2)", "(3, nan)")]
         assert edge_list_graph([(0, 1.0), (np.float64(1.0), 2)]) == line_graph(3)
+
+    def test_huge_node_index_costs_the_time_and_memory_of_the_edges(self):
+        # connectivity is checked over the nodes the edges name, so neither
+        # refusal allocates anything per node up to the largest index
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", HUGE_INDEX_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["faults"] == [
+            "graph is disconnected; unreachable nodes [1, 2, 3, 4, 5, 6, 7, 8]",
+            "[graph] graph is disconnected; unreachable nodes [2, 3, 4, 5, 6, 7, 8, 9]",
+        ]
+        assert report["seconds"] < 1.0, report
+        assert report["rss_growth_mib"] < 16, report
 
     @pytest.mark.parametrize("line", ["x 2 1.0", "1 2 abc", "1 2", "1 2 3 4"])
     def test_parse_edge_lines_names_the_bad_line(self, line):

@@ -24,6 +24,7 @@ from continuized.harness.config import (
     parse_config,
     parse_config_text,
 )
+from continuized.harness import runner
 from continuized.harness.csvio import emit_csv, load_csv, render_csv
 from continuized.harness.presets import PRESETS, get_preset, preset_names
 from continuized.harness.runner import (
@@ -543,6 +544,22 @@ class TestPresets:
         moved[-2] = 0.5 * (moved[-3] + moved[-2])
         assert spec != dataclasses.replace(spec, checkpoints=moved)
         assert spec == dataclasses.replace(spec, checkpoints=spec.checkpoints.copy())
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_checkpoint_grids_are_read_only(self, name, monkeypatch):
+        # a spec, the specs its overrides return and the plan its runs share
+        # may hold one grid object, so none of them can write to it
+        spec = get_preset(name)
+        plans = []
+        monkeypatch.setattr(runner, "run_block", lambda plan, runs, streams: plans.append(plan))
+        resolved = resolve(spec.with_overrides(runs=3))
+        resolved.run_block([0])
+        grids = [spec.checkpoints, spec.with_overrides(runs=3).checkpoints,
+                 spec.with_overrides(horizon=spec.horizon / 2).checkpoints,
+                 resolved.checkpoints, plans[0].grid]
+        for grid in grids + [parse_config_text(GOSSIP_CFG).checkpoints]:
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 0.5
 
     def test_spec_fields_compare_by_value(self):
         spec = get_preset("appendix-a1-convex")

@@ -1,9 +1,16 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from continuized.dual import LocalFunction, check_curvatures
+from continuized.dynamics import run_nesterov
+from continuized.gossip import GOSSIP_ALGOS, GossipParams
+from continuized.graphs import TOPOLOGIES, GraphError, build_graph, line_graph
 from continuized.problems import (
+    NOISE_FIELDS,
+    PROBLEM_FIELDS,
     DimensionMismatchError,
     InvalidProblemError,
     LeastSquaresProblem,
@@ -19,6 +26,8 @@ from continuized.problems import (
     problem_from_section,
     stochastic_gradient,
 )
+from continuized.schedules import CLOCKS, KINDS, EventClock, ParamSchedule
+from continuized.trace import check_horizon
 
 
 def hundred_dim():
@@ -347,3 +356,70 @@ def test_parse_int_refuses_all_else_with_one_message(value):
     with pytest.raises(InvalidProblemError) as err:
         parse_int(value, 7)
     assert str(err.value) == f"must be an integer >= 7, got {value!r}"
+
+
+QUADRATIC = make_quadratic([0.5, 1.0], [1.0, 1.0])
+
+# Each library constructor of a named variant, called with the name 'bogus':
+# the exception type it raised before parse_choice owned the refusal, the
+# name its message gives and the choices it lists, in their table's order.
+# (presets.get_preset keeps its KeyError: TestPresets.test_unknown_preset.)
+VARIANT_CONSTRUCTORS = {
+    "schedule": (lambda: ParamSchedule("bogus", (1.0, 1.0, 0.0)), ValueError, "schedule", KINDS),
+    "for_problem": (lambda: ParamSchedule.for_problem(QUADRATIC, "bogus"), ValueError,
+                    "schedule", KINDS),
+    # an unknown clock kind once built, then failed in sample_event_times
+    "clock": (lambda: EventClock("poisson"), ValueError, "clock", CLOCKS),
+    "noise": (lambda: NoiseModel("bogus"), InvalidProblemError, "noise kind", NOISE_FIELDS),
+    "problem": (lambda: problem_from_section({"kind": "bogus"}), InvalidProblemError,
+                "problem kind", PROBLEM_FIELDS),
+    "variant": (lambda: run_nesterov(QUADRATIC, "bogus", 3), ValueError, "variant",
+                ("convex", "strongly_convex")),
+    "gossip": (lambda: GossipParams.from_cache(line_graph(3).spectrum, "bogus"), ValueError,
+               "gossip algo", GOSSIP_ALGOS),
+    "topology": (lambda: build_graph("bogus"), GraphError, "topology", TOPOLOGIES),
+}
+
+
+@pytest.mark.parametrize("name", VARIANT_CONSTRUCTORS)
+def test_every_variant_name_is_refused_by_one_rule(name):
+    build, error, what, choices = VARIANT_CONSTRUCTORS[name]
+    with pytest.raises(error) as err:
+        build()
+    bogus = "poisson" if name == "clock" else "bogus"
+    assert str(err.value) == f"unknown {what} '{bogus}'; choose from {', '.join(choices)}"
+
+
+# Each positive parameter, the call that sets it to a value v, and the name
+# its refusal gives.
+POSITIVE_PARAMETERS = {
+    "G": (lambda v: ParamSchedule("convex", (v, 1.0, 0.0)), "convex scale G"),
+    "K": (lambda v: ParamSchedule("multiplicative_convex", (1.0, v, 0.0)),
+          "multiplicative_convex scale K"),
+    "m": (lambda v: ParamSchedule.strongly_convex(1.0, v), "strongly_convex scale m"),
+    # the record checks its own fields, as its named constructors build it
+    "rate": (lambda v: EventClock("exponential", rate=v), "rate"),
+    "tick": (lambda v: EventClock("geometric", p=0.5, tick=v), "tick"),
+    "horizon": (check_horizon, "horizon"),
+    "curvature": (lambda v: LocalFunction(v, 0.0), "curvature"),
+    "mu": (lambda v: check_curvatures((), v, 1.0), "mu"),
+    "L": (lambda v: check_curvatures((), 0.1, v), "L"),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", POSITIVE_PARAMETERS)
+def test_every_positive_parameter_is_refused_by_one_rule(name, value):
+    build, label = POSITIVE_PARAMETERS[name]
+    with pytest.raises(InvalidProblemError) as err:
+        build(value)
+    assert str(err.value) == f"{label} must be finite and > 0, got {value}"
+    build(0.5)  # the same call with a finite positive value passes
+
+
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0])
+def test_noise_variance_must_be_finite_and_non_negative(sigma2):
+    with pytest.raises(InvalidProblemError) as err:
+        NoiseModel.additive(sigma2)
+    assert str(err.value) == f"sigma2 must be finite and >= 0, got {sigma2}"
+    assert NoiseModel.additive(0.0).sigma2 == 0.0

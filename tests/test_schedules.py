@@ -349,14 +349,14 @@ class TestParamScheduleRule:
     def test_rejects_non_positive_g_and_k(self, kind, bad):
         m = 0.5 if kind.endswith("strongly_convex") else 0.0
         for scales in ((bad, 1.0, m), (1.0, bad, m)):
-            with pytest.raises(ValueError, match="must be > 0"):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
                 ParamSchedule(kind, scales)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_strongly_convex_kinds_reject_non_positive_m(self, bad):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             ParamSchedule.strongly_convex(1.0, bad)
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             ParamSchedule.multiplicative_strongly_convex(1.0, 1.0, bad)
 
     @pytest.mark.parametrize("kind", ["convex", "multiplicative_convex"])
@@ -371,5 +371,5 @@ class TestParamScheduleRule:
             ParamSchedule.for_problem(self.QUADRATIC, "multiplicative_convex")
         with pytest.raises(ValueError, match="unknown schedule 'x'"):
             ParamSchedule.for_problem(self.QUADRATIC, "x")
-        with pytest.raises(ValueError, match="unknown schedule kind 'x'"):
+        with pytest.raises(ValueError, match="unknown schedule 'x'"):
             ParamSchedule("x", (1.0, 1.0, 0.0))

@@ -303,6 +303,68 @@ def test_integers_have_one_owner():
                                if isinstance(node, ast.Name)}, where
 
 
+def _outside_calls(node):
+    """The comparisons of ``node`` that no call wraps: a scalar's, not the
+    element-wise ones that an array refusal hands to numpy."""
+    if isinstance(node, ast.Compare):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.Call):
+            yield from _outside_calls(child)
+
+
+def _is_zero(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 0 and type(node.value) is int
+
+
+def test_names_and_positive_numbers_have_one_owner():
+    # problems.parse_choice is the one refusal of a variant name and
+    # problems.parse_positive the one refusal of a scalar that must be
+    # finite and > 0: _require_positive stays gone, no other f-string opens
+    # with "unknown " (after a "[section] " prefix or not; the key rule's
+    # "unknown section [x]" aside), and no other `if` that raises tests
+    # `x > 0` or `0 < x < math.inf` outside a call (the array refusals of
+    # curvatures and weights compare inside numpy calls, with messages that
+    # name their edges or sample lines)
+    problems_path = Path(problems.__file__)
+    owners = [_function(problems_path, name) for name in ("parse_choice", "parse_positive")]
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        where = path.relative_to(SRC).as_posix()
+        if re.search(r"\b_require_positive\b", text):
+            found.append(f"{where} _require_positive")
+        for node in ast.walk(ast.parse(text, str(path))):
+            if path == problems_path and any(
+                    fn.lineno <= getattr(node, "lineno", 0) <= fn.end_lineno for fn in owners):
+                continue
+            head = node.values[0] if isinstance(node, ast.JoinedStr) else None
+            if (isinstance(head, ast.Constant) and re.match(r"(\[\w+\] )?unknown ", head.value)
+                    and not head.value.startswith("unknown section [")):
+                found.append(f"{where}:{node.lineno} {ast.unparse(node)}")
+            if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+                for test in _outside_calls(node.test):
+                    operands = [test.left, *test.comparators]
+                    positive = any(isinstance(op, ast.Gt) and _is_zero(right)
+                                   for op, right in zip(test.ops, operands[1:]))
+                    bounded = (_is_zero(test.left) and len(test.ops) == 2
+                               and all(isinstance(op, ast.Lt) for op in test.ops)
+                               and ast.unparse(operands[-1]) == "math.inf")
+                    if positive or bounded:
+                        found.append(f"{where}:{node.lineno} {ast.unparse(test)}")
+    assert not found, found
+    # and the rules have their callers: each module that names a variant or
+    # reads a positive parameter refuses it through them
+    callers = {"parse_choice": ("problems", "schedules", "dynamics", "gossip", "graphs",
+                                "harness/config"),
+               "parse_positive": ("schedules", "trace", "dual")}
+    for rule, modules in callers.items():
+        for module in modules:
+            tree = ast.parse((SRC / "continuized" / f"{module}.py").read_text())
+            assert rule in {_name(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}, \
+                (rule, module)
+
+
 def test_readme_presets_table_names_every_preset():
     # README's "Presets" table has one row per preset of ``presets.PRESETS``,
     # so the docs cannot drift from the presets
