@@ -34,6 +34,7 @@ from .problems import (
     LeastSquaresProblem,
     NoiseModel,
     QuadraticProblem,
+    check_point,
     gradient_oracle,
     noise_draws,
     parse_choice,
@@ -44,6 +45,7 @@ from .schedules import (
     EventClock,
     LyapunovCoeffs,
     ParamSchedule,
+    check_pairing,
     discrete_params,
     lyapunov_on_grid,
     sample_event_times,
@@ -216,19 +218,17 @@ def lyapunov_value(
 
 def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamSchedule,
                      clock: EventClock, horizon: float, x0, checkpoints: Sequence[float]) -> Plan:
-    """The plan of an ensemble of continuized runs: the (x0, x0) pair and
-    the grid are checked once, and the constant kinds' jump column and the
+    """The plan of an ensemble of continuized runs: x0 (``check_point``),
+    the schedule's problem (``check_pairing``) and the grid are checked
+    once, and the (x0, x0) pair, the constant kinds' jump column and the
     certificate coefficients (``lyapunov_on_grid``) are built once.  Each
     run is as ``run_continuized`` describes it; its live state is its pair
     and the time it was last mixed to.  The finisher mixes every captured
     pair to its checkpoint (``mix_to_checkpoints``) and measures ``gap``,
     ``dist_sq`` and ``lyapunov`` over the (R, C, d) stacks, with the grid's
     coefficients broadcast over the group's runs."""
-    pair0 = initial_state(np.zeros(problem.dimension) if x0 is None else x0)
-    if pair0.shape[1:] != (problem.dimension,):
-        raise DimensionMismatchError(
-            f"x0 has shape {pair0.shape[1:]}, problem dimension is {problem.dimension}"
-        )
+    pair0 = initial_state(check_point(problem, np.zeros(problem.dimension) if x0 is None else x0))
+    check_pairing(schedule, problem)
     grid = checkpoint_grid(checkpoints, horizon)
     # a quadratic takes no multiplicative noise: noise_draws refuses it in start
     floats = isinstance(problem, QuadraticProblem) and problem.dimension <= FLOAT_PAIR_MAX_DIM
@@ -236,8 +236,7 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
     if not varying:  # constant kinds jump by one column at every event
         column = step_column(schedule, horizon)
         column = column[:, 0].tolist() if floats else column
-    certified = not schedule.is_multiplicative or isinstance(problem, LeastSquaresProblem)
-    coeffs = lyapunov_on_grid(schedule, grid) if certified else None
+    coeffs = lyapunov_on_grid(schedule, grid)
 
     def start(rng: RunStreams):
         times = sample_event_times(clock, horizon, rng.clock)
@@ -297,11 +296,9 @@ def continuized_plan(problem: ConvexProblem, noise: NoiseModel, schedule: ParamS
     def finish(xs, zs, clocks):
         xs, zs = mix_to_checkpoints(xs, zs, clocks, schedule, grid)
         dx = xs - problem.optimum
-        values = {"gap": problem.gap(xs), "dist_sq": row_dots(dx, dx)}
-        if coeffs is not None:
-            values["lyapunov"] = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem,
-                                                values["gap"])
-        return xs, zs, values
+        gap = problem.gap(xs)
+        lyapunov = lyapunov_value(Snapshot(grid, xs, zs), coeffs, problem, gap)
+        return xs, zs, {"gap": gap, "dist_sq": row_dots(dx, dx), "lyapunov": lyapunov}
 
     return Plan(grid, horizon, start, finish)
 
@@ -357,7 +354,7 @@ def nesterov_recursion(
     (xs[0] = zs[0] = x0, by default 0) and ys[k] is the point
     whose gradient ``grad(ys[k])`` drives step k+1.
     """
-    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = check_point(problem, np.zeros(problem.dimension) if x0 is None else x0).copy()
     z = x.copy()
     xs, ys, zs = [x], [], [z]
     for tau, tau_p, gamma, gamma_p in weights:

@@ -151,24 +151,34 @@ def synchronized_values(xs: Array, zs: Array, last_t: Array, mix_rate: float,
     return keep_captured(mixed, (xs, zs), gaps)
 
 
+def check_node_values(values, node_count: int) -> Array:
+    """``values`` as a float array: the one rule of a pairwise run's start,
+    one value, or one row of values, per node of a ``node_count``-node
+    graph, all finite.  Otherwise a ValueError names the fault."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[0] != node_count:
+        raise ValueError(f"node values have shape {values.shape}, not one per node of {node_count}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("node values must be finite")
+    return values
+
+
 def pairwise_plan(graph: Graph, x0, mix_rate: float,
                   kernel: Callable[[Any, Any, int, int, Any], None], edge_args: Sequence[Any],
                   measure: Callable[[Array, Array], dict[str, Array]],
                   horizon: float, checkpoints: Sequence[float]) -> Plan:
     """The plan of an ensemble of pairwise runs, for gossip and the dual
-    solver: x0 and the grid are checked once, and each run starts from
-    x = z = x0.  The run's node values are its own: floats in two lists
-    for a 1-D x0, the rows of one (2, n, d) array otherwise, with one clock
-    per node.  At each activation of edge ``ei`` = (v, w) at time te, both
-    endpoints are mixed to te inline, with the arithmetic of
-    ``lazy_mix_node``, and ``kernel(x, z, v, w, edge_args[ei])`` applies
-    the update.  The finisher mixes every captured state forward
-    (``synchronized_values``) and ``measure(xs, zs)`` measures the
-    (R·C, n[, d]) stacks, one (R·C,) array per metric.
+    solver: x0 (``check_node_values``) and the grid are checked once, and
+    each run starts from x = z = x0.  The run's node values are its own:
+    floats in two lists for a 1-D x0, the rows of one (2, n, d) array
+    otherwise, with one clock per node.  At each activation of edge ``ei``
+    = (v, w) at time te, both endpoints are mixed to te inline, with the
+    arithmetic of ``lazy_mix_node``, and ``kernel(x, z, v, w,
+    edge_args[ei])`` applies the update.  The finisher mixes every captured
+    state forward (``synchronized_values``) and ``measure(xs, zs)``
+    measures the (R·C, n[, d]) stacks, one (R·C,) array per metric.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[0] != graph.node_count:
-        raise ValueError(f"x0 has shape {x0.shape}, graph has {graph.node_count} nodes")
+    x0 = check_node_values(x0, graph.node_count)
     grid = checkpoint_grid(checkpoints, horizon)
     edges, rate, nodes = graph.edges, -2.0 * mix_rate, graph.node_count
 

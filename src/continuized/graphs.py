@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -93,22 +93,18 @@ def _validate(node_count: int, edges, probs=None) -> Graph:
     if bad:
         raise GraphError(f"edge weights underflow to probability 0 beside the others: edges {bad}")
 
-    # BFS connectivity check, over the nodes the edges name: its work is
-    # bounded by the edge count, however large a node index is.
+    # Connectivity, by one stack walk over the nodes the edges name: its
+    # work is bounded by the edge count, however large a node index is.
     adjacency: dict[int, list[int]] = {}
     for v, w in normalized:
         adjacency.setdefault(v, []).append(w)
         adjacency.setdefault(w, []).append(v)
-    seen_nodes = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adjacency.get(v, ()):
-                if w not in seen_nodes:
-                    seen_nodes.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    seen_nodes, stack = {0}, [0]
+    while stack:
+        for w in adjacency.get(stack.pop(), ()):
+            if w not in seen_nodes:
+                seen_nodes.add(w)
+                stack.append(w)
     if len(seen_nodes) != node_count:
         missing = islice((v for v in range(node_count) if v not in seen_nodes), 8)
         raise DisconnectedGraphError(
@@ -150,12 +146,14 @@ def complete_graph(m: int) -> Graph:
 def edge_list_graph(edges, weights=None) -> Graph:
     """Graph on nodes 0..max index from explicit edges; weights (default
     uniform) are normalized.  An empty list is refused, and one GraphError
-    names every edge with a node index that is not a whole number."""
+    names every edge with a node index that is neither an integer nor a
+    whole real number (text and None among them)."""
     if len(edges) == 0:
         raise GraphError("empty edge list")
     # an integer is whole as it is: as a float, 10**400 would overflow
     faults = [f"edge ({v}, {w}) has a node index that is not an integer" for v, w in edges
-              if not all(isinstance(i, Integral) or float(i).is_integer() for i in (v, w))]
+              if not all(isinstance(i, Integral) or isinstance(i, Real) and float(i).is_integer()
+                         for i in (v, w))]
     if faults:
         raise GraphError(*faults)
     edges = [(int(v), int(w)) for v, w in edges]

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..dual import check_curvatures
 from ..dynamics import check_gd_step, check_nesterov_variant
-from ..gossip import GOSSIP_ALGOS
+from ..gossip import GOSSIP_ALGOS, check_node_values
 from ..graphs import TOPOLOGY_FIELDS, Graph, build_graph
 from ..problems import (
     NOISE_FIELDS,
@@ -476,10 +476,10 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
                 spec.gossip_init = _read(errors, "gossip", gsec, "init", parse_floats)
             elif node_count is not None:  # a unit spike at node 0
                 spec.gossip_init = np.eye(1, node_count)[0]
-            if spec.gossip_init is not None:
-                spec.gossip_init = read_only(spec.gossip_init)  # every run starts from it
-                if node_count is not None and spec.gossip_init.shape != (node_count,):
-                    errors.append("[gossip] init length must equal the node count")
+            if spec.gossip_init is not None and node_count is not None:
+                # read-only: every run starts from it
+                spec.gossip_init = _attempt(errors, "[gossip] init:", check_node_values,
+                                            read_only(spec.gossip_init), node_count)
         if kind == "decentralized" and "decentralized" in sections:
             spec.decentralized = _attempt(
                 errors, "[decentralized]", _decentralized, sections["decentralized"], node_count

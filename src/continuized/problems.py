@@ -185,12 +185,14 @@ class NoiseModel(Record):
 
 
 def check_point(problem: ConvexProblem, x: Array) -> Array:
-    """``x`` as a float array; raises unless it has the problem's dimension."""
+    """``x`` as a float array: the one rule of an optimizer's start and of
+    an oracle's point.  Raises DimensionMismatchError unless it has the
+    problem's dimension, and ValueError unless it is finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, expected ({problem.dimension},)"
-        )
+        raise DimensionMismatchError(f"point has shape {x.shape}, expected ({problem.dimension},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point must be finite")
     return x
 
 
@@ -286,9 +288,9 @@ def make_least_squares(atoms, optimum, weights=None) -> LeastSquaresProblem:
         weights = np.full(n, 1.0 / n)
     else:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,) or np.any(weights <= 0):
-            raise InvalidProblemError("weights must be positive, one per sample")
-        _refuse_sample_lines(np.flatnonzero(~np.isfinite(weights)),
+        if weights.shape != (n,):
+            raise InvalidProblemError(f"need one weight per sample, got shape {weights.shape}")
+        _refuse_sample_lines(np.flatnonzero(~(np.isfinite(weights) & (weights > 0))),
                              "sample weights must be finite and > 0")
         weights = normalized_weights(weights)
         _refuse_sample_lines(np.flatnonzero(weights == 0),

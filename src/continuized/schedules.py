@@ -97,10 +97,8 @@ class ParamSchedule(Record):
         m = problem.strong_convexity if kind.endswith("strongly_convex") else 0.0
         if kind.startswith("multiplicative") and isinstance(problem, LeastSquaresProblem):
             return cls(kind, (problem.r_squared, problem.kappa_tilde, m))
-        schedule = cls(kind, (problem.smoothness, 1.0, m))  # the record checks the kind
-        if schedule.is_multiplicative:
-            raise ValueError(f"schedule {kind} needs a least-squares problem")
-        return schedule
+        # the record checks the kind, and check_pairing its problem
+        return check_pairing(cls(kind, (problem.smoothness, 1.0, m)), problem)
 
     @property
     def is_multiplicative(self) -> bool:
@@ -118,6 +116,15 @@ class ParamSchedule(Record):
         if m == 0.0:
             raise ValueError("time-varying schedules have no constant mix rate")
         return math.sqrt(m / (g * k))
+
+
+def check_pairing(schedule: ParamSchedule, problem: ConvexProblem) -> ParamSchedule:
+    """``schedule`` when its certificate holds on ``problem``: a
+    multiplicative kind needs the noise structure of a least-squares
+    problem.  Otherwise a ValueError names the kind."""
+    if schedule.is_multiplicative and not isinstance(problem, LeastSquaresProblem):
+        raise ValueError(f"schedule {schedule.kind} needs a least-squares problem")
+    return schedule
 
 
 def schedule_eval(

@@ -397,7 +397,7 @@ REFUSALS = [
     ("unknown-gossip-algo", "gossip", LINE2.format(kind="gossip") + "[gossip]\nalgo = bogus\n",
      ["[gossip] unknown algo 'bogus'; choose from accelerated, naive"]),
     ("gossip-init-length", "gossip", LINE2.format(kind="gossip") + "[gossip]\ninit = 1 2 3\n",
-     ["[gossip] init length must equal the node count"]),
+     ["[gossip] init: node values have shape (3,), not one per node of 2"]),
     ("unknown-noise-kind", "optimize", QUADRATIC_2D + "[noise]\nkind = bogus\n",
      ["[noise] unknown noise kind 'bogus'; choose from none, additive, multiplicative"]),
     ("curvatures-and-center", "optimize", QUADRATIC_2D.replace("center = 1 1", "center = 1"),
@@ -410,7 +410,7 @@ REFUSALS = [
      ["[problem] optimum has shape (3,), atoms have dimension 2"]),
     ("sample-weight", "optimize",
      LEAST_SQUARES.format(optimum="1 1", samples="1 0 | 1 | -1\n    0 1 | 1 | 1"),
-     ["[problem] weights must be positive, one per sample"]),
+     ["[problem] sample weights must be finite and > 0 on sample lines 1"]),
     # [algo] names its own faults when [problem] failed to build
     ("problem-and-algo-faults", "optimize",
      QUADRATIC_2D.replace("diag = 0.5 1.0", "diag = 0.5 nan") + "[algo]\nmethod = bogus\n",

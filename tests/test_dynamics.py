@@ -294,7 +294,7 @@ class TestRunContinuized:
     def test_x0_of_another_dimension_rejected(self, x0):
         # the one-run engine checks its own start: a short x0 would walk
         # only its own coordinates and report a broadcast gap
-        with pytest.raises(DimensionMismatchError, match="problem dimension is 3"):
+        with pytest.raises(DimensionMismatchError, match=r"expected \(3,\)$"):
             run_continuized(sc_problem(), NoiseModel.none(), ParamSchedule.strongly_convex(
                 1.0, 0.01), EventClock.exponential(), 20.0, run_streams(8, 0), x0=x0,
                 checkpoints=[5.0, 20.0])

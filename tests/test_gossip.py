@@ -282,7 +282,7 @@ class TestRunGossip:
     def test_x0_not_one_value_or_row_per_node_rejected(self, shape):
         g, cache = k10()
         params = GossipParams.from_cache(cache)
-        with pytest.raises(ValueError, match=r"x0 has shape .*, graph has 10 nodes"):
+        with pytest.raises(ValueError, match=r"node values have shape .*, not one per node of 10$"):
             run_gossip(g, params, np.ones(shape), 10.0, run_streams(4, 0), checkpoints=[10.0])
 
     @pytest.mark.parametrize("shape", [(9,), (9, 2)])

@@ -159,6 +159,15 @@ class TestConstruction:
             for edge in ("(0, 1.7)", "(1.2, 2)", "(3, nan)")]
         assert edge_list_graph([(0, 1.0), (np.float64(1.0), 2)]) == line_graph(3)
 
+    @pytest.mark.parametrize("edge", [(0, "1"), (0, "x"), (0, None), ("0", "1.0"), (0, 1j)],
+                             ids=["text-1", "text-x", "none", "text-pair", "complex"])
+    def test_node_index_that_is_no_real_number_is_refused(self, edge):
+        # text is no index, even when float() reads it as a whole number
+        with pytest.raises(GraphError) as caught:
+            edge_list_graph([edge, (1, 2)])
+        assert caught.value.violations == [
+            f"edge ({edge[0]}, {edge[1]}) has a node index that is not an integer"]
+
     def test_huge_node_index_costs_the_time_and_memory_of_the_edges(self):
         # connectivity is checked over the nodes the edges name, so neither
         # refusal allocates anything per node up to the largest index

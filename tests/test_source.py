@@ -365,6 +365,55 @@ def test_names_and_positive_numbers_have_one_owner():
                 (rule, module)
 
 
+def _text(node) -> str | None:
+    """The text of a string constant, or of an f-string with each field as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def test_run_inputs_have_one_owner():
+    # each rule of a run's input has one owner, which the config and the
+    # engines both call: problems.check_point for an optimizer's start,
+    # gossip.check_node_values for a pairwise run's node values,
+    # schedules.check_pairing for a schedule's problem (so no engine keeps
+    # a `certified` flag that drops the certificate), and one by-line
+    # refusal for the sample weights that are not finite and > 0
+    package = SRC / "continuized"
+    fns = {name: _function(package / f"{module}.py", name) for module, name in (
+        ("dynamics", "continuized_plan"), ("dynamics", "nesterov_recursion"),
+        ("gossip", "pairwise_plan"), ("harness/config", "spec_from_sections"),
+        ("problems", "make_least_squares"))}
+    for name in ("continuized_plan", "nesterov_recursion"):
+        calls = {_name(n.func) for n in ast.walk(fns[name]) if isinstance(n, ast.Call)}
+        assert "check_point" in calls, name
+    plan = fns["continuized_plan"]
+    assert not [ast.unparse(n) for n in ast.walk(plan) if isinstance(n, ast.Raise)]
+    assert "DimensionMismatchError" not in ast.unparse(plan)
+    assert "coeffs is not None" not in ast.unparse(plan)
+    for name in ("pairwise_plan", "spec_from_sections"):
+        assert "check_node_values" in {_name(n) for n in ast.walk(fns[name])}, name
+    pairing, certified = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if re.fullmatch(r"schedule \S+ needs a least-squares problem", _text(node) or ""):
+                pairing.append((where, node.lineno))
+            named = _name(node) if isinstance(node, (ast.Name, ast.Attribute)) else \
+                getattr(node, "name", getattr(node, "arg", None))
+            if named == "certified":
+                certified.append(f"{where}:{node.lineno}")
+    assert not certified, certified
+    owner = _function(package / "schedules.py", "check_pairing")
+    assert len(pairing) == 1 and pairing[0][0] == "continuized/schedules.py" \
+        and owner.lineno <= pairing[0][1] <= owner.end_lineno, pairing
+    refusals = [text for n in ast.walk(fns["make_least_squares"]) if (text := _text(n))
+                and "weight" in text and ("positive" in text or "> 0" in text)]
+    assert refusals == ["sample weights must be finite and > 0"], refusals
+
+
 def test_readme_presets_table_names_every_preset():
     # README's "Presets" table has one row per preset of ``presets.PRESETS``,
     # so the docs cannot drift from the presets
