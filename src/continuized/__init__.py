@@ -2,6 +2,7 @@
 dual decentralized optimization with exact closed-form discretization."""
 
 import os
+from importlib import import_module
 
 # OpenBLAS reads this when numpy loads it.  After start-up and after every
 # threaded call, its idle worker threads spin for 2**28 cycles (~0.1 s)
@@ -12,49 +13,42 @@ import os
 # a value the user sets wins, and numpy imported first keeps its setting.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .dynamics import (
-    gradient_jump,
-    initial_state,
-    lyapunov_value,
-    mix_closed_form,
-    run_continuized,
-    run_gd,
-    run_nesterov,
-    run_three_sequence,
-)
-from .graphs import (
-    Graph,
-    SpectralCache,
-    build_graph,
-    complete_graph,
-    cycle_graph,
-    edge_list_graph,
-    grid_graph,
-    line_graph,
-    spectral,
-)
-from .gossip import GossipParams, gossip_rates, run_gossip
-from .dual import DualParams, LocalFunction, run_decentralized
-from .problems import (
-    ConvexProblem,
-    LeastSquaresProblem,
-    NoiseModel,
-    QuadraticProblem,
-    gradient,
-    make_least_squares,
-    make_quadratic,
-    stochastic_gradient,
-)
-from .schedules import (
-    EventClock,
-    LyapunovCoeffs,
-    ParamSchedule,
-    discrete_params,
-    lyapunov_coeffs,
-    sample_interarrival,
-    schedule_eval,
-)
-from .seeding import RunStreams, derive_seed, run_streams, splitmix64
-from .trace import Snapshot, Trace
+# Each exported name -> the submodule that defines it.  A name is imported
+# when it is read (PEP 562), so ``import continuized`` loads no submodule and
+# a run pays only for the modules it uses.  Nothing is cached here: every
+# read returns the submodule's current binding.
+_EXPORTS = {
+    **dict.fromkeys((
+        "gradient_jump", "initial_state", "lyapunov_value", "mix_closed_form",
+        "run_continuized", "run_gd", "run_nesterov", "run_three_sequence",
+    ), "dynamics"),
+    **dict.fromkeys((
+        "Graph", "SpectralCache", "build_graph", "complete_graph", "cycle_graph",
+        "edge_list_graph", "grid_graph", "line_graph", "spectral",
+    ), "graphs"),
+    **dict.fromkeys(("GossipParams", "gossip_rates", "run_gossip"), "gossip"),
+    **dict.fromkeys(("DualParams", "LocalFunction", "run_decentralized"), "dual"),
+    **dict.fromkeys((
+        "ConvexProblem", "LeastSquaresProblem", "NoiseModel", "QuadraticProblem",
+        "gradient", "make_least_squares", "make_quadratic", "stochastic_gradient",
+    ), "problems"),
+    **dict.fromkeys((
+        "EventClock", "LyapunovCoeffs", "ParamSchedule", "discrete_params",
+        "lyapunov_coeffs", "sample_interarrival", "schedule_eval",
+    ), "schedules"),
+    **dict.fromkeys(("RunStreams", "derive_seed", "run_streams", "splitmix64"), "seeding"),
+    **dict.fromkeys(("Snapshot", "Trace"), "trace"),
+}
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -346,25 +346,32 @@ def nesterov_recursion(
     problem: ConvexProblem,
     weights: Iterable[tuple[float, float, float, float]],
     grad: Callable[[Array], Array],
+    times: Sequence[float],
     x0=None,
 ) -> tuple[list[Array], list[Array], list[Array]]:
     """Nesterov's three-sequence recursion, one step per (tau, tau', gamma, gamma').
 
     Returns (xs, ys, zs) where xs[k], zs[k] are the iterates after k steps
-    (xs[0] = zs[0] = x0, by default 0) and ys[k] is the point
-    whose gradient ``grad(ys[k])`` drives step k+1.
+    (xs[0] = zs[0] = x0, by default 0), taken at ``times[k]``, and ys[k] is
+    the point whose gradient ``grad(ys[k])`` drives step k+1.  A step that
+    leaves x or z non-finite raises FloatingPointError naming k and its
+    time; numpy warns of nothing.
     """
     x = check_point(problem, np.zeros(problem.dimension) if x0 is None else x0).copy()
     z = x.copy()
     xs, ys, zs = [x], [], [z]
-    for tau, tau_p, gamma, gamma_p in weights:
-        y = x + tau * (z - x)
-        g = grad(y)
-        x = y - gamma * g
-        z = z + tau_p * (y - z) - gamma_p * g
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (tau, tau_p, gamma, gamma_p) in enumerate(weights, 1):
+            y = x + tau * (z - x)
+            g = grad(y)
+            x = y - gamma * g
+            z = z + tau_p * (y - z) - gamma_p * g
+            if not (np.isfinite(x).all() and np.isfinite(z).all()):
+                raise FloatingPointError(
+                    f"step {k} at t = {times[k]:.12g} left the iterates non-finite")
+            xs.append(x)
+            ys.append(y)
+            zs.append(z)
     return xs, ys, zs
 
 
@@ -382,12 +389,13 @@ def run_three_sequence(
     (starting at 0, from x0 = z0 = 0), so xs[k], zs[k] are the snapshots
     after k events.  Each step's gradient is one ``stochastic_gradient``
     draw from ``noise_rng``, the one-draw-per-step reference that the
-    block-drawing runs match.
+    block-drawing runs match.  A run that blows up raises FloatingPointError
+    naming the first non-finite step k and its event time.
     """
     grad = partial(stochastic_gradient, problem, noise or NoiseModel.none(), rng=noise_rng)
     times = [0.0, *event_times]
     weights = (discrete_params(schedule, t0, t1) for t0, t1 in zip(times, times[1:]))
-    return nesterov_recursion(problem, weights, grad)
+    return nesterov_recursion(problem, weights, grad, times)
 
 
 def nesterov_weights_convex(iters: int) -> list[tuple[float, float]]:
@@ -435,9 +443,10 @@ def run_nesterov(
 
 def _gap_trace(problem: ConvexProblem, weights, x0=None) -> Trace:
     """Run the recursion with fixed ``weights``: (k, x_k, z_k) and ``gap`` per iterate."""
-    xs, _, zs = nesterov_recursion(problem, weights, problem.grad, x0)
+    times = [float(k) for k in range(len(weights) + 1)]
+    xs, _, zs = nesterov_recursion(problem, weights, problem.grad, times, x0)
     trace = Trace()
-    trace.add([float(k) for k in range(len(xs))], xs, zs, {"gap": [problem.gap(x) for x in xs]})
+    trace.add(times, xs, zs, {"gap": [problem.gap(x) for x in xs]})
     return trace
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from numbers import Integral, Real
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -143,6 +143,14 @@ def complete_graph(m: int) -> Graph:
     return _validate(m, [(v, w) for v in range(m) for w in range(v + 1, m)])
 
 
+def _whole(index) -> bool:
+    """Whether ``index`` is a whole real number.  An integer or a fraction is
+    tested exactly: as a float, 10**400 would overflow."""
+    if isinstance(index, Rational):
+        return index.denominator == 1
+    return isinstance(index, Real) and float(index).is_integer()
+
+
 def edge_list_graph(edges, weights=None) -> Graph:
     """Graph on nodes 0..max index from explicit edges; weights (default
     uniform) are normalized.  An empty list is refused, and one GraphError
@@ -150,10 +158,8 @@ def edge_list_graph(edges, weights=None) -> Graph:
     whole real number (text and None among them)."""
     if len(edges) == 0:
         raise GraphError("empty edge list")
-    # an integer is whole as it is: as a float, 10**400 would overflow
     faults = [f"edge ({v}, {w}) has a node index that is not an integer" for v, w in edges
-              if not all(isinstance(i, Integral) or isinstance(i, Real) and float(i).is_integer()
-                         for i in (v, w))]
+              if not (_whole(v) and _whole(w))]
     if faults:
         raise GraphError(*faults)
     edges = [(int(v), int(w)) for v, w in edges]

@@ -15,7 +15,6 @@ the typed values of ``ExperimentSpec.with_overrides``.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import field, replace
@@ -23,7 +22,6 @@ from functools import partial
 
 import numpy as np
 
-from ..dual import check_curvatures
 from ..dynamics import check_gd_step, check_nesterov_variant
 from ..gossip import GOSSIP_ALGOS, check_node_values
 from ..graphs import TOPOLOGY_FIELDS, Graph, build_graph
@@ -328,6 +326,8 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
 
 
 def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
+    from ..dual import check_curvatures  # only a decentralized spec loads the dual
+
     errors = [
         f"[decentralized] missing required field '{key}'"
         for key in ("mu", "smoothness")
@@ -504,6 +504,8 @@ def parse_config(path: str) -> ExperimentSpec:
 
 
 def parse_config_text(text: str) -> ExperimentSpec:
+    import configparser  # presets and overrides never read INI text
+
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..dual import DualParams, LocalFunction, decentralized_plan, random_local_functions
 from ..dynamics import continuized_plan, run_gd, run_nesterov
 from ..dynamics import run_continuized  # noqa: F401  (re-exported: bench tests wrap it here)
 from ..gossip import GossipParams, gossip_plan, gossip_rates
@@ -171,6 +170,9 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         params = GossipParams.from_cache(spec.graph.spectrum, algo=spec.gossip_algo)
         build = partial(gossip_plan, spec.graph, params, spec.gossip_init, spec.horizon, grid)
     else:
+        # the spec's parser has loaded the dual already, during setup
+        from ..dual import DualParams, decentralized_plan
+
         cfg = spec.decentralized
         params = DualParams.from_graph(spec.graph, cfg.mu, cfg.smoothness)
         build = partial(decentralized_plan, spec.graph, _local_functions(spec), cfg.mu,
@@ -184,6 +186,8 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
 
 
 def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
+    from ..dual import LocalFunction, random_local_functions
+
     cfg = spec.decentralized
     if cfg.curvatures is not None:
         return [

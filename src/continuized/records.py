@@ -3,18 +3,24 @@
 A subclass of ``Record`` is a dataclass whose instances are values: they
 compare field by field, arrays by their elements and lists, tuples and dicts
 item by item (``same_value``).  A frozen record (the default) also hashes by
-value, and every array it holds, its fields and the attributes its
-``__post_init__`` derives, is read-only once it is built: a writable array
-is copied first (``read_only``), so a caller's array is never frozen in
-place.  Copies and pickles of a record are built by its ``__init__``.  A record declared with ``frozen=False`` (a spec being parsed, a
-run's trace, a run set) compares by value and is unhashable.  This module
-imports nothing from the package.
+value, refuses assignment, and every array it holds, its fields and the
+attributes its ``__post_init__`` derives, is read-only once it is built: a
+writable array is copied first (``read_only``), so a caller's array is never
+frozen in place.  Copies and pickles of a record are built by its
+``__init__``.  A record declared with ``frozen=False`` (a spec being parsed,
+a run's trace, a run set) compares by value and is unhashable.
+
+``Record`` also owns construction: ``dataclass`` only collects each
+subclass's fields (for ``fields`` and ``replace``) and generates no method,
+so no per-class code is compiled at import; the one ``__init__``,
+``__setattr__``, ``__delattr__`` and ``__repr__`` below serve every record.
+This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import wraps
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from reprlib import recursive_repr
 
 import numpy as np
 
@@ -49,20 +55,54 @@ class Record:
     frozen unless declared with ``frozen=False``, under the rule above."""
 
     def __init_subclass__(cls, frozen: bool = True) -> None:
-        dataclass(cls, frozen=frozen, eq=False)
+        dataclass(cls, init=False, repr=False, eq=False)
+        cls._frozen = frozen
         if not frozen:
             cls.__hash__ = None
-            return
-        build = cls.__init__
 
-        @wraps(build)
-        def __init__(self, *args, **kwargs) -> None:
-            build(self, *args, **kwargs)
-            for name, value in list(vars(self).items()):
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        known = fields(cls)
+        if len(args) > len(known):
+            raise TypeError(f"{cls.__qualname__}() takes {len(known)} fields, got {len(args)}")
+        given = dict(zip((f.name for f in known), args))
+        for name, value in kwargs.items():
+            if name in given:
+                raise TypeError(f"{cls.__qualname__}() got field {name!r} twice")
+            given[name] = value
+        state = vars(self)
+        for f in known:
+            if f.name in given:
+                state[f.name] = given.pop(f.name)
+            elif f.default is not MISSING:
+                state[f.name] = f.default
+            elif f.default_factory is not MISSING:
+                state[f.name] = f.default_factory()
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing field {f.name!r}")
+        if given:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected field {next(iter(given))!r}")
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+        if cls._frozen:
+            for name, value in state.items():
                 if isinstance(value, np.ndarray):
-                    object.__setattr__(self, name, read_only(value))
+                    state[name] = read_only(value)
 
-        cls.__init__ = __init__
+    def __setattr__(self, name: str, value) -> None:
+        if self._frozen:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self._frozen:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({shown})"
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

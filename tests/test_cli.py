@@ -382,6 +382,12 @@ def _edges(kind, *lines):
         "topology = line\nnodes = 2", f"topology = edge_list\nedges ={edges}")
 
 
+# A decentralized config on the 3-node line with explicit local functions.
+LINE3_LOCAL = (LINE2.format(kind="decentralized").replace("nodes = 2", "nodes = 3")
+               + "[decentralized]\nmu = 0.5\nsmoothness = 1.0\n"
+               + "curvatures = {curvatures}\ncenters =\n    {centers}\n")
+
+
 # Configs that each refusal rejects: (id, subcommand, config text, the error
 # lines the CLI prints, all of them).
 REFUSALS = [
@@ -436,6 +442,14 @@ REFUSALS = [
     ("edge-weight-text", "decentralized",
      _edges("decentralized", "0 1 1.0", "1 2 abc") + "[decentralized]\nmu = 1\nsmoothness = 2\n",
      ["[graph] expected 'v w p', got '1 2 abc'"]),
+    # explicit local functions need one curvature and one center row per node
+    ("curvature-count", "decentralized", LINE3_LOCAL.format(
+        curvatures="0.5 0.5", centers="1\n    2\n    3"),
+     ["[decentralized] curvatures need one value per node (3)"]),
+    ("curvature-and-center-counts", "decentralized", LINE3_LOCAL.format(
+        curvatures="0.5 0.5", centers="1\n    2\n    3\n    4"),
+     ["[decentralized] curvatures need one value per node (3)",
+      "[decentralized] centers need one row per node (3)"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,19 @@ class TestRunContinuized:
                 for k, state in enumerate(tr.states):
                     np.testing.assert_allclose(state.x, xs[k + 1], atol=1e-12)
                     np.testing.assert_allclose(state.z, zs[k + 1], atol=1e-12)
+
+    @pytest.mark.parametrize("last", [399, 61], ids=["later-events", "last-event"])
+    def test_three_sequence_blow_up_names_its_step_without_warning(self, last):
+        # scales far below the problem's (L = 100, mu = 1) overshoot every
+        # step: the pair leaves the floats at event 61, also when it is the last
+        problem = make_quadratic([100, 1], [1, 1])
+        schedule = ParamSchedule.strongly_convex(0.001, 0.0005)
+        times = [float(t) for t in range(1, last + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError) as caught:
+                run_three_sequence(problem, schedule, times)
+        assert str(caught.value) == "step 61 at t = 61 left the iterates non-finite"
 
     def test_checkpoint_grid_recorded(self):
         p = sc_problem()

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,18 @@ class TestConstruction:
             f"edge {edge} has a node index that is not an integer"
             for edge in ("(0, 1.7)", "(1.2, 2)", "(3, nan)")]
         assert edge_list_graph([(0, 1.0), (np.float64(1.0), 2)]) == line_graph(3)
+
+    def test_whole_fraction_index_is_tested_without_float(self):
+        # a fraction too large for a float is a whole index like the int of
+        # its value: both are refused as disconnected, neither overflows
+        for index in (10**400, Fraction(10**400), Fraction(3 * 10**400, 3)):
+            with pytest.raises(DisconnectedGraphError, match="^graph is disconnected"):
+                edge_list_graph([(0, index), (1, 2)])
+        assert edge_list_graph([(0, Fraction(2, 2)), (Fraction(1), 2)]) == line_graph(3)
+        with pytest.raises(GraphError) as caught:
+            edge_list_graph([(0, Fraction(10**400 + 1, 2)), (1, 2)])
+        assert caught.value.violations == [
+            f"edge (0, {Fraction(10**400 + 1, 2)}) has a node index that is not an integer"]
 
     @pytest.mark.parametrize("edge", [(0, "1"), (0, "x"), (0, None), ("0", "1.0"), (0, 1j)],
                              ids=["text-1", "text-x", "none", "text-pair", "complex"])

@@ -10,6 +10,7 @@ the mutable records (the spec, a run's trace, a run set) are unhashable.
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -179,3 +180,54 @@ def test_records_of_other_types_are_not_equal():
     assert problem != "problem" and problem != dataclasses.replace(problem, smoothness=4.0)
     assert GossipParams(0.1, 0.2) == GossipParams(0.1, 0.2)
     assert len({GossipParams(0.1, 0.2), GossipParams(0.1, 0.2), GossipParams(0.1, 0.3)}) == 2
+
+
+class _Point(Record):
+    """A test record: one required field, a default and a default factory."""
+
+    x: np.ndarray
+    label: str = "p"
+    tags: list = dataclasses.field(default_factory=list)
+
+
+class _Draft(Record, frozen=False):
+    name: str
+    notes: list = dataclasses.field(default_factory=list)
+
+
+def test_record_init_binds_fields_like_a_dataclass():
+    point = _Point(np.array([1.0, 2.0]), tags=["a"])
+    assert (point.label, point.tags) == ("p", ["a"])
+    assert _Point(x=np.zeros(1)).tags == [] and _Point(np.zeros(1)).tags is not point.tags
+    assert not point.x.flags.writeable
+    assert [f.name for f in dataclasses.fields(point)] == ["x", "label", "tags"]
+    assert dataclasses.is_dataclass(point) and _Point.__init__ is Record.__init__
+    moved = dataclasses.replace(point, label="q")
+    assert moved.label == "q" and moved.x is point.x
+    assert repr(point) == "_Point(x=array([1., 2.]), label='p', tags=['a'])"
+    assert pickle.loads(pickle.dumps(_Draft("d", ["n"]))) == _Draft("d", ["n"])
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "_Point() missing field 'x'"),
+    ((1,), {"colour": 2}, "_Point() got an unexpected field 'colour'"),
+    ((1,), {"x": 2}, "_Point() got field 'x' twice"),
+    ((1, "a", [], 4), {}, "_Point() takes 3 fields, got 4"),
+])
+def test_record_init_names_the_record_and_the_field(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        _Point(*args, **kwargs)
+
+
+def test_only_a_frozen_record_refuses_assignment():
+    point = _Point(np.zeros(1))
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'label'"):
+        point.label = "q"
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'label'"):
+        del point.label
+    draft = _Draft("d")
+    draft.name = "e"
+    del draft.notes
+    assert vars(draft) == {"name": "e"}
+    with pytest.raises(TypeError):
+        hash(draft)

@@ -667,6 +667,70 @@ def test_setup_leaves_numpy_random_unimported():
     assert proc.stdout.strip() == "False"
 
 
+# A fresh interpreter imports the package, then the harness, and builds
+# every optimize and gossip preset; it reports which modules each step left
+# unloaded and every record class whose __init__ is its own.
+LAZY_PROBE = """
+import json, sys
+import continuized
+loaded = sorted(m for m in sys.modules if m.startswith("continuized."))
+from continuized.harness import cli, config, csvio, presets, runner
+for name, sections in presets.PRESETS.items():
+    if sections["experiment"]["kind"] != "decentralized":
+        presets.get_preset(name)
+skipped = [m for m in ("continuized.dual", "configparser") if m not in sys.modules]
+import continuized.dual
+from continuized.records import Record
+def subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))]
+records = subclasses(Record)
+own_init = sorted(c.__qualname__ for c in records if c.__init__ is not Record.__init__)
+print(json.dumps({"loaded": loaded, "skipped": skipped, "records": len(records),
+                  "own_init": own_init}))
+"""
+
+# The names ``continuized`` exports, each read from its submodule on demand.
+EXPORTS = set("""
+    gradient_jump initial_state lyapunov_value mix_closed_form run_continuized run_gd
+    run_nesterov run_three_sequence Graph SpectralCache build_graph complete_graph
+    cycle_graph edge_list_graph grid_graph line_graph spectral GossipParams gossip_rates
+    run_gossip DualParams LocalFunction run_decentralized ConvexProblem LeastSquaresProblem
+    NoiseModel QuadraticProblem gradient make_least_squares make_quadratic
+    stochastic_gradient EventClock LyapunovCoeffs ParamSchedule discrete_params
+    lyapunov_coeffs sample_interarrival schedule_eval RunStreams derive_seed run_streams
+    splitmix64 Snapshot Trace
+""".split())
+
+
+def test_setup_loads_only_what_a_run_uses():
+    # the package namespace loads no submodule until a name is read; the
+    # dual and configparser load only for a decentralized spec and for INI
+    # text; and no record class compiles an __init__ of its own
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert report["skipped"] == ["continuized.dual", "configparser"]
+    assert report["records"] >= 19 and report["own_init"] == []
+
+
+def test_exports_name_what_their_modules_define():
+    # nothing imports the exports eagerly, so no import fails on a stale
+    # name: each must be defined by the module the table names
+    import continuized
+
+    table = continuized._EXPORTS
+    assert len(EXPORTS) == 44 and set(table) == EXPORTS
+    for name, module in table.items():
+        owner = importlib.import_module(f"continuized.{module}")
+        assert getattr(continuized, name) is vars(owner)[name], name
+    assert EXPORTS <= set(dir(continuized))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        continuized.no_such_name
+
+
 def test_no_unused_imports():
     # no linter ships with the project: every name a module imports must be
     # read in it, unless its own line marks a re-export with "noqa: F401"
