@@ -76,12 +76,13 @@ def random_local_functions(
 
 def check_curvatures(curvatures, mu: float, smoothness: float) -> None:
     """Raise unless mu and L are finite and > 0 (``parse_positive``),
-    mu <= L and every local curvature lies in [mu, L]."""
+    mu <= L and every local curvature lies in [mu, L], up to a relative
+    1e-12 (a uniform draw in [mu, L) may round onto L)."""
     if parse_positive(mu, "mu") > parse_positive(smoothness, "L"):
         raise ValueError(f"need mu <= L, got mu = {mu}, L = {smoothness}")
     outside = [
         v for v, c in enumerate(curvatures)
-        if not mu - 1e-12 <= c <= smoothness + 1e-12
+        if not mu * (1 - 1e-12) <= c <= smoothness * (1 + 1e-12)
     ]
     if outside:
         raise ValueError(

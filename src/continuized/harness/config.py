@@ -89,7 +89,10 @@ def _seed(value) -> dict:
 
 
 def _horizon(value) -> dict:
-    horizon = parse_float(value) if isinstance(value, str) else float(value)
+    try:  # a typed value is a number as a float; the grid's rule names any other fault
+        horizon = parse_float(value) if isinstance(value, str) else float(value)
+    except (OverflowError, TypeError):  # beyond the float range, or no number
+        raise ValueError(f"must be a real number within the float range, got {value!r}") from None
     grid = log_spaced_checkpoints(horizon, DEFAULT_CHECKPOINT_COUNT)
     return {"horizon": horizon, "checkpoints": grid}
 
@@ -104,7 +107,9 @@ def _include_bounds(value) -> dict:
 def _out(value) -> dict:
     """A path the CSV can be written to as a file (empty for stdout).  Its
     violation names the path itself, whichever source gave it."""
-    out = os.fspath(value)
+    out = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+    if not isinstance(out, str):  # bytes name no path the CLI can print
+        raise ValueError(f"must be a path, got {value!r}")
     parent = os.path.dirname(out) or "."
     if out and not os.path.isdir(parent):
         raise ConfigError([f"out {out}: directory {parent} does not exist"])
@@ -189,8 +194,11 @@ class DecentralizedSpec(Record):
     centers: np.ndarray | None = None
 
 
-class ExperimentSpec(Record, frozen=False):
-    """A fully validated experiment description.
+class ExperimentSpec(Record):
+    """A fully validated experiment description, built whole by the parser
+    (``spec_from_sections``).  A changed copy comes from ``with_overrides``,
+    which validates each value by its rule, or from ``dataclasses.replace``,
+    which does not.
 
     A gossip spec always carries its read-only start ``gossip_init``: the
     ``[gossip] init`` values, or a unit spike at node 0.
@@ -439,12 +447,9 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
                 exp.get("checkpoints", str(DEFAULT_CHECKPOINT_COUNT)), horizon,
             )
 
-    spec = ExperimentSpec(
-        kind=kind if kind in EXPERIMENT_KINDS else "optimize",
-        horizon=horizon,
-        checkpoints=checkpoints,
-        **fields,
-    )
+    # the spec is built once, from these parts, after every check
+    parts = {"kind": kind if kind in EXPERIMENT_KINDS else "optimize",
+             "horizon": horizon, "checkpoints": checkpoints, **fields}
 
     if kind == "optimize":
         algo = sections.get("algo", {})
@@ -454,40 +459,43 @@ def spec_from_sections(sections: dict[str, dict]) -> ExperimentSpec:
                 errors.append(f"[experiment] key 'checkpoints' does not apply to method {method}")
             if sections.pop("noise", None) is not None:
                 errors.append(f"section [noise] does not apply to method {method}")
+        problem = None
         if "problem" in sections:
-            spec.problem = _attempt(errors, "[problem]", problem_from_section, sections["problem"])
-        if "noise" in sections:
-            spec.noise = _attempt(errors, "[noise]", noise_from_section, sections["noise"])
-        if spec.problem is not None and spec.noise is not None:
-            _attempt(errors, "[noise]", check_noise, spec.problem, spec.noise)
-        spec.algo = _attempt(errors, "[algo]", resolve_algo, algo, spec.problem)
+            problem = parts["problem"] = _attempt(
+                errors, "[problem]", problem_from_section, sections["problem"])
+        if "noise" in sections:  # without one, the spec's default draws no noise
+            parts["noise"] = _attempt(errors, "[noise]", noise_from_section, sections["noise"])
+            if problem is not None and parts["noise"] is not None:
+                _attempt(errors, "[noise]", check_noise, problem, parts["noise"])
+        parts["algo"] = _attempt(errors, "[algo]", resolve_algo, algo, problem)
 
     elif "graph" in KINDS.get(kind, ((), ()))[0]:  # the kinds that require a graph
+        graph = None
         if "graph" in sections:
             gfields = sections["graph"]
             topology = gfields.pop("topology", "")
-            spec.graph = _attempt(errors, "[graph]", build_graph, topology, **gfields)
-        node_count = None if spec.graph is None else spec.graph.node_count
+            graph = parts["graph"] = _attempt(errors, "[graph]", build_graph, topology, **gfields)
+        node_count = None if graph is None else graph.node_count
         if kind == "gossip":
             gsec = sections.get("gossip", {})
-            spec.gossip_algo = gsec.get("algo", SECTIONS["gossip"][1])
-            _attempt(errors, "[gossip]", parse_choice, spec.gossip_algo, GOSSIP_ALGOS, "algo")
+            parts["gossip_algo"] = gsec.get("algo", SECTIONS["gossip"][1])
+            _attempt(errors, "[gossip]", parse_choice, parts["gossip_algo"], GOSSIP_ALGOS, "algo")
+            init = None
             if gsec.get("init", "spike") != "spike":
-                spec.gossip_init = _read(errors, "gossip", gsec, "init", parse_floats)
+                init = _read(errors, "gossip", gsec, "init", parse_floats)
             elif node_count is not None:  # a unit spike at node 0
-                spec.gossip_init = np.eye(1, node_count)[0]
-            if spec.gossip_init is not None and node_count is not None:
-                # read-only: every run starts from it
-                spec.gossip_init = _attempt(errors, "[gossip] init:", check_node_values,
-                                            read_only(spec.gossip_init), node_count)
+                init = np.eye(1, node_count)[0]
+            if init is not None and node_count is not None:
+                parts["gossip_init"] = _attempt(
+                    errors, "[gossip] init:", check_node_values, init, node_count)
         if kind == "decentralized" and "decentralized" in sections:
-            spec.decentralized = _attempt(
+            parts["decentralized"] = _attempt(
                 errors, "[decentralized]", _decentralized, sections["decentralized"], node_count
             )
 
     if errors:
         raise ConfigError(errors)
-    return spec
+    return ExperimentSpec(**parts)
 
 
 def parse_config(path: str) -> ExperimentSpec:

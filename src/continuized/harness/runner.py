@@ -25,8 +25,9 @@ from ..trace import run_block
 from .config import BASELINE_METHODS, RUN_KINDS, ExperimentSpec
 
 
-class RunSet(Record, frozen=False):
-    """Per-run metric values on a shared checkpoint grid, plus aggregates."""
+class RunSet(Record):
+    """Per-run metric values on a shared checkpoint grid, plus aggregates
+    and the theory bounds on that grid."""
 
     checkpoints: np.ndarray
     metrics: tuple[str, ...]
@@ -91,13 +92,16 @@ def quantile_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
     return b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma
 
 
-def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray) -> RunSet:
-    """The run set of (runs, checkpoints) ``values`` per metric, aggregated."""
+def build_runset(values: dict[str, np.ndarray], checkpoints: np.ndarray,
+                 bounds: dict[str, np.ndarray]) -> RunSet:
+    """The run set of (runs, checkpoints) ``values`` per metric, aggregated,
+    with the ``bounds`` on the grid."""
     return RunSet(
         checkpoints=checkpoints,
         metrics=tuple(values),
         values=values,
         aggregate={m: aggregate_values(v, checkpoints, m) for m, v in values.items()},
+        bounds=bounds,
     )
 
 
@@ -124,7 +128,7 @@ def theory_bounds(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarray]:
         rho = 1.0 - ParamSchedule.for_problem(problem, "strongly_convex").mix_rate
         return {"gap": (gap0 + 0.5 * mu * dist0) * rho**t}
     if algo.method == "gd":
-        if abs(algo.step - 1.0 / big_l) > 1e-15:
+        if abs(algo.step * big_l - 1.0) > 1e-15:  # relative: the bound holds at step 1/L
             return {}
         return {"gap": gap0 * (1.0 - mu / big_l) ** t}
     if algo.clock.kind != "exponential" or algo.clock.rate != 1.0:
@@ -216,7 +220,4 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> RunSet:
             values.setdefault(m, np.empty((spec.runs, len(grid))))[runs.start:runs.stop] = rows
         if progress:
             progress(runs.stop, spec.runs)
-    runset = build_runset(values, grid)
-    if spec.include_bounds:
-        runset.bounds = theory_bounds(spec, grid)
-    return runset
+    return build_runset(values, grid, theory_bounds(spec, grid) if spec.include_bounds else {})

@@ -1,14 +1,15 @@
 """The value rule of the package's records, in one place.
 
-A subclass of ``Record`` is a dataclass whose instances are values: they
-compare field by field, arrays by their elements and lists, tuples and dicts
-item by item (``same_value``).  A frozen record (the default) also hashes by
-value, refuses assignment, and every array it holds, its fields and the
-attributes its ``__post_init__`` derives, is read-only once it is built: a
-writable array is copied first (``read_only``), so a caller's array is never
-frozen in place.  Copies and pickles of a record are built by its
-``__init__``.  A record declared with ``frozen=False`` (a spec being parsed,
-a run's trace, a run set) compares by value and is unhashable.
+A subclass of ``Record`` is a frozen dataclass whose instances are values:
+they compare field by field, arrays by their elements and lists, tuples and
+dicts item by item (``same_value``), and hash by value when their fields can
+be hashed (a record holding a list or a dict, such as a run's trace or a run
+set, is unhashable).  A record refuses assignment and deletion, and every
+array it holds, its fields and the attributes its ``__post_init__`` derives,
+is read-only once it is built: a writable array is copied first
+(``read_only``), so a caller's array is never frozen in place.  The lists and
+dicts a record holds stay the record's own to extend.  Copies and pickles of
+a record are built by its ``__init__``.
 
 ``Record`` also owns construction: ``dataclass`` only collects each
 subclass's fields (for ``fields`` and ``replace``) and generates no method,
@@ -51,14 +52,11 @@ def _values(record: Record) -> tuple:
 
 
 class Record:
-    """Base of the package's records: each subclass is made a dataclass,
-    frozen unless declared with ``frozen=False``, under the rule above."""
+    """Base of the package's records: each subclass is made a frozen
+    dataclass under the rule above."""
 
-    def __init_subclass__(cls, frozen: bool = True) -> None:
+    def __init_subclass__(cls) -> None:
         dataclass(cls, init=False, repr=False, eq=False)
-        cls._frozen = frozen
-        if not frozen:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -84,20 +82,15 @@ class Record:
             raise TypeError(f"{cls.__qualname__}() got an unexpected field {next(iter(given))!r}")
         if hasattr(cls, "__post_init__"):
             self.__post_init__()
-        if cls._frozen:
-            for name, value in state.items():
-                if isinstance(value, np.ndarray):
-                    state[name] = read_only(value)
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                state[name] = read_only(value)
 
     def __setattr__(self, name: str, value) -> None:
-        if self._frozen:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        if self._frozen:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-        object.__delattr__(self, name)
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @recursive_repr()
     def __repr__(self) -> str:

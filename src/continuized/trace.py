@@ -28,13 +28,14 @@ class Snapshot(NamedTuple):
     z: Any
 
 
-class Trace(Record, frozen=False):
+class Trace(Record):
     """The run's state and metric values at each point of the caller's grid.
 
-    ``add`` appends checkpoints, in grid order: their times, the x and z at
-    each (a (C, ...) stack or a list), and one value per checkpoint for
-    each metric.  So ``states[i]`` is the ``Snapshot`` at the i-th
-    checkpoint and ``values[name][i]`` is metric ``name`` of ``states[i]``.
+    ``add`` appends checkpoints, in grid order, to the trace's own lists:
+    their times, the x and z at each (a (C, ...) stack or a list), and one
+    value per checkpoint for each metric.  So ``states[i]`` is the
+    ``Snapshot`` at the i-th checkpoint and ``values[name][i]`` is metric
+    ``name`` of ``states[i]``.
     ``events`` is the number of events the run applied (0 for the
     fixed-weight baselines, which have none).
     """

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The ensembles are the
 expensive part; they are built once per session and shared across criteria.
 """
 
+import dataclasses
 import math
 import time
 
@@ -68,9 +69,8 @@ def gossip_ensembles():
 def naive_gossip_means():
     means = {}
     for name in ("appendix-a2-line30", "appendix-a2-grid225", "appendix-a2-complete10"):
-        spec = get_preset(name).with_overrides(seed=MASTER_SEED + 1)
-        spec.gossip_algo = "naive"
-        spec.include_bounds = False
+        spec = dataclasses.replace(get_preset(name).with_overrides(seed=MASTER_SEED + 1),
+                                   gossip_algo="naive", include_bounds=False)
         runset = run_experiment(spec)
         means[name] = (runset.checkpoints, runset.mean("energy"))
     return means

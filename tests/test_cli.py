@@ -450,6 +450,12 @@ REFUSALS = [
         curvatures="0.5 0.5", centers="1\n    2\n    3\n    4"),
      ["[decentralized] curvatures need one value per node (3)",
       "[decentralized] centers need one row per node (3)"]),
+    # [mu, L] is checked on the scale of mu and L, not to an absolute slack
+    ("curvature-outside-small-bounds", "decentralized", LINE3_LOCAL.format(
+        curvatures="1e-12 1e-14 1e-14", centers="1\n    2\n    3").replace(
+        "mu = 0.5\nsmoothness = 1.0", "mu = 1e-15\nsmoothness = 1e-14"),
+     ["[decentralized] local curvatures of nodes [0] leave the declared "
+      "[mu, L] = [1e-15, 1e-14]"]),
 ]
 
 
@@ -571,6 +577,21 @@ def test_with_overrides_refuses_integers_by_the_one_rule(name, value):
         get_preset("appendix-a1-convex").with_overrides(**{name: value})
     fault = f"must be an integer >= {least}, got {value!r}"
     assert err.value.violations == [f"{name}={value!r}: {fault}"]
+
+
+@pytest.mark.parametrize("name, value, fault", [
+    ("horizon", 10**400, "must be a real number within the float range"),
+    ("horizon", [5], "must be a real number within the float range"),
+    ("horizon", 1 + 2j, "must be a real number within the float range"),
+    ("out", 5, "must be a path"),
+    ("out", b"x.csv", "must be a path"),
+], ids=["horizon-beyond-float", "horizon-list", "horizon-complex", "out-int", "out-bytes"])
+def test_with_overrides_refuses_values_its_rule_cannot_read(name, value, fault):
+    # each rule refuses a typed value it cannot read as one violation, as
+    # the integer rule does, never with Python's own error
+    with pytest.raises(ConfigError) as err:
+        get_preset("appendix-a1-convex").with_overrides(**{name: value})
+    assert err.value.violations == [f"{name}={value!r}: {fault}, got {value!r}"]
 
 
 # Each variant key of a config: the subcommand, a config that sets it to

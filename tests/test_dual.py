@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from continuized.dual import (
     DualParams,
     LocalFunction,
+    check_curvatures,
     conjugate_grad,
     decentralized_plan,
     dual_update,
@@ -205,6 +207,19 @@ class TestRunDecentralized:
         fns = [LocalFunction(5.0, np.zeros(1)), LocalFunction(1.0, np.zeros(1))]
         with pytest.raises(ValueError):
             run_decentralized(g, fns, 0.5, 1.0, 1.0, run_streams(0, 0), checkpoints=[1.0])
+
+    @pytest.mark.parametrize("curvatures, mu, smoothness, outside", [
+        ([1e-12, 1e-14, 1e-14], 1e-15, 1e-14, [0]),
+        ([0.5, 1.0 + 2e-12], 0.5, 1.0, [1]),
+        ([1e-14, 0.999e-15, 1.001e-14], 1e-15, 1e-14, [1, 2]),
+    ], ids=["small-scale", "one-plus-2e-12", "both-ends-small"])
+    def test_curvatures_are_checked_on_the_scale_of_mu_and_l(
+            self, curvatures, mu, smoothness, outside):
+        check_curvatures([mu, smoothness, np.nextafter(smoothness, np.inf)], mu, smoothness)
+        with pytest.raises(ValueError, match=re.escape(
+                f"local curvatures of nodes {outside} leave the declared "
+                f"[mu, L] = [{mu}, {smoothness}]")):
+            check_curvatures(curvatures, mu, smoothness)
 
 
 class TestGossipReduction:

@@ -640,17 +640,23 @@ class TestRunner:
         assert gap[0] == np.inf
         np.testing.assert_array_equal(gap[1:], 2.0 * 1.0 * 3.0 / rs.checkpoints[1:] ** 2)
 
-    @pytest.mark.parametrize("step", ["", "step = 0.5\n"], ids=["one-over-l", "half"])
-    def test_gd_bound_only_at_step_one_over_l(self, step):
-        # gap0 (1 - mu/L)^t is the bound of gd at step 1/L (here L = 1);
-        # another step gets no bound
+    @pytest.mark.parametrize("diag, step", [
+        ("0.01 0.03 1.0", ""), ("0.01 0.03 1.0", "step = 0.5"),
+        ("1e20 1e20 1e20", ""), ("1e20 1e20 1e20", "step = 5e-21"),
+    ], ids=["one-over-l", "half", "large-l-one-over-l", "large-l-half"])
+    def test_gd_bound_only_at_step_one_over_l(self, diag, step):
+        # gap0 (1 - mu/L)^t is the bound of gd at step 1/L, at any scale of
+        # L (here 1 and 1e20); another step, here 1/(2L), gets no bound
         cfg = MINIMAL_OPTIMIZE.replace("horizon = 20", "horizon = 20\ninclude_bounds = true")
-        rs = run_experiment(parse_config_text(cfg + "\n[algo]\nmethod = gd\n" + step))
+        cfg = cfg.replace("diag = 0.01 0.03 1.0", f"diag = {diag}")
+        spec = parse_config_text(cfg + "\n[algo]\nmethod = gd\n" + step)
+        rs = run_experiment(spec)
         if step:
             assert rs.bounds == {}
         else:
+            rate = 1.0 - spec.problem.strong_convexity / spec.problem.smoothness
             np.testing.assert_array_equal(
-                rs.bounds["gap"], rs.values["gap"][0, 0] * 0.99 ** rs.checkpoints)
+                rs.bounds["gap"], rs.values["gap"][0, 0] * rate ** rs.checkpoints)
 
     def test_resolve_refuses_a_kind_without_runs(self):
         spec = parse_config_text("[experiment]\nkind = graph-info\n[graph]\n"
@@ -692,13 +698,12 @@ class TestRunner:
 
     def test_decentralized_ensemble(self):
         spec = get_preset("decentralized-line10").with_overrides(runs=3, horizon=20.0)
-        spec.checkpoints = log_spaced_checkpoints(20.0, 10)
+        spec = dataclasses.replace(spec, checkpoints=log_spaced_checkpoints(20.0, 10))
         rs = run_experiment(spec)
         assert rs.values["primal_dist_sq"].shape == (3, 10)
 
     def test_bounds_attached_when_requested(self):
-        spec = parse_config_text(GOSSIP_CFG)
-        spec.include_bounds = True
+        spec = dataclasses.replace(parse_config_text(GOSSIP_CFG), include_bounds=True)
         rs = run_experiment(spec)
         assert "energy" in rs.bounds
         assert rs.bounds["energy"][0] == pytest.approx(2.0 * 0.45 * np.exp(-1.0 / 9.0))
@@ -712,8 +717,7 @@ class TestRunner:
         cfg = GOSSIP_CFG.replace("kind = gossip", f"kind = {kind}")
         if kind == "decentralized":
             cfg += "\n[decentralized]\nmu = 0.5\nsmoothness = 1.0\n"
-        spec = parse_config_text(cfg)
-        spec.include_bounds = True
+        spec = dataclasses.replace(parse_config_text(cfg), include_bounds=True)
         assert ("energy" in run_experiment(spec).bounds) == (kind == "gossip")
         assert len(graphs) == 1
 
@@ -802,9 +806,9 @@ centers =
         # the parser rejects curvature 9.0 outside [mu, L]; set it on the
         # resolved spec so that the run itself fails
         spec = parse_config_text(cfg)
-        spec.decentralized = dataclasses.replace(
+        spec = dataclasses.replace(spec, decentralized=dataclasses.replace(
             spec.decentralized, curvatures=np.array([9.0, 0.5, 0.5])
-        )
+        ))
         with pytest.raises(RuntimeError, match="run 0 failed"):
             run_experiment(spec)
 
@@ -840,8 +844,7 @@ def test_quantiles_equal_np_quantile(values):
 
 class TestCsv:
     def _small_runset(self):
-        spec = parse_config_text(GOSSIP_CFG)
-        spec.include_bounds = True
+        spec = dataclasses.replace(parse_config_text(GOSSIP_CFG), include_bounds=True)
         return run_experiment(spec)
 
     def test_header_and_shape(self, tmp_path):

@@ -207,6 +207,42 @@ def test_the_value_rule_of_records_has_one_owner():
         cls.__name__ for cls in records}
 
 
+def _attributes_written(node, scope=""):
+    """(enclosing definition, target) of each attribute that ``node``
+    assigns or deletes, the definition as a dotted path of names."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{scope}.{child.name}".lstrip(".") if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else scope
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, (ast.Store, ast.Del)):
+            yield inner, ast.unparse(child)
+        yield from _attributes_written(child, inner)
+
+
+def test_records_are_built_whole():
+    # every record is frozen: no class statement passes its base a keyword,
+    # a spec, a run set and a trace are each built in one call, and the only
+    # attributes package code writes are read_only's flag and the
+    # violations of the two error classes
+    trees = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    keywords = [f"{path}:{node.lineno} {node.name}" for path, tree in trees.items()
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.keywords]
+    assert not keywords, keywords
+    written = {(path, *target) for path, tree in trees.items()
+               for target in _attributes_written(tree)}
+    assert written == {
+        ("continuized/records.py", "read_only", "array.flags.writeable"),
+        ("continuized/graphs.py", "GraphError.__init__", "self.violations"),
+        ("continuized/harness/config.py", "ConfigError.__init__", "self.violations"),
+    }
+    spec = get_preset("appendix-a1-strongly-convex")
+    runset = runner.run_experiment(spec.with_overrides(runs=2))
+    trace = dynamics.run_nesterov(spec.problem, "convex", 2)
+    for record, name, value in ((spec, "runs", 5), (runset, "bounds", {}), (trace, "events", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {name!r}"):
+            setattr(record, name, value)
+
+
 def test_weighted_draws_have_one_owner():
     # problems.WeightedDraw alone draws an index from running weight sums:
     # outside problems every cumsum sums waits and every searchsorted
@@ -819,8 +855,7 @@ def _setters(tree: ast.Module, defined: set[str]):
     counting calls through ``partial(f, ...)`` and through a name bound to
     one; a count of None (``*args``) sets every positional option, a keyword
     set of None (``**kwargs``) every option.  A function passed as a value
-    may be called with anything, so it yields (name, None, None), and the
-    keywords of a class statement are a call of ``__init_subclass__``."""
+    may be called with anything, so it yields (name, None, None)."""
     bound = {}  # name -> the partial(f, ...) call bound to it
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
@@ -857,8 +892,6 @@ def _setters(tree: ast.Module, defined: set[str]):
         if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                 and id(node) not in called and _name(node) in defined):
             yield (_name(node), None, None)
-        if isinstance(node, ast.ClassDef) and node.keywords:
-            yield ("__init_subclass__", 0, {k.arg for k in node.keywords})
 
 
 def test_every_option_is_set_by_a_source_caller():
