@@ -47,6 +47,8 @@ class LocalFunction(Record):
     def __post_init__(self) -> None:
         parse_positive(self.curvature, "curvature")
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if center.ndim != 1 or center.size == 0:
+            raise ValueError(f"the center must be one point, got shape {np.shape(self.center)}")
         if not np.all(np.isfinite(center)):
             raise ValueError("the center must be finite")
         object.__setattr__(self, "center", float(center[0]) if center.size == 1 else center)
@@ -89,6 +91,20 @@ def check_curvatures(curvatures, mu: float, smoothness: float) -> None:
             f"local curvatures of nodes {outside} leave the declared "
             f"[mu, L] = [{mu}, {smoothness}]"
         )
+
+
+def check_local_functions(local_functions, node_count: int, mu: float, smoothness: float) -> int:
+    """The one dimension of ``local_functions``, the one rule of a dual
+    run's local functions: raise unless there is one per node, their
+    curvatures lie in [mu, L] (``check_curvatures``) and their centers
+    share one dimension."""
+    if (count := len(local_functions)) != node_count:
+        raise ValueError(f"need one local function per node ({node_count}), got {count}")
+    check_curvatures([f.curvature for f in local_functions], mu, smoothness)
+    dims = {np.size(f.center) for f in local_functions}
+    if len(dims) != 1:
+        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
+    return dims.pop()
 
 
 def optimum_of(local_functions: list[LocalFunction]):
@@ -174,7 +190,7 @@ def primal_dist_sq(local_functions: list[LocalFunction], x_star, zs: Array) -> A
 
 def decentralized_plan(
     graph: Graph,
-    local_functions: list[LocalFunction],
+    local_functions: Sequence[LocalFunction],
     mu: float,
     smoothness: float,
     horizon: float,
@@ -184,14 +200,8 @@ def decentralized_plan(
     """The plan of dual runs from y = z = 0: ``dual_update`` with one tuple
     of coefficients per edge, measured by ``primal_dist_sq`` of the z
     values, with x_* computed centrally for the quadratics (the algorithm
-    itself never reads it)."""
-    if len(local_functions) != graph.node_count:
-        raise ValueError("need one local function per node")
-    check_curvatures([f.curvature for f in local_functions], mu, smoothness)
-    dims = {np.size(f.center) for f in local_functions}
-    if len(dims) != 1:
-        raise ValueError(f"local functions mix dimensions {sorted(dims)}")
-    (dimension,) = dims
+    itself never reads it), after ``check_local_functions``."""
+    dimension = check_local_functions(local_functions, graph.node_count, mu, smoothness)
     fns = local_functions
     x_star = optimum_of(fns)
     coefs = [
@@ -210,7 +220,7 @@ def decentralized_plan(
 
 def run_decentralized(
     graph: Graph,
-    local_functions: list[LocalFunction],
+    local_functions: Sequence[LocalFunction],
     mu: float,
     smoothness: float,
     horizon: float,

@@ -38,6 +38,7 @@ from .problems import (
     gradient_oracle,
     noise_draws,
     parse_choice,
+    parse_int,
     row_dots,
     stochastic_gradient,
 )
@@ -426,8 +427,10 @@ def run_nesterov(
     """Classical accelerated baseline, convex or strongly convex variant:
     the three-sequence recursion with fixed weights, ``gap`` at each iterate.
     The strongly convex weights are the strongly convex schedule's: q = c,
-    tau = q / (1 + q), tau' = q and steps (gamma, gamma')."""
+    tau = q / (1 + q), tau' = q and steps (gamma, gamma').  ``iters`` is
+    read by ``parse_int``, at least 1."""
     check_nesterov_variant(problem, variant)
+    iters = parse_int(iters, 1)
     if variant == "convex":
         big_l = problem.smoothness
         weights = [
@@ -458,6 +461,7 @@ def check_gd_step(problem: ConvexProblem, step: float) -> None:
 
 def run_gd(problem: ConvexProblem, step: float, iters: int, *, x0=None) -> Trace:
     """Plain gradient descent baseline with a fixed step in (0, 1/L]: the
-    recursion with weights (0, 0, step, 0), so z stays at x0."""
+    recursion with weights (0, 0, step, 0), so z stays at x0; ``iters`` is
+    read by ``parse_int``, at least 1."""
     check_gd_step(problem, step)
-    return _gap_trace(problem, [(0.0, 0.0, step, 0.0)] * iters, x0)
+    return _gap_trace(problem, [(0.0, 0.0, step, 0.0)] * parse_int(iters, 1), x0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import field, replace
 from functools import partial
 
@@ -38,6 +39,7 @@ from ..problems import (
     parse_floats,
     parse_int,
     problem_from_section,
+    shown,
 )
 from ..records import Record, read_only
 from ..schedules import CLOCKS, EventClock, ParamSchedule
@@ -78,7 +80,10 @@ _DECENTRALIZED_FIELDS = {
 
 
 def _runs(value) -> dict:
-    return {"runs": parse_int(value, 1)}
+    # a run set holds (runs, checkpoints) arrays, and no array is longer than sys.maxsize
+    if (runs := parse_int(value, 1)) > sys.maxsize:
+        raise ValueError(f"must be at most {sys.maxsize}, the largest array length")
+    return {"runs": runs}
 
 
 def _seed(value) -> dict:
@@ -92,13 +97,15 @@ def _horizon(value) -> dict:
     try:  # a typed value is a number as a float; the grid's rule names any other fault
         horizon = parse_float(value) if isinstance(value, str) else float(value)
     except (OverflowError, TypeError):  # beyond the float range, or no number
-        raise ValueError(f"must be a real number within the float range, got {value!r}") from None
+        raise ValueError(f"must be a real number within the float range, got {shown(value)}")
     grid = log_spaced_checkpoints(horizon, DEFAULT_CHECKPOINT_COUNT)
     return {"horizon": horizon, "checkpoints": grid}
 
 
 def _include_bounds(value) -> dict:
-    text = str(value).strip().lower()  # a typed bool reads as its text
+    # a typed bool reads as its text; no other integer than 0 or 1 is a boolean, and
+    # ``str`` cannot print one of more than 4300 digits
+    text = "" if isinstance(value, int) and value not in (0, 1) else str(value).strip().lower()
     if text not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
         raise ValueError("not a boolean")
     return {"include_bounds": text in ("true", "yes", "1", "on")}
@@ -109,7 +116,7 @@ def _out(value) -> dict:
     violation names the path itself, whichever source gave it."""
     out = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
     if not isinstance(out, str):  # bytes name no path the CLI can print
-        raise ValueError(f"must be a path, got {value!r}")
+        raise ValueError(f"must be a path, got {shown(value)}")
     parent = os.path.dirname(out) or "."
     if out and not os.path.isdir(parent):
         raise ConfigError([f"out {out}: directory {parent} does not exist"])
@@ -183,15 +190,15 @@ class AlgoSpec(Record):
 
 class DecentralizedSpec(Record):
     """The resolved ``[decentralized]`` section: curvature bounds plus
-    either explicit local functions (``curvatures`` with one ``centers``
-    row per node) or the shape of the seeded random ones."""
+    either the explicit ``local_functions``, one per node, built from the
+    ``curvatures`` and ``centers`` keys, or the shape of the seeded random
+    ones."""
 
     mu: float
     smoothness: float
     dimension: int = 1
     center_scale: float = 1.0
-    curvatures: np.ndarray | None = None
-    centers: np.ndarray | None = None
+    local_functions: "tuple[LocalFunction, ...] | None" = None
 
 
 class ExperimentSpec(Record):
@@ -226,7 +233,7 @@ class ExperimentSpec(Record):
         if stray := [k for k in kw if k not in OVERRIDES]:
             raise TypeError(f"with_overrides takes only {', '.join(OVERRIDES)}, got {stray}")
         errors: list[str] = []
-        given = {k: (f"{k}={v!r}", v) for k, v in kw.items() if v is not None}
+        given = {k: (f"{k}={shown(v)}", v) for k, v in kw.items() if v is not None}
         fields = override_fields(given, errors)
         if errors:
             raise ConfigError(errors)
@@ -334,7 +341,8 @@ def resolve_algo(section, problem: ConvexProblem | None) -> AlgoSpec | None:
 
 
 def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
-    from ..dual import check_curvatures  # only a decentralized spec loads the dual
+    # only a decentralized spec loads the dual
+    from ..dual import LocalFunction, check_curvatures, check_local_functions
 
     errors = [
         f"[decentralized] missing required field '{key}'"
@@ -348,7 +356,7 @@ def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
     values = {key: v for key, v in values.items() if v is not None}
     if ("curvatures" in section) != ("centers" in section):
         errors.append("[decentralized] explicit local functions need 'curvatures' and 'centers'")
-    centers = values.get("centers")
+    curvatures, centers = values.pop("curvatures", None), values.pop("centers", None)
     if centers is not None:
         # explicit local functions carry their own dimension and need no generator
         if values.get("dimension", centers.shape[1]) != centers.shape[1]:
@@ -359,17 +367,20 @@ def _decentralized(section, node_count: int | None) -> DecentralizedSpec:
         values["dimension"] = centers.shape[1]
         if "center_scale" in section:
             errors.append("[decentralized] center_scale does not apply to explicit centers")
-    curvatures = values.get("curvatures")
-    if node_count is not None:
-        if curvatures is not None and curvatures.shape != (node_count,):
-            errors.append(f"[decentralized] curvatures need one value per node ({node_count})")
-        if centers is not None and len(centers) != node_count:
-            errors.append(f"[decentralized] centers need one row per node ({node_count})")
+        if curvatures is not None and len(curvatures) != len(centers):
+            errors.append(f"[decentralized] curvatures and centers disagree: "
+                          f"{len(curvatures)} values vs {len(centers)} rows")
+        elif curvatures is not None:  # one function per curvature and center row
+            fns = [_attempt(errors, f"[decentralized] node {v}:", LocalFunction, float(c), row)
+                   for v, (c, row) in enumerate(zip(curvatures, centers))]
+            if None not in fns:
+                values["local_functions"] = tuple(fns)
     if "mu" in values and "smoothness" in values:
-        _attempt(
-            errors, "[decentralized]", check_curvatures,
-            () if curvatures is None else curvatures, values["mu"], values["smoothness"],
-        )
+        bounds = values["mu"], values["smoothness"]
+        if (fns := values.get("local_functions")) is None or node_count is None:
+            _attempt(errors, "[decentralized]", check_curvatures, (), *bounds)
+        else:
+            _attempt(errors, "[decentralized]", check_local_functions, fns, node_count, *bounds)
     if errors:
         raise ConfigError(errors)
     return DecentralizedSpec(**values)

@@ -189,15 +189,13 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         lambda runs: run_block(plan, runs, lambda i: run_streams(spec.seed, i)), grid)
 
 
-def _local_functions(spec: ExperimentSpec) -> list[LocalFunction]:
-    from ..dual import LocalFunction, random_local_functions
-
+def _local_functions(spec: ExperimentSpec) -> Sequence[LocalFunction]:
+    """The spec's explicit local functions, or its seeded random ones."""
     cfg = spec.decentralized
-    if cfg.curvatures is not None:
-        return [
-            LocalFunction(float(c), np.atleast_1d(cfg.centers[v]))
-            for v, c in enumerate(cfg.curvatures)
-        ]
+    if cfg.local_functions is not None:
+        return cfg.local_functions
+    from ..dual import random_local_functions
+
     rng = np.random.default_rng(derive_seed(spec.seed, PROBLEM_STREAM))
     return random_local_functions(
         spec.graph.node_count, cfg.mu, cfg.smoothness, cfg.dimension, rng, cfg.center_scale

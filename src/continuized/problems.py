@@ -408,6 +408,16 @@ def parse_float(text: str, name: str | None = None) -> float:
     return float(parse_floats(text, name, single=True)[0])
 
 
+def shown(value) -> str:
+    """``repr(value)``, or, for a value holding an integer of more digits
+    than Python converts to text (``sys.get_int_max_str_digits``), a short
+    stand-in naming its type, as ``<int too long to print>``."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def parse_int(value, least: int) -> int:
     """An integer of at least ``least``: text through ``int``, a typed value
     through ``operator.index``; a bool, or anything else, raises one
@@ -417,7 +427,7 @@ def parse_int(value, least: int) -> int:
     except (TypeError, ValueError):
         number = None
     if number is None or isinstance(value, bool) or number < least:
-        raise InvalidProblemError(f"must be an integer >= {least}, got {value!r}")
+        raise InvalidProblemError(f"must be an integer >= {least}, got {shown(value)}")
     return number
 
 

@@ -445,11 +445,15 @@ REFUSALS = [
     # explicit local functions need one curvature and one center row per node
     ("curvature-count", "decentralized", LINE3_LOCAL.format(
         curvatures="0.5 0.5", centers="1\n    2\n    3"),
-     ["[decentralized] curvatures need one value per node (3)"]),
+     ["[decentralized] curvatures and centers disagree: 2 values vs 3 rows"]),
     ("curvature-and-center-counts", "decentralized", LINE3_LOCAL.format(
         curvatures="0.5 0.5", centers="1\n    2\n    3\n    4"),
-     ["[decentralized] curvatures need one value per node (3)",
-      "[decentralized] centers need one row per node (3)"]),
+     ["[decentralized] curvatures and centers disagree: 2 values vs 4 rows"]),
+    # each explicit local function is built by its record, which names its node's fault
+    ("curvature-not-positive", "decentralized", LINE3_LOCAL.format(
+        curvatures="-1 0.5 0", centers="1\n    2\n    3"),
+     ["[decentralized] node 0: curvature must be finite and > 0, got -1.0",
+      "[decentralized] node 2: curvature must be finite and > 0, got 0.0"]),
     # [mu, L] is checked on the scale of mu and L, not to an absolute slack
     ("curvature-outside-small-bounds", "decentralized", LINE3_LOCAL.format(
         curvatures="1e-12 1e-14 1e-14", centers="1\n    2\n    3").replace(
@@ -592,6 +596,48 @@ def test_with_overrides_refuses_values_its_rule_cannot_read(name, value, fault):
     with pytest.raises(ConfigError) as err:
         get_preset("appendix-a1-convex").with_overrides(**{name: value})
     assert err.value.violations == [f"{name}={value!r}: {fault}, got {value!r}"]
+
+
+RUNS_PAST_MAXSIZE = f"must be at most {sys.maxsize}, the largest array length"
+
+
+def test_runs_are_bounded_by_the_largest_array_length(cfg_file, capsys):
+    # a count no array can hold is refused at parse time, from a flag, a
+    # config key or a typed override, as one line naming the bound
+    big = "1" + "0" * 400
+    cases = [
+        (["reproduce", "appendix-a1-convex", "--runs", big], f"argument --runs {big}"),
+        (["optimize", "--config", cfg_file(QUADRATIC_2D.replace("runs = 2", f"runs = {big}"))],
+         f"[experiment] runs = {big}"),
+    ]
+    for argv, where in cases:
+        assert main([*argv, "--quiet"]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [f"error: {where}: {RUNS_PAST_MAXSIZE}"]
+    spec = get_preset("appendix-a1-convex")
+    for runs in (10**400, sys.maxsize + 1):
+        with pytest.raises(ConfigError) as err:
+            spec.with_overrides(runs=runs)
+        assert err.value.violations == [f"runs={runs!r}: {RUNS_PAST_MAXSIZE}"]
+    assert spec.with_overrides(runs=sys.maxsize).runs == sys.maxsize
+
+
+LONG = "<int too long to print>"
+
+
+@pytest.mark.parametrize("name, value, fault", [
+    ("runs", 10**5000, RUNS_PAST_MAXSIZE),
+    ("runs", -10**5000, f"must be an integer >= 1, got {LONG}"),
+    ("seed", 10**5000, "must be in [0, 2**64)"),
+    ("horizon", 10**5000, f"must be a real number within the float range, got {LONG}"),
+    ("out", 10**5000, f"must be a path, got {LONG}"),
+    ("include_bounds", 10**5000, "not a boolean"),
+], ids=["runs", "runs-negative", "seed", "horizon", "out", "include-bounds"])
+def test_with_overrides_names_an_integer_too_long_to_print(name, value, fault):
+    # an integer past the digits Python prints is one violation that names
+    # it briefly, never Python's own error
+    with pytest.raises(ConfigError) as err:
+        get_preset("appendix-a1-strongly-convex").with_overrides(**{name: value})
+    assert err.value.violations == [f"{name}={LONG}: {fault}"]
 
 
 # Each variant key of a config: the subcommand, a config that sets it to

@@ -60,6 +60,15 @@ class TestLocalFunction:
         with pytest.raises(ValueError, match=f"^{fault}$"):
             LocalFunction(curvature, np.array(center))
 
+    @pytest.mark.parametrize("center, shape", [
+        ([], "(0,)"), ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"), ([[0.5]], "(1, 1)"),
+    ], ids=["empty", "matrix", "one-by-one"])
+    def test_center_must_be_one_point(self, center, shape):
+        # a number or one row; anything else is refused when the record is built
+        with pytest.raises(ValueError) as err:
+            LocalFunction(1.0, center)
+        assert str(err.value) == f"the center must be one point, got shape {shape}"
+
     def test_center_is_a_float_when_one_dimensional(self):
         assert type(LocalFunction(1.0, np.array([0.3])).center) is float
         center = LocalFunction(1.0, np.array([0.3, -0.1])).center
@@ -199,7 +208,7 @@ class TestRunDecentralized:
         g = line_graph(3)
         fns = [LocalFunction(1.0, 0.0), LocalFunction(1.0, 1.0)]
         params = DualParams.from_graph(g, 1.0, 1.0)
-        with pytest.raises(ValueError, match="^need one local function per node$"):
+        with pytest.raises(ValueError, match=r"^need one local function per node \(3\), got 2$"):
             decentralized_plan(g, fns, 1.0, 1.0, 1.0, params, [1.0])
 
     def test_curvature_outside_bounds_rejected(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import continuized.graphs
+from continuized.dual import LocalFunction
 from continuized.graphs import (
     TOPOLOGY_FIELDS,
     complete_graph,
@@ -494,8 +495,8 @@ def test_graph_config_round_trips(case):
     dec = spec.decentralized
     assert (dec.mu, dec.smoothness) == (drawn["mu"], drawn["smoothness"])
     assert dec.dimension == len(drawn["centers"][0])
-    assert dec.curvatures.tolist() == drawn["curvatures"]
-    assert dec.centers.tolist() == drawn["centers"]
+    assert [f.curvature for f in dec.local_functions] == drawn["curvatures"]
+    assert [np.atleast_1d(f.center).tolist() for f in dec.local_functions] == drawn["centers"]
 
 
 class TestPresets:
@@ -567,10 +568,12 @@ class TestPresets:
         assert algo == spec.algo
         assert dataclasses.replace(algo, x0=algo.x0 + 1.0) != spec.algo
         dec = get_preset("decentralized-line10").decentralized
-        explicit = dataclasses.replace(dec, curvatures=np.array([0.5, 1.0]),
-                                       centers=np.array([[1.0], [2.0]]))
-        assert explicit == dataclasses.replace(explicit, centers=np.array([[1.0], [2.0]]))
-        assert explicit != dataclasses.replace(explicit, centers=np.array([[1.0], [3.0]]))
+        explicit = dataclasses.replace(dec, local_functions=(
+            LocalFunction(0.5, np.array([1.0])), LocalFunction(1.0, np.array([2.0]))))
+        assert explicit == dataclasses.replace(explicit, local_functions=(
+            LocalFunction(0.5, np.array([1.0])), LocalFunction(1.0, np.array([2.0]))))
+        assert explicit != dataclasses.replace(explicit, local_functions=(
+            LocalFunction(0.5, np.array([1.0])), LocalFunction(1.0, np.array([3.0]))))
         assert explicit != dec
 
     def test_spec_equals_a_fresh_copy_after_running(self):
@@ -807,7 +810,8 @@ centers =
         # resolved spec so that the run itself fails
         spec = parse_config_text(cfg)
         spec = dataclasses.replace(spec, decentralized=dataclasses.replace(
-            spec.decentralized, curvatures=np.array([9.0, 0.5, 0.5])
+            spec.decentralized,
+            local_functions=(LocalFunction(9.0, 0.1), *spec.decentralized.local_functions[1:]),
         ))
         with pytest.raises(RuntimeError, match="run 0 failed"):
             run_experiment(spec)

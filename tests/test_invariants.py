@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from continuized.dual import (
     DualParams,
-    LocalFunction,
     decentralized_plan,
     random_local_functions,
     run_decentralized,
@@ -211,10 +210,8 @@ def _one_run(spec):
         return run_gossip(spec.graph, params, spec.gossip_init, spec.horizon, rng,
                           checkpoints=spec.checkpoints)
     cfg = spec.decentralized
-    fns = [LocalFunction(float(c), np.atleast_1d(cfg.centers[v]))
-           for v, c in enumerate(cfg.curvatures)]
-    return run_decentralized(spec.graph, fns, cfg.mu, cfg.smoothness, spec.horizon, rng,
-                             checkpoints=spec.checkpoints)
+    return run_decentralized(spec.graph, cfg.local_functions, cfg.mu, cfg.smoothness,
+                             spec.horizon, rng, checkpoints=spec.checkpoints)
 
 
 def _assert_scaled(base, scaled):

@@ -61,8 +61,8 @@ BUILDERS = {
     "LyapunovCoeffs": lambda: lyapunov_on_grid(
         ParamSchedule.strongly_convex(2.0, 0.1), [1.0, 2.0, 4.0]),
     "AlgoSpec": lambda: get_preset("appendix-a1-strongly-convex").algo,
-    "DecentralizedSpec": lambda: DecentralizedSpec(
-        0.1, 1.0, 2, curvatures=np.array([0.2, 0.5]), centers=np.array([[1.0, 2.0], [3.0, 4.0]])),
+    "DecentralizedSpec": lambda: DecentralizedSpec(0.1, 1.0, 2, local_functions=(
+        LocalFunction(0.2, np.array([1.0, 2.0])), LocalFunction(0.5, np.array([3.0, 4.0])))),
     "ExperimentSpec": lambda: get_preset("appendix-a2-line30"),
     "Trace": _trace,
     "RunSet": lambda: run_experiment(

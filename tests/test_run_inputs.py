@@ -1,8 +1,10 @@
 """Each run-input rule refuses its input one way, from the library and from
 a config: an optimizer's start (``problems.check_point``), a pairwise run's
 node values (``gossip.check_node_values``), a schedule's problem
-(``schedules.check_pairing``) and a least-squares problem's sample weights
-(``problems.make_least_squares``).
+(``schedules.check_pairing``), a least-squares problem's sample weights
+(``problems.make_least_squares``), a baseline's iteration count
+(``problems.parse_int``) and a dual run's local functions
+(``dual.check_local_functions``).
 
 A case is a library call, with the exact type and message of what it
 raises, or a config given to the command line, with the one line it prints
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from continuized.dual import LocalFunction, run_decentralized
 from continuized.dynamics import run_continuized, run_gd, run_nesterov
 from continuized.gossip import GossipParams, run_gossip
 from continuized.graphs import line_graph
@@ -71,6 +74,25 @@ samples =
 """
 
 
+DECENTRALIZED = """
+[experiment]
+kind = decentralized
+horizon = 5
+runs = 1
+
+[graph]
+topology = line
+nodes = 3
+
+[decentralized]
+mu = 0.5
+smoothness = 1.0
+curvatures = {curvatures}
+centers =
+    {centers}
+"""
+
+
 def _continuized(x0=None, schedule=ParamSchedule.strongly_convex(2.0, 1.0)):
     return run_continuized(QUADRATIC, NoiseModel.none(), schedule, EventClock.exponential(), 5.0,
                            run_streams(0, 0), x0=x0, checkpoints=[1.0, 5.0])
@@ -80,6 +102,11 @@ def _gossip(x0):
     graph = line_graph(4)
     return run_gossip(graph, GossipParams.from_cache(graph.spectrum), x0, 5.0, run_streams(0, 0),
                       checkpoints=[1.0, 5.0])
+
+
+def _dual(*functions):
+    return run_decentralized(line_graph(3), functions, 0.5, 1.0, 5.0, run_streams(0, 0),
+                             checkpoints=[1.0, 5.0])
 
 
 def _refused(tmp_path, capsys, case, fault):
@@ -191,4 +218,67 @@ SAMPLE_WEIGHTS = {
 
 @pytest.mark.parametrize("case, fault", SAMPLE_WEIGHTS.values(), ids=SAMPLE_WEIGHTS)
 def test_sample_weights_are_refused_by_one_line_rule(tmp_path, capsys, case, fault):
+    _refused(tmp_path, capsys, case, fault)
+
+
+def _weight_shape(shape):
+    return InvalidProblemError, f"need one weight per sample, got shape {shape}"
+
+
+WEIGHT_COUNTS = {
+    "short": (_weights(1.0, 2.0), _weight_shape((2,))),
+    "column": (lambda: make_least_squares(np.eye(3), [1.0, 2.0, 3.0], np.ones((3, 1))),
+               _weight_shape((3, 1))),
+}
+
+
+@pytest.mark.parametrize("case, fault", WEIGHT_COUNTS.values(), ids=WEIGHT_COUNTS)
+def test_sample_weights_need_one_per_sample(tmp_path, capsys, case, fault):
+    _refused(tmp_path, capsys, case, fault)
+
+
+def _not_an_iteration_count(value):
+    return InvalidProblemError, f"must be an integer >= 1, got {value!r}"
+
+
+ITERATION_COUNTS = {
+    **{f"{method}-{value!r}": (lambda run=run, value=value: run(value),
+                               _not_an_iteration_count(value))
+       for method, run in (("nesterov", lambda i: run_nesterov(QUADRATIC, "convex", i)),
+                           ("gd", lambda i: run_gd(QUADRATIC, 0.5, i)))
+       for value in (-3, 0, True, 2.5)},
+    "config": (("optimize", OPTIMIZE + "[algo]\nmethod = gd\niters = 0\n"),
+               "[algo] iters: must be an integer >= 1, got '0'"),
+}
+
+
+@pytest.mark.parametrize("case, fault", ITERATION_COUNTS.values(), ids=ITERATION_COUNTS)
+def test_baseline_iterations_are_refused_by_parse_int(tmp_path, capsys, case, fault):
+    _refused(tmp_path, capsys, case, fault)
+
+
+def _outside(nodes, mu, smoothness):
+    return ValueError, (f"local curvatures of nodes {nodes} leave the declared "
+                        f"[mu, L] = [{mu}, {smoothness}]")
+
+
+LOCAL_FUNCTIONS = {
+    "count": (lambda: _dual(LocalFunction(0.5, 0.0), LocalFunction(1.0, 1.0)),
+              (ValueError, "need one local function per node (3), got 2")),
+    "curvature": (lambda: _dual(*(LocalFunction(c, 0.0) for c in (0.5, 2.0, 0.25))),
+                  _outside([1, 2], 0.5, 1.0)),
+    "dimensions": (lambda: _dual(LocalFunction(0.5, 0.0), LocalFunction(1.0, [1.0, 2.0]),
+                                 LocalFunction(1.0, 0.0)),
+                   (ValueError, "local functions mix dimensions [1, 2]")),
+    "config-count": (("decentralized", DECENTRALIZED.format(curvatures="0.5 1.0",
+                                                           centers="1\n    2")),
+                     "[decentralized] need one local function per node (3), got 2"),
+    "config-curvature": (("decentralized", DECENTRALIZED.format(curvatures="0.5 2.0 0.25",
+                                                               centers="1\n    2\n    3")),
+                         "[decentralized] " + _outside([1, 2], 0.5, 1.0)[1]),
+}
+
+
+@pytest.mark.parametrize("case, fault", LOCAL_FUNCTIONS.values(), ids=LOCAL_FUNCTIONS)
+def test_local_functions_are_refused_by_check_local_functions(tmp_path, capsys, case, fault):
     _refused(tmp_path, capsys, case, fault)

@@ -4,8 +4,11 @@ Each case runs ``run_experiment`` on a small ensemble (every preset at
 3 runs on two seeds, plus the Nesterov and gradient-descent baselines with
 bounds) and compares the SHA-256 of ``render_csv`` with the digest the
 runner produced before its three per-kind ensemble loops were merged into
-one.  A change that moves these bytes on purpose records new digests and
-says so in CHANGES.md.
+one.  Two decentralized cases with explicit local functions, centers of
+one and of two columns, pin the digests the runner produced while it still
+built those functions from the spec's curvature and center arrays.  A
+change that moves these bytes on purpose records new digests and says so
+in CHANGES.md.
 """
 
 import hashlib
@@ -40,6 +43,31 @@ BASELINES = {
     "gd": "method = gd\n",
 }
 
+# A decentralized config on line(3) with explicit local functions; the
+# centers rows follow.
+EXPLICIT_LINE3 = """
+[experiment]
+kind = decentralized
+horizon = 20
+runs = 20
+checkpoints = 10
+
+[graph]
+topology = line
+nodes = 3
+
+[decentralized]
+mu = 0.25
+smoothness = 1.0
+curvatures = 0.25 1.0 0.5
+centers =
+"""
+
+EXPLICIT_CENTERS = {
+    "explicit-centers-1": "    1.5\n    -0.5\n    0.25\n",
+    "explicit-centers-2": "    1.5 -2.0\n    -0.5 0.75\n    0.25 3.0\n",
+}
+
 PRESETS = (
     "appendix-a1-convex", "appendix-a1-strongly-convex", "appendix-b-additive",
     "appendix-a2-line30", "appendix-a2-grid225", "appendix-a2-complete10",
@@ -65,6 +93,8 @@ GOLDEN = {
     "nesterov-convex": "058f049585f450d54a63808e56a5c7166fb126b38975d94fa885ec0657e171d4",
     "nesterov-strongly-convex": "b159e9bd65bca600deb9af43dec52c0ef86fdf81a7a026a5c7c334bfc37e1914",
     "gd": "d424f62b15f6068977366e0b30d78f5d84a6dfa009a6cfdcff0aea6ee10b0979",
+    "explicit-centers-1": "ece363e9d2d9fac5263922f247d0d92353e1020f6cb073a75c574a00f9ab3dd4",
+    "explicit-centers-2": "31c308f0fc0e16246befd81a460763ab37582c4a672a0e3fbf088c100c5465c8",
 }
 
 
@@ -76,6 +106,10 @@ def _baseline_csv(name: str) -> str:
     return render_csv(run_experiment(parse_config_text(QUADRATIC_2D + BASELINES[name])))
 
 
+def _explicit_csv(name: str) -> str:
+    return render_csv(run_experiment(parse_config_text(EXPLICIT_LINE3 + EXPLICIT_CENTERS[name])))
+
+
 CASES = {
     **{
         f"{name}/{seed}": (_preset_csv, name, seed)
@@ -83,6 +117,7 @@ CASES = {
         for seed in PRESET_SEEDS
     },
     **{name: (_baseline_csv, name) for name in BASELINES},
+    **{name: (_explicit_csv, name) for name in EXPLICIT_CENTERS},
 }
 
 

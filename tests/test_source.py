@@ -415,8 +415,9 @@ def test_run_inputs_have_one_owner():
     # engines both call: problems.check_point for an optimizer's start,
     # gossip.check_node_values for a pairwise run's node values,
     # schedules.check_pairing for a schedule's problem (so no engine keeps
-    # a `certified` flag that drops the certificate), and one by-line
-    # refusal for the sample weights that are not finite and > 0
+    # a `certified` flag that drops the certificate), one by-line refusal
+    # for the sample weights that are not finite and > 0, and
+    # dual.check_local_functions for a dual run's local functions
     package = SRC / "continuized"
     fns = {name: _function(package / f"{module}.py", name) for module, name in (
         ("dynamics", "continuized_plan"), ("dynamics", "nesterov_recursion"),
@@ -448,6 +449,18 @@ def test_run_inputs_have_one_owner():
     refusals = [text for n in ast.walk(fns["make_least_squares"]) if (text := _text(n))
                 and "weight" in text and ("positive" in text or "> 0" in text)]
     assert refusals == ["sample weights must be finite and > 0"], refusals
+    # the parser alone builds explicit local functions, and its spec keeps
+    # them, not the arrays they were built from
+    for module, name in (("dual", "decentralized_plan"), ("harness/config", "_decentralized")):
+        fn = _function(package / f"{module}.py", name)
+        assert "check_local_functions" in {_name(n) for n in ast.walk(fn)}, name
+    # a call of LocalFunction, or one that hands it over to be called
+    built = [f"{path.name}:{node.lineno}" for path in sorted((package / "harness").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and "LocalFunction" in {_name(n) for n in (node.func, *node.args)}]
+    assert built and all(where.startswith("config.py:") for where in built), built
+    spec_fields = {f.name for f in dataclasses.fields(config.DecentralizedSpec)}
+    assert not spec_fields & {"curvatures", "centers"}, spec_fields
 
 
 def test_readme_presets_table_names_every_preset():
